@@ -36,7 +36,7 @@ cargo clippy --workspace --all-targets -q -- \
 # Interprocedural analysis (L9-L12) must also stay cheap: budget the
 # whole-workspace run at 10s wall clock so the gate never becomes the
 # slow part of CI.
-echo "==> impliance-analysis check (L1-L13 invariants, ratcheted + drift gate)"
+echo "==> impliance-analysis check (the twelve invariants, ratcheted + drift gate)"
 analysis_start=$(date +%s)
 cargo run -q -p impliance-analysis -- check --verify-baseline
 analysis_elapsed=$(( $(date +%s) - analysis_start ))
@@ -123,6 +123,16 @@ if [ ! -s BENCH_search.json ]; then
   echo "FAIL: search_bench did not emit BENCH_search.json" >&2
   exit 1
 fi
+
+# impbench — the benchmark BENCHMARK.json declares — is a package of its
+# own outside the workspace, so nothing above compiles it. Build and test
+# it against the crates as they stand, then run a 1/50-scale pass of all
+# four workloads with answers checked (non-zero exit on a wrong one), so
+# a refactor cannot break the benchmark silently.
+echo "==> impbench tests + smoke (all four workloads, answers checked)"
+cargo test -q --offline --manifest-path impbench/Cargo.toml
+cargo run --release --quiet --offline --manifest-path impbench/Cargo.toml -- \
+  --workload all --seed 42 --smoke --out target/impbench-smoke >/dev/null
 
 # Every PR must append its one-line summary to CHANGES.md: the file must
 # have gained a line relative to the previous commit, or carry uncommitted

@@ -1,4 +1,5 @@
-//! The Impliance workspace invariants (L1-L6), enforced over the
+//! The Impliance workspace lexical invariants (L1-L5, L7, L8, L13; L6 was
+//! retired with the `ops`/`joins` wrappers it policed), enforced over the
 //! token stream produced by [`crate::lexer`].
 //!
 //! | id | invariant |
@@ -8,7 +9,6 @@
 //! | L3 | no `Instant::now` / `SystemTime::now` in simulation-deterministic cluster code outside the clock exemptions |
 //! | L4 | no `Mutex`/`RwLock` guard held across a channel `send`/`recv` in the same function body |
 //! | L5 | no `print!`/`println!`/`eprint!`/`eprintln!` in library crates |
-//! | L6 | no materializing helpers (`ops::*` / `joins::*` / `collect_*`) inside the streaming executor core |
 //! | L7 | no `unwrap()` / `expect()` on cluster `submit_to`/`transmit` chains in the resilient distributed executor — test code included |
 //! | L8 | no raw `std::thread::spawn` in the query crate outside the morsel worker pool (`parallel.rs`) |
 //! | L13 | no direct `index::search` entry-point calls (`search::search` / `search_topk` / `search_phrase`) outside `crates/query` / `crates/index` |
@@ -49,10 +49,6 @@ pub struct LintConfig {
     /// Prefixes exempt from L5 (harness/tooling crates whose job is to
     /// print: the bench harness and the analysis driver itself).
     pub l5_exempt_prefixes: Vec<String>,
-    /// Files forming the streaming executor core for L6: operator
-    /// internals here must stream batches, never call the materializing
-    /// compatibility helpers.
-    pub l6_streaming_files: Vec<String>,
     /// Files forming the resilient distributed executor for L7: cluster
     /// call results here must never be unwrapped, even in tests, because
     /// chaos schedules make those calls fail on purpose.
@@ -97,10 +93,6 @@ impl LintConfig {
             l2_exempt: vec!["crates/cluster/src/network.rs".into()],
             l3_exempt: vec!["crates/cluster/src/network.rs".into()],
             l5_exempt_prefixes: vec!["crates/bench/".into(), "crates/analysis/".into()],
-            l6_streaming_files: vec![
-                "crates/query/src/exec.rs".into(),
-                "crates/query/src/batch.rs".into(),
-            ],
             l7_files: vec!["crates/query/src/dist.rs".into()],
             l8_prefixes: vec!["crates/query/src/".into()],
             l8_exempt: vec!["crates/query/src/parallel.rs".into()],
@@ -194,9 +186,6 @@ pub fn lint_source(config: &LintConfig, rel_path: &str, source: &str) -> Vec<Dia
         && !rel_path.contains("/bin/")
     {
         lint_l5(&ctx, &mut diags);
-    }
-    if config.l6_streaming_files.iter().any(|f| f == rel_path) {
-        lint_l6(&ctx, &mut diags);
     }
     if config.l7_files.iter().any(|f| f == rel_path) {
         lint_l7(&ctx, &mut diags);
@@ -684,64 +673,6 @@ fn lint_l5(ctx: &FileContext<'_>, diags: &mut Vec<Diagnostic>) {
                 "record a counter/event via impliance-obs, or return the text to the caller; \
                  only binaries may print",
             ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// L6: the streaming executor core must not materialize
-// ---------------------------------------------------------------------
-
-/// The batched pipeline's whole point is that operators pull one batch at
-/// a time; a call back into the materializing compatibility layer
-/// (`ops::filter(..)`, `joins::hash_join(..)`, `collect_tuples(..)`,
-/// `collect_all(..)`, ...) inside the executor core silently re-buffers
-/// the entire input and defeats LIMIT early termination. Definitions
-/// (`fn collect_tuples(...)`) and test code are exempt — the collect
-/// helpers *live* in the core so wrappers and tests can call them.
-fn lint_l6(ctx: &FileContext<'_>, diags: &mut Vec<Diagnostic>) {
-    let toks = &ctx.lexed.tokens;
-    for i in 0..toks.len() {
-        if ctx.is_test_token(i) || toks[i].kind != TokenKind::Ident {
-            continue;
-        }
-        let next_is = |off: usize, s: &str| toks.get(i + off).map(|t| t.text.as_str()) == Some(s);
-        match toks[i].text.as_str() {
-            "ops" | "joins"
-                if next_is(1, ":")
-                    && next_is(2, ":")
-                    && toks.get(i + 3).map(|t| t.kind == TokenKind::Ident) == Some(true)
-                    && next_is(4, "(") =>
-            {
-                diags.push(ctx.diag(
-                    LintId::L6,
-                    toks[i].line,
-                    format!(
-                        "`{}::{}(..)` materializes its whole input inside the streaming \
-                         executor core",
-                        toks[i].text,
-                        toks[i + 3].text
-                    ),
-                    "build the batched operator directly (crate::batch::*) so rows stream \
-                     and LIMIT can terminate the pipeline early",
-                ));
-            }
-            "collect_all" | "collect_tuples" | "collect_rows"
-                if next_is(1, "(") && !(i > 0 && toks[i - 1].text == "fn") =>
-            {
-                diags.push(ctx.diag(
-                    LintId::L6,
-                    toks[i].line,
-                    format!(
-                        "`{}(..)` drains the operator into a Vec inside the streaming \
-                         executor core",
-                        toks[i].text
-                    ),
-                    "pull batches in a loop (`while let Some(batch) = op.next_batch()?`) \
-                     instead of materializing the full result",
-                ));
-            }
-            _ => {}
         }
     }
 }
@@ -1276,53 +1207,6 @@ mod tests {
         "#;
         let c = LintConfig::impliance("/nonexistent");
         assert!(lint_source(&c, "crates/storage/src/engine.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l6_flags_materializing_helpers_in_streaming_core() {
-        let src = r#"
-            fn run(op: &mut dyn Operator) -> Vec<Tuple> {
-                let a = ops::filter(&input, "c", &p);
-                let b = joins::hash_join(l, r, lk, rk);
-                collect_tuples(op).unwrap_or_default()
-            }
-        "#;
-        let diags = run("crates/query/src/exec.rs", src);
-        assert_eq!(diags.iter().filter(|d| d.id == LintId::L6).count(), 3);
-    }
-
-    #[test]
-    fn l6_ignores_definitions_and_test_code() {
-        let src = r#"
-            pub fn collect_tuples(op: &mut dyn Operator) -> Result<Vec<Tuple>, ExecError> {
-                let mut out = Vec::new();
-                while let Some(batch) = op.next_batch()? {
-                    out.extend(batch.into_tuples());
-                }
-                Ok(out)
-            }
-            #[cfg(test)]
-            mod tests {
-                #[test]
-                fn t() {
-                    let got = collect_tuples(&mut op).unwrap();
-                }
-            }
-        "#;
-        let diags = run("crates/query/src/batch.rs", src);
-        assert!(diags.iter().all(|d| d.id != LintId::L6));
-    }
-
-    #[test]
-    fn l6_not_applied_to_compatibility_wrappers() {
-        let src = r#"
-            pub fn filter(tuples: &[Tuple], alias: &str, p: &Predicate) -> Vec<Tuple> {
-                let mut op = FilterOp::new(source(tuples.to_vec()), alias.to_string(), p.clone());
-                collect_tuples(&mut op).unwrap_or_default()
-            }
-        "#;
-        let diags = run("crates/query/src/ops.rs", src);
-        assert!(diags.iter().all(|d| d.id != LintId::L6));
     }
 
     #[test]

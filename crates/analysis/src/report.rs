@@ -21,10 +21,6 @@ pub enum LintId {
     /// Library crates must not print to stdout/stderr — diagnostics flow
     /// through the observability layer (`impliance-obs`), not the console.
     L5,
-    /// The streaming executor core must not fall back to the materializing
-    /// helpers (`ops::*` / `joins::*` / `collect_*`) — operators stream
-    /// batches; only the compatibility wrappers may materialize.
-    L6,
     /// No `unwrap()` / `expect()` on cluster `submit_to` / `transmit`
     /// result chains in the resilient distributed executor — those calls
     /// fail by design under chaos schedules, and must degrade, not panic.
@@ -63,13 +59,12 @@ pub enum LintId {
 
 impl LintId {
     /// All lints, in order.
-    pub const ALL: [LintId; 13] = [
+    pub const ALL: [LintId; 12] = [
         LintId::L1,
         LintId::L2,
         LintId::L3,
         LintId::L4,
         LintId::L5,
-        LintId::L6,
         LintId::L7,
         LintId::L8,
         LintId::L9,
@@ -87,7 +82,6 @@ impl LintId {
             LintId::L3 => "L3",
             LintId::L4 => "L4",
             LintId::L5 => "L5",
-            LintId::L6 => "L6",
             LintId::L7 => "L7",
             LintId::L8 => "L8",
             LintId::L9 => "L9",
@@ -106,7 +100,6 @@ impl LintId {
             "L3" => Some(LintId::L3),
             "L4" => Some(LintId::L4),
             "L5" => Some(LintId::L5),
-            "L6" => Some(LintId::L6),
             "L7" => Some(LintId::L7),
             "L8" => Some(LintId::L8),
             "L9" => Some(LintId::L9),
@@ -128,10 +121,6 @@ impl LintId {
             }
             LintId::L4 => "no Mutex/RwLock guard held across a channel send/recv",
             LintId::L5 => "no print!/println!/eprint!/eprintln! in library crates",
-            LintId::L6 => {
-                "no materializing helpers (ops::/joins::/collect_*) inside the streaming \
-                 executor core"
-            }
             LintId::L7 => {
                 "no unwrap()/expect() on cluster submit_to/transmit chains in the resilient \
                  distributed executor (test code included)"
@@ -193,11 +182,6 @@ impl LintId {
                 "Library output flows through impliance-obs so harnesses emit \
                  machine-readable streams; a stray println! corrupts golden stdout and is \
                  invisible to library consumers."
-            }
-            LintId::L6 => {
-                "The batched executor's whole point is streaming: a call back into the \
-                 materializing compatibility helpers silently re-buffers the input and \
-                 defeats LIMIT early termination."
             }
             LintId::L7 => {
                 "Chaos schedules make cluster calls fail on purpose; an unwrap on a \
@@ -271,11 +255,6 @@ impl LintId {
             LintId::L5 => {
                 "Flags print-family macro tokens in library files; binaries (main.rs, \
                  src/bin/), the bench/analysis crates, and test code are exempt."
-            }
-            LintId::L6 => {
-                "Flags `ops::*(`/`joins::*(` qualified calls and `collect_*(` helpers \
-                 inside the streaming executor core files; definitions (`fn collect_*`) \
-                 and test code pass."
             }
             LintId::L7 => {
                 "Follows the direct method chain rooted at submit_to/submit_to_kind/\

@@ -3,13 +3,18 @@
 //! join method" — the crossover between indexed NL and hash join as k
 //! grows.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use impliance_bench::Corpus;
 use impliance_core::{ApplianceConfig, Impliance};
 use impliance_docmodel::DocId;
-use impliance_query::{joins, Tuple};
+use impliance_query::batch::{
+    collect_tuples, HashJoinOp, IndexedNlJoinOp, Operator, VecSource, DEFAULT_BATCH_SIZE,
+};
+use impliance_query::{ExecMetrics, Tuple};
 use impliance_storage::{Predicate, ScanRequest};
 
 fn bench(c: &mut Criterion) {
@@ -46,28 +51,37 @@ fn bench(c: &mut Criterion) {
     let lk = ("o".to_string(), "cust".to_string());
     let rk = ("c".to_string(), "code".to_string());
     let storage = imp.storage();
-    let fetch = |id: DocId| storage.get_latest(id).ok().flatten().map(Arc::new);
+    let source = |tuples: &[Tuple]| -> Box<dyn Operator> {
+        Box::new(VecSource::tuples(
+            "scan",
+            tuples.to_vec(),
+            DEFAULT_BATCH_SIZE,
+        ))
+    };
 
     let mut group = c.benchmark_group("c4_topk_join");
     group.sample_size(10);
     for k in [1usize, 10, 100, 8000] {
         group.bench_with_input(BenchmarkId::new("indexed_nl", k), &k, |b, &k| {
             b.iter(|| {
-                joins::indexed_nl_join(
-                    orders.clone(),
+                let mut op = IndexedNlJoinOp::new(
+                    source(&orders),
                     imp.value_index(),
-                    "c",
-                    "code",
-                    &lk,
-                    &fetch,
+                    "c".into(),
+                    "code".into(),
+                    lk.clone(),
+                    Box::new(|id: DocId| storage.get_latest(id).ok().flatten().map(Arc::new)),
                     Some(k),
-                )
-                .len()
+                    Rc::new(RefCell::new(ExecMetrics::default())),
+                );
+                collect_tuples(&mut op).expect("indexed NL join").len()
             })
         });
         group.bench_with_input(BenchmarkId::new("hash", k), &k, |b, &k| {
             b.iter(|| {
-                let mut out = joins::hash_join(orders.clone(), customers.clone(), &lk, &rk);
+                let mut op =
+                    HashJoinOp::new(source(&orders), source(&customers), lk.clone(), rk.clone());
+                let mut out = collect_tuples(&mut op).expect("hash join");
                 out.truncate(k);
                 out.len()
             })

@@ -5,6 +5,8 @@
 //! cargo run --release -p impliance-bench --bin figures [f1|f2|f3|f4|c1..c8|all]
 //! ```
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -18,7 +20,10 @@ use impliance_bench::{Corpus, Table};
 use impliance_cluster::NodeKind;
 use impliance_core::{views, ApplianceConfig, ClusterImpliance, Impliance, QueryRequest};
 use impliance_docmodel::{DocId, Value};
-use impliance_query::{costopt::CostOptimizer, joins, parse_sql, SimplePlanner, Tuple};
+use impliance_query::batch::{
+    collect_tuples, HashJoinOp, IndexedNlJoinOp, Operator, VecSource, DEFAULT_BATCH_SIZE,
+};
+use impliance_query::{costopt::CostOptimizer, parse_sql, ExecMetrics, SimplePlanner, Tuple};
 use impliance_storage::{
     AggFunc, AggSpec, Predicate, Projection, ScanRequest, StorageEngine, StorageOptions,
 };
@@ -1012,7 +1017,13 @@ fn c4_topk_join() {
     let lk = ("o".to_string(), "cust".to_string());
     let rk = ("c".to_string(), "code".to_string());
     let storage = imp.storage();
-    let fetch = |id: DocId| storage.get_latest(id).ok().flatten().map(Arc::new);
+    let source = |tuples: &[Tuple]| -> Box<dyn Operator> {
+        Box::new(VecSource::tuples(
+            "scan",
+            tuples.to_vec(),
+            DEFAULT_BATCH_SIZE,
+        ))
+    };
 
     let mut t = Table::new(
         "C4 — top-k join: indexed nested-loop vs hash (20k orders ⋈ 2k customers)",
@@ -1020,18 +1031,22 @@ fn c4_topk_join() {
     );
     for k in [1usize, 10, 100, 1000, 10_000, usize::MAX] {
         let t0 = Instant::now();
-        let inl = joins::indexed_nl_join(
-            orders.clone(),
+        let mut inl_op = IndexedNlJoinOp::new(
+            source(&orders),
             imp.value_index(),
-            "c",
-            "code",
-            &lk,
-            &fetch,
+            "c".into(),
+            "code".into(),
+            lk.clone(),
+            Box::new(|id: DocId| storage.get_latest(id).ok().flatten().map(Arc::new)),
             if k == usize::MAX { None } else { Some(k) },
+            Rc::new(RefCell::new(ExecMetrics::default())),
         );
+        let inl = collect_tuples(&mut inl_op).expect("indexed NL join");
         let inl_time = t0.elapsed();
         let t1 = Instant::now();
-        let mut hashed = joins::hash_join(orders.clone(), customers.clone(), &lk, &rk);
+        let mut hash_op =
+            HashJoinOp::new(source(&orders), source(&customers), lk.clone(), rk.clone());
+        let mut hashed = collect_tuples(&mut hash_op).expect("hash join");
         hashed.truncate(k);
         let hash_time = t1.elapsed();
         assert_eq!(inl.len().min(k), hashed.len().min(k));

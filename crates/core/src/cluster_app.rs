@@ -322,14 +322,17 @@ impl ClusterImpliance {
             .get(&node)
             .cloned()
             .ok_or(ClusterError::NodeDown(node))?;
-        // capture the dead node's primary doc ids before the kill
-        let dead_primary: Vec<DocId> = {
-            let res = dead_state.storage.scan(&ScanRequest {
+        // Capture the dead node's primary doc ids before the kill. A
+        // failed scan aborts the removal with the node still in service:
+        // recovering from an empty id list would skip promoting replicas
+        // for every document the node owned.
+        let dead_primary: Vec<DocId> = dead_state
+            .storage
+            .scan(&ScanRequest {
                 projection: impliance_storage::Projection::IdsOnly,
                 ..ScanRequest::full()
-            });
-            res.map(|r| r.ids).unwrap_or_default()
-        };
+            })?
+            .ids;
         // Planned removal: recovery below rehomes the node's data, so the
         // identity is decommissioned (dropped from scan-coverage
         // membership), not just killed.
@@ -615,6 +618,26 @@ mod tests {
             scan.coverage.partitions_total,
             scan.coverage.partitions_skipped()
         );
+    }
+
+    #[test]
+    fn kill_data_node_surfaces_a_failed_id_scan() {
+        let app = ClusterImpliance::boot(config(4, 1));
+        load(&app, 200);
+        let victim = app.runtime().nodes_of_kind(NodeKind::Data)[1];
+        let state = app.engines.lock().get(&victim).cloned().unwrap();
+        state.storage.seal_all();
+        state.storage.corrupt_sealed_blocks();
+        let err = app
+            .kill_data_node(victim)
+            .expect_err("an unreadable primary store must not report a successful recovery");
+        assert_eq!(err.kind(), crate::error::ErrorKind::Corrupt, "{err}");
+        // nothing was decommissioned on the strength of an empty id list
+        assert!(app
+            .runtime()
+            .nodes_of_kind(NodeKind::Data)
+            .contains(&victim));
+        assert!(app.engines.lock().contains_key(&victim));
     }
 
     #[test]

@@ -400,8 +400,9 @@ pub struct QueryResponse {
 pub struct ExecStats {
     /// Rows/documents produced by the root operator.
     pub rows: u64,
-    /// Batches drained from the root (pages processed across all workers
-    /// on the parallel path).
+    /// Batches drained at the root of an operator tree — the query's one
+    /// tree on the serial path, summed over every morsel's tree on the
+    /// parallel path.
     pub batches: u64,
     /// Mean rows per drained batch (0.0 when nothing was drained).
     pub rows_per_batch: f64,

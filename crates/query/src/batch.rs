@@ -11,12 +11,16 @@
 //! a `LIMIT 10` over a million documents now touches batches, not the
 //! corpus.
 //!
-//! The legacy materialized helpers in [`crate::ops`] and [`crate::joins`]
-//! are thin wrappers over these operators (slated for removal); the
-//! executor in [`crate::exec`] composes operators directly.
+//! This is the only operator family: [`crate::exec::compile`] lowers a
+//! plan to these operators whether the tree runs alone on the calling
+//! thread or once per morsel inside the exchange in [`crate::parallel`].
+//! Scans take the partition range they cover; `Project` and `GroupAgg`
+//! accept tuple *and* column batches; the hash join probes a table it
+//! built itself or one the exchange built once and shares.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -28,13 +32,13 @@ use impliance_index::{
 };
 use impliance_obs::{Counter, Histogram, LATENCY_BUCKETS_US};
 use impliance_storage::{
-    AggValue, BatchScan, Bitmask, ColumnPage, Predicate, ScanPos, ScanRequest, StorageEngine,
+    AggValue, Bitmask, ColumnPage, Predicate, ScanPos, ScanRequest, StorageEngine, StorageError,
 };
 
 use crate::adaptive::AdaptiveFilterChain;
 use crate::exec::{ExecError, ExecMetrics};
 use crate::plan::{AggItem, SortKey};
-use crate::tuple::{Row, Tuple};
+use crate::tuple::{Row, Tuple, PSEUDO_ID, PSEUDO_SCORE};
 
 /// Default number of tuples/rows per batch when neither the request nor
 /// the appliance config overrides it.
@@ -79,22 +83,6 @@ impl Batch {
             Batch::Tuples(t) => t.truncate(n),
             Batch::Rows(r) => r.truncate(n),
             Batch::Columns(p) => p.truncate(n),
-        }
-    }
-
-    /// Row view of the batch for operators that are not yet vectorized:
-    /// a columnar batch rebinds each of its documents under `alias`
-    /// (exactly what the row-path scan would have produced); a tuple
-    /// batch passes through; a row batch has no tuple view.
-    pub fn into_tuples(self, alias: &str) -> Vec<Tuple> {
-        match self {
-            Batch::Tuples(t) => t,
-            Batch::Rows(_) => Vec::new(),
-            Batch::Columns(p) => p
-                .docs
-                .into_iter()
-                .map(|d| Tuple::single(alias, d))
-                .collect(),
         }
     }
 }
@@ -258,11 +246,73 @@ impl Operator for VecSource {
     }
 }
 
-/// Streaming storage scan: one partition page per pull, predicate
-/// push-down (or a node-side residual filter when push-down is off), and
-/// scan metrics merged into the pipeline's shared [`ExecMetrics`].
+/// Resumable cursor over a contiguous range of storage partitions, in
+/// index order: every partition of the store when a tree runs alone,
+/// exactly one when it runs as a morsel. Both scan operators read their
+/// pages through it, so the partition read lock is taken per page and
+/// seals landing between pages are absorbed by the storage cursor.
+struct PartitionCursor<'a> {
+    storage: &'a StorageEngine,
+    request: ScanRequest,
+    partitions: Range<usize>,
+    pos: ScanPos,
+    batch_size: usize,
+}
+
+impl<'a> PartitionCursor<'a> {
+    fn new(
+        storage: &'a StorageEngine,
+        request: ScanRequest,
+        partitions: Range<usize>,
+        batch_size: usize,
+    ) -> PartitionCursor<'a> {
+        PartitionCursor {
+            storage,
+            request,
+            partitions,
+            pos: ScanPos::default(),
+            batch_size: batch_size.max(1),
+        }
+    }
+
+    /// Read the next page through `read` (one of the storage page
+    /// calls), or `None` once the range is exhausted. Pages that matched
+    /// nothing are still returned so their scan metrics reach the caller.
+    fn next_page<P>(
+        &mut self,
+        read: impl FnOnce(
+            &StorageEngine,
+            usize,
+            &ScanRequest,
+            ScanPos,
+            usize,
+        ) -> Result<(P, ScanPos, bool), StorageError>,
+    ) -> Result<Option<P>, ExecError> {
+        if self.partitions.is_empty() {
+            return Ok(None);
+        }
+        let (page, next, done) = read(
+            self.storage,
+            self.partitions.start,
+            &self.request,
+            self.pos,
+            self.batch_size,
+        )?;
+        self.pos = next;
+        if done {
+            self.partitions.start += 1;
+            self.pos = ScanPos::default();
+        }
+        Ok(Some(page))
+    }
+}
+
+/// Streaming storage scan: one partition page per pull
+/// ([`StorageEngine::scan_partition_page`]), predicate push-down (or a
+/// node-side residual filter when push-down is off), and scan metrics
+/// merged into the pipeline's shared [`ExecMetrics`].
 pub struct ScanOp<'a> {
-    stream: BatchScan<'a>,
+    cursor: PartitionCursor<'a>,
     alias: String,
     /// Residual predicate evaluated here when push-down is disabled.
     post_filter: Option<Predicate>,
@@ -271,13 +321,16 @@ pub struct ScanOp<'a> {
 
 impl<'a> ScanOp<'a> {
     pub(crate) fn new(
-        stream: BatchScan<'a>,
+        storage: &'a StorageEngine,
+        request: ScanRequest,
+        partitions: Range<usize>,
         alias: String,
         post_filter: Option<Predicate>,
+        batch_size: usize,
         metrics: SharedMetrics,
     ) -> ScanOp<'a> {
         ScanOp {
-            stream,
+            cursor: PartitionCursor::new(storage, request, partitions, batch_size),
             alias,
             post_filter,
             metrics,
@@ -292,7 +345,10 @@ impl Operator for ScanOp<'_> {
 
     fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
         loop {
-            let Some(result) = self.stream.next_batch()? else {
+            let Some(result) = self
+                .cursor
+                .next_page(|s, part, req, pos, n| s.scan_partition_page(part, req, pos, n))?
+            else {
                 return Ok(None);
             };
             self.metrics.borrow_mut().scan.merge(&result.metrics);
@@ -386,82 +442,80 @@ pub(crate) fn run_index_search(
     (hits, stats, effective_k)
 }
 
+/// Where an [`IndexScanOp`] gets its ordered hit list.
+pub(crate) enum IndexHits<'a> {
+    /// Evaluate the search on first pull (a tree running alone).
+    Search {
+        index: &'a InvertedIndex,
+        query: String,
+        path: Option<String>,
+        k: Option<usize>,
+        any_term: bool,
+        phrase: bool,
+    },
+    /// One chunk of a hit list the exchange already scored — BM25
+    /// statistics are index-global, so the evaluation itself never shards
+    /// and its stats were recorded once by the exchange.
+    Scored(Vec<SearchHit>),
+}
+
 /// Scored text retrieval source: evaluates a BM25 (or phrase) search on
-/// first pull, resolves each hit to its snapshot-visible document via
-/// `fetch`, and emits score-descending tuple batches whose tuples carry
-/// the relevance score (visible to projections as the `_score`
-/// pseudo-path). Top-k early termination inside the evaluation is folded
-/// into the pipeline's `ExecMetrics` so `ExecStats.early_terminations`
-/// reports it honestly.
+/// first pull (or takes an already-scored chunk of hits), resolves each
+/// hit to its snapshot-visible document via `fetch`, and emits
+/// score-descending tuple batches whose tuples carry the relevance score
+/// (visible to projections as the `_score` pseudo-path). Top-k early
+/// termination inside the evaluation is folded into the pipeline's
+/// `ExecMetrics` so `ExecStats.early_terminations` reports it honestly.
 pub struct IndexScanOp<'a> {
-    index: &'a InvertedIndex,
-    query: String,
-    path: Option<String>,
-    k: Option<usize>,
+    hits: Option<IndexHits<'a>>,
     alias: String,
-    any_term: bool,
-    phrase: bool,
     /// Drop hits whose fetched document lives outside this collection.
     collection: Option<String>,
     fetch: Box<dyn Fn(DocId) -> Option<Arc<Document>> + 'a>,
     batch_size: usize,
     metrics: SharedMetrics,
-    pending: Option<Vec<Tuple>>,
+    pending: Vec<Tuple>,
 }
 
 impl<'a> IndexScanOp<'a> {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        index: &'a InvertedIndex,
-        query: String,
-        path: Option<String>,
-        k: Option<usize>,
+    pub(crate) fn new(
+        hits: IndexHits<'a>,
         alias: String,
-        any_term: bool,
-        phrase: bool,
         collection: Option<String>,
         fetch: Box<dyn Fn(DocId) -> Option<Arc<Document>> + 'a>,
         batch_size: usize,
         metrics: SharedMetrics,
     ) -> IndexScanOp<'a> {
         IndexScanOp {
-            index,
-            query,
-            path,
-            k,
+            hits: Some(hits),
             alias,
-            any_term,
-            phrase,
             collection,
             fetch,
             batch_size: batch_size.max(1),
             metrics,
-            pending: None,
+            pending: Vec::new(),
         }
     }
 
     fn fill(&mut self) {
-        if self.pending.is_some() {
-            return;
-        }
-        let (hits, stats, effective_k) = run_index_search(
-            self.index,
-            &self.query,
-            self.path.as_deref(),
-            self.any_term,
-            self.phrase,
-            self.k,
-        );
-        {
-            let mut m = self.metrics.borrow_mut();
-            m.index_lookups += 1;
-            m.search_candidates_scored += stats.candidates_scored as u64;
-            m.search_candidates_pruned += stats.candidates_pruned as u64;
-            if stats.early_terminated(effective_k) {
-                m.early_terminations += 1;
+        let hits = match self.hits.take() {
+            None => return,
+            Some(IndexHits::Scored(hits)) => hits,
+            Some(IndexHits::Search {
+                index,
+                query,
+                path,
+                k,
+                any_term,
+                phrase,
+            }) => {
+                let (hits, stats, effective_k) =
+                    run_index_search(index, &query, path.as_deref(), any_term, phrase, k);
+                self.metrics.borrow_mut().record_search(&stats, effective_k);
+                hits
             }
-        }
-        let tuples: Vec<Tuple> = hits
+        };
+        self.pending = hits
             .into_iter()
             .filter_map(|hit| {
                 let doc = (self.fetch)(hit.id)?;
@@ -473,7 +527,6 @@ impl<'a> IndexScanOp<'a> {
                 Some(Tuple::single(&self.alias, doc).with_score(hit.score))
             })
             .collect();
-        self.pending = Some(tuples);
     }
 }
 
@@ -484,13 +537,13 @@ impl Operator for IndexScanOp<'_> {
 
     fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
         self.fill();
-        let Some(buf) = self.pending.as_mut() else {
-            return Ok(None);
-        };
-        if buf.is_empty() {
+        if self.pending.is_empty() {
             return Ok(None);
         }
-        Ok(Some(Batch::Tuples(take_front(buf, self.batch_size))))
+        Ok(Some(Batch::Tuples(take_front(
+            &mut self.pending,
+            self.batch_size,
+        ))))
     }
 }
 
@@ -498,12 +551,12 @@ impl Operator for IndexScanOp<'_> {
 // Columnar (vectorized) operators
 // ---------------------------------------------------------------------
 
-pub(crate) struct ColumnarObs {
-    pub(crate) batches: Arc<Counter>,
-    pub(crate) rows: Arc<Counter>,
+struct ColumnarObs {
+    batches: Arc<Counter>,
+    rows: Arc<Counter>,
 }
 
-pub(crate) fn columnar_obs() -> &'static ColumnarObs {
+fn columnar_obs() -> &'static ColumnarObs {
     static OBS: OnceLock<ColumnarObs> = OnceLock::new();
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
@@ -516,7 +569,9 @@ pub(crate) fn columnar_obs() -> &'static ColumnarObs {
 
 /// First-leaf value for row `i` of a page: through the typed column when
 /// one was decoded, else through the document view — both reproduce
-/// [`Tuple::key`] exactly.
+/// [`Tuple::key`] exactly. Pseudo-paths are never decoded into columns
+/// (see `compile_columnar_scan`), so they resolve on the document side: a
+/// scanned row has an id and no retrieval score.
 fn page_value(
     page: &ColumnPage,
     col: Option<&impliance_storage::Column>,
@@ -525,10 +580,14 @@ fn page_value(
 ) -> Value {
     match col {
         Some(c) => c.value_at(i),
+        None if path == PSEUDO_SCORE => Value::Null,
         None => page
             .docs
             .get(i)
             .and_then(|d| {
+                if path == PSEUDO_ID {
+                    return Some(Value::Int(d.id().0 as i64));
+                }
                 d.leaves()
                     .into_iter()
                     .find(|(p, _)| p.structural_form() == path)
@@ -538,18 +597,18 @@ fn page_value(
     }
 }
 
+/// Running group states of an aggregation: group-key rendering → (key
+/// value, one state per aggregate).
+pub(crate) type Groups = BTreeMap<String, (Value, Vec<AggValue>)>;
+
 /// Project a column page into output rows, column-at-a-time: each output
-/// column resolves once to a typed column vector (or to the constant
-/// `Null` the row path produces for an alias the scan never bound).
-/// Shared by [`ColumnarProjectOp`] and the parallel morsel workers.
-pub(crate) fn project_page(
-    page: &ColumnPage,
-    columns: &[(String, String, String)],
-    scan_alias: &str,
-) -> Vec<Row> {
-    let cols: Vec<(bool, Option<&impliance_storage::Column>)> = columns
+/// column resolves once to a typed column vector. Pages only reach a
+/// projection when every column binds the scan's own alias (the fusion
+/// rule in [`crate::exec::compile`]), so aliases are not consulted.
+fn project_page(page: &ColumnPage, columns: &[(String, String, String)]) -> Vec<Row> {
+    let cols: Vec<Option<&impliance_storage::Column>> = columns
         .iter()
-        .map(|(alias, path, _)| (alias.as_str() == scan_alias, page.column(path)))
+        .map(|(_, path, _)| page.column(path))
         .collect();
     (0..page.len)
         .map(|i| {
@@ -557,35 +616,45 @@ pub(crate) fn project_page(
                 columns
                     .iter()
                     .zip(&cols)
-                    .map(|((_, path, out), (bound, col))| {
-                        let v = if *bound {
-                            page_value(page, *col, i, path)
-                        } else {
-                            Value::Null
-                        };
-                        (out.clone(), v)
-                    }),
+                    .map(|((_, path, out), col)| (out.clone(), page_value(page, *col, i, path))),
             )
         })
         .collect()
 }
 
+/// Project any batch into output rows — the body of [`ProjectOp`], and
+/// what a morsel of a projected collect folds its batches with. Tuples
+/// bind output columns through [`Tuple::key`], column pages through their
+/// typed vectors; row batches pass through (projection over rows is
+/// identity, matching the materialized executor).
+pub(crate) fn project_batch(batch: Batch, columns: &[(String, String, String)]) -> Vec<Row> {
+    match batch {
+        Batch::Tuples(tuples) => tuples
+            .iter()
+            .map(|t| {
+                Row::from_pairs(
+                    columns
+                        .iter()
+                        .map(|(alias, path, out)| (out.clone(), t.key(alias, path))),
+                )
+            })
+            .collect(),
+        Batch::Columns(page) => project_page(&page, columns),
+        Batch::Rows(rows) => rows,
+    }
+}
+
 /// Fold a column page into running group states, replicating
 /// [`fold_group`] over the column vectors: `Null` group keys exclude the
 /// row, each operand observes its first leaf when non-null, operand-less
-/// aggregates count rows. Shared by [`ColumnarGroupAggOp`] and the
-/// parallel morsel workers.
-pub(crate) fn fold_page(
-    groups: &mut BTreeMap<String, (Value, Vec<AggValue>)>,
+/// aggregates count rows.
+fn fold_page(
+    groups: &mut Groups,
     page: &ColumnPage,
     group_by: Option<&(String, String)>,
     aggs: &[AggItem],
-    scan_alias: &str,
 ) {
-    let group_col = match group_by {
-        Some((alias, path)) if alias.as_str() == scan_alias => page.column(path),
-        _ => None,
-    };
+    let group_col = group_by.and_then(|(_, path)| page.column(path));
     let agg_cols: Vec<Option<&impliance_storage::Column>> = aggs
         .iter()
         .map(|a| a.operand.as_deref().and_then(|p| page.column(p)))
@@ -593,12 +662,8 @@ pub(crate) fn fold_page(
     for i in 0..page.len {
         let (key_render, key_value) = match group_by {
             None => (String::new(), Value::Null),
-            Some((alias, path)) => {
-                let v = if alias.as_str() == scan_alias {
-                    page_value(page, group_col, i, path)
-                } else {
-                    Value::Null
-                };
+            Some((_, path)) => {
+                let v = page_value(page, group_col, i, path);
                 if v.is_null() {
                     continue; // no group key → excluded, like fold_group
                 }
@@ -622,15 +687,36 @@ pub(crate) fn fold_page(
     }
 }
 
+/// Fold any batch into running group states — the body of
+/// [`GroupAggOp`], and what a morsel of a partitioned aggregate folds its
+/// batches with, so serial and per-morsel partial states accumulate
+/// identically.
+pub(crate) fn fold_batch(
+    groups: &mut Groups,
+    batch: &Batch,
+    group_by: Option<&(String, String)>,
+    aggs: &[AggItem],
+) -> Result<(), ExecError> {
+    match batch {
+        Batch::Tuples(tuples) => {
+            for t in tuples {
+                fold_group(groups, t, group_by, aggs);
+            }
+        }
+        Batch::Columns(page) => fold_page(groups, page, group_by, aggs),
+        Batch::Rows(_) => return Err(ExecError::BadPlan("aggregate over non-tuple input".into())),
+    }
+    Ok(())
+}
+
 /// Columnar fast-path scan: pulls [`ColumnPage`]s straight from storage
 /// ([`StorageEngine::scan_partition_page_columnar`]), applies the fused
 /// filter predicates as vectorized masks, and emits the survivors as
-/// [`Batch::Columns`]. Partitions are walked in index order through the
-/// same resumable cursor as the row path, so the emitted row sequence is
-/// identical to `ScanOp` + `FilterOp`.
+/// [`Batch::Columns`]. Partitions are walked through the same cursor as
+/// the row path, so the emitted row sequence is identical to `ScanOp` +
+/// `FilterOp`.
 pub(crate) struct ColumnarScanOp<'a> {
-    storage: &'a StorageEngine,
-    request: ScanRequest,
+    cursor: PartitionCursor<'a>,
     /// Predicates applied here as vectorized masks: the node-side
     /// residual when push-down is off, plus every fused `Filter`.
     masks: Vec<Predicate>,
@@ -640,16 +726,15 @@ pub(crate) struct ColumnarScanOp<'a> {
     prune: Option<Predicate>,
     /// Structural paths decoded into typed column vectors.
     paths: Vec<String>,
-    partition: usize,
-    pos: ScanPos,
-    batch_size: usize,
     metrics: SharedMetrics,
 }
 
 impl<'a> ColumnarScanOp<'a> {
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         storage: &'a StorageEngine,
         request: ScanRequest,
+        partitions: Range<usize>,
         masks: Vec<Predicate>,
         prune: Option<Predicate>,
         paths: Vec<String>,
@@ -657,23 +742,18 @@ impl<'a> ColumnarScanOp<'a> {
         metrics: SharedMetrics,
     ) -> ColumnarScanOp<'a> {
         ColumnarScanOp {
-            storage,
-            request,
+            cursor: PartitionCursor::new(storage, request, partitions, batch_size),
             masks,
             prune,
             paths,
-            partition: 0,
-            pos: ScanPos::default(),
-            batch_size: batch_size.max(1),
             metrics,
         }
     }
 }
 
 /// Mask a page by the conjunction of `masks`, compacting only when rows
-/// actually drop out. Shared by the serial operator and the parallel
-/// morsel workers.
-pub(crate) fn mask_page(page: ColumnPage, masks: &[Predicate]) -> ColumnPage {
+/// actually drop out.
+fn mask_page(page: ColumnPage, masks: &[Predicate]) -> ColumnPage {
     let mut keep = Bitmask::ones(page.len);
     for m in masks {
         keep.and_assign(&page.eval_mask(m));
@@ -692,22 +772,13 @@ impl Operator for ColumnarScanOp<'_> {
 
     fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
         loop {
-            if self.partition >= self.storage.partition_count() {
+            let (prune, paths) = (self.prune.as_ref(), &self.paths);
+            let Some(page) = self.cursor.next_page(|s, part, req, pos, n| {
+                s.scan_partition_page_columnar(part, req, prune, pos, n, paths)
+            })?
+            else {
                 return Ok(None);
-            }
-            let (page, next, done) = self.storage.scan_partition_page_columnar(
-                self.partition,
-                &self.request,
-                self.prune.as_ref(),
-                self.pos,
-                self.batch_size,
-                &self.paths,
-            )?;
-            self.pos = next;
-            if done {
-                self.partition += 1;
-                self.pos = ScanPos::default();
-            }
+            };
             self.metrics.borrow_mut().scan.merge(&page.metrics);
             if page.is_empty() {
                 continue;
@@ -722,120 +793,6 @@ impl Operator for ColumnarScanOp<'_> {
             obs.rows.add(out.len as u64);
             return Ok(Some(Batch::Columns(out)));
         }
-    }
-}
-
-/// Vectorized projection: consumes columnar batches and builds output
-/// rows straight from the column vectors — no tuples are ever bound.
-pub(crate) struct ColumnarProjectOp<'a> {
-    input: Box<dyn Operator + 'a>,
-    columns: Vec<(String, String, String)>,
-    scan_alias: String,
-}
-
-impl<'a> ColumnarProjectOp<'a> {
-    pub(crate) fn new(
-        input: Box<dyn Operator + 'a>,
-        columns: Vec<(String, String, String)>,
-        scan_alias: String,
-    ) -> ColumnarProjectOp<'a> {
-        ColumnarProjectOp {
-            input,
-            columns,
-            scan_alias,
-        }
-    }
-}
-
-impl Operator for ColumnarProjectOp<'_> {
-    fn name(&self) -> &'static str {
-        "project"
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        let Some(batch) = self.input.next_batch()? else {
-            return Ok(None);
-        };
-        let Batch::Columns(page) = batch else {
-            return Err(ExecError::BadPlan(
-                "columnar project over non-columnar input".into(),
-            ));
-        };
-        Ok(Some(Batch::Rows(project_page(
-            &page,
-            &self.columns,
-            &self.scan_alias,
-        ))))
-    }
-}
-
-/// Vectorized group/aggregate: the same incremental fold as
-/// [`GroupAggOp`] (memory stays O(groups)), driven by column vectors.
-pub(crate) struct ColumnarGroupAggOp<'a> {
-    input: Option<Box<dyn Operator + 'a>>,
-    group_by: Option<(String, String)>,
-    aggs: Vec<AggItem>,
-    scan_alias: String,
-    batch_size: usize,
-    out: Vec<Row>,
-}
-
-impl<'a> ColumnarGroupAggOp<'a> {
-    pub(crate) fn new(
-        input: Box<dyn Operator + 'a>,
-        group_by: Option<(String, String)>,
-        aggs: Vec<AggItem>,
-        scan_alias: String,
-        batch_size: usize,
-    ) -> ColumnarGroupAggOp<'a> {
-        ColumnarGroupAggOp {
-            input: Some(input),
-            group_by,
-            aggs,
-            scan_alias,
-            batch_size: batch_size.max(1),
-            out: Vec::new(),
-        }
-    }
-
-    fn fill(&mut self) -> Result<(), ExecError> {
-        let Some(mut input) = self.input.take() else {
-            return Ok(());
-        };
-        let mut groups: BTreeMap<String, (Value, Vec<AggValue>)> = BTreeMap::new();
-        while let Some(batch) = input.next_batch()? {
-            let Batch::Columns(page) = batch else {
-                return Err(ExecError::BadPlan(
-                    "columnar aggregate over non-columnar input".into(),
-                ));
-            };
-            fold_page(
-                &mut groups,
-                &page,
-                self.group_by.as_ref(),
-                &self.aggs,
-                &self.scan_alias,
-            );
-        }
-        self.out = finish_groups(groups, self.group_by.as_ref(), &self.aggs);
-        Ok(())
-    }
-}
-
-impl Operator for ColumnarGroupAggOp<'_> {
-    fn name(&self) -> &'static str {
-        "group_agg"
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        self.fill()?;
-        if self.out.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(Batch::Rows(take_front(
-            &mut self.out,
-            self.batch_size,
-        ))))
     }
 }
 
@@ -904,8 +861,8 @@ impl Operator for FilterOp<'_> {
     }
 }
 
-/// Streaming projection: tuples become rows; row batches pass through
-/// (projection over rows is identity, matching the materialized executor).
+/// Streaming projection ([`project_batch`]): tuples and column pages
+/// become rows; row batches pass through.
 pub struct ProjectOp<'a> {
     input: Box<dyn Operator + 'a>,
     columns: Vec<(String, String, String)>,
@@ -926,25 +883,7 @@ impl Operator for ProjectOp<'_> {
         let Some(batch) = self.input.next_batch()? else {
             return Ok(None);
         };
-        match batch {
-            Batch::Tuples(tuples) => {
-                let rows = tuples
-                    .iter()
-                    .map(|t| {
-                        Row::from_pairs(
-                            self.columns
-                                .iter()
-                                .map(|(alias, path, out)| (out.clone(), t.key(alias, path))),
-                        )
-                    })
-                    .collect();
-                Ok(Some(Batch::Rows(rows)))
-            }
-            rows @ Batch::Rows(_) => Ok(Some(rows)),
-            Batch::Columns(_) => Err(ExecError::BadPlan(
-                "project over columnar input (use the fused columnar pipeline)".into(),
-            )),
-        }
+        Ok(Some(Batch::Rows(project_batch(batch, &self.columns))))
     }
 }
 
@@ -1035,6 +974,19 @@ pub(crate) fn sort_tuples(tuples: &mut [Tuple], keys: &[SortKey]) {
     });
 }
 
+/// Keep a top-K sort buffer bounded: once it outgrows twice `k` (at
+/// least 64), sort and cut back to `k`. Stable sort + truncate commutes
+/// with incremental pruning, so this is exact, not approximate — shared
+/// by [`SortOp`] and the per-morsel sort buffers of the exchange.
+pub(crate) fn prune_top_k(tuples: &mut Vec<Tuple>, keys: &[SortKey], top_k: Option<usize>) {
+    if let Some(k) = top_k {
+        if tuples.len() > (2 * k).max(64) {
+            sort_tuples(tuples, keys);
+            tuples.truncate(k);
+        }
+    }
+}
+
 pub(crate) fn sort_rows(rows: &mut [Row], keys: &[SortKey]) {
     rows.sort_by(|a, b| {
         for k in keys {
@@ -1087,9 +1039,6 @@ impl<'a> SortOp<'a> {
         };
         let mut tuples: Vec<Tuple> = Vec::new();
         let mut rows: Vec<Row> = Vec::new();
-        // Stable sort + truncate commutes with incremental pruning, so
-        // periodic prune-to-k is exact, not approximate.
-        let prune_at = self.top_k.map(|k| (2 * k).max(64));
         while let Some(batch) = input.next_batch()? {
             match batch {
                 Batch::Tuples(t) => tuples.extend(t),
@@ -1098,12 +1047,9 @@ impl<'a> SortOp<'a> {
                     return Err(ExecError::BadPlan("sort over columnar input".into()))
                 }
             }
-            if let (Some(cap), Some(k)) = (prune_at, self.top_k) {
-                if tuples.len() > cap {
-                    sort_tuples(&mut tuples, &self.keys);
-                    tuples.truncate(k);
-                }
-                if rows.len() > cap {
+            prune_top_k(&mut tuples, &self.keys, self.top_k);
+            if let Some(k) = self.top_k {
+                if rows.len() > (2 * k).max(64) {
                     sort_rows(&mut rows, &self.keys);
                     rows.truncate(k);
                 }
@@ -1294,10 +1240,9 @@ impl Operator for FusionOp<'_> {
     }
 }
 
-/// Fold one tuple into the running group states (shared by the streaming
-/// operator and the legacy wrapper, so both paths aggregate identically).
-pub(crate) fn fold_group(
-    groups: &mut BTreeMap<String, (Value, Vec<AggValue>)>,
+/// Fold one tuple into the running group states.
+fn fold_group(
+    groups: &mut Groups,
     t: &Tuple,
     group_by: Option<&(String, String)>,
     aggs: &[AggItem],
@@ -1335,7 +1280,7 @@ pub(crate) fn fold_group(
 
 /// Render finished group states as output rows.
 pub(crate) fn finish_groups(
-    groups: BTreeMap<String, (Value, Vec<AggValue>)>,
+    groups: Groups,
     group_by: Option<&(String, String)>,
     aggs: &[AggItem],
 ) -> Vec<Row> {
@@ -1354,9 +1299,10 @@ pub(crate) fn finish_groups(
         .collect()
 }
 
-/// Blocking group/aggregate: folds input batches into per-group states
-/// incrementally (memory is O(groups), not O(input)), then emits the
-/// finished rows in batches.
+/// Blocking group/aggregate: folds input batches — tuples or column
+/// pages, via [`fold_batch`] — into per-group states incrementally
+/// (memory is O(groups), not O(input)), then emits the finished rows in
+/// batches.
 pub struct GroupAggOp<'a> {
     input: Option<Box<dyn Operator + 'a>>,
     group_by: Option<(String, String)>,
@@ -1385,14 +1331,9 @@ impl<'a> GroupAggOp<'a> {
         let Some(mut input) = self.input.take() else {
             return Ok(());
         };
-        let mut groups: BTreeMap<String, (Value, Vec<AggValue>)> = BTreeMap::new();
+        let mut groups = Groups::new();
         while let Some(batch) = input.next_batch()? {
-            let Batch::Tuples(tuples) = batch else {
-                return Err(ExecError::BadPlan("aggregate over non-tuple input".into()));
-            };
-            for t in &tuples {
-                fold_group(&mut groups, t, self.group_by.as_ref(), &self.aggs);
-            }
+            fold_batch(&mut groups, &batch, self.group_by.as_ref(), &self.aggs)?;
         }
         self.out = finish_groups(groups, self.group_by.as_ref(), &self.aggs);
         Ok(())
@@ -1420,14 +1361,45 @@ impl Operator for GroupAggOp<'_> {
 // Join operators
 // ---------------------------------------------------------------------
 
-/// Hash join: blocking build over the right input, streaming probe with
-/// left batches.
+/// A hash join's build side: key rendering → build tuples in drain
+/// order (so per-key match order is the build input's order).
+pub(crate) type JoinTable = HashMap<String, Vec<Tuple>>;
+
+/// Drain a join's build input into its hash table; `Null` keys never
+/// join. Run lazily by a [`HashJoinOp`] that owns its build side, or once
+/// up front by the exchange for a table every morsel probes.
+pub(crate) fn build_join_table(
+    right: &mut dyn Operator,
+    right_key: &(String, String),
+) -> Result<JoinTable, ExecError> {
+    let mut table = JoinTable::new();
+    while let Some(batch) = right.next_batch()? {
+        let Batch::Tuples(tuples) = batch else {
+            return Err(ExecError::BadPlan("join right input must be tuples".into()));
+        };
+        for t in tuples {
+            let k = t.key(&right_key.0, &right_key.1);
+            if !k.is_null() {
+                table.entry(k.render()).or_default().push(t);
+            }
+        }
+    }
+    Ok(table)
+}
+
+enum BuildSide<'a> {
+    /// Not built yet: the right input and its key.
+    Pending(Box<dyn Operator + 'a>, (String, String)),
+    /// Built here on first pull, or shared read-only by the exchange.
+    Built(Arc<JoinTable>),
+}
+
+/// Hash join: blocking build over the right input (or a table built once
+/// elsewhere and shared), streaming probe with left batches.
 pub struct HashJoinOp<'a> {
     left: Box<dyn Operator + 'a>,
-    right: Option<Box<dyn Operator + 'a>>,
     left_key: (String, String),
-    right_key: (String, String),
-    table: HashMap<String, Vec<Tuple>>,
+    build: BuildSide<'a>,
 }
 
 impl<'a> HashJoinOp<'a> {
@@ -1439,29 +1411,33 @@ impl<'a> HashJoinOp<'a> {
     ) -> HashJoinOp<'a> {
         HashJoinOp {
             left,
-            right: Some(right),
             left_key,
-            right_key,
-            table: HashMap::new(),
+            build: BuildSide::Pending(right, right_key),
         }
     }
 
-    fn build(&mut self) -> Result<(), ExecError> {
-        let Some(mut right) = self.right.take() else {
-            return Ok(());
-        };
-        while let Some(batch) = right.next_batch()? {
-            let Batch::Tuples(tuples) = batch else {
-                return Err(ExecError::BadPlan("join right input must be tuples".into()));
-            };
-            for t in tuples {
-                let k = t.key(&self.right_key.0, &self.right_key.1);
-                if !k.is_null() {
-                    self.table.entry(k.render()).or_default().push(t);
-                }
+    /// A probe-only join over an already-built table.
+    pub(crate) fn probing(
+        left: Box<dyn Operator + 'a>,
+        table: Arc<JoinTable>,
+        left_key: (String, String),
+    ) -> HashJoinOp<'a> {
+        HashJoinOp {
+            left,
+            left_key,
+            build: BuildSide::Built(table),
+        }
+    }
+
+    fn table(&mut self) -> Result<Arc<JoinTable>, ExecError> {
+        match &mut self.build {
+            BuildSide::Built(table) => Ok(Arc::clone(table)),
+            BuildSide::Pending(right, right_key) => {
+                let table = Arc::new(build_join_table(right.as_mut(), right_key)?);
+                self.build = BuildSide::Built(Arc::clone(&table));
+                Ok(table)
             }
         }
-        Ok(())
     }
 }
 
@@ -1471,7 +1447,7 @@ impl Operator for HashJoinOp<'_> {
     }
 
     fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        self.build()?;
+        let table = self.table()?;
         // `out` is hoisted: it is only moved out on a non-empty return, so
         // match-less input batches recycle the same (empty) vector instead
         // of constructing one per batch
@@ -1488,7 +1464,7 @@ impl Operator for HashJoinOp<'_> {
                 if k.is_null() {
                     continue;
                 }
-                if let Some(matches) = self.table.get(&k.render()) {
+                if let Some(matches) = table.get(&k.render()) {
                     for m in matches {
                         out.push(t.join(m));
                     }
@@ -1703,28 +1679,13 @@ impl Operator for IndexedNlJoinOp<'_> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Drain helpers (the sanctioned sinks used by the legacy wrappers; the
-// streaming internals in exec.rs never materialize through these)
-// ---------------------------------------------------------------------
-
-/// Drain an operator into a tuple vector (row batches are ignored).
+/// Drain an operator into a tuple vector (row batches are ignored) —
+/// for callers that hold an operator tree and want its whole answer.
 pub fn collect_tuples(op: &mut dyn Operator) -> Result<Vec<Tuple>, ExecError> {
     let mut out = Vec::new();
     while let Some(batch) = op.next_batch()? {
         if let Batch::Tuples(t) = batch {
             out.extend(t);
-        }
-    }
-    Ok(out)
-}
-
-/// Drain an operator into a row vector (tuple batches are ignored).
-pub fn collect_rows(op: &mut dyn Operator) -> Result<Vec<Row>, ExecError> {
-    let mut out = Vec::new();
-    while let Some(batch) = op.next_batch()? {
-        if let Batch::Rows(r) = batch {
-            out.extend(r);
         }
     }
     Ok(out)
@@ -1813,6 +1774,166 @@ mod tests {
         for (a, b) in topk.iter().zip(full.iter()) {
             assert_eq!(a.key("c", "amount"), b.key("c", "amount"));
         }
+    }
+
+    fn doc_tuple(alias: &str, id: u64, fields: &[(&str, Value)]) -> Tuple {
+        let mut b = DocumentBuilder::new(DocId(id), SourceFormat::Json, "t");
+        for (name, value) in fields {
+            b = b.field(name, value.clone());
+        }
+        Tuple::single(alias, Arc::new(b.build()))
+    }
+
+    fn vec_src(tuples: Vec<Tuple>) -> Box<dyn Operator> {
+        Box::new(VecSource::tuples("scan", tuples, 2))
+    }
+
+    #[test]
+    fn filter_on_unbound_alias_matches_nothing() {
+        let mut f = FilterOp::new(src(10, 4), "missing".into(), Predicate::True);
+        assert!(collect_tuples(&mut f).unwrap().is_empty());
+    }
+
+    #[test]
+    fn sort_orders_by_multiple_keys_with_mixed_direction() {
+        let input = [
+            (1, 100, "Volvo"),
+            (2, 250, "Saab"),
+            (3, 50, "Volvo"),
+            (4, 175, "Saab"),
+        ]
+        .into_iter()
+        .map(|(id, amount, make)| {
+            doc_tuple(
+                "c",
+                id,
+                &[("amount", Value::Int(amount)), ("make", make.into())],
+            )
+        })
+        .collect();
+        let key = |path: &str, descending| SortKey {
+            alias: "c".into(),
+            path: path.into(),
+            descending,
+        };
+        let keys = vec![key("make", false), key("amount", true)];
+        let mut sort = SortOp::new(vec_src(input), keys, None, 3);
+        let amounts: Vec<Value> = collect_tuples(&mut sort)
+            .unwrap()
+            .iter()
+            .map(|t| t.key("c", "amount"))
+            .collect();
+        assert_eq!(amounts, [250, 175, 100, 50].map(Value::Int));
+    }
+
+    #[test]
+    fn group_agg_excludes_tuples_without_a_group_key() {
+        let mut input: Vec<Tuple> = (0..4)
+            .map(|i| {
+                doc_tuple(
+                    "c",
+                    i,
+                    &[("make", if i % 2 == 0 { "Volvo" } else { "Saab" }.into())],
+                )
+            })
+            .collect();
+        input.push(doc_tuple("c", 9, &[("amount", Value::Int(1))])); // no make
+        let count = AggItem {
+            func: impliance_storage::AggFunc::Count,
+            operand: None,
+            output: "n".into(),
+        };
+        let group_by = Some(("c".to_string(), "make".to_string()));
+        let mut agg = GroupAggOp::new(vec_src(input), group_by, vec![count], 8);
+        let mut total = 0;
+        while let Some(Batch::Rows(rows)) = agg.next_batch().unwrap() {
+            total += rows.iter().filter_map(|r| r.get("n").as_i64()).sum::<i64>();
+        }
+        assert_eq!(total, 4, "keyless tuple excluded");
+    }
+
+    fn orders() -> Vec<Tuple> {
+        [(1, "C-1"), (2, "C-2"), (3, "C-1"), (4, "C-9")]
+            .into_iter()
+            .map(|(id, cust)| doc_tuple("o", id, &[("cust", cust.into())]))
+            .collect()
+    }
+
+    fn customers() -> Vec<Tuple> {
+        [(100, "C-1"), (101, "C-2")]
+            .into_iter()
+            .map(|(id, code)| doc_tuple("c", id, &[("code", code.into())]))
+            .collect()
+    }
+
+    fn join_keys() -> ((String, String), (String, String)) {
+        (("o".into(), "cust".into()), ("c".into(), "code".into()))
+    }
+
+    #[test]
+    fn null_keys_and_empty_inputs_never_join() {
+        let (lk, rk) = join_keys();
+        let mut left = orders();
+        left.push(doc_tuple("o", 9, &[("order_id", Value::Int(9))])); // no cust key
+        let mut hash = HashJoinOp::new(
+            vec_src(left.clone()),
+            vec_src(customers()),
+            lk.clone(),
+            rk.clone(),
+        );
+        assert_eq!(collect_tuples(&mut hash).unwrap().len(), 3);
+        let mut merge = SortMergeJoinOp::new(
+            vec_src(left),
+            vec_src(customers()),
+            lk.clone(),
+            rk.clone(),
+            2,
+        );
+        assert_eq!(collect_tuples(&mut merge).unwrap().len(), 3);
+        let mut no_left = HashJoinOp::new(
+            vec_src(Vec::new()),
+            vec_src(customers()),
+            lk.clone(),
+            rk.clone(),
+        );
+        assert!(collect_tuples(&mut no_left).unwrap().is_empty());
+        let mut no_right = SortMergeJoinOp::new(vec_src(orders()), vec_src(Vec::new()), lk, rk, 2);
+        assert!(collect_tuples(&mut no_right).unwrap().is_empty());
+    }
+
+    #[test]
+    fn indexed_nl_join_stops_at_its_limit() {
+        let index = PathValueIndex::new();
+        let store: HashMap<DocId, Arc<Document>> = customers()
+            .into_iter()
+            .flat_map(|t| t.bindings.into_values())
+            .map(|d| (d.id(), d))
+            .collect();
+        for d in store.values() {
+            index.index_document(d);
+        }
+        let join = |limit| {
+            let metrics: SharedMetrics = Rc::new(RefCell::new(ExecMetrics::default()));
+            let mut op = IndexedNlJoinOp::new(
+                vec_src(orders()),
+                &index,
+                "c".into(),
+                "code".into(),
+                join_keys().0,
+                Box::new(|id| store.get(&id).cloned()),
+                limit,
+                Rc::clone(&metrics),
+            );
+            let out = collect_tuples(&mut op).unwrap().len();
+            let lookups = metrics.borrow().index_lookups;
+            (out, lookups)
+        };
+        assert_eq!(
+            join(None),
+            (3, 4),
+            "C-9 has no customer; every order probes"
+        );
+        assert_eq!(join(Some(1)), (1, 1), "the first match ends the probe loop");
     }
 
     #[test]

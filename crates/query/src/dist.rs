@@ -36,10 +36,9 @@ use impliance_index::{InvertedIndex, SearchHit, SearchQuery};
 use impliance_obs::{Counter, Histogram};
 use impliance_storage::{codec, AggValue, ScanPos, ScanRequest, ScanResult, StorageEngine};
 
-use crate::batch::DEFAULT_BATCH_SIZE;
+use crate::batch::{collect_tuples, HashJoinOp, VecSource, DEFAULT_BATCH_SIZE};
 use crate::clock;
 use crate::context::ExecutionContext;
-use crate::joins;
 use crate::parallel::scoped_map;
 use crate::tuple::Tuple;
 
@@ -961,19 +960,23 @@ pub fn dist_join(
     let la = left_alias.to_string();
     let ra = right_alias.to_string();
     let handle = rt.submit_to_kind(NodeKind::Grid, payload, move |_ctx| {
-        let lt: Vec<Tuple> = left
-            .documents
-            .into_iter()
-            .map(|d| Tuple::single(&la, Arc::new(d)))
-            .collect();
-        let rt_: Vec<Tuple> = right
-            .documents
-            .into_iter()
-            .map(|d| Tuple::single(&ra, Arc::new(d)))
-            .collect();
-        joins::hash_join(lt, rt_, &left_key, &right_key)
+        let side = |docs: Vec<Document>, alias: &str| {
+            let tuples = docs
+                .into_iter()
+                .map(|d| Tuple::single(alias, Arc::new(d)))
+                .collect();
+            Box::new(VecSource::tuples("scan", tuples, DEFAULT_BATCH_SIZE))
+        };
+        let mut join = HashJoinOp::new(
+            side(left.documents, &la),
+            side(right.documents, &ra),
+            left_key,
+            right_key,
+        );
+        collect_tuples(&mut join)
     })?;
-    handle.join()
+    // a failed grid stage is a lost task, never a silently empty join
+    handle.join()?.map_err(|_| ClusterError::TaskLost)
 }
 
 /// Ingest a document into the cluster: route to the owning data node and

@@ -1,13 +1,18 @@
 //! Single-node plan execution over the batched operator pipeline.
 //!
-//! The [`ExecContext`] bundles the storage engine and the three index
-//! structures; [`execute_plan`] compiles a [`LogicalPlan`] into a tree of
-//! pull-based [`crate::batch::Operator`]s and drains the root. Streaming
-//! operators (scan/filter/project/limit) never materialize their input;
-//! `Limit` stops pulling once satisfied, so a `LIMIT k` plan touches only
-//! as many storage pages as needed. The distributed executor
-//! ([`crate::dist`]) reuses the same storage cursors but places morsels on
-//! simulated nodes.
+//! [`compile`] is the only lowering of a [`LogicalPlan`]: it turns a plan
+//! into a tree of pull-based [`crate::batch::Operator`]s, and [`drain`]
+//! is the only loop that pulls one. [`execute_plan_opts`] runs a tree on
+//! the calling thread; with `worker_threads > 1` it first offers the
+//! plan to the exchange in [`crate::parallel`], which compiles the *same*
+//! plan segment once per morsel under a [`Scope`] (the left-spine base
+//! scan restricted to one partition or one chunk of scored hits, hash
+//! joins probing tables built once) and drains each tree with the same
+//! loop. Streaming operators (scan/filter/project/limit) never
+//! materialize their input; `Limit` stops pulling once satisfied, so a
+//! `LIMIT k` plan touches only as many storage pages as needed. The
+//! distributed executor ([`crate::dist`]) reuses the same storage cursors
+//! but places morsels on simulated nodes.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -15,21 +20,19 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use impliance_docmodel::{DocId, Document};
-use impliance_index::{InvertedIndex, JoinIndex, PathValueIndex};
+use impliance_index::{InvertedIndex, JoinIndex, PathValueIndex, SearchHit, TopKStats};
 use impliance_storage::{
     Predicate, Projection, ScanMetrics, ScanRequest, StorageEngine, StorageError,
 };
 
 use crate::batch::{
-    op_obs, Batch, ColumnarGroupAggOp, ColumnarProjectOp, ColumnarScanOp, FilterOp, FusionOp,
-    GroupAggOp, HashJoinOp, IndexScanOp, IndexedNlJoinOp, LimitOp, Metered, Operator, ProjectOp,
-    ScanOp, SharedMetrics, SortMergeJoinOp, SortOp, VecSource,
+    op_obs, Batch, ColumnarScanOp, FilterOp, FusionOp, GroupAggOp, HashJoinOp, IndexHits,
+    IndexScanOp, IndexedNlJoinOp, JoinTable, LimitOp, Metered, Operator, ProjectOp, ScanOp,
+    SharedMetrics, SortMergeJoinOp, SortOp, VecSource,
 };
 use crate::context::ExecutionContext;
-#[cfg(test)]
-use crate::plan::AggItem;
-use crate::plan::{JoinAlgo, LogicalPlan};
-use crate::tuple::{Row, Tuple};
+use crate::plan::{AggItem, JoinAlgo, LogicalPlan};
+use crate::tuple::{Row, Tuple, PSEUDO_ID, PSEUDO_SCORE};
 
 /// Errors during execution.
 #[derive(Debug)]
@@ -67,8 +70,9 @@ pub struct ExecMetrics {
     pub rows_out: u64,
     /// Index lookups performed.
     pub index_lookups: u64,
-    /// Batches drained from the root operator (pages processed across
-    /// all workers on the parallel path).
+    /// Batches drained at the root of an operator tree — the one tree of
+    /// a serial run, summed over every morsel's tree on the parallel path
+    /// (operators never emit empty batches, so empty pages do not count).
     pub batches: u64,
     /// Worker threads that executed this query (1 on the serial path).
     pub workers_used: u64,
@@ -90,6 +94,32 @@ pub struct ExecMetrics {
     /// execution started (0 when admission control was not in the path).
     /// Filled in by the workload manager, not the executor.
     pub queue_wait_us: u64,
+}
+
+impl ExecMetrics {
+    /// Account for one evaluated index search.
+    pub(crate) fn record_search(&mut self, stats: &TopKStats, effective_k: usize) {
+        self.index_lookups += 1;
+        self.search_candidates_scored += stats.candidates_scored as u64;
+        self.search_candidates_pruned += stats.candidates_pruned as u64;
+        if stats.early_terminated(effective_k) {
+            self.early_terminations += 1;
+        }
+    }
+
+    /// Add the work another operator tree of the same query did (a
+    /// morsel's, or a shared join build side's). `rows_out`,
+    /// `workers_used` and `deadline_exceeded` belong to the query root
+    /// and are set there.
+    pub(crate) fn absorb(&mut self, other: &ExecMetrics) {
+        self.scan.merge(&other.scan);
+        self.index_lookups += other.index_lookups;
+        self.batches += other.batches;
+        self.early_terminations += other.early_terminations;
+        self.search_candidates_scored += other.search_candidates_scored;
+        self.search_candidates_pruned += other.search_candidates_pruned;
+        self.columnar_batches += other.columnar_batches;
+    }
 }
 
 pub(crate) fn deadline_obs() -> &'static Arc<impliance_obs::Counter> {
@@ -168,6 +198,17 @@ impl QueryOutput {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The output of an un-projected plan: every tuple's bound documents,
+    /// in alias order.
+    pub(crate) fn unbind(tuples: Vec<Tuple>) -> QueryOutput {
+        QueryOutput::Docs(
+            tuples
+                .into_iter()
+                .flat_map(|t| t.bindings.into_values())
+                .collect(),
+        )
+    }
 }
 
 /// Execute a plan with default options, returning output and metrics.
@@ -180,8 +221,10 @@ pub fn execute_plan(
 
 /// Execute a plan as a batched pipeline with an explicit execution
 /// context. With `worker_threads > 1` the plan is first offered to the
-/// morsel-driven parallel executor ([`crate::parallel`]); shapes it
-/// cannot parallelize fall back to the serial operator tree below.
+/// exchange ([`crate::parallel`]); plans it cannot split — and every plan
+/// at `worker_threads == 1` or over a single-partition store — run as one
+/// unscoped tree on the calling thread, through the same [`compile`] and
+/// the same [`drain`].
 pub fn execute_plan_opts(
     ctx: &ExecContext<'_>,
     plan: &LogicalPlan,
@@ -211,9 +254,13 @@ pub fn execute_plan_opts(
     }
     let metrics: SharedMetrics = Rc::new(RefCell::new(ExecMetrics::default()));
     metrics.borrow_mut().workers_used = 1;
-    let compiled = compile(ctx, plan, opts.batch_size.max(1), &metrics)?;
+    let batch_size = opts.batch_size.max(1);
+    let (mut op, kind) = match compile(ctx, plan, batch_size, &metrics, &Scope::default(), None)? {
+        Compiled::Path(p) => return Ok((QueryOutput::Path(p), *metrics.borrow())),
+        Compiled::Op { op, kind } => (op, kind),
+    };
     let deadline_at = opts.deadline.map(|d| Instant::now() + d);
-    let expired = |metrics: &SharedMetrics| -> bool {
+    let expired = || {
         let hit = deadline_at.is_some_and(|d| Instant::now() >= d);
         if hit && !metrics.borrow().deadline_exceeded {
             metrics.borrow_mut().deadline_exceeded = true;
@@ -221,46 +268,44 @@ pub fn execute_plan_opts(
         }
         hit
     };
-    let output = match compiled {
-        Compiled::Path(p) => QueryOutput::Path(p),
-        Compiled::Op {
-            mut op,
-            kind: Kind::Tuples,
-        } => {
-            let mut tuples: Vec<Tuple> = Vec::new();
-            while !expired(&metrics) {
-                let Some(batch) = op.next_batch()? else { break };
-                metrics.borrow_mut().batches += 1;
-                if let Batch::Tuples(t) = batch {
-                    tuples.extend(t);
-                }
-            }
-            metrics.borrow_mut().rows_out = tuples.len() as u64;
-            QueryOutput::Docs(
-                tuples
-                    .into_iter()
-                    .flat_map(|t| t.bindings.into_values().collect::<Vec<_>>())
-                    .collect(),
-            )
+    let mut tuples: Vec<Tuple> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
+    drain(op.as_mut(), &metrics, expired, |batch| {
+        match batch {
+            Batch::Tuples(t) => tuples.extend(t),
+            Batch::Rows(r) => rows.extend(r),
+            Batch::Columns(_) => {}
         }
-        Compiled::Op {
-            mut op,
-            kind: Kind::Rows,
-        } => {
-            let mut rows: Vec<Row> = Vec::new();
-            while !expired(&metrics) {
-                let Some(batch) = op.next_batch()? else { break };
-                metrics.borrow_mut().batches += 1;
-                if let Batch::Rows(r) = batch {
-                    rows.extend(r);
-                }
-            }
-            metrics.borrow_mut().rows_out = rows.len() as u64;
-            QueryOutput::Rows(rows)
-        }
+        Ok(true)
+    })?;
+    let (rows_out, output) = match kind {
+        Kind::Rows => (rows.len(), QueryOutput::Rows(rows)),
+        Kind::Tuples | Kind::Columns => (tuples.len(), QueryOutput::unbind(tuples)),
     };
+    metrics.borrow_mut().rows_out = rows_out as u64;
     let m = *metrics.borrow();
     Ok((output, m))
+}
+
+/// The one pull loop: drain `op` until it is exhausted, `expired` reports
+/// the budget gone (checked before every pull), or `sink` returns `false`
+/// (it has all it needs). Every drained batch counts once in
+/// [`ExecMetrics::batches`] — on the calling thread and inside every
+/// morsel alike.
+pub(crate) fn drain(
+    op: &mut dyn Operator,
+    metrics: &SharedMetrics,
+    mut expired: impl FnMut() -> bool,
+    mut sink: impl FnMut(Batch) -> Result<bool, ExecError>,
+) -> Result<(), ExecError> {
+    while !expired() {
+        let Some(batch) = op.next_batch()? else { break };
+        metrics.borrow_mut().batches += 1;
+        if !sink(batch)? {
+            break;
+        }
+    }
+    Ok(())
 }
 
 /// Static batch type of a compiled operator.
@@ -268,6 +313,9 @@ pub fn execute_plan_opts(
 pub(crate) enum Kind {
     Tuples,
     Rows,
+    /// Column pages — only ever handed to the consumer whose
+    /// [`ColumnDemand`] asked for them.
+    Columns,
 }
 
 /// A compiled plan: an operator tree, or an already-resolved graph path
@@ -281,15 +329,87 @@ pub(crate) enum Compiled<'a> {
     Path(Option<Vec<DocId>>),
 }
 
+/// One unit of exchange work: the slice of the base source a morsel's
+/// tree reads instead of the whole.
+#[derive(Clone, Copy)]
+pub(crate) enum Morsel<'s> {
+    /// One storage partition of a `Scan` base.
+    Partition(usize),
+    /// One chunk of the ordered, already-scored hit list of an
+    /// `IndexScan` base.
+    Hits(&'s [SearchHit]),
+}
+
+/// How the exchange restricts one [`compile`] call. The default (no
+/// morsel, no tables) is the unscoped tree the calling thread runs. A
+/// scope applies along the plan's *left spine* only: the base source is
+/// narrowed to `morsel`, and each hash join listed in `tables` (by node
+/// identity) probes that shared table instead of compiling and draining
+/// its build side again. Build sides are always compiled unscoped.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Scope<'s> {
+    pub(crate) morsel: Option<Morsel<'s>>,
+    pub(crate) tables: &'s [(&'s LogicalPlan, Arc<JoinTable>)],
+}
+
+/// What a consumer that can read [`Batch::Columns`] (`Project`,
+/// `GroupAgg`, or the morsel fold standing in for one) needs from its
+/// input: the aliases it dereferences and the paths it reads.
+pub(crate) struct ColumnDemand<'p> {
+    aliases: Vec<&'p str>,
+    paths: Vec<&'p str>,
+}
+
+impl<'p> ColumnDemand<'p> {
+    pub(crate) fn of_project(columns: &'p [(String, String, String)]) -> ColumnDemand<'p> {
+        ColumnDemand {
+            aliases: columns.iter().map(|(alias, _, _)| alias.as_str()).collect(),
+            paths: columns.iter().map(|(_, path, _)| path.as_str()).collect(),
+        }
+    }
+
+    pub(crate) fn of_group_agg(
+        group_by: Option<&'p (String, String)>,
+        aggs: &'p [AggItem],
+    ) -> ColumnDemand<'p> {
+        ColumnDemand {
+            aliases: group_by.iter().map(|(alias, _)| alias.as_str()).collect(),
+            paths: group_by
+                .iter()
+                .map(|(_, path)| path.as_str())
+                .chain(aggs.iter().filter_map(|a| a.operand.as_deref()))
+                .collect(),
+        }
+    }
+}
+
 /// Compile a logical plan into a pull-based operator tree, type-checking
-/// operator inputs statically (the same shapes the materialized executor
-/// rejected dynamically).
+/// operator inputs statically. This is the only lowering: `scope`
+/// narrows it to one morsel of the exchange, and `demand` (set by the
+/// consumer directly above `plan`) lets a fusable `Filter*{Scan}` chain
+/// compile to the vectorized scan instead of row operators.
 pub(crate) fn compile<'a>(
     ctx: &ExecContext<'a>,
     plan: &LogicalPlan,
     batch_size: usize,
     metrics: &SharedMetrics,
+    scope: &Scope<'_>,
+    demand: Option<&ColumnDemand<'_>>,
 ) -> Result<Compiled<'a>, ExecError> {
+    // The single columnar-eligibility decision.
+    if let (true, Some(demand)) = (ctx.columnar, demand) {
+        if let Some(fused) = fusable_chain(plan, demand) {
+            return Ok(Compiled::Op {
+                op: compile_columnar_scan(ctx, &fused, demand, batch_size, metrics, scope),
+                kind: Kind::Columns,
+            });
+        }
+    }
+    // Everything below the node being compiled inherits the scope and
+    // demands tuples unless the node says otherwise.
+    let input_of = |input: &LogicalPlan, demand: Option<&ColumnDemand<'_>>| {
+        compile(ctx, input, batch_size, metrics, scope, demand)
+    };
     match plan {
         LogicalPlan::Scan {
             collection,
@@ -305,6 +425,7 @@ pub(crate) fn compile<'a>(
                 *use_value_index,
                 batch_size,
                 metrics,
+                scope,
             )?;
             Ok(Compiled::Op {
                 op: Metered::wrap(0, op),
@@ -320,6 +441,17 @@ pub(crate) fn compile<'a>(
             phrase,
             collection,
         } => {
+            let hits = match scope.morsel {
+                Some(Morsel::Hits(chunk)) => IndexHits::Scored(chunk.to_vec()),
+                _ => IndexHits::Search {
+                    index: ctx.text_index,
+                    query: query.clone(),
+                    path: path.clone(),
+                    k: *k,
+                    any_term: *any_term,
+                    phrase: *phrase,
+                },
+            };
             let storage = ctx.storage;
             let snap = snap_epoch(ctx);
             let fetch = move |id: DocId| -> Option<Arc<Document>> {
@@ -329,13 +461,8 @@ pub(crate) fn compile<'a>(
                 op: Metered::wrap(
                     1,
                     Box::new(IndexScanOp::new(
-                        ctx.text_index,
-                        query.clone(),
-                        path.clone(),
-                        *k,
+                        hits,
                         alias.clone(),
-                        *any_term,
-                        *phrase,
                         collection.clone(),
                         Box::new(fetch),
                         batch_size,
@@ -352,7 +479,7 @@ pub(crate) fn compile<'a>(
             struct_weight,
             rrf_k,
             keys,
-        } => match compile(ctx, input, batch_size, metrics)? {
+        } => match input_of(input, None)? {
             Compiled::Op {
                 op,
                 kind: Kind::Tuples,
@@ -377,7 +504,7 @@ pub(crate) fn compile<'a>(
             input,
             alias,
             predicate,
-        } => match compile(ctx, input, batch_size, metrics)? {
+        } => match input_of(input, None)? {
             Compiled::Op {
                 op,
                 kind: Kind::Tuples,
@@ -397,7 +524,7 @@ pub(crate) fn compile<'a>(
             right_key,
             algo,
         } => {
-            let lop = match compile(ctx, left, batch_size, metrics)? {
+            let lop = match input_of(left, None)? {
                 Compiled::Op {
                     op,
                     kind: Kind::Tuples,
@@ -457,13 +584,26 @@ pub(crate) fn compile<'a>(
                     ))
                 }
                 JoinAlgo::Hash | JoinAlgo::Unspecified => {
-                    let rop = compile_join_side(ctx, right, batch_size, metrics)?;
-                    Box::new(HashJoinOp::new(
-                        lop,
-                        rop,
-                        left_key.clone(),
-                        right_key.clone(),
-                    ))
+                    match scope
+                        .tables
+                        .iter()
+                        .find(|(node, _)| std::ptr::eq(*node, plan))
+                    {
+                        Some((_, table)) => Box::new(HashJoinOp::probing(
+                            lop,
+                            Arc::clone(table),
+                            left_key.clone(),
+                        )),
+                        None => {
+                            let rop = compile_join_side(ctx, right, batch_size, metrics)?;
+                            Box::new(HashJoinOp::new(
+                                lop,
+                                rop,
+                                left_key.clone(),
+                                right_key.clone(),
+                            ))
+                        }
+                    }
                 }
             };
             Ok(Compiled::Op {
@@ -476,44 +616,11 @@ pub(crate) fn compile<'a>(
             group_by,
             aggs,
         } => {
-            // Columnar fast path: aggregate straight over column vectors
-            // when the input is a fusable Filter*{Scan} chain.
-            if ctx.columnar {
-                if let Some(fused) = fusable_chain(input) {
-                    let mut paths: Vec<String> = Vec::new();
-                    if let Some((alias, path)) = group_by {
-                        if alias.as_str() == fused.alias {
-                            paths.push(path.clone());
-                        }
-                    }
-                    for a in aggs {
-                        if let Some(p) = &a.operand {
-                            paths.push(p.clone());
-                        }
-                    }
-                    for p in &fused.filters {
-                        predicate_paths(p, &mut paths);
-                    }
-                    let scan = compile_columnar_scan(ctx, &fused, paths, batch_size, metrics);
-                    return Ok(Compiled::Op {
-                        op: Metered::wrap(
-                            4,
-                            Box::new(ColumnarGroupAggOp::new(
-                                scan,
-                                group_by.clone(),
-                                aggs.clone(),
-                                fused.alias.to_string(),
-                                batch_size,
-                            )),
-                        ),
-                        kind: Kind::Rows,
-                    });
-                }
-            }
-            match compile(ctx, input, batch_size, metrics)? {
+            let demand = ColumnDemand::of_group_agg(group_by.as_ref(), aggs);
+            match input_of(input, Some(&demand))? {
                 Compiled::Op {
                     op,
-                    kind: Kind::Tuples,
+                    kind: Kind::Tuples | Kind::Columns,
                 } => Ok(Compiled::Op {
                     op: Metered::wrap(
                         4,
@@ -530,36 +637,9 @@ pub(crate) fn compile<'a>(
             }
         }
         LogicalPlan::Project { input, columns } => {
-            // Columnar fast path: project straight from column vectors
-            // when the input is a fusable Filter*{Scan} chain.
-            if ctx.columnar {
-                if let Some(fused) = fusable_chain(input) {
-                    let mut paths: Vec<String> = Vec::new();
-                    for (alias, path, _) in columns {
-                        if alias.as_str() == fused.alias {
-                            paths.push(path.clone());
-                        }
-                    }
-                    for p in &fused.filters {
-                        predicate_paths(p, &mut paths);
-                    }
-                    let scan = compile_columnar_scan(ctx, &fused, paths, batch_size, metrics);
-                    return Ok(Compiled::Op {
-                        op: Metered::wrap(
-                            5,
-                            Box::new(ColumnarProjectOp::new(
-                                scan,
-                                columns.clone(),
-                                fused.alias.to_string(),
-                            )),
-                        ),
-                        kind: Kind::Rows,
-                    });
-                }
-            }
-            match compile(ctx, input, batch_size, metrics)? {
-                // projection over rows is identity; over tuples it binds
-                // output columns
+            match input_of(input, Some(&ColumnDemand::of_project(columns)))? {
+                // projection over rows is identity; over tuples and
+                // column pages it binds output columns
                 Compiled::Op { op, kind: _ } => Ok(Compiled::Op {
                     op: Metered::wrap(5, Box::new(ProjectOp::new(op, columns.clone()))),
                     kind: Kind::Rows,
@@ -567,7 +647,7 @@ pub(crate) fn compile<'a>(
                 Compiled::Path(_) => Err(ExecError::BadPlan("project over path output".into())),
             }
         }
-        LogicalPlan::Sort { input, keys } => match compile(ctx, input, batch_size, metrics)? {
+        LogicalPlan::Sort { input, keys } => match input_of(input, None)? {
             Compiled::Op { op, kind } => Ok(Compiled::Op {
                 op: Metered::wrap(6, Box::new(SortOp::new(op, keys.clone(), None, batch_size))),
                 kind,
@@ -582,7 +662,7 @@ pub(crate) fn compile<'a>(
                 keys,
             } = input.as_ref()
             {
-                match compile(ctx, sort_input, batch_size, metrics)? {
+                match input_of(sort_input, None)? {
                     Compiled::Op { op, kind } => {
                         let sort = Metered::wrap(
                             6,
@@ -599,7 +679,7 @@ pub(crate) fn compile<'a>(
                     p => return Ok(p),
                 }
             }
-            match compile(ctx, input, batch_size, metrics)? {
+            match input_of(input, None)? {
                 Compiled::Op { op, kind } => Ok(Compiled::Op {
                     op: Metered::wrap(
                         7,
@@ -624,14 +704,15 @@ pub(crate) fn compile<'a>(
     }
 }
 
-/// Compile a hash/sort-merge join input, which must produce tuples.
-fn compile_join_side<'a>(
+/// Compile a hash/sort-merge join's build input — always unscoped (a
+/// morsel narrows only the probe spine) — which must produce tuples.
+pub(crate) fn compile_join_side<'a>(
     ctx: &ExecContext<'a>,
     plan: &LogicalPlan,
     batch_size: usize,
     metrics: &SharedMetrics,
 ) -> Result<Box<dyn Operator + 'a>, ExecError> {
-    match compile(ctx, plan, batch_size, metrics)? {
+    match compile(ctx, plan, batch_size, metrics, &Scope::default(), None)? {
         Compiled::Op {
             op,
             kind: Kind::Tuples,
@@ -640,10 +721,20 @@ fn compile_join_side<'a>(
     }
 }
 
+/// The partitions a scan under `scope` covers: the morsel's one, or the
+/// whole store.
+fn scoped_partitions(ctx: &ExecContext<'_>, scope: &Scope<'_>) -> std::ops::Range<usize> {
+    match scope.morsel {
+        Some(Morsel::Partition(p)) => p..p + 1,
+        _ => 0..ctx.storage.partition_count(),
+    }
+}
+
 /// Compile a storage scan: an index-backed point lookup when a value
-/// index applies, otherwise a streaming cursor over the partitioned
-/// store (with push-down, or a node-side residual filter when push-down
-/// is off).
+/// index applies, otherwise a streaming cursor over the scoped
+/// partitions (with push-down, or a node-side residual filter when
+/// push-down is off).
+#[allow(clippy::too_many_arguments)]
 fn compile_scan<'a>(
     ctx: &ExecContext<'a>,
     collection: Option<&str>,
@@ -652,6 +743,7 @@ fn compile_scan<'a>(
     use_value_index: bool,
     batch_size: usize,
     metrics: &SharedMetrics,
+    scope: &Scope<'_>,
 ) -> Result<Box<dyn Operator + 'a>, ExecError> {
     // Index-backed point lookup: only for a top-level Eq predicate.
     if use_value_index {
@@ -672,25 +764,27 @@ fn compile_scan<'a>(
     // Storage scan, with or without push-down.
     let (request, post_filter) =
         scan_request_parts(ctx.pushdown, collection, predicate, ctx.snapshot);
-    let stream = ctx.storage.scan_batches(&request, batch_size);
     Ok(Box::new(ScanOp::new(
-        stream,
+        ctx.storage,
+        request,
+        scoped_partitions(ctx, scope),
         alias.to_string(),
         post_filter,
+        batch_size,
         Rc::clone(metrics),
     )))
 }
 
-/// Build the storage [`ScanRequest`] and node-side residual predicate for
-/// a logical scan — shared by the serial [`compile_scan`] and the
-/// parallel morsel workers so both paths see identical pages.
 /// The visibility epoch for point reads: the pinned snapshot, or
 /// `u64::MAX` (everything visible) when the context is unpinned.
 pub(crate) fn snap_epoch(ctx: &ExecContext<'_>) -> u64 {
     ctx.snapshot.unwrap_or(u64::MAX)
 }
 
-pub(crate) fn scan_request_parts(
+/// Build the storage [`ScanRequest`] and node-side residual predicate for
+/// a logical scan — shared by the row and the vectorized scan so both see
+/// identical pages.
+fn scan_request_parts(
     pushdown: bool,
     collection: Option<&str>,
     predicate: Option<&Predicate>,
@@ -743,17 +837,17 @@ pub(crate) fn scan_request_parts(
 struct FusedScan<'p> {
     collection: Option<&'p str>,
     predicate: Option<&'p Predicate>,
-    alias: &'p str,
     filters: Vec<&'p Predicate>,
 }
 
 /// Walk a plan subtree looking for a fusable `Filter*{Scan}` chain. The
 /// chain does not fuse when the scan wants the value index for a point
 /// lookup (the index path is already faster than any scan) or when a
-/// filter binds a different alias than the scan produced (the row-wise
-/// semantics of an unbound alias are Null-propagation, which the fused
-/// mask evaluates against the scanned document instead).
-fn fusable_chain(plan: &LogicalPlan) -> Option<FusedScan<'_>> {
+/// filter — or the consumer above, per `demand` — dereferences an alias
+/// other than the scan's own (the row-wise semantics of an unbound alias
+/// are Null-propagation, which column vectors of the scanned document
+/// cannot express).
+fn fusable_chain<'p>(plan: &'p LogicalPlan, demand: &ColumnDemand<'_>) -> Option<FusedScan<'p>> {
     let mut filters: Vec<(&str, &Predicate)> = Vec::new();
     let mut cur = plan;
     loop {
@@ -775,14 +869,17 @@ fn fusable_chain(plan: &LogicalPlan) -> Option<FusedScan<'_>> {
                 if *use_value_index && matches!(predicate, Some(Predicate::Eq(_, _))) {
                     return None;
                 }
-                if filters.iter().any(|(a, _)| *a != alias.as_str()) {
+                let mut aliases = filters
+                    .iter()
+                    .map(|(a, _)| *a)
+                    .chain(demand.aliases.iter().copied());
+                if aliases.any(|a| a != alias.as_str()) {
                     return None;
                 }
                 filters.reverse();
                 return Some(FusedScan {
                     collection: collection.as_deref(),
                     predicate: predicate.as_ref(),
-                    alias,
                     filters: filters.into_iter().map(|(_, p)| p).collect(),
                 });
             }
@@ -793,7 +890,7 @@ fn fusable_chain(plan: &LogicalPlan) -> Option<FusedScan<'_>> {
 
 /// Collect every path a predicate touches, so the columnar scan decodes
 /// exactly the columns the fused masks need.
-pub(crate) fn predicate_paths(p: &Predicate, out: &mut Vec<String>) {
+fn predicate_paths(p: &Predicate, out: &mut Vec<String>) {
     match p {
         Predicate::Eq(path, _)
         | Predicate::Ne(path, _)
@@ -814,17 +911,26 @@ pub(crate) fn predicate_paths(p: &Predicate, out: &mut Vec<String>) {
 }
 
 /// Build the vectorized scan for a fused chain: the storage request uses
-/// the same push-down split as the row path, fused filter predicates
-/// become vectorized masks, and — when push-down is on — the combined
-/// predicate is handed to storage as a zone-map pruning hint so whole
-/// segments are skipped before decompression.
+/// the same push-down split as the row path, the decoded columns are the
+/// consumer's `demand` plus every fused filter's paths, fused filter
+/// predicates become vectorized masks, and — when push-down is on — the
+/// combined predicate is handed to storage as a zone-map pruning hint so
+/// whole segments are skipped before decompression.
 fn compile_columnar_scan<'a>(
     ctx: &ExecContext<'a>,
     fused: &FusedScan<'_>,
-    mut paths: Vec<String>,
+    demand: &ColumnDemand<'_>,
     batch_size: usize,
     metrics: &SharedMetrics,
+    scope: &Scope<'_>,
 ) -> Box<dyn Operator + 'a> {
+    let mut paths: Vec<String> = demand.paths.iter().map(|p| p.to_string()).collect();
+    for p in &fused.filters {
+        predicate_paths(p, &mut paths);
+    }
+    // Pseudo-paths (`_id`, `_score`) name no stored leaf: consumers read
+    // them off the page's documents, never from a (all-Null) column.
+    paths.retain(|p| p != PSEUDO_ID && p != PSEUDO_SCORE);
     paths.sort();
     paths.dedup();
     let (request, post_filter) = scan_request_parts(
@@ -853,6 +959,7 @@ fn compile_columnar_scan<'a>(
         Box::new(ColumnarScanOp::new(
             ctx.storage,
             request,
+            scoped_partitions(ctx, scope),
             masks,
             prune,
             paths,

@@ -13,11 +13,10 @@
 //! * [`plan`] — the logical algebra (scan, search, filter, project, join,
 //!   group/aggregate, sort, limit, graph-connect).
 //! * [`batch`] — the batched, pull-based operator pipeline ([`Batch`] /
-//!   [`Operator`]): streaming filter/project/limit, blocking sort and
-//!   group/aggregate, the three join algorithms (indexed nested-loop,
-//!   hash, sort-merge).
-//! * [`ops`] / [`joins`] — materialized wrappers over the pipeline, kept
-//!   for callers that still exchange whole tuple vectors.
+//!   [`Operator`]), the one operator family every execution mode runs:
+//!   row and vectorized scans over a partition range, streaming
+//!   filter/project/limit, blocking sort and group/aggregate, the three
+//!   join algorithms (indexed nested-loop, hash, sort-merge).
 //! * [`simple`] — the **simple planner**: a handful of fixed rules, no
 //!   statistics, biased toward index use and top-k friendliness.
 //! * [`costopt`] — the **cost-based baseline**: selectivity estimation
@@ -28,10 +27,12 @@
 //!   processing literature the paper cites.
 //! * [`sql`] — a mini-SQL surface ("Traditional structured query languages
 //!   such as SQL … can be mapped to this new query interface").
-//! * [`exec`] — the single-node executor.
-//! * [`parallel`] — morsel-driven intra-query parallelism: a scoped
-//!   worker pool that claims storage partitions as morsels and merges
-//!   per-partition results in partition order (exact, not approximate).
+//! * [`exec`] — the single-node executor: `compile`, the only lowering
+//!   of a [`LogicalPlan`] to operators, and `drain`, the only pull loop.
+//! * [`parallel`] — the exchange: splits a plan into root, merge shape
+//!   and segment, compiles the segment once per morsel (a storage
+//!   partition, or a chunk of scored hits) on a scoped worker pool, and
+//!   merges per-morsel results in morsel order (exact, not approximate).
 //! * [`dist`] — the distributed executor: scans on data nodes, join and
 //!   aggregation on grid nodes, updates via cluster nodes (Figure 3's
 //!   example query flow).
@@ -52,8 +53,6 @@ pub mod context;
 pub mod costopt;
 pub mod dist;
 pub mod exec;
-pub mod joins;
-pub mod ops;
 pub mod parallel;
 pub mod plan;
 pub mod preempt;

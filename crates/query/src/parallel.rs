@@ -1,70 +1,74 @@
-//! Morsel-driven intra-query parallelism.
+//! The exchange: morsel-driven intra-query parallelism wrapped around
+//! compiled operator trees.
 //!
-//! With `worker_threads > 1` in the [`ExecutionContext`], plans whose
-//! shape has a parallel form are executed by a scoped worker pool instead
-//! of the serial operator tree. The unit of work (a *morsel*) is one
-//! storage partition: workers claim whole partitions from a shared atomic
-//! counter (largest-first, so greedy claiming stays balanced) and stream
-//! each partition's pages through the same resumable cursor
-//! ([`StorageEngine::scan_partition_page`]) the distributed executor
-//! uses. Per-partition results are reassembled **in partition order** at
-//! the root, which reproduces the serial pipeline's tuple sequence
-//! exactly — partition-parallel scan is a pure speedup, not an
-//! approximation.
+//! Nothing here interprets a plan. [`crate::exec::compile`] is the only
+//! lowering and [`crate::exec::drain`] the only pull loop; this module
+//! decides *where to cut* a plan ([`split`]), runs the part below the cut
+//! once per morsel on a scoped worker pool, and reassembles the per-morsel
+//! results at the root ([`merge_parts`]).
 //!
-//! Blocking operators get parallel forms:
+//! **The split.** Walking down from the root, a plan divides into
 //!
-//! * **Sort / top-K** — each worker keeps a per-partition buffer (pruned
-//!   to `k` when a downstream limit caps the output; stable sort +
-//!   truncate commutes with pruning, so this is exact). The root
-//!   concatenates buffers in partition order and runs one final stable
-//!   sort, which reproduces the serial order including ties.
-//! * **Group/aggregate** — workers fold per-partition partial group
-//!   states with the same [`fold_group`] the serial operator uses; the
-//!   root merges partials in partition order via [`AggValue::merge`].
-//!   Exact for counts/min/max and integer-derived sums; true
-//!   floating-point sums may differ from serial by rounding (association
-//!   order changes).
-//! * **Hash join** — the build side is drained once through the serial
-//!   compiler, split into disjoint hash buckets (built in parallel), and
-//!   probed read-only by every worker. Per-key match order equals serial
-//!   insertion order because each key lands in exactly one bucket.
+//! * a *root*: the stacked `Limit`s (collapsed to their minimum) and at
+//!   most one `Project`;
+//! * a *merge shape*: `Sort` (with the root limit as its top-K),
+//!   `GroupAgg`, or — when neither is there — `Collect`;
+//! * a *segment*: the borrowed subtree below the shape, which must be a
+//!   left-deep spine of `Filter`s and hash `Join`s over one base `Scan`
+//!   or `IndexScan`. The hash joins' build sides hang off that spine.
 //!
-//! Two base sources exist. A **storage scan** claims partitions as
-//! morsels. An **index scan** (scored text retrieval) evaluates its
-//! search once on the caller's thread — BM25 statistics are index-global,
-//! so the evaluation itself does not shard — then chunks the ordered hit
-//! list into morsels: workers fetch each hit's snapshot-visible document,
-//! bind scored tuples, and run the same per-morsel step chain; chunk
-//! order reassembly reproduces the serial score-descending sequence
-//! exactly.
+//! Plans that do not divide this way — value-index point lookups,
+//! sort-merge and indexed-NL joins, graph connects, fusion, sorts over
+//! row inputs — have no split and run as one tree on the calling thread,
+//! as do single-partition stores and `worker_threads == 1`.
 //!
-//! Shapes with no parallel form — value-index point lookups, sort-merge
-//! and indexed-NL joins, graph connects, fusion, sorts over row inputs —
-//! return `None` and fall back to the serial pipeline, as do
-//! single-partition stores and `worker_threads == 1`. Exchanges cost
-//! nothing here: workers share one address space, so nothing is charged
-//! to the simulated `Network` (see DESIGN.md).
+//! **A morsel** is one storage partition of a `Scan` base (claimed
+//! largest-first so greedy claiming stays balanced), or one
+//! `batch_size` chunk of the ordered hit list of an `IndexScan` base —
+//! the search itself is evaluated once on the caller's thread, because
+//! BM25 statistics are index-global. For each morsel a worker compiles
+//! the segment under a [`Scope`] that narrows the base source to the
+//! morsel and points the spine's hash joins at tables built once up
+//! front, drains that tree, and folds its batches into a [`Part`] with
+//! the same functions the serial `Project`/`GroupAgg`/`Sort` operators
+//! use. Every tree of one query reads the snapshot pinned in the
+//! [`ExecContext`].
+//!
+//! **The merge** reassembles parts in morsel order, which reproduces the
+//! serial tuple sequence exactly: `Collect` concatenates (each morsel
+//! stops early once it alone could fill the limit), `Sort` concatenates
+//! per-morsel buffers pruned to top-K and runs one stable sort, and
+//! `GroupAgg` merges partial group states in morsel order via
+//! [`AggValue::merge`] — exact for counts/min/max and integer-derived
+//! sums; true floating-point sums may differ from serial by rounding.
+//!
+//! Between morsels workers yield to high-priority queries
+//! ([`crate::preempt`]); before every batch they check the deadline (an
+//! expired budget returns the parts folded so far as an honest partial);
+//! the first error stops the siblings; a worker panic is re-raised on
+//! the caller. Exchanges cost nothing on the simulated `Network`:
+//! workers share one address space (see DESIGN.md).
+//!
+//! [`AggValue::merge`]: impliance_storage::AggValue::merge
 
-use std::collections::{hash_map::DefaultHasher, BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use impliance_docmodel::Value;
+use impliance_index::SearchHit;
 use impliance_obs::{Counter, Gauge, Histogram, LATENCY_BUCKETS_US};
-use impliance_storage::{AggValue, Predicate, ScanMetrics, ScanMorsel, ScanPos, ScanRequest};
+use impliance_storage::Predicate;
 
-use crate::adaptive::AdaptiveFilterChain;
 use crate::batch::{
-    columnar_obs, finish_groups, fold_group, fold_page, mask_page, project_page, sort_tuples,
-    Batch, SharedMetrics,
+    build_join_table, finish_groups, fold_batch, project_batch, prune_top_k, run_index_search,
+    sort_tuples, Batch, Groups, JoinTable, SharedMetrics,
 };
 use crate::context::ExecutionContext;
 use crate::exec::{
-    deadline_obs, predicate_paths, scan_request_parts, Compiled, ExecContext, ExecError,
-    ExecMetrics, Kind, QueryOutput,
+    compile, compile_join_side, deadline_obs, drain, ColumnDemand, Compiled, ExecContext,
+    ExecError, ExecMetrics, Morsel, QueryOutput, Scope,
 };
 use crate::plan::{AggItem, JoinAlgo, LogicalPlan, SortKey};
 use crate::tuple::{Row, Tuple};
@@ -151,79 +155,46 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Plan lowering
+// The plan split
 // ---------------------------------------------------------------------
 
-/// A linear per-morsel step applied to tuple batches, innermost first.
-/// Borrows straight from the plan — lowering allocates nothing per node.
-enum Step<'p> {
-    /// Filter on one alias (multi-conjunct filters run through a
-    /// per-worker adaptive chain, like the serial operator).
-    Filter {
-        alias: &'p str,
-        predicate: &'p Predicate,
-    },
-    /// Probe of a pre-built shared hash table; `table` indexes into the
-    /// query's build-side table list.
-    HashProbe {
-        left_key: &'p (String, String),
-        table: usize,
-    },
-}
-
-/// How per-partition tuple streams combine at the root.
+/// How per-morsel results combine at the root.
 enum Shape<'p> {
-    /// Concatenate in partition order (streaming plans).
+    /// Concatenate in morsel order (streaming plans).
     Collect,
-    /// Per-partition buffers (pruned to `top_k`), one stable sort at the
+    /// Per-morsel buffers (pruned to `top_k`), one stable sort at the
     /// root.
     Sort {
         keys: &'p [SortKey],
         top_k: Option<usize>,
     },
-    /// Per-partition partial group states, merged in partition order.
+    /// Per-morsel partial group states, merged in morsel order.
     GroupAgg {
         group_by: Option<&'p (String, String)>,
         aggs: &'p [AggItem],
     },
 }
 
-/// The base source a lowered plan streams from.
-enum Base<'p> {
-    /// Partitioned storage scan — morsels are partitions.
-    Scan {
-        collection: Option<&'p str>,
-        predicate: Option<&'p Predicate>,
-    },
-    /// Scored text retrieval — the search runs once (BM25 statistics are
-    /// index-global); morsels are chunks of the ordered hit list.
-    IndexScan {
-        query: &'p str,
-        path: Option<&'p str>,
-        k: Option<usize>,
-        any_term: bool,
-        phrase: bool,
-        collection: Option<&'p str>,
-    },
-}
-
-/// A plan lowered to morsel form: one base source, a linear chain of
-/// per-morsel steps, a root shape, and the residual projection/limit.
-/// Everything borrows from the plan, which outlives the worker pool.
-struct Lowered<'p> {
-    base: Base<'p>,
-    alias: &'p str,
-    steps: Vec<Step<'p>>,
-    /// Build-side plans for each `Step::HashProbe`, in table order.
-    builds: Vec<(&'p LogicalPlan, &'p (String, String))>,
-    shape: Shape<'p>,
-    project: Option<&'p [(String, String, String)]>,
+/// A plan cut for the exchange (see the module docs). Everything borrows
+/// from the plan, which outlives the worker pool.
+struct Split<'p> {
+    /// Minimum of the root's stacked limits.
     limit: Option<usize>,
+    /// The root's projection, if any.
+    project: Option<&'p [(String, String, String)]>,
+    shape: Shape<'p>,
+    /// The subtree each morsel compiles.
+    segment: &'p LogicalPlan,
+    /// The segment's base source (a `Scan` or an `IndexScan`).
+    base: &'p LogicalPlan,
+    /// The spine's hash joins, outermost first: the join node (its
+    /// identity keys the shared table), its build side and build key.
+    builds: Vec<(&'p LogicalPlan, &'p LogicalPlan, &'p (String, String))>,
 }
 
-/// Lower a plan to morsel form, or `None` when no parallel form exists
-/// and the serial pipeline should run instead.
-fn lower(plan: &LogicalPlan) -> Option<Lowered<'_>> {
+/// Cut a plan for the exchange, or `None` when it has no split and runs
+/// as one tree on the calling thread.
+fn split(plan: &LogicalPlan) -> Option<Split<'_>> {
     let mut limit: Option<usize> = None;
     let mut take_limit = |n: usize| limit = Some(limit.map_or(n, |l| l.min(n)));
     let mut cur = plan;
@@ -240,13 +211,13 @@ fn lower(plan: &LogicalPlan) -> Option<Lowered<'_>> {
         take_limit(*n);
         cur = input;
     }
-    let (shape, mut cur) = match cur {
+    let (shape, segment) = match cur {
         LogicalPlan::Sort { input, keys } => (
             Shape::Sort {
                 keys,
                 // A limit anywhere above the sort caps its output (the
                 // serial pipeline truncates after sorting; pruning to k
-                // per partition plus a final stable sort is equivalent).
+                // per morsel plus a final stable sort is equivalent).
                 top_k: limit,
             },
             input.as_ref(),
@@ -264,547 +235,176 @@ fn lower(plan: &LogicalPlan) -> Option<Lowered<'_>> {
         ),
         other => (Shape::Collect, other),
     };
-    // The segment below the shape: a left-deep chain of filters and hash
-    // joins over one base scan. Steps are collected outermost-first and
-    // reversed so workers apply them scan-outward.
-    let mut steps: Vec<Step<'_>> = Vec::new();
-    let mut builds: Vec<(&LogicalPlan, &(String, String))> = Vec::new();
-    loop {
+    let mut builds = Vec::new();
+    let mut cur = segment;
+    let base = loop {
         match cur {
-            LogicalPlan::Filter {
-                input,
-                alias,
-                predicate,
-            } => {
-                steps.push(Step::Filter { alias, predicate });
-                cur = input;
-            }
+            LogicalPlan::Filter { input, .. } => cur = input,
             LogicalPlan::Join {
                 left,
                 right,
-                left_key,
                 right_key,
                 algo: JoinAlgo::Hash | JoinAlgo::Unspecified,
+                ..
             } => {
-                builds.push((right.as_ref(), right_key));
-                steps.push(Step::HashProbe {
-                    left_key,
-                    table: builds.len() - 1,
-                });
+                builds.push((cur, right.as_ref(), right_key));
                 cur = left;
             }
             LogicalPlan::Scan {
-                collection,
                 predicate,
-                alias,
                 use_value_index,
+                ..
             } => {
                 if *use_value_index && matches!(predicate, Some(Predicate::Eq(_, _))) {
-                    return None; // index point lookup: serial path
+                    return None; // index point lookup: nothing to fan out
                 }
-                steps.reverse();
-                // Table indices were assigned in outermost-first order;
-                // remap them to the reversed (scan-outward) step order.
-                return Some(Lowered {
-                    base: Base::Scan {
-                        collection: collection.as_deref(),
-                        predicate: predicate.as_ref(),
-                    },
-                    alias,
-                    steps,
-                    builds,
-                    shape,
-                    project,
-                    limit,
-                });
+                break cur;
             }
-            LogicalPlan::IndexScan {
-                query,
-                path,
-                k,
-                alias,
-                any_term,
-                phrase,
-                collection,
-            } => {
-                steps.reverse();
-                return Some(Lowered {
-                    base: Base::IndexScan {
-                        query,
-                        path: path.as_deref(),
-                        k: *k,
-                        any_term: *any_term,
-                        phrase: *phrase,
-                        collection: collection.as_deref(),
-                    },
-                    alias,
-                    steps,
-                    builds,
-                    shape,
-                    project,
-                    limit,
-                });
-            }
+            LogicalPlan::IndexScan { .. } => break cur,
             _ => return None, // fusion, graph, other joins, …
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Columnar worker path
-// ---------------------------------------------------------------------
-
-/// The vectorized per-morsel plan: which columns to decode, the exact
-/// predicate masks to apply page-at-a-time, and the zone-map pruning
-/// hint. Built once per query when the lowered shape qualifies.
-struct ColumnarPlan {
-    masks: Vec<Predicate>,
-    prune: Option<Predicate>,
-    paths: Vec<String>,
-}
-
-/// Decide whether the lowered plan can run its morsels column-at-a-time:
-/// every step must be a filter on the scan's own alias (joins probe
-/// tuples, so they stay row-wise), and the root shape must be an
-/// aggregate or a projected collect (docs output needs materialized
-/// documents anyway). Mirrors the serial pipeline's fusable chain.
-fn columnar_plan(
-    ctx: &ExecContext<'_>,
-    low: &Lowered<'_>,
-    request: &ScanRequest,
-    post_filter: Option<&Predicate>,
-) -> Option<ColumnarPlan> {
-    if !ctx.columnar {
-        return None;
-    }
-    let filters: Vec<&Predicate> = low
-        .steps
-        .iter()
-        .map(|s| match s {
-            Step::Filter { alias, predicate } if *alias == low.alias => Some(*predicate),
-            _ => None,
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let mut paths: Vec<String> = match &low.shape {
-        Shape::GroupAgg { group_by, aggs } => group_by
-            .iter()
-            .filter(|g| g.0.as_str() == low.alias)
-            .map(|g| g.1.clone())
-            .chain(aggs.iter().filter_map(|a| a.operand.clone()))
-            .collect(),
-        Shape::Collect => low
-            .project?
-            .iter()
-            .filter(|(alias, _, _)| alias.as_str() == low.alias)
-            .map(|(_, path, _)| path.clone())
-            .collect(),
-        Shape::Sort { .. } => return None,
     };
-    for p in &filters {
-        predicate_paths(p, &mut paths);
-    }
-    paths.sort();
-    paths.dedup();
-    let masks: Vec<Predicate> = post_filter
-        .into_iter()
-        .chain(filters.iter().copied())
-        .cloned()
-        .collect();
-    let prune = if ctx.pushdown && !filters.is_empty() {
-        Some(Predicate::And(
-            request
-                .predicate
-                .iter()
-                .chain(filters.iter().copied())
-                .cloned()
-                .collect(),
-        ))
-    } else {
-        None
-    };
-    Some(ColumnarPlan {
-        masks,
-        prune,
-        paths,
+    Some(Split {
+        limit,
+        project,
+        shape,
+        segment,
+        base,
+        builds,
     })
 }
 
 // ---------------------------------------------------------------------
-// Shared (read-only) join tables
+// Per-morsel work
 // ---------------------------------------------------------------------
 
-/// A hash-bucketed build side, probed read-only by every worker.
-struct JoinTable {
-    buckets: Vec<HashMap<String, Vec<Tuple>>>,
+/// One morsel's folded result.
+enum Part {
+    Tuples(Vec<Tuple>),
+    /// Already-projected rows (a projected collect).
+    Rows(Vec<Row>),
+    Groups(Groups),
 }
 
-fn bucket_of(key: &str, n: usize) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % n.max(1)
-}
-
-impl JoinTable {
-    fn get(&self, key: &str) -> Option<&Vec<Tuple>> {
-        self.buckets
-            .get(bucket_of(key, self.buckets.len()))?
-            .get(key)
+impl Split<'_> {
+    fn empty_part(&self) -> Part {
+        match (&self.shape, self.project) {
+            (Shape::GroupAgg { .. }, _) => Part::Groups(Groups::new()),
+            (Shape::Collect, Some(_)) => Part::Rows(Vec::new()),
+            _ => Part::Tuples(Vec::new()),
+        }
     }
-}
 
-/// Drain a build-side plan through the serial compiler, then split the
-/// keyed rows into `buckets` disjoint hash buckets in parallel. Within a
-/// key, insertion order equals the serial drain order (each key maps to
-/// exactly one bucket and builders walk the drain in order), so probe
-/// output order matches the serial hash join exactly.
-fn build_join_table(
-    ctx: &ExecContext<'_>,
-    build: &LogicalPlan,
-    right_key: &(String, String),
-    batch_size: usize,
-    buckets: usize,
-    workers: usize,
-    metrics: &mut ExecMetrics,
-) -> Result<JoinTable, ExecError> {
-    let shared: SharedMetrics = std::rc::Rc::new(std::cell::RefCell::new(ExecMetrics::default()));
-    let mut keyed: Vec<(String, Tuple)> = Vec::new();
-    let mut batches = 0u64;
-    {
-        let mut op = match crate::exec::compile(ctx, build, batch_size, &shared)? {
-            Compiled::Op {
-                op,
-                kind: Kind::Tuples,
-            } => op,
-            _ => return Err(ExecError::BadPlan("join right input must be tuples".into())),
-        };
-        while let Some(batch) = op.next_batch()? {
-            batches += 1;
-            let Batch::Tuples(tuples) = batch else {
-                return Err(ExecError::BadPlan("join right input must be tuples".into()));
-            };
-            for t in tuples {
-                let k = t.key(&right_key.0, &right_key.1);
-                if k.is_null() {
-                    continue;
-                }
-                keyed.push((k.render(), t));
+    /// What the morsel's fold can take as column pages instead of tuples
+    /// (the same demand the serial `GroupAgg`/`Project` would state).
+    fn demand(&self) -> Option<ColumnDemand<'_>> {
+        match (&self.shape, self.project) {
+            (Shape::GroupAgg { group_by, aggs }, _) => {
+                Some(ColumnDemand::of_group_agg(*group_by, aggs))
             }
+            (Shape::Collect, Some(columns)) => Some(ColumnDemand::of_project(columns)),
+            _ => None,
         }
     }
-    let built = shared.borrow();
-    metrics.scan.merge(&built.scan);
-    metrics.index_lookups += built.index_lookups;
-    metrics.batches += batches;
-    // partition once by move (a single pass in drain order, so per-key
-    // order is preserved), then build each bucket's map in parallel —
-    // the old scan-and-clone walked every row once per bucket and cloned
-    // each key and tuple into its map
-    let mut parts: Vec<Vec<(String, Tuple)>> = (0..buckets).map(|_| Vec::new()).collect();
-    if buckets > 0 {
-        for (k, t) in keyed {
-            let b = bucket_of(&k, buckets);
-            parts[b].push((k, t));
+
+    /// Fold one drained batch into the morsel's part; `false` once the
+    /// part needs nothing more. A streaming (`Collect`) morsel never
+    /// contributes more than the query limit: an entry with `limit`
+    /// same-morsel predecessors can never reach the merged prefix, so the
+    /// morsel's tree can stop early.
+    fn fold(&self, part: &mut Part, batch: Batch) -> Result<bool, ExecError> {
+        let cap = self.limit.unwrap_or(usize::MAX);
+        match (&self.shape, part) {
+            (Shape::GroupAgg { group_by, aggs }, Part::Groups(groups)) => {
+                fold_batch(groups, &batch, *group_by, aggs)?;
+                Ok(true)
+            }
+            (Shape::Sort { keys, top_k }, Part::Tuples(buf)) => {
+                if let Batch::Tuples(tuples) = batch {
+                    buf.extend(tuples);
+                }
+                prune_top_k(buf, keys, *top_k);
+                Ok(true)
+            }
+            (Shape::Collect, Part::Rows(rows)) => {
+                rows.extend(project_batch(batch, self.project.unwrap_or_default()));
+                rows.truncate(cap);
+                Ok(rows.len() < cap)
+            }
+            (Shape::Collect, Part::Tuples(buf)) => {
+                if let Batch::Tuples(tuples) = batch {
+                    buf.extend(tuples);
+                }
+                buf.truncate(cap);
+                Ok(buf.len() < cap)
+            }
+            _ => Err(ExecError::BadPlan(
+                "morsel part does not match the merge shape".into(),
+            )),
         }
     }
-    let maps = scoped_map(workers.min(buckets), parts, |part| {
-        let mut m: HashMap<String, Vec<Tuple>> = HashMap::new();
-        for (k, t) in part {
-            m.entry(k).or_default().push(t);
-        }
-        m
-    });
-    Ok(JoinTable { buckets: maps })
 }
 
-// ---------------------------------------------------------------------
-// Workers
-// ---------------------------------------------------------------------
-
-/// Everything a worker needs, shared read-only across the pool.
-struct WorkerEnv<'e> {
-    storage: &'e impliance_storage::StorageEngine,
-    low: &'e Lowered<'e>,
-    /// When set, morsels run column-at-a-time (decode → mask → fold or
-    /// project straight from column vectors) instead of row-wise.
-    col: Option<&'e ColumnarPlan>,
-    tables: &'e [JoinTable],
-    morsels: &'e [ScanMorsel],
-    request: &'e ScanRequest,
-    post_filter: Option<&'e Predicate>,
-    claim: &'e AtomicUsize,
-    stop: &'e AtomicBool,
-    deadline_hit: &'e AtomicBool,
+/// Everything the workers of one query share, read-only.
+struct Exchange<'e, 'c> {
+    ctx: &'e ExecContext<'c>,
+    split: &'e Split<'e>,
+    demand: Option<ColumnDemand<'e>>,
+    /// Build sides of the spine's hash joins, built once.
+    tables: Vec<(&'e LogicalPlan, Arc<JoinTable>)>,
+    /// Set by the first error or an expired deadline: unclaimed morsels
+    /// are skipped.
+    stop: AtomicBool,
+    deadline_hit: AtomicBool,
     deadline_at: Option<Instant>,
     batch_size: usize,
-    priority: crate::preempt::Priority,
 }
 
-/// One partition's accumulated result.
-enum PartAcc {
-    Tuples(Vec<Tuple>),
-    /// Already-projected rows from the columnar path (collect shape).
-    Rows(Vec<Row>),
-    Groups(BTreeMap<String, (Value, Vec<AggValue>)>),
-}
-
-#[derive(Default)]
-struct WorkerOut {
-    /// `(partition, result)` pairs, reassembled in partition order at
-    /// the root.
-    parts: Vec<(usize, PartAcc)>,
-    scan: ScanMetrics,
-    pages: u64,
-    /// Pages that went through the vectorized decode path.
-    columnar_pages: u64,
-    error: Option<ExecError>,
-}
-
-fn run_worker(env: &WorkerEnv<'_>) -> WorkerOut {
-    let mut out = WorkerOut::default();
-    // Per-worker adaptive chains (one per multi-conjunct filter step):
-    // the learned conjunct order persists across this worker's morsels,
-    // like the serial chain persists across batches. Conjunctions are
-    // order-independent in outcome, so reordering never changes rows.
-    let mut chains: Vec<Option<AdaptiveFilterChain>> = env
-        .low
-        .steps
-        .iter()
-        .map(|s| match s {
-            Step::Filter {
-                predicate: Predicate::And(cs),
-                ..
-            } if cs.len() > 1 => Some(AdaptiveFilterChain::new(cs.clone(), 64)),
-            _ => None,
-        })
-        .collect();
-    loop {
-        if env.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        // Morsel-granularity preemption: while a high-priority query is
-        // in flight, lower-priority workers surrender the core (bounded)
-        // before racing for the next claim, so the high-priority pool
-        // wins the contended morsels.
-        crate::preempt::yield_to_high(env.priority);
-        let i = env.claim.fetch_add(1, Ordering::Relaxed);
-        let Some(m) = env.morsels.get(i) else { break };
-        par_obs()
-            .queue_depth
-            .set(env.morsels.len().saturating_sub(i + 1) as i64);
-        let result = match env.col {
-            Some(cp) => process_partition_columnar(env, cp, m.partition, &mut out),
-            None => process_partition(env, m.partition, &mut chains, &mut out),
+impl Exchange<'_, '_> {
+    /// Compile the segment for one morsel, drain it, fold it.
+    fn run_morsel(&self, morsel: Morsel<'_>) -> Result<(Part, ExecMetrics), ExecError> {
+        let metrics: SharedMetrics = Rc::new(RefCell::new(ExecMetrics::default()));
+        let scope = Scope {
+            morsel: Some(morsel),
+            tables: &self.tables,
         };
-        match result {
-            Ok(acc) => out.parts.push((m.partition, acc)),
-            Err(e) => {
-                out.error = Some(e);
-                env.stop.store(true, Ordering::Relaxed);
-                break;
-            }
-        }
-    }
-    out
-}
-
-fn process_partition(
-    env: &WorkerEnv<'_>,
-    partition: usize,
-    chains: &mut [Option<AdaptiveFilterChain>],
-    out: &mut WorkerOut,
-) -> Result<PartAcc, ExecError> {
-    let (mut acc, top_k, keys) = match &env.low.shape {
-        Shape::GroupAgg { .. } => (PartAcc::Groups(BTreeMap::new()), None, None),
-        Shape::Sort { keys, top_k } => (PartAcc::Tuples(Vec::new()), *top_k, Some(keys)),
-        Shape::Collect => (PartAcc::Tuples(Vec::new()), None, None),
-    };
-    // Pruning threshold for the top-K sort buffer (mirrors SortOp).
-    let prune_at = top_k.map(|k| (2 * k).max(64));
-    // A streaming (Collect) partition never contributes more than the
-    // query limit: a tuple with `limit` same-partition predecessors can
-    // never reach the merged prefix, so the scan can stop early.
-    let collect_cap = match env.low.shape {
-        Shape::Collect => env.low.limit,
-        _ => None,
-    };
-    let mut pos = ScanPos::default();
-    // Probe output scratch, reused across pages and probe steps: the
-    // swap below keeps both buffers' capacity alive instead of growing
-    // a fresh vector per page.
-    let mut probe_scratch: Vec<Tuple> = Vec::new();
-    loop {
-        if env.deadline_at.is_some_and(|d| Instant::now() >= d) {
-            env.deadline_hit.store(true, Ordering::Relaxed);
-            env.stop.store(true, Ordering::Relaxed);
-            break;
-        }
-        let (page, next, done) =
-            env.storage
-                .scan_partition_page(partition, env.request, pos, env.batch_size)?;
-        pos = next;
-        out.scan.merge(&page.metrics);
-        out.pages += 1;
-        let mut tuples: Vec<Tuple> = page
-            .documents
-            .into_iter()
-            .map(|d| Tuple::single(env.low.alias, Arc::new(d)))
-            .collect();
-        if let Some(p) = env.post_filter {
-            tuples.retain(|t| {
-                t.bindings
-                    .get(env.low.alias)
-                    .map(|d| p.matches(d))
-                    .unwrap_or(false)
-            });
-        }
-        for (si, step) in env.low.steps.iter().enumerate() {
-            if tuples.is_empty() {
-                break;
-            }
-            match step {
-                Step::Filter { alias, predicate } => match &mut chains[si] {
-                    Some(chain) => tuples = chain.filter(tuples, alias),
-                    None => tuples.retain(|t| {
-                        t.bindings
-                            .get(*alias)
-                            .map(|d| predicate.matches(d))
-                            .unwrap_or(false)
-                    }),
-                },
-                Step::HashProbe { left_key, table } => {
-                    let Some(table) = env.tables.get(*table) else {
-                        return Err(ExecError::BadPlan("probe of unbuilt join table".into()));
-                    };
-                    probe_scratch.clear();
-                    for t in &tuples {
-                        let k = t.key(&left_key.0, &left_key.1);
-                        if k.is_null() {
-                            continue;
-                        }
-                        if let Some(matches) = table.get(&k.render()) {
-                            for m in matches {
-                                probe_scratch.push(t.join(m));
-                            }
-                        }
-                    }
-                    std::mem::swap(&mut tuples, &mut probe_scratch);
-                }
-            }
-        }
-        let mut partition_full = false;
-        match &mut acc {
-            PartAcc::Tuples(buf) => {
-                buf.extend(tuples);
-                if let (Some(cap), Some(k), Some(keys)) = (prune_at, top_k, keys) {
-                    if buf.len() > cap {
-                        sort_tuples(buf, keys);
-                        buf.truncate(k);
-                    }
-                }
-                if let Some(n) = collect_cap {
-                    if buf.len() >= n {
-                        buf.truncate(n);
-                        partition_full = true;
-                    }
-                }
-            }
-            PartAcc::Groups(groups) => {
-                if let Shape::GroupAgg { group_by, aggs } = &env.low.shape {
-                    for t in &tuples {
-                        fold_group(groups, t, *group_by, aggs);
-                    }
-                }
-            }
-            PartAcc::Rows(_) => {}
-        }
-        if done || partition_full {
-            break;
-        }
-    }
-    Ok(acc)
-}
-
-/// The vectorized morsel loop: decode each page straight into column
-/// vectors (zone maps skip whole segments first), apply the exact
-/// predicate masks, then fold aggregates or project rows directly from
-/// the columns — documents are never materialized into tuples.
-fn process_partition_columnar(
-    env: &WorkerEnv<'_>,
-    cp: &ColumnarPlan,
-    partition: usize,
-    out: &mut WorkerOut,
-) -> Result<PartAcc, ExecError> {
-    let mut acc = match &env.low.shape {
-        Shape::GroupAgg { .. } => PartAcc::Groups(BTreeMap::new()),
-        _ => PartAcc::Rows(Vec::new()),
-    };
-    // A collect partition never contributes more than the query limit
-    // (same early-stop as the row-wise loop).
-    let collect_cap = match env.low.shape {
-        Shape::Collect => env.low.limit,
-        _ => None,
-    };
-    let mut pos = ScanPos::default();
-    loop {
-        if env.deadline_at.is_some_and(|d| Instant::now() >= d) {
-            env.deadline_hit.store(true, Ordering::Relaxed);
-            env.stop.store(true, Ordering::Relaxed);
-            break;
-        }
-        let (page, next, done) = env.storage.scan_partition_page_columnar(
-            partition,
-            env.request,
-            cp.prune.as_ref(),
-            pos,
-            env.batch_size,
-            &cp.paths,
+        let compiled = compile(
+            self.ctx,
+            self.split.segment,
+            self.batch_size,
+            &metrics,
+            &scope,
+            self.demand.as_ref(),
         )?;
-        pos = next;
-        out.scan.merge(&page.metrics);
-        out.pages += 1;
-        let page = mask_page(page, &cp.masks);
-        let mut partition_full = false;
-        if page.len > 0 {
-            out.columnar_pages += 1;
-            let obs = columnar_obs();
-            obs.batches.inc();
-            obs.rows.add(page.len as u64);
-            match &mut acc {
-                PartAcc::Groups(groups) => {
-                    if let Shape::GroupAgg { group_by, aggs } = &env.low.shape {
-                        fold_page(groups, &page, *group_by, aggs, env.low.alias);
-                    }
-                }
-                PartAcc::Rows(rows) => {
-                    if let Some(columns) = env.low.project {
-                        rows.extend(project_page(&page, columns, env.low.alias));
-                    }
-                    if let Some(n) = collect_cap {
-                        if rows.len() >= n {
-                            rows.truncate(n);
-                            partition_full = true;
-                        }
-                    }
-                }
-                PartAcc::Tuples(_) => {}
+        let Compiled::Op { mut op, .. } = compiled else {
+            return Err(ExecError::BadPlan("morsel segment is not a stream".into()));
+        };
+        let mut part = self.split.empty_part();
+        let expired = || {
+            let hit = self.deadline_at.is_some_and(|d| Instant::now() >= d);
+            if hit {
+                self.deadline_hit.store(true, Ordering::Relaxed);
+                self.stop.store(true, Ordering::Relaxed);
             }
-        }
-        if done || partition_full {
-            break;
-        }
+            hit
+        };
+        drain(op.as_mut(), &metrics, expired, |batch| {
+            self.split.fold(&mut part, batch)
+        })?;
+        let m = *metrics.borrow();
+        Ok((part, m))
     }
-    Ok(acc)
 }
 
 // ---------------------------------------------------------------------
 // Entry point
 // ---------------------------------------------------------------------
 
-/// Try to execute `plan` with the morsel-driven pool. Returns
-/// `Ok(None)` when the plan has no parallel form (caller falls back to
-/// the serial pipeline). The returned rows are bit-identical to the
-/// serial pipeline's except for true floating-point aggregate sums (see
-/// module docs).
+/// Try to execute `plan` through the exchange. Returns `Ok(None)` when
+/// the plan has no split or the store nothing to fan out over (the
+/// caller runs one tree itself). The returned rows are bit-identical to
+/// the serial pipeline's except for true floating-point aggregate sums
+/// (see module docs).
 pub(crate) fn try_execute_parallel(
     ctx: &ExecContext<'_>,
     plan: &LogicalPlan,
@@ -813,172 +413,137 @@ pub(crate) fn try_execute_parallel(
     if opts.worker_threads <= 1 {
         return Ok(None);
     }
-    let Some(low) = lower(plan) else {
+    let Some(split) = split(plan) else {
         return Ok(None);
     };
-    let (collection, predicate) = match low.base {
-        Base::Scan {
-            collection,
-            predicate,
-        } => (collection, predicate),
-        Base::IndexScan { .. } => return execute_parallel_index_scan(ctx, &low, opts),
-    };
-    let morsels = ctx.storage.scan_morsels();
-    if morsels.len() < 2 {
-        return Ok(None); // one partition: nothing to fan out
-    }
-    let workers = opts.worker_threads.min(morsels.len());
     let batch_size = opts.batch_size.max(1);
     let deadline_at = opts.deadline.map(|d| Instant::now() + d);
     let mut metrics = ExecMetrics::default();
-    metrics.workers_used = workers as u64;
 
-    // Build sides run serially through the normal compiler (they are the
-    // small inputs of a hash join); bucketing fans out across the pool.
-    let mut tables: Vec<JoinTable> = Vec::with_capacity(low.builds.len());
-    for (build, right_key) in &low.builds {
-        tables.push(build_join_table(
-            ctx,
-            build,
-            right_key,
-            batch_size,
-            workers,
-            workers,
-            &mut metrics,
-        )?);
+    // Morsels in claim order, each tagged with its place in the merge.
+    let hits: Vec<SearchHit>;
+    let morsels: Vec<(usize, Morsel<'_>)> = match split.base {
+        LogicalPlan::IndexScan {
+            query,
+            path,
+            k,
+            any_term,
+            phrase,
+            ..
+        } => {
+            let (scored, stats, effective_k) = run_index_search(
+                ctx.text_index,
+                query,
+                path.as_deref(),
+                *any_term,
+                *phrase,
+                *k,
+            );
+            metrics.record_search(&stats, effective_k);
+            hits = scored;
+            hits.chunks(batch_size)
+                .map(Morsel::Hits)
+                .enumerate()
+                .collect()
+        }
+        _ => {
+            let partitions = ctx.storage.scan_morsels();
+            if partitions.len() < 2 {
+                return Ok(None); // one partition: nothing to fan out
+            }
+            partitions
+                .iter()
+                .map(|m| (m.partition, Morsel::Partition(m.partition)))
+                .collect()
+        }
+    };
+
+    // Build sides run once, unscoped, on this thread (they are the small
+    // inputs of a hash join); every morsel probes them read-only, so
+    // per-key match order equals the serial join's.
+    let mut tables = Vec::with_capacity(split.builds.len());
+    for (join, build, right_key) in &split.builds {
+        let built: SharedMetrics = Rc::new(RefCell::new(ExecMetrics::default()));
+        let mut op = compile_join_side(ctx, build, batch_size, &built)?;
+        tables.push((*join, Arc::new(build_join_table(op.as_mut(), right_key)?)));
+        metrics.absorb(&built.borrow());
     }
 
-    let (request, post_filter) =
-        scan_request_parts(ctx.pushdown, collection, predicate, ctx.snapshot);
-    let col = columnar_plan(ctx, &low, &request, post_filter.as_ref());
-
+    let workers = opts.worker_threads.min(morsels.len()).max(1);
+    metrics.workers_used = workers as u64;
     let obs = par_obs();
     obs.morsels.add(morsels.len() as u64);
     obs.workers_used.set(workers as i64);
 
-    let claim = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let deadline_hit = AtomicBool::new(false);
-    let env = WorkerEnv {
-        storage: ctx.storage,
-        low: &low,
-        col: col.as_ref(),
-        tables: &tables,
-        morsels: &morsels,
-        request: &request,
-        post_filter: post_filter.as_ref(),
-        claim: &claim,
-        stop: &stop,
-        deadline_hit: &deadline_hit,
+    let exchange = Exchange {
+        ctx,
+        split: &split,
+        demand: split.demand(),
+        tables,
+        stop: AtomicBool::new(false),
+        deadline_hit: AtomicBool::new(false),
         deadline_at,
         batch_size,
-        priority: opts.priority,
     };
-    let env_ref = &env;
-    let outs: Vec<WorkerOut> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| s.spawn(move || run_worker(env_ref)))
-            .collect();
-        let mut all = Vec::with_capacity(workers);
-        for h in handles {
-            match h.join() {
-                Ok(o) => all.push(o),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
+    let queued = morsels.len();
+    let claims: Vec<(usize, (usize, Morsel<'_>))> = morsels.into_iter().enumerate().collect();
+    let results = scoped_map(workers, claims, |(claimed, (place, morsel))| {
+        if exchange.stop.load(Ordering::Relaxed) {
+            return None;
         }
-        all
+        // Morsel-granularity preemption: while a high-priority query is
+        // in flight, lower-priority workers surrender the core (bounded)
+        // before starting their next morsel.
+        crate::preempt::yield_to_high(opts.priority);
+        obs.queue_depth
+            .set(queued.saturating_sub(claimed + 1) as i64);
+        let result = exchange.run_morsel(morsel);
+        if result.is_err() {
+            exchange.stop.store(true, Ordering::Relaxed);
+        }
+        Some(result.map(|(part, m)| (place, part, m)))
     });
     obs.queue_depth.set(0);
 
-    let mut first_error: Option<ExecError> = None;
-    let mut parts: Vec<(usize, PartAcc)> = Vec::new();
-    for o in outs {
-        metrics.scan.merge(&o.scan);
-        metrics.batches += o.pages;
-        metrics.columnar_batches += o.columnar_pages;
-        if let Some(e) = o.error {
-            first_error.get_or_insert(e);
-        }
-        parts.extend(o.parts);
+    let mut parts: Vec<(usize, Part)> = Vec::with_capacity(queued);
+    for result in results.into_iter().flatten() {
+        let (place, part, m) = result?;
+        metrics.absorb(&m);
+        parts.push((place, part));
     }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    if deadline_hit.load(Ordering::Relaxed) {
+    if exchange.deadline_hit.load(Ordering::Relaxed) {
         metrics.deadline_exceeded = true;
         deadline_obs().inc();
     }
-    let output = merge_parts(&low, parts, col.is_some(), &mut metrics);
+    let output = merge_parts(&split, parts, &mut metrics);
     Ok(Some((output, metrics)))
 }
 
-/// Reassemble per-morsel results in morsel order and finish the root
-/// shape — shared by the partition-morsel and hit-chunk-morsel paths, so
-/// both reproduce the serial pipeline's output exactly.
+/// Reassemble per-morsel parts in morsel order and finish the root:
+/// merge by shape, truncate to the limit, project or unbind.
 fn merge_parts(
-    low: &Lowered<'_>,
-    mut parts: Vec<(usize, PartAcc)>,
-    columnar: bool,
+    split: &Split<'_>,
+    mut parts: Vec<(usize, Part)>,
     metrics: &mut ExecMetrics,
 ) -> QueryOutput {
     // Morsel-order reassembly: reproduces the serial sequence.
-    parts.sort_by_key(|(p, _)| *p);
+    parts.sort_by_key(|(place, _)| *place);
 
     let merge_started = Instant::now();
-    let mut truncated = false;
-    let output = match &low.shape {
-        Shape::Collect if columnar => {
-            // Columnar collect: workers already projected rows.
-            let mut rows: Vec<Row> = Vec::new();
-            for (_, acc) in parts {
-                if let PartAcc::Rows(r) = acc {
-                    rows.extend(r);
-                }
-            }
-            if let Some(n) = low.limit {
-                truncated = rows.len() > n;
-                rows.truncate(n);
-            }
-            metrics.rows_out = rows.len() as u64;
-            QueryOutput::Rows(rows)
-        }
-        Shape::Collect => {
-            let mut tuples: Vec<Tuple> = Vec::new();
-            for (_, acc) in parts {
-                if let PartAcc::Tuples(t) = acc {
-                    tuples.extend(t);
-                }
-            }
-            if let Some(n) = low.limit {
-                truncated = tuples.len() > n;
-                tuples.truncate(n);
-            }
-            finish_tuples(tuples, low.project, metrics)
-        }
-        Shape::Sort { keys, top_k } => {
-            let mut tuples: Vec<Tuple> = Vec::new();
-            for (_, acc) in parts {
-                if let PartAcc::Tuples(t) = acc {
-                    tuples.extend(t);
-                }
-            }
-            sort_tuples(&mut tuples, keys);
-            if let Some(k) = top_k {
-                truncated = tuples.len() > *k;
-                tuples.truncate(*k);
-            }
-            finish_tuples(tuples, low.project, metrics)
-        }
-        Shape::GroupAgg { group_by, aggs } => {
-            let mut groups: BTreeMap<String, (Value, Vec<AggValue>)> = BTreeMap::new();
-            // Merge in partition order so per-group accumulation order is
+    let mut tuples: Vec<Tuple> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
+    let mut groups = Groups::new();
+    for (_, part) in parts {
+        match part {
+            Part::Tuples(t) => tuples.extend(t),
+            Part::Rows(r) => rows.extend(r),
+            // Merged in morsel order so per-group accumulation order is
             // deterministic regardless of worker scheduling.
-            for (_, acc) in parts {
-                let PartAcc::Groups(g) = acc else { continue };
-                for (k, (v, states)) in g {
-                    match groups.entry(k) {
+            Part::Groups(partial) => {
+                for (key, (value, states)) in partial {
+                    match groups.entry(key) {
                         std::collections::btree_map::Entry::Vacant(e) => {
-                            e.insert((v, states));
+                            e.insert((value, states));
                         }
                         std::collections::btree_map::Entry::Occupied(mut e) => {
                             for (mine, theirs) in e.get_mut().1.iter_mut().zip(&states) {
@@ -988,218 +553,33 @@ fn merge_parts(
                     }
                 }
             }
-            let mut rows = finish_groups(groups, *group_by, aggs);
-            if let Some(n) = low.limit {
-                truncated = rows.len() > n;
-                rows.truncate(n);
-            }
-            metrics.rows_out = rows.len() as u64;
-            QueryOutput::Rows(rows)
         }
+    }
+    match &split.shape {
+        Shape::Sort { keys, .. } => sort_tuples(&mut tuples, keys),
+        Shape::GroupAgg { group_by, aggs } => rows = finish_groups(groups, *group_by, aggs),
+        Shape::Collect => {}
+    }
+    // From here on exactly one of `tuples` / `rows` carries the answer.
+    let cap = split.limit.unwrap_or(usize::MAX);
+    let merged = tuples.len() + rows.len();
+    if merged > cap {
+        metrics.early_terminations += 1;
+    }
+    tuples.truncate(cap);
+    rows.truncate(cap);
+    metrics.rows_out = merged.min(cap) as u64;
+    let output = match (&split.shape, split.project) {
+        (Shape::GroupAgg { .. }, _) | (Shape::Collect, Some(_)) => QueryOutput::Rows(rows),
+        (Shape::Sort { .. }, Some(columns)) => {
+            QueryOutput::Rows(project_batch(Batch::Tuples(tuples), columns))
+        }
+        (_, None) => QueryOutput::unbind(tuples),
     };
     par_obs()
         .merge_us
         .observe(merge_started.elapsed().as_micros() as u64);
-    if truncated {
-        metrics.early_terminations += 1;
-    }
     output
-}
-
-/// Morsel-parallel execution of an `IndexScan`-based plan. The search
-/// itself runs once on the caller's thread (its BM25 statistics and
-/// upper-bound pruning are global to the index); the ordered hit list is
-/// then chunked into morsels and workers resolve documents, bind scored
-/// tuples, and run the per-morsel step chain. Chunk-order reassembly
-/// makes the output identical to the serial `IndexScanOp` pipeline.
-fn execute_parallel_index_scan(
-    ctx: &ExecContext<'_>,
-    low: &Lowered<'_>,
-    opts: &ExecutionContext,
-) -> Result<Option<(QueryOutput, ExecMetrics)>, ExecError> {
-    let Base::IndexScan {
-        query,
-        path,
-        k,
-        any_term,
-        phrase,
-        collection,
-    } = low.base
-    else {
-        return Ok(None);
-    };
-    let batch_size = opts.batch_size.max(1);
-    let workers = opts.worker_threads;
-    let deadline_at = opts.deadline.map(|d| Instant::now() + d);
-    let mut metrics = ExecMetrics::default();
-
-    // Build sides of hash probes, exactly like the partition path.
-    let mut tables: Vec<JoinTable> = Vec::with_capacity(low.builds.len());
-    for (build, right_key) in &low.builds {
-        tables.push(build_join_table(
-            ctx,
-            build,
-            right_key,
-            batch_size,
-            workers,
-            workers,
-            &mut metrics,
-        )?);
-    }
-
-    let (hits, stats, effective_k) =
-        crate::batch::run_index_search(ctx.text_index, query, path, any_term, phrase, k);
-    metrics.index_lookups += 1;
-    metrics.search_candidates_scored += stats.candidates_scored as u64;
-    metrics.search_candidates_pruned += stats.candidates_pruned as u64;
-    if stats.early_terminated(effective_k) {
-        metrics.early_terminations += 1;
-    }
-
-    let chunks: Vec<Vec<impliance_index::SearchHit>> =
-        hits.chunks(batch_size).map(|c| c.to_vec()).collect();
-    let obs = par_obs();
-    obs.morsels.add(chunks.len() as u64);
-    obs.workers_used
-        .set(workers.min(chunks.len().max(1)) as i64);
-    metrics.workers_used = workers.min(chunks.len().max(1)).max(1) as u64;
-    metrics.batches += chunks.len() as u64;
-
-    let snap = ctx.snapshot.unwrap_or(u64::MAX);
-    let deadline_hit = AtomicBool::new(false);
-    let stop = AtomicBool::new(false);
-    let tables = &tables;
-    let results: Vec<Result<PartAcc, ExecError>> =
-        scoped_map(workers, chunks, |chunk: Vec<impliance_index::SearchHit>| {
-            if stop.load(Ordering::Relaxed) {
-                return Ok(match &low.shape {
-                    Shape::GroupAgg { .. } => PartAcc::Groups(BTreeMap::new()),
-                    _ => PartAcc::Tuples(Vec::new()),
-                });
-            }
-            if deadline_at.is_some_and(|d| Instant::now() >= d) {
-                deadline_hit.store(true, Ordering::Relaxed);
-                stop.store(true, Ordering::Relaxed);
-                return Ok(match &low.shape {
-                    Shape::GroupAgg { .. } => PartAcc::Groups(BTreeMap::new()),
-                    _ => PartAcc::Tuples(Vec::new()),
-                });
-            }
-            crate::preempt::yield_to_high(opts.priority);
-            let mut tuples: Vec<Tuple> = Vec::new();
-            for hit in chunk {
-                let Ok(Some(doc)) = ctx.storage.get_latest_at(hit.id, snap) else {
-                    continue;
-                };
-                if let Some(c) = collection {
-                    if doc.collection() != c {
-                        continue;
-                    }
-                }
-                tuples.push(Tuple::single(low.alias, Arc::new(doc)).with_score(hit.score));
-            }
-            // Probe output scratch, reused across probe steps (same
-            // hoisted-buffer idiom as the partition path).
-            let mut probe_scratch: Vec<Tuple> = Vec::new();
-            for step in &low.steps {
-                if tuples.is_empty() {
-                    break;
-                }
-                match step {
-                    Step::Filter { alias, predicate } => tuples.retain(|t| {
-                        t.bindings
-                            .get(*alias)
-                            .map(|d| predicate.matches(d))
-                            .unwrap_or(false)
-                    }),
-                    Step::HashProbe { left_key, table } => {
-                        let Some(table) = tables.get(*table) else {
-                            return Err(ExecError::BadPlan("probe of unbuilt join table".into()));
-                        };
-                        probe_scratch.clear();
-                        for t in &tuples {
-                            let key = t.key(&left_key.0, &left_key.1);
-                            if key.is_null() {
-                                continue;
-                            }
-                            if let Some(matches) = table.get(&key.render()) {
-                                for m in matches {
-                                    probe_scratch.push(t.join(m));
-                                }
-                            }
-                        }
-                        std::mem::swap(&mut tuples, &mut probe_scratch);
-                    }
-                }
-            }
-            Ok(match &low.shape {
-                Shape::GroupAgg { group_by, aggs } => {
-                    let mut groups: BTreeMap<String, (Value, Vec<AggValue>)> = BTreeMap::new();
-                    for t in &tuples {
-                        fold_group(&mut groups, t, *group_by, aggs);
-                    }
-                    PartAcc::Groups(groups)
-                }
-                Shape::Sort { keys, top_k } => {
-                    if let Some(cap) = top_k {
-                        if tuples.len() > *cap {
-                            sort_tuples(&mut tuples, keys);
-                            tuples.truncate(*cap);
-                        }
-                    }
-                    PartAcc::Tuples(tuples)
-                }
-                Shape::Collect => {
-                    // A chunk never contributes more than the query limit
-                    // (same early-stop as the partition path).
-                    if let Some(n) = low.limit {
-                        tuples.truncate(n);
-                    }
-                    PartAcc::Tuples(tuples)
-                }
-            })
-        });
-    let mut parts: Vec<(usize, PartAcc)> = Vec::new();
-    for (i, r) in results.into_iter().enumerate() {
-        parts.push((i, r?));
-    }
-    if deadline_hit.load(Ordering::Relaxed) {
-        metrics.deadline_exceeded = true;
-        deadline_obs().inc();
-    }
-    let output = merge_parts(low, parts, false, &mut metrics);
-    Ok(Some((output, metrics)))
-}
-
-/// Root finisher for tuple-producing shapes: apply the residual
-/// projection (tuples → rows) or unbind documents, mirroring the serial
-/// drain loops.
-fn finish_tuples(
-    tuples: Vec<Tuple>,
-    project: Option<&[(String, String, String)]>,
-    metrics: &mut ExecMetrics,
-) -> QueryOutput {
-    metrics.rows_out = tuples.len() as u64;
-    match project {
-        Some(columns) => QueryOutput::Rows(
-            tuples
-                .iter()
-                .map(|t| {
-                    Row::from_pairs(
-                        columns
-                            .iter()
-                            .map(|(alias, path, out)| (out.clone(), t.key(alias, path))),
-                    )
-                })
-                .collect(),
-        ),
-        None => QueryOutput::Docs(
-            tuples
-                .into_iter()
-                .flat_map(|t| t.bindings.into_values().collect::<Vec<_>>())
-                .collect(),
-        ),
-    }
 }
 
 #[cfg(test)]
@@ -1218,87 +598,129 @@ mod tests {
         assert_eq!(out, vec![2, 3, 4]);
     }
 
-    #[test]
-    fn bucket_of_is_stable_and_in_range() {
-        for n in 1..8 {
-            for key in ["a", "b", "c", "dd", ""] {
-                let b = bucket_of(key, n);
-                assert!(b < n);
-                assert_eq!(b, bucket_of(key, n));
-            }
+    fn index_scan() -> LogicalPlan {
+        LogicalPlan::IndexScan {
+            query: "x".into(),
+            path: None,
+            k: None,
+            alias: "d".into(),
+            any_term: true,
+            phrase: false,
+            collection: Some("c".into()),
+        }
+    }
+
+    fn scan() -> LogicalPlan {
+        LogicalPlan::Scan {
+            collection: Some("c".into()),
+            predicate: None,
+            alias: "d".into(),
+            use_value_index: false,
         }
     }
 
     #[test]
-    fn lower_rejects_unsupported_shapes() {
+    fn split_rejects_unsupported_shapes() {
         let graph = LogicalPlan::GraphConnect {
             a: 1,
             b: 2,
             max_hops: 3,
         };
-        assert!(lower(&graph).is_none());
+        assert!(split(&graph).is_none());
         // fusion is a blocking re-ranker with no morsel form (yet)
         let fused = LogicalPlan::Fusion {
-            input: Box::new(LogicalPlan::IndexScan {
-                query: "x".into(),
-                path: None,
-                k: None,
-                alias: "d".into(),
-                any_term: false,
-                phrase: false,
-                collection: None,
-            }),
+            input: Box::new(index_scan()),
             k: 5,
             text_weight: 1.0,
             struct_weight: 1.0,
             rrf_k: 60.0,
             keys: vec![],
         };
-        assert!(lower(&fused).is_none());
+        assert!(split(&fused).is_none());
+        // only hash joins probe a shared table
+        let merge_join = LogicalPlan::Join {
+            left: Box::new(scan()),
+            right: Box::new(scan()),
+            left_key: ("d".into(), "k".into()),
+            right_key: ("d".into(), "k".into()),
+            algo: JoinAlgo::SortMerge,
+        };
+        assert!(split(&merge_join).is_none());
+        // a value-index point lookup has nothing to fan out
+        let point = LogicalPlan::Scan {
+            collection: None,
+            predicate: Some(Predicate::Eq("k".into(), impliance_docmodel::Value::Int(1))),
+            alias: "d".into(),
+            use_value_index: true,
+        };
+        assert!(split(&point).is_none());
     }
 
     #[test]
-    fn lower_accepts_index_scan_base() {
+    fn split_accepts_index_scan_base() {
         let plan = LogicalPlan::Limit {
             input: Box::new(LogicalPlan::Filter {
-                input: Box::new(LogicalPlan::IndexScan {
-                    query: "x".into(),
-                    path: None,
-                    k: None,
-                    alias: "d".into(),
-                    any_term: true,
-                    phrase: false,
-                    collection: Some("c".into()),
-                }),
+                input: Box::new(index_scan()),
                 alias: "d".into(),
                 predicate: Predicate::True,
             }),
             n: 5,
         };
-        let low = lower(&plan).expect("index scan base must lower");
-        assert!(matches!(low.base, Base::IndexScan { any_term: true, .. }));
-        assert_eq!(low.steps.len(), 1);
-        assert_eq!(low.limit, Some(5));
+        let s = split(&plan).expect("index scan base must split");
+        assert!(matches!(
+            s.base,
+            LogicalPlan::IndexScan { any_term: true, .. }
+        ));
+        assert!(matches!(s.segment, LogicalPlan::Filter { .. }));
+        assert!(matches!(s.shape, Shape::Collect));
+        assert_eq!(s.limit, Some(5));
     }
 
     #[test]
-    fn lower_collapses_limits_and_strips_project() {
+    fn split_collapses_limits_and_strips_project() {
         let plan = LogicalPlan::Limit {
             input: Box::new(LogicalPlan::Project {
                 input: Box::new(LogicalPlan::Limit {
-                    input: Box::new(LogicalPlan::Scan {
-                        collection: Some("c".into()),
-                        predicate: None,
-                        alias: "d".into(),
-                        use_value_index: false,
-                    }),
+                    input: Box::new(scan()),
                     n: 7,
                 }),
                 columns: vec![("d".into(), "x".into(), "x".into())],
             }),
             n: 10,
         };
-        let low = lower(&plan).map(|l| (l.limit, l.project.is_some()));
-        assert_eq!(low, Some((Some(7), true)));
+        let s = split(&plan).expect("limit/project/limit over a scan splits");
+        assert_eq!((s.limit, s.project.is_some()), (Some(7), true));
+        assert!(matches!(s.segment, LogicalPlan::Scan { .. }));
+        assert!(matches!(s.empty_part(), Part::Rows(_)));
+    }
+
+    #[test]
+    fn split_hands_the_root_limit_to_a_sort_and_lists_spine_joins() {
+        let join = LogicalPlan::Join {
+            left: Box::new(LogicalPlan::Filter {
+                input: Box::new(scan()),
+                alias: "d".into(),
+                predicate: Predicate::True,
+            }),
+            right: Box::new(scan()),
+            left_key: ("d".into(), "k".into()),
+            right_key: ("r".into(), "k".into()),
+            algo: JoinAlgo::Hash,
+        };
+        let plan = LogicalPlan::Limit {
+            input: Box::new(LogicalPlan::Sort {
+                input: Box::new(join),
+                keys: vec![],
+            }),
+            n: 3,
+        };
+        let s = split(&plan).expect("limit over sort over a hash join splits");
+        assert!(matches!(s.shape, Shape::Sort { top_k: Some(3), .. }));
+        assert_eq!(s.builds.len(), 1);
+        assert!(
+            std::ptr::eq(s.builds[0].0, s.segment),
+            "keyed by the join node"
+        );
+        assert!(s.demand().is_none(), "sort buffers hold tuples");
     }
 }

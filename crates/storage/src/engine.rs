@@ -319,39 +319,31 @@ impl StorageEngine {
         Ok(out)
     }
 
-    /// Execute a push-down scan over all partitions, merging results.
-    /// Materialized wrapper over [`StorageEngine::scan_batches`].
+    /// Execute a push-down scan over all partitions, merging results: one
+    /// unbounded page per partition (the partition read lock is held per
+    /// partition, not per scan), with the request's `limit` enforced
+    /// globally across partitions.
     pub fn scan(&self, req: &ScanRequest) -> Result<ScanResult, StorageError> {
         let obs = engine_obs();
         let started = Instant::now();
         let mut out = ScanResult::default();
-        let mut stream = self.scan_batches(req, usize::MAX);
-        while let Some(batch) = stream.next_batch()? {
-            out.merge(batch);
-        }
-        if let Some(limit) = req.limit {
-            out.documents.truncate(limit);
-            out.ids.truncate(limit);
+        // `req.limit` is rewritten to the remainder at each partition
+        // boundary.
+        let mut req = req.clone();
+        for partition in 0..self.partitions.len() {
+            if req.limit == Some(0) {
+                break;
+            }
+            let (page, _, _) =
+                self.scan_partition_page(partition, &req, ScanPos::default(), usize::MAX)?;
+            if let Some(l) = req.limit {
+                req.limit = Some(l.saturating_sub(page.documents.len() + page.ids.len()));
+            }
+            out.merge(page);
         }
         obs.scans.inc();
         obs.scan_us.observe(started.elapsed().as_micros() as u64);
         Ok(out)
-    }
-
-    /// Open a batched, pull-based scan producing pages of at most
-    /// `batch_size` matching documents. The partition read lock is taken
-    /// per page rather than per scan, so long scans never starve writers.
-    pub fn scan_batches(&self, req: &ScanRequest, batch_size: usize) -> BatchScan<'_> {
-        BatchScan {
-            engine: self,
-            limit: req.limit,
-            req: req.clone(),
-            batch_size: batch_size.max(1),
-            partition: 0,
-            pos: ScanPos::default(),
-            emitted: 0,
-            done: false,
-        }
     }
 
     /// Scan one page of a single partition (the morsel primitive for
@@ -412,6 +404,15 @@ impl StorageEngine {
         // stored footprint shed by seal-time compression this round
         obs.bytes_compressed
             .add(before.saturating_sub(self.stored_bytes()) as u64);
+    }
+
+    /// Fault injection for recovery tests: corrupt every sealed block of
+    /// every partition, so scans and point reads that touch sealed data
+    /// return a typed [`StorageError`] instead of documents.
+    pub fn corrupt_sealed_blocks(&self) {
+        for p in &self.partitions {
+            p.write().corrupt_sealed_blocks();
+        }
     }
 
     /// Live (latest-version) document count.
@@ -484,60 +485,6 @@ pub struct ScanMorsel {
     /// Live documents in the partition when enumerated (a load-balance
     /// estimate, not a promise — ingest may land concurrently).
     pub estimated_docs: usize,
-}
-
-/// A pull-based, batch-at-a-time scan over every partition of an engine.
-///
-/// Each [`BatchScan::next_batch`] call holds one partition's read lock for
-/// a single page, so ingest interleaves with long scans, and seals landing
-/// between pages are absorbed by the partition cursor. A request `limit`
-/// is enforced globally across partitions.
-#[derive(Debug)]
-pub struct BatchScan<'a> {
-    engine: &'a StorageEngine,
-    req: ScanRequest,
-    /// The request's original limit (`req.limit` is rewritten to the
-    /// remainder at each partition boundary).
-    limit: Option<usize>,
-    batch_size: usize,
-    partition: usize,
-    pos: ScanPos,
-    emitted: usize,
-    done: bool,
-}
-
-impl BatchScan<'_> {
-    /// Pull the next page, or `None` once every partition is exhausted or
-    /// the limit is met. Pages that matched nothing are still returned so
-    /// their scan metrics reach the caller.
-    pub fn next_batch(&mut self) -> Result<Option<ScanResult>, StorageError> {
-        if self.done || self.partition >= self.engine.partitions.len() {
-            self.done = true;
-            return Ok(None);
-        }
-        if let Some(l) = self.limit {
-            if self.emitted >= l {
-                self.done = true;
-                return Ok(None);
-            }
-        }
-        let (page, next, part_done) = self.engine.partitions[self.partition].read().scan_page(
-            &self.req,
-            self.pos,
-            self.batch_size,
-        )?;
-        observe_segments(page.metrics.segments_skipped, page.metrics.segments_scanned);
-        self.pos = next;
-        self.emitted += page.documents.len() + page.ids.len();
-        if part_done {
-            self.partition += 1;
-            self.pos = ScanPos::default();
-            if let Some(l) = self.limit {
-                self.req.limit = Some(l.saturating_sub(self.emitted));
-            }
-        }
-        Ok(Some(page))
-    }
 }
 
 #[cfg(test)]
@@ -644,8 +591,29 @@ mod tests {
         assert_eq!(res.documents.len(), 1000);
     }
 
+    /// Stream every partition through the page cursor, `max_docs` at a
+    /// time, calling `visit` on each page.
+    fn for_each_page(
+        e: &StorageEngine,
+        req: &ScanRequest,
+        max_docs: usize,
+        mut visit: impl FnMut(ScanResult),
+    ) {
+        for part in 0..e.partition_count() {
+            let mut pos = ScanPos::default();
+            loop {
+                let (page, next, done) = e.scan_partition_page(part, req, pos, max_docs).unwrap();
+                visit(page);
+                pos = next;
+                if done {
+                    break;
+                }
+            }
+        }
+    }
+
     #[test]
-    fn batched_scan_matches_materialized_scan() {
+    fn paged_scan_matches_materialized_scan() {
         let e = StorageEngine::new(StorageOptions {
             partitions: 4,
             seal_threshold: 10,
@@ -657,22 +625,21 @@ mod tests {
         }
         let req = ScanRequest::filtered(Predicate::Eq("tag".into(), Value::Str("fizz".into())));
         let full = e.scan(&req).unwrap();
-        let mut stream = e.scan_batches(&req, 8);
         let mut merged = ScanResult::default();
-        let mut batches = 0;
-        while let Some(b) = stream.next_batch().unwrap() {
-            assert!(b.documents.len() <= 8);
-            merged.merge(b);
-            batches += 1;
-        }
-        assert!(batches >= 5, "34 matches at ≤8/batch over 4 partitions");
+        let mut pages = 0;
+        for_each_page(&e, &req, 8, |page| {
+            assert!(page.documents.len() <= 8);
+            merged.merge(page);
+            pages += 1;
+        });
+        assert!(pages >= 5, "34 matches at ≤8/page over 4 partitions");
         assert_eq!(merged.documents.len(), full.documents.len());
         assert_eq!(merged.metrics, full.metrics);
         assert_eq!(merged.metrics.docs_scanned, 100);
     }
 
     #[test]
-    fn batched_scan_enforces_limit_across_partitions() {
+    fn scan_enforces_limit_across_partitions() {
         let e = StorageEngine::new(StorageOptions {
             partitions: 4,
             seal_threshold: 16,
@@ -682,22 +649,21 @@ mod tests {
         for i in 0..100 {
             e.put(&doc(i)).unwrap();
         }
-        let req = ScanRequest {
-            limit: Some(10),
+        let limited = |limit| ScanRequest {
+            limit: Some(limit),
             ..ScanRequest::full()
         };
-        let mut stream = e.scan_batches(&req, 3);
-        let mut got = 0;
-        while let Some(b) = stream.next_batch().unwrap() {
-            got += b.documents.len();
-        }
-        assert_eq!(got, 10);
-        // the wrapper agrees
-        assert_eq!(e.scan(&req).unwrap().documents.len(), 10);
+        let ten = e.scan(&limited(10)).unwrap();
+        assert_eq!(ten.documents.len(), 10);
+        // the limit is global: partitions past the one that met it are
+        // never read
+        assert!(ten.metrics.docs_scanned < 100);
+        assert_eq!(e.scan(&limited(0)).unwrap().metrics.docs_scanned, 0);
+        assert_eq!(e.scan(&limited(1000)).unwrap().documents.len(), 100);
     }
 
     #[test]
-    fn batched_scan_survives_concurrent_seal() {
+    fn paged_scan_survives_concurrent_seal() {
         let e = StorageEngine::new(StorageOptions {
             partitions: 1,
             seal_threshold: 10_000,
@@ -707,14 +673,19 @@ mod tests {
         for i in 0..20 {
             e.put(&doc(i)).unwrap();
         }
-        let mut stream = e.scan_batches(&ScanRequest::full(), 6);
-        let first = stream.next_batch().unwrap().unwrap();
+        let req = ScanRequest::full();
+        let (first, mut pos, mut done) = e
+            .scan_partition_page(0, &req, ScanPos::default(), 6)
+            .unwrap();
         assert_eq!(first.documents.len(), 6);
-        // a seal lands between batches (cursor was mid-memtable)
+        // a seal lands between pages (cursor was mid-memtable)
         e.seal_all();
         let mut ids: Vec<u64> = first.documents.iter().map(|d| d.id().0).collect();
-        while let Some(b) = stream.next_batch().unwrap() {
-            ids.extend(b.documents.iter().map(|d| d.id().0));
+        while !done {
+            let (page, next, d) = e.scan_partition_page(0, &req, pos, 6).unwrap();
+            ids.extend(page.documents.iter().map(|d| d.id().0));
+            pos = next;
+            done = d;
         }
         ids.sort_unstable();
         ids.dedup();

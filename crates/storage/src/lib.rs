@@ -43,7 +43,7 @@ pub mod segment;
 pub mod stats;
 
 pub use columnar::{Bitmask, Column, ColumnPage, ColumnPageBuilder, ColumnVec};
-pub use engine::{BatchScan, ScanMorsel, StorageEngine, StorageOptions};
+pub use engine::{ScanMorsel, StorageEngine, StorageOptions};
 pub use epoch::{ChangeFeed, ChangeRecord, EpochRegistry, Snapshot};
 pub use error::StorageError;
 pub use partition::ScanPos;

@@ -202,6 +202,14 @@ impl Partition {
     }
 
     /// Rewrite any remaining `Mem` locations using the remap table.
+    /// Fault injection for recovery tests: corrupt every sealed segment's
+    /// stored block (see [`Segment::corrupt_block`]).
+    pub fn corrupt_sealed_blocks(&mut self) {
+        for segment in &mut self.segments {
+            segment.corrupt_block();
+        }
+    }
+
     fn fix_locations(&mut self, seg_no: usize, remap: &HashMap<(DocId, Version), usize>) {
         for (id, chain) in self.chains.iter_mut() {
             for entry in chain.iter_mut() {
@@ -339,92 +347,11 @@ impl Partition {
         pos: ScanPos,
         max_docs: usize,
     ) -> Result<(ScanResult, ScanPos, bool), StorageError> {
-        let mut pos = pos;
-        // A concurrent seal may have drained the memtable this cursor was
-        // mid-way through into segment `pos.seg`; entry order is preserved
-        // by the drain, so resume inside that segment at the old offset.
-        if pos.seg < self.segments.len() && pos.mem > 0 {
-            pos.idx = pos.mem;
-            pos.mem = 0;
-        }
         let mut out = ScanResult::default();
-        let budget = max_docs.max(1);
-        let limit = req.limit.unwrap_or(usize::MAX);
-        let snap = req.snapshot.unwrap_or(u64::MAX);
-        if pos.emitted >= limit {
-            return Ok((out, pos, true));
-        }
-        // Sealed segments, oldest first; one block load per page-visit.
-        while pos.seg < self.segments.len() {
-            // Budget/limit check up front so a segment entered at idx 0
-            // always processes at least one entry — segment accounting
-            // below then counts each segment exactly once per cursor.
-            let emitted = out.documents.len() + out.ids.len();
-            if emitted >= budget || pos.emitted + emitted >= limit {
-                let done = pos.emitted + emitted >= limit;
-                pos.emitted += emitted;
-                return Ok((out, pos, done));
-            }
-            let segment = &self.segments[pos.seg];
-            let dir = segment.directory();
-            if pos.idx < dir.len() {
-                if pos.idx == 0 {
-                    // Zone-map pruning: skip the whole segment before
-                    // decryption/decompression when the predicate provably
-                    // matches nothing in it.
-                    if let (Some(pred), Some(zone)) = (req.predicate.as_ref(), segment.zone_map()) {
-                        if pred.prunes_zone(zone) {
-                            out.metrics.segments_skipped += 1;
-                            pos.seg += 1;
-                            continue;
-                        }
-                    }
-                    out.metrics.segments_scanned += 1;
-                }
-                let block = segment.load_block()?;
-                while pos.idx < dir.len() {
-                    let emitted = out.documents.len() + out.ids.len();
-                    if emitted >= budget || pos.emitted + emitted >= limit {
-                        let done = pos.emitted + emitted >= limit;
-                        pos.emitted += emitted;
-                        return Ok((out, pos, done));
-                    }
-                    let entry = &dir[pos.idx];
-                    let here = Location::Seg {
-                        seg: pos.seg,
-                        idx: pos.idx,
-                    };
-                    pos.idx += 1;
-                    if !self.is_visible_latest(entry.id, here, snap) {
-                        continue;
-                    }
-                    let (doc, _) = crate::codec::decode_document(&block, entry.offset as usize)?;
-                    self.consider_from(doc, entry.len as usize, req, &mut out, pos.emitted);
-                }
-            }
-            pos.seg += 1;
-            pos.idx = 0;
-        }
-        // The active memtable.
-        for (i, id, _v, len) in self.memtable.iter_meta() {
-            if i < pos.mem {
-                continue;
-            }
-            let emitted = out.documents.len() + out.ids.len();
-            if emitted >= budget || pos.emitted + emitted >= limit {
-                let done = pos.emitted + emitted >= limit;
-                pos.emitted += emitted;
-                return Ok((out, pos, done));
-            }
-            pos.mem = i + 1;
-            if !self.is_visible_latest(id, Location::Mem(i), snap) {
-                continue;
-            }
-            let doc = self.memtable.get(i)?;
-            self.consider_from(doc, len, req, &mut out, pos.emitted);
-        }
-        pos.emitted += out.documents.len() + out.ids.len();
-        Ok((out, pos, true))
+        let (metrics, next, done) =
+            self.walk_page(req, req.predicate.as_ref(), pos, max_docs, &mut out)?;
+        out.metrics = metrics;
+        Ok((out, next, done))
     }
 
     /// Columnar fast path: scan one page like [`Partition::scan_page`]
@@ -443,34 +370,61 @@ impl Partition {
         max_docs: usize,
         paths: &[String],
     ) -> Result<(ColumnPage, ScanPos, bool), StorageError> {
-        let mut pos = pos;
+        let mut builder = ColumnPageBuilder::new(paths);
+        let zone_pred = prune.or(req.predicate.as_ref());
+        let (metrics, next, done) = self.walk_page(req, zone_pred, pos, max_docs, &mut builder)?;
+        let mut page = builder.finish();
+        page.metrics = metrics;
+        Ok((page, next, done))
+    }
+
+    /// The one cursor walk behind both page scans: sealed segments in
+    /// seal order (one block load per page-visit, whole segments skipped
+    /// when `zone_pred` prunes their zone map), then the memtable; every
+    /// snapshot-visible document is offered to `sink` until it holds
+    /// `max_docs` or the request's `limit` is met.
+    fn walk_page<S: PageSink>(
+        &self,
+        req: &ScanRequest,
+        zone_pred: Option<&Predicate>,
+        mut pos: ScanPos,
+        max_docs: usize,
+        sink: &mut S,
+    ) -> Result<(ScanMetrics, ScanPos, bool), StorageError> {
+        // A concurrent seal may have drained the memtable this cursor was
+        // mid-way through into segment `pos.seg`; entry order is preserved
+        // by the drain, so resume inside that segment at the old offset.
         if pos.seg < self.segments.len() && pos.mem > 0 {
             pos.idx = pos.mem;
             pos.mem = 0;
         }
-        let mut builder = ColumnPageBuilder::new(paths);
         let mut metrics = ScanMetrics::default();
         let budget = max_docs.max(1);
         let limit = req.limit.unwrap_or(usize::MAX);
         let snap = req.snapshot.unwrap_or(u64::MAX);
-        let zone_pred = prune.or(req.predicate.as_ref());
         if pos.emitted >= limit {
-            let mut page = builder.finish();
-            page.metrics = metrics;
-            return Ok((page, pos, true));
+            return Ok((metrics, pos, true));
         }
+        // `Some(done)` once the page is full or the limit is met.
+        let full = |sink: &S, pos: &ScanPos| {
+            let total = pos.emitted + sink.emitted();
+            (sink.emitted() >= budget || total >= limit).then_some(total >= limit)
+        };
         while pos.seg < self.segments.len() {
-            if builder.len() >= budget || pos.emitted + builder.len() >= limit {
-                let done = pos.emitted + builder.len() >= limit;
-                pos.emitted += builder.len();
-                let mut page = builder.finish();
-                page.metrics = metrics;
-                return Ok((page, pos, done));
+            // Checked up front so a segment entered at idx 0 always
+            // processes at least one entry — segment accounting below
+            // then counts each segment exactly once per cursor.
+            if let Some(done) = full(sink, &pos) {
+                pos.emitted += sink.emitted();
+                return Ok((metrics, pos, done));
             }
             let segment = &self.segments[pos.seg];
             let dir = segment.directory();
             if pos.idx < dir.len() {
                 if pos.idx == 0 {
+                    // Zone-map pruning: skip the whole segment before
+                    // decryption/decompression when the predicate provably
+                    // matches nothing in it.
                     if let (Some(pred), Some(zone)) = (zone_pred, segment.zone_map()) {
                         if pred.prunes_zone(zone) {
                             metrics.segments_skipped += 1;
@@ -482,12 +436,9 @@ impl Partition {
                 }
                 let block = segment.load_block()?;
                 while pos.idx < dir.len() {
-                    if builder.len() >= budget || pos.emitted + builder.len() >= limit {
-                        let done = pos.emitted + builder.len() >= limit;
-                        pos.emitted += builder.len();
-                        let mut page = builder.finish();
-                        page.metrics = metrics;
-                        return Ok((page, pos, done));
+                    if let Some(done) = full(sink, &pos) {
+                        pos.emitted += sink.emitted();
+                        return Ok((metrics, pos, done));
                     }
                     let entry = &dir[pos.idx];
                     let here = Location::Seg {
@@ -499,13 +450,7 @@ impl Partition {
                         continue;
                     }
                     let (doc, _) = crate::codec::decode_document(&block, entry.offset as usize)?;
-                    Self::consider_columnar(
-                        doc,
-                        entry.len as usize,
-                        req,
-                        &mut builder,
-                        &mut metrics,
-                    );
+                    offer(doc, entry.len as usize, req, true, sink, &mut metrics);
                 }
             }
             pos.seg += 1;
@@ -515,49 +460,18 @@ impl Partition {
             if i < pos.mem {
                 continue;
             }
-            if builder.len() >= budget || pos.emitted + builder.len() >= limit {
-                let done = pos.emitted + builder.len() >= limit;
-                pos.emitted += builder.len();
-                let mut page = builder.finish();
-                page.metrics = metrics;
-                return Ok((page, pos, done));
+            if let Some(done) = full(sink, &pos) {
+                pos.emitted += sink.emitted();
+                return Ok((metrics, pos, done));
             }
             pos.mem = i + 1;
             if !self.is_visible_latest(id, Location::Mem(i), snap) {
                 continue;
             }
-            let doc = self.memtable.get(i)?;
-            Self::consider_columnar(doc, len, req, &mut builder, &mut metrics);
+            offer(self.memtable.get(i)?, len, req, true, sink, &mut metrics);
         }
-        pos.emitted += builder.len();
-        let mut page = builder.finish();
-        page.metrics = metrics;
-        Ok((page, pos, true))
-    }
-
-    /// Columnar twin of `consider_from`: same predicate and byte
-    /// accounting (a full-document emit re-encodes to exactly the stored
-    /// entry bytes, so `bytes_returned` matches the row path bit for bit).
-    fn consider_columnar(
-        doc: Document,
-        encoded_len: usize,
-        req: &ScanRequest,
-        builder: &mut ColumnPageBuilder,
-        metrics: &mut ScanMetrics,
-    ) {
-        metrics.docs_scanned += 1;
-        metrics.bytes_scanned += encoded_len as u64;
-        let matched = req
-            .predicate
-            .as_ref()
-            .map(|p| p.matches(&doc))
-            .unwrap_or(true);
-        if !matched {
-            return;
-        }
-        metrics.docs_matched += 1;
-        metrics.bytes_returned += encoded_len as u64;
-        builder.push(std::sync::Arc::new(doc));
+        pos.emitted += sink.emitted();
+        Ok((metrics, pos, true))
     }
 
     /// Execute a scan over the snapshot as of timestamp `ts`: for every
@@ -565,67 +479,91 @@ impl Partition {
     /// later are invisible).
     pub fn scan_as_of(&self, req: &ScanRequest, ts: i64) -> Result<ScanResult, StorageError> {
         let mut result = ScanResult::default();
+        let mut metrics = ScanMetrics::default();
         for chain in self.chains.values() {
             if let Some(entry) = chain.iter().rev().find(|e| e.ingested_at <= ts) {
                 let doc = self.fetch(entry.loc)?;
                 let encoded_len = crate::codec::encode_document_vec(&doc).len();
-                self.consider(doc, encoded_len, req, &mut result);
+                let room = req.limit.is_none_or(|l| result.emitted() < l);
+                offer(doc, encoded_len, req, room, &mut result, &mut metrics);
             }
         }
+        result.metrics = metrics;
         Ok(result)
     }
+}
 
-    fn consider(&self, doc: Document, encoded_len: usize, req: &ScanRequest, out: &mut ScanResult) {
-        self.consider_from(doc, encoded_len, req, out, 0)
+/// Where a page walk puts the visible, matching documents it finds.
+/// Monomorphized per sink, so the per-document loop never dispatches
+/// dynamically.
+trait PageSink {
+    /// Documents accepted so far — what `max_docs` and the request's
+    /// `limit` count.
+    fn emitted(&self) -> usize;
+
+    /// Take one matching document; returns the bytes it adds to
+    /// `bytes_returned` (what would cross the network).
+    fn accept(&mut self, doc: Document, encoded_len: usize, req: &ScanRequest) -> u64;
+}
+
+impl PageSink for ScanResult {
+    fn emitted(&self) -> usize {
+        self.documents.len() + self.ids.len()
     }
 
-    /// Like `consider`, but the request's `limit` is checked against
-    /// `emitted_before` prior emissions plus what this page already holds
-    /// (pages of one cursor share the limit).
-    fn consider_from(
-        &self,
-        doc: Document,
-        encoded_len: usize,
-        req: &ScanRequest,
-        out: &mut ScanResult,
-        emitted_before: usize,
-    ) {
-        out.metrics.docs_scanned += 1;
-        out.metrics.bytes_scanned += encoded_len as u64;
-        if let Some(limit) = req.limit {
-            if emitted_before + out.documents.len() + out.ids.len() >= limit {
-                return;
-            }
-        }
-        let matched = req
-            .predicate
-            .as_ref()
-            .map(|p| p.matches(&doc))
-            .unwrap_or(true);
-        if !matched {
-            return;
-        }
-        out.metrics.docs_matched += 1;
+    fn accept(&mut self, doc: Document, _encoded_len: usize, req: &ScanRequest) -> u64 {
         if let Some(spec) = &req.aggregate {
-            aggregate_document(&doc, spec, &mut out.groups);
+            aggregate_document(&doc, spec, &mut self.groups);
             // aggregates travel as tiny group states; approximate their
             // wire size as 32 bytes per update
-            out.metrics.bytes_returned += 32;
-            return;
+            return 32;
         }
         match &req.projection {
             Projection::IdsOnly => {
-                out.ids.push(doc.id());
-                out.metrics.bytes_returned += 8;
+                self.ids.push(doc.id());
+                8
             }
             proj => {
                 let projected = project(&doc, proj);
-                let bytes = crate::codec::encode_document_vec(&projected);
-                out.metrics.bytes_returned += bytes.len() as u64;
-                out.documents.push(projected);
+                let bytes = crate::codec::encode_document_vec(&projected).len() as u64;
+                self.documents.push(projected);
+                bytes
             }
         }
     }
+}
+
+impl PageSink for ColumnPageBuilder {
+    fn emitted(&self) -> usize {
+        self.len()
+    }
+
+    /// A full-document emit re-encodes to exactly the stored entry bytes,
+    /// so `bytes_returned` matches the row sink bit for bit.
+    fn accept(&mut self, doc: Document, encoded_len: usize, _req: &ScanRequest) -> u64 {
+        self.push(std::sync::Arc::new(doc));
+        encoded_len as u64
+    }
+}
+
+/// Account for one visible document and hand it to `sink` when it
+/// satisfies the request predicate. `room` is false once the request's
+/// `limit` is already met (the document is still counted as scanned).
+fn offer<S: PageSink>(
+    doc: Document,
+    encoded_len: usize,
+    req: &ScanRequest,
+    room: bool,
+    sink: &mut S,
+    metrics: &mut ScanMetrics,
+) {
+    metrics.docs_scanned += 1;
+    metrics.bytes_scanned += encoded_len as u64;
+    if !room || !req.predicate.as_ref().is_none_or(|p| p.matches(&doc)) {
+        return;
+    }
+    metrics.docs_matched += 1;
+    metrics.bytes_returned += sink.accept(doc, encoded_len, req);
 }
 
 #[cfg(test)]

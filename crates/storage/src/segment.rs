@@ -241,6 +241,14 @@ impl Segment {
         self.encryption.is_some()
     }
 
+    /// Fault injection for recovery tests: flip every stored byte, the way
+    /// a torn or rotted disk write would, so reads of this segment fail
+    /// with a typed [`StorageError`] from here on.
+    pub fn corrupt_block(&mut self) {
+        let flipped: Vec<u8> = self.data.iter().map(|b| !b).collect();
+        self.data = Bytes::from(flipped);
+    }
+
     /// Materialize the plaintext, uncompressed data block — the
     /// decrypt-then-decompress a real storage node performs on block read.
     pub fn load_block(&self) -> Result<Bytes, StorageError> {

@@ -1,151 +1,67 @@
-//! Property tests for morsel-driven parallel execution: for random
-//! corpora and plans, `worker_threads ∈ {1, 2, 8}` all return exactly
-//! the same rows, in the same order, at every batch size. The parallel
-//! path is a pure speedup — partition-order reassembly at the root must
-//! reproduce the serial tuple sequence bit-for-bit (sums here are
-//! integer-derived, so even aggregate rows are exact).
+//! The executor's mode matrix: for random corpora, every plan the
+//! generators in `common` produce returns exactly the serial reference's
+//! rows, in the same order, at every point of batch {1,3,64,1024} ×
+//! workers {1,2,8} × columnar {off,on} × {unpinned, pinned snapshot}
+//! (see `common::assert_matrix`). Running as one tree on the calling
+//! thread or once per morsel inside the exchange is a pure speedup —
+//! morsel-order reassembly must reproduce the serial tuple sequence
+//! bit-for-bit (sums here are integer-derived, so even aggregate rows
+//! are exact). `pipeline_equivalence.rs` checks the reference itself
+//! against oracles.
+
+mod common;
 
 use proptest::prelude::*;
 
+use common::*;
 use impliance::docmodel::{DocId, DocumentBuilder, SourceFormat, Value};
-use impliance::index::{InvertedIndex, JoinIndex, PathValueIndex};
-use impliance::query::{
-    execute_plan_opts, AggItem, ExecContext, ExecutionContext, JoinAlgo, LogicalPlan, QueryOutput,
-    SortKey,
-};
-use impliance::storage::{AggFunc, Predicate, StorageEngine, StorageOptions};
+use impliance::query::{execute_plan_opts, ExecutionContext, JoinAlgo};
+use impliance::storage::{AggFunc, Predicate};
 
-/// Debug builds run ~10x slower; scale case counts so `cargo test` stays
-/// fast while `--release` runs the full battery.
-const fn cases(release: u32) -> u32 {
-    if cfg!(debug_assertions) {
-        release / 8 + 4
-    } else {
-        release
+fn int_doc(id: usize, collection: &str, fields: &[(&str, i64)]) -> impliance::docmodel::Document {
+    let mut b = DocumentBuilder::new(DocId(id as u64), SourceFormat::Json, collection);
+    for (name, value) in fields {
+        b = b.field(name, *value);
     }
+    b.build()
 }
 
-const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-const BATCH_SIZES: [usize; 2] = [1, 64];
-
-struct Fixture {
-    storage: StorageEngine,
-    text: InvertedIndex,
-    values: PathValueIndex,
-    joins: JoinIndex,
-}
-
-impl Fixture {
-    fn new(partitions: usize, seal: usize) -> Fixture {
-        Fixture {
-            storage: StorageEngine::new(StorageOptions {
-                partitions,
-                seal_threshold: seal,
-                compression: true,
-                encryption_key: None,
-            }),
-            text: InvertedIndex::new(4),
-            values: PathValueIndex::new(),
-            joins: JoinIndex::new(),
-        }
+/// `l` documents keyed `k` (with a payload `v`), `r` documents keyed `k`.
+fn join_fixture(left: &[(i64, i64)], right_keys: &[i64]) -> Fixture {
+    let f = Fixture::new(3, 8);
+    for (i, (k, v)) in left.iter().enumerate() {
+        f.put(&int_doc(i, "l", &[("k", *k), ("v", *v)]));
     }
-
-    fn put(&self, doc: &impliance::docmodel::Document) {
-        self.storage.put(doc).unwrap();
-        self.values.index_document(doc);
+    for (i, k) in right_keys.iter().enumerate() {
+        f.put(&int_doc(1000 + i, "r", &[("k", *k)]));
     }
-
-    fn ctx(&self, columnar: bool) -> ExecContext<'_> {
-        ExecContext {
-            storage: &self.storage,
-            text_index: &self.text,
-            value_index: &self.values,
-            join_index: &self.joins,
-            pushdown: true,
-            columnar,
-            snapshot: None,
-        }
-    }
-}
-
-fn scan(collection: &str) -> LogicalPlan {
-    LogicalPlan::Scan {
-        collection: Some(collection.to_string()),
-        predicate: None,
-        alias: collection.to_string(),
-        use_value_index: false,
-    }
-}
-
-/// Render an output in a batch-size-independent but order-sensitive way.
-fn render(out: &QueryOutput) -> Vec<String> {
-    match out {
-        QueryOutput::Rows(rows) => rows.iter().map(|r| r.render()).collect(),
-        QueryOutput::Docs(docs) => docs.iter().map(|d| format!("{}", d.id().0)).collect(),
-        QueryOutput::Path(p) => vec![format!("{p:?}")],
-    }
-}
-
-/// Assert that every (workers × batch_size) combination renders exactly
-/// the serial (workers = 1) result, and that the parallel path actually
-/// reports multiple workers when the store has multiple partitions.
-fn assert_equivalent(f: &Fixture, plan: &LogicalPlan, label: &str) {
-    let serial = {
-        let opts = ExecutionContext::with_batch_size(BATCH_SIZES[0]);
-        render(&execute_plan_opts(&f.ctx(false), plan, &opts).unwrap().0)
-    };
-    for columnar in [false, true] {
-        for workers in WORKER_COUNTS {
-            for bs in BATCH_SIZES {
-                let opts = ExecutionContext::with_batch_size(bs).parallelism(workers);
-                let (out, metrics) = execute_plan_opts(&f.ctx(columnar), plan, &opts).unwrap();
-                assert_eq!(
-                    render(&out),
-                    serial,
-                    "{label}: columnar {columnar} workers {workers} batch_size {bs} \
-                     diverged from serial"
-                );
-                assert!(
-                    metrics.workers_used >= 1,
-                    "{label}: workers_used not reported"
-                );
-            }
-        }
-    }
+    f
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
-    // Scan + filter + project: the bread-and-butter streaming shape.
+    // Scan + filter + project: the bread-and-butter streaming shape, over
+    // single-partition stores (nothing to fan out) and partitioned ones.
     #[test]
     fn parallel_filter_project_equals_serial(
         amounts in proptest::collection::vec(0i64..100, 1..80),
         threshold in 0i64..100,
-        partitions in 2usize..6,
+        partitions in 1usize..6,
         seal in 4usize..32,
     ) {
         let f = Fixture::new(partitions, seal);
         for (i, a) in amounts.iter().enumerate() {
-            f.put(
-                &DocumentBuilder::new(DocId(i as u64), SourceFormat::Json, "c")
-                    .field("amount", *a)
-                    .build(),
-            );
+            f.put(&int_doc(i, "c", &[("amount", *a)]));
         }
-        let plan = LogicalPlan::Project {
-            input: Box::new(LogicalPlan::Filter {
-                input: Box::new(scan("c")),
-                alias: "c".into(),
-                predicate: Predicate::Ge("amount".into(), Value::Int(threshold)),
-            }),
-            columns: vec![("c".into(), "amount".into(), "amount".into())],
-        };
-        assert_equivalent(&f, &plan, "filter_project");
+        let pred = Predicate::Ge("amount".into(), Value::Int(threshold));
+        // `_id` is a pseudo-path: the bound document's id in every mode
+        let plan = project(filter(scan("c"), "c", pred), &["amount", "_id"]);
+        assert_matrix(f, &[("filter_project", &plan)], None);
     }
 
-    // Multi-conjunct filters go through the per-worker adaptive chains;
-    // conjunctions are order-independent, so rows must not change.
+    // Multi-conjunct filters go through an adaptive chain per operator
+    // tree; conjunctions are order-independent, so rows must not change.
     #[test]
     fn parallel_adaptive_filter_chain_equals_serial(
         pairs in proptest::collection::vec((0i64..50, 0i64..50), 1..80),
@@ -154,22 +70,14 @@ proptest! {
     ) {
         let f = Fixture::new(3, 8);
         for (i, (a, b)) in pairs.iter().enumerate() {
-            f.put(
-                &DocumentBuilder::new(DocId(i as u64), SourceFormat::Json, "c")
-                    .field("a", *a)
-                    .field("b", *b)
-                    .build(),
-            );
+            f.put(&int_doc(i, "c", &[("a", *a), ("b", *b)]));
         }
-        let plan = LogicalPlan::Filter {
-            input: Box::new(scan("c")),
-            alias: "c".into(),
-            predicate: Predicate::And(vec![
-                Predicate::Ge("a".into(), Value::Int(lo)),
-                Predicate::Le("b".into(), Value::Int(hi)),
-            ]),
-        };
-        assert_equivalent(&f, &plan, "adaptive_filter");
+        let pred = Predicate::And(vec![
+            Predicate::Ge("a".into(), Value::Int(lo)),
+            Predicate::Le("b".into(), Value::Int(hi)),
+        ]);
+        let plan = filter(scan("c"), "c", pred);
+        assert_matrix(f, &[("adaptive_filter", &plan)], None);
     }
 
     // Partitioned group/aggregate with a merge phase: integer-derived
@@ -177,7 +85,7 @@ proptest! {
     #[test]
     fn parallel_group_agg_equals_serial(
         rows in proptest::collection::vec((0u8..5, 0i64..100), 0..80),
-        partitions in 2usize..6,
+        partitions in 1usize..6,
     ) {
         let f = Fixture::new(partitions, 8);
         for (i, (tag, amount)) in rows.iter().enumerate() {
@@ -188,198 +96,190 @@ proptest! {
                     .build(),
             );
         }
-        let plan = LogicalPlan::GroupAgg {
-            input: Box::new(scan("c")),
-            group_by: Some(("c".into(), "tag".into())),
-            aggs: vec![
-                AggItem { func: AggFunc::Sum, operand: Some("amount".into()), output: "total".into() },
-                AggItem { func: AggFunc::Count, operand: None, output: "n".into() },
-                AggItem { func: AggFunc::Min, operand: Some("amount".into()), output: "lo".into() },
-                AggItem { func: AggFunc::Max, operand: Some("amount".into()), output: "hi".into() },
-            ],
-        };
-        assert_equivalent(&f, &plan, "group_agg");
+        let plan = group_agg(scan("c"), "tag", vec![
+            agg(AggFunc::Sum, Some("amount"), "total"),
+            agg(AggFunc::Count, None, "n"),
+            agg(AggFunc::Min, Some("amount"), "lo"),
+            agg(AggFunc::Max, Some("amount"), "hi"),
+        ]);
+        assert_matrix(f, &[("group_agg", &plan)], None);
     }
 
-    // All three join algorithms: hash joins take the partitioned
-    // build/probe path; sort-merge and indexed-NL must fall back to the
-    // serial pipeline and still answer identically.
+    // All three join algorithms: hash joins probe a shared table from
+    // every morsel; sort-merge and indexed-NL have no split, run as one
+    // tree and must still answer identically.
     #[test]
     fn parallel_joins_equal_serial(
         left_keys in proptest::collection::vec(0i64..5, 1..30),
         right_keys in proptest::collection::vec(0i64..5, 1..30),
     ) {
-        let f = Fixture::new(3, 8);
-        for (i, k) in left_keys.iter().enumerate() {
-            f.put(
-                &DocumentBuilder::new(DocId(i as u64), SourceFormat::Json, "l")
-                    .field("k", *k)
-                    .build(),
-            );
-        }
-        for (i, k) in right_keys.iter().enumerate() {
-            f.put(
-                &DocumentBuilder::new(DocId(1000 + i as u64), SourceFormat::Json, "r")
-                    .field("k", *k)
-                    .build(),
-            );
-        }
-        for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::IndexedNestedLoop] {
-            let plan = LogicalPlan::Join {
-                left: Box::new(scan("l")),
-                right: Box::new(scan("r")),
-                left_key: ("l".into(), "k".into()),
-                right_key: ("r".into(), "k".into()),
-                algo,
-            };
-            assert_equivalent(&f, &plan, &format!("join_{algo:?}"));
-        }
+        let left: Vec<(i64, i64)> = left_keys.iter().map(|k| (*k, 0)).collect();
+        let f = join_fixture(&left, &right_keys);
+        let plans = JOIN_ALGOS.map(|algo| (format!("join_{algo:?}"), join(scan("r"), algo)));
+        let labelled: Vec<(&str, &_)> = plans.iter().map(|(l, p)| (l.as_str(), p)).collect();
+        assert_matrix(f, &labelled, None);
     }
 
-    // Filter over a hash join (the probe side carries a residual filter
-    // step) — exercises the multi-step morsel chain.
+    // Filter over a hash join (the probe spine carries a residual filter
+    // above the join) — exercises a multi-operator morsel tree.
     #[test]
     fn parallel_filter_over_join_equals_serial(
         left in proptest::collection::vec((0i64..4, 0i64..50), 1..40),
         right_keys in proptest::collection::vec(0i64..4, 1..20),
         threshold in 0i64..50,
     ) {
-        let f = Fixture::new(3, 8);
-        for (i, (k, v)) in left.iter().enumerate() {
-            f.put(
-                &DocumentBuilder::new(DocId(i as u64), SourceFormat::Json, "l")
-                    .field("k", *k)
-                    .field("v", *v)
-                    .build(),
-            );
-        }
-        for (i, k) in right_keys.iter().enumerate() {
-            f.put(
-                &DocumentBuilder::new(DocId(1000 + i as u64), SourceFormat::Json, "r")
-                    .field("k", *k)
-                    .build(),
-            );
-        }
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Join {
-                left: Box::new(scan("l")),
-                right: Box::new(scan("r")),
-                left_key: ("l".into(), "k".into()),
-                right_key: ("r".into(), "k".into()),
-                algo: JoinAlgo::Hash,
-            }),
-            alias: "l".into(),
-            predicate: Predicate::Ge("v".into(), Value::Int(threshold)),
-        };
-        assert_equivalent(&f, &plan, "filter_over_join");
+        let f = join_fixture(&left, &right_keys);
+        let pred = Predicate::Ge("v".into(), Value::Int(threshold));
+        let plan = filter(join(scan("r"), JoinAlgo::Hash), "l", pred);
+        assert_matrix(f, &[("filter_over_join", &plan)], None);
     }
 
-    // Sort + limit: per-worker top-K buffers merged by one stable root
-    // sort must reproduce the serial order, including ties.
+    // Sort + limit: per-morsel top-K buffers merged by one stable root
+    // sort must reproduce the serial order — on unique keys (`u`) and,
+    // including ties, on deliberately non-unique ones (`x`).
     #[test]
     fn parallel_sort_limit_equals_serial(
         amounts in proptest::collection::vec(0i64..50, 1..80),
         n in 1usize..20,
         descending in any::<bool>(),
-        partitions in 2usize..6,
+        partitions in 1usize..6,
     ) {
         let f = Fixture::new(partitions, 8);
         for (i, a) in amounts.iter().enumerate() {
-            f.put(
-                &DocumentBuilder::new(DocId(i as u64), SourceFormat::Json, "c")
-                    .field("x", *a) // deliberately non-unique: ties matter
-                    .build(),
-            );
+            f.put(&int_doc(i, "c", &[("x", *a), ("u", a * 100 + i as i64)]));
         }
-        let plan = LogicalPlan::Project {
-            input: Box::new(LogicalPlan::Limit {
-                input: Box::new(LogicalPlan::Sort {
-                    input: Box::new(scan("c")),
-                    keys: vec![SortKey { alias: "c".into(), path: "x".into(), descending }],
-                }),
-                n,
-            }),
-            columns: vec![("c".into(), "x".into(), "x".into())],
-        };
-        assert_equivalent(&f, &plan, "sort_limit");
+        let ties = sort_limit("x", descending, n);
+        let unique = sort_limit("u", descending, n);
+        assert_matrix(f, &[("sort_limit_ties", &ties), ("sort_limit_unique", &unique)], None);
     }
 
-    // Null-heavy and dictionary-encoded columns through the parallel
-    // columnar workers: validity masks and page dictionaries must not
-    // change any row at any (columnar × workers × batch_size) point.
+    // Null-heavy and dictionary-encoded columns through every mode:
+    // validity masks and page dictionaries must not change any row.
     #[test]
     fn parallel_columnar_nulls_and_dictionaries_equal_serial(
         rows in proptest::collection::vec((any::<bool>(), 0u8..4, 0i64..50), 1..80),
         pick in 0u8..4,
-        partitions in 2usize..6,
+        threshold in 0i64..50,
+        partitions in 1usize..6,
         seal in 4usize..32,
     ) {
         let f = Fixture::new(partitions, seal);
+        // `amount` is present on roughly half the documents; the rest
+        // decode as Null in the column's validity mask.
         for (i, (present, tag, a)) in rows.iter().enumerate() {
             let b = DocumentBuilder::new(DocId(i as u64), SourceFormat::Json, "c")
                 .field("tag", format!("t{tag}")); // low cardinality → dict
             let b = if *present { b.field("amount", *a) } else { b };
             f.put(&b.build());
         }
-        let project = LogicalPlan::Project {
-            input: Box::new(LogicalPlan::Filter {
-                input: Box::new(scan("c")),
-                alias: "c".into(),
-                predicate: Predicate::Eq("tag".into(), Value::Str(format!("t{pick}"))),
-            }),
-            columns: vec![
-                ("c".into(), "tag".into(), "tag".into()),
-                ("c".into(), "amount".into(), "amount".into()),
+        let picked = Value::Str(format!("t{pick}"));
+        let dict_project = project(
+            filter(scan("c"), "c", Predicate::Eq("tag".into(), picked.clone())),
+            &["tag", "amount"],
+        );
+        let null_project = project(
+            filter(scan("c"), "c", Predicate::Lt("amount".into(), Value::Int(threshold))),
+            &["amount", "missing"],
+        );
+        let null_agg = group_agg(scan("c"), "tag", vec![
+            agg(AggFunc::Sum, Some("amount"), "total"),
+            agg(AggFunc::Count, None, "n"),
+        ]);
+        let dict_agg = group_agg(
+            filter(scan("c"), "c", Predicate::Ne("tag".into(), picked)),
+            "tag",
+            vec![agg(AggFunc::Count, None, "n"), agg(AggFunc::Max, Some("amount"), "hi")],
+        );
+        assert_matrix(
+            f,
+            &[
+                ("columnar_dict_project", &dict_project),
+                ("columnar_null_project", &null_project),
+                ("columnar_null_agg", &null_agg),
+                ("columnar_dict_agg", &dict_agg),
             ],
-        };
-        assert_equivalent(&f, &project, "columnar_dict_project");
-        let agg = LogicalPlan::GroupAgg {
-            input: Box::new(scan("c")),
-            group_by: Some(("c".into(), "tag".into())),
-            aggs: vec![
-                AggItem { func: AggFunc::Sum, operand: Some("amount".into()), output: "total".into() },
-                AggItem { func: AggFunc::Count, operand: None, output: "n".into() },
-            ],
-        };
-        assert_equivalent(&f, &agg, "columnar_null_agg");
+            None,
+        );
     }
 
     // Request-level limit on a bare scan: the merged prefix must equal
-    // the serial prefix exactly (partition-order concatenation).
+    // the serial prefix exactly (morsel-order concatenation).
     #[test]
     fn parallel_request_limit_prefix_equals_serial(
         amounts in proptest::collection::vec(0i64..100, 1..80),
         n in 0usize..90,
-        partitions in 2usize..6,
+        partitions in 1usize..6,
     ) {
         let f = Fixture::new(partitions, 8);
         for (i, a) in amounts.iter().enumerate() {
-            f.put(
-                &DocumentBuilder::new(DocId(i as u64), SourceFormat::Json, "c")
-                    .field("amount", *a)
-                    .build(),
-            );
+            f.put(&int_doc(i, "c", &[("amount", *a)]));
         }
         let plan = scan("c");
-        let serial = {
-            let opts = ExecutionContext { limit: Some(n), ..ExecutionContext::with_batch_size(1) };
-            render(&execute_plan_opts(&f.ctx(true), &plan, &opts).unwrap().0)
+        let (limited, m) = run(&f, &plan, REFERENCE, Some(n));
+        prop_assert_eq!(limited.len(), n.min(amounts.len()));
+        prop_assert_eq!(m.rows_out as usize, limited.len());
+        let unlimited = render(&run(&f, &plan, REFERENCE, None).0);
+        prop_assert_eq!(render(&limited), unlimited[..limited.len()].to_vec());
+        assert_matrix(f, &[("request_limit", &plan)], Some(n));
+    }
+
+    // A hash join whose build side is itself a filtered scan: every
+    // worker count returns the same rows, and the storage work is the
+    // probe scan plus ONE build scan — the exchange builds the table once
+    // and every morsel probes it.
+    #[test]
+    fn parallel_join_scans_a_filtered_build_side_exactly_once(
+        left in proptest::collection::vec((0i64..5, 0i64..50), 1..40),
+        right_keys in proptest::collection::vec(0i64..5, 1..30),
+        keep in 0i64..5,
+    ) {
+        let f = join_fixture(&left, &right_keys);
+        let build = filter(scan("r"), "r", Predicate::Le("k".into(), Value::Int(keep)));
+        let plan = join(build.clone(), JoinAlgo::Hash);
+        let scanned = |plan: &_, workers| {
+            let (out, m) = run(&f, plan, Mode { workers, ..REFERENCE }, None);
+            (render(&out), m.scan.docs_scanned)
         };
+        let probe = scan("l");
+        let (probe_docs, build_docs) = (scanned(&probe, 1).1, scanned(&build, 1).1);
+        let (serial_rows, _) = scanned(&plan, 1);
         for workers in WORKER_COUNTS {
-            for bs in BATCH_SIZES {
+            let (rows, docs_scanned) = scanned(&plan, workers);
+            prop_assert_eq!(&rows, &serial_rows, "workers {}", workers);
+            prop_assert_eq!(docs_scanned, probe_docs + build_docs, "workers {}", workers);
+        }
+    }
+
+    // A deadline of zero never pulls a batch: both drivers flag the
+    // answer degraded and return a (here empty) prefix of the serial rows.
+    #[test]
+    fn zero_deadline_degrades_to_a_prefix_of_the_serial_answer(
+        amounts in proptest::collection::vec(0i64..100, 1..80),
+        partitions in 1usize..6,
+    ) {
+        let f = Fixture::new(partitions, 8);
+        for (i, a) in amounts.iter().enumerate() {
+            f.put(&int_doc(i, "c", &[("amount", *a)]));
+        }
+        let plans = [
+            scan("c"),
+            project(scan("c"), &["amount"]),
+            sort_limit("amount", false, 5),
+            group_agg(scan("c"), "amount", vec![agg(AggFunc::Count, None, "n")]),
+        ];
+        for plan in &plans {
+            let serial = render(&run(&f, plan, REFERENCE, None).0);
+            for workers in WORKER_COUNTS {
                 let opts = ExecutionContext {
-                    limit: Some(n),
-                    ..ExecutionContext::with_batch_size(bs)
+                    deadline: Some(std::time::Duration::ZERO),
+                    ..ExecutionContext::with_batch_size(8)
                 }
                 .parallelism(workers);
-                let (out, m) = execute_plan_opts(&f.ctx(true), &plan, &opts).unwrap();
-                prop_assert_eq!(out.len(), n.min(amounts.len()));
-                prop_assert_eq!(m.rows_out as usize, out.len());
-                prop_assert_eq!(
-                    render(&out),
-                    serial.clone(),
-                    "workers {} batch_size {}", workers, bs
-                );
+                let (out, m) = execute_plan_opts(&f.ctx(true, None), plan, &opts).unwrap();
+                prop_assert!(m.deadline_exceeded, "workers {}: not flagged degraded", workers);
+                let got = render(&out);
+                prop_assert!(got.len() <= serial.len());
+                prop_assert_eq!(&got[..], &serial[..got.len()], "workers {}", workers);
             }
         }
     }

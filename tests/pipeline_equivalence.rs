@@ -1,119 +1,48 @@
-//! Property tests for the batched streaming executor: for random corpora
-//! and plans, the pipeline returns exactly the same rows at every batch
-//! size, and those rows agree with a naive materialized evaluation done
-//! directly over the corpus.
+//! Oracle tests for the executor: for random corpora, the answers the
+//! plan generators in `common` produce agree with a naive evaluation
+//! done directly over the corpus — at every batch size and on both the
+//! row and the columnar pipeline of a one-tree (serial) run. That every
+//! *other* execution mode returns these same rows is the mode matrix's
+//! job (`parallel_equivalence.rs`).
+
+mod common;
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use common::*;
 use impliance::docmodel::{DocId, DocumentBuilder, SourceFormat, Value};
-use impliance::index::{InvertedIndex, JoinIndex, PathValueIndex};
-use impliance::query::{
-    execute_plan_opts, AggItem, ExecContext, ExecutionContext, JoinAlgo, LogicalPlan, QueryOutput,
-    SortKey,
-};
-use impliance::storage::{AggFunc, Predicate, StorageEngine, StorageOptions};
+use impliance::query::{LogicalPlan, QueryOutput};
+use impliance::storage::{AggFunc, Predicate};
 
-/// Debug builds run ~10x slower; scale case counts so `cargo test` stays
-/// fast while `--release` runs the full battery.
-const fn cases(release: u32) -> u32 {
-    if cfg!(debug_assertions) {
-        release / 8 + 4
-    } else {
-        release
-    }
-}
-
-const BATCH_SIZES: [usize; 4] = [1, 3, 64, 1024];
-
-struct Fixture {
-    storage: StorageEngine,
-    text: InvertedIndex,
-    values: PathValueIndex,
-    joins: JoinIndex,
-}
-
-impl Fixture {
-    fn new(partitions: usize, seal: usize) -> Fixture {
-        Fixture {
-            storage: StorageEngine::new(StorageOptions {
-                partitions,
-                seal_threshold: seal,
-                compression: true,
-                encryption_key: None,
-            }),
-            text: InvertedIndex::new(4),
-            values: PathValueIndex::new(),
-            joins: JoinIndex::new(),
+/// The plan's answer in every one-tree mode: batch {1,3,64,1024} ×
+/// columnar {off,on}.
+fn serial_answers(f: &Fixture, plan: &LogicalPlan) -> Vec<(Mode, QueryOutput)> {
+    let mut out = Vec::new();
+    for columnar in [false, true] {
+        for batch_size in BATCH_SIZES {
+            let mode = Mode {
+                batch_size,
+                columnar,
+                ..REFERENCE
+            };
+            out.push((mode, run(f, plan, mode, None).0));
         }
     }
-
-    fn put(&self, doc: &impliance::docmodel::Document) {
-        self.storage.put(doc).unwrap();
-        self.values.index_document(doc);
-    }
-
-    fn ctx(&self, columnar: bool) -> ExecContext<'_> {
-        ExecContext {
-            storage: &self.storage,
-            text_index: &self.text,
-            value_index: &self.values,
-            join_index: &self.joins,
-            pushdown: true,
-            columnar,
-            snapshot: None,
-        }
-    }
+    out
 }
 
-fn scan(collection: &str) -> LogicalPlan {
-    LogicalPlan::Scan {
-        collection: Some(collection.to_string()),
-        predicate: None,
-        alias: collection.to_string(),
-        use_value_index: false,
-    }
+fn ints(out: &QueryOutput, column: &str) -> Vec<i64> {
+    out.rows()
+        .iter()
+        .map(|r| r.get(column).as_i64().unwrap())
+        .collect()
 }
 
-fn run_mode(f: &Fixture, plan: &LogicalPlan, batch_size: usize, columnar: bool) -> QueryOutput {
-    let opts = ExecutionContext {
-        batch_size,
-        limit: None,
-        ..ExecutionContext::default()
-    };
-    execute_plan_opts(&f.ctx(columnar), plan, &opts).unwrap().0
-}
-
-fn run(f: &Fixture, plan: &LogicalPlan, batch_size: usize) -> QueryOutput {
-    run_mode(f, plan, batch_size, true)
-}
-
-/// Assert the columnar (vectorized) pipeline and the row pipeline return
-/// identical row sequences at every batch size, and return the row-path
-/// serial baseline for oracle checks.
-fn assert_columnar_matches_rows(f: &Fixture, plan: &LogicalPlan) -> QueryOutput {
-    let baseline = run_mode(f, plan, BATCH_SIZES[0], false);
-    for bs in BATCH_SIZES {
-        assert_eq!(
-            render(&run_mode(f, plan, bs, true)),
-            render(&baseline),
-            "columnar batch_size {bs}"
-        );
-        assert_eq!(
-            render(&run_mode(f, plan, bs, false)),
-            render(&baseline),
-            "row batch_size {bs}"
-        );
-    }
-    baseline
-}
-
-/// Render an output in a batch-size-independent but order-sensitive way.
-fn render(out: &QueryOutput) -> Vec<String> {
-    match out {
-        QueryOutput::Rows(rows) => rows.iter().map(|r| r.render()).collect(),
-        QueryOutput::Docs(docs) => docs.iter().map(|d| format!("{}", d.id().0)).collect(),
-        QueryOutput::Path(p) => vec![format!("{p:?}")],
-    }
+fn sorted(mut v: Vec<i64>) -> Vec<i64> {
+    v.sort_unstable();
+    v
 }
 
 proptest! {
@@ -134,25 +63,13 @@ proptest! {
                     .build(),
             );
         }
-        let plan = LogicalPlan::Project {
-            input: Box::new(LogicalPlan::Filter {
-                input: Box::new(scan("c")),
-                alias: "c".into(),
-                predicate: Predicate::Ge("amount".into(), Value::Int(threshold)),
-            }),
-            columns: vec![("c".into(), "amount".into(), "amount".into())],
-        };
-        let baseline = assert_columnar_matches_rows(&f, &plan);
+        let pred = Predicate::Ge("amount".into(), Value::Int(threshold));
+        let plan = project(filter(scan("c"), "c", pred), &["amount"]);
         // naive oracle: multiset of qualifying amounts
-        let mut expected: Vec<i64> = amounts.iter().copied().filter(|a| *a >= threshold).collect();
-        expected.sort_unstable();
-        let mut got: Vec<i64> = baseline
-            .rows()
-            .iter()
-            .map(|r| r.get("amount").as_i64().unwrap())
-            .collect();
-        got.sort_unstable();
-        prop_assert_eq!(got, expected);
+        let expected = sorted(amounts.iter().copied().filter(|a| *a >= threshold).collect());
+        for (mode, out) in serial_answers(&f, &plan) {
+            prop_assert_eq!(sorted(ints(&out, "amount")), expected.clone(), "{:?}", mode);
+        }
     }
 
     #[test]
@@ -171,33 +88,15 @@ proptest! {
                     .build(),
             );
         }
-        let plan = LogicalPlan::Project {
-            input: Box::new(LogicalPlan::Limit {
-                input: Box::new(LogicalPlan::Sort {
-                    input: Box::new(scan("c")),
-                    keys: vec![SortKey { alias: "c".into(), path: "x".into(), descending }],
-                }),
-                n,
-            }),
-            columns: vec![("c".into(), "x".into(), "x".into())],
-        };
-        let baseline = run(&f, &plan, BATCH_SIZES[0]);
-        for bs in &BATCH_SIZES[1..] {
-            prop_assert_eq!(render(&run(&f, &plan, *bs)), render(&baseline), "batch_size {}", bs);
-        }
         // oracle: full sort then prefix (the top-K fast path must agree)
-        let mut expected = keys.clone();
-        expected.sort_unstable();
+        let mut expected = sorted(keys);
         if descending {
             expected.reverse();
         }
         expected.truncate(n);
-        let got: Vec<i64> = baseline
-            .rows()
-            .iter()
-            .map(|r| r.get("x").as_i64().unwrap())
-            .collect();
-        prop_assert_eq!(got, expected);
+        for (mode, out) in serial_answers(&f, &sort_limit("x", descending, n)) {
+            prop_assert_eq!(ints(&out, "x"), expected.clone(), "{:?}", mode);
+        }
     }
 
     #[test]
@@ -213,34 +112,23 @@ proptest! {
                     .build(),
             );
         }
-        let plan = LogicalPlan::GroupAgg {
-            input: Box::new(scan("c")),
-            group_by: Some(("c".into(), "tag".into())),
-            aggs: vec![AggItem {
-                func: AggFunc::Sum,
-                operand: Some("amount".into()),
-                output: "total".into(),
-            }],
-        };
-        let baseline = assert_columnar_matches_rows(&f, &plan);
+        let plan = group_agg(scan("c"), "tag", vec![agg(AggFunc::Sum, Some("amount"), "total")]);
         // oracle: per-tag sums computed directly
-        let mut expected: std::collections::BTreeMap<String, f64> = Default::default();
+        let mut expected: BTreeMap<String, f64> = BTreeMap::new();
         for (tag, amount) in &rows {
             *expected.entry(format!("t{tag}")).or_default() += *amount as f64;
         }
-        let got: std::collections::BTreeMap<String, f64> = baseline
-            .rows()
-            .iter()
-            .map(|r| {
-                let g = r.get("group").render();
-                let t = match r.get("total") {
-                    Value::Float(x) => *x,
+        for (mode, out) in serial_answers(&f, &plan) {
+            let got: BTreeMap<String, f64> = out
+                .rows()
+                .iter()
+                .map(|r| match r.get("total") {
+                    Value::Float(x) => (r.get("group").render(), *x),
                     other => panic!("expected float total, got {other:?}"),
-                };
-                (g, t)
-            })
-            .collect();
-        prop_assert_eq!(got, expected);
+                })
+                .collect();
+            prop_assert_eq!(got, expected.clone(), "{:?}", mode);
+        }
     }
 
     #[test]
@@ -268,24 +156,11 @@ proptest! {
             .iter()
             .map(|lk| right_keys.iter().filter(|rk| *rk == lk).count())
             .sum();
-        for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::IndexedNestedLoop] {
-            let plan = LogicalPlan::Join {
-                left: Box::new(scan("l")),
-                right: Box::new(scan("r")),
-                left_key: ("l".into(), "k".into()),
-                right_key: ("r".into(), "k".into()),
-                algo,
-            };
-            let baseline = run(&f, &plan, BATCH_SIZES[0]);
-            for bs in &BATCH_SIZES[1..] {
-                prop_assert_eq!(
-                    render(&run(&f, &plan, *bs)),
-                    render(&baseline),
-                    "algo {:?} batch_size {}", algo, bs
-                );
+        for algo in JOIN_ALGOS {
+            for (mode, out) in serial_answers(&f, &join(scan("r"), algo)) {
+                // joined tuples carry two bindings each → two docs per match
+                prop_assert_eq!(out.len(), expected * 2, "algo {:?} {:?}", algo, mode);
             }
-            // joined tuples carry two bindings each → two docs per match
-            prop_assert_eq!(baseline.len(), expected * 2, "algo {:?}", algo);
         }
     }
 
@@ -305,32 +180,17 @@ proptest! {
             let b = if *present { b.field("amount", *a) } else { b };
             f.put(&b.build());
         }
-        let project = LogicalPlan::Project {
-            input: Box::new(LogicalPlan::Filter {
-                input: Box::new(scan("c")),
-                alias: "c".into(),
-                predicate: Predicate::Lt("amount".into(), Value::Int(threshold)),
-            }),
-            columns: vec![
-                ("c".into(), "amount".into(), "amount".into()),
-                ("c".into(), "missing".into(), "missing".into()),
-            ],
-        };
-        let baseline = assert_columnar_matches_rows(&f, &project);
-        // oracle: Null amounts never satisfy a comparison
-        let expected = rows.iter().filter(|(p, a)| *p && *a < threshold).count();
-        prop_assert_eq!(baseline.len(), expected);
-
-        let agg = LogicalPlan::GroupAgg {
-            input: Box::new(scan("c")),
-            group_by: Some(("c".into(), "tag".into())),
-            aggs: vec![AggItem {
-                func: AggFunc::Sum,
-                operand: Some("amount".into()),
-                output: "total".into(),
-            }],
-        };
-        assert_columnar_matches_rows(&f, &agg);
+        let pred = Predicate::Lt("amount".into(), Value::Int(threshold));
+        let plan = project(filter(scan("c"), "c", pred), &["amount", "missing"]);
+        // oracle: Null amounts never satisfy a comparison, and a path no
+        // document has projects as Null
+        let expected = sorted(
+            rows.iter().filter(|(p, a)| *p && *a < threshold).map(|(_, a)| *a).collect(),
+        );
+        for (mode, out) in serial_answers(&f, &plan) {
+            prop_assert_eq!(sorted(ints(&out, "amount")), expected.clone(), "{:?}", mode);
+            prop_assert!(out.rows().iter().all(|r| r.get("missing").is_null()), "{:?}", mode);
+        }
     }
 
     #[test]
@@ -350,34 +210,18 @@ proptest! {
                     .build(),
             );
         }
-        let plan = LogicalPlan::Project {
-            input: Box::new(LogicalPlan::Filter {
-                input: Box::new(scan("c")),
-                alias: "c".into(),
-                predicate: Predicate::Eq("tag".into(), Value::Str(format!("t{pick}"))),
-            }),
-            columns: vec![
-                ("c".into(), "tag".into(), "tag".into()),
-                ("c".into(), "amount".into(), "amount".into()),
-            ],
-        };
-        let baseline = assert_columnar_matches_rows(&f, &plan);
-        let expected = tags.iter().filter(|t| **t == pick).count();
-        prop_assert_eq!(baseline.len(), expected);
-
-        let agg = LogicalPlan::GroupAgg {
-            input: Box::new(LogicalPlan::Filter {
-                input: Box::new(scan("c")),
-                alias: "c".into(),
-                predicate: Predicate::Ne("tag".into(), Value::Str(format!("t{pick}"))),
-            }),
-            group_by: Some(("c".into(), "tag".into())),
-            aggs: vec![
-                AggItem { func: AggFunc::Count, operand: None, output: "n".into() },
-                AggItem { func: AggFunc::Max, operand: Some("amount".into()), output: "hi".into() },
-            ],
-        };
-        assert_columnar_matches_rows(&f, &agg);
+        let picked = Value::Str(format!("t{pick}"));
+        let plan = project(
+            filter(scan("c"), "c", Predicate::Eq("tag".into(), picked.clone())),
+            &["tag", "amount"],
+        );
+        // oracle: the positions holding the picked tag
+        let expected: Vec<i64> =
+            (0..tags.len()).filter(|i| tags[*i] == pick).map(|i| i as i64).collect();
+        for (mode, out) in serial_answers(&f, &plan) {
+            prop_assert_eq!(sorted(ints(&out, "amount")), expected.clone(), "{:?}", mode);
+            prop_assert!(out.rows().iter().all(|r| r.get("tag") == &picked), "{:?}", mode);
+        }
     }
 
     #[test]
@@ -394,10 +238,9 @@ proptest! {
             );
         }
         let plan = scan("c");
-        let unlimited = render(&run(&f, &plan, 7));
-        for bs in BATCH_SIZES {
-            let opts = ExecutionContext { batch_size: bs, limit: Some(n), ..ExecutionContext::default() };
-            let (out, m) = execute_plan_opts(&f.ctx(true), &plan, &opts).unwrap();
+        let unlimited = render(&run(&f, &plan, Mode { batch_size: 7, ..REFERENCE }, None).0);
+        for batch_size in BATCH_SIZES {
+            let (out, m) = run(&f, &plan, Mode { batch_size, columnar: true, ..REFERENCE }, Some(n));
             prop_assert_eq!(out.len(), n.min(amounts.len()));
             prop_assert_eq!(m.rows_out as usize, out.len());
             prop_assert_eq!(render(&out), unlimited[..n.min(amounts.len())].to_vec());
