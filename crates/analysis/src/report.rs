@@ -201,9 +201,10 @@ impl LintId {
                  crates; L9 follows the call graph into every crate."
             }
             LintId::L10 => {
-                "BENCH_parallel.json blames the per-tuple interpreted loop for parallel \
-                 scan running at 0.72x serial: each allocation in a next_batch or worker \
-                 loop is a malloc per tuple per batch. Hot loops must reuse buffers; \
+                "Every morsel worker runs the same per-tuple loop, so the pool multiplies \
+                 its cost instead of hiding it (impbench reports query.parallel.speedup_group \
+                 and query.exec.wide_rows_per_s_1w): each allocation in a next_batch or \
+                 worker loop is a malloc per tuple per batch. Hot loops must reuse buffers; \
                  allocate once outside the loop."
             }
             LintId::L11 => {

@@ -1,9 +1,10 @@
-//! # Impliance benchmark harness
+//! # Impliance experiment harness
 //!
-//! Workload generators and reporting helpers shared by the criterion
-//! benches (`benches/`) and the `figures` binary, which regenerates every
-//! experiment in EXPERIMENTS.md (the paper's Figures 1–4 plus the
-//! falsifiable §3/§4 claims C1–C8).
+//! Workload generators and reporting helpers for the `figures` binary,
+//! which regenerates every experiment in EXPERIMENTS.md (the paper's
+//! Figures 1–4 plus the falsifiable §3/§4 claims C1–C8), and for the
+//! root `tests/` and `examples/`. Performance is measured by `impbench`
+//! (see `BENCHMARK.json`), not here.
 //!
 //! The paper's corpora (call-center transcripts, insurance claims,
 //! enterprise e-mail, purchase orders) are proprietary; [`corpus`]

@@ -34,6 +34,9 @@ use crate::config::ApplianceConfig;
 use crate::error::Error;
 use crate::query_api::{AdmissionOutcome, FusionSpec, MatchClause, QueryRequest, QueryResponse};
 
+/// Jaro-Winkler threshold for cross-document entity resolution.
+const RESOLUTION_THRESHOLD: f64 = 0.93;
+
 /// Plan-cache hit/miss counters in the workspace metrics registry.
 struct PlanCacheObs {
     hits: Arc<Counter>,
@@ -298,11 +301,8 @@ impl Impliance {
         let next_id = Arc::new(AtomicU64::new(1));
         let annotators: Vec<Box<dyn Annotator>> =
             vec![Box::new(EntityAnnotator), Box::new(SentimentAnnotator)];
-        let pipeline = DiscoveryPipeline::new(
-            annotators,
-            Arc::clone(&next_id),
-            config.resolution_threshold,
-        );
+        let pipeline =
+            DiscoveryPipeline::new(annotators, Arc::clone(&next_id), RESOLUTION_THRESHOLD);
         let workload = WorkloadManager::new(config.workload);
         let workload_managed = std::sync::atomic::AtomicBool::new(
             config.workload != impliance_virt::WorkloadConfig::default(),
@@ -756,6 +756,12 @@ impl Impliance {
             }
         };
         let (plan, plan_cache_hit) = self.plan_for(&req)?;
+        // Freshness watermarks are read before the pin: both only ever
+        // trail the storage epoch, so what they claim is covered by the
+        // snapshot taken after them (`<= snapshot_epoch`), even while a
+        // writer and the background workers keep advancing.
+        let annotation_epoch = self.pipeline.annotation_epoch();
+        let index_epoch = self.index_epoch();
         // Pin one epoch for the whole execution: every operator (point
         // read, row scan, columnar scan, parallel morsel) sees exactly
         // the commits at or below it — never a torn mix of versions. An
@@ -774,8 +780,8 @@ impl Impliance {
             text_index: &self.text_index,
             value_index: &self.value_index,
             join_index: &self.join_index,
-            pushdown: req.pushdown().unwrap_or(self.config.pushdown),
-            columnar: req.columnar().unwrap_or(true),
+            pushdown: self.config.pushdown,
+            columnar: true,
             snapshot: Some(snapshot_epoch),
         };
         // A degraded admission tightens the execution budget: the
@@ -808,8 +814,8 @@ impl Impliance {
             plan_cache_hit,
             degraded: metrics.deadline_exceeded,
             snapshot_epoch,
-            annotation_epoch: self.pipeline.annotation_epoch(),
-            index_epoch: self.index_epoch(),
+            annotation_epoch,
+            index_epoch,
             queue_wait_us: metrics.queue_wait_us,
             admission: outcome,
         })
@@ -1509,6 +1515,43 @@ mod hybrid_search_tests {
     }
 
     #[test]
+    fn watermarks_never_pass_the_snapshot_beside_a_writer() {
+        let imp = seeded();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..150 {
+                    imp.ingest_text("notes", &format!("late arrival {i} in Boston"))
+                        .unwrap();
+                    imp.run_indexing(None);
+                    imp.run_discovery(None);
+                }
+                done.store(true, Ordering::Release);
+            });
+            // What a response reports as indexed or annotated must lie
+            // inside the snapshot it executed at, or it claims coverage
+            // the search never had.
+            while !done.load(Ordering::Acquire) {
+                let resp = imp
+                    .query(
+                        QueryRequest::builder("SELECT amount FROM claims")
+                            .match_text("*", "bumper damage")
+                            .build(),
+                    )
+                    .unwrap();
+                assert!(
+                    resp.index_epoch <= resp.snapshot_epoch
+                        && resp.annotation_epoch <= resp.snapshot_epoch,
+                    "index {} / annotation {} ahead of snapshot {}",
+                    resp.index_epoch,
+                    resp.annotation_epoch,
+                    resp.snapshot_epoch
+                );
+            }
+        });
+    }
+
+    #[test]
     fn match_without_base_scan_is_a_typed_error() {
         let imp = seeded();
         let err = imp
@@ -1586,11 +1629,10 @@ mod workload_tests {
                 .tenant(7)
                 .build()
         };
-        // the burst admits two…
-        assert_eq!(
-            imp.query(req()).unwrap().admission,
-            AdmissionOutcome::Admitted
-        );
+        // the burst admits two, and what is admitted answers in full…
+        let first = imp.query(req()).unwrap();
+        assert_eq!(first.admission, AdmissionOutcome::Admitted);
+        assert_eq!(first.rows().len(), 20);
         imp.query(req()).unwrap();
         // …then the bucket is dry: typed rejection, not a hang or panic
         let err = imp.query(req()).expect_err("third query must shed");

@@ -17,7 +17,7 @@ use impliance_cluster::{
 };
 use impliance_docmodel::{DocId, Document};
 use impliance_index::InvertedIndex;
-use impliance_query::dist::{self, DataNodeState, FailoverPolicy, ResilientScan, RetryPolicy};
+use impliance_query::dist::{self, DataNodeState, FailoverPolicy, ResilientScan};
 use impliance_query::{ExecutionContext, Tuple};
 use impliance_storage::{codec, AggValue, ScanRequest, ScanResult, StorageEngine, StorageOptions};
 use impliance_virt::{DataClass, ReplicationReport, StorageManager, StoragePolicy};
@@ -25,6 +25,9 @@ use parking_lot::Mutex;
 
 use crate::config::ApplianceConfig;
 use crate::error::Error;
+
+/// Shards in each data node's full-text index.
+const TEXT_INDEX_SHARDS: usize = 8;
 
 /// Summary of a failure-recovery round (experiment C5).
 #[derive(Debug, Clone, Default)]
@@ -71,7 +74,6 @@ impl ClusterImpliance {
         let seal = config.seal_threshold;
         let compression = config.compression;
         let encryption_key = config.encryption_key;
-        let text_shards = config.text_index_shards.max(1);
         let runtime = Arc::new(ClusterRuntime::boot(&specs, network, |spec| {
             match spec.kind {
                 NodeKind::Data => {
@@ -86,7 +88,7 @@ impl ClusterImpliance {
                     let state = Arc::new(DataNodeState::from_parts(
                         Arc::new(StorageEngine::new(opts.clone())),
                         Arc::new(StorageEngine::new(opts)),
-                        Arc::new(InvertedIndex::new(text_shards)),
+                        Arc::new(InvertedIndex::new(TEXT_INDEX_SHARDS)),
                     ));
                     engines.lock().insert(spec.id, Arc::clone(&state));
                     state
@@ -232,17 +234,8 @@ impl ClusterImpliance {
         FailoverPolicy::new(candidates, owns)
     }
 
-    /// The retry policy derived from the boot configuration.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: self.config.retry_max_attempts.max(1),
-            base_backoff_us: self.config.retry_base_backoff_us.max(1),
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Fault-tolerant scan: retries transient losses per the configured
-    /// [`RetryPolicy`], recovers a dead node's documents from surviving
+    /// Fault-tolerant scan: retries transient losses per the default
+    /// [`dist::RetryPolicy`], recovers a dead node's documents from surviving
     /// replica stores, and (optionally) degrades instead of failing when
     /// a `deadline` expires. The returned [`ResilientScan`] carries a
     /// coverage report saying exactly which partitions the answer covers.
@@ -254,7 +247,6 @@ impl ClusterImpliance {
     ) -> Result<ResilientScan, Error> {
         let opts = ExecutionContext {
             batch_size: self.config.batch_size,
-            retry: self.retry_policy(),
             failover: Some(self.failover_policy()),
             deadline,
             degraded_ok,

@@ -31,26 +31,16 @@ pub struct ApplianceConfig {
     /// Index documents inside the ingest operation instead of
     /// asynchronously (ablated by C3; the paper's design is `false`).
     pub synchronous_indexing: bool,
-    /// Jaro-Winkler threshold for cross-document entity resolution.
-    pub resolution_threshold: f64,
     /// Replication factor for user data in the cluster deployment.
     pub replication: usize,
     /// Tuples/rows per pipeline batch in the streaming executor
     /// (overridable per request via `QueryRequest::batch_size`).
     pub batch_size: usize,
-    /// Shards in each data node's full-text index.
-    pub text_index_shards: usize,
     /// Worker threads for morsel-driven parallel query execution
     /// (1 = serial). Defaults to the machine's available cores — the
     /// appliance "detects" its hardware, per §3.1 — and is overridable
     /// per request via `QueryRequest::parallelism`.
     pub worker_threads: usize,
-    /// Attempts per distributed operation before a transient failure is
-    /// treated as terminal (≥ 1; 1 disables retry).
-    pub retry_max_attempts: u32,
-    /// Backoff cap for the first distributed retry, microseconds
-    /// (doubles per attempt with seeded jitter).
-    pub retry_base_backoff_us: u64,
     /// Multi-tenant workload policy: per-tenant admission quotas, the
     /// concurrency limit, and overload/degradation behavior. The default
     /// is fully permissive (nothing is ever shed), preserving
@@ -74,15 +64,11 @@ impl Default for ApplianceConfig {
             encryption_key: None,
             pushdown: true,
             synchronous_indexing: false,
-            resolution_threshold: 0.93,
             replication: 3,
             batch_size: impliance_query::DEFAULT_BATCH_SIZE,
-            text_index_shards: 8,
             worker_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            retry_max_attempts: 3,
-            retry_base_backoff_us: 200,
             workload: impliance_virt::WorkloadConfig::default(),
             plan_cache_per_tenant: 128,
         }

@@ -60,8 +60,6 @@ pub struct QueryRequest {
     match_clause: Option<MatchClause>,
     top_k: Option<usize>,
     fusion: Option<FusionSpec>,
-    pushdown: Option<bool>,
-    columnar: Option<bool>,
     plan_cache: bool,
     batch_size: Option<usize>,
     limit: Option<usize>,
@@ -81,8 +79,6 @@ impl QueryRequest {
                 match_clause: None,
                 top_k: None,
                 fusion: None,
-                pushdown: None,
-                columnar: None,
                 plan_cache: true,
                 batch_size: None,
                 limit: None,
@@ -128,21 +124,6 @@ impl QueryRequest {
                 self.statement, m, k, self.limit, f
             ),
         }
-    }
-
-    /// The per-request pushdown override, if any (defaults to the
-    /// appliance configuration when `None`).
-    pub fn pushdown(&self) -> Option<bool> {
-        self.pushdown
-    }
-
-    /// The per-request columnar-execution override, if any (defaults to
-    /// on when `None`). When enabled, fusable `Filter*{Scan}` pipelines
-    /// run column-at-a-time over decoded column vectors with zone-map
-    /// segment skipping; other plan shapes fall back to the row pipeline
-    /// either way.
-    pub fn columnar(&self) -> Option<bool> {
-        self.columnar
     }
 
     /// Whether the plan cache may serve/store this statement's plan.
@@ -254,20 +235,6 @@ impl QueryRequestBuilder {
     /// recency when it has none). See [`FusionSpec`].
     pub fn fusion(mut self, spec: FusionSpec) -> QueryRequestBuilder {
         self.request.fusion = Some(spec);
-        self
-    }
-
-    /// Override predicate pushdown for this request only.
-    pub fn pushdown(mut self, enabled: bool) -> QueryRequestBuilder {
-        self.request.pushdown = Some(enabled);
-        self
-    }
-
-    /// Override columnar (vectorized) execution for this request only
-    /// (on by default). Disable to force the row-at-a-time pipeline —
-    /// useful when benchmarking the columnar path against its baseline.
-    pub fn columnar(mut self, enabled: bool) -> QueryRequestBuilder {
-        self.request.columnar = Some(enabled);
         self
     }
 
@@ -523,14 +490,11 @@ mod tests {
     fn builder_defaults_and_overrides() {
         let req = QueryRequest::builder("SELECT * FROM docs").build();
         assert_eq!(req.statement(), "SELECT * FROM docs");
-        assert_eq!(req.pushdown(), None);
         assert!(req.plan_cache_enabled());
 
         let req = QueryRequest::builder("SELECT * FROM docs")
-            .pushdown(false)
             .plan_cache(false)
             .build();
-        assert_eq!(req.pushdown(), Some(false));
         assert!(!req.plan_cache_enabled());
     }
 

@@ -73,6 +73,8 @@ fn oracle(imp: &Impliance, query: &str, any_term: bool, k: usize) -> Vec<(i64, f
 }
 
 /// Pipeline under test: the redesigned query API down through IndexScan.
+/// Returns the scored rows and whether the response reported a top-k
+/// early termination.
 fn pipeline(
     imp: &Impliance,
     query: &str,
@@ -80,7 +82,7 @@ fn pipeline(
     k: usize,
     batch: usize,
     workers: usize,
-) -> Vec<(i64, f64)> {
+) -> (Vec<(i64, f64)>, bool) {
     let mut builder = QueryRequest::builder("")
         .match_text("*", query)
         .top_k(k)
@@ -91,7 +93,9 @@ fn pipeline(
         builder = builder.any_term();
     }
     let resp = imp.query(builder.build()).expect("query");
-    resp.rows()
+    let early = resp.exec_stats().early_terminations > 0;
+    let rows = resp
+        .rows()
         .iter()
         .map(|row| {
             let Value::Int(id) = row.get("id") else {
@@ -102,7 +106,8 @@ fn pipeline(
             };
             (*id, *score)
         })
-        .collect()
+        .collect();
+    (rows, early)
 }
 
 proptest! {
@@ -120,11 +125,23 @@ proptest! {
         let imp = seeded(&docs);
         let query: Vec<&str> = query_words.iter().map(|&w| VOCAB[w]).collect();
         let query = query.join(" ");
+        // The oracle scores every match and truncates, so one full
+        // evaluation serves every k.
+        let all = oracle(&imp, &query, any_term, docs.len());
+        let matched = all.len();
         for &k in &[1usize, 10, docs.len()] {
-            let want = oracle(&imp, &query, any_term, k);
+            let want = all[..k.min(matched)].to_vec();
             for &batch in BATCH_SIZES {
                 for &workers in WORKER_COUNTS {
-                    let got = pipeline(&imp, &query, any_term, k, batch, workers);
+                    let (got, early) = pipeline(&imp, &query, any_term, k, batch, workers);
+                    // A bounded k — more matches than k — must be seen
+                    // to cut work in the response's own stats.
+                    prop_assert!(
+                        early || matched <= k,
+                        "k={} of {} matches reported no early termination",
+                        k,
+                        matched
+                    );
                     prop_assert_eq!(
                         &got,
                         &want,
@@ -153,7 +170,7 @@ proptest! {
         let imp = seeded(&docs);
         for &batch in BATCH_SIZES {
             for &workers in WORKER_COUNTS {
-                let got = pipeline(&imp, "bumper damage", false, k, batch, workers);
+                let (got, _) = pipeline(&imp, "bumper damage", false, k, batch, workers);
                 prop_assert_eq!(got.len(), k.min(copies));
                 let ids: Vec<i64> = got.iter().map(|(id, _)| *id).collect();
                 let mut sorted = ids.clone();

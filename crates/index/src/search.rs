@@ -423,56 +423,52 @@ pub fn search_phrase(
         }
         return search(index, &q);
     }
-    // per-term postings keyed by ordinal
-    let mut term_positions: Vec<HashMap<DocOrdinal, Vec<u32>>> = Vec::new();
-    for t in &tokens {
+    // The first term's postings arrive in ascending ordinal order and are
+    // walked in that order; the other terms are probed by ordinal.
+    let first = index.postings(&tokens[0].text, path);
+    if first.is_empty() {
+        return Vec::new();
+    }
+    let mut rest: Vec<HashMap<DocOrdinal, Vec<u32>>> = Vec::new();
+    for t in &tokens[1..] {
         let postings = index.postings(&t.text, path);
         if postings.is_empty() {
             return Vec::new();
         }
-        term_positions.push(
+        rest.push(
             postings
                 .into_iter()
                 .map(|p| (p.ordinal, p.positions))
                 .collect(),
         );
     }
-    // candidate ordinals: those present in every term's postings
-    let mut hits: Vec<(DocOrdinal, usize)> = Vec::new();
-    'docs: for (&ordinal, first_positions) in &term_positions[0] {
-        let mut occurrences = 0usize;
-        for &base in first_positions {
-            let mut ok = true;
-            for (t, positions) in tokens.iter().zip(&term_positions).skip(1) {
-                let want = base + t.position - tokens[0].position;
-                match positions.get(&ordinal) {
-                    Some(ps) if ps.binary_search(&want).is_ok() => {}
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                occurrences += 1;
-            }
+    // Every matching document is counted before any is dropped: the
+    // ranking below is by occurrence count, which no prefix of the
+    // candidates bounds.
+    let mut out: Vec<SearchHit> = Vec::new();
+    for p in &first {
+        let occurrences = p
+            .positions
+            .iter()
+            .filter(|&&base| {
+                tokens[1..].iter().zip(&rest).all(|(t, positions)| {
+                    let want = base + t.position - tokens[0].position;
+                    positions
+                        .get(&p.ordinal)
+                        .is_some_and(|ps| ps.binary_search(&want).is_ok())
+                })
+            })
+            .count();
+        if occurrences == 0 {
+            continue;
         }
-        if occurrences > 0 {
-            hits.push((ordinal, occurrences));
-            if hits.len() >= limit * 4 {
-                break 'docs;
-            }
+        if let Some((id, _)) = index.resolve(p.ordinal) {
+            out.push(SearchHit {
+                id,
+                score: occurrences as f64,
+            });
         }
     }
-    let mut out: Vec<SearchHit> = hits
-        .into_iter()
-        .filter_map(|(ord, n)| {
-            index.resolve(ord).map(|(id, _)| SearchHit {
-                id,
-                score: n as f64,
-            })
-        })
-        .collect();
     out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
     out.truncate(limit);
     out
@@ -532,6 +528,21 @@ mod phrase_tests {
         assert_eq!(hits[0].id, DocId(0));
         assert_eq!(hits[0].score, 2.0);
         assert_eq!(hits[1].score, 1.0);
+    }
+
+    #[test]
+    fn phrase_top_hit_survives_many_weaker_matches() {
+        // 240 documents hold the phrase once, one holds it three times:
+        // with far more than `limit` matches the best hit must still win,
+        // and the same request must answer the same on every index.
+        let mut texts = vec!["one red car only"; 240];
+        texts[137] = "red car beside a red car behind a red car";
+        for build in 0..20 {
+            let hits = search_phrase(&index_with(&texts), "red car", None, 1);
+            assert_eq!(hits.len(), 1);
+            assert_eq!(hits[0].id, DocId(137), "index build {build}");
+            assert_eq!(hits[0].score, 3.0);
+        }
     }
 
     #[test]

@@ -579,9 +579,21 @@ mod tests {
                 })
             })
             .collect();
-        // interleaved scans must never error
-        for _ in 0..20 {
+        // scans interleaved with the writers' whole run must never error,
+        // and one pinned at epoch E sees exactly the E single-document
+        // commits at or below it, however many landed since the pin — any
+        // other count is a torn snapshot
+        loop {
+            let pin = e.pin();
             let _ = e.scan(&ScanRequest::full()).unwrap();
+            let req = ScanRequest {
+                snapshot: Some(pin.epoch()),
+                ..ScanRequest::full()
+            };
+            assert_eq!(e.scan(&req).unwrap().documents.len() as u64, pin.epoch());
+            if writers.iter().all(|w| w.is_finished()) {
+                break;
+            }
         }
         for w in writers {
             w.join().unwrap();

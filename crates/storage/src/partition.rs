@@ -676,6 +676,21 @@ mod tests {
         assert_eq!(res.metrics.segments_skipped, 1);
         assert_eq!(res.metrics.segments_scanned, 1);
         assert!(res.metrics.bytes_scanned > res.metrics.bytes_returned);
+
+        // Arrival-ordered values give every sealed segment a tight zone:
+        // a 90th-percentile predicate must skip most of them unread.
+        for i in 20..80 {
+            p.put(&doc(i, i as i64)).unwrap();
+        }
+        let req = ScanRequest::filtered(Predicate::Ge("amount".into(), Value::Int(72)));
+        let m = p.scan(&req).unwrap().metrics;
+        assert_eq!(m.docs_matched, 8);
+        assert!(
+            m.segments_skipped * 2 > m.segments_skipped + m.segments_scanned,
+            "selective scan skipped {} of {} segments",
+            m.segments_skipped,
+            m.segments_skipped + m.segments_scanned
+        );
     }
 
     #[test]

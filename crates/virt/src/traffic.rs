@@ -401,13 +401,16 @@ mod tests {
 
     #[test]
     fn overload_sheds_low_before_high() {
-        let spec = TrafficSpec {
-            offered_qps: 4_000, // 2x the default capacity
-            duration_us: 2_000_000,
-            clients: 1_000,
-            ..TrafficSpec::default()
+        let at = |offered_qps| {
+            run(&TrafficSpec {
+                offered_qps,
+                duration_us: 2_000_000,
+                clients: 1_000,
+                ..TrafficSpec::default()
+            })
         };
-        let r = run(&spec);
+        let nominal = at(2_000); // the default capacity
+        let r = at(4_000); // 2x
         let high = &r.classes[0];
         let low = &r.classes[2];
         assert!(high.offered > 0 && low.offered > 0);
@@ -418,25 +421,43 @@ mod tests {
             low,
             high
         );
+        // Overload is paid by the low class, not by the latency-sensitive
+        // one: high is 100% on-deadline at 1x and its p99 at most doubles
+        // at 2x, while low work is visibly shed or degraded.
+        let high_1x = &nominal.classes[0];
+        assert!(
+            high_1x.shed == 0 && high_1x.met_deadline == high_1x.offered,
+            "high must be 100% on-deadline at 1x: {high_1x:?}"
+        );
+        assert!(
+            high.p99_us <= high_1x.p99_us.max(1) * 2,
+            "high p99 more than doubled under 2x load: 1x={high_1x:?} 2x={high:?}"
+        );
+        assert!(
+            low.shed + low.degraded > 0,
+            "2x load cost low nothing: {low:?}"
+        );
     }
 
     #[test]
     fn no_completion_exceeds_deadline_plus_wait_budget() {
         // Dispatched work is truncated at its budget, so end-to-end
         // latency never exceeds the class deadline.
-        let spec = TrafficSpec {
-            offered_qps: 4_000,
-            duration_us: 1_000_000,
-            clients: 500,
-            ..TrafficSpec::default()
-        };
-        let r = run(&spec);
-        for (ci, c) in r.classes.iter().enumerate() {
-            assert!(
-                c.max_us <= spec.deadline_us[ci],
-                "class {ci} ran past its deadline: {:?}",
-                c
-            );
+        for offered_qps in [2_000, 4_000] {
+            let spec = TrafficSpec {
+                offered_qps,
+                duration_us: 1_000_000,
+                clients: 500,
+                ..TrafficSpec::default()
+            };
+            let r = run(&spec);
+            for (ci, c) in r.classes.iter().enumerate() {
+                assert!(
+                    c.max_us <= spec.deadline_us[ci],
+                    "class {ci} ran past its deadline at {offered_qps} qps: {:?}",
+                    c
+                );
+            }
         }
     }
 
