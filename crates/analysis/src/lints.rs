@@ -99,7 +99,7 @@ impl LintConfig {
             l9_entries: vec![
                 crate::iplints::EntrySpec::method("Impliance", "query"),
                 crate::iplints::EntrySpec::trait_impl("Operator", "next_batch"),
-                crate::iplints::EntrySpec::free("dist_scan_resilient"),
+                crate::iplints::EntrySpec::free("execute"),
                 // The background annotation worker: a panic here kills
                 // incremental discovery, so its reachable-panic surface
                 // is audited like the query entry points.

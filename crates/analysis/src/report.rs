@@ -33,7 +33,7 @@ pub enum LintId {
     /// Panic-reachability: no `unwrap()` / `expect()` / `panic!` /
     /// `unreachable!` in non-test code transitively reachable from the
     /// public entry points (`Impliance::query`, `Operator::next_batch`
-    /// impls, `dist_scan_resilient`) over the workspace call graph.
+    /// impls, `dist::execute`) over the workspace call graph.
     L9,
     /// Hot-loop allocation: no allocating calls (`Vec::new`, `vec!`,
     /// `format!`, `.clone()`, `.to_vec()`, `.to_string()`,
@@ -132,7 +132,7 @@ impl LintId {
             LintId::L9 => {
                 "no unwrap()/expect()/panic!/unreachable! transitively reachable from the \
                  public entry points (Impliance::query, Operator::next_batch, \
-                 dist_scan_resilient)"
+                 dist::execute)"
             }
             LintId::L10 => {
                 "no allocating calls (Vec::new/vec!/format!/.clone()/.to_vec()/.to_string()/\
@@ -196,7 +196,7 @@ impl LintId {
             LintId::L9 => {
                 "The paper's self-managing appliance promise (§4) means no input may crash \
                  the box: any panic site transitively reachable from Impliance::query, an \
-                 Operator::next_batch impl, or dist_scan_resilient is a denial-of-service \
+                 Operator::next_batch impl, or dist::execute is a denial-of-service \
                  bug waiting for the right input. L1 checks single files in hot-path \
                  crates; L9 follows the call graph into every crate."
             }

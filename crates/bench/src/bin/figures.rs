@@ -24,9 +24,7 @@ use impliance_query::batch::{
     collect_tuples, HashJoinOp, IndexedNlJoinOp, Operator, VecSource, DEFAULT_BATCH_SIZE,
 };
 use impliance_query::{costopt::CostOptimizer, parse_sql, ExecMetrics, SimplePlanner, Tuple};
-use impliance_storage::{
-    AggFunc, AggSpec, Predicate, Projection, ScanRequest, StorageEngine, StorageOptions,
-};
+use impliance_storage::{Predicate, ScanRequest, StorageEngine, StorageOptions};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -572,19 +570,9 @@ fn f3_scaleout() {
     for _ in 0..1000 {
         app.ingest_json("orders", &corpus.order_json(20)).unwrap();
     }
-    let req = ScanRequest {
-        predicate: None,
-        projection: Projection::All,
-        aggregate: Some(AggSpec {
-            group_by: Some("cust".into()),
-            func: AggFunc::Sum,
-            operand: Some("amount".into()),
-        }),
-        limit: None,
-        snapshot: None,
-    };
+    let req = QueryRequest::builder("SELECT cust, SUM(amount) AS total FROM orders GROUP BY cust");
     let t0 = Instant::now();
-    let groups = app.pipeline_query(&req).unwrap();
+    let groups = app.pipeline_query(req.build()).unwrap();
     let mut t3 = Table::new(
         "F3 — mixed query pipeline (scan on data → aggregate on grid → commit on cluster)",
         &["observable", "value"],
@@ -848,26 +836,19 @@ fn c2_pushdown() {
         "C2 — predicate/aggregation push-down vs shipping whole documents (4000 docs)",
         &["query", "mode", "net bytes", "reduction", "latency"],
     );
-    let selective = Predicate::Gt("amount".into(), Value::Int(950)); // ~5%
-                                                                     // filter push-down
-    for (mode, req) in [
-        ("pushdown", ScanRequest::filtered(selective.clone())),
-        ("ship-all", ScanRequest::full()),
+    // filter push-down: ~5% of the orders match; in ship-all mode every
+    // document crosses the network and the coordinator filters afterwards
+    let selective = Predicate::Gt("amount".into(), Value::Int(950));
+    for (mode, statement) in [
+        ("pushdown", "SELECT * FROM orders WHERE amount > 950"),
+        ("ship-all", "SELECT * FROM orders"),
     ] {
         app.runtime().network().reset_metrics();
         let t0 = Instant::now();
-        let res = app.scan(&req).unwrap();
+        let res = app.sql(statement).unwrap();
         let elapsed = t0.elapsed();
         let bytes = app.runtime().network().metrics().bytes;
-        // in ship-all mode the coordinator filters afterwards
-        let matching = if mode == "ship-all" {
-            res.documents
-                .iter()
-                .filter(|d| selective.matches(d))
-                .count()
-        } else {
-            res.documents.len()
-        };
+        let matching = res.docs().iter().filter(|d| selective.matches(d)).count();
         t.row(&[
             "filter amount>950".into(),
             mode.into(),
@@ -877,27 +858,19 @@ fn c2_pushdown() {
         ]);
     }
     // aggregation push-down
-    let agg_req = ScanRequest {
-        predicate: None,
-        projection: Projection::All,
-        aggregate: Some(AggSpec {
-            group_by: Some("cust".into()),
-            func: AggFunc::Sum,
-            operand: Some("amount".into()),
-        }),
-        limit: None,
-        snapshot: None,
-    };
     app.runtime().network().reset_metrics();
     let t0 = Instant::now();
-    let groups = app.aggregate(&agg_req).unwrap();
+    let groups = app
+        .sql("SELECT cust, SUM(amount) AS total FROM orders GROUP BY cust")
+        .unwrap();
+    let groups = groups.rows();
     let push_bytes = app.runtime().network().metrics().bytes;
     let push_time = t0.elapsed();
     app.runtime().network().reset_metrics();
     let t1 = Instant::now();
-    let res = app.scan(&ScanRequest::full()).unwrap();
+    let res = app.sql("SELECT * FROM orders").unwrap();
     let mut coord_groups: std::collections::BTreeMap<String, f64> = Default::default();
-    for d in &res.documents {
+    for d in res.docs() {
         let cust = d
             .get_str_path("cust")
             .and_then(|n| n.as_value())
@@ -1102,7 +1075,7 @@ fn c5_failover() {
         let t0 = Instant::now();
         let report = app.kill_data_node(victim).unwrap();
         let recovery = t0.elapsed();
-        let visible = app.scan(&ScanRequest::full()).unwrap().documents.len();
+        let visible = app.sql("SELECT * FROM orders").unwrap().len();
         t.row(&[
             replication.to_string(),
             fmt_duration(recovery),

@@ -23,7 +23,7 @@ use impliance_facet::{FacetDimension, FacetEngine, GuidedSession, RollupLevel, R
 use impliance_index::{InvertedIndex, JoinIndex, PathValueIndex, SearchHit};
 use impliance_obs::{Counter, Gauge};
 use impliance_query::{
-    execute_plan_opts, parse_sql, ExecContext, ExecError, ExecutionContext, LogicalPlan, Priority,
+    execute_plan_opts, ExecContext, ExecError, ExecutionContext, LogicalPlan, Priority,
     QueryOutput, SimplePlanner,
 };
 use impliance_storage::{StorageEngine, StorageError, StorageOptions};
@@ -32,7 +32,7 @@ use parking_lot::Mutex;
 
 use crate::config::ApplianceConfig;
 use crate::error::Error;
-use crate::query_api::{AdmissionOutcome, FusionSpec, MatchClause, QueryRequest, QueryResponse};
+use crate::query_api::{AdmissionOutcome, QueryRequest, QueryResponse};
 
 /// Jaro-Winkler threshold for cross-document entity resolution.
 const RESOLUTION_THRESHOLD: f64 = 0.93;
@@ -860,7 +860,7 @@ impl Impliance {
             }
             plan_cache_obs().misses.inc();
         }
-        let logical = self.build_plan(req)?;
+        let logical = req.build_plan()?;
         let plan = self.planner.plan(logical);
         if req.plan_cache_enabled() {
             let cap = self.config.plan_cache_per_tenant.max(1);
@@ -875,205 +875,6 @@ impl Impliance {
             partition.insert(key, plan.clone());
         }
         Ok((plan, false))
-    }
-
-    /// Build the unoptimized logical plan for a request: parse the SQL,
-    /// then graft the match clause and fusion spec onto it.
-    ///
-    /// * No match clause: the statement parses as-is.
-    /// * Match clause + empty statement: a pure keyword search — a
-    ///   bounded scored `IndexScan` projected to `(id, score)` rows.
-    /// * Match clause + statement: the statement's base scan is replaced
-    ///   by an unbounded scored `IndexScan` over the same collection
-    ///   (its predicate re-applied as a filter above), so structured
-    ///   conditions intersect text relevance and rows carry `_score`.
-    /// * A fusion spec re-ranks by RRF of the text ranking with the
-    ///   statement's `ORDER BY` (or recency when it has none).
-    fn build_plan(&self, req: &QueryRequest) -> Result<LogicalPlan, Error> {
-        let Some(m) = req.match_clause() else {
-            let parsed =
-                parse_sql(req.statement()).map_err(|e| ApplianceError::Sql(e.to_string()))?;
-            return Ok(parsed);
-        };
-        let k = req.top_k().or(req.limit());
-        if req.statement().trim().is_empty() {
-            let scan = LogicalPlan::IndexScan {
-                query: m.query.clone(),
-                path: m.path.clone(),
-                k: Some(k.unwrap_or(10)),
-                alias: "d".into(),
-                any_term: m.any_term,
-                phrase: m.phrase,
-                collection: None,
-            };
-            return Ok(LogicalPlan::Project {
-                input: Box::new(scan),
-                columns: vec![
-                    ("d".into(), "_id".into(), "id".into()),
-                    ("d".into(), "_score".into(), "score".into()),
-                ],
-            });
-        }
-        let parsed = parse_sql(req.statement()).map_err(|e| ApplianceError::Sql(e.to_string()))?;
-        let (mut plan, replaced) = Self::inject_index_scan(parsed, m);
-        if !replaced {
-            return Err(ApplianceError::Sql(
-                "match clause needs a base table scan to attach to".into(),
-            )
-            .into());
-        }
-        if let Some(f) = req.fusion_spec() {
-            plan = Self::inject_fusion(plan, k.unwrap_or(10), f);
-        }
-        Ok(plan)
-    }
-
-    /// Replace the leftmost base `Scan` with a scored `IndexScan` over
-    /// the same collection and alias; the scan's predicate (if any)
-    /// becomes a filter above it. Returns whether a scan was found.
-    fn inject_index_scan(plan: LogicalPlan, m: &MatchClause) -> (LogicalPlan, bool) {
-        match plan {
-            LogicalPlan::Scan {
-                collection,
-                predicate,
-                alias,
-                ..
-            } => {
-                let scan = LogicalPlan::IndexScan {
-                    query: m.query.clone(),
-                    path: m.path.clone(),
-                    k: None, // unbounded: structured predicates still apply
-                    alias: alias.clone(),
-                    any_term: m.any_term,
-                    phrase: m.phrase,
-                    collection,
-                };
-                let plan = match predicate {
-                    Some(predicate) => LogicalPlan::Filter {
-                        input: Box::new(scan),
-                        alias,
-                        predicate,
-                    },
-                    None => scan,
-                };
-                (plan, true)
-            }
-            LogicalPlan::Filter {
-                input,
-                alias,
-                predicate,
-            } => {
-                let (input, replaced) = Self::inject_index_scan(*input, m);
-                (
-                    LogicalPlan::Filter {
-                        input: Box::new(input),
-                        alias,
-                        predicate,
-                    },
-                    replaced,
-                )
-            }
-            LogicalPlan::Project { input, columns } => {
-                let (input, replaced) = Self::inject_index_scan(*input, m);
-                (
-                    LogicalPlan::Project {
-                        input: Box::new(input),
-                        columns,
-                    },
-                    replaced,
-                )
-            }
-            LogicalPlan::Sort { input, keys } => {
-                let (input, replaced) = Self::inject_index_scan(*input, m);
-                (
-                    LogicalPlan::Sort {
-                        input: Box::new(input),
-                        keys,
-                    },
-                    replaced,
-                )
-            }
-            LogicalPlan::Limit { input, n } => {
-                let (input, replaced) = Self::inject_index_scan(*input, m);
-                (
-                    LogicalPlan::Limit {
-                        input: Box::new(input),
-                        n,
-                    },
-                    replaced,
-                )
-            }
-            LogicalPlan::GroupAgg {
-                input,
-                group_by,
-                aggs,
-            } => {
-                let (input, replaced) = Self::inject_index_scan(*input, m);
-                (
-                    LogicalPlan::GroupAgg {
-                        input: Box::new(input),
-                        group_by,
-                        aggs,
-                    },
-                    replaced,
-                )
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-                algo,
-            } => {
-                // the leftmost scan drives the text ranking; the right
-                // side stays a plain (index-probed) scan
-                let (left, replaced) = Self::inject_index_scan(*left, m);
-                (
-                    LogicalPlan::Join {
-                        left: Box::new(left),
-                        right,
-                        left_key,
-                        right_key,
-                        algo,
-                    },
-                    replaced,
-                )
-            }
-            other => (other, false),
-        }
-    }
-
-    /// Insert a `Fusion` node at the tuple layer: below projections and
-    /// limits, swallowing an `ORDER BY` as the structured ranking (rows
-    /// keep flowing in fused order), or over the bare tuple stream with
-    /// recency as the structured signal when the query has no sort.
-    fn inject_fusion(plan: LogicalPlan, k: usize, f: FusionSpec) -> LogicalPlan {
-        match plan {
-            LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-                input: Box::new(Self::inject_fusion(*input, k, f)),
-                n,
-            },
-            LogicalPlan::Project { input, columns } => LogicalPlan::Project {
-                input: Box::new(Self::inject_fusion(*input, k, f)),
-                columns,
-            },
-            LogicalPlan::Sort { input, keys } => LogicalPlan::Fusion {
-                input,
-                k,
-                text_weight: f.text_weight,
-                struct_weight: f.struct_weight,
-                rrf_k: f.rrf_k,
-                keys,
-            },
-            other => LogicalPlan::Fusion {
-                input: Box::new(other),
-                k,
-                text_weight: f.text_weight,
-                struct_weight: f.struct_weight,
-                rrf_k: f.rrf_k,
-                keys: Vec::new(),
-            },
-        }
     }
 
     /// SQL over anything ingested (including annotation collections).
@@ -1393,6 +1194,7 @@ mod tests {
 #[cfg(test)]
 mod hybrid_search_tests {
     use super::*;
+    use crate::query_api::FusionSpec;
 
     fn seeded() -> Impliance {
         let imp = Impliance::boot(ApplianceConfig::default());

@@ -17,14 +17,15 @@ use impliance_cluster::{
 };
 use impliance_docmodel::{DocId, Document};
 use impliance_index::InvertedIndex;
-use impliance_query::dist::{self, DataNodeState, FailoverPolicy, ResilientScan};
-use impliance_query::{ExecutionContext, Tuple};
-use impliance_storage::{codec, AggValue, ScanRequest, ScanResult, StorageEngine, StorageOptions};
+use impliance_query::dist::{self, DataNodeState, DistOutput};
+use impliance_query::{ExecutionContext, FailoverPolicy, LogicalPlan, QueryOutput};
+use impliance_storage::{codec, ScanRequest, StorageEngine, StorageOptions};
 use impliance_virt::{DataClass, ReplicationReport, StorageManager, StoragePolicy};
 use parking_lot::Mutex;
 
 use crate::config::ApplianceConfig;
-use crate::error::Error;
+use crate::error::{Error, ErrorKind};
+use crate::query_api::QueryRequest;
 
 /// Shards in each data node's full-text index.
 const TEXT_INDEX_SHARDS: usize = 8;
@@ -85,11 +86,11 @@ impl ClusterImpliance {
                     };
                     // the replica store mirrors the primary's layout so a
                     // promoted replica behaves identically
-                    let state = Arc::new(DataNodeState::from_parts(
-                        Arc::new(StorageEngine::new(opts.clone())),
-                        Arc::new(StorageEngine::new(opts)),
-                        Arc::new(InvertedIndex::new(TEXT_INDEX_SHARDS)),
-                    ));
+                    let state = Arc::new(DataNodeState {
+                        storage: Arc::new(StorageEngine::new(opts.clone())),
+                        replica: Arc::new(StorageEngine::new(opts)),
+                        text_index: Arc::new(InvertedIndex::new(TEXT_INDEX_SHARDS)),
+                    });
                     engines.lock().insert(spec.id, Arc::clone(&state));
                     state
                 }
@@ -147,8 +148,7 @@ impl ClusterImpliance {
     /// Ingest a JSON document: the primary copy goes to the ring-assigned
     /// owner, replicas to the next nodes on the ring.
     pub fn ingest_json(&self, collection: &str, text: &str) -> Result<DocId, Error> {
-        let doc = crate::ingest::json_document(self.alloc_id(), collection, text, self.now())
-            .map_err(|_| ClusterError::TaskLost)?;
+        let doc = crate::ingest::json_document(self.alloc_id(), collection, text, self.now())?;
         self.ingest_document(doc)
     }
 
@@ -178,24 +178,21 @@ impl ClusterImpliance {
             let doc = doc.clone();
             let primary = i == 0;
             let handle = self.runtime.submit_to(*node, encoded_len, move |ctx| {
-                let Some(state) = ctx.state.downcast_ref::<DataNodeState>() else {
-                    return false; // misconfigured node can't store anything
-                };
+                // a misconfigured node can't store anything
+                let state = ctx.state.downcast_ref::<DataNodeState>()?;
                 let engine = if primary {
                     &state.storage
                 } else {
                     &state.replica
                 };
-                let stored = engine.put(&doc).is_ok();
-                if stored && primary {
+                let stored = engine.put(&doc);
+                if stored.is_ok() && primary {
                     // the primary owner also maintains its text shard
                     state.text_index.index_document(&doc);
                 }
-                stored
+                Some(stored)
             })?;
-            if !handle.join()? {
-                return Err(ClusterError::TaskLost.into());
-            }
+            handle.join()?.ok_or(ClusterError::TaskLost)??;
         }
         Ok(doc.id())
     }
@@ -208,11 +205,6 @@ impl ClusterImpliance {
             .filter(|(id, _)| self.runtime.all_nodes().contains(id))
             .map(|(_, s)| s.storage.live_docs())
             .sum()
-    }
-
-    /// Push-down scan over all primary stores.
-    pub fn scan(&self, request: &ScanRequest) -> Result<ScanResult, Error> {
-        Ok(dist::dist_scan(&self.runtime, request)?)
     }
 
     /// The failover policy matching this instance's replica placement:
@@ -234,72 +226,61 @@ impl ClusterImpliance {
         FailoverPolicy::new(candidates, owns)
     }
 
-    /// Fault-tolerant scan: retries transient losses per the default
-    /// [`dist::RetryPolicy`], recovers a dead node's documents from surviving
-    /// replica stores, and (optionally) degrades instead of failing when
-    /// a `deadline` expires. The returned [`ResilientScan`] carries a
-    /// coverage report saying exactly which partitions the answer covers.
-    pub fn scan_resilient(
-        &self,
-        request: &ScanRequest,
-        deadline: Option<std::time::Duration>,
-        degraded_ok: bool,
-    ) -> Result<ResilientScan, Error> {
+    /// The unified query entry point, cluster edition: the request becomes
+    /// the same logical plan `Impliance::query` would build (SQL, match
+    /// clause, top-k), and [`dist::execute`] runs it — each data node
+    /// compiles and drains its morsels of the plan, a grid node merges.
+    /// The simple planner is not consulted: both of its rules pick an
+    /// index access path (value index, indexed nested-loop join) that data
+    /// nodes do not hold. Transient losses retry per the default
+    /// [`impliance_query::RetryPolicy`] and a dead node is recomputed from surviving
+    /// replica stores; the returned [`DistOutput`] carries a coverage
+    /// report saying exactly which partitions the answer covers. A
+    /// request with a deadline degrades to an honest partial when it
+    /// expires; one without fails typed if anything is left uncovered.
+    /// `at_epoch` is rejected (every node pins its own epoch), tenant,
+    /// priority-based admission and the plan cache are not in this path.
+    pub fn query(&self, req: QueryRequest) -> Result<DistOutput, Error> {
+        if req.snapshot().is_some() {
+            return Err(Error::new(
+                ErrorKind::InvalidInput,
+                "at_epoch names one engine's epoch; a cluster query pins each node separately",
+            ));
+        }
         let opts = ExecutionContext {
-            batch_size: self.config.batch_size,
-            failover: Some(self.failover_policy()),
-            deadline,
-            degraded_ok,
-            worker_threads: self.config.worker_threads,
+            batch_size: req.batch_size().unwrap_or(self.config.batch_size),
+            limit: req.limit().or(req.top_k()),
+            deadline: req.deadline_ms().map(std::time::Duration::from_millis),
+            degraded_ok: req.deadline_ms().is_some(),
+            worker_threads: req.parallelism().unwrap_or(self.config.worker_threads),
+            priority: req.priority(),
             ..ExecutionContext::default()
         };
-        Ok(dist::dist_scan_resilient(&self.runtime, request, &opts)?)
+        self.run_plan(&req.build_plan()?, opts)
     }
 
-    /// Scatter-gather keyword search over every data node's index shard.
-    pub fn search(&self, query: &str, k: usize) -> Result<Vec<impliance_index::SearchHit>, Error> {
-        Ok(dist::dist_search(&self.runtime, query, k)?)
+    fn run_plan(&self, plan: &LogicalPlan, opts: ExecutionContext) -> Result<DistOutput, Error> {
+        let opts = ExecutionContext {
+            failover: Some(self.failover_policy()),
+            ..opts
+        };
+        Ok(dist::execute(&self.runtime, plan, &opts)?)
     }
 
-    /// Distributed grouped aggregation (data-node partials merged on a
-    /// grid node).
-    pub fn aggregate(
-        &self,
-        request: &ScanRequest,
-    ) -> Result<std::collections::BTreeMap<String, AggValue>, Error> {
-        Ok(dist::dist_aggregate(&self.runtime, request)?)
-    }
-
-    /// Distributed equi-join (reduced sides shipped to a grid node).
-    #[allow(clippy::too_many_arguments)]
-    pub fn join(
-        &self,
-        left: &ScanRequest,
-        right: &ScanRequest,
-        left_alias: &str,
-        right_alias: &str,
-        left_key: (String, String),
-        right_key: (String, String),
-    ) -> Result<Vec<Tuple>, Error> {
-        Ok(dist::dist_join(
-            &self.runtime,
-            left,
-            right,
-            left_alias,
-            right_alias,
-            left_key,
-            right_key,
-        )?)
+    /// SQL over the cluster. Convenience wrapper over
+    /// [`ClusterImpliance::query`].
+    pub fn sql(&self, statement: &str) -> Result<QueryOutput, Error> {
+        Ok(self.query(QueryRequest::builder(statement).build())?.output)
     }
 
     /// Figure 3's full pipeline: data-node scan+partial aggregation →
     /// grid-node global merge → cluster-node consistent commit of the
-    /// derived result. Returns the committed group count.
-    pub fn pipeline_query(&self, request: &ScanRequest) -> Result<usize, Error> {
-        let groups = self.aggregate(request)?;
-        let payload = format!("derived-aggregate:{} groups", groups.len());
+    /// derived result. Returns the committed row count.
+    pub fn pipeline_query(&self, req: QueryRequest) -> Result<usize, Error> {
+        let rows = self.query(req)?.output.len();
+        let payload = format!("derived-aggregate:{rows} groups");
         match self.group.commit(&payload) {
-            impliance_cluster::CommitOutcome::Committed { .. } => Ok(groups.len()),
+            impliance_cluster::CommitOutcome::Committed { .. } => Ok(rows),
             _ => Err(ClusterError::TaskLost.into()),
         }
     }
@@ -394,8 +375,7 @@ impl ClusterImpliance {
             }
             out
         };
-        let plan = impliance_virt::plan_rolling_upgrade(&inventory, policy, to_version)
-            .map_err(|_| ClusterError::TaskLost)?;
+        let plan = impliance_virt::plan_rolling_upgrade(&inventory, policy, to_version)?;
         let mut batch_sizes = Vec::with_capacity(plan.batches.len());
         for batch in &plan.batches {
             for &node in &batch.nodes {
@@ -422,11 +402,17 @@ impl ClusterImpliance {
                 self.versions.lock().insert(node, to_version.to_string());
             }
             // the instance must stay queryable between batches
-            let _ = self.scan(&ScanRequest {
-                projection: impliance_storage::Projection::IdsOnly,
+            let any_document = LogicalPlan::Scan {
+                collection: None,
+                predicate: None,
+                alias: "d".into(),
+                use_value_index: false,
+            };
+            let one = ExecutionContext {
                 limit: Some(1),
-                ..ScanRequest::full()
-            })?;
+                ..ExecutionContext::default()
+            };
+            self.run_plan(&any_document, one)?;
             batch_sizes.push(batch.nodes.len());
         }
         Ok(batch_sizes)
@@ -463,7 +449,6 @@ impl ClusterImpliance {
 mod tests {
     use super::*;
     use impliance_docmodel::Value;
-    use impliance_storage::{AggFunc, AggSpec, Predicate, Projection};
 
     fn config(data: usize, grid: usize) -> ApplianceConfig {
         ApplianceConfig {
@@ -486,13 +471,23 @@ mod tests {
         }
     }
 
+    fn all_orders(app: &ClusterImpliance) -> DistOutput {
+        app.query(QueryRequest::builder("SELECT * FROM orders").build())
+            .unwrap()
+    }
+
+    fn sorted_ids(out: &DistOutput) -> Vec<u64> {
+        let mut ids: Vec<u64> = out.output.docs().iter().map(|d| d.id().0).collect();
+        ids.sort_unstable();
+        ids
+    }
+
     #[test]
     fn ingest_scan_sees_each_doc_once_despite_replication() {
         let app = ClusterImpliance::boot(config(4, 2));
         load(&app, 100);
-        let res = app.scan(&ScanRequest::full()).unwrap();
         assert_eq!(
-            res.documents.len(),
+            all_orders(&app).output.len(),
             100,
             "replicas must not duplicate scan results"
         );
@@ -500,23 +495,26 @@ mod tests {
     }
 
     #[test]
+    fn malformed_json_is_a_parse_error_not_a_lost_task() {
+        let app = ClusterImpliance::boot(config(2, 1));
+        let err = app.ingest_json("c", "{broken").unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Parse, "{err}");
+        let err = app.sql("SELEKT nothing").unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Parse, "{err}");
+    }
+
+    #[test]
     fn aggregate_and_pipeline() {
         let app = ClusterImpliance::boot(config(3, 2));
         load(&app, 100);
-        let req = ScanRequest {
-            predicate: None,
-            projection: Projection::All,
-            aggregate: Some(AggSpec {
-                group_by: Some("cust".into()),
-                func: AggFunc::Count,
-                operand: None,
-            }),
-            limit: None,
-            snapshot: None,
-        };
-        let groups = app.aggregate(&req).unwrap();
-        assert_eq!(groups.len(), 10);
-        let committed = app.pipeline_query(&req).unwrap();
+        let statement =
+            "SELECT cust, COUNT(*) AS n, SUM(amount) AS total FROM orders GROUP BY cust";
+        let out = app.sql(statement).unwrap();
+        assert_eq!(out.rows().len(), 10);
+        assert!(out.rows().iter().all(|r| r.get("n") == &Value::Int(10)));
+        let committed = app
+            .pipeline_query(QueryRequest::builder(statement).build())
+            .unwrap();
         assert_eq!(committed, 10);
         assert_eq!(
             app.group().log().len(),
@@ -526,7 +524,7 @@ mod tests {
     }
 
     #[test]
-    fn join_across_cluster() {
+    fn join_order_by_and_limit_across_cluster() {
         let app = ClusterImpliance::boot(config(2, 2));
         load(&app, 20);
         for i in 0..10u64 {
@@ -536,17 +534,37 @@ mod tests {
             )
             .unwrap();
         }
-        let tuples = app
-            .join(
-                &ScanRequest::filtered(Predicate::CollectionIs("orders".into())),
-                &ScanRequest::filtered(Predicate::CollectionIs("customers".into())),
-                "o",
-                "c",
-                ("o".to_string(), "cust".to_string()),
-                ("c".to_string(), "code".to_string()),
-            )
+        let joined = app
+            .sql("SELECT o.amount, c.name FROM orders o JOIN customers c ON o.cust = c.code")
             .unwrap();
-        assert_eq!(tuples.len(), 20);
+        assert_eq!(joined.rows().len(), 20);
+        let top = app
+            .sql("SELECT amount FROM orders ORDER BY amount DESC LIMIT 3")
+            .unwrap();
+        let amounts: Vec<&Value> = top.rows().iter().map(|r| r.get("amount")).collect();
+        assert_eq!(amounts, [&Value::Int(19), &Value::Int(18), &Value::Int(17)]);
+    }
+
+    #[test]
+    fn requests_the_cluster_cannot_honour_are_typed_invalid_input() {
+        let app = ClusterImpliance::boot(config(2, 1));
+        load(&app, 10);
+        let pinned = QueryRequest::builder("SELECT * FROM orders")
+            .at_epoch(1)
+            .build();
+        assert_eq!(
+            app.query(pinned).unwrap_err().kind(),
+            ErrorKind::InvalidInput
+        );
+        // fusion is a blocking re-ranker with no distributed form
+        let fused = QueryRequest::builder("SELECT * FROM orders")
+            .match_text("*", "c")
+            .fusion(crate::query_api::FusionSpec::default())
+            .build();
+        assert_eq!(
+            app.query(fused).unwrap_err().kind(),
+            ErrorKind::InvalidInput
+        );
     }
 
     #[test]
@@ -561,54 +579,50 @@ mod tests {
             "replication 2 must survive one failure"
         );
         // every document still visible to scans
-        let res = app.scan(&ScanRequest::full()).unwrap();
-        assert_eq!(res.documents.len(), 200, "no documents lost after recovery");
+        assert_eq!(
+            all_orders(&app).output.len(),
+            200,
+            "no documents lost after recovery"
+        );
     }
 
     #[test]
-    fn resilient_scan_survives_scheduled_node_kill() {
+    fn query_survives_scheduled_node_kill() {
         use impliance_cluster::FaultSchedule;
         let app = ClusterImpliance::boot(config(4, 1));
         load(&app, 150);
-        let baseline = {
-            let mut ids: Vec<u64> = app
-                .scan(&ScanRequest::full())
-                .unwrap()
-                .documents
-                .iter()
-                .map(|d| d.id().0)
-                .collect();
-            ids.sort_unstable();
-            ids
-        };
+        let baseline = sorted_ids(&all_orders(&app));
         let victim = app.runtime().nodes_of_kind(NodeKind::Data)[2];
         let sched = Arc::new(FaultSchedule::new(0xBEEF));
         sched.kill_after(victim, 10);
         app.runtime().network().install_faults(sched);
-        let scan = app
-            .scan_resilient(&ScanRequest::full(), None, false)
-            .unwrap();
+        let out = all_orders(&app);
         app.runtime().network().clear_faults();
-        let mut ids: Vec<u64> = scan.result.documents.iter().map(|d| d.id().0).collect();
-        ids.extend(scan.result.ids.iter().map(|i| i.0));
-        ids.sort_unstable();
-        assert_eq!(ids, baseline, "replica failover preserves the row set");
-        assert!(!scan.degraded);
-        assert!(scan.failovers > 0, "the dead node's replicas were read");
-        assert!(scan.coverage.is_complete());
+        assert_eq!(
+            sorted_ids(&out),
+            baseline,
+            "replica failover preserves the row set"
+        );
+        assert!(!out.degraded);
+        assert!(out.failovers > 0, "the dead node's replicas were read");
+        assert!(out.coverage.is_complete());
     }
 
     #[test]
-    fn resilient_scan_zero_deadline_degrades() {
+    fn zero_deadline_query_degrades() {
         let app = ClusterImpliance::boot(config(2, 1));
         load(&app, 20);
-        let scan = app
-            .scan_resilient(&ScanRequest::full(), Some(std::time::Duration::ZERO), true)
+        let out = app
+            .query(
+                QueryRequest::builder("SELECT * FROM orders")
+                    .deadline_ms(0)
+                    .build(),
+            )
             .unwrap();
-        assert!(scan.degraded);
+        assert!(out.degraded);
         assert_eq!(
-            scan.coverage.partitions_total,
-            scan.coverage.partitions_skipped()
+            out.coverage.partitions_total,
+            out.coverage.partitions_skipped()
         );
     }
 
@@ -630,6 +644,20 @@ mod tests {
             .nodes_of_kind(NodeKind::Data)
             .contains(&victim));
         assert!(app.engines.lock().contains_key(&victim));
+        // A query meets the same unreadable store inside a morsel. With
+        // replicas to recompute from it still answers in full; without a
+        // failover policy the storage failure surfaces with its own kind.
+        assert_eq!(all_orders(&app).output.len(), 200);
+        let any = LogicalPlan::Scan {
+            collection: None,
+            predicate: None,
+            alias: "d".into(),
+            use_value_index: false,
+        };
+        let err = dist::execute(app.runtime(), &any, &ExecutionContext::default())
+            .map_err(Error::from)
+            .unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
     }
 
     #[test]
@@ -664,26 +692,14 @@ mod tests {
     fn sum_aggregate_correct_under_replication() {
         let app = ClusterImpliance::boot(config(3, 1));
         load(&app, 100);
-        let req = ScanRequest {
-            predicate: None,
-            projection: Projection::All,
-            aggregate: Some(AggSpec {
-                group_by: None,
-                func: AggFunc::Sum,
-                operand: Some("amount".into()),
-            }),
-            limit: None,
-            snapshot: None,
-        };
-        let groups = app.aggregate(&req).unwrap();
-        assert_eq!(groups[""].finish(AggFunc::Sum), Value::Float(4950.0));
+        let out = app.sql("SELECT SUM(amount) AS total FROM orders").unwrap();
+        assert_eq!(out.rows()[0].get("total"), &Value::Float(4950.0));
     }
 }
 
 #[cfg(test)]
 mod upgrade_tests {
     use super::*;
-    use impliance_storage::ScanRequest;
 
     #[test]
     fn rolling_upgrade_preserves_data_and_availability() {
@@ -709,8 +725,7 @@ mod upgrade_tests {
             }
         }
         // all data survived the restarts
-        let res = app.scan(&ScanRequest::full()).unwrap();
-        assert_eq!(res.documents.len(), 100);
+        assert_eq!(app.sql("SELECT * FROM orders").unwrap().len(), 100);
         // node counts unchanged
         assert_eq!(app.runtime().nodes_of_kind(NodeKind::Data).len(), 4);
         assert_eq!(app.runtime().nodes_of_kind(NodeKind::Cluster).len(), 3);
@@ -726,9 +741,14 @@ mod upgrade_tests {
             ..ApplianceConfig::default()
         });
         // default policy wants 2 cluster nodes up — impossible with 1
-        assert!(app
+        let err = app
             .rolling_upgrade("2.0", &impliance_virt::UpgradePolicy::default())
-            .is_err());
+            .unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Unavailable, "{err}");
+        assert!(
+            err.message().contains("cluster"),
+            "the upgrade planner's own message survives: {err}"
+        );
     }
 }
 
@@ -756,9 +776,32 @@ mod cluster_search_tests {
             )
             .unwrap();
         }
-        let hits = app.search("fraud", 100).unwrap();
-        assert_eq!(hits.len(), 10, "replicas must not duplicate search hits");
-        let top = app.search("fraud", 3).unwrap();
-        assert_eq!(top.len(), 3);
+        let search = |k: usize| {
+            let req = QueryRequest::builder("").match_text("*", "fraud").top_k(k);
+            app.query(req.build()).unwrap()
+        };
+        assert_eq!(
+            search(100).output.len(),
+            10,
+            "replicas must not duplicate search hits"
+        );
+        assert_eq!(search(3).output.len(), 3);
+        // hybrid: the text match intersects a structured predicate
+        let hybrid = QueryRequest::builder("SELECT amount FROM claims WHERE amount >= 20")
+            .match_text("notes", "fraud")
+            .build();
+        let rows = app.query(hybrid).unwrap();
+        let mut amounts: Vec<String> = rows.output.rows().iter().map(|r| r.render()).collect();
+        amounts.sort();
+        assert_eq!(
+            amounts,
+            [
+                "amount=20",
+                "amount=24",
+                "amount=28",
+                "amount=32",
+                "amount=36"
+            ]
+        );
     }
 }

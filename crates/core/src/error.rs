@@ -15,7 +15,7 @@ use std::fmt;
 use impliance_baselines::{ContentError, RdbmsError};
 use impliance_cluster::ClusterError;
 use impliance_docmodel::DocError;
-use impliance_query::ExecError;
+use impliance_query::{DistError, ExecError};
 use impliance_storage::StorageError;
 use impliance_virt::UpgradeError;
 
@@ -158,6 +158,15 @@ impl From<ExecError> for Error {
 impl From<ClusterError> for Error {
     fn from(e: ClusterError) -> Error {
         Error::new(ErrorKind::Unavailable, e.to_string())
+    }
+}
+
+impl From<DistError> for Error {
+    fn from(e: DistError) -> Error {
+        match e {
+            DistError::Cluster(inner) => Error::from(inner),
+            DistError::Exec(inner) => Error::from(inner),
+        }
     }
 }
 

@@ -38,6 +38,7 @@ pub use audit::{AccessPolicy, AuditLog, GuardedAppliance, Principal};
 pub use cluster_app::ClusterImpliance;
 pub use config::ApplianceConfig;
 pub use error::{Error, ErrorKind};
+pub use impliance_query::DistOutput;
 pub use query_api::{
     AdmissionOutcome, ExecStats, FusionSpec, MatchClause, QueryRequest, QueryRequestBuilder,
     QueryResponse,

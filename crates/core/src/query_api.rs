@@ -9,8 +9,11 @@
 //! to correlate any answer with the metrics snapshot.
 
 use impliance_obs::SpanId;
-use impliance_query::{ExecMetrics, LogicalPlan, Priority, QueryOutput};
+use impliance_query::{parse_sql, ExecMetrics, LogicalPlan, Priority, QueryOutput};
 use impliance_virt::TenantId;
+
+use crate::appliance::ApplianceError;
+use crate::error::Error;
 
 /// A text-match clause attached to a request: the keyword half of a
 /// hybrid query. Compiled into an `IndexScan` operator that produces
@@ -176,6 +179,205 @@ impl QueryRequest {
     /// [`QueryRequestBuilder::priority`]).
     pub fn priority(&self) -> Priority {
         self.priority
+    }
+
+    /// Build the unoptimized logical plan for this request: parse the SQL,
+    /// then graft the match clause and fusion spec onto it.
+    ///
+    /// * No match clause: the statement parses as-is.
+    /// * Match clause + empty statement: a pure keyword search — a
+    ///   bounded scored `IndexScan` projected to `(id, score)` rows.
+    /// * Match clause + statement: the statement's base scan is replaced
+    ///   by an unbounded scored `IndexScan` over the same collection
+    ///   (its predicate re-applied as a filter above), so structured
+    ///   conditions intersect text relevance and rows carry `_score`.
+    /// * A fusion spec re-ranks by RRF of the text ranking with the
+    ///   statement's `ORDER BY` (or recency when it has none).
+    pub(crate) fn build_plan(&self) -> Result<LogicalPlan, Error> {
+        let Some(m) = self.match_clause() else {
+            let parsed =
+                parse_sql(self.statement()).map_err(|e| ApplianceError::Sql(e.to_string()))?;
+            return Ok(parsed);
+        };
+        let k = self.top_k().or(self.limit());
+        if self.statement().trim().is_empty() {
+            let scan = LogicalPlan::IndexScan {
+                query: m.query.clone(),
+                path: m.path.clone(),
+                k: Some(k.unwrap_or(10)),
+                alias: "d".into(),
+                any_term: m.any_term,
+                phrase: m.phrase,
+                collection: None,
+            };
+            return Ok(LogicalPlan::Project {
+                input: Box::new(scan),
+                columns: vec![
+                    ("d".into(), "_id".into(), "id".into()),
+                    ("d".into(), "_score".into(), "score".into()),
+                ],
+            });
+        }
+        let parsed = parse_sql(self.statement()).map_err(|e| ApplianceError::Sql(e.to_string()))?;
+        let (mut plan, replaced) = inject_index_scan(parsed, m);
+        if !replaced {
+            return Err(ApplianceError::Sql(
+                "match clause needs a base table scan to attach to".into(),
+            )
+            .into());
+        }
+        if let Some(f) = self.fusion_spec() {
+            plan = inject_fusion(plan, k.unwrap_or(10), f);
+        }
+        Ok(plan)
+    }
+}
+
+/// Replace the leftmost base `Scan` with a scored `IndexScan` over
+/// the same collection and alias; the scan's predicate (if any)
+/// becomes a filter above it. Returns whether a scan was found.
+fn inject_index_scan(plan: LogicalPlan, m: &MatchClause) -> (LogicalPlan, bool) {
+    match plan {
+        LogicalPlan::Scan {
+            collection,
+            predicate,
+            alias,
+            ..
+        } => {
+            let scan = LogicalPlan::IndexScan {
+                query: m.query.clone(),
+                path: m.path.clone(),
+                k: None, // unbounded: structured predicates still apply
+                alias: alias.clone(),
+                any_term: m.any_term,
+                phrase: m.phrase,
+                collection,
+            };
+            let plan = match predicate {
+                Some(predicate) => LogicalPlan::Filter {
+                    input: Box::new(scan),
+                    alias,
+                    predicate,
+                },
+                None => scan,
+            };
+            (plan, true)
+        }
+        LogicalPlan::Filter {
+            input,
+            alias,
+            predicate,
+        } => {
+            let (input, replaced) = inject_index_scan(*input, m);
+            (
+                LogicalPlan::Filter {
+                    input: Box::new(input),
+                    alias,
+                    predicate,
+                },
+                replaced,
+            )
+        }
+        LogicalPlan::Project { input, columns } => {
+            let (input, replaced) = inject_index_scan(*input, m);
+            (
+                LogicalPlan::Project {
+                    input: Box::new(input),
+                    columns,
+                },
+                replaced,
+            )
+        }
+        LogicalPlan::Sort { input, keys } => {
+            let (input, replaced) = inject_index_scan(*input, m);
+            (
+                LogicalPlan::Sort {
+                    input: Box::new(input),
+                    keys,
+                },
+                replaced,
+            )
+        }
+        LogicalPlan::Limit { input, n } => {
+            let (input, replaced) = inject_index_scan(*input, m);
+            (
+                LogicalPlan::Limit {
+                    input: Box::new(input),
+                    n,
+                },
+                replaced,
+            )
+        }
+        LogicalPlan::GroupAgg {
+            input,
+            group_by,
+            aggs,
+        } => {
+            let (input, replaced) = inject_index_scan(*input, m);
+            (
+                LogicalPlan::GroupAgg {
+                    input: Box::new(input),
+                    group_by,
+                    aggs,
+                },
+                replaced,
+            )
+        }
+        LogicalPlan::Join {
+            left,
+            right,
+            left_key,
+            right_key,
+            algo,
+        } => {
+            // the leftmost scan drives the text ranking; the right
+            // side stays a plain (index-probed) scan
+            let (left, replaced) = inject_index_scan(*left, m);
+            (
+                LogicalPlan::Join {
+                    left: Box::new(left),
+                    right,
+                    left_key,
+                    right_key,
+                    algo,
+                },
+                replaced,
+            )
+        }
+        other => (other, false),
+    }
+}
+
+/// Insert a `Fusion` node at the tuple layer: below projections and
+/// limits, swallowing an `ORDER BY` as the structured ranking (rows
+/// keep flowing in fused order), or over the bare tuple stream with
+/// recency as the structured signal when the query has no sort.
+fn inject_fusion(plan: LogicalPlan, k: usize, f: FusionSpec) -> LogicalPlan {
+    match plan {
+        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
+            input: Box::new(inject_fusion(*input, k, f)),
+            n,
+        },
+        LogicalPlan::Project { input, columns } => LogicalPlan::Project {
+            input: Box::new(inject_fusion(*input, k, f)),
+            columns,
+        },
+        LogicalPlan::Sort { input, keys } => LogicalPlan::Fusion {
+            input,
+            k,
+            text_weight: f.text_weight,
+            struct_weight: f.struct_weight,
+            rrf_k: f.rrf_k,
+            keys,
+        },
+        other => LogicalPlan::Fusion {
+            input: Box::new(other),
+            k,
+            text_weight: f.text_weight,
+            struct_weight: f.struct_weight,
+            rrf_k: f.rrf_k,
+            keys: Vec::new(),
+        },
     }
 }
 

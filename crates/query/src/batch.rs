@@ -1377,14 +1377,25 @@ pub(crate) fn build_join_table(
         let Batch::Tuples(tuples) = batch else {
             return Err(ExecError::BadPlan("join right input must be tuples".into()));
         };
-        for t in tuples {
-            let k = t.key(&right_key.0, &right_key.1);
-            if !k.is_null() {
-                table.entry(k.render()).or_default().push(t);
-            }
-        }
+        index_build_tuples(&mut table, tuples, right_key);
     }
     Ok(table)
+}
+
+/// Add build-side tuples to a join table under their key (the body of
+/// [`build_join_table`]; the cluster coordinator feeds it a build side
+/// that was gathered from every data node).
+pub(crate) fn index_build_tuples(
+    table: &mut JoinTable,
+    tuples: Vec<Tuple>,
+    right_key: &(String, String),
+) {
+    for t in tuples {
+        let k = t.key(&right_key.0, &right_key.1);
+        if !k.is_null() {
+            table.entry(k.render()).or_default().push(t);
+        }
+    }
 }
 
 enum BuildSide<'a> {

@@ -7,23 +7,29 @@
 //! cluster nodes to drive a set of updates."
 //!
 //! Data is hash-partitioned across data nodes (each owns a
-//! [`StorageEngine`]); scans fan out to all data nodes with push-down, the
-//! reduced partials ship (charged to the network) to grid nodes for
-//! joining and global aggregation, and consistent persistence goes through
-//! a cluster-node consistency group.
+//! [`StorageEngine`] and a shard of the text index). Nothing here
+//! interprets a plan: [`execute`] cuts it with the single box's
+//! [`crate::parallel::split`], and a *morsel* is what it is there — the
+//! segment compiled by [`crate::exec::compile`] and drained on the owning
+//! node's thread, one per `(node, partition)` of a `Scan` base or per
+//! text shard of an `IndexScan` base, folded by [`Split::fold`]. Hash-join
+//! build sides are gathered first (as queries of their own), built once
+//! and broadcast; the parts ship (charged to the network) to a grid node
+//! for the global [`merge_parts`].
 //!
 //! §3.4 requires the appliance to "continue operating through component
-//! failures", so the scan path is *resilient*: every morsel retries
-//! transient message loss with seeded-jitter exponential backoff
-//! ([`RetryPolicy`]), morsels whose owner dies re-dispatch against
-//! surviving nodes' replica stores ([`FailoverPolicy`], deduplicated so
-//! results stay exactly-once), and a per-query deadline can convert
-//! stragglers into a degraded partial result with an honest
-//! [`CoverageReport`] instead of an error. All of it is observable
-//! through `dist.retries`, `dist.failovers`, `dist.deadline_exceeded`,
+//! failures", so morsels are *resilient*: each retries transient message
+//! loss with seeded-jitter backoff ([`RetryPolicy`]); a node that fails
+//! terminally is recomputed from surviving nodes' replica stores
+//! ([`crate::context::FailoverPolicy`]), exactly-once for any plan; and a
+//! deadline turns stragglers into a degraded partial result with an
+//! honest [`CoverageReport`] instead of an error. Observable through
+//! `dist.retries`, `dist.failovers`, `dist.deadline_exceeded`,
 //! `dist.degraded_queries`, and the `dist.backoff_us` histogram.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -32,15 +38,17 @@ use impliance_cluster::fault::splitmix64;
 use impliance_cluster::runtime::NodeCtx;
 use impliance_cluster::{ClusterError, ClusterRuntime, NodeId, NodeKind, TaskHandle};
 use impliance_docmodel::{DocId, Document};
-use impliance_index::{InvertedIndex, SearchHit, SearchQuery};
+use impliance_index::{InvertedIndex, JoinIndex, PathValueIndex};
 use impliance_obs::{Counter, Histogram};
-use impliance_storage::{codec, AggValue, ScanPos, ScanRequest, ScanResult, StorageEngine};
+use impliance_storage::{codec, StorageEngine, StorageError};
 
-use crate::batch::{collect_tuples, HashJoinOp, VecSource, DEFAULT_BATCH_SIZE};
+use crate::batch::{index_build_tuples, Batch, JoinTable};
 use crate::clock;
-use crate::context::ExecutionContext;
-use crate::parallel::scoped_map;
-use crate::tuple::Tuple;
+use crate::context::{ExecutionContext, RetryPolicy};
+use crate::exec::{ExecContext, ExecError, ExecMetrics, Morsel, QueryOutput, Scope};
+use crate::parallel::{merge_parts, run_segment, scoped_map, split, Merged, Part, Split};
+use crate::plan::{LogicalPlan, SortKey};
+use crate::tuple::{Row, Tuple, PSEUDO_ID, PSEUDO_SCORE};
 
 /// Retransmission attempts for one result page before the morsel gives
 /// up and reports the loss to the coordinator.
@@ -76,9 +84,8 @@ fn dist_obs() -> &'static DistObs {
 pub struct DataNodeState {
     /// The node-local primary storage engine (scanned by queries).
     pub storage: Arc<StorageEngine>,
-    /// Replica storage for other nodes' data (read during recovery and
-    /// scan failover; never scanned by healthy queries, so replication
-    /// does not duplicate query results).
+    /// Replica storage for other nodes' data: read by recovery and
+    /// failover only, so replication never duplicates query results.
     pub replica: Arc<StorageEngine>,
     /// Node-local full-text index over primary documents ("full-text
     /// index search on a set of data nodes", §3.3).
@@ -86,37 +93,12 @@ pub struct DataNodeState {
 }
 
 impl DataNodeState {
-    /// Create a data-node state with an empty replica store and a
-    /// default 8-shard text index. Prefer [`DataNodeState::with_shards`]
-    /// (configured shard count) or [`DataNodeState::from_parts`]
-    /// (pre-built replica/index state).
+    /// An empty replica store and an 8-shard text index beside `storage`.
     pub fn new(storage: Arc<StorageEngine>) -> DataNodeState {
-        DataNodeState::with_shards(storage, 8)
-    }
-
-    /// Create a data-node state with an empty replica store and a text
-    /// index of `text_shards` shards (from `ApplianceConfig` in the
-    /// appliance stack).
-    pub fn with_shards(storage: Arc<StorageEngine>, text_shards: usize) -> DataNodeState {
-        DataNodeState::from_parts(
-            storage,
-            Arc::new(StorageEngine::with_defaults()),
-            Arc::new(InvertedIndex::new(text_shards.max(1))),
-        )
-    }
-
-    /// Assemble a data-node state from pre-built parts, e.g. a replica
-    /// engine sharing the primary's `StorageOptions` or state carried
-    /// over from a previous incarnation of the node.
-    pub fn from_parts(
-        storage: Arc<StorageEngine>,
-        replica: Arc<StorageEngine>,
-        text_index: Arc<InvertedIndex>,
-    ) -> DataNodeState {
         DataNodeState {
             storage,
-            replica,
-            text_index,
+            replica: Arc::new(StorageEngine::with_defaults()),
+            text_index: Arc::new(InvertedIndex::new(8)),
         }
     }
 }
@@ -127,130 +109,10 @@ pub fn route_doc(id: DocId, n: usize) -> usize {
     (id.0.wrapping_mul(0x9E3779B97F4A7C15) >> 33) as usize % n.max(1)
 }
 
-/// Bounded, seeded-jitter exponential backoff for transient failures.
-///
-/// Attempt `k` (1-based; the first retry is attempt 1) sleeps a
-/// deterministic jittered duration in `[cap/2, cap]` where
-/// `cap = min(base · 2^(k-1), max)` — deterministic because the jitter
-/// derives from `(seed, salt, k)`, not from wall-clock entropy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per operation, including the first (≥ 1).
-    pub max_attempts: u32,
-    /// Backoff cap for the first retry, microseconds.
-    pub base_backoff_us: u64,
-    /// Upper bound on any single backoff, microseconds.
-    pub max_backoff_us: u64,
-    /// Seed for deterministic jitter.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff_us: 200,
-            max_backoff_us: 10_000,
-            seed: 0x1A7B_11A5,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries (single attempt).
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The jittered backoff before retry `attempt` (1-based), in
-    /// microseconds. `salt` differentiates concurrent callers (e.g. one
-    /// per morsel) so they do not thunder in lockstep.
-    pub fn backoff_us(&self, attempt: u32, salt: u64) -> u64 {
-        let shift = attempt.saturating_sub(1).min(16);
-        let cap = self
-            .base_backoff_us
-            .max(1)
-            .saturating_mul(1u64 << shift)
-            .min(self.max_backoff_us.max(1));
-        let jitter =
-            splitmix64(self.seed ^ salt.wrapping_mul(0xA24B_AED4_963E_E407) ^ attempt as u64);
-        cap / 2 + jitter % (cap / 2 + 1)
-    }
-}
-
-/// Where to look for a failed node's data, and how to recognise it.
-///
-/// `candidates` maps each data node to the ordered list of nodes whose
-/// `replica` stores may hold copies of its documents; `owns` answers
-/// "does this document belong to that (failed) node?" so failover keeps
-/// only the dead node's rows out of a survivor's replica store.
-#[derive(Clone)]
-pub struct FailoverPolicy {
-    candidates: HashMap<NodeId, Vec<NodeId>>,
-    owns: Arc<dyn Fn(DocId, NodeId) -> bool + Send + Sync>,
-}
-
-impl FailoverPolicy {
-    /// Build from explicit parts (the appliance derives these from its
-    /// `StorageManager` placement ring).
-    pub fn new(
-        candidates: HashMap<NodeId, Vec<NodeId>>,
-        owns: Arc<dyn Fn(DocId, NodeId) -> bool + Send + Sync>,
-    ) -> FailoverPolicy {
-        FailoverPolicy { candidates, owns }
-    }
-
-    /// The dist-layer default: data nodes form a successor ring in id
-    /// order, ownership follows [`route_doc`], and every other node is a
-    /// failover candidate (nearest successor first) — matching the
-    /// replica placement of [`dist_put_replicated`]. Build it from the
-    /// node list that was current at *ingestion* time.
-    pub fn ring(data_nodes: &[NodeId]) -> FailoverPolicy {
-        let mut nodes = data_nodes.to_vec();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let mut candidates = HashMap::new();
-        for (i, &x) in nodes.iter().enumerate() {
-            let mut cands = Vec::with_capacity(nodes.len().saturating_sub(1));
-            for k in 1..nodes.len() {
-                cands.push(nodes[(i + k) % nodes.len()]);
-            }
-            candidates.insert(x, cands);
-        }
-        let ring = nodes;
-        let owns = Arc::new(move |id: DocId, node: NodeId| {
-            !ring.is_empty() && ring[route_doc(id, ring.len())] == node
-        });
-        FailoverPolicy { candidates, owns }
-    }
-
-    /// Failover candidates for `node`, best first.
-    pub fn candidates_for(&self, node: NodeId) -> &[NodeId] {
-        self.candidates.get(&node).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Whether `node` owns document `id`.
-    pub fn owns(&self, id: DocId, node: NodeId) -> bool {
-        (self.owns)(id, node)
-    }
-}
-
-impl fmt::Debug for FailoverPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FailoverPolicy")
-            .field("candidates", &self.candidates)
-            .finish()
-    }
-}
-
-/// Which partitions a resilient scan actually covered. The contract for
-/// degraded results: `partitions_total` always equals
-/// `partitions_scanned + partitions_failed_over + skipped.len()`, and a
-/// result is complete iff `skipped` is empty — there is no silent short
-/// count.
+/// Which partitions an execution actually covered. The contract for
+/// degraded results: `partitions_total` always equals `partitions_scanned
+/// + partitions_failed_over + skipped.len()`, and a result is complete
+/// iff `skipped` is empty — there is no silent short count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageReport {
     /// Partitions the query was supposed to cover.
@@ -276,738 +138,676 @@ impl CoverageReport {
     }
 }
 
-/// The outcome of a resilient distributed scan.
-#[derive(Debug, Clone)]
-pub struct ResilientScan {
-    /// Merged (exactly-once) scan result.
-    pub result: ScanResult,
-    /// Morsel/batch/byte accounting for the primary scan path (failover
-    /// replica scans are accounted separately via `failovers`).
-    pub stats: DistScanStats,
-    /// What was covered, recovered, and skipped.
+/// Why a distributed execution failed: the cluster could not cover the
+/// plan, or a node's executor rejected it or failed reading its store.
+#[derive(Debug)]
+pub enum DistError {
+    /// Nodes down, messages lost beyond the retry budget, deadline spent.
+    Cluster(ClusterError),
+    /// A node-side execution error, carried back typed.
+    Exec(ExecError),
+}
+
+impl fmt::Display for DistError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DistError::Cluster(e) => write!(f, "{e}"),
+            DistError::Exec(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for DistError {}
+
+impl From<ClusterError> for DistError {
+    fn from(e: ClusterError) -> Self {
+        DistError::Cluster(e)
+    }
+}
+
+impl From<ExecError> for DistError {
+    fn from(e: ExecError) -> Self {
+        DistError::Exec(e)
+    }
+}
+
+fn no_distributed_form() -> DistError {
+    ExecError::BadPlan("plan has no split: data nodes hold no value or join index".into()).into()
+}
+
+/// The answer of one distributed execution.
+#[derive(Debug)]
+pub struct DistOutput {
+    /// Merged (exactly-once) rows or documents.
+    pub output: QueryOutput,
+    /// Executor accounting summed over every morsel that contributed.
+    pub metrics: ExecMetrics,
+    /// What was covered, recovered, and skipped — over every segment of
+    /// the plan (a hash join's build side covers the partitions again).
     pub coverage: CoverageReport,
-    /// True iff any partition was skipped (`result` is partial).
+    /// True iff any partition was skipped (`output` is partial).
     pub degraded: bool,
-    /// Retries spent on transient failures during this scan.
+    /// Retries spent on transient failures.
     pub retries: u64,
-    /// Replica re-dispatches performed during this scan.
+    /// Replica stores read to recompute failed nodes' contributions.
     pub failovers: u64,
 }
 
-/// Shape of one batched distributed scan: how many morsels ran, how many
-/// batches they shipped, and the longest single-morsel chain (the
-/// critical path under the simulated busy-time model — morsels on the
-/// same node run as independent tasks, so total batches well above the
-/// critical path means the scan exhibited intra-node parallelism).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DistScanStats {
-    /// Independent scan tasks: one per (data node × partition).
-    pub morsels: usize,
-    /// Batches shipped across all morsels.
-    pub batches: u64,
-    /// Result-payload bytes charged to the network (excludes envelopes).
-    pub bytes_shipped: u64,
-    /// Batches shipped by the busiest single morsel.
-    pub critical_path_batches: u64,
+/// The coordinator's address on the simulated network.
+const COORDINATOR: NodeId = NodeId(u32::MAX);
+
+fn data_state(ctx: &NodeCtx) -> Result<&DataNodeState, DistError> {
+    let state = ctx.state.downcast_ref();
+    state.ok_or(DistError::Cluster(ClusterError::TaskLost))
 }
 
-/// Error a morsel task reports back to the coordinator. Typed (rather
-/// than a string) so the coordinator can classify transient losses apart
-/// from dead nodes and broken state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum MorselTaskError {
-    /// The node's attached state is not a `DataNodeState`.
-    BadState,
-    /// The node noticed its own scheduled death mid-scan.
-    NodeDead,
-    /// A result page was dropped `PAGE_SEND_ATTEMPTS` times in a row.
-    PageLost,
-    /// The storage engine failed the scan.
-    Storage(String),
-}
-
-type MorselOut = Result<(ScanResult, u64), MorselTaskError>;
-
-fn submit_morsel(
-    rt: &ClusterRuntime,
-    request: &ScanRequest,
-    req_bytes: u64,
-    node: NodeId,
-    partition: usize,
-    batch_size: usize,
-    snapshot: Option<u64>,
-) -> Result<TaskHandle<MorselOut>, ClusterError> {
-    let mut req = request.clone();
-    // Pin the morsel to the epoch probed from this node, so every
-    // partition of the node (and every retry of this morsel) reads the
-    // same snapshot even while ingest keeps committing.
-    if snapshot.is_some() {
-        req.snapshot = snapshot;
-    }
-    rt.submit_to(node, req_bytes, move |ctx| {
-        morsel_body(ctx, &req, partition, batch_size)
-    })
-}
-
-fn morsel_body(ctx: &NodeCtx, req: &ScanRequest, partition: usize, batch_size: usize) -> MorselOut {
-    let Some(state) = ctx.state.downcast_ref::<DataNodeState>() else {
-        return Err(MorselTaskError::BadState);
-    };
-    let coordinator = NodeId(u32::MAX);
-    let mut merged = ScanResult::default();
-    let mut pos = ScanPos::default();
-    let mut batches = 0u64;
-    loop {
-        if ctx.network.node_is_dead(ctx.id) {
-            return Err(MorselTaskError::NodeDead);
-        }
-        let (page, next, done) = state
-            .storage
-            .scan_partition_page(partition, req, pos, batch_size)
-            .map_err(|e| MorselTaskError::Storage(e.to_string()))?;
-        // Charge this batch's payload from the node back to the
-        // coordinator; transient drops retransmit a bounded number of
-        // times before the morsel reports the loss.
-        let mut shipped = false;
-        for _ in 0..PAGE_SEND_ATTEMPTS {
-            if ctx
-                .network
-                .transmit(ctx.id, coordinator, page.metrics.bytes_returned)
-            {
-                shipped = true;
-                break;
-            }
-            if ctx.network.node_is_dead(ctx.id) {
-                return Err(MorselTaskError::NodeDead);
-            }
-        }
-        if !shipped {
-            return Err(MorselTaskError::PageLost);
-        }
-        batches += 1;
-        merged.merge(page);
-        pos = next;
-        if done {
-            break;
-        }
-    }
-    Ok((merged, batches))
-}
-
-/// Scan a node's *replica* store during failover: same predicate and
-/// projection as the primary request, but never aggregates or limits (the
-/// coordinator filters to the failed node's documents and re-applies the
-/// limit after dedup).
-fn replica_scan_body(ctx: &NodeCtx, req: &ScanRequest) -> Result<ScanResult, MorselTaskError> {
-    let Some(state) = ctx.state.downcast_ref::<DataNodeState>() else {
-        return Err(MorselTaskError::BadState);
-    };
-    if ctx.network.node_is_dead(ctx.id) {
-        return Err(MorselTaskError::NodeDead);
-    }
-    let res = state
-        .replica
-        .scan(req)
-        .map_err(|e| MorselTaskError::Storage(e.to_string()))?;
-    let coordinator = NodeId(u32::MAX);
-    let mut shipped = false;
-    for _ in 0..PAGE_SEND_ATTEMPTS {
-        if ctx
-            .network
-            .transmit(ctx.id, coordinator, res.metrics.bytes_returned)
-        {
-            shipped = true;
-            break;
-        }
-        if ctx.network.node_is_dead(ctx.id) {
-            return Err(MorselTaskError::NodeDead);
-        }
-    }
-    if !shipped {
-        return Err(MorselTaskError::PageLost);
-    }
-    Ok(res)
-}
-
-/// Run `make_job()` on `node` with the retry policy: transient losses
-/// (dropped request, lost reply) back off and retry; a dead node or an
-/// exhausted deadline aborts immediately.
-fn call_with_retry<T, J, F>(
-    rt: &ClusterRuntime,
-    node: NodeId,
-    payload: u64,
-    policy: &RetryPolicy,
+/// The retrying call path every coordinator → data-node request takes.
+struct Caller<'a> {
+    rt: &'a ClusterRuntime,
+    policy: RetryPolicy,
     deadline_at: Option<Instant>,
-    retries: &mut u64,
-    make_job: F,
-) -> Result<T, ClusterError>
-where
-    T: Send + 'static,
-    J: FnOnce(&NodeCtx) -> T + Send + 'static,
-    F: Fn() -> J,
-{
-    let mut last = ClusterError::TaskLost;
-    for attempt in 0..policy.max_attempts.max(1) {
-        if attempt > 0 {
-            let us = policy.backoff_us(attempt, node.0 as u64);
+}
+
+impl<'a> Caller<'a> {
+    /// The default retry policy, no deadline (ingest and point reads).
+    fn plain(rt: &'a ClusterRuntime) -> Caller<'a> {
+        Caller {
+            rt,
+            policy: RetryPolicy::default(),
+            deadline_at: None,
+        }
+    }
+
+    /// Run `make_job()` on `node` until it answers. Transient losses — a
+    /// dropped request, a lost reply, a job answering `MessageDropped`
+    /// (its result was dropped `PAGE_SEND_ATTEMPTS` times) — back off,
+    /// jitter salted by `salt`, and retry; a dead node, any other job
+    /// error (they travel typed) or an exhausted deadline
+    /// (`ClusterError::Timeout`) ends the call. `first` is an attempt
+    /// already in flight.
+    fn call<T, J>(
+        &self,
+        node: NodeId,
+        payload: u64,
+        salt: u64,
+        retries: &mut u64,
+        mut first: Option<Result<TaskHandle<Result<T, DistError>>, ClusterError>>,
+        make_job: impl Fn() -> J,
+    ) -> Result<T, DistError>
+    where
+        T: Send + 'static,
+        J: FnOnce(&NodeCtx) -> Result<T, DistError> + Send + 'static,
+    {
+        let node_down = || self.rt.network().node_is_dead(node);
+        let mut attempts = 0u32;
+        loop {
+            if self.deadline_at.is_some_and(|d| Instant::now() >= d) {
+                return Err(ClusterError::Timeout.into());
+            }
+            let attempt = match first.take() {
+                Some(in_flight) => in_flight,
+                None => self.rt.submit_to(node, payload, make_job()),
+            };
+            attempts += 1;
+            let transient = match attempt {
+                Ok(handle) => {
+                    let joined = match self.deadline_at {
+                        Some(d) => handle.join_timeout(d.saturating_duration_since(Instant::now())),
+                        None => handle.join(),
+                    };
+                    match joined {
+                        Ok(Ok(answer)) => return Ok(answer),
+                        Ok(Err(DistError::Cluster(e @ ClusterError::MessageDropped(_)))) => e,
+                        Ok(Err(e)) => return Err(e),
+                        Err(ClusterError::TaskLost) if node_down() => {
+                            return Err(ClusterError::NodeDown(node).into())
+                        }
+                        Err(e @ ClusterError::TaskLost) => e,
+                        Err(e) => return Err(e.into()),
+                    }
+                }
+                Err(e @ ClusterError::MessageDropped(_)) => e,
+                Err(e) => return Err(e.into()),
+            };
+            if attempts >= self.policy.max_attempts.max(1) {
+                return Err(transient.into());
+            }
+            let us = self.policy.backoff_us(attempts, salt);
             dist_obs().backoff_us.observe(us);
             dist_obs().retries.inc();
             *retries += 1;
             clock::sleep_us(us);
         }
-        if let Some(d) = deadline_at {
-            if Instant::now() >= d {
-                return Err(ClusterError::Timeout);
-            }
-        }
-        match rt.submit_to(node, payload, make_job()) {
-            Ok(handle) => {
-                let joined = match deadline_at {
-                    Some(d) => handle.join_timeout(d.saturating_duration_since(Instant::now())),
-                    None => handle.join(),
-                };
-                match joined {
-                    Ok(v) => return Ok(v),
-                    Err(ClusterError::Timeout) => return Err(ClusterError::Timeout),
-                    Err(ClusterError::TaskLost) if rt.network().node_is_dead(node) => {
-                        return Err(ClusterError::NodeDown(node));
-                    }
-                    Err(e) => last = e,
-                }
-            }
-            Err(e @ ClusterError::MessageDropped(_)) => last = e,
-            Err(e) => return Err(e),
-        }
     }
-    Err(last)
 }
 
-/// How one morsel's lifecycle ended at the coordinator.
-enum MorselOutcome {
-    Done(ScanResult, u64),
-    NodeFailed(ClusterError),
-    DeadlineHit,
+/// The slice of a node one job reads.
+#[derive(Clone, Copy)]
+enum Unit {
+    /// One partition of the primary store — or, for `None`, the node's
+    /// whole text shard (an `IndexScan` base) — at the node's probed epoch.
+    Primary(Option<usize>, u64),
+    /// The node's whole replica store (failover), unpinned: replica
+    /// engines count their own epochs, and — cluster engines never enable
+    /// version GC — hold everything a dead primary committed.
+    Replica,
 }
 
-struct MorselEnv<'a> {
-    rt: &'a ClusterRuntime,
-    request: &'a ScanRequest,
-    req_bytes: u64,
+/// Cut `plan` the way both ends of a morsel must: the exchange's split,
+/// with shard-ranked hit lists merged by score (ties by ascending id).
+/// `keys` only lends the split somewhere to keep that order.
+fn cut<'p>(plan: &'p LogicalPlan, keys: &'p mut Vec<SortKey>) -> Option<Split<'p>> {
+    let split = split(plan)?;
+    if let LogicalPlan::IndexScan { alias, .. } = split.base {
+        *keys = [(PSEUDO_SCORE, true), (PSEUDO_ID, false)]
+            .map(|(path, descending)| SortKey {
+                alias: alias.clone(),
+                path: path.into(),
+                descending,
+            })
+            .into();
+    }
+    Some(split.ranked_by(keys))
+}
+
+fn tuples_bytes(tuples: &[Tuple]) -> usize {
+    let docs = tuples.iter().flat_map(|t| t.bindings.values());
+    docs.map(|d| codec::encode_document_vec(d).len()).sum()
+}
+
+/// Wire size of a part: encoded documents, rendered row cells, or one
+/// 48-byte state per aggregate and group.
+fn part_bytes(part: &Part) -> u64 {
+    let row = |r: &Row| -> usize {
+        let cells = r.columns.iter();
+        cells.map(|(k, v)| k.len() + v.render().len()).sum()
+    };
+    let bytes: usize = match part {
+        Part::Tuples(tuples) => tuples_bytes(tuples),
+        Part::Rows(rows) => rows.iter().map(row).sum(),
+        Part::Groups(groups) => {
+            let states = groups.iter().map(|(k, (_, s))| k.len() + 48 * s.len());
+            states.sum()
+        }
+    };
+    bytes as u64
+}
+
+type MorselResult = Result<(Part, ExecMetrics), DistError>;
+
+/// Everything a node needs to run its share of one segment. Cloned into
+/// every job; the plan and the broadcast join tables are shared.
+#[derive(Clone)]
+struct SegmentJob {
+    plan: Arc<LogicalPlan>,
+    /// Build sides of the spine's hash joins, in `Split::builds` order.
+    tables: Arc<[Arc<JoinTable>]>,
     batch_size: usize,
-    policy: &'a RetryPolicy,
     deadline_at: Option<Instant>,
 }
 
-/// Work unit of phase 2: one `(node, partition)` morsel plus the epoch
-/// probed from its node (every retry re-reads the same snapshot).
-struct DispatchedMorsel {
-    node: NodeId,
-    partition: usize,
-    snapshot: Option<u64>,
-    first: Result<TaskHandle<MorselOut>, ClusterError>,
-}
+impl SegmentJob {
+    fn on(&self, unit: Unit) -> impl FnOnce(&NodeCtx) -> MorselResult {
+        let job = self.clone();
+        move |ctx| job.run(ctx, unit)
+    }
 
-/// Drive one morsel to completion: join its in-flight attempt, retrying
-/// transient losses with backoff until the policy, the node, or the
-/// deadline gives out.
-fn resolve_morsel(
-    env: &MorselEnv<'_>,
-    node: NodeId,
-    partition: usize,
-    snapshot: Option<u64>,
-    first: Result<TaskHandle<MorselOut>, ClusterError>,
-    retries: &mut u64,
-) -> MorselOutcome {
-    let max_attempts = env.policy.max_attempts.max(1);
-    let mut attempts = 1u32;
-    let mut attempt = first;
-    loop {
-        // Resolve the current attempt into success or a classified error.
-        let (error, terminal) = match attempt {
-            Ok(handle) => {
-                let joined = match env.deadline_at {
-                    Some(d) => handle.join_timeout(d.saturating_duration_since(Instant::now())),
-                    None => handle.join(),
-                };
-                match joined {
-                    Ok(Ok((partial, batches))) => return MorselOutcome::Done(partial, batches),
-                    Ok(Err(MorselTaskError::PageLost)) => {
-                        (ClusterError::MessageDropped(node), false)
-                    }
-                    Ok(Err(MorselTaskError::NodeDead)) => (ClusterError::NodeDown(node), true),
-                    Ok(Err(_)) => (ClusterError::TaskLost, true),
-                    Err(ClusterError::Timeout) => return MorselOutcome::DeadlineHit,
-                    Err(ClusterError::TaskLost) => {
-                        if env.rt.network().node_is_dead(node) {
-                            (ClusterError::NodeDown(node), true)
-                        } else {
-                            (ClusterError::TaskLost, false)
-                        }
-                    }
-                    Err(e) => (e, true),
-                }
-            }
-            Err(e @ ClusterError::MessageDropped(_)) => (e, false),
-            Err(e) => (e, true),
+    /// Node side of a morsel: re-cut the plan, compile the segment over
+    /// this node's engine, drain and fold it, ship the part.
+    fn run(&self, ctx: &NodeCtx, unit: Unit) -> MorselResult {
+        let state = data_state(ctx)?;
+        let dead = || ctx.network.node_is_dead(ctx.id);
+        if dead() {
+            return Err(ClusterError::NodeDown(ctx.id).into());
+        }
+        let mut keys = Vec::new();
+        let split = cut(&self.plan, &mut keys).ok_or_else(no_distributed_form)?;
+        let joins = split.builds.iter().map(|(join, _, _)| *join);
+        let tables: Vec<_> = joins.zip(self.tables.iter().cloned()).collect();
+        let (storage, morsel, snapshot) = match unit {
+            Unit::Primary(p, epoch) => (&state.storage, p.map(Morsel::Partition), Some(epoch)),
+            Unit::Replica => (&state.replica, None, None),
         };
-        if terminal || attempts >= max_attempts {
-            return MorselOutcome::NodeFailed(error);
+        // Data nodes hold no value or relationship index: plans that need
+        // one have no split and never get here.
+        static NO_INDEXES: OnceLock<(PathValueIndex, JoinIndex)> = OnceLock::new();
+        let (value_index, join_index) =
+            NO_INDEXES.get_or_init(|| (PathValueIndex::new(), JoinIndex::new()));
+        let exec = ExecContext {
+            storage,
+            text_index: &state.text_index,
+            value_index,
+            join_index,
+            pushdown: true,
+            columnar: true,
+            snapshot,
+        };
+        let scope = Scope {
+            morsel,
+            tables: &tables,
+        };
+        // Failover ships bound tuples unfolded: the coordinator keeps the
+        // failed node's documents and folds them itself.
+        let raw = matches!(unit, Unit::Replica);
+        let demand = split.demand().filter(|_| !raw);
+        let mut part = match raw {
+            true => Part::Tuples(Vec::new()),
+            false => split.empty_part(),
+        };
+        let deadline_at = self.deadline_at;
+        let expired = move || deadline_at.is_some_and(|d| Instant::now() >= d);
+        let metrics = run_segment(
+            &exec,
+            split.segment,
+            &scope,
+            demand.as_ref(),
+            self.batch_size,
+            expired,
+            |batch| match (&mut part, batch) {
+                (Part::Tuples(kept), Batch::Tuples(tuples)) if raw => {
+                    kept.extend(tuples);
+                    Ok(true)
+                }
+                (part, batch) => split.fold(part, batch),
+            },
+        )?;
+        if expired() {
+            return Err(ClusterError::Timeout.into()); // the part may be a prefix
         }
-        if let Some(d) = env.deadline_at {
-            if Instant::now() >= d {
-                return MorselOutcome::DeadlineHit;
+        // Charge the payload from the node back to the coordinator (the
+        // runtime charges the reply envelope); transient drops retransmit
+        // a bounded number of times.
+        let bytes = part_bytes(&part);
+        for _ in 0..PAGE_SEND_ATTEMPTS {
+            if ctx.network.transmit(ctx.id, COORDINATOR, bytes) {
+                return Ok((part, metrics));
+            }
+            if dead() {
+                return Err(ClusterError::NodeDown(ctx.id).into());
             }
         }
-        let salt = splitmix64(((node.0 as u64) << 20) ^ partition as u64);
-        let us = env.policy.backoff_us(attempts, salt);
-        dist_obs().backoff_us.observe(us);
-        dist_obs().retries.inc();
-        *retries += 1;
-        clock::sleep_us(us);
-        attempts += 1;
-        attempt = submit_morsel(
-            env.rt,
-            env.request,
-            env.req_bytes,
-            node,
-            partition,
-            env.batch_size,
-            snapshot,
-        );
+        Err(ClusterError::MessageDropped(ctx.id).into())
     }
 }
 
-/// Fan a push-down scan out to every data node with retry, replica
-/// failover, and deadline handling; merge the partials exactly-once.
+/// One dispatched morsel: its merge place (node slot, unit index), the
+/// partitions it stands for, what a retry re-sends, the first attempt.
+struct Dispatched {
+    node: NodeId,
+    place: (usize, usize),
+    covers: std::ops::Range<usize>,
+    unit: Unit,
+    payload: u64,
+    first: Result<TaskHandle<MorselResult>, ClusterError>,
+}
+
+/// Coordinator state of one [`execute`] call.
+struct Run<'a> {
+    caller: Caller<'a>,
+    opts: &'a ExecutionContext,
+    /// Every *member* data node (alive or dead) with the partition count
+    /// and epoch it answered its probe with, if it did.
+    nodes: Vec<(NodeId, Option<(usize, u64)>)>,
+    out: DistOutput,
+    first_error: Option<DistError>,
+    deadline_hit: bool,
+}
+
+impl Run<'_> {
+    /// Book a failed call: an exhausted deadline is the deadline's, any
+    /// other failure is a candidate for the error the query reports.
+    fn note(&mut self, e: DistError) {
+        match e {
+            DistError::Cluster(ClusterError::Timeout) => self.deadline_hit = true,
+            e => drop(self.first_error.get_or_insert(e)),
+        }
+    }
+
+    /// Phase 1: probe each member for its partition count and current
+    /// epoch (16-byte control message), with retry. The epoch pins every
+    /// morsel of that node — whichever segment it belongs to, however
+    /// often it retries — to one snapshot: a node never returns a torn mix
+    /// of versions however ingest races the query. A node that cannot
+    /// answer is failover's work.
+    fn probe(&mut self, members: Vec<NodeId>) {
+        for id in members {
+            let salt = id.0 as u64;
+            let retries = &mut self.out.retries;
+            let probed = self.caller.call(id, 16, salt, retries, None, || {
+                |ctx: &NodeCtx| {
+                    let storage = &data_state(ctx)?.storage;
+                    Ok((storage.partition_count(), storage.current_epoch()))
+                }
+            });
+            let probe = probed.map_err(|e| self.note(e)).ok();
+            self.nodes.push((id, probe));
+        }
+    }
+
+    /// Answer `plan`: gather its build sides (each a query of its own) into
+    /// tables, gather the segment's parts, merge them on a grid node.
+    fn answer(&mut self, plan: &Arc<LogicalPlan>) -> Result<Merged, DistError> {
+        let mut keys = Vec::new();
+        let split = cut(plan, &mut keys).ok_or_else(no_distributed_form)?;
+        let mut tables = Vec::with_capacity(split.builds.len());
+        for (_, build, right_key) in &split.builds {
+            let Merged::Tuples(tuples) = self.answer(&Arc::new((*build).clone()))? else {
+                return Err(ExecError::BadPlan("join right input must be tuples".into()).into());
+            };
+            let mut table = JoinTable::new();
+            index_build_tuples(&mut table, tuples, right_key);
+            tables.push(Arc::new(table));
+        }
+        let parts = self.gather(plan, &split, tables)?;
+        let payload = parts.iter().map(|(_, part)| part_bytes(part)).sum();
+        let plan = Arc::clone(plan);
+        let rt = self.caller.rt;
+        let merge = rt.submit_to_kind(NodeKind::Grid, payload, move |_ctx| {
+            let (mut keys, mut metrics) = (Vec::new(), ExecMetrics::default());
+            let split = cut(&plan, &mut keys)?;
+            Some((merge_parts(&split, parts, &mut metrics), metrics))
+        })?;
+        let (merged, m) = merge.join()?.ok_or_else(no_distributed_form)?;
+        self.out.metrics.absorb(&m);
+        self.out.metrics.rows_out = m.rows_out;
+        Ok(merged)
+    }
+
+    /// Phases 2 and 3 for one segment: one morsel per (live node × unit),
+    /// dispatched before any join so they run concurrently, then failover
+    /// for nodes that failed terminally. Returns the parts in merge order
+    /// and adds the segment to the coverage report.
+    fn gather(
+        &mut self,
+        plan: &Arc<LogicalPlan>,
+        split: &Split<'_>,
+        tables: Vec<Arc<JoinTable>>,
+    ) -> Result<Vec<(usize, Part)>, DistError> {
+        let by_shard = matches!(split.base, LogicalPlan::IndexScan { .. });
+        // The first morsel sent to a node carries the broadcast tables.
+        let plan_bytes = format!("{plan:?}").len() as u64;
+        let rows = tables.iter().flat_map(|table| table.values());
+        let table_bytes = rows.map(|tuples| tuples_bytes(tuples)).sum::<usize>() as u64;
+        let job = SegmentJob {
+            plan: Arc::clone(plan),
+            tables: tables.into(),
+            batch_size: self.opts.batch_size.max(1),
+            deadline_at: self.caller.deadline_at,
+        };
+        let mut dispatched = Vec::new();
+        let mut failed = BTreeSet::new();
+        for (slot, &(node, probe)) in self.nodes.iter().enumerate() {
+            let Some((partitions, epoch)) = probe else {
+                failed.insert(node);
+                continue;
+            };
+            for index in 0..if by_shard { 1 } else { partitions } {
+                // a shard unit stands for every partition of its node
+                let (p, covers) = match by_shard {
+                    true => (None, 0..partitions),
+                    false => (Some(index), index..index + 1),
+                };
+                let unit = Unit::Primary(p, epoch);
+                let payload = plan_bytes + if index == 0 { table_bytes } else { 0 };
+                dispatched.push(Dispatched {
+                    node,
+                    place: (slot, index),
+                    covers,
+                    unit,
+                    payload,
+                    first: self.caller.rt.submit_to(node, payload, job.on(unit)),
+                });
+            }
+        }
+        // Resolve morsels through the worker pool when the caller asked
+        // for parallelism, so joins and retry backoffs overlap. Outcomes
+        // are processed in dispatch order either way, and retry jitter is
+        // salted per (node, unit): nothing depends on scheduling.
+        let (caller, job_ref) = (&self.caller, &job);
+        let outcomes = scoped_map(self.opts.worker_threads.max(1), dispatched, |m| {
+            let mut retries = 0u64;
+            let salt = splitmix64(((m.node.0 as u64) << 20) ^ m.place.1 as u64);
+            let first = Some(m.first);
+            let outcome = caller.call(m.node, m.payload, salt, &mut retries, first, || {
+                job_ref.on(m.unit)
+            });
+            (m.node, m.place, m.covers, outcome, retries)
+        });
+        let mut done = Vec::new();
+        let mut late: Vec<(NodeId, usize)> = Vec::new();
+        for (node, place, covers, outcome, retries) in outcomes {
+            self.out.retries += retries;
+            match outcome {
+                Ok((part, metrics)) => done.push((node, place, covers.len(), part, metrics)),
+                // the plan itself is wrong: no node can answer it
+                Err(e @ DistError::Exec(ExecError::BadPlan(_))) => return Err(e),
+                Err(e @ DistError::Cluster(ClusterError::Timeout)) => {
+                    late.extend(covers.map(|p| (node, p)));
+                    self.note(e);
+                }
+                Err(e) => {
+                    failed.insert(node);
+                    self.note(e);
+                }
+            }
+        }
+        // Failover is all-or-nothing per node: whatever a failed node did
+        // ship is void, its whole contribution is recomputed.
+        done.retain(|(node, ..)| !failed.contains(node));
+        late.retain(|(node, _)| !failed.contains(node));
+        let mut recovered = self.fail_over(split, &job, plan_bytes + table_bytes, &failed)?;
+
+        // A silent node is assumed laid out like one that answered.
+        let answered = self.nodes.iter().find_map(|(_, probe)| *probe);
+        let fallback = answered.map_or(1, |(partitions, _)| partitions.max(1));
+        let c = &mut self.out.coverage;
+        let mut keyed: Vec<((usize, usize), Part)> = Vec::new();
+        for (slot, &(node, probe)) in self.nodes.iter().enumerate() {
+            let partitions = probe.map_or(fallback, |(partitions, _)| partitions);
+            c.partitions_total += partitions;
+            if failed.contains(&node) {
+                match recovered.remove(&node) {
+                    Some(part) => {
+                        c.partitions_failed_over += partitions;
+                        keyed.push(((slot, 0), part));
+                    }
+                    None => c.skipped.extend((0..partitions).map(|p| (node, p))),
+                }
+            }
+        }
+        for (_, place, covered, part, metrics) in done {
+            c.partitions_scanned += covered;
+            self.out.metrics.absorb(&metrics);
+            keyed.push((place, part));
+        }
+        c.skipped.extend(late);
+        keyed.sort_by_key(|(place, _)| *place);
+        let parts = keyed.into_iter().enumerate();
+        Ok(parts.map(|(i, (_, part))| (i, part)).collect())
+    }
+
+    /// Phase 3: recompute `failed` nodes' contributions from replicas.
+    /// Every surviving candidate runs the segment over its replica store
+    /// (once) and ships bound tuples; a failed node is recovered only if
+    /// *all* of its surviving candidates answered (its documents may be
+    /// spread across several holders). The coordinator keeps the tuples
+    /// whose base document the failed node owns — taken from the first
+    /// candidate that holds that document — and folds them exactly as a
+    /// morsel would have, so every plan, grouped aggregates included,
+    /// stays exactly-once.
+    fn fail_over(
+        &mut self,
+        split: &Split<'_>,
+        job: &SegmentJob,
+        payload: u64,
+        failed: &BTreeSet<NodeId>,
+    ) -> Result<HashMap<NodeId, Part>, DistError> {
+        let mut recovered = HashMap::new();
+        // Text shards index primary documents only: there is nothing to
+        // read a failed node's hits back from.
+        let (LogicalPlan::Scan { alias, .. }, Some(policy)) = (split.base, &self.opts.failover)
+        else {
+            return Ok(recovered);
+        };
+        // candidate → its replica store's tuples, `None` when unusable
+        let mut replicas: HashMap<NodeId, Option<Vec<Tuple>>> = HashMap::new();
+        // base document → the candidate its tuples are taken from
+        let mut holder: HashMap<DocId, NodeId> = HashMap::new();
+        for &node in failed {
+            let survivors = policy.candidates_for(node).iter();
+            let mut part = split.empty_part();
+            let mut usable = 0;
+            for &cand in survivors.filter(|c| !failed.contains(c)) {
+                if let Entry::Vacant(slot) = replicas.entry(cand) {
+                    let (caller, retries) = (&self.caller, &mut self.out.retries);
+                    let replica = || job.on(Unit::Replica);
+                    let scanned = caller.call(cand, payload, cand.0 as u64, retries, None, replica);
+                    let tuples = match scanned {
+                        Ok((Part::Tuples(tuples), metrics)) => {
+                            self.out.failovers += 1;
+                            dist_obs().failovers.inc();
+                            self.out.metrics.absorb(&metrics);
+                            Some(tuples)
+                        }
+                        Err(e @ DistError::Exec(ExecError::BadPlan(_))) => return Err(e),
+                        Err(e) => {
+                            self.note(e);
+                            None
+                        }
+                        Ok(_) => None,
+                    };
+                    slot.insert(tuples);
+                }
+                let Some(Some(tuples)) = replicas.get(&cand) else {
+                    usable = 0;
+                    break;
+                };
+                let mut owned = |t: &&Tuple| {
+                    t.bindings.get(alias).is_some_and(|d| {
+                        policy.owns(d.id(), node) && *holder.entry(d.id()).or_insert(cand) == cand
+                    })
+                };
+                let kept = tuples.iter().filter(|t| owned(t)).cloned().collect();
+                split.fold(&mut part, Batch::Tuples(kept))?;
+                usable += 1;
+            }
+            if usable > 0 {
+                recovered.insert(node, part);
+            }
+        }
+        Ok(recovered)
+    }
+}
+
+/// Execute `plan` across the cluster. Plans the exchange's [`split`]
+/// cannot cut (value-index lookups, sort-merge and indexed-NL joins, graph
+/// connects, fusion) are rejected as [`ExecError::BadPlan`]; `opts.limit`
+/// becomes a root `Limit`, as on the single box.
 ///
-/// Failure semantics:
-///
-/// * Transient losses (dropped request, lost reply, dropped page) retry
-///   per `opts.retry` with seeded-jitter backoff.
-/// * A dead node's partitions are recovered from its failover
-///   candidates' replica stores when `opts.failover` is set — all
-///   candidates must answer, results are filtered to the dead node's
-///   documents and deduplicated against already-merged rows. Aggregate
-///   requests never fail over (partial group states cannot be
-///   deduplicated), so a dead node degrades them instead.
+/// * Transient losses (dropped request, lost reply, dropped result)
+///   retry per `opts.retry` with seeded-jitter backoff.
+/// * A node that fails terminally — dead, or its store unreadable — is
+///   recomputed from its failover candidates' replica stores when
+///   `opts.failover` is set (see [`Run::fail_over`]). Plans over an
+///   `IndexScan` base cannot fail over: text shards are not replicated.
 /// * When the deadline expires, unresolved morsels are abandoned and
 ///   reported in the coverage report.
-/// * Any uncovered partition makes the result degraded: returned with
-///   `degraded = true` if `opts.degraded_ok`, otherwise an error.
-pub fn dist_scan_resilient(
+/// * Any uncovered partition makes the result degraded: returned as such
+///   if `opts.degraded_ok`, otherwise the first typed error (a node-side
+///   storage failure keeps its kind).
+pub fn execute(
     rt: &ClusterRuntime,
-    request: &ScanRequest,
+    plan: &LogicalPlan,
     opts: &ExecutionContext,
-) -> Result<ResilientScan, ClusterError> {
-    let deadline_at = opts.deadline.map(|d| Instant::now() + d);
-    // Enumerate *members*, not live nodes: a node that died before this
-    // scan started still holds data. Its probe fails below and the
-    // partitions land in the failover/skip accounting — recovered from
-    // replicas when possible, honestly reported as uncovered otherwise —
-    // instead of silently vanishing from a "complete" result.
-    let data_nodes = rt.members_of_kind(NodeKind::Data);
-    if data_nodes.is_empty() {
-        return Err(ClusterError::NoNodeOfKind("data"));
+) -> Result<DistOutput, DistError> {
+    // *Members*, not live nodes: a node that died before this query still
+    // holds data. Its probe fails and its partitions are recovered from
+    // replicas or reported uncovered — never silently absent.
+    let members = rt.members_of_kind(NodeKind::Data);
+    if members.is_empty() {
+        return Err(ClusterError::NoNodeOfKind("data").into());
     }
-    let batch_size = opts.batch_size.max(1);
-    let mut retries = 0u64;
-    let mut first_error: Option<ClusterError> = None;
-    let mut deadline_hit = false;
-
-    // Phase 1: probe each node for its partition count and current epoch
-    // (16-byte control message), with retry. The epoch pins every morsel
-    // of that node to one snapshot — a node's partitions never return a
-    // torn mix of versions, no matter how ingest races the scan. Nodes
-    // that cannot answer are failover candidates' work; nodes that time
-    // out are the deadline's.
-    let mut live: Vec<(NodeId, usize, u64)> = Vec::new();
-    let mut probe_failed: Vec<NodeId> = Vec::new();
-    let mut probe_timed_out: Vec<NodeId> = Vec::new();
-    for id in data_nodes {
-        let probe = call_with_retry(rt, id, 16, &opts.retry, deadline_at, &mut retries, || {
-            move |ctx: &NodeCtx| {
-                ctx.state
-                    .downcast_ref::<DataNodeState>()
-                    .map(|s| (s.storage.partition_count(), s.storage.current_epoch()))
-            }
-        });
-        match probe {
-            Ok(Some((partitions, epoch))) => live.push((id, partitions, epoch)),
-            Ok(None) => {
-                first_error.get_or_insert(ClusterError::TaskLost);
-                probe_failed.push(id);
-            }
-            Err(ClusterError::Timeout) => {
-                deadline_hit = true;
-                probe_timed_out.push(id);
-            }
-            Err(e) => {
-                first_error.get_or_insert(e);
-                probe_failed.push(id);
-            }
-        }
-    }
-    // Partition count assumed for nodes that never answered their probe
-    // (the cluster boots homogeneous layouts).
-    let fallback_partitions = live.first().map(|&(_, p, _)| p).unwrap_or(1).max(1);
-
-    // Phase 2: one morsel per (live node × partition), dispatched before
-    // any join so they stream concurrently. An explicit snapshot on the
-    // caller's request wins over probed epochs (time travel); otherwise
-    // each node's morsels pin that node's probed epoch.
-    let req_bytes = format!("{request:?}").len() as u64;
-    let mut dispatched: Vec<DispatchedMorsel> = Vec::new();
-    for &(id, partitions, epoch) in &live {
-        let snapshot = Some(request.snapshot.unwrap_or(epoch));
-        for p in 0..partitions {
-            dispatched.push(DispatchedMorsel {
-                node: id,
-                partition: p,
-                snapshot,
-                first: submit_morsel(rt, request, req_bytes, id, p, batch_size, snapshot),
-            });
-        }
-    }
-    let env = MorselEnv {
+    let plan = Arc::new(plan.with_limit(opts.limit).into_owned());
+    let caller = Caller {
         rt,
-        request,
-        req_bytes,
-        batch_size,
-        policy: &opts.retry,
-        deadline_at,
+        policy: opts.retry,
+        deadline_at: opts.deadline.map(|d| Instant::now() + d),
     };
-    let mut merged = ScanResult::default();
-    let mut stats = DistScanStats::default();
-    let mut scanned = 0usize;
-    // Terminal per-node failures: node → its failed partitions.
-    let mut failed_parts: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-    for id in &probe_failed {
-        failed_parts.insert(*id, (0..fallback_partitions).collect());
+    let mut run = Run {
+        caller,
+        opts,
+        nodes: Vec::with_capacity(members.len()),
+        out: DistOutput {
+            output: QueryOutput::Rows(Vec::new()),
+            metrics: ExecMetrics::default(),
+            coverage: CoverageReport::default(),
+            degraded: false,
+            retries: 0,
+            failovers: 0,
+        },
+        first_error: None,
+        deadline_hit: false,
+    };
+    run.probe(members);
+    let merged = run.answer(&plan)?;
+    let live = run.nodes.iter().filter(|(_, probe)| probe.is_some());
+    run.out.metrics.workers_used = live.count() as u64;
+    let mut out = run.out;
+    out.output = merged.into_output();
+    out.coverage.skipped.sort_unstable();
+    out.degraded = !out.coverage.skipped.is_empty();
+    if out.degraded && !opts.degraded_ok {
+        let timeout = DistError::Cluster(ClusterError::Timeout);
+        return Err(run.first_error.unwrap_or(timeout));
     }
-    let mut deadline_skipped: Vec<(NodeId, usize)> = Vec::new();
-    for id in &probe_timed_out {
-        for p in 0..fallback_partitions {
-            deadline_skipped.push((*id, p));
-        }
-    }
-    // Resolve morsels through the worker pool when the caller asked for
-    // parallelism: joins and retry backoffs for independent morsels then
-    // overlap instead of serializing. Outcomes are processed in dispatch
-    // order either way, so the merged result and error/coverage
-    // classification are identical to the serial path (each morsel's
-    // retry jitter is salted by its own (node, partition), independent
-    // of scheduling).
-    let env_ref = &env;
-    let outcomes: Vec<(NodeId, usize, MorselOutcome, u64)> =
-        scoped_map(opts.worker_threads.max(1), dispatched, |m| {
-            let mut morsel_retries = 0u64;
-            let outcome = resolve_morsel(
-                env_ref,
-                m.node,
-                m.partition,
-                m.snapshot,
-                m.first,
-                &mut morsel_retries,
-            );
-            (m.node, m.partition, outcome, morsel_retries)
-        });
-    for (node, partition, outcome, morsel_retries) in outcomes {
-        retries += morsel_retries;
-        match outcome {
-            MorselOutcome::Done(partial, batches) => {
-                scanned += 1;
-                stats.morsels += 1;
-                stats.batches += batches;
-                stats.bytes_shipped += partial.metrics.bytes_returned;
-                stats.critical_path_batches = stats.critical_path_batches.max(batches);
-                merged.merge(partial);
-            }
-            MorselOutcome::NodeFailed(e) => {
-                first_error.get_or_insert(e);
-                failed_parts.entry(node).or_default().push(partition);
-            }
-            MorselOutcome::DeadlineHit => {
-                deadline_hit = true;
-                deadline_skipped.push((node, partition));
-            }
-        }
-    }
-    let partitions_total = live.iter().map(|&(_, p, _)| p).sum::<usize>()
-        + fallback_partitions * (probe_failed.len() + probe_timed_out.len());
-
-    // Phase 3: replica failover for nodes with terminal failures. Every
-    // usable candidate's replica store is scanned once; a failed node is
-    // recovered only if *all* of its surviving candidates answered (a
-    // node's documents may be spread across several replica holders), and
-    // only its own documents are taken, deduplicated against rows the
-    // node shipped before dying.
-    let mut failovers = 0u64;
-    let mut failed_over = 0usize;
-    let mut skipped: Vec<(NodeId, usize)> = Vec::new();
-    if !failed_parts.is_empty() {
-        let failover_policy = match &opts.failover {
-            Some(p) if request.aggregate.is_none() => Some(p),
-            _ => None,
-        };
-        if let Some(policy) = failover_policy {
-            let failed_set: BTreeSet<NodeId> = failed_parts.keys().copied().collect();
-            // Replica stores are separate engines with independent epoch
-            // counters, so a primary's probed epoch (or the caller's
-            // explicit snapshot) is meaningless there: failover reads the
-            // replica's unpinned latest. Cluster engines never enable
-            // version GC, so the documents a dead primary committed are
-            // all present in its replicas.
-            let replica_req = ScanRequest {
-                aggregate: None,
-                limit: None,
-                snapshot: None,
-                ..request.clone()
-            };
-            let replica_req_bytes = format!("{replica_req:?}").len() as u64;
-            let needed: BTreeSet<NodeId> = failed_set
-                .iter()
-                .flat_map(|x| policy.candidates_for(*x).iter().copied())
-                .filter(|c| !failed_set.contains(c))
-                .collect();
-            let mut replica_scans: HashMap<NodeId, ScanResult> = HashMap::new();
-            for &cand in &needed {
-                if deadline_at.is_some_and(|d| Instant::now() >= d) {
-                    deadline_hit = true;
-                    break;
-                }
-                let res = call_with_retry(
-                    rt,
-                    cand,
-                    replica_req_bytes,
-                    &opts.retry,
-                    deadline_at,
-                    &mut retries,
-                    || {
-                        let rq = replica_req.clone();
-                        move |ctx: &NodeCtx| replica_scan_body(ctx, &rq)
-                    },
-                );
-                if let Ok(Ok(r)) = res {
-                    failovers += 1;
-                    dist_obs().failovers.inc();
-                    replica_scans.insert(cand, r);
-                } // otherwise the candidate is unusable; coverage decides below
-            }
-            let mut seen: HashSet<DocId> = merged
-                .documents
-                .iter()
-                .map(|d| d.id())
-                .chain(merged.ids.iter().copied())
-                .collect();
-            for (&node, parts) in &failed_parts {
-                let cands: Vec<NodeId> = policy
-                    .candidates_for(node)
-                    .iter()
-                    .copied()
-                    .filter(|c| !failed_set.contains(c))
-                    .collect();
-                let recovered =
-                    !cands.is_empty() && cands.iter().all(|c| replica_scans.contains_key(c));
-                if recovered {
-                    for c in &cands {
-                        if let Some(r) = replica_scans.get(c) {
-                            merge_owned(&mut merged, &mut seen, r, policy, node);
-                        }
-                    }
-                    failed_over += parts.len();
-                } else {
-                    for &p in parts {
-                        skipped.push((node, p));
-                    }
-                }
-            }
-        } else {
-            for (&node, parts) in &failed_parts {
-                for &p in parts {
-                    skipped.push((node, p));
-                }
-            }
-        }
-    }
-    skipped.extend(deadline_skipped);
-    skipped.sort_unstable();
-
-    let degraded = !skipped.is_empty();
-    if degraded && !opts.degraded_ok {
-        return Err(match first_error {
-            Some(e) => e,
-            None => ClusterError::Timeout,
-        });
-    }
-    if deadline_hit {
+    if run.deadline_hit {
         dist_obs().deadline_exceeded.inc();
+        out.metrics.deadline_exceeded = true;
     }
-    if degraded {
+    if out.degraded {
         dist_obs().degraded_queries.inc();
     }
-    if let Some(limit) = request.limit {
-        merged.documents.truncate(limit);
-        merged
-            .ids
-            .truncate(limit.saturating_sub(merged.documents.len()));
-    }
-    Ok(ResilientScan {
-        result: merged,
-        stats,
-        coverage: CoverageReport {
-            partitions_total,
-            partitions_scanned: scanned,
-            partitions_failed_over: failed_over,
-            skipped,
-        },
-        degraded,
-        retries,
-        failovers,
+    Ok(out)
+}
+
+/// Store `doc` on `target` (its primary store, or its replica store). A
+/// put is idempotent under lost replies: when an attempt landed and only
+/// its acknowledgement was dropped, the retry finds the very version it
+/// carries already stored — that `StaleVersion` *is* the acknowledgement.
+fn put_on(
+    rt: &ClusterRuntime,
+    target: NodeId,
+    doc: &Document,
+    size: u64,
+    replica: bool,
+) -> Result<(), DistError> {
+    let attempts = Cell::new(0u32);
+    Caller::plain(rt).call(target, size, target.0 as u64, &mut 0, None, || {
+        let doc = doc.clone();
+        let retried = attempts.replace(attempts.get() + 1) > 0;
+        move |ctx: &NodeCtx| {
+            let state = data_state(ctx)?;
+            let engine = match replica {
+                true => &state.replica,
+                false => &state.storage,
+            };
+            match engine.put(&doc) {
+                Err(StorageError::StaleVersion { latest, attempted })
+                    if retried && latest == attempted =>
+                {
+                    Ok(())
+                }
+                stored => Ok(stored.map_err(ExecError::Storage)?),
+            }
+        }
     })
-}
-
-/// Merge the documents of `from` that belong to failed node `owner` into
-/// `merged`, skipping anything already present (exactly-once under
-/// replication and partial primary results).
-fn merge_owned(
-    merged: &mut ScanResult,
-    seen: &mut HashSet<DocId>,
-    from: &ScanResult,
-    policy: &FailoverPolicy,
-    owner: NodeId,
-) {
-    for d in &from.documents {
-        let id = d.id();
-        if policy.owns(id, owner) && seen.insert(id) {
-            merged.metrics.docs_matched += 1;
-            merged.documents.push(d.clone());
-        }
-    }
-    for &id in &from.ids {
-        if policy.owns(id, owner) && seen.insert(id) {
-            merged.metrics.docs_matched += 1;
-            merged.ids.push(id);
-        }
-    }
-}
-
-/// Fan a push-down scan out to every data node and merge the partials.
-/// Each (node, partition) pair runs as an independent morsel streaming
-/// `batch_size`-document pages; every page's payload is charged to the
-/// network as it ships (reply envelopes are charged by the runtime).
-/// When the request carries a limit, each morsel stops at the limit and
-/// the merged result is truncated to it.
-///
-/// Resilience defaults: transient losses retry per
-/// [`RetryPolicy::default`], and a node that dies mid-scan fails over to
-/// the ring replica placement of [`dist_put_replicated`]. There is no
-/// deadline and degraded results are not allowed — uncovered partitions
-/// surface as an error. Use [`dist_scan_resilient`] for full control.
-pub fn dist_scan_batched(
-    rt: &ClusterRuntime,
-    request: &ScanRequest,
-    batch_size: usize,
-) -> Result<(ScanResult, DistScanStats), ClusterError> {
-    let opts = ExecutionContext {
-        batch_size,
-        failover: Some(FailoverPolicy::ring(&rt.nodes_of_kind(NodeKind::Data))),
-        ..ExecutionContext::default()
-    };
-    let scan = dist_scan_resilient(rt, request, &opts)?;
-    Ok((scan.result, scan.stats))
-}
-
-/// Fan a push-down scan out to every data node and merge the partials
-/// (batch-granular under the hood; see [`dist_scan_batched`]).
-pub fn dist_scan(rt: &ClusterRuntime, request: &ScanRequest) -> Result<ScanResult, ClusterError> {
-    dist_scan_batched(rt, request, DEFAULT_BATCH_SIZE).map(|(r, _)| r)
-}
-
-/// Distributed grouped aggregation: partial aggregation happens inside
-/// each data node's scan (push-down), the partial group states ship to a
-/// grid node for the global merge. Returns (group → state).
-pub fn dist_aggregate(
-    rt: &ClusterRuntime,
-    request: &ScanRequest,
-) -> Result<std::collections::BTreeMap<String, AggValue>, ClusterError> {
-    assert!(
-        request.aggregate.is_some(),
-        "dist_aggregate needs an aggregate spec"
-    );
-    let partial = dist_scan(rt, request)?;
-    // ship group states to a grid node for the (here trivial) global phase
-    let groups = partial.groups;
-    let payload = groups.len() as u64 * 48;
-    let handle = rt.submit_to_kind(NodeKind::Grid, payload, move |_ctx| groups)?;
-    handle.join()
-}
-
-/// Distributed equi-join: scan both sides on the data nodes (with
-/// push-down predicates in the requests), ship the reduced sides to one
-/// grid node, hash-join there. Returns joined tuples.
-pub fn dist_join(
-    rt: &ClusterRuntime,
-    left_request: &ScanRequest,
-    right_request: &ScanRequest,
-    left_alias: &str,
-    right_alias: &str,
-    left_key: (String, String),
-    right_key: (String, String),
-) -> Result<Vec<Tuple>, ClusterError> {
-    let left = dist_scan(rt, left_request)?;
-    let right = dist_scan(rt, right_request)?;
-    let payload = left.metrics.bytes_returned + right.metrics.bytes_returned;
-    let la = left_alias.to_string();
-    let ra = right_alias.to_string();
-    let handle = rt.submit_to_kind(NodeKind::Grid, payload, move |_ctx| {
-        let side = |docs: Vec<Document>, alias: &str| {
-            let tuples = docs
-                .into_iter()
-                .map(|d| Tuple::single(alias, Arc::new(d)))
-                .collect();
-            Box::new(VecSource::tuples("scan", tuples, DEFAULT_BATCH_SIZE))
-        };
-        let mut join = HashJoinOp::new(
-            side(left.documents, &la),
-            side(right.documents, &ra),
-            left_key,
-            right_key,
-        );
-        collect_tuples(&mut join)
-    })?;
-    // a failed grid stage is a lost task, never a silently empty join
-    handle.join()?.map_err(|_| ClusterError::TaskLost)
 }
 
 /// Ingest a document into the cluster: route to the owning data node and
 /// store it there. Returns the encoded size. Transient message loss is
-/// retried (idempotent: storage keeps versions and scans read the
-/// latest).
-pub fn dist_put(rt: &ClusterRuntime, doc: &Document) -> Result<usize, ClusterError> {
-    let data_nodes = rt.nodes_of_kind(NodeKind::Data);
-    if data_nodes.is_empty() {
-        return Err(ClusterError::NoNodeOfKind("data"));
-    }
-    let target = data_nodes[route_doc(doc.id(), data_nodes.len())];
-    let encoded = codec::encode_document_vec(doc);
-    let size = encoded.len();
-    let policy = RetryPolicy::default();
-    let mut retries = 0u64;
-    let doc = doc.clone();
-    let stored = call_with_retry(rt, target, size as u64, &policy, None, &mut retries, || {
-        let doc = doc.clone();
-        move |ctx: &NodeCtx| {
-            let Some(state) = ctx.state.downcast_ref::<DataNodeState>() else {
-                return false;
-            };
-            state.storage.put(&doc).is_ok()
-        }
-    })?;
-    if stored {
-        Ok(size)
-    } else {
-        Err(ClusterError::TaskLost)
-    }
+/// retried (see [`put_on`] for why that is safe).
+pub fn dist_put(rt: &ClusterRuntime, doc: &Document) -> Result<usize, DistError> {
+    dist_put_replicated(rt, doc, 1)
 }
 
 /// Ingest a document with `replication`-way redundancy at the dist
@@ -1019,88 +819,31 @@ pub fn dist_put_replicated(
     rt: &ClusterRuntime,
     doc: &Document,
     replication: usize,
-) -> Result<usize, ClusterError> {
-    let size = dist_put(rt, doc)?;
+) -> Result<usize, DistError> {
     let data_nodes = rt.nodes_of_kind(NodeKind::Data);
     let n = data_nodes.len();
+    if n == 0 {
+        return Err(ClusterError::NoNodeOfKind("data").into());
+    }
     let owner = route_doc(doc.id(), n);
-    let policy = RetryPolicy::default();
-    let mut retries = 0u64;
-    for k in 1..replication.min(n) {
-        let target = data_nodes[(owner + k) % n];
-        let doc = doc.clone();
-        let stored = call_with_retry(rt, target, size as u64, &policy, None, &mut retries, || {
-            let doc = doc.clone();
-            move |ctx: &NodeCtx| {
-                let Some(state) = ctx.state.downcast_ref::<DataNodeState>() else {
-                    return false;
-                };
-                state.replica.put(&doc).is_ok()
-            }
-        })?;
-        if !stored {
-            return Err(ClusterError::TaskLost);
-        }
+    let size = codec::encode_document_vec(doc).len();
+    for k in 0..replication.clamp(1, n) {
+        put_on(rt, data_nodes[(owner + k) % n], doc, size as u64, k > 0)?;
     }
     Ok(size)
 }
 
-/// Scatter-gather keyword search: every data node searches its local
-/// index shard, the coordinator merges partial top-k lists by score.
-/// Scores use shard-local document frequencies (the standard sharded
-/// approximation); ties break by ascending id for determinism.
-pub fn dist_search(
-    rt: &ClusterRuntime,
-    query: &str,
-    k: usize,
-) -> Result<Vec<SearchHit>, ClusterError> {
-    let data_nodes = rt.nodes_of_kind(NodeKind::Data);
-    if data_nodes.is_empty() {
-        return Err(ClusterError::NoNodeOfKind("data"));
-    }
-    let policy = RetryPolicy::default();
-    let mut retries = 0u64;
-    let mut merged: Vec<SearchHit> = Vec::new();
-    for id in data_nodes {
-        let q = query.to_string();
-        let mut hits =
-            call_with_retry(rt, id, q.len() as u64, &policy, None, &mut retries, || {
-                let q = q.clone();
-                move |ctx: &NodeCtx| {
-                    let Some(state) = ctx.state.downcast_ref::<DataNodeState>() else {
-                        return Vec::new(); // misconfigured node contributes no hits
-                    };
-                    let hits =
-                        impliance_index::search::search(&state.text_index, &SearchQuery::new(q, k));
-                    // each hit envelope ≈ 16 bytes on the wire
-                    ctx.network.transmit(
-                        ctx.id,
-                        impliance_cluster::NodeId(u32::MAX),
-                        (hits.len() * 16) as u64,
-                    );
-                    hits
-                }
-            })?;
-        merged.append(&mut hits);
-    }
-    merged.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
-    merged.truncate(k);
-    Ok(merged)
-}
-
 /// Fetch the latest version of a document from its owning data node.
-pub fn dist_get(rt: &ClusterRuntime, id: DocId) -> Result<Option<Document>, ClusterError> {
+pub fn dist_get(rt: &ClusterRuntime, id: DocId) -> Result<Option<Document>, DistError> {
     let data_nodes = rt.nodes_of_kind(NodeKind::Data);
     if data_nodes.is_empty() {
-        return Err(ClusterError::NoNodeOfKind("data"));
+        return Err(ClusterError::NoNodeOfKind("data").into());
     }
     let target = data_nodes[route_doc(id, data_nodes.len())];
-    let policy = RetryPolicy::default();
-    let mut retries = 0u64;
-    call_with_retry(rt, target, 16, &policy, None, &mut retries, || {
+    Caller::plain(rt).call(target, 16, target.0 as u64, &mut 0, None, || {
         move |ctx: &NodeCtx| {
-            let state = ctx.state.downcast_ref::<DataNodeState>()?;
-            state.storage.get_latest(id).ok().flatten()
+            let found = data_state(ctx)?.storage.get_latest(id);
+            Ok(found.map_err(ExecError::Storage)?)
         }
     })
 }
@@ -1110,9 +853,11 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-    use impliance_cluster::{Network, NodeSpec};
+    use crate::context::FailoverPolicy;
+    use crate::plan::{AggItem, JoinAlgo};
+    use impliance_cluster::{FaultSchedule, Network, NodeSpec};
     use impliance_docmodel::{DocumentBuilder, SourceFormat, Value};
-    use impliance_storage::{AggFunc, AggSpec, Predicate, StorageOptions};
+    use impliance_storage::{AggFunc, Predicate, StorageOptions};
 
     fn boot(data_nodes: u32, grid_nodes: u32) -> ClusterRuntime {
         let mut specs = Vec::new();
@@ -1136,31 +881,74 @@ mod tests {
         })
     }
 
+    fn order(i: u64) -> Document {
+        DocumentBuilder::new(DocId(i), SourceFormat::Json, "orders")
+            .field("amount", (i % 100) as i64)
+            .field("cust", format!("C-{}", i % 10))
+            .build()
+    }
+
     fn load(rt: &ClusterRuntime, n: u64) {
         for i in 0..n {
-            let d = DocumentBuilder::new(DocId(i), SourceFormat::Json, "orders")
-                .field("amount", (i % 100) as i64)
-                .field("cust", format!("C-{}", i % 10))
-                .build();
-            dist_put(rt, &d).unwrap();
+            dist_put(rt, &order(i)).unwrap();
         }
     }
 
     fn load_replicated(rt: &ClusterRuntime, n: u64) {
         for i in 0..n {
-            let d = DocumentBuilder::new(DocId(i), SourceFormat::Json, "orders")
-                .field("amount", (i % 100) as i64)
-                .field("cust", format!("C-{}", i % 10))
-                .build();
-            dist_put_replicated(rt, &d, 2).unwrap();
+            dist_put_replicated(rt, &order(i), 2).unwrap();
         }
     }
 
-    fn sorted_ids(res: &ScanResult) -> Vec<u64> {
-        let mut ids: Vec<u64> = res.documents.iter().map(|d| d.id().0).collect();
-        ids.extend(res.ids.iter().map(|i| i.0));
+    fn scan(collection: Option<&str>, predicate: Option<Predicate>) -> LogicalPlan {
+        LogicalPlan::Scan {
+            collection: collection.map(str::to_string),
+            predicate,
+            alias: collection.unwrap_or("d").to_string(),
+            use_value_index: false,
+        }
+    }
+
+    fn full() -> LogicalPlan {
+        scan(None, None)
+    }
+
+    /// `SELECT cust, SUM(amount), COUNT(*) FROM orders GROUP BY cust`.
+    fn sum_by_cust() -> LogicalPlan {
+        LogicalPlan::GroupAgg {
+            input: Box::new(scan(Some("orders"), None)),
+            group_by: Some(("orders".into(), "cust".into())),
+            aggs: vec![
+                AggItem {
+                    func: AggFunc::Sum,
+                    operand: Some("amount".into()),
+                    output: "total".into(),
+                },
+                AggItem {
+                    func: AggFunc::Count,
+                    operand: None,
+                    output: "n".into(),
+                },
+            ],
+        }
+    }
+
+    fn run(rt: &ClusterRuntime, plan: &LogicalPlan) -> DistOutput {
+        execute(rt, plan, &ExecutionContext::default()).unwrap()
+    }
+
+    fn sorted_ids(out: &DistOutput) -> Vec<u64> {
+        let mut ids: Vec<u64> = out.output.docs().iter().map(|d| d.id().0).collect();
         ids.sort_unstable();
         ids
+    }
+
+    fn rendered(out: &DistOutput) -> Vec<String> {
+        out.output.rows().iter().map(|r| r.render()).collect()
+    }
+
+    fn ring(rt: &ClusterRuntime) -> Option<FailoverPolicy> {
+        Some(FailoverPolicy::ring(&rt.nodes_of_kind(NodeKind::Data)))
     }
 
     #[test]
@@ -1175,33 +963,35 @@ mod tests {
     }
 
     #[test]
-    fn dist_scan_sees_every_document_once() {
-        let rt = boot(3, 1);
-        load(&rt, 100);
-        let res = dist_scan(&rt, &ScanRequest::full()).unwrap();
-        assert_eq!(res.documents.len(), 100);
-        let mut ids: Vec<u64> = res.documents.iter().map(|d| d.id().0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 100);
+    fn fault_free_execution_sees_every_document_once_with_complete_coverage() {
+        let rt = boot(2, 1);
+        load(&rt, 60);
+        let out = run(&rt, &full());
+        assert_eq!(sorted_ids(&out), (0..60).collect::<Vec<u64>>());
+        assert!(!out.degraded);
+        assert!(out.coverage.is_complete());
+        // one morsel per (node × partition): 2 nodes × 2 partitions
+        assert_eq!(out.coverage.partitions_total, 4);
+        assert_eq!(out.coverage.partitions_scanned, 4);
+        assert_eq!(out.coverage.partitions_failed_over, 0);
+        assert_eq!((out.retries, out.failovers), (0, 0));
+        assert_eq!(out.metrics.rows_out, 60);
+        assert_eq!(out.metrics.scan.docs_scanned, 60);
     }
 
     #[test]
-    fn dist_scan_pushdown_reduces_network_bytes() {
+    fn pushdown_reduces_network_bytes() {
         let rt = boot(2, 1);
         load(&rt, 200);
         rt.network().reset_metrics();
-        let filtered = dist_scan(
-            &rt,
-            &ScanRequest::filtered(Predicate::Ge("amount".into(), Value::Int(95))),
-        )
-        .unwrap();
+        let selective = Predicate::Ge("amount".into(), Value::Int(95));
+        let filtered = run(&rt, &scan(None, Some(selective)));
         let filtered_bytes = rt.network().metrics().bytes;
         rt.network().reset_metrics();
-        let full = dist_scan(&rt, &ScanRequest::full()).unwrap();
+        let all = run(&rt, &full());
         let full_bytes = rt.network().metrics().bytes;
-        assert_eq!(filtered.documents.len(), 10);
-        assert_eq!(full.documents.len(), 200);
+        assert_eq!(filtered.output.len(), 10);
+        assert_eq!(all.output.len(), 200);
         assert!(
             filtered_bytes * 2 < full_bytes,
             "pushdown scan moved {filtered_bytes}, full scan {full_bytes}"
@@ -1209,33 +999,25 @@ mod tests {
     }
 
     #[test]
-    fn dist_aggregate_matches_local_answer() {
+    fn multi_aggregate_group_by_matches_local_answer() {
         let rt = boot(3, 2);
         load(&rt, 100);
-        let req = ScanRequest {
-            predicate: None,
-            projection: impliance_storage::Projection::All,
-            aggregate: Some(AggSpec {
-                group_by: Some("cust".into()),
-                func: AggFunc::Sum,
-                operand: Some("amount".into()),
-            }),
-            limit: None,
-            snapshot: None,
-        };
-        let groups = dist_aggregate(&rt, &req).unwrap();
-        assert_eq!(groups.len(), 10);
+        let out = run(&rt, &sum_by_cust());
+        let rows = out.output.rows();
+        assert_eq!(rows.len(), 10);
         // sum over all groups must equal sum of 0..100 of (i%100) = 4950
-        let total: f64 = groups.values().map(|v| v.sum).sum();
+        let total: f64 = rows
+            .iter()
+            .map(|r| r.get("total").as_f64().unwrap_or(0.0))
+            .sum();
         assert_eq!(total, 4950.0);
+        assert!(rows.iter().all(|r| r.get("n") == &Value::Int(10)));
     }
 
     #[test]
-    fn dist_join_produces_matches() {
+    fn hash_join_broadcasts_a_build_side_gathered_from_every_node() {
         let rt = boot(2, 2);
-        // orders
         load(&rt, 30);
-        // customers
         for i in 0..10u64 {
             let d = DocumentBuilder::new(DocId(1000 + i), SourceFormat::Json, "customers")
                 .field("code", format!("C-{i}"))
@@ -1243,115 +1025,87 @@ mod tests {
                 .build();
             dist_put(&rt, &d).unwrap();
         }
-        let left = ScanRequest::filtered(Predicate::CollectionIs("orders".into()));
-        let right = ScanRequest::filtered(Predicate::CollectionIs("customers".into()));
-        let tuples = dist_join(
-            &rt,
-            &left,
-            &right,
-            "o",
-            "c",
-            ("o".to_string(), "cust".to_string()),
-            ("c".to_string(), "code".to_string()),
-        )
-        .unwrap();
-        assert_eq!(tuples.len(), 30, "every order has exactly one customer");
-        for t in &tuples {
-            assert_eq!(t.key("o", "cust"), t.key("c", "code"));
-        }
-    }
-
-    #[test]
-    fn batched_scan_runs_partition_morsels_in_parallel() {
-        let rt = boot(2, 1);
-        load(&rt, 100);
-        let (res, stats) = dist_scan_batched(&rt, &ScanRequest::full(), 8).unwrap();
-        assert_eq!(res.documents.len(), 100);
-        // one morsel per (node × partition): 2 nodes × 2 partitions
-        assert_eq!(stats.morsels, 4);
-        assert!(stats.batches >= stats.morsels as u64);
+        let plan = LogicalPlan::Project {
+            input: Box::new(LogicalPlan::Join {
+                left: Box::new(scan(Some("orders"), None)),
+                right: Box::new(scan(Some("customers"), None)),
+                left_key: ("orders".into(), "cust".into()),
+                right_key: ("customers".into(), "code".into()),
+                algo: JoinAlgo::Hash,
+            }),
+            columns: vec![
+                ("orders".into(), "cust".into(), "cust".into()),
+                ("customers".into(), "code".into(), "code".into()),
+            ],
+        };
+        let out = run(&rt, &plan);
+        let rows = out.output.rows();
+        assert_eq!(rows.len(), 30, "every order has exactly one customer");
+        assert!(rows.iter().all(|r| r.get("cust") == r.get("code")));
+        // both segments — build side and probe side — covered 2 × 2 partitions
+        assert_eq!(out.coverage.partitions_total, 8);
+        assert!(out.coverage.is_complete());
+        // plans the exchange cannot split have no distributed form
+        let LogicalPlan::Project { input, .. } = plan else {
+            unreachable!()
+        };
+        let LogicalPlan::Join {
+            left,
+            right,
+            left_key,
+            right_key,
+            ..
+        } = *input
+        else {
+            unreachable!()
+        };
+        let merge_join = LogicalPlan::Join {
+            left,
+            right,
+            left_key,
+            right_key,
+            algo: JoinAlgo::SortMerge,
+        };
+        let err = execute(&rt, &merge_join, &ExecutionContext::default()).unwrap_err();
         assert!(
-            stats.critical_path_batches < stats.batches,
-            "critical path {} should be shorter than the total {} — morsels overlap",
-            stats.critical_path_batches,
-            stats.batches
+            matches!(err, DistError::Exec(ExecError::BadPlan(_))),
+            "{err}"
         );
-        assert!(stats.bytes_shipped > 0);
     }
 
     #[test]
     fn batched_scan_limit_ships_fewer_bytes() {
         let rt = boot(2, 1);
         load(&rt, 200);
+        let opts = ExecutionContext::with_batch_size(16);
         rt.network().reset_metrics();
-        let full = dist_scan_batched(&rt, &ScanRequest::full(), 16).unwrap();
+        let all = execute(&rt, &full(), &opts).unwrap();
         let full_bytes = rt.network().metrics().bytes;
         rt.network().reset_metrics();
-        let limited_req = ScanRequest {
+        let limited_opts = ExecutionContext {
             limit: Some(5),
-            ..ScanRequest::full()
+            ..opts
         };
-        let (limited, lstats) = dist_scan_batched(&rt, &limited_req, 16).unwrap();
+        let limited = execute(&rt, &full(), &limited_opts).unwrap();
         let limited_bytes = rt.network().metrics().bytes;
-        assert_eq!(limited.documents.len(), 5);
+        assert_eq!(limited.output.len(), 5);
         assert!(
             limited_bytes < full_bytes,
             "limit 5 moved {limited_bytes} bytes, full scan {full_bytes}"
         );
-        // each morsel stopped after at most one page of 16
-        assert!(lstats.batches <= full.1.batches);
+        // each morsel stopped pulling after its first page of 16
+        assert!(limited.metrics.batches < all.metrics.batches);
+        assert!(limited.metrics.scan.docs_scanned < all.metrics.scan.docs_scanned);
     }
 
     #[test]
-    fn scan_fails_without_data_nodes() {
+    fn execution_fails_without_data_nodes() {
         let specs = vec![NodeSpec::new(1, NodeKind::Grid)];
         let rt = ClusterRuntime::boot(&specs, Arc::new(Network::new()), |_| Arc::new(()));
         assert!(matches!(
-            dist_scan(&rt, &ScanRequest::full()),
-            Err(ClusterError::NoNodeOfKind("data"))
+            execute(&rt, &full(), &ExecutionContext::default()),
+            Err(DistError::Cluster(ClusterError::NoNodeOfKind("data")))
         ));
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let p = RetryPolicy {
-            max_attempts: 5,
-            base_backoff_us: 100,
-            max_backoff_us: 1_000,
-            seed: 42,
-        };
-        for attempt in 1..5u32 {
-            let a = p.backoff_us(attempt, 7);
-            let b = p.backoff_us(attempt, 7);
-            assert_eq!(a, b, "same inputs, same backoff");
-            let cap = (100u64 << (attempt - 1)).min(1_000);
-            assert!(
-                a >= cap / 2 && a <= cap,
-                "attempt {attempt}: {a} in [{}..{cap}]",
-                cap / 2
-            );
-        }
-        assert_ne!(
-            p.backoff_us(1, 7),
-            p.backoff_us(1, 8),
-            "different salts spread out"
-        );
-    }
-
-    #[test]
-    fn ring_policy_owns_and_candidates() {
-        let nodes = vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
-        let policy = FailoverPolicy::ring(&nodes);
-        assert_eq!(
-            policy.candidates_for(NodeId(1)),
-            &[NodeId(2), NodeId(3), NodeId(0)]
-        );
-        for id in 0..50u64 {
-            let owner = nodes[route_doc(DocId(id), nodes.len())];
-            for &n in &nodes {
-                assert_eq!(policy.owns(DocId(id), n), n == owner);
-            }
-        }
     }
 
     #[test]
@@ -1373,35 +1127,54 @@ mod tests {
         }
         assert_eq!(replica_total, 30, "one replica copy per document");
         // Queries still see each document exactly once.
-        let res = dist_scan(&rt, &ScanRequest::full()).unwrap();
-        assert_eq!(sorted_ids(&res), (0..30).collect::<Vec<u64>>());
+        assert_eq!(
+            sorted_ids(&run(&rt, &full())),
+            (0..30).collect::<Vec<u64>>()
+        );
     }
 
+    /// 30 % of the replies from the data nodes are dropped: on this seed
+    /// 55 of the 200 puts land and lose their first acknowledgement (none
+    /// loses all three attempts', which would be an honest `TaskLost`).
+    /// Every put must report `Ok`, and the store must hold each document
+    /// exactly once.
     #[test]
-    fn resilient_scan_fault_free_reports_complete_coverage() {
+    fn puts_whose_reply_is_lost_are_acknowledged_by_their_retry() {
         let rt = boot(2, 1);
-        load(&rt, 60);
-        let scan =
-            dist_scan_resilient(&rt, &ScanRequest::full(), &ExecutionContext::default()).unwrap();
-        assert!(!scan.degraded);
-        assert!(scan.coverage.is_complete());
-        assert_eq!(scan.coverage.partitions_total, 4);
-        assert_eq!(scan.coverage.partitions_scanned, 4);
-        assert_eq!(scan.coverage.partitions_failed_over, 0);
-        assert_eq!(scan.retries, 0);
-        assert_eq!(scan.failovers, 0);
-        assert_eq!(sorted_ids(&scan.result), (0..60).collect::<Vec<u64>>());
+        let sched = Arc::new(FaultSchedule::new(0x96C8_DA19));
+        for &n in &rt.nodes_of_kind(NodeKind::Data) {
+            sched.drop_link(n, COORDINATOR, 0.30);
+        }
+        rt.network().install_faults(sched);
+        let outcomes: Vec<_> = (0..200).map(|i| dist_put(&rt, &order(i))).collect();
+        rt.network().clear_faults();
+        let lost: Vec<_> = outcomes.iter().filter(|o| o.is_err()).collect();
+        assert!(
+            lost.is_empty(),
+            "{} of 200 puts errored: {:?}",
+            lost.len(),
+            lost[0]
+        );
+        assert_eq!(
+            sorted_ids(&run(&rt, &full())),
+            (0..200).collect::<Vec<u64>>()
+        );
+        // a genuinely stale write is still a typed conflict, not an ack
+        let err = dist_put(&rt, &order(7)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DistError::Exec(ExecError::Storage(StorageError::StaleVersion { .. }))
+            ),
+            "{err}"
+        );
     }
 
     #[test]
     fn retry_survives_transient_request_drops() {
-        use impliance_cluster::FaultSchedule;
         let rt = boot(2, 1);
         load(&rt, 80);
-        let baseline = {
-            let r = dist_scan(&rt, &ScanRequest::full()).unwrap();
-            sorted_ids(&r)
-        };
+        let baseline = sorted_ids(&run(&rt, &full()));
         let sched = Arc::new(FaultSchedule::new(0xC4A05));
         // 25% loss on requests to both data nodes.
         for &n in &rt.nodes_of_kind(NodeKind::Data) {
@@ -1417,61 +1190,56 @@ mod tests {
             },
             ..ExecutionContext::default()
         };
-        let scan = dist_scan_resilient(&rt, &ScanRequest::full(), &opts).unwrap();
+        let out = execute(&rt, &full(), &opts).unwrap();
         rt.network().clear_faults();
-        assert!(!scan.degraded);
-        assert!(scan.retries > 0, "drops must have forced retries");
-        assert_eq!(sorted_ids(&scan.result), baseline);
+        assert!(!out.degraded);
+        assert!(out.retries > 0, "drops must have forced retries");
+        assert_eq!(sorted_ids(&out), baseline);
     }
 
     #[test]
     fn dead_node_fails_over_to_replicas_exactly_once() {
-        use impliance_cluster::FaultSchedule;
         let rt = boot(4, 1);
         load_replicated(&rt, 120);
-        let baseline = {
-            let r = dist_scan(&rt, &ScanRequest::full()).unwrap();
-            sorted_ids(&r)
-        };
+        let baseline = sorted_ids(&run(&rt, &full()));
         let victim = rt.nodes_of_kind(NodeKind::Data)[1];
-        let policy = FailoverPolicy::ring(&rt.nodes_of_kind(NodeKind::Data));
         let sched = Arc::new(FaultSchedule::new(7));
-        // Die mid-scan: probes alone take 8 messages and the victim's two
-        // morsels need several 4-document pages each, so at message 10 the
-        // victim cannot have shipped everything yet.
+        // Die mid-query: the probes alone take 8 messages, so at message
+        // 10 the victim has answered its probe and at most started on its
+        // two morsels (3 messages each).
         sched.kill_after(victim, 10);
         rt.network().install_faults(sched);
         let opts = ExecutionContext {
             batch_size: 4,
-            failover: Some(policy),
+            failover: ring(&rt),
             ..ExecutionContext::default()
         };
-        let scan = dist_scan_resilient(&rt, &ScanRequest::full(), &opts).unwrap();
+        let out = execute(&rt, &full(), &opts).unwrap();
         rt.network().clear_faults();
-        assert_eq!(sorted_ids(&scan.result), baseline, "row set preserved");
-        assert!(!scan.degraded);
-        assert!(scan.failovers > 0, "replicas must have been consulted");
-        assert!(scan.coverage.partitions_failed_over > 0);
-        assert!(scan.coverage.is_complete());
+        assert_eq!(sorted_ids(&out), baseline, "row set preserved");
+        assert!(!out.degraded);
+        assert!(out.failovers > 0, "replicas must have been consulted");
+        // all-or-nothing: both of the victim's partitions were recomputed
+        assert_eq!(out.coverage.partitions_failed_over, 2);
+        assert_eq!(out.coverage.partitions_scanned, 6);
+        assert!(out.coverage.is_complete());
     }
 
     #[test]
     fn dead_node_without_failover_errors() {
-        use impliance_cluster::FaultSchedule;
         let rt = boot(3, 1);
         load(&rt, 60);
         let victim = rt.nodes_of_kind(NodeKind::Data)[0];
         let sched = Arc::new(FaultSchedule::new(3));
         sched.kill_after(victim, 5);
         rt.network().install_faults(sched);
-        let opts = ExecutionContext {
-            failover: None,
-            ..ExecutionContext::default()
-        };
-        let err = dist_scan_resilient(&rt, &ScanRequest::full(), &opts).unwrap_err();
+        let err = execute(&rt, &full(), &ExecutionContext::default()).unwrap_err();
         rt.network().clear_faults();
         assert!(
-            matches!(err, ClusterError::NodeDown(_) | ClusterError::TaskLost),
+            matches!(
+                err,
+                DistError::Cluster(ClusterError::NodeDown(_) | ClusterError::TaskLost)
+            ),
             "got {err:?}"
         );
     }
@@ -1485,13 +1253,14 @@ mod tests {
             degraded_ok: true,
             ..ExecutionContext::default()
         };
-        let scan = dist_scan_resilient(&rt, &ScanRequest::full(), &opts).unwrap();
-        assert!(scan.degraded);
-        assert_eq!(scan.result.documents.len(), 0);
-        assert_eq!(scan.coverage.partitions_scanned, 0);
+        let out = execute(&rt, &full(), &opts).unwrap();
+        assert!(out.degraded);
+        assert!(out.metrics.deadline_exceeded);
+        assert_eq!(out.output.len(), 0);
+        assert_eq!(out.coverage.partitions_scanned, 0);
         assert_eq!(
-            scan.coverage.partitions_total,
-            scan.coverage.partitions_skipped()
+            out.coverage.partitions_total,
+            out.coverage.partitions_skipped()
         );
     }
 
@@ -1505,38 +1274,106 @@ mod tests {
             ..ExecutionContext::default()
         };
         assert!(matches!(
-            dist_scan_resilient(&rt, &ScanRequest::full(), &opts),
-            Err(ClusterError::Timeout)
+            execute(&rt, &full(), &opts),
+            Err(DistError::Cluster(ClusterError::Timeout))
         ));
     }
 
+    /// Partial group states cannot be deduplicated, so the old scan path
+    /// refused to fail aggregates over. A failed node's contribution is
+    /// now recomputed as tuples and folded at the coordinator, so a
+    /// grouped aggregate under a killed node returns the fault-free
+    /// groups — every document counted exactly once.
     #[test]
-    fn aggregate_requests_do_not_fail_over() {
-        use impliance_cluster::FaultSchedule;
+    fn grouped_aggregate_under_a_killed_node_returns_the_fault_free_groups_exactly_once() {
         let rt = boot(3, 1);
         load_replicated(&rt, 60);
+        let baseline = rendered(&run(&rt, &sum_by_cust()));
+        assert_eq!(baseline.len(), 10);
         let victim = rt.nodes_of_kind(NodeKind::Data)[0];
         let sched = Arc::new(FaultSchedule::new(5));
         sched.kill_after(victim, 5);
         rt.network().install_faults(sched);
-        let req = ScanRequest {
-            aggregate: Some(AggSpec {
-                group_by: None,
-                func: AggFunc::Count,
-                operand: None,
-            }),
-            ..ScanRequest::full()
-        };
         let opts = ExecutionContext {
-            failover: Some(FailoverPolicy::ring(&rt.nodes_of_kind(NodeKind::Data))),
-            degraded_ok: true,
+            failover: ring(&rt),
             ..ExecutionContext::default()
         };
-        let scan = dist_scan_resilient(&rt, &req, &opts).unwrap();
+        let out = execute(&rt, &sum_by_cust(), &opts).unwrap();
         rt.network().clear_faults();
-        assert!(scan.degraded, "aggregates cannot fail over: degraded");
-        assert_eq!(scan.failovers, 0);
-        assert!(scan.coverage.partitions_skipped() > 0);
+        assert_eq!(rendered(&out), baseline);
+        assert!(!out.degraded, "aggregates fail over like any other plan");
+        assert!(out.failovers > 0);
+        assert_eq!(out.coverage.partitions_failed_over, 2);
+        assert!(out.coverage.is_complete());
+    }
+
+    /// Every morsel of a node reads the epoch its probe pinned. A writer
+    /// commits batches that span both partitions, each batch stamped with
+    /// one generation; a query that let each partition's morsel read its
+    /// own "latest" would see two generations side by side.
+    #[test]
+    fn morsels_of_a_node_read_the_epoch_its_probe_pinned() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let storage = Arc::new(StorageEngine::new(StorageOptions {
+            partitions: 2,
+            seal_threshold: 64,
+            compression: true,
+            encryption_key: None,
+        }));
+        let specs = [
+            NodeSpec::new(0, NodeKind::Data),
+            NodeSpec::new(100, NodeKind::Grid),
+        ];
+        let node_storage = Arc::clone(&storage);
+        let rt = ClusterRuntime::boot(&specs, Arc::new(Network::new()), move |spec| {
+            match spec.kind {
+                NodeKind::Data => Arc::new(DataNodeState::new(Arc::clone(&node_storage))),
+                _ => Arc::new(()),
+            }
+        });
+        let generation = |gen: i64, prev: Option<&Vec<Document>>| -> Vec<Document> {
+            (0..16u64)
+                .map(|i| {
+                    let fresh = DocumentBuilder::new(DocId(i), SourceFormat::Json, "c")
+                        .field("gen", gen)
+                        .build();
+                    match prev {
+                        Some(prev) => prev[i as usize].new_version(fresh.root().clone(), gen),
+                        None => fresh,
+                    }
+                })
+                .collect()
+        };
+        let mut docs = generation(0, None);
+        storage.commit(&docs).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (storage, stop) = (Arc::clone(&storage), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut gen = 0;
+                while !stop.load(Ordering::Relaxed) && gen < 4_000 {
+                    gen += 1;
+                    docs = generation(gen, Some(&docs));
+                    storage.commit(&docs).unwrap();
+                }
+            })
+        };
+        let plan = LogicalPlan::Project {
+            input: Box::new(scan(Some("c"), None)),
+            columns: vec![("c".into(), "gen".into(), "gen".into())],
+        };
+        for _ in 0..60 {
+            let out = run(&rt, &plan);
+            let rows = out.output.rows();
+            assert_eq!(rows.len(), 16);
+            assert!(
+                rows.iter().all(|r| r.get("gen") == rows[0].get("gen")),
+                "torn read across partitions: {:?}",
+                rendered(&out)
+            );
+        }
+        stop.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
     }
 }
 
@@ -1544,7 +1381,7 @@ mod tests {
 mod search_tests {
     use super::*;
     use impliance_cluster::{Network, NodeSpec};
-    use impliance_docmodel::{DocumentBuilder, SourceFormat};
+    use impliance_docmodel::{DocumentBuilder, SourceFormat, Value};
     use impliance_storage::StorageOptions;
 
     fn boot(data_nodes: u32) -> ClusterRuntime {
@@ -1583,6 +1420,32 @@ mod search_tests {
         handle.join().unwrap();
     }
 
+    /// A keyword search as the appliance builds it: a scored index scan
+    /// projected to `(id, score)` rows.
+    fn search(rt: &ClusterRuntime, query: &str, k: usize) -> Result<Vec<(u64, f64)>, DistError> {
+        let plan = LogicalPlan::Project {
+            input: Box::new(LogicalPlan::IndexScan {
+                query: query.into(),
+                path: None,
+                k: Some(k),
+                alias: "d".into(),
+                any_term: false,
+                phrase: false,
+                collection: None,
+            }),
+            columns: vec![
+                ("d".into(), "_id".into(), "id".into()),
+                ("d".into(), "_score".into(), "score".into()),
+            ],
+        };
+        let out = execute(rt, &plan, &ExecutionContext::default())?;
+        let hit = |r: &crate::tuple::Row| match (r.get("id"), r.get("score")) {
+            (Value::Int(id), Value::Float(score)) => (*id as u64, *score),
+            other => panic!("not a scored hit: {other:?}"),
+        };
+        Ok(out.output.rows().iter().map(hit).collect())
+    }
+
     #[test]
     fn sharded_search_finds_documents_on_every_node() {
         let rt = boot(4);
@@ -1594,10 +1457,14 @@ mod search_tests {
             };
             put_and_index(&rt, i, text);
         }
-        let hits = dist_search(&rt, "zanzibar", 100).unwrap();
+        let hits = search(&rt, "zanzibar", 100).unwrap();
         assert_eq!(hits.len(), 8);
+        // merged by score (best first), ties by ascending id
+        assert!(hits
+            .windows(2)
+            .all(|w| w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0)));
         // ids spread over nodes: the shards each contributed
-        let mut ids: Vec<u64> = hits.iter().map(|h| h.id.0).collect();
+        let mut ids: Vec<u64> = hits.iter().map(|h| h.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 5, 10, 15, 20, 25, 30, 35]);
     }
@@ -1608,14 +1475,13 @@ mod search_tests {
         for i in 0..30 {
             put_and_index(&rt, i, "needle in text");
         }
-        let hits = dist_search(&rt, "needle", 5).unwrap();
-        assert_eq!(hits.len(), 5);
+        assert_eq!(search(&rt, "needle", 5).unwrap().len(), 5);
     }
 
     #[test]
     fn search_without_data_nodes_errors() {
         let specs = vec![NodeSpec::new(1, NodeKind::Grid)];
         let rt = ClusterRuntime::boot(&specs, Arc::new(Network::new()), |_| Arc::new(()));
-        assert!(dist_search(&rt, "x", 5).is_err());
+        assert!(search(&rt, "x", 5).is_err());
     }
 }

@@ -11,8 +11,9 @@
 //! loop. Streaming operators (scan/filter/project/limit) never
 //! materialize their input; `Limit` stops pulling once satisfied, so a
 //! `LIMIT k` plan touches only as many storage pages as needed. The
-//! distributed executor ([`crate::dist`]) reuses the same storage cursors
-//! but places morsels on simulated nodes.
+//! distributed executor ([`crate::dist`]) runs the same morsels — same
+//! split, same `compile`, same `drain` — on the simulated data node that
+//! owns each one.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -230,19 +231,8 @@ pub fn execute_plan_opts(
     plan: &LogicalPlan,
     opts: &ExecutionContext,
 ) -> Result<(QueryOutput, ExecMetrics), ExecError> {
-    // A request-level limit becomes a pipeline Limit at the root, so it
-    // benefits from early termination and the top-K sort fast path.
-    let wrapped;
-    let plan = match opts.limit {
-        Some(n) => {
-            wrapped = LogicalPlan::Limit {
-                input: Box::new(plan.clone()),
-                n,
-            };
-            &wrapped
-        }
-        None => plan,
-    };
+    let plan = plan.with_limit(opts.limit);
+    let plan = plan.as_ref();
     // Register in the preemption gate for the whole execution: while a
     // High query holds the gate, lower-priority morsel workers and the
     // background annotation worker yield between work units.
@@ -806,7 +796,6 @@ fn scan_request_parts(
                     _ => Some(Predicate::And(combined)),
                 },
                 projection: Projection::All,
-                aggregate: None,
                 limit: None,
                 snapshot,
             },
@@ -822,7 +811,6 @@ fn scan_request_parts(
                     _ => Some(Predicate::And(combined)),
                 },
                 projection: Projection::All,
-                aggregate: None,
                 limit: None,
                 snapshot,
             },

@@ -33,9 +33,10 @@
 //!   and segment, compiles the segment once per morsel (a storage
 //!   partition, or a chunk of scored hits) on a scoped worker pool, and
 //!   merges per-morsel results in morsel order (exact, not approximate).
-//! * [`dist`] — the distributed executor: scans on data nodes, join and
-//!   aggregation on grid nodes, updates via cluster nodes (Figure 3's
-//!   example query flow).
+//! * [`dist`] — the distributed executor: the same split, with a morsel
+//!   compiled and drained on the data node that owns it, the global merge
+//!   on a grid node, updates via cluster nodes (Figure 3's example query
+//!   flow); retry, replica failover and deadlines wrap morsels.
 //! * [`context`] — the unified [`ExecutionContext`] carrying every
 //!   execution knob (batch size, limit, deadline, worker threads, retry
 //!   and failover policies) across the local, parallel, and distributed
@@ -63,8 +64,8 @@ pub mod tuple;
 
 pub use batch::{Batch, Operator, DEFAULT_BATCH_SIZE};
 pub use clock::{BackoffClock, ManualTime, RealClock, RealTime, TimeSource};
-pub use context::ExecutionContext;
-pub use dist::{CoverageReport, FailoverPolicy, ResilientScan, RetryPolicy};
+pub use context::{ExecutionContext, FailoverPolicy, RetryPolicy};
+pub use dist::{CoverageReport, DistError, DistOutput};
 pub use exec::{execute_plan, execute_plan_opts, ExecContext, ExecError, ExecMetrics, QueryOutput};
 pub use plan::{AggItem, JoinAlgo, LogicalPlan, SortKey};
 pub use preempt::{PreemptGuard, Priority};

@@ -47,7 +47,10 @@
 //! expired budget returns the parts folded so far as an honest partial);
 //! the first error stops the siblings; a worker panic is re-raised on
 //! the caller. Exchanges cost nothing on the simulated `Network`:
-//! workers share one address space (see DESIGN.md).
+//! workers share one address space (see DESIGN.md). The cluster reuses
+//! the pieces, not the pool: [`crate::dist`] cuts with the same [`split`],
+//! runs [`run_segment`] + [`Split::fold`] on the data node that owns a
+//! morsel, and finishes with the same [`merge_parts`].
 //!
 //! [`AggValue::merge`]: impliance_storage::AggValue::merge
 
@@ -159,7 +162,7 @@ where
 // ---------------------------------------------------------------------
 
 /// How per-morsel results combine at the root.
-enum Shape<'p> {
+pub(crate) enum Shape<'p> {
     /// Concatenate in morsel order (streaming plans).
     Collect,
     /// Per-morsel buffers (pruned to `top_k`), one stable sort at the
@@ -177,24 +180,24 @@ enum Shape<'p> {
 
 /// A plan cut for the exchange (see the module docs). Everything borrows
 /// from the plan, which outlives the worker pool.
-struct Split<'p> {
+pub(crate) struct Split<'p> {
     /// Minimum of the root's stacked limits.
-    limit: Option<usize>,
+    pub(crate) limit: Option<usize>,
     /// The root's projection, if any.
     project: Option<&'p [(String, String, String)]>,
-    shape: Shape<'p>,
+    pub(crate) shape: Shape<'p>,
     /// The subtree each morsel compiles.
-    segment: &'p LogicalPlan,
+    pub(crate) segment: &'p LogicalPlan,
     /// The segment's base source (a `Scan` or an `IndexScan`).
-    base: &'p LogicalPlan,
+    pub(crate) base: &'p LogicalPlan,
     /// The spine's hash joins, outermost first: the join node (its
     /// identity keys the shared table), its build side and build key.
-    builds: Vec<(&'p LogicalPlan, &'p LogicalPlan, &'p (String, String))>,
+    pub(crate) builds: Vec<(&'p LogicalPlan, &'p LogicalPlan, &'p (String, String))>,
 }
 
 /// Cut a plan for the exchange, or `None` when it has no split and runs
 /// as one tree on the calling thread.
-fn split(plan: &LogicalPlan) -> Option<Split<'_>> {
+pub(crate) fn split(plan: &LogicalPlan) -> Option<Split<'_>> {
     let mut limit: Option<usize> = None;
     let mut take_limit = |n: usize| limit = Some(limit.map_or(n, |l| l.min(n)));
     let mut cur = plan;
@@ -279,15 +282,34 @@ fn split(plan: &LogicalPlan) -> Option<Split<'_>> {
 // ---------------------------------------------------------------------
 
 /// One morsel's folded result.
-enum Part {
+pub(crate) enum Part {
     Tuples(Vec<Tuple>),
     /// Already-projected rows (a projected collect).
     Rows(Vec<Row>),
     Groups(Groups),
 }
 
-impl Split<'_> {
-    fn empty_part(&self) -> Part {
+impl<'p> Split<'p> {
+    /// Merge a streaming plan over an `IndexScan` base as a sort on
+    /// `keys` (best score first). One index ranks its own hits, so the
+    /// single box concatenates chunks of one ordered list; shards that
+    /// each ranked their own (a cluster's text shards) interleave by
+    /// score instead. A bounded search stays bounded: without joins on
+    /// the spine the merge keeps at most the search's own `k`.
+    pub(crate) fn ranked_by(mut self, keys: &'p [SortKey]) -> Split<'p> {
+        if let (LogicalPlan::IndexScan { k, .. }, Shape::Collect) = (self.base, &self.shape) {
+            if let (Some(k), true) = (*k, self.builds.is_empty()) {
+                self.limit = Some(self.limit.map_or(k, |l| l.min(k)));
+            }
+            self.shape = Shape::Sort {
+                keys,
+                top_k: self.limit,
+            };
+        }
+        self
+    }
+
+    pub(crate) fn empty_part(&self) -> Part {
         match (&self.shape, self.project) {
             (Shape::GroupAgg { .. }, _) => Part::Groups(Groups::new()),
             (Shape::Collect, Some(_)) => Part::Rows(Vec::new()),
@@ -297,7 +319,7 @@ impl Split<'_> {
 
     /// What the morsel's fold can take as column pages instead of tuples
     /// (the same demand the serial `GroupAgg`/`Project` would state).
-    fn demand(&self) -> Option<ColumnDemand<'_>> {
+    pub(crate) fn demand(&self) -> Option<ColumnDemand<'_>> {
         match (&self.shape, self.project) {
             (Shape::GroupAgg { group_by, aggs }, _) => {
                 Some(ColumnDemand::of_group_agg(*group_by, aggs))
@@ -312,7 +334,7 @@ impl Split<'_> {
     /// contributes more than the query limit: an entry with `limit`
     /// same-morsel predecessors can never reach the merged prefix, so the
     /// morsel's tree can stop early.
-    fn fold(&self, part: &mut Part, batch: Batch) -> Result<bool, ExecError> {
+    pub(crate) fn fold(&self, part: &mut Part, batch: Batch) -> Result<bool, ExecError> {
         let cap = self.limit.unwrap_or(usize::MAX);
         match (&self.shape, part) {
             (Shape::GroupAgg { group_by, aggs }, Part::Groups(groups)) => {
@@ -360,24 +382,33 @@ struct Exchange<'e, 'c> {
     batch_size: usize,
 }
 
+/// The one morsel body — an exchange worker and a data-node job both run
+/// it: compile `segment` under `scope`, drain the tree into `sink`.
+pub(crate) fn run_segment(
+    ctx: &ExecContext<'_>,
+    segment: &LogicalPlan,
+    scope: &Scope<'_>,
+    demand: Option<&ColumnDemand<'_>>,
+    batch_size: usize,
+    expired: impl FnMut() -> bool,
+    sink: impl FnMut(Batch) -> Result<bool, ExecError>,
+) -> Result<ExecMetrics, ExecError> {
+    let metrics: SharedMetrics = Rc::new(RefCell::new(ExecMetrics::default()));
+    let compiled = compile(ctx, segment, batch_size, &metrics, scope, demand)?;
+    let Compiled::Op { mut op, .. } = compiled else {
+        return Err(ExecError::BadPlan("morsel segment is not a stream".into()));
+    };
+    drain(op.as_mut(), &metrics, expired, sink)?;
+    let m = *metrics.borrow();
+    Ok(m)
+}
+
 impl Exchange<'_, '_> {
-    /// Compile the segment for one morsel, drain it, fold it.
+    /// Run the segment for one morsel and fold it.
     fn run_morsel(&self, morsel: Morsel<'_>) -> Result<(Part, ExecMetrics), ExecError> {
-        let metrics: SharedMetrics = Rc::new(RefCell::new(ExecMetrics::default()));
         let scope = Scope {
             morsel: Some(morsel),
             tables: &self.tables,
-        };
-        let compiled = compile(
-            self.ctx,
-            self.split.segment,
-            self.batch_size,
-            &metrics,
-            &scope,
-            self.demand.as_ref(),
-        )?;
-        let Compiled::Op { mut op, .. } = compiled else {
-            return Err(ExecError::BadPlan("morsel segment is not a stream".into()));
         };
         let mut part = self.split.empty_part();
         let expired = || {
@@ -388,10 +419,15 @@ impl Exchange<'_, '_> {
             }
             hit
         };
-        drain(op.as_mut(), &metrics, expired, |batch| {
-            self.split.fold(&mut part, batch)
-        })?;
-        let m = *metrics.borrow();
+        let m = run_segment(
+            self.ctx,
+            self.split.segment,
+            &scope,
+            self.demand.as_ref(),
+            self.batch_size,
+            expired,
+            |batch| self.split.fold(&mut part, batch),
+        )?;
         Ok((part, m))
     }
 }
@@ -515,17 +551,33 @@ pub(crate) fn try_execute_parallel(
         metrics.deadline_exceeded = true;
         deadline_obs().inc();
     }
-    let output = merge_parts(&split, parts, &mut metrics);
+    let output = merge_parts(&split, parts, &mut metrics).into_output();
     Ok(Some((output, metrics)))
 }
 
+/// A merged answer: bound tuples (un-projected plans — what a hash join's
+/// build side keeps) or finished rows.
+pub(crate) enum Merged {
+    Tuples(Vec<Tuple>),
+    Rows(Vec<Row>),
+}
+
+impl Merged {
+    pub(crate) fn into_output(self) -> QueryOutput {
+        match self {
+            Merged::Tuples(tuples) => QueryOutput::unbind(tuples),
+            Merged::Rows(rows) => QueryOutput::Rows(rows),
+        }
+    }
+}
+
 /// Reassemble per-morsel parts in morsel order and finish the root:
-/// merge by shape, truncate to the limit, project or unbind.
-fn merge_parts(
+/// merge by shape, truncate to the limit, project.
+pub(crate) fn merge_parts(
     split: &Split<'_>,
     mut parts: Vec<(usize, Part)>,
     metrics: &mut ExecMetrics,
-) -> QueryOutput {
+) -> Merged {
     // Morsel-order reassembly: reproduces the serial sequence.
     parts.sort_by_key(|(place, _)| *place);
 
@@ -570,11 +622,11 @@ fn merge_parts(
     rows.truncate(cap);
     metrics.rows_out = merged.min(cap) as u64;
     let output = match (&split.shape, split.project) {
-        (Shape::GroupAgg { .. }, _) | (Shape::Collect, Some(_)) => QueryOutput::Rows(rows),
+        (Shape::GroupAgg { .. }, _) | (Shape::Collect, Some(_)) => Merged::Rows(rows),
         (Shape::Sort { .. }, Some(columns)) => {
-            QueryOutput::Rows(project_batch(Batch::Tuples(tuples), columns))
+            Merged::Rows(project_batch(Batch::Tuples(tuples), columns))
         }
-        (_, None) => QueryOutput::unbind(tuples),
+        (_, None) => Merged::Tuples(tuples),
     };
     par_obs()
         .merge_us

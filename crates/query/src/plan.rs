@@ -178,6 +178,19 @@ impl LogicalPlan {
         }
     }
 
+    /// The plan under a request-level limit: a pipeline `Limit` at the
+    /// root, so it benefits from early termination and the top-K sort
+    /// fast path. Borrowed unchanged when there is no limit.
+    pub fn with_limit(&self, limit: Option<usize>) -> std::borrow::Cow<'_, LogicalPlan> {
+        match limit {
+            Some(n) => std::borrow::Cow::Owned(LogicalPlan::Limit {
+                input: Box::new(self.clone()),
+                n,
+            }),
+            None => std::borrow::Cow::Borrowed(self),
+        }
+    }
+
     /// Does the plan contain a limit anywhere above its joins? The simple
     /// planner uses this as its "top-k workload" signal.
     pub fn has_limit(&self) -> bool {

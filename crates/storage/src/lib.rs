@@ -48,7 +48,7 @@ pub use epoch::{ChangeFeed, ChangeRecord, EpochRegistry, Snapshot};
 pub use error::StorageError;
 pub use partition::ScanPos;
 pub use pushdown::{
-    AggFunc, AggSpec, AggValue, Predicate, Projection, ScanMetrics, ScanRequest, ScanResult,
+    AggFunc, AggValue, Predicate, Projection, ScanMetrics, ScanRequest, ScanResult,
 };
 pub use segment::{PathZone, ZoneMap};
 pub use stats::{PartitionStats, PathStats};

@@ -12,9 +12,7 @@ use impliance_docmodel::{DocId, Document, Version};
 use crate::columnar::{ColumnPage, ColumnPageBuilder};
 use crate::error::StorageError;
 use crate::memtable::Memtable;
-use crate::pushdown::{
-    aggregate_document, project, Predicate, Projection, ScanMetrics, ScanRequest, ScanResult,
-};
+use crate::pushdown::{project, Predicate, Projection, ScanMetrics, ScanRequest, ScanResult};
 use crate::segment::Segment;
 use crate::stats::PartitionStats;
 
@@ -512,12 +510,6 @@ impl PageSink for ScanResult {
     }
 
     fn accept(&mut self, doc: Document, _encoded_len: usize, req: &ScanRequest) -> u64 {
-        if let Some(spec) = &req.aggregate {
-            aggregate_document(&doc, spec, &mut self.groups);
-            // aggregates travel as tiny group states; approximate their
-            // wire size as 32 bytes per update
-            return 32;
-        }
         match &req.projection {
             Projection::IdsOnly => {
                 self.ids.push(doc.id());
@@ -569,7 +561,7 @@ fn offer<S: PageSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pushdown::{AggFunc, AggSpec, Predicate};
+    use crate::pushdown::Predicate;
     use impliance_docmodel::{DocumentBuilder, Node, SourceFormat, Value};
 
     fn doc(i: u64, amount: i64) -> Document {
@@ -747,29 +739,6 @@ mod tests {
         assert_eq!(page.len, 4);
         let mask = page.eval_mask(&fused);
         assert_eq!(mask.count_ones(), 4);
-    }
-
-    #[test]
-    fn scan_pushdown_aggregate() {
-        let mut p = Partition::new(8, false);
-        for i in 0..10 {
-            p.put(&doc(i, 10)).unwrap();
-        }
-        let req = ScanRequest {
-            predicate: None,
-            projection: Projection::All,
-            aggregate: Some(AggSpec {
-                group_by: Some("make".into()),
-                func: AggFunc::Sum,
-                operand: Some("amount".into()),
-            }),
-            limit: None,
-            snapshot: None,
-        };
-        let res = p.scan(&req).unwrap();
-        assert!(res.documents.is_empty());
-        assert_eq!(res.groups["Volvo"].finish(AggFunc::Sum), Value::Float(50.0));
-        assert_eq!(res.groups["Saab"].finish(AggFunc::Sum), Value::Float(50.0));
     }
 
     #[test]

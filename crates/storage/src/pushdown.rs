@@ -8,8 +8,6 @@
 //! bytes scanned vs. bytes returned; experiment C2 compares the two with
 //! push-down on and off.
 
-use std::collections::BTreeMap;
-
 use impliance_docmodel::{Document, Node, Value};
 
 use crate::columnar::CmpOp;
@@ -276,19 +274,6 @@ pub enum AggFunc {
     Avg,
 }
 
-/// An aggregation request: optional group-by path plus one aggregate over
-/// an operand path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggSpec {
-    /// Structural path whose value keys the groups; `None` for a single
-    /// global group.
-    pub group_by: Option<String>,
-    /// The aggregate function.
-    pub func: AggFunc,
-    /// Operand path (ignored for `Count`).
-    pub operand: Option<String>,
-}
-
 /// Partial aggregate state, combinable across partitions and nodes — the
 /// classic two-phase (local/global) aggregation the paper's grid nodes
 /// perform.
@@ -372,16 +357,13 @@ impl AggValue {
     }
 }
 
-/// A complete scan request: filter, then project or aggregate.
+/// A complete scan request: filter, then project.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScanRequest {
     /// Filter evaluated at the storage node.
     pub predicate: Option<Predicate>,
     /// Projection applied to survivors.
     pub projection: Projection,
-    /// Optional aggregation; when set, documents are consumed at the node
-    /// and only group states travel.
-    pub aggregate: Option<AggSpec>,
     /// Optional cap on returned documents (top-of-scan limit).
     pub limit: Option<usize>,
     /// Visibility epoch: only versions committed at or before this epoch
@@ -434,17 +416,13 @@ impl ScanMetrics {
     }
 }
 
-/// The result of a scan: documents or aggregate groups, plus metrics.
+/// The result of a scan: documents or ids, plus metrics.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScanResult {
-    /// Matching (possibly projected) documents; empty when aggregating or
-    /// `IdsOnly`.
+    /// Matching (possibly projected) documents; empty for `IdsOnly`.
     pub documents: Vec<Document>,
     /// Matching ids (populated for `IdsOnly`).
     pub ids: Vec<impliance_docmodel::DocId>,
-    /// Aggregate groups keyed by group value rendering (`""` for the global
-    /// group).
-    pub groups: BTreeMap<String, AggValue>,
     /// Scan accounting.
     pub metrics: ScanMetrics,
 }
@@ -454,9 +432,6 @@ impl ScanResult {
     pub fn merge(&mut self, mut other: ScanResult) {
         self.documents.append(&mut other.documents);
         self.ids.append(&mut other.ids);
-        for (k, v) in other.groups {
-            self.groups.entry(k).or_default().merge(&v);
-        }
         self.metrics.merge(&other.metrics);
     }
 }
@@ -493,41 +468,6 @@ fn advance_to_version(mut pruned: Document, original: &Document) -> Document {
         pruned = pruned.new_version(body, original.ingested_at());
     }
     pruned
-}
-
-/// Fold one matching document into an aggregation result.
-pub fn aggregate_document(doc: &Document, spec: &AggSpec, groups: &mut BTreeMap<String, AggValue>) {
-    let group_keys: Vec<String> = match &spec.group_by {
-        None => vec![String::new()],
-        Some(gp) => {
-            let keys: Vec<String> = doc
-                .leaves()
-                .iter()
-                .filter(|(p, _)| p.structural_form() == *gp)
-                .map(|(_, v)| v.render())
-                .collect();
-            if keys.is_empty() {
-                return; // no group value → excluded, like SQL GROUP BY on NULL-less key
-            }
-            keys
-        }
-    };
-    for key in group_keys {
-        let entry = groups.entry(key).or_default();
-        match (&spec.operand, spec.func) {
-            (_, AggFunc::Count) => {
-                entry.count += 1;
-            }
-            (Some(op), _) => {
-                for (p, v) in doc.leaves() {
-                    if p.structural_form() == *op {
-                        entry.observe(v);
-                    }
-                }
-            }
-            (None, _) => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -658,37 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_with_group_by() {
-        let docs = [doc(100, "Volvo"), doc(200, "Volvo"), doc(50, "Saab")];
-        let spec = AggSpec {
-            group_by: Some("claim.vehicle.make".into()),
-            func: AggFunc::Sum,
-            operand: Some("claim.amount".into()),
-        };
-        let mut groups = BTreeMap::new();
-        for d in &docs {
-            aggregate_document(d, &spec, &mut groups);
-        }
-        assert_eq!(groups["Volvo"].finish(AggFunc::Sum), Value::Float(300.0));
-        assert_eq!(groups["Saab"].finish(AggFunc::Sum), Value::Float(50.0));
-    }
-
-    #[test]
-    fn count_without_operand() {
-        let docs = [doc(1, "Volvo"), doc(2, "Saab")];
-        let spec = AggSpec {
-            group_by: None,
-            func: AggFunc::Count,
-            operand: None,
-        };
-        let mut groups = BTreeMap::new();
-        for d in &docs {
-            aggregate_document(d, &spec, &mut groups);
-        }
-        assert_eq!(groups[""].finish(AggFunc::Count), Value::Int(2));
-    }
-
-    #[test]
     fn zone_pruning_is_sound_and_useful() {
         use crate::memtable::Memtable;
         use crate::segment::Segment;
@@ -760,23 +669,15 @@ mod tests {
     }
 
     #[test]
-    fn scan_result_merge_combines_groups_and_metrics() {
+    fn scan_result_merge_combines_documents_and_metrics() {
         let mut a = ScanResult::default();
-        a.groups.insert("x".into(), {
-            let mut v = AggValue::default();
-            v.observe(&Value::Int(1));
-            v
-        });
+        a.documents.push(doc(1, "Volvo"));
         a.metrics.docs_scanned = 10;
         let mut b = ScanResult::default();
-        b.groups.insert("x".into(), {
-            let mut v = AggValue::default();
-            v.observe(&Value::Int(2));
-            v
-        });
+        b.documents.push(doc(2, "Saab"));
         b.metrics.docs_scanned = 5;
         a.merge(b);
-        assert_eq!(a.groups["x"].count, 2);
+        assert_eq!(a.documents.len(), 2);
         assert_eq!(a.metrics.docs_scanned, 15);
     }
 }

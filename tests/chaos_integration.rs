@@ -1,9 +1,8 @@
 //! Chaos tests for the fault-tolerant distributed executor: seeded
-//! [`FaultSchedule`]s kill nodes and drop messages mid-scan, and the
-//! resilient scan path must return the exact fault-free row set (via
-//! retry + replica failover), or — when coverage is genuinely impossible
-//! — an honest degraded result. Never a panic, never a silent short
-//! count.
+//! [`FaultSchedule`]s kill nodes and drop messages mid-query, and
+//! `dist::execute` must return the exact fault-free row set (via retry +
+//! replica failover), or — when coverage is genuinely impossible — an
+//! honest degraded result. Never a panic, never a silent short count.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,11 +18,8 @@ use impliance::cluster::{
 use impliance::core::{ApplianceConfig, Impliance};
 use impliance::docmodel::{DocId, DocumentBuilder, SourceFormat};
 use impliance::query::clock::{self, BackoffClock, ManualTime};
-use impliance::query::dist::{
-    dist_put_replicated, dist_scan_batched, dist_scan_resilient, DataNodeState, FailoverPolicy,
-    RetryPolicy,
-};
-use impliance::query::{ExecutionContext, Priority};
+use impliance::query::dist::{self, dist_put_replicated, DataNodeState, DistError, DistOutput};
+use impliance::query::{ExecutionContext, FailoverPolicy, LogicalPlan, Priority, RetryPolicy};
 use impliance::storage::{ScanRequest, StorageEngine, StorageOptions};
 use impliance::virt::{Admission, TenantId, TenantQuota, WorkloadConfig, WorkloadManager};
 
@@ -74,24 +70,38 @@ fn ingest(rt: &ClusterRuntime, docs: u64) {
     }
 }
 
-fn sorted_ids(result: &impliance::storage::ScanResult) -> Vec<u64> {
-    let mut ids: Vec<u64> = result.documents.iter().map(|d| d.id().0).collect();
+/// Every document of the cluster, un-projected.
+fn full_scan() -> LogicalPlan {
+    LogicalPlan::Scan {
+        collection: None,
+        predicate: None,
+        alias: "d".into(),
+        use_value_index: false,
+    }
+}
+
+fn sorted_ids(out: &DistOutput) -> Vec<u64> {
+    let mut ids: Vec<u64> = out.output.docs().iter().map(|d| d.id().0).collect();
     ids.sort_unstable();
     ids
 }
 
 /// The acceptance scenario: a seeded schedule kills 1 of 4 data nodes
 /// mid-scan and drops 20% of the traffic on the victim's coordinator
-/// links. `dist_scan_batched` (default retry + ring failover) must return
-/// exactly the fault-free row set, with failovers actually exercised.
+/// links. Default retry + ring failover must return exactly the
+/// fault-free row set, with failovers actually exercised.
 #[test]
 fn killed_node_with_drops_returns_fault_free_row_set() {
     quiet_backoff();
     let rt = boot(3);
     ingest(&rt, 160);
 
-    let request = ScanRequest::full();
-    let (baseline, _) = dist_scan_batched(&rt, &request, 8).expect("fault-free scan");
+    let plan = full_scan();
+    let opts = ExecutionContext {
+        failover: Some(FailoverPolicy::ring(&rt.nodes_of_kind(NodeKind::Data))),
+        ..ExecutionContext::with_batch_size(8)
+    };
+    let baseline = dist::execute(&rt, &plan, &opts).expect("fault-free scan");
     let baseline_ids = sorted_ids(&baseline);
     assert_eq!(baseline_ids.len(), 160, "every ingested doc scans");
 
@@ -105,7 +115,7 @@ fn killed_node_with_drops_returns_fault_free_row_set() {
 
     let failovers = impliance::obs::global().metrics().counter("dist.failovers");
     let before = failovers.get();
-    let (chaotic, _) = dist_scan_batched(&rt, &request, 8).expect("chaotic scan recovers");
+    let chaotic = dist::execute(&rt, &plan, &opts).expect("chaotic scan recovers");
     rt.network().clear_faults();
 
     assert_eq!(
@@ -129,7 +139,7 @@ fn pooled_resilient_scan_returns_fault_free_row_set_under_faults() {
     let rt = boot(3);
     ingest(&rt, 120);
 
-    let request = ScanRequest::full();
+    let plan = full_scan();
     let opts = ExecutionContext {
         batch_size: 8,
         retry: RetryPolicy {
@@ -140,9 +150,9 @@ fn pooled_resilient_scan_returns_fault_free_row_set_under_faults() {
         ..ExecutionContext::default()
     }
     .parallelism(4);
-    let baseline = dist_scan_resilient(&rt, &request, &opts).expect("pooled fault-free scan");
+    let baseline = dist::execute(&rt, &plan, &opts).expect("pooled fault-free scan");
     assert!(baseline.coverage.is_complete());
-    assert_eq!(sorted_ids(&baseline.result).len(), 120);
+    assert_eq!(sorted_ids(&baseline).len(), 120);
 
     let victim = rt.nodes_of_kind(NodeKind::Data)[1];
     let coord = NodeId(u32::MAX);
@@ -152,12 +162,12 @@ fn pooled_resilient_scan_returns_fault_free_row_set_under_faults() {
     sched.kill_after(victim, 10);
     rt.network().install_faults(sched);
 
-    let chaotic = dist_scan_resilient(&rt, &request, &opts).expect("pooled chaotic scan");
+    let chaotic = dist::execute(&rt, &plan, &opts).expect("pooled chaotic scan");
     rt.network().clear_faults();
 
     assert_eq!(
-        sorted_ids(&chaotic.result),
-        sorted_ids(&baseline.result),
+        sorted_ids(&chaotic),
+        sorted_ids(&baseline),
         "pooled scan under kill + 15% drop equals the fault-free row set"
     );
     assert!(!chaotic.degraded);
@@ -184,7 +194,7 @@ fn coverage_report_accounting_is_exact_under_kill() {
         degraded_ok: true,
         ..ExecutionContext::default()
     };
-    let scan = dist_scan_resilient(&rt, &ScanRequest::full(), &opts).expect("resilient scan");
+    let scan = dist::execute(&rt, &full_scan(), &opts).expect("resilient scan");
     rt.network().clear_faults();
 
     let c = &scan.coverage;
@@ -199,11 +209,7 @@ fn coverage_report_accounting_is_exact_under_kill() {
         "degraded flag matches coverage"
     );
     if !scan.degraded {
-        assert_eq!(
-            sorted_ids(&scan.result).len(),
-            80,
-            "complete result has every doc"
-        );
+        assert_eq!(sorted_ids(&scan).len(), 80, "complete result has every doc");
     }
 }
 
@@ -221,8 +227,7 @@ fn exhausted_deadline_degrades_honestly_or_errors() {
         degraded_ok: true,
         ..ExecutionContext::default()
     };
-    let scan =
-        dist_scan_resilient(&rt, &ScanRequest::full(), &degraded_opts).expect("degraded result");
+    let scan = dist::execute(&rt, &full_scan(), &degraded_opts).expect("degraded result");
     assert!(scan.degraded, "zero deadline cannot complete coverage");
     let c = &scan.coverage;
     assert_eq!(
@@ -231,7 +236,7 @@ fn exhausted_deadline_degrades_honestly_or_errors() {
         "skipped partitions are reported, not silently dropped: {c:?}"
     );
     assert!(
-        scan.result.documents.len() < 40 || c.is_complete(),
+        scan.output.len() < 40 || c.is_complete(),
         "a partial row count comes with an incomplete coverage report"
     );
 
@@ -240,10 +245,13 @@ fn exhausted_deadline_degrades_honestly_or_errors() {
         degraded_ok: false,
         ..ExecutionContext::default()
     };
-    let err = dist_scan_resilient(&rt, &ScanRequest::full(), &strict_opts)
+    let err = dist::execute(&rt, &full_scan(), &strict_opts)
         .expect_err("strict mode surfaces the deadline");
     assert!(
-        matches!(err, impliance::cluster::ClusterError::Timeout),
+        matches!(
+            err,
+            DistError::Cluster(impliance::cluster::ClusterError::Timeout)
+        ),
         "typed timeout, got {err:?}"
     );
 }
@@ -261,7 +269,7 @@ fn overloaded_cluster_with_kill_and_drops_answers_typed_or_degraded() {
     let rt = boot(3);
     ingest(&rt, 120);
 
-    let request = ScanRequest::full();
+    let plan = full_scan();
     let data_nodes = rt.nodes_of_kind(NodeKind::Data);
     let base_opts = ExecutionContext {
         batch_size: 8,
@@ -273,8 +281,8 @@ fn overloaded_cluster_with_kill_and_drops_answers_typed_or_degraded() {
         degraded_ok: true,
         ..ExecutionContext::default()
     };
-    let baseline = dist_scan_resilient(&rt, &request, &base_opts).expect("fault-free scan");
-    let baseline_ids = sorted_ids(&baseline.result);
+    let baseline = dist::execute(&rt, &plan, &base_opts).expect("fault-free scan");
+    let baseline_ids = sorted_ids(&baseline);
     assert_eq!(baseline_ids.len(), 120, "every ingested doc scans");
 
     // Admission front door, sized for 4 in-flight queries; 4 permits are
@@ -354,7 +362,7 @@ fn overloaded_cluster_with_kill_and_drops_answers_typed_or_degraded() {
                     deadline: permit.budget_us().map(Duration::from_micros),
                     ..base_opts.clone()
                 };
-                let scan = dist_scan_resilient(&rt, &request, &opts)
+                let scan = dist::execute(&rt, &plan, &opts)
                     .expect("admitted query never hangs or errors with degraded_ok");
                 let c = &scan.coverage;
                 assert_eq!(
@@ -367,7 +375,7 @@ fn overloaded_cluster_with_kill_and_drops_answers_typed_or_degraded() {
                     !c.is_complete(),
                     "degraded flag matches coverage"
                 );
-                let ids = sorted_ids(&scan.result);
+                let ids = sorted_ids(&scan);
                 if scan.degraded {
                     assert!(
                         ids.iter().all(|id| baseline_ids.binary_search(id).is_ok()),
@@ -466,32 +474,32 @@ proptest! {
     fn resilient_scan_equals_fault_free_under_random_kills(
         docs in 20u64..120,
         victim_idx in 0usize..(DATA_NODES as usize),
-        kill_after in 9u64..60,
+        kill_after in 9u64..34,
         seed in any::<u64>(),
     ) {
         quiet_backoff();
         let rt = boot(2);
         ingest(&rt, docs);
-        let request = ScanRequest::full();
+        let plan = full_scan();
         let opts = ExecutionContext {
             batch_size: 4,
             retry: RetryPolicy { max_attempts: 8, ..RetryPolicy::default() },
             failover: Some(FailoverPolicy::ring(&rt.nodes_of_kind(NodeKind::Data))),
             ..ExecutionContext::default()
         };
-        let baseline = dist_scan_resilient(&rt, &request, &opts).expect("fault-free scan");
+        let baseline = dist::execute(&rt, &plan, &opts).expect("fault-free scan");
         prop_assert!(baseline.coverage.is_complete());
 
         let victim = rt.nodes_of_kind(NodeKind::Data)[victim_idx];
         let sched = Arc::new(FaultSchedule::new(seed));
         sched.kill_after(victim, kill_after);
         rt.network().install_faults(sched);
-        let chaotic = dist_scan_resilient(&rt, &request, &opts).expect("scan survives the kill");
+        let chaotic = dist::execute(&rt, &plan, &opts).expect("scan survives the kill");
         rt.network().clear_faults();
 
         prop_assert_eq!(
-            sorted_ids(&chaotic.result),
-            sorted_ids(&baseline.result),
+            sorted_ids(&chaotic),
+            sorted_ids(&baseline),
             "row set drifted under a kill at message {}", kill_after
         );
         prop_assert!(!chaotic.degraded);

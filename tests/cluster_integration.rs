@@ -2,9 +2,7 @@
 //! (cluster runtime + storage + query dist + virt recovery).
 
 use impliance::cluster::NodeKind;
-use impliance::core::{ApplianceConfig, ClusterImpliance};
-use impliance::docmodel::Value;
-use impliance::storage::{AggFunc, AggSpec, Predicate, Projection, ScanRequest};
+use impliance::core::{ApplianceConfig, ClusterImpliance, QueryRequest};
 use impliance_bench::Corpus;
 
 fn config(data: usize, grid: usize, replication: usize) -> ApplianceConfig {
@@ -25,6 +23,10 @@ fn load_orders(app: &ClusterImpliance, n: usize, seed: u64) {
     }
 }
 
+fn visible_orders(app: &ClusterImpliance) -> usize {
+    app.sql("SELECT * FROM orders").unwrap().len()
+}
+
 #[test]
 fn distributed_answers_match_across_cluster_sizes() {
     // the same workload on 1, 2, and 6 data nodes must agree exactly
@@ -32,19 +34,15 @@ fn distributed_answers_match_across_cluster_sizes() {
     for d in [1usize, 2, 6] {
         let app = ClusterImpliance::boot(config(d, 2, 1));
         load_orders(&app, 300, 42);
-        let req = ScanRequest {
-            predicate: None,
-            projection: Projection::All,
-            aggregate: Some(AggSpec {
-                group_by: Some("cust".into()),
-                func: AggFunc::Sum,
-                operand: Some("amount".into()),
-            }),
-            limit: None,
-            snapshot: None,
-        };
-        let groups = app.aggregate(&req).unwrap();
-        let result: Vec<(String, f64)> = groups.iter().map(|(k, v)| (k.clone(), v.sum)).collect();
+        let groups = app
+            .sql("SELECT cust, SUM(amount) AS total FROM orders GROUP BY cust")
+            .unwrap();
+        let result: Vec<(String, f64)> = groups
+            .rows()
+            .iter()
+            .map(|r| (r.get("cust").render(), r.get("total").as_f64().unwrap()))
+            .collect();
+        assert_eq!(result.len(), 20, "one group per customer");
         match &reference {
             None => reference = Some(result),
             Some(r) => assert_eq!(r, &result, "answers must not depend on cluster size ({d})"),
@@ -57,12 +55,11 @@ fn pushdown_reduces_traffic_at_any_scale() {
     for d in [2usize, 4] {
         let app = ClusterImpliance::boot(config(d, 1, 1));
         load_orders(&app, 500, 7);
-        let selective = Predicate::Gt("amount".into(), Value::Int(950));
         app.runtime().network().reset_metrics();
-        app.scan(&ScanRequest::filtered(selective)).unwrap();
+        app.sql("SELECT * FROM orders WHERE amount > 950").unwrap();
         let push = app.runtime().network().metrics().bytes;
         app.runtime().network().reset_metrics();
-        app.scan(&ScanRequest::full()).unwrap();
+        assert_eq!(visible_orders(&app), 500);
         let full = app.runtime().network().metrics().bytes;
         assert!(push * 3 < full, "d={d}: pushdown {push} vs full {full}");
     }
@@ -77,8 +74,7 @@ fn replicated_cluster_survives_sequential_failures() {
     for victim in &data_nodes[..2] {
         let report = app.kill_data_node(*victim).unwrap();
         assert_eq!(report.docs_lost, 0, "replication 3 survives two failures");
-        let visible = app.scan(&ScanRequest::full()).unwrap().documents.len();
-        assert_eq!(visible, 600, "after killing {victim:?}");
+        assert_eq!(visible_orders(&app), 600, "after killing {victim:?}");
     }
 }
 
@@ -88,30 +84,20 @@ fn unreplicated_cluster_loses_data_on_failure() {
     let app = ClusterImpliance::boot(config(4, 1, 1));
     load_orders(&app, 400, 10);
     let victim = app.runtime().nodes_of_kind(NodeKind::Data)[0];
-    let before = app.scan(&ScanRequest::full()).unwrap().documents.len();
-    assert_eq!(before, 400);
+    assert_eq!(visible_orders(&app), 400);
     let report = app.kill_data_node(victim).unwrap();
-    let after = app.scan(&ScanRequest::full()).unwrap().documents.len();
     assert!(report.docs_lost > 0);
-    assert_eq!(after, 400 - report.docs_lost);
+    assert_eq!(visible_orders(&app), 400 - report.docs_lost);
 }
 
 #[test]
 fn pipeline_query_spans_all_three_node_kinds() {
     let app = ClusterImpliance::boot(config(3, 2, 1));
     load_orders(&app, 200, 11);
-    let req = ScanRequest {
-        predicate: Some(Predicate::Ge("amount".into(), Value::Int(0))),
-        projection: Projection::All,
-        aggregate: Some(AggSpec {
-            group_by: Some("cust".into()),
-            func: AggFunc::Avg,
-            operand: Some("amount".into()),
-        }),
-        limit: None,
-        snapshot: None,
-    };
-    let committed = app.pipeline_query(&req).unwrap();
+    let req = QueryRequest::builder(
+        "SELECT cust, AVG(amount) AS mean FROM orders WHERE amount >= 0 GROUP BY cust",
+    );
+    let committed = app.pipeline_query(req.build()).unwrap();
     assert_eq!(committed, 20);
     // the consistency group holds exactly one commit with all members
     assert_eq!(app.group().log().len(), 1);
@@ -150,15 +136,9 @@ fn distributed_join_agrees_with_expected_cardinality() {
         )
         .unwrap();
     }
-    let tuples = app
-        .join(
-            &ScanRequest::filtered(Predicate::CollectionIs("orders".into())),
-            &ScanRequest::filtered(Predicate::CollectionIs("customers".into())),
-            "o",
-            "c",
-            ("o".to_string(), "cust".to_string()),
-            ("c".to_string(), "code".to_string()),
-        )
+    let joined = app
+        .sql("SELECT o.cust, c.code, c.name FROM orders o JOIN customers c ON o.cust = c.code")
         .unwrap();
-    assert_eq!(tuples.len(), 100);
+    assert_eq!(joined.rows().len(), 100);
+    assert!(joined.rows().iter().all(|r| r.get("cust") == r.get("code")));
 }

@@ -6,12 +6,15 @@
 #![allow(dead_code)]
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
+use impliance::cluster::{ClusterRuntime, FaultSchedule, Network, NodeId, NodeKind, NodeSpec};
 use impliance::docmodel::{Document, Node};
 use impliance::index::{InvertedIndex, JoinIndex, PathValueIndex};
+use impliance::query::dist::{self, dist_put_replicated, route_doc, DataNodeState, DistOutput};
 use impliance::query::{
-    execute_plan_opts, AggItem, ExecContext, ExecMetrics, ExecutionContext, JoinAlgo, LogicalPlan,
-    QueryOutput, SortKey,
+    execute_plan_opts, AggItem, ExecContext, ExecMetrics, ExecutionContext, FailoverPolicy,
+    JoinAlgo, LogicalPlan, QueryOutput, RetryPolicy, SortKey,
 };
 use impliance::storage::{AggFunc, Predicate, StorageEngine, StorageOptions};
 
@@ -53,11 +56,18 @@ impl Fixture {
         }
     }
 
-    /// Commit one document in an epoch of its own and index its values.
+    /// Commit one document in an epoch of its own and index its values
+    /// and text.
     pub fn put(&self, doc: &Document) {
         self.storage.commit(std::slice::from_ref(doc)).unwrap();
         self.values.index_document(doc);
+        self.text.index_document(doc);
         self.corpus.borrow_mut().push(doc.clone());
+    }
+
+    /// Everything `put` so far — what [`run_cluster`] loads.
+    pub fn corpus(&self) -> Vec<Document> {
+        self.corpus.borrow().clone()
     }
 
     pub fn ctx(&self, columnar: bool, snapshot: Option<u64>) -> ExecContext<'_> {
@@ -183,6 +193,94 @@ pub fn assert_matrix(f: Fixture, plans: &[(&str, &LogicalPlan)], limit: Option<u
     check(None);
     let pinned = f.pin_then_overwrite();
     check(Some(pinned));
+}
+
+// ---------------------------------------------------------------------
+// The cluster axis
+// ---------------------------------------------------------------------
+
+/// What a cluster run has to survive.
+#[derive(Debug, Clone, Copy)]
+pub enum Faults {
+    Healthy,
+    /// Seeded: one data node (picked by the seed) is killed once
+    /// `kill_after` messages have crossed the network, and 20 % of the
+    /// traffic on its coordinator links is dropped until then.
+    KillAndDrops {
+        seed: u64,
+        kill_after: u64,
+    },
+}
+
+/// Run `plan` on a fresh simulated cluster of `data_nodes` data nodes
+/// (three partitions each, one grid node) loaded with `corpus` — primary
+/// copies routed by `dist_put_replicated(.., 2)`, so every document also
+/// sits in its ring successor's replica store, and indexed in the owner's
+/// text shard. The run retries up to 8 times and fails over along the
+/// ring; it must come back complete.
+pub fn run_cluster(
+    data_nodes: u32,
+    corpus: &[Document],
+    plan: &LogicalPlan,
+    limit: Option<usize>,
+    faults: Faults,
+) -> DistOutput {
+    // chaos batteries retry a lot; never burn wall-clock time on backoff
+    struct NoSleep;
+    impl impliance::query::clock::BackoffClock for NoSleep {
+        fn sleep_us(&self, _us: u64) {}
+    }
+    impliance::query::clock::install(Arc::new(NoSleep));
+
+    let mut specs: Vec<NodeSpec> = (0..data_nodes)
+        .map(|i| NodeSpec::new(i, NodeKind::Data))
+        .collect();
+    specs.push(NodeSpec::new(100, NodeKind::Grid));
+    let mut states: Vec<Arc<DataNodeState>> = Vec::new();
+    let rt = ClusterRuntime::boot(&specs, Arc::new(Network::new()), |spec| match spec.kind {
+        NodeKind::Data => {
+            let state = Arc::new(DataNodeState::new(Arc::new(StorageEngine::new(
+                StorageOptions {
+                    partitions: 3,
+                    seal_threshold: 8,
+                    compression: true,
+                    encryption_key: None,
+                },
+            ))));
+            states.push(Arc::clone(&state));
+            state
+        }
+        _ => Arc::new(()),
+    });
+    for doc in corpus {
+        dist_put_replicated(&rt, doc, 2).expect("replicated ingest on a healthy cluster");
+        states[route_doc(doc.id(), states.len())]
+            .text_index
+            .index_document(doc);
+    }
+    let nodes = rt.nodes_of_kind(NodeKind::Data);
+    if let Faults::KillAndDrops { seed, kill_after } = faults {
+        let victim = nodes[(seed % nodes.len() as u64) as usize];
+        let coord = NodeId(u32::MAX);
+        let sched = Arc::new(FaultSchedule::new(seed));
+        sched.drop_link(coord, victim, 0.20);
+        sched.drop_link(victim, coord, 0.20);
+        sched.kill_after(victim, kill_after);
+        rt.network().install_faults(sched);
+    }
+    let opts = ExecutionContext {
+        limit,
+        retry: RetryPolicy {
+            max_attempts: 8,
+            ..RetryPolicy::default()
+        },
+        failover: Some(FailoverPolicy::ring(&nodes)),
+        ..ExecutionContext::with_batch_size(4)
+    };
+    let out = dist::execute(&rt, plan, &opts).expect("the cluster answers");
+    rt.network().clear_faults();
+    assert!(!out.degraded && out.coverage.is_complete(), "{faults:?}");
+    out
 }
 
 // ---------------------------------------------------------------------

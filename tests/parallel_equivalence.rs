@@ -6,8 +6,10 @@
 //! thread or once per morsel inside the exchange is a pure speedup —
 //! morsel-order reassembly must reproduce the serial tuple sequence
 //! bit-for-bit (sums here are integer-derived, so even aggregate rows
-//! are exact). `pipeline_equivalence.rs` checks the reference itself
-//! against oracles.
+//! are exact). The cluster is one more axis of the same matrix: the same
+//! plan families on a 3-data-node cluster, healthy and under a seeded
+//! kill + drop schedule, return the single-box reference's rows.
+//! `pipeline_equivalence.rs` checks the reference itself against oracles.
 
 mod common;
 
@@ -15,7 +17,7 @@ use proptest::prelude::*;
 
 use common::*;
 use impliance::docmodel::{DocId, DocumentBuilder, SourceFormat, Value};
-use impliance::query::{execute_plan_opts, ExecutionContext, JoinAlgo};
+use impliance::query::{execute_plan_opts, ExecutionContext, JoinAlgo, LogicalPlan};
 use impliance::storage::{AggFunc, Predicate};
 
 fn int_doc(id: usize, collection: &str, fields: &[(&str, i64)]) -> impliance::docmodel::Document {
@@ -248,6 +250,119 @@ proptest! {
             prop_assert_eq!(&rows, &serial_rows, "workers {}", workers);
             prop_assert_eq!(docs_scanned, probe_docs + build_docs, "workers {}", workers);
         }
+    }
+
+    // The cluster axis: every plan family, on a healthy 3-node cluster and
+    // on one that loses a node (plus 20 % of its traffic) mid-query, returns
+    // the single-box reference's rows — in the reference's order where the
+    // plan defines one (group-by output, a sort on a unique key), as a
+    // multiset otherwise, and for a bare request limit as many rows, all
+    // of them real. Replica failover recomputes the dead node's share
+    // exactly once, aggregates and join build sides included.
+    #[test]
+    fn cluster_plans_equal_the_single_box_healthy_and_under_faults(
+        rows in proptest::collection::vec((0u8..5, 0i64..100, 0i64..4), 1..60),
+        right_keys in proptest::collection::vec(0i64..4, 1..12),
+        threshold in 0i64..100,
+        keep in 0i64..4,
+        n in 1usize..20,
+        seed in any::<u64>(),
+        kill_after in 7u64..30,
+    ) {
+        let f = Fixture::new(3, 8);
+        for (i, (tag, amount, k)) in rows.iter().enumerate() {
+            f.put(
+                &DocumentBuilder::new(DocId(i as u64), SourceFormat::Json, "c")
+                    .field("tag", format!("t{tag}"))
+                    .field("amount", *amount)
+                    .field("u", amount * 100 + i as i64)
+                    .build(),
+            );
+            f.put(&int_doc(500 + i, "l", &[("k", *k), ("v", *amount)]));
+        }
+        for (i, k) in right_keys.iter().enumerate() {
+            f.put(&int_doc(1000 + i, "r", &[("k", *k)]));
+        }
+        let pred = Predicate::Ge("amount".into(), Value::Int(threshold));
+        let build = filter(scan("r"), "r", Predicate::Le("k".into(), Value::Int(keep)));
+        let ordered = [
+            ("group_agg", group_agg(scan("c"), "tag", vec![
+                agg(AggFunc::Sum, Some("amount"), "total"),
+                agg(AggFunc::Count, None, "n"),
+                agg(AggFunc::Min, Some("amount"), "lo"),
+                agg(AggFunc::Max, Some("amount"), "hi"),
+            ])),
+            ("sort_limit_unique", sort_limit("u", true, n)),
+        ];
+        let unordered = [
+            ("filter_project", project(filter(scan("c"), "c", pred), &["amount", "_id"])),
+            ("filtered_build_join", LogicalPlan::Project {
+                input: Box::new(join(build, JoinAlgo::Hash)),
+                columns: vec![
+                    ("l".into(), "_id".into(), "l".into()),
+                    ("l".into(), "v".into(), "v".into()),
+                    ("r".into(), "_id".into(), "r".into()),
+                ],
+            }),
+        ];
+        let corpus = f.corpus();
+        for faults in [Faults::Healthy, Faults::KillAndDrops { seed, kill_after }] {
+            for (label, plan) in &ordered {
+                let reference = render(&run(&f, plan, REFERENCE, None).0);
+                let got = render(&run_cluster(3, &corpus, plan, None, faults).output);
+                prop_assert_eq!(got, reference, "{} under {:?}", label, faults);
+            }
+            for (label, plan) in &unordered {
+                let mut reference = render(&run(&f, plan, REFERENCE, None).0);
+                let mut got = render(&run_cluster(3, &corpus, plan, None, faults).output);
+                reference.sort();
+                got.sort();
+                prop_assert_eq!(got, reference, "{} under {:?}", label, faults);
+            }
+            let everything = render(&run(&f, &scan("c"), REFERENCE, None).0);
+            let limited = render(&run_cluster(3, &corpus, &scan("c"), Some(n), faults).output);
+            prop_assert_eq!(limited.len(), n.min(everything.len()), "request_limit under {:?}", faults);
+            let distinct: std::collections::BTreeSet<&String> = limited.iter().collect();
+            prop_assert_eq!(distinct.len(), limited.len(), "a limited row came back twice");
+            prop_assert!(limited.iter().all(|id| everything.contains(id)));
+        }
+    }
+
+    // Hybrid search on the cluster: a scored index scan under a structured
+    // filter, cut to the top k. On one data node the shard's BM25
+    // statistics are the global ones, so ids, scores and order must equal
+    // the single box's.
+    #[test]
+    fn one_node_cluster_hybrid_top_k_equals_the_single_box(
+        docs in proptest::collection::vec((0u8..4, 0i64..50), 1..50),
+        threshold in 0i64..50,
+        k in 1usize..12,
+    ) {
+        const WORDS: [&str; 4] = ["bumper", "bumper bumper dent", "hood", "bumper scratch hood"];
+        let f = Fixture::new(3, 8);
+        for (i, (w, amount)) in docs.iter().enumerate() {
+            f.put(
+                &DocumentBuilder::new(DocId(i as u64), SourceFormat::Json, "c")
+                    .field("notes", WORDS[*w as usize])
+                    .field("amount", *amount)
+                    .build(),
+            );
+        }
+        let hits = LogicalPlan::IndexScan {
+            query: "bumper".into(),
+            path: None,
+            k: None,
+            alias: "c".into(),
+            any_term: false,
+            phrase: false,
+            collection: Some("c".into()),
+        };
+        let pred = Predicate::Ge("amount".into(), Value::Int(threshold));
+        let plan = project(filter(hits, "c", pred), &["_id", "_score", "amount"]);
+        let reference = render(&run(&f, &plan, REFERENCE, Some(k)).0);
+        let got = run_cluster(1, &f.corpus(), &plan, Some(k), Faults::Healthy);
+        prop_assert_eq!(render(&got.output), reference);
+        prop_assert_eq!(got.metrics.index_lookups, 1);
     }
 
     // A deadline of zero never pulls a batch: both drivers flag the
