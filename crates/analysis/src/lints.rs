@@ -100,10 +100,15 @@ impl LintConfig {
                 crate::iplints::EntrySpec::method("Impliance", "query"),
                 crate::iplints::EntrySpec::trait_impl("Operator", "next_batch"),
                 crate::iplints::EntrySpec::free("execute"),
-                // The background annotation worker: a panic here kills
-                // incremental discovery, so its reachable-panic surface
-                // is audited like the query entry points.
-                crate::iplints::EntrySpec::method("DiscoveryPipeline", "run_incremental"),
+                // The background workers: a panic in the change-feed
+                // consumer loop or in either of its stages (text
+                // indexing, discovery — closures of these two methods)
+                // kills incremental maintenance, so their
+                // reachable-panic surface is audited like the query
+                // entry points.
+                crate::iplints::EntrySpec::method("FeedConsumer", "drain"),
+                crate::iplints::EntrySpec::method("Impliance", "run_indexing_with_faults"),
+                crate::iplints::EntrySpec::method("Impliance", "run_discovery_with_faults"),
                 // The admission gate runs before every query, including
                 // under overload — a reachable panic here turns graceful
                 // shedding into an outage, so both admission surfaces are

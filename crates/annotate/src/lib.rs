@@ -19,11 +19,10 @@
 //! * [`resolve`] — entity resolution across documents (blocking +
 //!   Jaro-Winkler similarity), emitting relationships for join indexes.
 //! * [`annotator`] — the annotator abstraction and the built-in set.
-//! * [`pipeline`] — the incremental background discovery worker:
-//!   annotators consume the storage change feed *after* ingestion, never
-//!   blocking it (experiment C3 quantifies why), committing each
-//!   document's annotation set atomically and surfacing a freshness
-//!   watermark.
+//! * [`pipeline`] — the incremental background discovery worker: a stage
+//!   of the storage change feed's consumer loop, so annotators run
+//!   *after* ingestion, never blocking it (experiment C3 quantifies
+//!   why), committing each document's annotation set atomically.
 
 pub mod annotator;
 pub mod pipeline;
@@ -33,10 +32,10 @@ pub mod schema_map;
 pub mod sentiment;
 
 pub use annotator::{Annotation, Annotator, EntityAnnotator, SentimentAnnotator};
-pub use pipeline::{
-    ChangeItem, ChangeSource, DiscoveryPipeline, DiscoverySink, DiscoveryStats, DocSource,
-    KillPoint, MemFeed, NoFaults, WorkerFaults,
-};
+// The crash-point vocabulary lives with the consumer loop in storage;
+// re-exported here because fault schedules are written against discovery.
+pub use impliance_storage::{KillPoint, NoFaults, WorkerFaults};
+pub use pipeline::{DiscoveryPipeline, DiscoverySink, DiscoveryStats};
 pub use resolve::{jaro_winkler, EntityResolver};
 pub use scan::{scan_entities, EntityKind, EntityMention};
 pub use schema_map::{SchemaMapper, UnifiedAttribute, UnifiedSchema};

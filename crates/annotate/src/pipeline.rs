@@ -8,29 +8,24 @@
 //! inter-document analyses (entity resolution) on grid nodes, and
 //! consistent persistence on cluster nodes.
 //!
-//! The worker consumes a **change feed** ([`ChangeSource`]): an
-//! epoch-ordered log of committed `DocId`s behind a resumable cursor.
-//! For each change it fetches the document *at the change's commit epoch*
-//! ([`DocSource::fetch_at`]), runs the annotators, and hands the
+//! Discovery is one **stage** of the storage change feed's consumer loop
+//! ([`impliance_storage::FeedConsumer::drain`]): the loop owns cursor,
+//! watermark, crash points and ack; for each committed document version
+//! it hands [`DiscoveryPipeline::discover`] the document *as of the
+//! change's commit epoch*. The stage runs the annotators and hands the
 //! document's complete annotation set to
 //! [`DiscoverySink::commit_annotations`] — one atomic commit, one epoch
 //! bump — so no reader at any snapshot ever observes a half-annotated
-//! document. The cursor is acked only after the commit lands; a worker
-//! killed mid-step ([`WorkerFaults`]) replays from its last ack, and an
-//! idempotence set keyed on `(DocId, Version)` suppresses duplicate
-//! annotation sets on replay.
-//!
-//! The worker's **freshness watermark** ([`DiscoveryPipeline::annotation_epoch`])
-//! is the newest epoch whose commits have all been consumed; query
-//! surfaces report it against the latest storage epoch so callers can see
-//! how far background discovery lags ingest.
+//! document. A consumer killed mid-record replays that record, and the
+//! stage remembers the `(DocId, Version)` it committed last so the
+//! replay does not commit the set a second time.
 
-use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use impliance_docmodel::{DocId, Document, Version};
-use impliance_obs::{Counter, Gauge};
+use impliance_obs::Counter;
+use impliance_storage::{ConsumerObs, CrashPoints, KillPoint, Killed};
 use parking_lot::Mutex;
 
 use crate::annotator::Annotator;
@@ -40,9 +35,7 @@ use crate::resolve::EntityResolver;
 struct PipelineObs {
     docs_scanned: Arc<Counter>,
     annotations_emitted: Arc<Counter>,
-    feed_consumed: Arc<Counter>,
     feed_commits: Arc<Counter>,
-    feed_lag: Arc<Gauge>,
 }
 
 fn pipeline_obs() -> &'static PipelineObs {
@@ -52,95 +45,30 @@ fn pipeline_obs() -> &'static PipelineObs {
         PipelineObs {
             docs_scanned: m.counter("annotate.docs_scanned"),
             annotations_emitted: m.counter("annotate.annotations_emitted"),
-            feed_consumed: m.counter("annotate.feed.consumed"),
             feed_commits: m.counter("annotate.feed.commits"),
-            feed_lag: m.gauge("annotate.feed.lag"),
         }
     })
 }
 
-/// One committed document change handed to the worker, in commit order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChangeItem {
-    /// Epoch of the commit that wrote this version.
-    pub epoch: u64,
-    /// The document written.
-    pub id: DocId,
-}
-
-/// The change feed the worker consumes (implemented by the appliance over
-/// `StorageEngine`'s epoch feed).
-pub trait ChangeSource: Send + Sync {
-    /// Replayable read of up to `max` changes at/after the absolute
-    /// `cursor`; returns the records and the next cursor. Empty result
-    /// means the feed is drained at this cursor.
-    fn recv_changes(&self, cursor: u64, max: usize) -> (Vec<ChangeItem>, u64);
-    /// Durably acknowledge every record below `cursor` — the worker will
-    /// never replay them.
-    fn ack_changes(&self, cursor: u64);
-    /// The newest committed epoch (for the freshness lag gauge).
-    fn latest_epoch(&self) -> u64;
-}
-
-/// Where the pipeline reads documents from (implemented by the appliance
-/// over its storage engine).
-pub trait DocSource: Send + Sync {
-    /// Fetch the newest version of `id` visible at `epoch` — the worker
-    /// passes the change's commit epoch so its read set is consistent
-    /// with the commit it is annotating, regardless of concurrent
-    /// overwrites. `u64::MAX` reads the unpinned latest.
-    fn fetch_at(&self, id: DocId, epoch: u64) -> Option<Document>;
+/// The metrics the discovery worker's feed consumer reports under.
+pub fn feed_obs() -> ConsumerObs {
+    let m = impliance_obs::global().metrics();
+    ConsumerObs {
+        records: m.counter("annotate.feed.consumed"),
+        lag: m.gauge("annotate.feed.lag"),
+    }
 }
 
 /// Where the pipeline writes its discoveries (implemented by the appliance:
 /// annotation documents are stored + indexed; relationships become join
 /// indexes via a consistency-group commit).
 pub trait DiscoverySink: Send + Sync {
-    /// Persist a new annotation document.
-    fn store_annotation(&self, annotation: Document);
     /// Record a discovered relationship.
     fn add_relationship(&self, from: DocId, to: DocId, label: &str);
     /// Atomically persist one source document's *complete* annotation
-    /// set. Epoch-aware sinks override this to commit all documents in a
-    /// single epoch bump (no snapshot can tear the set); the default
-    /// stores them one at a time for simple in-memory sinks.
-    fn commit_annotations(&self, annotations: Vec<Document>) {
-        for a in annotations {
-            self.store_annotation(a);
-        }
-    }
-}
-
-/// Where the worker may be killed by a fault schedule (cooperative crash
-/// points, in per-document order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KillPoint {
-    /// After fetching the document, before running annotators.
-    AfterFetch,
-    /// After building the annotation set, before the atomic commit.
-    BeforeCommit,
-    /// After the commit landed, before the cursor is acked.
-    AfterCommit,
-}
-
-/// Fault injection for the background worker: the chaos harness returns
-/// `true` to kill the worker at a crash point. Killing means
-/// [`DiscoveryPipeline::run_incremental`] returns immediately *without
-/// acking* the in-flight change, exactly like a crash between the
-/// worker's durable checkpoints.
-pub trait WorkerFaults {
-    /// `step` counts crash-point visits since the pipeline was created
-    /// (deterministic under a fixed ingest schedule).
-    fn kill_at(&self, point: KillPoint, step: u64) -> bool;
-}
-
-/// The default schedule: never kill.
-pub struct NoFaults;
-
-impl WorkerFaults for NoFaults {
-    fn kill_at(&self, _point: KillPoint, _step: u64) -> bool {
-        false
-    }
+    /// set: all documents in a single epoch bump, so no snapshot can tear
+    /// the set.
+    fn commit_annotations(&self, annotations: Vec<Document>);
 }
 
 /// Counters describing pipeline progress.
@@ -156,35 +84,18 @@ pub struct DiscoveryStats {
     pub relationships: u64,
 }
 
-/// Volatile vs. durable worker state: `cursor` models the durable
-/// checkpoint (advanced only by ack); everything processed since the last
-/// ack is replayed after a kill. The `annotated` set makes replays
-/// idempotent — a real deployment would rebuild it from the annotation
-/// collections at recovery (each annotation names its subject + the
-/// subject's version).
-#[derive(Debug, Default)]
-struct WorkerState {
-    /// Last acked absolute feed cursor (resume point after a kill).
-    cursor: u64,
-    /// Epoch of the newest consumed change record.
-    last_epoch: u64,
-    /// Freshness watermark: every commit at or below this epoch has been
-    /// consumed (annotated or skipped).
-    annotation_epoch: u64,
-    /// `(subject, version)` pairs whose annotation sets already
-    /// committed; suppresses duplicates when a kill forces a replay.
-    annotated: HashSet<(DocId, Version)>,
-    /// Crash-point visits so far (drives deterministic fault schedules).
-    steps: u64,
-}
-
 /// The discovery pipeline.
 pub struct DiscoveryPipeline {
     annotators: Vec<Box<dyn Annotator>>,
     resolver: Mutex<EntityResolver>,
     next_annotation_id: Arc<AtomicU64>,
     stats: Mutex<DiscoveryStats>,
-    worker: Mutex<WorkerState>,
+    /// The `(subject, version)` whose annotation set committed last. The
+    /// consumer loop acks per record and serializes its drains, so this
+    /// is the only version a kill can make it replay — one key, however
+    /// many documents go through. (A real deployment would rebuild it at
+    /// recovery: each annotation names its subject and that version.)
+    committed: Mutex<Option<(DocId, Version)>>,
 }
 
 impl DiscoveryPipeline {
@@ -202,20 +113,8 @@ impl DiscoveryPipeline {
             resolver: Mutex::new(EntityResolver::new(resolution_threshold)),
             next_annotation_id: id_allocator,
             stats: Mutex::new(DiscoveryStats::default()),
-            worker: Mutex::new(WorkerState::default()),
+            committed: Mutex::new(None),
         }
-    }
-
-    /// The worker's resume cursor (last acked feed position).
-    pub fn cursor(&self) -> u64 {
-        self.worker.lock().cursor
-    }
-
-    /// The freshness watermark: every ingest commit at or below this
-    /// epoch has had its annotation set committed (or was skipped — e.g.
-    /// annotation documents themselves).
-    pub fn annotation_epoch(&self) -> u64 {
-        self.worker.lock().annotation_epoch
     }
 
     /// Progress counters.
@@ -223,105 +122,33 @@ impl DiscoveryPipeline {
         *self.stats.lock()
     }
 
-    /// Consume up to `budget` change records (all available if `None`)
-    /// from `changes`, annotating each committed document version once.
-    /// Returns how many records were consumed. This is the unit of work a
-    /// background worker schedules between interactive queries (§3.4
-    /// execution management); benches call it directly for determinism.
-    ///
-    /// The loop per record: fetch the document at the record's commit
-    /// epoch → run annotators → commit the full annotation set atomically
-    /// → record relationships → ack the cursor. `faults` may kill the
-    /// worker between any of those steps; an unacked record replays on
-    /// the next call.
-    pub fn run_incremental(
+    /// The discovery stage of the feed consumer loop: annotate one
+    /// committed document version (annotators + entity resolution),
+    /// commit its full annotation set atomically, then record the
+    /// relationships. `BeforeCommit` is visited for every fetched
+    /// document once its set is computed and nothing is persisted —
+    /// also when there is nothing to write (annotation documents are not
+    /// re-annotated, a replay after a post-commit kill finds its set
+    /// already committed).
+    pub fn discover(
         &self,
-        changes: &dyn ChangeSource,
-        source: &dyn DocSource,
+        doc: Option<Document>,
         sink: &dyn DiscoverySink,
-        budget: Option<usize>,
-        faults: &dyn WorkerFaults,
-    ) -> usize {
-        let obs = pipeline_obs();
-        let mut consumed = 0usize;
-        loop {
-            if let Some(b) = budget {
-                if consumed >= b {
-                    break;
-                }
-            }
-            let cursor = self.worker.lock().cursor;
-            // One record at a time: the ack after each record is the
-            // worker's durable checkpoint, so a kill loses (and replays)
-            // at most one document's work.
-            let (batch, next) = changes.recv_changes(cursor, 1);
-            let Some(item) = batch.into_iter().next() else {
-                // Drained: everything at or below the newest consumed
-                // epoch is now annotated. (Deliberately `last_epoch`, not
-                // `latest_epoch()` — a commit can land between the empty
-                // recv and this line.)
-                let mut w = self.worker.lock();
-                w.annotation_epoch = w.annotation_epoch.max(w.last_epoch);
-                break;
-            };
-            if !self.consume_change(item, source, sink, faults) {
-                break; // killed — no ack, the record replays next run
-            }
-            {
-                let mut w = self.worker.lock();
-                w.cursor = next;
-                // The feed is epoch-ordered, so reaching epoch `e` means
-                // every epoch below `e` is fully consumed.
-                w.annotation_epoch = w.annotation_epoch.max(item.epoch.saturating_sub(1));
-                w.last_epoch = w.last_epoch.max(item.epoch);
-            }
-            changes.ack_changes(next);
-            obs.feed_consumed.inc();
-            consumed += 1;
-        }
-        let lag = changes
-            .latest_epoch()
-            .saturating_sub(self.annotation_epoch());
-        obs.feed_lag.set(lag as i64);
-        consumed
-    }
-
-    /// Process one change record end to end. Returns `false` if a fault
-    /// killed the worker (the caller must not ack).
-    fn consume_change(
-        &self,
-        item: ChangeItem,
-        source: &dyn DocSource,
-        sink: &dyn DiscoverySink,
-        faults: &dyn WorkerFaults,
-    ) -> bool {
-        // Fetch at the record's commit epoch: if a later overwrite (with
-        // its own feed record) superseded this version and GC reclaimed
-        // it, the fetch misses and we skip — the successor record covers
-        // the document.
-        let doc = source.fetch_at(item.id, item.epoch);
-        if self.killed(KillPoint::AfterFetch, faults) {
-            return false;
-        }
-        let Some(doc) = doc else { return true };
-        // Annotation documents are indexed like any other document but
-        // not re-annotated (no annotation-of-annotation loop).
-        if doc.subject().is_some() {
-            return true;
-        }
+        crash: &mut CrashPoints<'_>,
+    ) -> Result<(), Killed> {
+        let Some(doc) = doc else { return Ok(()) };
         let key = (doc.id(), doc.version());
-        if self.worker.lock().annotated.contains(&key) {
-            return true; // replay after a post-commit kill: already done
-        }
-        let (annotations, edges, mention_count) = self.annotate_document(&doc);
+        let fresh = doc.subject().is_none() && *self.committed.lock() != Some(key);
+        let work = fresh.then(|| self.annotate_document(&doc));
+        crash.visit(KillPoint::BeforeCommit)?;
+        let Some((annotations, edges, mention_count)) = work else {
+            return Ok(());
+        };
         let produced = annotations.len() as u64;
-        if self.killed(KillPoint::BeforeCommit, faults) {
-            return false; // nothing persisted; replay recomputes
-        }
         // The whole annotation set lands in ONE commit (one epoch bump):
         // a reader at any snapshot sees none of it or all of it.
         sink.commit_annotations(annotations);
-        self.worker.lock().annotated.insert(key);
+        *self.committed.lock() = Some(key);
         for (from, to, label) in &edges {
             sink.add_relationship(*from, *to, label);
         }
@@ -334,21 +161,7 @@ impl DiscoveryPipeline {
         stats.annotations += produced;
         stats.mentions += mention_count as u64;
         stats.relationships += edges.len() as u64;
-        drop(stats);
-        // Killed here: the commit landed but the cursor was not acked.
-        // The replay finds `key` in the idempotence set and just acks.
-        !self.killed(KillPoint::AfterCommit, faults)
-    }
-
-    /// Visit one crash point: bump the step counter and consult the
-    /// fault schedule.
-    fn killed(&self, point: KillPoint, faults: &dyn WorkerFaults) -> bool {
-        let step = {
-            let mut w = self.worker.lock();
-            w.steps += 1;
-            w.steps
-        };
-        faults.kill_at(point, step)
+        Ok(())
     }
 
     /// Run annotators and entity resolution for one document, returning
@@ -388,125 +201,66 @@ impl DiscoveryPipeline {
         let mentions = all_mentions.len();
         (annotations, edges, mentions)
     }
-
-    /// Run annotators and resolution for one document against `sink`
-    /// directly, bypassing the change feed (node tasks on data/grid nodes
-    /// run stages this way; the feed-driven path is
-    /// [`DiscoveryPipeline::run_incremental`]).
-    pub fn process_document(&self, doc: &Document, sink: &dyn DiscoverySink) {
-        let (annotations, edges, mention_count) = self.annotate_document(doc);
-        let produced = annotations.len() as u64;
-        sink.commit_annotations(annotations);
-        for (from, to, label) in &edges {
-            sink.add_relationship(*from, *to, label);
-        }
-        let obs = pipeline_obs();
-        obs.docs_scanned.inc();
-        obs.annotations_emitted.add(produced);
-        let mut stats = self.stats.lock();
-        stats.docs_processed += 1;
-        stats.annotations += produced;
-        stats.mentions += mention_count as u64;
-        stats.relationships += edges.len() as u64;
-    }
-}
-
-/// An in-memory [`ChangeSource`] for tests and single-process harnesses:
-/// a `VecDeque` feed with the same absolute-cursor/ack contract as the
-/// storage engine's epoch feed.
-#[derive(Debug, Default)]
-pub struct MemFeed {
-    inner: Mutex<MemFeedInner>,
-}
-
-#[derive(Debug, Default)]
-struct MemFeedInner {
-    base: u64,
-    entries: VecDeque<ChangeItem>,
-    latest_epoch: u64,
-}
-
-impl MemFeed {
-    /// Append one commit's records.
-    pub fn append(&self, epoch: u64, ids: impl IntoIterator<Item = DocId>) {
-        let mut inner = self.inner.lock();
-        for id in ids {
-            inner.entries.push_back(ChangeItem { epoch, id });
-        }
-        inner.latest_epoch = inner.latest_epoch.max(epoch);
-    }
-
-    /// Unacked backlog length.
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// True when no records are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl ChangeSource for MemFeed {
-    fn recv_changes(&self, cursor: u64, max: usize) -> (Vec<ChangeItem>, u64) {
-        let inner = self.inner.lock();
-        let start = cursor.max(inner.base);
-        let skip = (start - inner.base) as usize;
-        let out: Vec<ChangeItem> = inner.entries.iter().skip(skip).take(max).copied().collect();
-        let next = start + out.len() as u64;
-        (out, next)
-    }
-
-    fn ack_changes(&self, cursor: u64) {
-        let mut inner = self.inner.lock();
-        while inner.base < cursor {
-            if inner.entries.pop_front().is_none() {
-                inner.base = cursor;
-                return;
-            }
-            inner.base += 1;
-        }
-    }
-
-    fn latest_epoch(&self) -> u64 {
-        self.inner.lock().latest_epoch
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::annotator::{EntityAnnotator, SentimentAnnotator};
-    use impliance_docmodel::{DocumentBuilder, SourceFormat};
+    use impliance_docmodel::{DocumentBuilder, Node, SourceFormat};
+    use impliance_storage::{FeedConsumer, NoFaults, StorageEngine, WorkerFaults};
     use parking_lot::RwLock;
-    use std::collections::HashMap;
 
     #[derive(Default)]
-    struct MemStore {
-        docs: RwLock<HashMap<DocId, Document>>,
+    struct MemSink {
         annotations: RwLock<Vec<Document>>,
         edges: RwLock<Vec<(DocId, DocId, String)>>,
         commits: RwLock<Vec<usize>>,
     }
 
-    impl DocSource for MemStore {
-        fn fetch_at(&self, id: DocId, _epoch: u64) -> Option<Document> {
-            self.docs.read().get(&id).cloned()
-        }
-    }
-
-    impl DiscoverySink for MemStore {
-        fn store_annotation(&self, annotation: Document) {
-            self.annotations.write().push(annotation);
-        }
+    impl DiscoverySink for MemSink {
         fn add_relationship(&self, from: DocId, to: DocId, label: &str) {
             self.edges.write().push((from, to, label.to_string()));
         }
         fn commit_annotations(&self, annotations: Vec<Document>) {
             self.commits.write().push(annotations.len());
-            for a in annotations {
-                self.store_annotation(a);
+            self.annotations.write().extend(annotations);
+        }
+    }
+
+    /// A storage engine with the discovery stage on its change feed. The
+    /// sink keeps annotations in memory, so the feed holds exactly the
+    /// documents a test puts.
+    struct Rig {
+        engine: Arc<StorageEngine>,
+        consumer: FeedConsumer,
+        sink: MemSink,
+        pipeline: DiscoveryPipeline,
+    }
+
+    impl Rig {
+        fn new(pipeline: DiscoveryPipeline, docs: &[Document]) -> Rig {
+            let engine = Arc::new(StorageEngine::with_defaults());
+            let consumer = engine.register_consumer(ConsumerObs::default());
+            for d in docs {
+                engine.put(d).unwrap();
             }
+            Rig {
+                engine,
+                consumer,
+                sink: MemSink::default(),
+                pipeline,
+            }
+        }
+
+        fn with(docs: &[Document]) -> Rig {
+            Rig::new(pipeline(), docs)
+        }
+
+        fn run(&self, budget: Option<usize>, faults: &dyn WorkerFaults) -> usize {
+            self.consumer.drain(budget, faults, |_, doc, crash| {
+                self.pipeline.discover(doc, &self.sink, crash)
+            })
         }
     }
 
@@ -524,28 +278,16 @@ mod tests {
             .build()
     }
 
-    fn store_with(docs: &[Document]) -> (MemStore, MemFeed) {
-        let store = MemStore::default();
-        let feed = MemFeed::default();
-        for (i, d) in docs.iter().enumerate() {
-            feed.append(i as u64 + 1, [d.id()]);
-            store.docs.write().insert(d.id(), d.clone());
-        }
-        (store, feed)
-    }
-
     #[test]
     fn drain_consumes_feed_and_stores_annotations() {
-        let (store, feed) = store_with(&[doc(
+        let rig = Rig::with(&[doc(
             1,
             "Grace Hopper is very happy with product BX-1042, thanks!",
         )]);
-        let p = pipeline();
-        let n = p.run_incremental(&feed, &store, &store, None, &NoFaults);
-        assert_eq!(n, 1);
-        assert!(feed.is_empty(), "consumed records are acked away");
-        assert_eq!(p.annotation_epoch(), 1, "watermark reaches the commit");
-        let anns = store.annotations.read();
+        assert_eq!(rig.run(None, &NoFaults), 1);
+        assert_eq!(rig.engine.feed_len(), 0, "consumed records are acked away");
+        assert_eq!(rig.consumer.watermark(), 1, "watermark reaches the commit");
+        let anns = rig.sink.annotations.read();
         // entity + sentiment annotations
         assert_eq!(anns.len(), 2);
         assert!(anns.iter().all(|a| a.subject() == Some(DocId(1))));
@@ -556,21 +298,20 @@ mod tests {
             .iter()
             .any(|a| a.collection() == "annotations.sentiment"));
         // one atomic commit holding the whole annotation set
-        assert_eq!(*store.commits.read(), vec![2]);
+        assert_eq!(*rig.sink.commits.read(), vec![2]);
         // every annotation has an "annotates" edge
-        let edges = store.edges.read();
+        let edges = rig.sink.edges.read();
         assert_eq!(edges.iter().filter(|(_, _, l)| l == "annotates").count(), 2);
     }
 
     #[test]
     fn cross_document_resolution_links_shared_entities() {
-        let (store, feed) = store_with(&[
+        let rig = Rig::with(&[
             doc(1, "Call from Grace Hopper about a refund"),
             doc(2, "Grace Hopper bought product AX-99 again"),
         ]);
-        let p = pipeline();
-        p.run_incremental(&feed, &store, &store, None, &NoFaults);
-        let edges = store.edges.read();
+        rig.run(None, &NoFaults);
+        let edges = rig.sink.edges.read();
         assert!(
             edges
                 .iter()
@@ -584,39 +325,37 @@ mod tests {
         let docs: Vec<Document> = (0..10)
             .map(|i| doc(i, "Ada is happy in Boston today"))
             .collect();
-        let (store, feed) = store_with(&docs);
-        let p = pipeline();
-        assert_eq!(
-            p.run_incremental(&feed, &store, &store, Some(3), &NoFaults),
-            3
-        );
-        assert_eq!(feed.len(), 7);
-        assert_eq!(p.stats().docs_processed, 3);
+        let rig = Rig::with(&docs);
+        assert_eq!(rig.run(Some(3), &NoFaults), 3);
+        assert_eq!(rig.consumer.backlog(), 7);
+        assert_eq!(rig.pipeline.stats().docs_processed, 3);
         // the partial drain leaves the watermark behind the feed head
-        assert!(p.annotation_epoch() < 10);
+        assert!(rig.consumer.watermark() < 10);
     }
 
     #[test]
-    fn missing_documents_are_skipped_gracefully() {
-        let store = MemStore::default();
-        let feed = MemFeed::default();
-        feed.append(1, [DocId(404)]);
-        let p = pipeline();
-        assert_eq!(p.run_incremental(&feed, &store, &store, None, &NoFaults), 1);
-        assert!(store.annotations.read().is_empty());
+    fn superseded_and_reclaimed_versions_are_skipped_gracefully() {
+        let v1 = doc(1, "Grace Hopper is happy");
+        let v2 = v1.new_version(Node::map([("body".into(), Node::scalar("n/a"))]), 1);
+        let rig = Rig::with(&[v1, v2]);
+        rig.engine.set_version_gc(true);
+        assert_eq!(rig.engine.run_gc(), 1, "version 1 is reclaimed");
+        // The first record fetches nothing at its epoch; its successor's
+        // record covers the document.
+        assert_eq!(rig.run(None, &NoFaults), 2);
+        assert_eq!(rig.pipeline.stats().docs_processed, 1);
         assert_eq!(
-            p.annotation_epoch(),
-            1,
+            rig.consumer.watermark(),
+            2,
             "missing docs still advance the watermark"
         );
     }
 
     #[test]
     fn stats_accumulate() {
-        let (store, feed) = store_with(&[doc(1, "Mr. Jones was extremely disappointed")]);
-        let p = pipeline();
-        p.run_incremental(&feed, &store, &store, None, &NoFaults);
-        let s = p.stats();
+        let rig = Rig::with(&[doc(1, "Mr. Jones was extremely disappointed")]);
+        rig.run(None, &NoFaults);
+        let s = rig.pipeline.stats();
         assert_eq!(s.docs_processed, 1);
         assert!(s.annotations >= 2, "{s:?}");
         assert!(s.mentions >= 1);
@@ -624,11 +363,11 @@ mod tests {
 
     #[test]
     fn annotation_ids_come_from_allocator() {
-        let (store, feed) = store_with(&[doc(1, "Ada is happy with service, thanks a lot")]);
         let alloc = Arc::new(AtomicU64::new(500));
         let p = DiscoveryPipeline::new(vec![Box::new(EntityAnnotator)], alloc, 0.9);
-        p.run_incremental(&feed, &store, &store, None, &NoFaults);
-        assert_eq!(store.annotations.read()[0].id(), DocId(500));
+        let rig = Rig::new(p, &[doc(1, "Ada is happy with service, thanks a lot")]);
+        rig.run(None, &NoFaults);
+        assert_eq!(rig.sink.annotations.read()[0].id(), DocId(500));
     }
 
     /// Kill at a specific step, once.
@@ -660,76 +399,85 @@ mod tests {
 
     #[test]
     fn kill_before_commit_replays_without_duplicates() {
-        let (store, feed) = store_with(&[
+        let rig = Rig::with(&[
             doc(1, "Grace Hopper is happy"),
             doc(2, "Ada Lovelace is unhappy"),
         ]);
-        let p = pipeline();
-        // Steps per doc: AfterFetch, BeforeCommit, AfterCommit. Kill the
-        // second document's BeforeCommit (step 5).
-        let faults = KillOnceAt::new(KillPoint::BeforeCommit, 5);
-        let n = p.run_incremental(&feed, &store, &store, None, &faults);
+        // Steps per doc: AfterFetch, BeforeCommit, AfterCommit, counted
+        // from 0. Kill the second document's BeforeCommit (step 4).
+        let faults = KillOnceAt::new(KillPoint::BeforeCommit, 4);
+        let n = rig.run(None, &faults);
         assert_eq!(n, 1, "killed before the second record was acked");
-        assert_eq!(feed.len(), 1, "unacked record is replayable");
+        assert_eq!(rig.consumer.backlog(), 1, "unacked record is replayable");
         // Nothing from doc 2 was persisted (no partial annotation set).
-        assert!(store
+        assert!(rig
+            .sink
             .annotations
             .read()
             .iter()
             .all(|a| a.subject() == Some(DocId(1))));
         // Recovery: the replay finishes doc 2 exactly once.
-        let n = p.run_incremental(&feed, &store, &store, None, &NoFaults);
+        let n = rig.run(None, &NoFaults);
         assert_eq!(n, 1);
-        assert!(feed.is_empty());
-        let per_doc2 = store
+        assert_eq!(rig.engine.feed_len(), 0);
+        let per_doc2 = rig
+            .sink
             .annotations
             .read()
             .iter()
             .filter(|a| a.subject() == Some(DocId(2)))
             .count();
         assert_eq!(per_doc2, 2, "entity + sentiment, no duplicates");
-        assert_eq!(p.annotation_epoch(), 2);
+        assert_eq!(rig.consumer.watermark(), 2);
     }
 
     #[test]
     fn kill_after_commit_is_idempotent_on_replay() {
-        let (store, feed) = store_with(&[doc(1, "Grace Hopper is happy")]);
-        let p = pipeline();
-        let faults = KillOnceAt::new(KillPoint::AfterCommit, 3);
-        let n = p.run_incremental(&feed, &store, &store, None, &faults);
+        let rig = Rig::with(&[doc(1, "Grace Hopper is happy")]);
+        let faults = KillOnceAt::new(KillPoint::AfterCommit, 2);
+        let n = rig.run(None, &faults);
         assert_eq!(n, 0, "killed before ack");
-        assert_eq!(feed.len(), 1, "record still replayable");
+        assert_eq!(rig.consumer.backlog(), 1, "record still replayable");
         assert_eq!(
-            store.annotations.read().len(),
+            rig.sink.annotations.read().len(),
             2,
             "commit landed before the kill"
         );
         // Replay must not commit the annotation set a second time.
-        let n = p.run_incremental(&feed, &store, &store, None, &NoFaults);
+        let n = rig.run(None, &NoFaults);
         assert_eq!(n, 1);
-        assert_eq!(store.annotations.read().len(), 2, "no duplicates");
-        assert_eq!(*store.commits.read(), vec![2], "exactly one commit");
-        assert_eq!(p.annotation_epoch(), 1);
+        assert_eq!(rig.sink.annotations.read().len(), 2, "no duplicates");
+        assert_eq!(*rig.sink.commits.read(), vec![2], "exactly one commit");
+        assert_eq!(rig.consumer.watermark(), 1);
+    }
+
+    #[test]
+    fn idempotence_state_stays_one_key_however_many_documents_drain() {
+        let docs: Vec<Document> = (0..1_000).map(|i| doc(i, "Ada is happy")).collect();
+        let rig = Rig::with(&docs);
+        assert_eq!(rig.run(None, &NoFaults), 1_000);
+        assert_eq!(rig.pipeline.stats().docs_processed, 1_000);
+        // Only the record past the cursor can replay, so only the set
+        // committed last needs remembering.
+        let last = docs[999].version();
+        let held: Vec<(DocId, Version)> = rig.pipeline.committed.lock().iter().copied().collect();
+        assert_eq!(held, vec![(DocId(999), last)]);
     }
 
     #[test]
     fn annotation_feedback_records_are_skipped() {
         // An annotation document arriving on the feed (the sink's own
         // commit) is consumed but not re-annotated.
-        let store = MemStore::default();
-        let feed = MemFeed::default();
         let ann = Document::annotation(
             DocId(9),
             DocId(1),
             "annotations.entities",
             7,
-            impliance_docmodel::Node::scalar("x"),
+            Node::scalar("x"),
         );
-        store.docs.write().insert(DocId(9), ann);
-        feed.append(1, [DocId(9)]);
-        let p = pipeline();
-        assert_eq!(p.run_incremental(&feed, &store, &store, None, &NoFaults), 1);
-        assert!(store.annotations.read().is_empty());
-        assert_eq!(p.stats().docs_processed, 0);
+        let rig = Rig::with(&[ann]);
+        assert_eq!(rig.run(None, &NoFaults), 1);
+        assert!(rig.sink.annotations.read().is_empty());
+        assert_eq!(rig.pipeline.stats().docs_processed, 0);
     }
 }

@@ -151,11 +151,6 @@ impl EntityResolver {
         links.dedup_by_key(|l| (l.a, l.b, l.kind));
         links
     }
-
-    /// Number of distinct (kind, normalized) mention entries registered.
-    pub fn registered_mentions(&self) -> usize {
-        self.blocks.values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]

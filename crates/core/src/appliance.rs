@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use impliance_annotate::{
-    Annotator, ChangeItem, ChangeSource, DiscoveryPipeline, DiscoverySink, DiscoveryStats,
-    DocSource, EntityAnnotator, KillPoint, NoFaults, SentimentAnnotator, WorkerFaults,
+    Annotator, DiscoveryPipeline, DiscoverySink, DiscoveryStats, EntityAnnotator,
+    SentimentAnnotator,
 };
 use impliance_baselines::{AdminLedger, Capability, InfoSystem};
 use impliance_docmodel::{
@@ -21,12 +21,15 @@ use impliance_docmodel::{
 };
 use impliance_facet::{FacetDimension, FacetEngine, GuidedSession, RollupLevel, RollupRow};
 use impliance_index::{InvertedIndex, JoinIndex, PathValueIndex, SearchHit};
-use impliance_obs::{Counter, Gauge};
+use impliance_obs::Counter;
 use impliance_query::{
     execute_plan_opts, ExecContext, ExecError, ExecutionContext, LogicalPlan, Priority,
     QueryOutput, SimplePlanner,
 };
-use impliance_storage::{StorageEngine, StorageError, StorageOptions};
+use impliance_storage::{
+    ConsumerObs, CrashPoints, FeedConsumer, KillPoint, Killed, NoFaults, StorageEngine,
+    StorageError, StorageOptions, WorkerFaults,
+};
 use impliance_virt::{Admission, TenantId, TenantQuota, WorkloadManager, WorkloadStats};
 use parking_lot::Mutex;
 
@@ -81,54 +84,12 @@ fn snapshot_obs() -> &'static SnapshotObs {
     })
 }
 
-/// Text-index maintenance counters in the workspace metrics registry.
-struct IndexObs {
-    records: Arc<Counter>,
-    lag: Arc<Gauge>,
-}
-
-fn index_obs() -> &'static IndexObs {
-    static OBS: std::sync::OnceLock<IndexObs> = std::sync::OnceLock::new();
-    OBS.get_or_init(|| {
-        let m = impliance_obs::global().metrics();
-        IndexObs {
-            records: m.counter("index.maintain.records"),
-            lag: m.gauge("index.maintain.lag"),
-        }
-    })
-}
-
-/// Volatile vs. durable state of the incremental index maintainer —
-/// the full-text twin of the discovery worker's checkpoint. `cursor` is
-/// the durable resume point (advanced only after a record's postings
-/// land); everything past it replays after a kill, which is safe because
-/// re-indexing a document version simply replaces the same postings.
-struct IndexMaintainer {
-    /// Last acked absolute change-feed position.
-    cursor: u64,
-    /// Highest commit epoch observed in consumed records.
-    last_epoch: u64,
-    /// The maintenance watermark: every commit at or below this epoch is
-    /// reflected in the full-text index.
-    index_epoch: u64,
-    /// Crash-point visits, for deterministic fault schedules.
-    steps: u64,
-}
-
-impl IndexMaintainer {
-    fn new() -> IndexMaintainer {
-        IndexMaintainer {
-            cursor: 0,
-            last_epoch: 0,
-            index_epoch: 0,
-            steps: 0,
-        }
-    }
-
-    fn killed(&mut self, point: KillPoint, faults: &dyn WorkerFaults) -> bool {
-        let step = self.steps;
-        self.steps += 1;
-        faults.kill_at(point, step)
+/// The metrics the text-index maintainer's feed consumer reports under.
+fn index_obs() -> ConsumerObs {
+    let m = impliance_obs::global().metrics();
+    ConsumerObs {
+        records: m.counter("index.maintain.records"),
+        lag: m.gauge("index.maintain.lag"),
     }
 }
 
@@ -185,9 +146,11 @@ pub struct Impliance {
     value_index: Arc<PathValueIndex>,
     join_index: Arc<JoinIndex>,
     pipeline: DiscoveryPipeline,
-    /// The incremental full-text index maintainer: a second consumer of
-    /// the storage change feed, checkpointed independently of discovery.
-    index_maintainer: Mutex<IndexMaintainer>,
+    /// The two background workers, each a registered consumer of the
+    /// storage change feed with its own checkpoint: the full-text index
+    /// maintainer and the discovery worker.
+    index_feed: FeedConsumer,
+    discovery_feed: FeedConsumer,
     /// Structural paths observed per collection (for schema
     /// consolidation, §3.2).
     collection_paths: Mutex<std::collections::HashMap<String, std::collections::BTreeSet<String>>>,
@@ -210,66 +173,9 @@ pub struct Impliance {
     workload_managed: std::sync::atomic::AtomicBool,
 }
 
-struct SourceAdapter<'a>(&'a Impliance);
-
-impl DocSource for SourceAdapter<'_> {
-    fn fetch_at(&self, id: DocId, epoch: u64) -> Option<Document> {
-        // Read at the requested epoch so the worker's read set is
-        // consistent with the commit it is annotating, even while ingest
-        // keeps appending newer versions concurrently.
-        self.0.storage.get_latest_at(id, epoch).ok().flatten()
-    }
-}
-
-/// The storage engine's epoch feed exposed to the discovery worker.
-struct FeedAdapter<'a>(&'a Impliance);
-
-impl ChangeSource for FeedAdapter<'_> {
-    fn recv_changes(&self, cursor: u64, max: usize) -> (Vec<ChangeItem>, u64) {
-        // Background annotation consumes the feed one record at a time;
-        // yielding here (bounded, no-op when uncontended) lets an
-        // in-flight high-priority query claim the cores between records.
-        impliance_query::preempt::yield_to_high(Priority::Low);
-        let (records, next) = self.0.storage.recv_changes(cursor, max);
-        (
-            records
-                .into_iter()
-                .map(|r| ChangeItem {
-                    epoch: r.epoch,
-                    id: r.id,
-                })
-                .collect(),
-            next,
-        )
-    }
-
-    fn ack_changes(&self, cursor: u64) {
-        // The feed has two independent consumers (discovery and the
-        // index maintainer); truncation may only advance to the slower
-        // of the two checkpoints or the other consumer would lose
-        // records it has not seen yet.
-        let index_cursor = self.0.index_maintainer.lock().cursor;
-        self.0.storage.ack_changes(cursor.min(index_cursor));
-    }
-
-    fn latest_epoch(&self) -> u64 {
-        self.0.storage.current_epoch()
-    }
-}
-
 struct SinkAdapter<'a>(&'a Impliance);
 
 impl DiscoverySink for SinkAdapter<'_> {
-    fn store_annotation(&self, annotation: Document) {
-        if self.0.storage.put(&annotation).is_ok() {
-            // annotations are indexed like any other document: the
-            // commit above entered the change feed, where the index
-            // maintainer picks them up; discovery skips them (no
-            // annotation-of-annotation loop)
-            self.0.value_index.index_document(&annotation);
-        }
-    }
-
     fn add_relationship(&self, from: DocId, to: DocId, label: &str) {
         self.0.join_index.add_edge(from, to, label);
     }
@@ -279,7 +185,10 @@ impl DiscoverySink for SinkAdapter<'_> {
             return;
         }
         // One commit = one epoch bump: a reader at any snapshot sees the
-        // whole annotation set or none of it.
+        // whole annotation set or none of it. Annotations are indexed
+        // like any other document: the commit enters the change feed,
+        // where the index maintainer picks them up; discovery skips them
+        // (no annotation-of-annotation loop).
         if self.0.storage.commit(&annotations).is_ok() {
             for a in &annotations {
                 self.0.value_index.index_document(a);
@@ -309,12 +218,13 @@ impl Impliance {
         );
         Impliance {
             config,
+            index_feed: storage.register_consumer(index_obs()),
+            discovery_feed: storage.register_consumer(impliance_annotate::pipeline::feed_obs()),
             storage,
             text_index: Arc::new(InvertedIndex::new(8)),
             value_index: Arc::new(PathValueIndex::new()),
             join_index: Arc::new(JoinIndex::new()),
             pipeline,
-            index_maintainer: Mutex::new(IndexMaintainer::new()),
             collection_paths: Mutex::new(std::collections::HashMap::new()),
             next_id,
             clock_ms: AtomicI64::new(1_168_000_000_000), // Jan 2007, the paper's era
@@ -504,6 +414,23 @@ impl Impliance {
     // Background work (asynchronous phases, §3.2)
     // ------------------------------------------------------------------
 
+    /// The one way background work drains the change feed: `consumer`'s
+    /// checkpointed loop (cursor, crash points, ack, lag — see
+    /// [`FeedConsumer::drain`]) around `stage`, yielding the core to
+    /// in-flight high-priority queries between records.
+    fn drain_feed(
+        &self,
+        consumer: &FeedConsumer,
+        budget: Option<usize>,
+        faults: &dyn WorkerFaults,
+        mut stage: impl FnMut(Option<Document>, &mut CrashPoints<'_>) -> Result<(), Killed>,
+    ) -> usize {
+        consumer.drain(budget, faults, |_, doc, crash| {
+            impliance_query::preempt::yield_to_high(Priority::Low);
+            stage(doc, crash)
+        })
+    }
+
     /// Consume up to `budget` change-feed records into the full-text
     /// index (all pending when `None`). Returns how many records were
     /// consumed. A background worker calls this between interactive
@@ -515,91 +442,34 @@ impl Impliance {
     /// [`Impliance::run_indexing`] under a fault schedule: the chaos
     /// harness kills the maintainer at chosen crash points and verifies
     /// that the `index_epoch` watermark stays consistent (stale is fine,
-    /// torn is not) and that replays converge.
+    /// torn is not) and that replays converge — re-indexing a document
+    /// version replaces the same postings, never a torn merge.
     pub fn run_indexing_with_faults(
         &self,
         budget: Option<usize>,
         faults: &dyn WorkerFaults,
     ) -> usize {
-        let obs = index_obs();
-        let mut consumed = 0usize;
-        let final_epoch: u64;
-        loop {
-            if let Some(b) = budget {
-                if consumed >= b {
-                    final_epoch = self.index_maintainer.lock().index_epoch;
-                    break;
-                }
+        let consumed = self.drain_feed(&self.index_feed, budget, faults, |doc, crash| {
+            if let Some(doc) = doc {
+                crash.visit(KillPoint::BeforeCommit)?;
+                self.text_index.index_document(&doc);
             }
-            // One record at a time: the cursor advance after each record
-            // is the maintainer's durable checkpoint, so a kill loses
-            // (and replays) at most one document's postings — and
-            // re-indexing a version is a same-postings replace, never a
-            // torn merge. The feed read happens without the maintainer
-            // lock; the cursor is re-validated under the lock below, so
-            // concurrent drains stay serialized (a lost race retries
-            // instead of writing stale postings).
-            let cursor = self.index_maintainer.lock().cursor;
-            let (records, next) = self.storage.recv_changes(cursor, 1);
-            let mut m = self.index_maintainer.lock();
-            if m.cursor != cursor {
-                // Another drain advanced past us while we read the feed;
-                // our record (if any) is theirs now. Retry fresh.
-                drop(m);
-                continue;
-            }
-            let Some(rec) = records.first() else {
-                // Drained: everything at or below the newest consumed
-                // epoch is now searchable.
-                m.index_epoch = m.index_epoch.max(m.last_epoch);
-                final_epoch = m.index_epoch;
-                break;
-            };
-            let doc = self.storage.get_latest_at(rec.id, rec.epoch).ok().flatten();
-            if m.killed(KillPoint::AfterFetch, faults) {
-                final_epoch = m.index_epoch;
-                break; // no cursor advance — the record replays next run
-            }
-            if let Some(doc) = &doc {
-                if m.killed(KillPoint::BeforeCommit, faults) {
-                    final_epoch = m.index_epoch;
-                    break; // nothing indexed yet; replay recomputes
-                }
-                self.text_index.index_document(doc);
-            }
-            if m.killed(KillPoint::AfterCommit, faults) {
-                // postings landed but the cursor did not: the replay
-                // re-indexes the same version (idempotent) and acks
-                final_epoch = m.index_epoch;
-                break;
-            }
-            m.cursor = next;
-            // The feed is epoch-ordered: reaching epoch `e` means every
-            // epoch below `e` is fully indexed.
-            m.index_epoch = m.index_epoch.max(rec.epoch.saturating_sub(1));
-            m.last_epoch = m.last_epoch.max(rec.epoch);
-            // Truncate only up to the slower of the two feed consumers.
-            self.storage
-                .ack_changes(m.cursor.min(self.pipeline.cursor()));
-            obs.records.inc();
-            consumed += 1;
-        }
+            Ok(())
+        });
         self.text_index.commit();
-        obs.lag
-            .set(self.storage.current_epoch().saturating_sub(final_epoch) as i64);
         consumed
     }
 
     /// Change-feed records not yet consumed by the index maintainer.
     pub fn indexing_backlog(&self) -> usize {
-        (self.storage.feed_head() - self.index_maintainer.lock().cursor) as usize
+        self.index_feed.backlog()
     }
 
     /// The full-text index maintenance watermark: every commit at or
     /// below this epoch is searchable. Compare with a response's
     /// `snapshot_epoch` to tell how far text search lags ingest.
     pub fn index_epoch(&self) -> u64 {
-        self.index_maintainer.lock().index_epoch
+        self.index_feed.watermark()
     }
 
     /// Run up to `budget` incremental discovery steps: consume change-feed
@@ -618,22 +488,21 @@ impl Impliance {
         budget: Option<usize>,
         faults: &dyn WorkerFaults,
     ) -> usize {
-        let feed = FeedAdapter(self);
-        let source = SourceAdapter(self);
         let sink = SinkAdapter(self);
-        self.pipeline
-            .run_incremental(&feed, &source, &sink, budget, faults)
+        self.drain_feed(&self.discovery_feed, budget, faults, |doc, crash| {
+            self.pipeline.discover(doc, &sink, crash)
+        })
     }
 
     /// Change-feed records not yet consumed by discovery.
     pub fn discovery_backlog(&self) -> usize {
-        (self.storage.feed_head() - self.pipeline.cursor()) as usize
+        self.discovery_feed.backlog()
     }
 
     /// The background annotation watermark: every ingest commit at or
     /// below this epoch has had its annotation set committed.
     pub fn annotation_epoch(&self) -> u64 {
-        self.pipeline.annotation_epoch()
+        self.discovery_feed.watermark()
     }
 
     /// Discovery progress counters.
@@ -760,7 +629,7 @@ impl Impliance {
         // trail the storage epoch, so what they claim is covered by the
         // snapshot taken after them (`<= snapshot_epoch`), even while a
         // writer and the background workers keep advancing.
-        let annotation_epoch = self.pipeline.annotation_epoch();
+        let annotation_epoch = self.annotation_epoch();
         let index_epoch = self.index_epoch();
         // Pin one epoch for the whole execution: every operator (point
         // read, row scan, columnar scan, parallel morsel) sees exactly
@@ -1097,6 +966,42 @@ mod tests {
             path.is_some(),
             "same-person edge should connect the transcripts"
         );
+    }
+
+    /// Both background workers are stages of one loop: over the same
+    /// feed (documents, then the annotation sets discovery commits) the
+    /// index stage and the discovery stage are offered the same crash
+    /// points under the same step numbers, counted from 0.
+    #[test]
+    fn index_and_discovery_stages_are_offered_the_same_crash_points() {
+        struct Recorder(Mutex<Vec<(KillPoint, u64)>>);
+        impl WorkerFaults for Recorder {
+            fn kill_at(&self, point: KillPoint, step: u64) -> bool {
+                self.0.lock().push((point, step));
+                false
+            }
+        }
+        let imp = boot();
+        imp.ingest_text("transcripts", "Grace Hopper is very happy, thanks!")
+            .unwrap();
+        imp.ingest_text("transcripts", "Alan Turing found the tape reader awful")
+            .unwrap();
+        let discovery = Recorder(Mutex::new(Vec::new()));
+        let records = imp.run_discovery_with_faults(None, &discovery);
+        assert!(records > 2, "discovery also consumed what it committed");
+        let indexing = Recorder(Mutex::new(Vec::new()));
+        assert_eq!(imp.run_indexing_with_faults(None, &indexing), records);
+        let offered = discovery.0.into_inner();
+        assert_eq!(offered, indexing.0.into_inner());
+        let per_record = [
+            KillPoint::AfterFetch,
+            KillPoint::BeforeCommit,
+            KillPoint::AfterCommit,
+        ];
+        let expected: Vec<(KillPoint, u64)> = (0..records as u64 * 3)
+            .map(|step| (per_record[step as usize % 3], step))
+            .collect();
+        assert_eq!(offered, expected);
     }
 
     #[test]

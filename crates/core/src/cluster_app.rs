@@ -164,36 +164,16 @@ impl ClusterImpliance {
         self.ingest_document(doc)
     }
 
-    /// Ingest a pre-built document with replication.
+    /// Ingest a pre-built document with replication: the storage manager
+    /// places it, [`dist::dist_put_placed`] stores every copy (retrying lost
+    /// messages, so an acknowledged write is never reported lost).
     pub fn ingest_document(&self, doc: Document) -> Result<DocId, Error> {
         let encoded_len = codec::encode_document_vec(&doc).len() as u64;
         let placement = self
             .storage_mgr
             .lock()
             .place(doc.id(), DataClass::UserBase, encoded_len);
-        if placement.is_empty() {
-            return Err(ClusterError::NoNodeOfKind("data").into());
-        }
-        for (i, node) in placement.iter().enumerate() {
-            let doc = doc.clone();
-            let primary = i == 0;
-            let handle = self.runtime.submit_to(*node, encoded_len, move |ctx| {
-                // a misconfigured node can't store anything
-                let state = ctx.state.downcast_ref::<DataNodeState>()?;
-                let engine = if primary {
-                    &state.storage
-                } else {
-                    &state.replica
-                };
-                let stored = engine.put(&doc);
-                if stored.is_ok() && primary {
-                    // the primary owner also maintains its text shard
-                    state.text_index.index_document(&doc);
-                }
-                Some(stored)
-            })?;
-            handle.join()?.ok_or(ClusterError::TaskLost)??;
-        }
+        dist::dist_put_placed(&self.runtime, &doc, &placement)?;
         Ok(doc.id())
     }
 
@@ -492,6 +472,50 @@ mod tests {
             "replicas must not duplicate scan results"
         );
         assert_eq!(app.doc_count(), 100);
+    }
+
+    /// 30 % of node→coordinator replies are lost while 200 documents are
+    /// ingested: each lost acknowledgement is answered by the put's retry
+    /// (the version is already there — that is the ack), so every ingest
+    /// reports `Ok` and the store holds each document exactly once.
+    /// (Unreplicated, and the seed is one where no put loses all three
+    /// replies — that would be an honest `TaskLost`.)
+    #[test]
+    fn ingest_whose_acknowledgement_is_lost_is_acknowledged_by_its_retry() {
+        let app = ClusterImpliance::boot(ApplianceConfig {
+            replication: 1,
+            ..config(2, 1)
+        });
+        let sched = Arc::new(impliance_cluster::FaultSchedule::new(2318));
+        for &n in &app.runtime().nodes_of_kind(NodeKind::Data) {
+            sched.drop_link(n, NodeId(u32::MAX), 0.30);
+        }
+        app.runtime().network().install_faults(sched);
+        let outcomes: Vec<Result<DocId, Error>> = (0..200)
+            .map(|i| app.ingest_json("orders", &format!(r#"{{"amount": {i}}}"#)))
+            .collect();
+        app.runtime().network().clear_faults();
+        let lost: Vec<&Error> = outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
+        assert!(
+            lost.is_empty(),
+            "{} of 200 ingests errored: {}",
+            lost.len(),
+            lost[0]
+        );
+        assert_eq!(
+            sorted_ids(&all_orders(&app)),
+            (1..=200).collect::<Vec<u64>>()
+        );
+        // the primary's text shard indexed each document too
+        let hits = app
+            .query(
+                QueryRequest::builder("SELECT * FROM orders")
+                    .match_text("amount", "137")
+                    .top_k(5)
+                    .build(),
+            )
+            .unwrap();
+        assert_eq!(hits.output.len(), 1);
     }
 
     #[test]

@@ -770,10 +770,12 @@ pub fn execute(
     Ok(out)
 }
 
-/// Store `doc` on `target` (its primary store, or its replica store). A
-/// put is idempotent under lost replies: when an attempt landed and only
-/// its acknowledgement was dropped, the retry finds the very version it
-/// carries already stored — that `StaleVersion` *is* the acknowledgement.
+/// Store `doc` on `target` (its primary store and text shard, or its
+/// replica store). A put is idempotent under lost replies: when an
+/// attempt landed and only its acknowledgement was dropped, the retry
+/// finds the very version it carries already stored — that
+/// `StaleVersion` *is* the acknowledgement (and re-indexing a version
+/// replaces the same postings).
 fn put_on(
     rt: &ClusterRuntime,
     target: NodeId,
@@ -793,28 +795,47 @@ fn put_on(
             };
             match engine.put(&doc) {
                 Err(StorageError::StaleVersion { latest, attempted })
-                    if retried && latest == attempted =>
-                {
-                    Ok(())
-                }
-                stored => Ok(stored.map_err(ExecError::Storage)?),
+                    if retried && latest == attempted => {}
+                stored => stored.map_err(ExecError::Storage)?,
             }
+            if !replica {
+                // the primary owner also maintains its text shard
+                state.text_index.index_document(&doc);
+            }
+            Ok(())
         }
     })
 }
 
-/// Ingest a document into the cluster: route to the owning data node and
-/// store it there. Returns the encoded size. Transient message loss is
-/// retried (see [`put_on`] for why that is safe).
+/// Ingest a document onto the data nodes of `placement`: the first entry
+/// is the primary (the only copy queries scan and the only text shard
+/// that indexes it), the rest hold it in their `replica` stores, where
+/// failover finds it if the primary dies. Every copy retries transient
+/// message loss (see [`put_on`] for why that is safe). Returns the
+/// encoded size.
+pub fn dist_put_placed(
+    rt: &ClusterRuntime,
+    doc: &Document,
+    placement: &[NodeId],
+) -> Result<usize, DistError> {
+    if placement.is_empty() {
+        return Err(ClusterError::NoNodeOfKind("data").into());
+    }
+    let size = codec::encode_document_vec(doc).len();
+    for (k, &node) in placement.iter().enumerate() {
+        put_on(rt, node, doc, size as u64, k > 0)?;
+    }
+    Ok(size)
+}
+
+/// [`dist_put_placed`] on the routed owner alone.
 pub fn dist_put(rt: &ClusterRuntime, doc: &Document) -> Result<usize, DistError> {
     dist_put_replicated(rt, doc, 1)
 }
 
-/// Ingest a document with `replication`-way redundancy at the dist
-/// layer: the primary copy goes to the routed owner (the only copy
-/// queries scan); `replication − 1` further copies go to the owner's
-/// ring successors' `replica` stores, where [`FailoverPolicy::ring`]
-/// failover finds them if the owner dies.
+/// [`dist_put_placed`] with `replication`-way redundancy on the dist layer's ring:
+/// the routed owner is the primary, its `replication − 1` ring
+/// successors the replica holders [`FailoverPolicy::ring`] looks at.
 pub fn dist_put_replicated(
     rt: &ClusterRuntime,
     doc: &Document,
@@ -822,15 +843,11 @@ pub fn dist_put_replicated(
 ) -> Result<usize, DistError> {
     let data_nodes = rt.nodes_of_kind(NodeKind::Data);
     let n = data_nodes.len();
-    if n == 0 {
-        return Err(ClusterError::NoNodeOfKind("data").into());
-    }
     let owner = route_doc(doc.id(), n);
-    let size = codec::encode_document_vec(doc).len();
-    for k in 0..replication.clamp(1, n) {
-        put_on(rt, data_nodes[(owner + k) % n], doc, size as u64, k > 0)?;
-    }
-    Ok(size)
+    let placement: Vec<NodeId> = (0..replication.max(1).min(n))
+        .map(|k| data_nodes[(owner + k) % n])
+        .collect();
+    dist_put_placed(rt, doc, &placement)
 }
 
 /// Fetch the latest version of a document from its owning data node.

@@ -17,9 +17,9 @@ use impliance_docmodel::{DocId, Document, Version};
 use impliance_obs::{Counter, Histogram, LATENCY_BUCKETS_US};
 
 use crate::columnar::ColumnPage;
-use crate::epoch::{ChangeFeed, ChangeRecord, EpochRegistry, Snapshot};
+use crate::epoch::{ChangeFeed, ConsumerObs, EpochRegistry, FeedConsumer, Snapshot};
 use crate::error::StorageError;
-use crate::partition::{Partition, ScanPos};
+use crate::partition::{Partition, ScanPos, Visible};
 use crate::pushdown::{Predicate, ScanRequest, ScanResult};
 use crate::stats::PartitionStats;
 
@@ -104,12 +104,12 @@ impl Default for StorageOptions {
 pub struct StorageEngine {
     // All partitions share one lock-order node ("storage.partition"): the
     // engine never nests partition locks, and the shared name catches any
-    // future code path that tries to. Lock order: commit_lock >
-    // storage.partition > storage.epoch.feed; storage.epoch.pins is a
-    // leaf.
+    // future code path that tries to. Lock order:
+    // storage.epoch.consumer > commit_lock > storage.partition >
+    // storage.epoch.feed; storage.epoch.pins is a leaf.
     partitions: Vec<TrackedRwLock<Partition>>,
     epoch: Arc<EpochRegistry>,
-    feed: ChangeFeed,
+    pub(crate) feed: ChangeFeed,
     commit_lock: TrackedMutex<()>,
     /// Lazy version GC switch. Off by default: with it off every version
     /// remains addressable (the §4 time-travel story); on, superseded
@@ -254,20 +254,14 @@ impl StorageEngine {
         reclaimed
     }
 
-    /// Read up to `max` change-feed records from absolute cursor
-    /// `cursor`, plus the next cursor. Records are `(epoch, DocId)` in
-    /// commit order; re-reading an unacked cursor replays the same
-    /// records, so a consumer that crashes before acking loses no work.
-    pub fn recv_changes(&self, cursor: u64, max: usize) -> (Vec<ChangeRecord>, u64) {
-        self.feed.recv_changes(cursor, max)
+    /// Register a consumer of this engine's change feed, starting at the
+    /// oldest retained record. From now on the feed keeps every record
+    /// the consumer has not acked; see [`FeedConsumer::drain`].
+    pub fn register_consumer(self: &Arc<StorageEngine>, obs: ConsumerObs) -> FeedConsumer {
+        FeedConsumer::register(Arc::clone(self), obs)
     }
 
-    /// Truncate change-feed records below `cursor` (consumer checkpoint).
-    pub fn ack_changes(&self, cursor: u64) {
-        self.feed.ack(cursor)
-    }
-
-    /// Retained (unacked) change-feed records.
+    /// Change-feed records retained for the slowest registered consumer.
     pub fn feed_len(&self) -> usize {
         self.feed.len()
     }
@@ -310,13 +304,12 @@ impl StorageEngine {
         self.partitions[self.route(id)].read().get_as_of(id, ts)
     }
 
-    /// Scan the snapshot as of timestamp `ts` across all partitions.
+    /// Scan the snapshot as of timestamp `ts` across all partitions: for
+    /// every document the version current at `ts` participates
+    /// (documents created later are invisible). Same walk, order and
+    /// `limit` handling as [`StorageEngine::scan`].
     pub fn scan_as_of(&self, req: &ScanRequest, ts: i64) -> Result<ScanResult, StorageError> {
-        let mut out = ScanResult::default();
-        for p in &self.partitions {
-            out.merge(p.read().scan_as_of(req, ts)?);
-        }
-        Ok(out)
+        self.scan_visible(req, Visible::AsOf(ts))
     }
 
     /// Execute a push-down scan over all partitions, merging results: one
@@ -326,23 +319,34 @@ impl StorageEngine {
     pub fn scan(&self, req: &ScanRequest) -> Result<ScanResult, StorageError> {
         let obs = engine_obs();
         let started = Instant::now();
+        let out = self.scan_visible(req, Visible::snapshot_of(req))?;
+        obs.scans.inc();
+        obs.scan_us.observe(started.elapsed().as_micros() as u64);
+        Ok(out)
+    }
+
+    fn scan_visible(
+        &self,
+        req: &ScanRequest,
+        visible: Visible,
+    ) -> Result<ScanResult, StorageError> {
         let mut out = ScanResult::default();
         // `req.limit` is rewritten to the remainder at each partition
         // boundary.
         let mut req = req.clone();
-        for partition in 0..self.partitions.len() {
+        for p in &self.partitions {
             if req.limit == Some(0) {
                 break;
             }
             let (page, _, _) =
-                self.scan_partition_page(partition, &req, ScanPos::default(), usize::MAX)?;
+                p.read()
+                    .scan_page_visible(&req, visible, ScanPos::default(), usize::MAX)?;
+            observe_segments(page.metrics.segments_skipped, page.metrics.segments_scanned);
             if let Some(l) = req.limit {
                 req.limit = Some(l.saturating_sub(page.documents.len() + page.ids.len()));
             }
             out.merge(page);
         }
-        obs.scans.inc();
-        obs.scan_us.observe(started.elapsed().as_micros() as u64);
         Ok(out)
     }
 
@@ -810,19 +814,25 @@ mod tests {
 
     #[test]
     fn change_feed_records_commits_in_epoch_order() {
-        let e = StorageEngine::with_defaults();
+        let e = Arc::new(StorageEngine::with_defaults());
+        let consumer = e.register_consumer(ConsumerObs::default());
         e.put(&doc(1)).unwrap();
         e.commit(&[doc(2), doc(3)]).unwrap();
-        let (records, next) = e.recv_changes(0, 100);
+        assert_eq!(e.feed_len(), 3);
+        let mut records = Vec::new();
+        let n = consumer.drain(None, &crate::NoFaults, |rec, doc, _| {
+            assert_eq!(doc.map(|d| d.id()), Some(rec.id), "fetched at its epoch");
+            records.push(rec);
+            Ok(())
+        });
+        assert_eq!(n, 3);
         let ids: Vec<u64> = records.iter().map(|r| r.id.0).collect();
         assert_eq!(ids, vec![1, 2, 3]);
         assert!(records.windows(2).all(|w| w[0].epoch <= w[1].epoch));
         assert_eq!(records[1].epoch, records[2].epoch, "one epoch per commit");
-        e.ack_changes(next);
-        assert_eq!(e.feed_len(), 0);
-        let (empty, same) = e.recv_changes(next, 100);
-        assert!(empty.is_empty());
-        assert_eq!(same, next);
+        assert_eq!(e.feed_len(), 0, "acked records are truncated");
+        assert_eq!(consumer.watermark(), e.current_epoch());
+        assert_eq!(consumer.drain(None, &crate::NoFaults, |_, _, _| Ok(())), 0);
     }
 
     #[test]
@@ -1108,5 +1118,56 @@ mod time_travel_tests {
             )
             .unwrap();
         assert_eq!(filtered.documents.len(), 5);
+    }
+
+    /// The as-of scan is the ordinary page walk under another visibility
+    /// rule, so its order is the store's (segments in seal order, then
+    /// the memtable) — not a hash map's — and a `limit` keeps a prefix.
+    #[test]
+    fn scan_as_of_order_is_deterministic_and_limit_keeps_a_prefix() {
+        let load = || {
+            let e = StorageEngine::new(StorageOptions {
+                partitions: 3,
+                seal_threshold: 4,
+                compression: true,
+                encryption_key: None,
+            });
+            for i in 0..40 {
+                e.put(&doc_at(i, 100, 10)).unwrap();
+            }
+            for i in (0..40).step_by(3) {
+                let next = doc_at(i, 100, 10)
+                    .new_version(Node::map([("amount".into(), Node::scalar(999i64))]), 20);
+                e.put(&next).unwrap();
+            }
+            e
+        };
+        let versions = |r: &ScanResult| -> Vec<(u64, Version)> {
+            r.documents
+                .iter()
+                .map(|d| (d.id().0, d.version()))
+                .collect()
+        };
+        let (a, b) = (load(), load());
+        for ts in [10, 20] {
+            let all = versions(&a.scan_as_of(&ScanRequest::full(), ts).unwrap());
+            assert_eq!(all.len(), 40);
+            assert_eq!(
+                all,
+                versions(&b.scan_as_of(&ScanRequest::full(), ts).unwrap()),
+                "identically loaded engines scan as of {ts} in the same order"
+            );
+            for n in [1, 7, 39] {
+                let req = ScanRequest {
+                    limit: Some(n),
+                    ..ScanRequest::full()
+                };
+                assert_eq!(
+                    versions(&a.scan_as_of(&req, ts).unwrap()),
+                    all[..n],
+                    "limit {n} as of {ts} is the first {n} of the unlimited scan"
+                );
+            }
+        }
     }
 }

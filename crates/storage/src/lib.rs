@@ -23,9 +23,10 @@
 //! * [`stats`] — per-partition statistics (path cardinalities, min/max,
 //!   histograms, distinct estimates) maintained as a side effect of
 //!   sealing segments; used by the cost-based baseline optimizer.
-//! * [`epoch`] — monotonic commit epochs, ref-counted snapshot pins, and
-//!   the change feed driving incremental background annotation; readers
-//!   pin an epoch so concurrent ingest never tears a query's view.
+//! * [`epoch`] — monotonic commit epochs, ref-counted snapshot pins
+//!   (readers pin an epoch so concurrent ingest never tears a query's
+//!   view), and the change feed with the one checkpointed consumer loop
+//!   ([`FeedConsumer::drain`]) every background worker is a stage of.
 //! * [`engine`] — the [`StorageEngine`] facade combining hash-partitioned
 //!   storage with version-chain reads.
 
@@ -44,7 +45,10 @@ pub mod stats;
 
 pub use columnar::{Bitmask, Column, ColumnPage, ColumnPageBuilder, ColumnVec};
 pub use engine::{ScanMorsel, StorageEngine, StorageOptions};
-pub use epoch::{ChangeFeed, ChangeRecord, EpochRegistry, Snapshot};
+pub use epoch::{
+    ChangeFeed, ChangeRecord, ConsumerObs, CrashPoints, EpochRegistry, FeedConsumer, KillPoint,
+    Killed, NoFaults, Snapshot, WorkerFaults,
+};
 pub use error::StorageError;
 pub use partition::ScanPos;
 pub use pushdown::{

@@ -236,10 +236,9 @@ impl Partition {
     /// Latest version of a document visible at snapshot epoch `snap`
     /// (the last chain entry whose commit epoch is ≤ `snap`).
     pub fn get_latest_at(&self, id: DocId, snap: u64) -> Result<Option<Document>, StorageError> {
-        match self.chains.get(&id).and_then(|c| Self::visible_at(c, snap)) {
-            Some(entry) => Ok(Some(self.fetch(entry.loc)?)),
-            None => Ok(None),
-        }
+        self.visible_entry(id, Visible::AtEpoch(snap))
+            .map(|e| self.fetch(e.loc))
+            .transpose()
     }
 
     /// A specific version of a document.
@@ -258,14 +257,9 @@ impl Partition {
     /// ingested at or before it), or `None` if the document did not exist
     /// yet — §4's auditing time travel.
     pub fn get_as_of(&self, id: DocId, ts: i64) -> Result<Option<Document>, StorageError> {
-        match self
-            .chains
-            .get(&id)
-            .and_then(|c| c.iter().rev().find(|e| e.ingested_at <= ts))
-        {
-            Some(entry) => Ok(Some(self.fetch(entry.loc)?)),
-            None => Ok(None),
-        }
+        self.visible_entry(id, Visible::AsOf(ts))
+            .map(|e| self.fetch(e.loc))
+            .transpose()
     }
 
     /// All stored versions of a document, oldest first.
@@ -316,22 +310,16 @@ impl Partition {
         }
     }
 
-    /// The chain entry a snapshot at epoch `snap` selects: the last one
-    /// whose commit epoch is ≤ `snap`. Epochs are non-decreasing along a
-    /// chain, so this is the newest visible version. `u64::MAX` selects
-    /// the unconditional latest.
-    fn visible_at(chain: &[ChainEntry], snap: u64) -> Option<&ChainEntry> {
-        chain.iter().rev().find(|e| e.epoch <= snap)
+    /// True when `loc` holds the version of document `id` that a reader
+    /// under `visible` observes.
+    fn is_visible_latest(&self, id: DocId, loc: Location, visible: Visible) -> bool {
+        self.visible_entry(id, visible)
+            .is_some_and(|e| e.loc == loc)
     }
 
-    /// True when `loc` holds the version of document `id` that a
-    /// snapshot at epoch `snap` observes.
-    fn is_visible_latest(&self, id: DocId, loc: Location, snap: u64) -> bool {
-        self.chains
-            .get(&id)
-            .and_then(|c| Self::visible_at(c, snap))
-            .map(|e| e.loc == loc)
-            .unwrap_or(false)
+    /// The chain entry of document `id` a reader under `visible` observes.
+    fn visible_entry(&self, id: DocId, visible: Visible) -> Option<&ChainEntry> {
+        self.chains.get(&id).and_then(|c| visible.select(c))
     }
 
     /// Scan one page of the partition starting at `pos`: up to `max_docs`
@@ -345,9 +333,23 @@ impl Partition {
         pos: ScanPos,
         max_docs: usize,
     ) -> Result<(ScanResult, ScanPos, bool), StorageError> {
+        self.scan_page_visible(req, Visible::snapshot_of(req), pos, max_docs)
+    }
+
+    /// [`Partition::scan_page`] with the visibility rule spelled out, so
+    /// the as-of-timestamp scan (§4's auditing time travel) is the same
+    /// walk in the same order as a snapshot scan.
+    pub(crate) fn scan_page_visible(
+        &self,
+        req: &ScanRequest,
+        visible: Visible,
+        pos: ScanPos,
+        max_docs: usize,
+    ) -> Result<(ScanResult, ScanPos, bool), StorageError> {
         let mut out = ScanResult::default();
+        let zone_pred = req.predicate.as_ref();
         let (metrics, next, done) =
-            self.walk_page(req, req.predicate.as_ref(), pos, max_docs, &mut out)?;
+            self.walk_page(req, visible, zone_pred, pos, max_docs, &mut out)?;
         out.metrics = metrics;
         Ok((out, next, done))
     }
@@ -370,20 +372,23 @@ impl Partition {
     ) -> Result<(ColumnPage, ScanPos, bool), StorageError> {
         let mut builder = ColumnPageBuilder::new(paths);
         let zone_pred = prune.or(req.predicate.as_ref());
-        let (metrics, next, done) = self.walk_page(req, zone_pred, pos, max_docs, &mut builder)?;
+        let visible = Visible::snapshot_of(req);
+        let (metrics, next, done) =
+            self.walk_page(req, visible, zone_pred, pos, max_docs, &mut builder)?;
         let mut page = builder.finish();
         page.metrics = metrics;
         Ok((page, next, done))
     }
 
-    /// The one cursor walk behind both page scans: sealed segments in
+    /// The one cursor walk behind every page scan: sealed segments in
     /// seal order (one block load per page-visit, whole segments skipped
     /// when `zone_pred` prunes their zone map), then the memtable; every
-    /// snapshot-visible document is offered to `sink` until it holds
-    /// `max_docs` or the request's `limit` is met.
+    /// document version `visible` selects is offered to `sink` until it
+    /// holds `max_docs` or the request's `limit` is met.
     fn walk_page<S: PageSink>(
         &self,
         req: &ScanRequest,
+        visible: Visible,
         zone_pred: Option<&Predicate>,
         mut pos: ScanPos,
         max_docs: usize,
@@ -399,7 +404,6 @@ impl Partition {
         let mut metrics = ScanMetrics::default();
         let budget = max_docs.max(1);
         let limit = req.limit.unwrap_or(usize::MAX);
-        let snap = req.snapshot.unwrap_or(u64::MAX);
         if pos.emitted >= limit {
             return Ok((metrics, pos, true));
         }
@@ -444,11 +448,11 @@ impl Partition {
                         idx: pos.idx,
                     };
                     pos.idx += 1;
-                    if !self.is_visible_latest(entry.id, here, snap) {
+                    if !self.is_visible_latest(entry.id, here, visible) {
                         continue;
                     }
                     let (doc, _) = crate::codec::decode_document(&block, entry.offset as usize)?;
-                    offer(doc, entry.len as usize, req, true, sink, &mut metrics);
+                    offer(doc, entry.len as usize, req, sink, &mut metrics);
                 }
             }
             pos.seg += 1;
@@ -463,31 +467,39 @@ impl Partition {
                 return Ok((metrics, pos, done));
             }
             pos.mem = i + 1;
-            if !self.is_visible_latest(id, Location::Mem(i), snap) {
+            if !self.is_visible_latest(id, Location::Mem(i), visible) {
                 continue;
             }
-            offer(self.memtable.get(i)?, len, req, true, sink, &mut metrics);
+            offer(self.memtable.get(i)?, len, req, sink, &mut metrics);
         }
         pos.emitted += sink.emitted();
         Ok((metrics, pos, true))
     }
+}
 
-    /// Execute a scan over the snapshot as of timestamp `ts`: for every
-    /// chain the version current at `ts` participates (documents created
-    /// later are invisible).
-    pub fn scan_as_of(&self, req: &ScanRequest, ts: i64) -> Result<ScanResult, StorageError> {
-        let mut result = ScanResult::default();
-        let mut metrics = ScanMetrics::default();
-        for chain in self.chains.values() {
-            if let Some(entry) = chain.iter().rev().find(|e| e.ingested_at <= ts) {
-                let doc = self.fetch(entry.loc)?;
-                let encoded_len = crate::codec::encode_document_vec(&doc).len();
-                let room = req.limit.is_none_or(|l| result.emitted() < l);
-                offer(doc, encoded_len, req, room, &mut result, &mut metrics);
-            }
-        }
-        result.metrics = metrics;
-        Ok(result)
+/// Which version of each document a page walk offers: the one a
+/// commit-epoch snapshot observes, or the one current at a timestamp.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Visible {
+    /// The last version whose commit epoch is ≤ the snapshot (epochs are
+    /// non-decreasing along a chain); `u64::MAX` is the unconditional
+    /// latest.
+    AtEpoch(u64),
+    /// The last version ingested at or before the timestamp.
+    AsOf(i64),
+}
+
+impl Visible {
+    /// The request's pinned snapshot, or the unconditional latest.
+    pub(crate) fn snapshot_of(req: &ScanRequest) -> Visible {
+        Visible::AtEpoch(req.snapshot.unwrap_or(u64::MAX))
+    }
+
+    fn select(self, chain: &[ChainEntry]) -> Option<&ChainEntry> {
+        chain.iter().rev().find(|e| match self {
+            Visible::AtEpoch(snap) => e.epoch <= snap,
+            Visible::AsOf(ts) => e.ingested_at <= ts,
+        })
     }
 }
 
@@ -539,19 +551,17 @@ impl PageSink for ColumnPageBuilder {
 }
 
 /// Account for one visible document and hand it to `sink` when it
-/// satisfies the request predicate. `room` is false once the request's
-/// `limit` is already met (the document is still counted as scanned).
+/// satisfies the request predicate.
 fn offer<S: PageSink>(
     doc: Document,
     encoded_len: usize,
     req: &ScanRequest,
-    room: bool,
     sink: &mut S,
     metrics: &mut ScanMetrics,
 ) {
     metrics.docs_scanned += 1;
     metrics.bytes_scanned += encoded_len as u64;
-    if !room || !req.predicate.as_ref().is_none_or(|p| p.matches(&doc)) {
+    if !req.predicate.as_ref().is_none_or(|p| p.matches(&doc)) {
         return;
     }
     metrics.docs_matched += 1;

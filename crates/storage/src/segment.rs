@@ -236,11 +236,6 @@ impl Segment {
         &self.directory
     }
 
-    /// Whether the block is encrypted at rest.
-    pub fn is_encrypted(&self) -> bool {
-        self.encryption.is_some()
-    }
-
     /// Fault injection for recovery tests: flip every stored byte, the way
     /// a torn or rotted disk write would, so reads of this segment fail
     /// with a typed [`StorageError`] from here on.

@@ -73,16 +73,6 @@ impl TenantQuota {
             queue_capacity: usize::MAX,
         }
     }
-
-    /// A rate-limited quota with a burst equal to one second of rate and
-    /// a backlog bound of two seconds of rate.
-    pub fn per_sec(rate: u64) -> TenantQuota {
-        TenantQuota {
-            tokens_per_sec: rate,
-            burst: rate.max(1),
-            queue_capacity: (rate as usize).saturating_mul(2).max(8),
-        }
-    }
 }
 
 impl Default for TenantQuota {
@@ -384,17 +374,6 @@ impl WorkloadManager {
     /// Override one tenant's quota (the default applies otherwise).
     pub fn set_quota(&self, tenant: TenantId, quota: TenantQuota) {
         self.shared.state.lock().quotas.insert(tenant.0, quota);
-    }
-
-    /// The effective quota for a tenant.
-    pub fn quota_of(&self, tenant: TenantId) -> TenantQuota {
-        self.shared
-            .state
-            .lock()
-            .quotas
-            .get(&tenant.0)
-            .copied()
-            .unwrap_or(self.shared.config.default_quota)
     }
 
     /// Cumulative accounting.
