@@ -6,7 +6,7 @@
 //! |-----|-----------|
 //! | L9  | no panic site transitively reachable from the public entry points |
 //! | L10 | no allocating call inside operator `next_batch` / worker loops |
-//! | L11 | no lock guard live across a call that transitively blocks |
+//! | L11 | no lock guard live across a channel operation or a call that transitively blocks |
 //! | L12 | recorded metric names and DESIGN.md's Observability section agree |
 //!
 //! Every L9/L11 finding carries a witness path (entry point or guard
@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::callgraph::CallGraph;
 use crate::lints::LintConfig;
-use crate::parser::{parse_file, CallSite, MetricSite};
+use crate::parser::{normalize_line, parse_file, CallSite, MetricSite};
 use crate::report::{Diagnostic, LintId};
 use crate::symbols::SymbolTable;
 
@@ -120,7 +120,7 @@ impl Workspace {
             None => return String::new(),
         };
         let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
-        crate::parser::normalize_line(&refs, line)
+        normalize_line(&refs, line)
     }
 
     fn diag(
@@ -302,7 +302,8 @@ fn sink_call(call: &CallSite) -> Option<&'static str> {
         "transmit" if call.is_method || call.qualifier.as_deref() == Some("Network") => {
             Some("Network::transmit")
         }
-        "recv" | "recv_timeout" if call.is_method => Some("channel recv"),
+        "send" | "try_send" if call.is_method => Some("channel send"),
+        "recv" | "recv_timeout" | "try_recv" if call.is_method => Some("channel recv"),
         // The change-feed poll: holding an unrelated guard across it
         // serializes ingest commits against the annotation worker.
         "recv_changes" if call.is_method => Some("change-feed recv"),
@@ -342,8 +343,7 @@ fn lint_l11(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
             if ws.allowed(&def.file, LintId::L11, call.line) {
                 continue;
             }
-            // direct sink under guard: L4 already covers send/recv in the
-            // same body; transmit/sleep are L11's (dedupe drops overlap)
+            // direct sink under guard, or a callee that reaches one
             let (blocking, witness) = if let Some(kind) = sink_call(call) {
                 (
                     kind,
@@ -519,16 +519,32 @@ fn expand_braces(text: &str) -> Vec<String> {
     }
 }
 
-/// Run the metrics-drift check. `design_text` is `None` when the
-/// workspace has no DESIGN.md (then there is no contract to drift from).
+/// Run the metrics-drift check. A configured design doc that cannot be
+/// read, or whose Observability section names no metric, is one finding:
+/// the gate fails closed rather than passing with no contract to check.
 pub fn lint_l12(config: &LintConfig, ws: &Workspace) -> Vec<Diagnostic> {
-    let design_path = config.root.join(&config.l12_design_doc);
-    let Ok(design) = std::fs::read_to_string(&design_path) else {
-        return Vec::new();
+    let doc = config.l12_design_doc.as_str();
+    let no_contract = |problem: String| {
+        vec![Diagnostic {
+            id: LintId::L12,
+            file: doc.to_string(),
+            line: 1,
+            signature: doc.to_string(),
+            message: format!("{doc} {problem}, so no metric name can be checked"),
+            suggestion: format!(
+                "restore {doc} with a `## Observability` section listing the recorded \
+                 metric names in backticks"
+            ),
+            witness: Vec::new(),
+        }]
+    };
+    let design = match std::fs::read_to_string(config.root.join(doc)) {
+        Ok(text) => text,
+        Err(e) => return no_contract(format!("cannot be read ({e})")),
     };
     let patterns = doc_patterns(&design);
     if patterns.is_empty() {
-        return Vec::new();
+        return no_contract("names no metric under a `## Observability` heading".into());
     }
     let mut diags = Vec::new();
 
@@ -553,9 +569,8 @@ pub fn lint_l12(config: &LintConfig, ws: &Workspace) -> Vec<Diagnostic> {
             line: site.line,
             signature: site.signature.clone(),
             message: format!(
-                "metric `{name}` is recorded here but not documented in {}'s \
-                 Observability section",
-                config.l12_design_doc
+                "metric `{name}` is recorded here but not documented in {doc}'s \
+                 Observability section"
             ),
             suggestion: "add the metric to the Observability table (or rename it to match \
                  a documented pattern) — undocumented metrics are invisible to operators"
@@ -565,6 +580,7 @@ pub fn lint_l12(config: &LintConfig, ws: &Workspace) -> Vec<Diagnostic> {
     }
 
     // documented -> recorded (concrete patterns only)
+    let doc_lines: Vec<&str> = design.lines().collect();
     let mut seen_doc: HashSet<&str> = HashSet::new();
     for p in &patterns {
         if !p.is_concrete() || !seen_doc.insert(p.text.as_str()) {
@@ -573,18 +589,11 @@ pub fn lint_l12(config: &LintConfig, ws: &Workspace) -> Vec<Diagnostic> {
         if recorded.contains_key(p.text.as_str()) {
             continue;
         }
-        let design_rel = config.l12_design_doc.clone();
-        let line_text = design
-            .lines()
-            .nth(p.line as usize - 1)
-            .unwrap_or("")
-            .trim()
-            .to_string();
         diags.push(Diagnostic {
             id: LintId::L12,
-            file: design_rel,
+            file: doc.to_string(),
             line: p.line,
-            signature: format!("{} :: {}", p.text, normalize_ws(&line_text)),
+            signature: format!("{} :: {}", p.text, normalize_line(&doc_lines, p.line)),
             message: format!(
                 "metric `{}` is documented in the Observability section but never \
                  recorded by any non-test code",
@@ -597,23 +606,6 @@ pub fn lint_l12(config: &LintConfig, ws: &Workspace) -> Vec<Diagnostic> {
         });
     }
     diags
-}
-
-fn normalize_ws(text: &str) -> String {
-    let mut sig = String::with_capacity(text.len());
-    let mut last_space = true;
-    for c in text.chars() {
-        if c.is_whitespace() {
-            if !last_space {
-                sig.push(' ');
-            }
-            last_space = true;
-        } else {
-            sig.push(c);
-            last_space = false;
-        }
-    }
-    sig
 }
 
 #[cfg(test)]
@@ -788,6 +780,66 @@ mod tests {
     }
 
     #[test]
+    fn l11_flags_guard_across_channel_ops() {
+        let w = ws(&[(
+            "crates/cluster/src/relay.rs",
+            r#"
+            impl Relay {
+                pub fn f(&self) {
+                    let nodes = self.nodes.read();
+                    self.tx.send(1).ok();
+                    self.rx.try_recv().ok();
+                }
+                pub fn scoped(&self) {
+                    { let nodes = self.nodes.read(); nodes.len(); }
+                    self.tx.send(1).ok();
+                    let n = self.nodes.read().len();
+                    self.tx.try_send(n).ok();
+                }
+            }
+            "#,
+        )]);
+        let diags = lint_graph(&config(), &w);
+        let l11: Vec<&Diagnostic> = diags.iter().filter(|d| d.id == LintId::L11).collect();
+        assert_eq!(l11.len(), 2, "{l11:?}");
+        assert!(l11[0].message.contains("`nodes`") && l11[0].message.contains("channel send"));
+    }
+
+    #[test]
+    fn l11_method_call_never_resolves_to_a_free_fn() {
+        // `self.memtable.put(..)` is a method call: the free `put` that
+        // blocks on a channel is not its callee, so the guard is fine
+        let w = ws(&[
+            (
+                "crates/storage/src/partition.rs",
+                r#"
+                impl Partition {
+                    pub fn put_at(&self, doc: u64) {
+                        let guard = self.state.write();
+                        self.memtable.put(doc);
+                        drop(guard);
+                    }
+                }
+                "#,
+            ),
+            (
+                "crates/query/src/dist.rs",
+                "pub fn put(rt: &Runtime) -> u64 { rt.reply.recv().unwrap_or(0) }",
+            ),
+        ]);
+        let diags = lint_graph(&config(), &w);
+        assert!(diags.iter().all(|d| d.id != LintId::L11), "{diags:?}");
+    }
+
+    #[test]
+    fn l12_fails_closed_without_a_contract() {
+        let diags = lint_l12(&config(), &ws(&[]));
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].file, "DESIGN.md");
+        assert!(diags[0].message.contains("cannot be read"), "{diags:?}");
+    }
+
+    #[test]
     fn brace_expansion_and_matching() {
         let names = expand_braces("storage.{put,get}.{count,us}");
         assert_eq!(names.len(), 4);
@@ -811,7 +863,7 @@ mod tests {
     fn metric_shape_filter() {
         assert!(is_metric_shaped("storage.put.count"));
         assert!(is_metric_shaped("query.op.<operator>.us"));
-        assert!(!is_metric_shaped("lint_baseline.json"));
+        assert!(!is_metric_shaped("analysis_report.json"));
         assert!(!is_metric_shaped("Snapshot::metrics_json()"));
         assert!(!is_metric_shaped("nodots"));
         assert!(!is_metric_shaped("Upper.case"));

@@ -1,9 +1,9 @@
 //! A small self-contained Rust lexer for the invariant linter.
 //!
-//! The build environment is offline, so `syn` is unavailable; the lints in
-//! this crate (L1-L4, see [`crate::lints`]) only need a token stream with
-//! line numbers and comment awareness, which this ~300-line scanner
-//! provides. It understands line/block comments (nested), string, raw
+//! The build environment is offline, so `syn` is unavailable; the item
+//! parser ([`crate::parser`]) and the L7 pass ([`crate::lints`]) only need
+//! a token stream with line numbers and comment awareness, which this
+//! ~300-line scanner provides. It understands line/block comments (nested), string, raw
 //! string, byte string, and char literals, lifetimes, numbers, identifiers
 //! and punctuation — enough to never misread `".unwrap()"` inside a string
 //! literal as a method call.
@@ -329,7 +329,7 @@ mod tests {
 
     #[test]
     fn comments_are_side_channel() {
-        let src = "// impliance-lint: allow(L1)\nx.unwrap();\n/* block\ncomment */\n";
+        let src = "// impliance-lint: allow(L9)\nx.unwrap();\n/* block\ncomment */\n";
         let lexed = lex(src);
         assert_eq!(lexed.comments.len(), 2);
         assert_eq!(lexed.comments[0].line, 1);

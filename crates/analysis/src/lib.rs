@@ -2,15 +2,17 @@
 //!
 //! Two halves:
 //!
-//! * **Static invariant linter** ([`lints`], [`baseline`], [`report`]) —
-//!   enforces the L1-L12 workspace invariants over a self-contained lexer
-//!   ([`lexer`]), with pre-existing debt ratcheted through
-//!   `lint_baseline.json`. L1-L8 are per-file token-stream lints; L9-L12
-//!   are interprocedural, built on a lightweight item parser
-//!   ([`parser`]), a workspace symbol table ([`symbols`]) and a call
-//!   graph ([`callgraph`]) with witness paths (see [`iplints`]). Run it
-//!   with `cargo run -p impliance-analysis -- check`, or
-//!   `-- explain L9` for any lint's rationale and heuristics.
+//! * **Static invariant checker** ([`lints`], [`report`]) — enforces what
+//!   only a call graph or a cross-file view can check: L7 (unwraps on
+//!   cluster call chains, test code included), L9-L11 (interprocedural,
+//!   built on a lightweight item parser ([`parser`]) over a
+//!   self-contained lexer ([`lexer`]), a workspace symbol table
+//!   ([`symbols`]) and a call graph ([`callgraph`]) with witness paths;
+//!   see [`iplints`]) and L12 (metric names vs DESIGN.md). Any finding
+//!   fails the check. Run it with `cargo run -p impliance-analysis --
+//!   check`, or `-- explain L9` for any lint's rationale and heuristics.
+//!   The per-file rules clippy checks type-aware live in clippy
+//!   configuration, not here (DESIGN.md "Invariants").
 //! * **Runtime lock-order detector** ([`locks`]) — [`TrackedMutex`] /
 //!   [`TrackedRwLock`] wrappers that, in debug builds, maintain a global
 //!   acquired-before graph and panic with the offending cycle on
@@ -19,9 +21,8 @@
 //!
 //! The paper's appliance promise ("ease of administration", §3) is only
 //! honest if the substrate's invariants are checked by machines, not by
-//! reviewers; this crate is that machine.
+//! reviewers; this crate and clippy are that machine.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod iplints;
 pub mod lexer;
@@ -31,11 +32,10 @@ pub mod parser;
 pub mod report;
 pub mod symbols;
 
-pub use baseline::{Baseline, BASELINE_FILE};
 pub use callgraph::CallGraph;
 pub use iplints::{EntrySpec, Workspace};
 pub use lints::{
-    analyze_workspace, collect_sources, lint_source, lint_workspace, LintConfig, WorkspaceAnalysis,
+    analyze_workspace, collect_sources, lint_workspace, LintConfig, WorkspaceAnalysis,
 };
 #[cfg(debug_assertions)]
 pub use locks::reset_lock_order_graph_for_tests;

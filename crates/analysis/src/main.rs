@@ -1,34 +1,31 @@
-//! CLI for the Impliance invariant linter.
+//! CLI for the Impliance invariant checker.
 //!
 //! ```text
-//! cargo run -p impliance-analysis -- check                    # gate: fail on NEW violations
-//! cargo run -p impliance-analysis -- check --update-baseline  # re-ratchet after intentional changes
-//! cargo run -p impliance-analysis -- check --verify-baseline  # CI drift gate: fail if the ratchet is stale
+//! cargo run -p impliance-analysis -- check                    # gate: fail on any finding
 //! cargo run -p impliance-analysis -- check --json-out out.json --root /path/to/ws
 //! cargo run -p impliance-analysis -- explain L9               # rationale + heuristics for a lint
 //! ```
 //!
-//! Exit codes: 0 = clean (all findings covered by the baseline), 1 = new
-//! violations (or baseline drift under `--verify-baseline`), 2 = usage or
-//! I/O error.
+//! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use impliance_analysis::report::{count_by_key, Json};
-use impliance_analysis::{analyze_workspace, Baseline, Diagnostic, LintConfig, LintId, Workspace};
+use impliance_analysis::report::Json;
+use impliance_analysis::{analyze_workspace, Diagnostic, LintConfig, LintId, Workspace};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: impliance-analysis check [--update-baseline] [--verify-baseline] [--root DIR] [--json-out FILE]\n\
-         \x20      impliance-analysis explain <L1..L12>\n\
+        "usage: impliance-analysis check [--root DIR] [--json-out FILE]\n\
+         \x20      impliance-analysis explain <{}>\n\
          \n\
-         check    scan the workspace, gate on NEW violations vs lint_baseline.json\n\
+         check    scan the workspace, fail on any finding\n\
          explain  print a lint's rationale, detection heuristics, and suppression syntax\n\
          \n\
          Enforced invariants:\n\
          {}",
+        LintId::ALL.map(|l| l.as_str()).join("|"),
         LintId::ALL
             .iter()
             .map(|l| format!("  {l}: {}\n", l.description()))
@@ -47,8 +44,6 @@ fn explain(id: LintId) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut update_baseline = false;
-    let mut verify_baseline = false;
     let mut root: Option<PathBuf> = None;
     let mut json_out: Option<PathBuf> = None;
     let mut command: Option<String> = None;
@@ -63,16 +58,11 @@ fn main() -> ExitCode {
                 match iter.next().and_then(|s| LintId::parse(s)) {
                     Some(id) => explain_id = Some(id),
                     None => {
-                        eprintln!(
-                            "impliance-analysis: explain takes a lint id (L1..L{})",
-                            LintId::ALL.len()
-                        );
+                        eprintln!("impliance-analysis: explain takes a lint id");
                         return usage();
                     }
                 }
             }
-            "--update-baseline" => update_baseline = true,
-            "--verify-baseline" => verify_baseline = true,
             "--root" => match iter.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage(),
@@ -88,14 +78,10 @@ fn main() -> ExitCode {
             _ => return usage(),
         }
     }
-    match command.as_deref() {
-        Some("explain") => return explain(explain_id.expect("parsed above")),
-        Some("check") => {}
+    match (command.as_deref(), explain_id) {
+        (Some("explain"), Some(id)) => return explain(id),
+        (Some("check"), _) => {}
         _ => return usage(),
-    }
-    if update_baseline && verify_baseline {
-        eprintln!("impliance-analysis: --update-baseline and --verify-baseline are exclusive");
-        return usage();
     }
 
     let root = root.unwrap_or_else(find_workspace_root);
@@ -109,84 +95,8 @@ fn main() -> ExitCode {
         }
     };
     let diags = &analysis.diagnostics;
+    let report_path = write_report(&root, json_out, diags, &analysis.workspace);
 
-    let baseline = match Baseline::load(&root) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("impliance-analysis: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if update_baseline {
-        let fresh = Baseline::from_diagnostics(diags);
-        let (old_total, new_total) = (baseline.total(), fresh.total());
-        if let Err(e) = fresh.save(&root) {
-            eprintln!("impliance-analysis: writing baseline: {e}");
-            return ExitCode::from(2);
-        }
-        println!(
-            "baseline updated: {} -> {} allowed findings ({} keys); review the \
-             lint_baseline.json diff",
-            old_total,
-            new_total,
-            fresh.entries.len()
-        );
-        write_report(&root, json_out, diags, &[], &fresh, &analysis.workspace);
-        return ExitCode::SUCCESS;
-    }
-
-    if verify_baseline {
-        // CI drift gate: the committed ratchet must be exactly what
-        // `--update-baseline` would write now. A stale baseline hides
-        // paid-down debt (the ratchet stops ratcheting).
-        let fresh = Baseline::from_diagnostics(diags);
-        if fresh.entries != baseline.entries {
-            let fresh_keys: std::collections::BTreeSet<_> = fresh.entries.keys().collect();
-            let old_keys: std::collections::BTreeSet<_> = baseline.entries.keys().collect();
-            eprintln!("FAIL: lint_baseline.json is stale (ratchet drift):");
-            for k in old_keys.difference(&fresh_keys) {
-                eprintln!("  no longer needed: {k}");
-            }
-            for k in fresh_keys.difference(&old_keys) {
-                eprintln!("  missing entry:    {k}");
-            }
-            for (k, v) in &fresh.entries {
-                if let Some(old) = baseline.entries.get(k) {
-                    if old != v {
-                        eprintln!("  count changed:    {k} ({old} -> {v})");
-                    }
-                }
-            }
-            eprintln!(
-                "run `cargo run -p impliance-analysis -- check --update-baseline` and \
-                 commit the diff"
-            );
-            return ExitCode::from(1);
-        }
-        println!(
-            "baseline verified: {} allowed findings ({} keys) match the committed ratchet",
-            baseline.total(),
-            baseline.entries.len()
-        );
-        // fall through to the normal gate as well
-    }
-
-    let (covered, fresh) = baseline.partition(diags);
-
-    let report_path = write_report(
-        &root,
-        json_out,
-        diags,
-        &fresh,
-        &baseline,
-        &analysis.workspace,
-    );
-
-    let mut per_lint: BTreeMap<LintId, usize> = BTreeMap::new();
-    for d in diags {
-        *per_lint.entry(d.id).or_insert(0) += 1;
-    }
     println!(
         "impliance-analysis: scanned workspace at {}",
         root.display()
@@ -195,34 +105,27 @@ fn main() -> ExitCode {
         println!(
             "  {id} ({}): {} finding(s)",
             id.description(),
-            per_lint.get(&id).copied().unwrap_or(0)
+            diags.iter().filter(|d| d.id == id).count()
         );
     }
-    println!(
-        "  total {} finding(s): {} covered by baseline, {} NEW",
-        diags.len(),
-        covered.len(),
-        fresh.len()
-    );
     if let Some(p) = report_path {
         println!("  report: {}", p.display());
     }
 
-    if fresh.is_empty() {
-        println!("OK: no new invariant violations");
+    if diags.is_empty() {
+        println!("OK: no invariant violations");
         ExitCode::SUCCESS
     } else {
-        eprintln!("\nNEW violations (not in lint_baseline.json):");
-        for d in &fresh {
+        eprintln!("\nViolations:");
+        for d in diags {
             eprintln!("{}", d.render());
         }
         eprintln!(
-            "\nFAIL: {} new violation(s). Fix them, annotate with \
-             `// impliance-lint: allow(Lx)` and a justification, or (for intentional \
-             additions) run `cargo run -p impliance-analysis -- check --update-baseline` \
-             and commit the diff. `cargo run -p impliance-analysis -- explain <Lx>` \
-             prints each lint's rationale and heuristics.",
-            fresh.len()
+            "\nFAIL: {} violation(s). Fix them, or annotate with \
+             `// impliance-lint: allow(Lx)` and a justification. \
+             `cargo run -p impliance-analysis -- explain <Lx>` prints each lint's \
+             rationale and heuristics.",
+            diags.len()
         );
         ExitCode::from(1)
     }
@@ -253,8 +156,6 @@ fn write_report(
     root: &std::path::Path,
     json_out: Option<PathBuf>,
     diags: &[Diagnostic],
-    fresh: &[&Diagnostic],
-    baseline: &Baseline,
     workspace: &Workspace,
 ) -> Option<PathBuf> {
     let path = json_out.unwrap_or_else(|| root.join("analysis_report.json"));
@@ -284,11 +185,6 @@ fn write_report(
 
     let mut totals = BTreeMap::new();
     totals.insert("findings".to_string(), Json::Num(diags.len() as f64));
-    totals.insert("new".to_string(), Json::Num(fresh.len() as f64));
-    totals.insert(
-        "baseline_allowed".to_string(),
-        Json::Num(baseline.total() as f64),
-    );
     totals.insert("per_lint".to_string(), Json::Obj(per_lint));
 
     let mut doc = BTreeMap::new();
@@ -296,12 +192,8 @@ fn write_report(
         "tool".to_string(),
         Json::Str("impliance-analysis".to_string()),
     );
-    doc.insert("version".to_string(), Json::Num(2.0));
+    doc.insert("version".to_string(), Json::Num(3.0));
     doc.insert("totals".to_string(), Json::Obj(totals));
-    doc.insert(
-        "new_violations".to_string(),
-        Json::Arr(fresh.iter().map(|d| diag_json(d)).collect()),
-    );
     doc.insert(
         "diagnostics".to_string(),
         Json::Arr(diags.iter().map(diag_json).collect()),
@@ -321,16 +213,6 @@ fn write_report(
                         Json::Str(l.description().to_string()),
                     )
                 })
-                .collect(),
-        ),
-    );
-    // sanity: occurrence counts by ratchet key, for diffing runs
-    doc.insert(
-        "by_key".to_string(),
-        Json::Obj(
-            count_by_key(diags)
-                .into_iter()
-                .map(|(k, v)| (k, Json::Num(v as f64)))
                 .collect(),
         ),
     );

@@ -10,7 +10,7 @@
 //! * **metric sites** — string literals passed directly to
 //!   `.counter("..")` / `.gauge("..")` / `.histogram("..")` (for L12);
 //! * **suppressions** — `impliance-lint: allow(Lx)` comments, resolved to
-//!   `(lint, line)` pairs exactly as the lexical pass does.
+//!   `(lint, line)` pairs exactly as the L7 token pass does.
 //!
 //! Known approximations (deliberate — the environment has no `syn`):
 //! nested `fn` items are parsed as their own functions and excluded from
@@ -48,7 +48,7 @@ pub struct MetricSite {
     pub line: u32,
     /// Whether the registration is inside test code.
     pub in_test: bool,
-    /// The source line text, whitespace-normalized (ratchet signature).
+    /// The source line text, whitespace-normalized (diagnostic signature).
     pub signature: String,
 }
 
@@ -106,7 +106,7 @@ pub struct CallSite {
     pub line: u32,
     /// How many loop bodies enclose this call.
     pub loop_depth: u32,
-    /// Lock guards live at the call (L4-style heuristic).
+    /// Lock guards live at the call (see [`guard_binding`]).
     pub guards: Vec<GuardRef>,
 }
 
@@ -121,14 +121,8 @@ const KEYWORDS: &[&str] = &[
 /// Parse one source file into its item/call streams.
 pub fn parse_file(path: &str, source: &str) -> ParsedFile {
     let lexed = lex(source);
-    parse_lexed(path, source, &lexed)
-}
-
-/// Parse an already-lexed file (so callers lexing for the L1-L8 pass can
-/// reuse the token stream).
-pub fn parse_lexed(path: &str, source: &str, lexed: &Lexed) -> ParsedFile {
     let toks = &lexed.tokens;
-    let test_marks = mark_test_tokens(lexed);
+    let test_marks = mark_test_tokens(&lexed);
     let lines: Vec<&str> = source.lines().collect();
 
     let mut allows = HashSet::new();
@@ -182,9 +176,8 @@ pub fn parse_lexed(path: &str, source: &str, lexed: &Lexed) -> ParsedFile {
 }
 
 /// Mark every token inside `#[cfg(test)] mod .. { }` bodies and
-/// `#[test]`-attributed items as test code. (Shared with the lexical
-/// lint pass.)
-pub fn mark_test_tokens(lexed: &Lexed) -> Vec<bool> {
+/// `#[test]`-attributed items as test code.
+fn mark_test_tokens(lexed: &Lexed) -> Vec<bool> {
     let toks = &lexed.tokens;
     let mut marked = vec![false; toks.len()];
     let mut i = 0;
@@ -548,7 +541,7 @@ fn parse_body(
     }
 }
 
-/// Whitespace-normalized source line (ratchet signature), 1-based.
+/// Whitespace-normalized source line (diagnostic signature), 1-based.
 pub fn normalize_line(lines: &[&str], line: u32) -> String {
     let text = lines.get(line as usize - 1).copied().unwrap_or("");
     let mut sig = String::with_capacity(text.len());
@@ -569,12 +562,8 @@ pub fn normalize_line(lines: &[&str], line: u32) -> String {
 
 /// If tokens at `let_idx` form `let [mut] name = .. .lock|read|write ( ) ;`
 /// (the lock call terminating the statement), return the guard name and
-/// the index of the `;`. (Shared with the L4 lexical pass.)
-pub(crate) fn guard_binding(
-    toks: &[Token],
-    let_idx: usize,
-    limit: usize,
-) -> Option<(String, usize)> {
+/// the index of the `;`.
+fn guard_binding(toks: &[Token], let_idx: usize, limit: usize) -> Option<(String, usize)> {
     let mut j = let_idx + 1;
     if toks.get(j).map(|t| t.text.as_str()) == Some("mut") {
         j += 1;

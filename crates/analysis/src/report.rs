@@ -1,35 +1,22 @@
 //! Diagnostics, human-readable rendering, and a dependency-free JSON
-//! layer (writer + recursive-descent reader) used for
-//! `analysis_report.json` and `lint_baseline.json`. serde is unavailable
-//! offline, so the small JSON dialect these files need is implemented
-//! here directly.
+//! layer: the writer behind `analysis_report.json` and a
+//! recursive-descent reader (the obs snapshot tests parse with it).
+//! serde is unavailable offline, so the small JSON dialect these need is
+//! implemented here directly.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Identifier of an enforced invariant.
+/// Identifier of an enforced invariant. The gaps are rules clippy
+/// enforces now (L1-L3, L5, L8, L13), L4 (folded into L11) and the
+/// retired L6; DESIGN.md "Invariants" maps every old id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LintId {
-    /// No `unwrap()` / `expect()` / `panic!` in hot-path library code.
-    L1,
-    /// Cluster traffic must flow through the byte-accounted `Network`.
-    L2,
-    /// No wall-clock reads in simulation-deterministic cluster code.
-    L3,
-    /// No lock guard held across a channel `send` / `recv`.
-    L4,
-    /// Library crates must not print to stdout/stderr — diagnostics flow
-    /// through the observability layer (`impliance-obs`), not the console.
-    L5,
     /// No `unwrap()` / `expect()` on cluster `submit_to` / `transmit`
     /// result chains in the resilient distributed executor — those calls
     /// fail by design under chaos schedules, and must degrade, not panic.
-    /// Unlike L1 this applies to test code too.
+    /// Applies to test code too.
     L7,
-    /// No raw `std::thread::spawn` in the query crate outside the morsel
-    /// pool (`parallel.rs`) — ad-hoc threads escape the worker accounting,
-    /// panic propagation, and queue-depth observability of `scoped_map`.
-    L8,
     /// Panic-reachability: no `unwrap()` / `expect()` / `panic!` /
     /// `unreachable!` in non-test code transitively reachable from the
     /// public entry points (`Impliance::query`, `Operator::next_batch`
@@ -40,94 +27,49 @@ pub enum LintId {
     /// `String::from`) inside loops in operator `next_batch` bodies or
     /// the morsel worker loops (`parallel.rs`).
     L10,
-    /// Interprocedural guard-across-blocking: no `Mutex`/`RwLock` guard
-    /// live across a call whose callee transitively reaches
-    /// `Network::transmit`, a channel `recv`, or `BackoffClock::sleep`.
+    /// Guard-across-blocking: no `Mutex`/`RwLock` guard live across a
+    /// channel operation or a call whose callee transitively reaches
+    /// `Network::transmit`, a channel operation, or `BackoffClock::sleep`.
     L11,
     /// Metrics drift: every metric name literal recorded via the
     /// `impliance-obs` registry must be documented in DESIGN.md's
     /// Observability section, and every concrete documented name must be
     /// recorded somewhere in the workspace.
     L12,
-    /// Retrieval goes through the query pipeline: no direct
-    /// `index::search` calls (`search::search`, `search_topk`,
-    /// `search_phrase`) outside `crates/query` / `crates/index` — every
-    /// other crate reaches text search via `Impliance::query` match
-    /// clauses or `impliance_query::keyword_candidates`.
-    L13,
 }
 
 impl LintId {
     /// All lints, in order.
-    pub const ALL: [LintId; 12] = [
-        LintId::L1,
-        LintId::L2,
-        LintId::L3,
-        LintId::L4,
-        LintId::L5,
+    pub const ALL: [LintId; 5] = [
         LintId::L7,
-        LintId::L8,
         LintId::L9,
         LintId::L10,
         LintId::L11,
         LintId::L12,
-        LintId::L13,
     ];
 
-    /// Stable string form (`"L1"`...).
+    /// Stable string form (`"L7"`...).
     pub fn as_str(&self) -> &'static str {
         match self {
-            LintId::L1 => "L1",
-            LintId::L2 => "L2",
-            LintId::L3 => "L3",
-            LintId::L4 => "L4",
-            LintId::L5 => "L5",
             LintId::L7 => "L7",
-            LintId::L8 => "L8",
             LintId::L9 => "L9",
             LintId::L10 => "L10",
             LintId::L11 => "L11",
             LintId::L12 => "L12",
-            LintId::L13 => "L13",
         }
     }
 
     /// Parse from the stable string form.
     pub fn parse(s: &str) -> Option<LintId> {
-        match s {
-            "L1" => Some(LintId::L1),
-            "L2" => Some(LintId::L2),
-            "L3" => Some(LintId::L3),
-            "L4" => Some(LintId::L4),
-            "L5" => Some(LintId::L5),
-            "L7" => Some(LintId::L7),
-            "L8" => Some(LintId::L8),
-            "L9" => Some(LintId::L9),
-            "L10" => Some(LintId::L10),
-            "L11" => Some(LintId::L11),
-            "L12" => Some(LintId::L12),
-            "L13" => Some(LintId::L13),
-            _ => None,
-        }
+        LintId::ALL.into_iter().find(|id| id.as_str() == s)
     }
 
     /// One-line description of what the invariant protects.
     pub fn description(&self) -> &'static str {
         match self {
-            LintId::L1 => "no unwrap()/expect()/panic! in hot-path library code",
-            LintId::L2 => "cluster sends/sleeps must go through the Network accounting layer",
-            LintId::L3 => {
-                "no Instant::now/SystemTime::now in simulation-deterministic cluster code"
-            }
-            LintId::L4 => "no Mutex/RwLock guard held across a channel send/recv",
-            LintId::L5 => "no print!/println!/eprint!/eprintln! in library crates",
             LintId::L7 => {
                 "no unwrap()/expect() on cluster submit_to/transmit chains in the resilient \
                  distributed executor (test code included)"
-            }
-            LintId::L8 => {
-                "no raw std::thread::spawn in the query crate outside the morsel worker pool \
-                 (parallel.rs)"
             }
             LintId::L9 => {
                 "no unwrap()/expect()/panic!/unreachable! transitively reachable from the \
@@ -140,17 +82,13 @@ impl LintId {
                  worker loops"
             }
             LintId::L11 => {
-                "no Mutex/RwLock guard live across a call whose callee transitively reaches \
-                 Network::transmit, a channel recv, or BackoffClock::sleep"
+                "no Mutex/RwLock guard live across a channel send/recv or a call whose callee \
+                 transitively reaches Network::transmit, a channel operation, or \
+                 BackoffClock::sleep"
             }
             LintId::L12 => {
                 "every metric name recorded via impliance-obs must be documented in \
                  DESIGN.md's Observability section, and vice versa"
-            }
-            LintId::L13 => {
-                "direct index search entry points (search::search, search_topk, \
-                 search_phrase) may only be called from crates/query and \
-                 crates/index; everyone else goes through the query API"
             }
         }
     }
@@ -158,47 +96,18 @@ impl LintId {
     /// Why the invariant exists — the paragraph `explain <Lx>` prints.
     pub fn rationale(&self) -> &'static str {
         match self {
-            LintId::L1 => {
-                "The storage/query/index/cluster/core crates are the appliance's hot path; a \
-                 panic there aborts a worker mid-query and (under the morsel pool) takes the \
-                 whole pipeline down. Errors must be values on the hot path."
-            }
-            LintId::L2 => {
-                "Every byte the simulated cluster moves must be charged to the Network \
-                 accounting layer, or the bench numbers lie. Raw channel sends and \
-                 thread::sleep bypass both the byte ledger and simulated time."
-            }
-            LintId::L3 => {
-                "Cluster simulations replay seeded fault schedules; reading the wall clock \
-                 makes replays diverge between hosts and turns deterministic chaos tests \
-                 into flakes."
-            }
-            LintId::L4 => {
-                "A lock guard held across a channel send/recv couples the lock's critical \
-                 section to the channel's latency and is the classic shape of the \
-                 guard-across-await deadlock family."
-            }
-            LintId::L5 => {
-                "Library output flows through impliance-obs so harnesses emit \
-                 machine-readable streams; a stray println! corrupts golden stdout and is \
-                 invisible to library consumers."
-            }
             LintId::L7 => {
                 "Chaos schedules make cluster calls fail on purpose; an unwrap on a \
                  submit_to/transmit chain converts an injected, recoverable fault into a \
                  panic — in tests too, which must assert on degraded outcomes."
             }
-            LintId::L8 => {
-                "The morsel pool owns worker accounting, queue-depth gauges, and panic \
-                 re-raising; raw thread::spawn creates threads invisible to all of it and \
-                 can silently swallow panics via detached handles."
-            }
             LintId::L9 => {
                 "The paper's self-managing appliance promise (§4) means no input may crash \
                  the box: any panic site transitively reachable from Impliance::query, an \
                  Operator::next_batch impl, or dist::execute is a denial-of-service \
-                 bug waiting for the right input. L1 checks single files in hot-path \
-                 crates; L9 follows the call graph into every crate."
+                 bug waiting for the right input. clippy::unwrap_used denies panics in the \
+                 hot-path crates one file at a time; L9 follows the call graph into every \
+                 crate."
             }
             LintId::L10 => {
                 "Every morsel worker runs the same per-tuple loop, so the pool multiplies \
@@ -208,24 +117,17 @@ impl LintId {
                  allocate once outside the loop."
             }
             LintId::L11 => {
-                "Holding a Mutex/RwLock guard across a call that (transitively) blocks on \
-                 Network::transmit, a channel recv, or a backoff sleep serializes every \
-                 other thread on that lock behind simulated network latency. L4 sees only \
-                 one function body; L11 follows callees across the call graph."
+                "Holding a Mutex/RwLock guard across a channel operation, or a call that \
+                 (transitively) blocks on Network::transmit, a channel recv, or a backoff \
+                 sleep, serializes every other thread on that lock behind simulated network \
+                 latency and is the classic shape of the guard-across-await deadlock family."
             }
             LintId::L12 => {
                 "With no DBA watching, the appliance explains itself through its metrics — \
                  so DESIGN.md's Observability section is the contract. An undocumented \
                  metric is invisible to operators; a documented-but-dead metric is a lie \
-                 dashboards will be built on."
-            }
-            LintId::L13 => {
-                "Hybrid retrieval is one pipeline: BM25 scoring, top-k early \
-                 termination, fusion, admission control, and the index_epoch freshness \
-                 watermark all live on the IndexScan path behind Impliance::query. A \
-                 crate that calls index::search directly gets unscored, unmetered, \
-                 unwatermarked results and silently bypasses workload management — the \
-                 exact split-brain the query API redesign removed."
+                 dashboards will be built on. A missing contract (no readable doc, or no \
+                 metric names under its Observability heading) is itself a finding."
             }
         }
     }
@@ -233,49 +135,24 @@ impl LintId {
     /// How the lint decides — heuristics and known approximations.
     pub fn heuristics(&self) -> &'static str {
         match self {
-            LintId::L1 => {
-                "Lexical scan of non-test tokens in configured hot-path crates for \
-                 `.unwrap(` / `.expect(` / `panic!`. #[cfg(test)] modules and #[test] fns \
-                 are excluded."
-            }
-            LintId::L2 => {
-                "Per function body: a `.send(`/`.try_send(` is flagged unless a \
-                 `transmit(` call appears earlier in the same body; `::sleep(` always \
-                 flags. The Network impl itself is exempt via config."
-            }
-            LintId::L3 => {
-                "Flags `Instant::now` / `SystemTime::now` tokens in cluster-scoped files \
-                 outside the clock exemptions."
-            }
-            LintId::L4 => {
-                "Tracks `let g = x.lock()/read()/write();` bindings per body; the guard \
-                 dies at drop(g) or scope end. Chained temporaries (`x.lock().len()`) are \
-                 not guards. Guards smuggled through helper returns are missed (see L11 \
-                 for the interprocedural case)."
-            }
-            LintId::L5 => {
-                "Flags print-family macro tokens in library files; binaries (main.rs, \
-                 src/bin/), the bench/analysis crates, and test code are exempt."
-            }
             LintId::L7 => {
                 "Follows the direct method chain rooted at submit_to/submit_to_kind/\
                  map_kind/transmit; an unwrap/expect anywhere in the chain flags. A result \
-                 bound first and unwrapped later is out of scope (caught by L1/L9)."
-            }
-            LintId::L8 => {
-                "Flags `thread::spawn(` tokens in query-crate files outside parallel.rs; \
-                 scoped `s.spawn(` and test code pass."
+                 bound first and unwrapped later is out of scope (caught by \
+                 clippy::unwrap_used/L9)."
             }
             LintId::L9 => {
                 "Builds a workspace call graph from a lightweight item parser (fn/impl/\
                  trait items over the lexer). Calls resolve by qualified path \
-                 (`Type::name`) when present, else by bare name; receiver types are \
-                 unknown, so method calls resolve to every workspace method of that name \
-                 (over-approximate) except a fixed list of ubiquitous std-colliding names \
-                 like get/len/push/insert/iter/next/clone (under-approximate, documented \
-                 in symbols.rs). Panic sites in reachable non-test fns are flagged, each \
-                 with an entry-point witness path. Calls through function pointers, \
-                 trait objects with renamed methods, and macros-generated fns are missed."
+                 (`Type::name`) when present; a method call `x.name(..)` resolves to the \
+                 workspace fns named `name` declared in an impl or trait block (receiver \
+                 types are unknown, so every such method is a candidate), a bare call \
+                 `name(..)` only to free fns. A fixed list of ubiquitous std-colliding \
+                 method names like get/len/push/insert/iter/next/clone never resolves \
+                 (under-approximate, documented in symbols.rs). Panic sites in reachable \
+                 non-test fns are flagged, each with an entry-point witness path. Calls \
+                 through function pointers, trait objects with renamed methods, and \
+                 macros-generated fns are missed."
             }
             LintId::L10 => {
                 "Scope: `next_batch` bodies in `impl Operator for ..` blocks plus every \
@@ -285,13 +162,14 @@ impl LintId {
                  calls. Allocations hidden behind helper calls are not followed."
             }
             LintId::L11 => {
-                "Reuses the L4 guard-liveness heuristic to find calls made with a guard \
-                 live, then asks the call graph whether any resolved callee transitively \
-                 reaches a blocking sink (`transmit`, `.recv(`/`.recv_timeout(`, \
-                 `BackoffClock::sleep` / clock `.sleep(`). Each finding carries the \
-                 guard-site -> callee -> sink witness path. Same resolution \
-                 approximations as L9; a finding L4 already reports on the same line is \
-                 deduped in favour of L4."
+                "Tracks `let g = x.lock()/read()/write();` bindings per body; the guard \
+                 dies at drop(g) or scope end, and chained temporaries (`x.lock().len()`) \
+                 are not guards. A call made with a guard live is flagged when it is a \
+                 direct sink (`.send(`/`.try_send(`/`.recv(`/`.try_recv(`/\
+                 `.recv_timeout(`, `transmit`, `BackoffClock::sleep` / clock `.sleep(`) or \
+                 when the call graph shows a resolved callee transitively reaching one. \
+                 Each finding carries the guard-site -> callee -> sink witness path. Same \
+                 resolution approximations as L9."
             }
             LintId::L12 => {
                 "Collects string literals passed directly to `.counter(\"..\")` / \
@@ -302,16 +180,6 @@ impl LintId {
                  direction). Dynamically formatted metric names are invisible to the \
                  recorded side — document them with a wildcard."
             }
-            LintId::L13 => {
-                "Lexical scan outside the allowed prefixes (crates/query/, \
-                 crates/index/): flags qualified calls `search::search(...)`, \
-                 `search::search_topk(...)`, `search::search_phrase(...)` (including \
-                 longer paths ending in `search::<entry>`), and bare calls \
-                 `search_topk(` / `search_phrase(` that are neither definitions (not \
-                 preceded by `fn`) nor method calls (not preceded by `.` — the \
-                 appliance wrapper methods are the sanctioned route). Test code is \
-                 exempt — tests may use the index directly as a brute-force oracle."
-            }
         }
     }
 
@@ -319,8 +187,7 @@ impl LintId {
     pub fn suppression(&self) -> String {
         format!(
             "// impliance-lint: allow({id})  — on (or the line before) the flagged line, \
-             with a justification; pre-existing debt ratchets via lint_baseline.json \
-             (`check --update-baseline`)",
+             with a justification",
             id = self.as_str()
         )
     }
@@ -341,7 +208,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// The offending construct (normalized snippet used as the ratchet key).
+    /// The offending source line, whitespace-normalized.
     pub signature: String,
     /// Human message.
     pub message: String,
@@ -354,13 +221,6 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// Stable ratchet key: file + lint + normalized signature. Line numbers
-    /// are deliberately excluded so edits elsewhere in a file don't
-    /// invalidate the baseline.
-    pub fn ratchet_key(&self) -> String {
-        format!("{}:{}:{}", self.id, self.file, self.signature)
-    }
-
     /// `file:line: [Lx] message (suggestion)` — the human rendering,
     /// with the witness path (when present) as indented steps.
     pub fn render(&self) -> String {
@@ -379,8 +239,8 @@ impl Diagnostic {
     }
 }
 
-/// Parse `impliance-lint: allow(L1)` / `allow(L1, L4)` out of a comment.
-/// Shared by the lexical lint pass and the interprocedural parser.
+/// Parse `impliance-lint: allow(L9)` / `allow(L9, L11)` out of a comment.
+/// Shared by the L7 token pass and the item parser.
 pub fn parse_allow(comment: &str) -> Option<Vec<LintId>> {
     let marker = "impliance-lint:";
     let rest = &comment[comment.find(marker)? + marker.len()..];
@@ -392,15 +252,6 @@ pub fn parse_allow(comment: &str) -> Option<Vec<LintId>> {
         .filter_map(|part| LintId::parse(part.trim()))
         .collect();
     (!ids.is_empty()).then_some(ids)
-}
-
-/// Aggregate findings keyed for the ratchet: key -> occurrence count.
-pub fn count_by_key(diags: &[Diagnostic]) -> BTreeMap<String, usize> {
-    let mut map = BTreeMap::new();
-    for d in diags {
-        *map.entry(d.ratchet_key()).or_insert(0) += 1;
-    }
-    map
 }
 
 // ---------------------------------------------------------------------
@@ -708,22 +559,6 @@ mod tests {
         assert!(parse_json("{ \"a\": }").is_err());
         assert!(parse_json("[1, 2").is_err());
         assert!(parse_json("{} trailing").is_err());
-    }
-
-    #[test]
-    fn ratchet_key_excludes_line() {
-        let a = Diagnostic {
-            id: LintId::L1,
-            file: "crates/x/src/lib.rs".into(),
-            line: 10,
-            signature: "foo().unwrap()".into(),
-            message: "m".into(),
-            suggestion: "s".into(),
-            witness: Vec::new(),
-        };
-        let mut b = a.clone();
-        b.line = 99;
-        assert_eq!(a.ratchet_key(), b.ratchet_key());
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!   trait is `Qual` (with `Self::name(..)` resolved against the calling
 //!   fn's owner);
 //! * `recv.name(..)` method calls resolve to **every** workspace method
-//!   of that name — over-approximate, since the receiver type is unknown
-//!   — except the [`AMBIENT_METHODS`] below;
-//! * bare `name(..)` calls resolve to free fns of that name.
+//!   of that name (a fn declared in an `impl` or `trait` block) —
+//!   over-approximate, since the receiver type is unknown — except the
+//!   [`AMBIENT_METHODS`] below; a free fn is never a method callee;
+//! * bare `name(..)` calls resolve to free fns of that name only.
 //!
 //! `AMBIENT_METHODS` is the documented under-approximation: method names
 //! that collide with ubiquitous std-container/Option/Result/iterator
@@ -155,8 +156,10 @@ pub struct SymbolTable {
     /// All fns, in (sorted-file, source) order — indexes are stable and
     /// used as call-graph node ids.
     pub fns: Vec<FnDef>,
-    /// bare name -> fn ids.
-    by_name: HashMap<String, Vec<usize>>,
+    /// bare name -> ids of fns declared in an impl or trait block.
+    methods: HashMap<String, Vec<usize>>,
+    /// bare name -> ids of free fns.
+    free_fns: HashMap<String, Vec<usize>>,
     /// `Owner::name` and `Trait::name` -> fn ids.
     by_qual: HashMap<String, Vec<usize>>,
 }
@@ -169,7 +172,11 @@ impl SymbolTable {
         for file in files {
             for item in file.fns {
                 let id = table.fns.len();
-                table.by_name.entry(item.name.clone()).or_default().push(id);
+                let by_name = match item.owner {
+                    Some(_) => &mut table.methods,
+                    None => &mut table.free_fns,
+                };
+                by_name.entry(item.name.clone()).or_default().push(id);
                 if let Some(owner) = &item.owner {
                     table
                         .by_qual
@@ -221,26 +228,15 @@ impl SymbolTable {
                 .map(|v| v.as_slice())
                 .unwrap_or(&[]);
         }
-        if is_method {
+        let by_name = if is_method {
             if AMBIENT_METHODS.contains(&callee) {
                 return &[];
             }
-            return self
-                .by_name
-                .get(callee)
-                .map(|v| v.as_slice())
-                .unwrap_or(&[]);
-        }
-        // bare call: free fns only
-        match self.by_name.get(callee) {
-            Some(ids) => {
-                // filter to free fns lazily is awkward with slices; free
-                // fns dominate bare-name hits in practice, so return all
-                // and let callers tolerate the extra method candidates.
-                ids.as_slice()
-            }
-            None => &[],
-        }
+            &self.methods
+        } else {
+            &self.free_fns
+        };
+        by_name.get(callee).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
     /// Fn ids matching an entry-point spec.
@@ -284,8 +280,9 @@ mod tests {
                 "a.rs",
                 r#"
                 impl Network { pub fn transmit(&self) {} }
-                impl Engine { pub fn scan_page(&self) {} }
+                impl Engine { pub fn scan_page(&self) {} fn helper(&self) {} }
                 pub fn helper() {}
+                pub fn scan_page() {}
                 "#,
             ),
             ("b.rs", "pub fn helper() {}"),
@@ -294,13 +291,16 @@ mod tests {
         let ids = t.resolve("transmit", Some("Network"), false, false, None);
         assert_eq!(ids.len(), 1);
         assert_eq!(t.fns[ids[0]].item.qual_name(), "Network::transmit");
-        // method call resolves by bare name
+        // method call resolves by bare name, to methods only
         let ids = t.resolve("scan_page", None, true, false, None);
         assert_eq!(ids.len(), 1);
+        assert_eq!(t.fns[ids[0]].item.qual_name(), "Engine::scan_page");
         // ambient method names never resolve
         assert!(t.resolve("get", None, true, false, None).is_empty());
-        // bare call: both helpers
-        assert_eq!(t.resolve("helper", None, false, false, None).len(), 2);
+        // bare call: both free helpers, never the method
+        let ids = t.resolve("helper", None, false, false, None);
+        assert_eq!(ids.len(), 2);
+        assert!(ids.iter().all(|&id| t.fns[id].item.owner.is_none()));
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Fixture: one deliberate violation each of L2, L3 and L4 in
-//! simulation-deterministic cluster code. (Fixture sources are scanned,
-//! never compiled; the lock API mimics parking_lot.)
+//! Fixture: a channel send while a lock guard is held (L11, direct sink).
+//! The send after the guard is dropped must stay silent. (Fixture
+//! sources are scanned, never compiled; the lock API mimics parking_lot.)
 
 use parking_lot::Mutex;
 use std::sync::mpsc::Sender;
-use std::time::Instant;
 
 pub struct Relay {
     pub outbox: Sender<Vec<u8>>,
@@ -12,24 +11,18 @@ pub struct Relay {
 }
 
 impl Relay {
-    pub fn forward(&self, payload: Vec<u8>) {
-        // L2: raw channel send with no Network::transmit charge in this fn
-        let _ = self.outbox.send(payload);
-    }
-
-    pub fn stamp(&self) -> u64 {
-        // L3: wall-clock read in deterministic cluster code
-        let t = Instant::now();
-        t.elapsed().as_nanos() as u64
-    }
-
-    pub fn log_and_forward(&self, payload: Vec<u8>, network: &Network) {
-        network.transmit(0, 1, payload.len() as u64);
+    pub fn log_and_forward(&self, payload: Vec<u8>) {
         let log = self.log.lock();
         let n = log.len() as u64;
-        // L4: channel send while the `log` guard is still held
+        // L11: channel send while the `log` guard is still held
         let _ = self.outbox.send(payload);
         drop(log);
         let _ = n;
+    }
+
+    pub fn forward_after_drop(&self, payload: Vec<u8>) {
+        let log = self.log.lock();
+        drop(log);
+        let _ = self.outbox.send(payload);
     }
 }

@@ -1,6 +1,6 @@
 //! Fixture: the public entry point for the L9 reachability chain. The
 //! panic site itself lives two hops away in the docmodel crate (outside
-//! the L1 prefixes, so only the interprocedural lint can see it).
+//! the unwrap-denying crates, so only the interprocedural lint sees it).
 
 pub struct Impliance {
     version: u32,

@@ -1,6 +1,6 @@
 //! Fixture: a panic site reachable from `Impliance::query` (L9). The
-//! docmodel crate is not in the L1 prefixes, so the intra-file lint
-//! never sees this unwrap — only the call-graph walk does. The orphan
+//! docmodel crate does not deny clippy::unwrap_used, so no per-file lint
+//! sees this unwrap — only the call-graph walk does. The orphan
 //! fn and the test module must stay silent.
 
 pub fn decode_header(raw: &str) -> u32 {

@@ -26,6 +26,7 @@
 //! * [`capability`] — the twelve task classes of the F4 query-power axis
 //!   and the [`capability::InfoSystem`] trait every system (including the
 //!   appliance) implements.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod admin;
 pub mod bi_appliance;

@@ -28,6 +28,8 @@
 //!   election, and two-phase commit for consistent persistence.
 //! * [`fault`] — seeded, deterministic fault schedules (kills, link
 //!   drops, delays) for chaos experiments.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod fault;
 pub mod group;

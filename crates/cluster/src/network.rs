@@ -188,6 +188,7 @@ impl Network {
         let npm = self.nanos_per_message.load(Ordering::Relaxed);
         let nanos = npm + npb.saturating_mul(payload) + fault_delay;
         if nanos > 0 {
+            #[allow(clippy::disallowed_methods, reason = "the latency model itself")]
             std::thread::sleep(Duration::from_nanos(nanos));
         }
         true
@@ -292,6 +293,7 @@ mod tests {
     fn latency_sleeps_roughly_linearly() {
         let n = Network::new();
         n.set_latency(0, 100); // 100 ns/byte
+        #[allow(clippy::disallowed_methods, reason = "the test times the real sleep")]
         let start = std::time::Instant::now();
         n.transmit(NodeId(1), NodeId(2), 100_000); // ≥ 10 ms
         assert!(start.elapsed() >= Duration::from_millis(5));

@@ -11,8 +11,8 @@
 /// Configuration for one Impliance instance.
 #[derive(Debug, Clone)]
 pub struct ApplianceConfig {
-    /// Data nodes in the cluster deployment (ignored by the single-box
-    /// appliance).
+    /// Data nodes in the cluster deployment. The single-box appliance
+    /// multiplies it by `partitions_per_node` for its partition count.
     pub data_nodes: usize,
     /// Grid nodes in the cluster deployment.
     pub grid_nodes: usize,

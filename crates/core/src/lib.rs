@@ -23,6 +23,8 @@
 //!   appliance surface over a simulated cluster of data/grid/cluster
 //!   nodes, with consistent-hash placement, replicated storage, and
 //!   autonomous failure recovery.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod appliance;
 pub mod audit;

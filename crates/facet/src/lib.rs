@@ -17,6 +17,7 @@
 //! * [`olap`] — OLAP-style rollups over discovered hierarchies (calendar
 //!   year→month→day over timestamps, magnitude buckets over numerics)
 //!   with count/sum/avg measures — the "beyond counting" extension.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod facets;
 pub mod olap;

@@ -16,6 +16,7 @@
 //!
 //! Subsystems instrument against [`global()`]; tests construct local
 //! [`Obs`] instances for deterministic assertions.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod metrics;
 pub mod snapshot;

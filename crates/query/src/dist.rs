@@ -1364,6 +1364,7 @@ mod tests {
         let mut docs = generation(0, None);
         storage.commit(&docs).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
+        #[allow(clippy::disallowed_methods, reason = "a writer, not query work")]
         let writer = {
             let (storage, stop) = (Arc::clone(&storage), Arc::clone(&stop));
             std::thread::spawn(move || {

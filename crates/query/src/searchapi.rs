@@ -3,8 +3,9 @@
 //! Everything outside `crates/query` reaches text search through this
 //! module or through the full query pipeline (`IndexScan` behind
 //! `Impliance::query`) — direct calls into `impliance_index::search` are
-//! forbidden by lint L13 so that scoring, top-k semantics, and the
-//! `query.search.*` observability counters stay on one code path.
+//! denied by clippy (`disallowed-methods` in the root `clippy.toml`) so
+//! that scoring, top-k semantics, and the `query.search.*` observability
+//! counters stay on one code path.
 
 use impliance_index::{InvertedIndex, SearchHit};
 

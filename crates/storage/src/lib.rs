@@ -29,6 +29,8 @@
 //!   ([`FeedConsumer::drain`]) every background worker is a stage of.
 //! * [`engine`] — the [`StorageEngine`] facade combining hash-partitioned
 //!   storage with version-chain reads.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod codec;
 pub mod columnar;

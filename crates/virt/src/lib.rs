@@ -27,6 +27,7 @@
 //! * [`traffic`] — seeded open-loop workload generator and virtual-time
 //!   simulator (thousands of clients, zipfian tenant skew) for overload
 //!   experiments that burn no wall-clock.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod execmgr;
 pub mod resource;

@@ -8,6 +8,7 @@
 //! `Impliance`): boot an appliance from a hardware manifest, throw data
 //! of any format at it, and query it immediately while background discovery
 //! enriches it.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub use impliance_annotate as annotate;
 pub use impliance_baselines as baselines;

@@ -290,6 +290,7 @@ proptest! {
         }
         // probe with a term that exists somewhere
         let probe = &bodies[term_doc.index(bodies.len())][0];
+        #[allow(clippy::disallowed_methods, reason = "the index is the oracle here")]
         let hits = impliance::index::search::search(
             &index,
             &impliance::index::SearchQuery::new(probe.clone(), 100),
@@ -410,11 +411,13 @@ proptest! {
         }
         // take the first two words of doc 0 as the phrase
         let phrase = format!("{} {}", bodies[0][0], bodies[0][1]);
+        #[allow(clippy::disallowed_methods, reason = "the index is the oracle here")]
         let phrase_hits: std::collections::BTreeSet<u64> =
             impliance::index::search_phrase(&index, &phrase, None, 100)
                 .into_iter()
                 .map(|h| h.id.0)
                 .collect();
+        #[allow(clippy::disallowed_methods, reason = "the index is the oracle here")]
         let and_hits: std::collections::BTreeSet<u64> = impliance::index::search::search(
             &index,
             &impliance::index::SearchQuery::new(phrase.clone(), 100),
