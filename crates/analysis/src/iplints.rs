@@ -65,6 +65,16 @@ impl EntrySpec {
     }
 }
 
+impl std::fmt::Display for EntrySpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match (&self.owner, &self.trait_name) {
+            (Some(owner), _) => write!(f, "{owner}::{}", self.name),
+            (None, Some(t)) => write!(f, "<_ as {t}>::{}", self.name),
+            (None, None) => f.write_str(&self.name),
+        }
+    }
+}
+
 /// Parsed-and-indexed workspace: the input to the L9-L12 passes and the
 /// source of the serialized call graph.
 pub struct Workspace {
@@ -157,9 +167,17 @@ pub fn lint_graph(config: &LintConfig, ws: &Workspace) -> Vec<Diagnostic> {
 // L9: panic-reachability from public entry points
 // ---------------------------------------------------------------------
 
-/// Is this call site a panic site?
-fn panic_site(call: &CallSite) -> Option<&'static str> {
-    if call.is_method && matches!(call.callee.as_str(), "unwrap" | "expect") {
+/// Is this call site (in a fn of `owner`) a panic site? `self.expect(..)`
+/// where the caller's own type defines `expect` is that method (inherent
+/// methods win resolution), not `Option::expect`.
+fn panic_site(call: &CallSite, owner: Option<&str>, table: &SymbolTable) -> Option<&'static str> {
+    let own_method = || {
+        call.on_self
+            && !table
+                .resolve(&call.callee, Some("Self"), false, false, owner)
+                .is_empty()
+    };
+    if call.is_method && matches!(call.callee.as_str(), "unwrap" | "expect") && !own_method() {
         return Some(if call.callee == "unwrap" {
             "unwrap()"
         } else {
@@ -176,14 +194,38 @@ fn panic_site(call: &CallSite) -> Option<&'static str> {
     None
 }
 
+/// Where [`LintConfig::impliance`] names the L9 roots: an unmatched
+/// root is reported here.
+const L9_ROOTS_FILE: &str = "crates/analysis/src/lints.rs";
+
+/// Run L9. A configured root that matches no fn is one finding: the gate
+/// fails closed rather than silently checking a smaller surface (a
+/// renamed entry point would otherwise drop out of the audit unnoticed).
 fn lint_l9(config: &LintConfig, ws: &Workspace, diags: &mut Vec<Diagnostic>) {
     let mut entries: Vec<usize> = Vec::new();
     for spec in &config.l9_entries {
-        entries.extend(ws.table.matching(
+        let matched = ws.table.matching(
             &spec.name,
             spec.owner.as_deref(),
             spec.trait_name.as_deref(),
-        ));
+        );
+        if matched.is_empty() {
+            diags.push(Diagnostic {
+                id: LintId::L9,
+                file: L9_ROOTS_FILE.to_string(),
+                line: 1,
+                signature: format!("l9 root {spec}"),
+                message: format!(
+                    "L9 entry point `{spec}` matches no fn, so nothing reachable from it \
+                     is checked"
+                ),
+                suggestion: "point the root at the fn that replaced it, or delete the root \
+                     if the entry point is gone"
+                    .to_string(),
+                witness: Vec::new(),
+            });
+        }
+        entries.extend(matched);
     }
     entries.sort_unstable();
     entries.dedup();
@@ -193,7 +235,7 @@ fn lint_l9(config: &LintConfig, ws: &Workspace, diags: &mut Vec<Diagnostic>) {
             continue;
         }
         for call in &def.item.calls {
-            let Some(kind) = panic_site(call) else {
+            let Some(kind) = panic_site(call, def.item.owner.as_deref(), &ws.table) else {
                 continue;
             };
             if ws.allowed(&def.file, LintId::L9, call.line) {
@@ -625,6 +667,16 @@ mod tests {
         LintConfig::impliance("/nonexistent")
     }
 
+    /// The repository's configuration with `Impliance::query` as the only
+    /// L9 root (every other root is missing from the small workspaces
+    /// below, and each missing root is a finding of its own).
+    fn query_root_config() -> LintConfig {
+        LintConfig {
+            l9_entries: vec![EntrySpec::method("Impliance", "query")],
+            ..config()
+        }
+    }
+
     #[test]
     fn l9_flags_reachable_panic_with_witness() {
         let w = ws(&[
@@ -642,7 +694,7 @@ mod tests {
                 "#,
             ),
         ]);
-        let diags = lint_graph(&config(), &w);
+        let diags = lint_graph(&query_root_config(), &w);
         let l9: Vec<&Diagnostic> = diags.iter().filter(|d| d.id == LintId::L9).collect();
         assert_eq!(l9.len(), 1, "{l9:?}");
         assert_eq!(l9[0].file, "crates/docmodel/src/shred.rs");
@@ -674,8 +726,63 @@ mod tests {
                 "#,
             ),
         ]);
-        let diags = lint_graph(&config(), &w);
+        let diags = lint_graph(&query_root_config(), &w);
         assert!(diags.iter().all(|d| d.id != LintId::L9), "{diags:?}");
+    }
+
+    #[test]
+    fn l9_reads_self_expect_as_the_callers_own_method() {
+        // a byte matcher named `expect` on the parser's own type is not
+        // `Option::expect`; a real `.expect(..)` beside it still is
+        let w = ws(&[
+            (
+                "crates/core/src/appliance.rs",
+                "impl Impliance { pub fn query(&self) -> u32 { Parser::new().value() } }",
+            ),
+            (
+                "crates/docmodel/src/json.rs",
+                r#"
+                impl Parser {
+                    fn expect(&mut self, b: u8) -> Result<(), E> { Ok(()) }
+                    fn value(&mut self) -> u32 {
+                        let _ = self.expect(b'{');
+                        self.peek().expect("a byte")
+                    }
+                }
+                "#,
+            ),
+        ]);
+        let diags = lint_graph(&query_root_config(), &w);
+        let l9: Vec<&Diagnostic> = diags.iter().filter(|d| d.id == LintId::L9).collect();
+        assert_eq!(l9.len(), 1, "{l9:?}");
+        assert_eq!(l9[0].line, 6, "{l9:?}");
+    }
+
+    #[test]
+    fn l9_fails_closed_on_a_root_that_matches_no_fn() {
+        // the appliance renamed its entry point: the old root must not
+        // silently drop out of the audit
+        let w = ws(&[(
+            "crates/core/src/appliance.rs",
+            "impl Impliance { pub fn query(&self) -> u32 { 1 } pub fn maintain(&self) {} }",
+        )]);
+        let config = LintConfig {
+            l9_entries: vec![
+                EntrySpec::method("Impliance", "query"),
+                EntrySpec::method("Impliance", "run_indexing_with_faults"),
+            ],
+            ..config()
+        };
+        let diags = lint_graph(&config, &w);
+        let l9: Vec<&Diagnostic> = diags.iter().filter(|d| d.id == LintId::L9).collect();
+        assert_eq!(l9.len(), 1, "{l9:?}");
+        assert_eq!(l9[0].file, "crates/analysis/src/lints.rs");
+        assert!(
+            l9[0]
+                .message
+                .contains("`Impliance::run_indexing_with_faults` matches no fn"),
+            "{l9:?}"
+        );
     }
 
     #[test]

@@ -63,13 +63,14 @@ impl LintConfig {
                 crate::iplints::EntrySpec::free("execute"),
                 // The background workers: a panic in the change-feed
                 // consumer loop or in either of its stages (text
-                // indexing, discovery — closures of these two methods)
-                // kills incremental maintenance, so their
-                // reachable-panic surface is audited like the query
-                // entry points.
+                // indexing, discovery — closures of `maintain`) kills
+                // incremental maintenance, and one in the ingest path
+                // (every format's parser and mapping) rejects data the
+                // appliance promises to take, so both doors are audited
+                // like the query entry point.
                 crate::iplints::EntrySpec::method("FeedConsumer", "drain"),
-                crate::iplints::EntrySpec::method("Impliance", "run_indexing_with_faults"),
-                crate::iplints::EntrySpec::method("Impliance", "run_discovery_with_faults"),
+                crate::iplints::EntrySpec::method("Impliance", "maintain"),
+                crate::iplints::EntrySpec::method("Impliance", "ingest"),
                 // The admission gate runs before every query, including
                 // under overload — a reachable panic here turns graceful
                 // shedding into an outage, so both admission surfaces are

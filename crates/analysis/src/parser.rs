@@ -100,6 +100,8 @@ pub struct CallSite {
     pub qualifier: Option<String>,
     /// `recv.callee(..)` — a method call.
     pub is_method: bool,
+    /// `self.callee(..)` — a method call on the caller's own receiver.
+    pub on_self: bool,
     /// `callee!(..)` — a macro invocation.
     pub is_macro: bool,
     /// 1-based line.
@@ -514,6 +516,7 @@ fn parse_body(
                         callee: text.to_string(),
                         qualifier,
                         is_method,
+                        on_self: is_method && i >= 2 && toks[i - 2].text == "self",
                         is_macro,
                         line: toks[i].line,
                         loop_depth: active_loops.len() as u32,

@@ -10,6 +10,14 @@ impl Impliance {
     pub fn query(&self, raw: &str) -> u32 {
         shred_document(raw, self.version)
     }
+
+    pub fn ingest(&self, raw: &str) -> u32 {
+        raw.len() as u32 + self.version
+    }
+
+    pub fn maintain(&self) -> u32 {
+        self.version
+    }
 }
 
 pub fn shred_document(raw: &str, version: u32) -> u32 {

@@ -18,7 +18,9 @@ use impliance_baselines::{
 use impliance_bench::report::{fmt_bytes, fmt_duration};
 use impliance_bench::{Corpus, Table};
 use impliance_cluster::NodeKind;
-use impliance_core::{views, ApplianceConfig, ClusterImpliance, Impliance, QueryRequest};
+use impliance_core::{
+    views, ApplianceConfig, At, ClusterImpliance, Impliance, Input, NoFaults, QueryRequest, Stage,
+};
 use impliance_docmodel::{DocId, Value};
 use impliance_query::batch::{
     collect_tuples, HashJoinOp, IndexedNlJoinOp, Operator, VecSource, DEFAULT_BATCH_SIZE,
@@ -118,11 +120,11 @@ fn c9_interleaving() {
         let mut corpus = Corpus::new(15);
         let schema = Corpus::po_schema();
         for _ in 0..2000 {
-            imp.ingest_text("transcripts", &corpus.transcript())
+            imp.ingest(Input::Text("transcripts", &corpus.transcript()))
                 .unwrap();
         }
         for _ in 0..500 {
-            imp.ingest_row(&schema, corpus.purchase_order_row(20))
+            imp.ingest(Input::Row(&schema, corpus.purchase_order_row(20)))
                 .unwrap();
         }
 
@@ -167,7 +169,7 @@ fn c9_interleaving() {
             }
             if run_background {
                 let t0 = Instant::now();
-                imp.run_discovery(Some(20));
+                imp.maintain(Stage::Discovery, Some(20), &NoFaults);
                 clock_us += t0.elapsed().as_micros() as u64;
                 batches_run += 1;
                 if policy == "fifo" {
@@ -229,9 +231,12 @@ fn f1_pipeline() {
     let t0 = Instant::now();
     for (kind, body) in &mixed {
         match kind {
-            0 => imp.ingest_text("transcripts", body).map(|_| ()).unwrap(),
-            1 => imp.ingest_json("claims", body).map(|_| ()).unwrap(),
-            _ => imp.ingest_email("mail", body).map(|_| ()).unwrap(),
+            0 => imp
+                .ingest(Input::Text("transcripts", body))
+                .map(|_| ())
+                .unwrap(),
+            1 => imp.ingest(Input::Json("claims", body)).map(|_| ()).unwrap(),
+            _ => imp.ingest(Input::Email("mail", body)).map(|_| ()).unwrap(),
         }
     }
     let ingest_time = t0.elapsed();
@@ -245,15 +250,18 @@ fn f1_pipeline() {
     let sql_latency = t_sql.elapsed();
     // keyword answers appear after the asynchronous text-index pass:
     let t_idx = Instant::now();
-    imp.run_indexing(None);
+    imp.maintain(Stage::Index, None, &NoFaults);
     let index_time = t_idx.elapsed();
-    let hits = imp.search("bumper", 10).len();
+    let keyword = QueryRequest::builder("")
+        .match_text("*", "bumper")
+        .top_k(10);
+    let hits = imp.query(keyword.build()).unwrap().len();
     // discovery deepens answers further:
     let t_disc = Instant::now();
-    imp.run_discovery(None);
-    imp.run_indexing(None);
+    imp.maintain(Stage::Discovery, None, &NoFaults);
+    imp.maintain(Stage::Index, None, &NoFaults);
     let discovery_time = t_disc.elapsed();
-    let entities = views::entity_view(&imp).unwrap().len();
+    let entities = views::entity_view(&imp).unwrap().0.len();
 
     // RDBMS baseline: schema design gates everything; text is rejected.
     let mut db = MiniRdbms::new();
@@ -351,11 +359,11 @@ fn f2_views() {
     let mut corpus = Corpus::new(2);
     let schema = Corpus::po_schema();
     for _ in 0..500 {
-        imp.ingest_row(&schema, corpus.purchase_order_row(20))
+        imp.ingest(Input::Row(&schema, corpus.purchase_order_row(20)))
             .unwrap();
     }
     for _ in 0..300 {
-        imp.ingest_text("transcripts", &corpus.transcript())
+        imp.ingest(Input::Text("transcripts", &corpus.transcript()))
             .unwrap();
     }
 
@@ -378,19 +386,19 @@ fn f2_views() {
     ]);
     t.row(&[
         "entity view rows pre-discovery".into(),
-        views::entity_view(&imp).unwrap().len().to_string(),
+        views::entity_view(&imp).unwrap().0.len().to_string(),
     ]);
     // annotation lag: drain discovery in budgeted steps
     let mut steps = 0;
     let t0 = Instant::now();
-    while imp.discovery_backlog() > 0 {
-        imp.run_discovery(Some(100));
-        imp.run_indexing(None);
+    while imp.status().discovery_backlog > 0 {
+        imp.maintain(Stage::Discovery, Some(100), &NoFaults);
+        imp.maintain(Stage::Index, None, &NoFaults);
         steps += 1;
     }
     let lag = t0.elapsed();
-    let entity_rows = views::entity_view(&imp).unwrap();
-    let sentiment_rows = views::sentiment_view(&imp).unwrap();
+    let (entity_rows, _) = views::entity_view(&imp).unwrap();
+    let (sentiment_rows, _) = views::sentiment_view(&imp).unwrap();
     t.row(&[
         "background drain".into(),
         format!("{steps} steps, {}", fmt_duration(lag)),
@@ -457,7 +465,8 @@ fn f3_scaleout() {
         });
         let mut corpus = Corpus::new(3);
         for _ in 0..DOCS {
-            app.ingest_json("orders", &corpus.order_json(50)).unwrap();
+            app.ingest(Input::Json("orders", &corpus.order_json(50)))
+                .unwrap();
         }
         app.runtime().network().reset_metrics();
         let req = ScanRequest::filtered(Predicate::Contains("sku".into(), "bx".into()));
@@ -568,7 +577,8 @@ fn f3_scaleout() {
     });
     let mut corpus = Corpus::new(4);
     for _ in 0..1000 {
-        app.ingest_json("orders", &corpus.order_json(20)).unwrap();
+        app.ingest(Input::Json("orders", &corpus.order_json(20)))
+            .unwrap();
     }
     let req = QueryRequest::builder("SELECT cust, SUM(amount) AS total FROM orders GROUP BY cust");
     let t0 = Instant::now();
@@ -596,12 +606,12 @@ fn f4_comparison() {
     let mut corpus = Corpus::new(5);
     let schema = Corpus::po_schema();
     for _ in 0..200 {
-        imp.ingest_row(&schema, corpus.purchase_order_row(10))
+        imp.ingest(Input::Row(&schema, corpus.purchase_order_row(10)))
             .unwrap();
-        imp.ingest_text("transcripts", &corpus.transcript())
+        imp.ingest(Input::Text("transcripts", &corpus.transcript()))
             .unwrap();
     }
-    imp.quiesce();
+    imp.maintain(Stage::All, None, &NoFaults);
 
     let mut db = MiniRdbms::new();
     db.create_table(TableSchema {
@@ -719,11 +729,12 @@ fn c1_planner() {
     let cu = Corpus::customer_schema();
     let mut corpus = Corpus::new(6);
     for _ in 0..4000 {
-        imp.ingest_row(&po, corpus.purchase_order_row(2000))
+        imp.ingest(Input::Row(&po, corpus.purchase_order_row(2000)))
             .unwrap();
     }
     for c in 0..8000 {
-        imp.ingest_row(&cu, corpus.customer_row(c % 2000)).unwrap();
+        imp.ingest(Input::Row(&cu, corpus.customer_row(c % 2000)))
+            .unwrap();
     }
     let fresh_stats = imp.storage().stats();
     let counts = std::collections::HashMap::from([
@@ -765,7 +776,7 @@ fn c1_planner() {
     for _ in 0..6000 {
         let mut row = corpus.purchase_order_row(2000);
         row[3] = Value::Int(1);
-        imp.ingest_row(&po, row).unwrap();
+        imp.ingest(Input::Row(&po, row)).unwrap();
     }
     // the cost-based system re-plans against its (now stale) statistics
     // and reaches the same plan; the simple planner had no statistics to
@@ -830,7 +841,8 @@ fn c2_pushdown() {
     });
     let mut corpus = Corpus::new(7);
     for _ in 0..DOCS {
-        app.ingest_json("orders", &corpus.order_json(50)).unwrap();
+        app.ingest(Input::Json("orders", &corpus.order_json(50)))
+            .unwrap();
     }
     let mut t = Table::new(
         "C2 — predicate/aggregation push-down vs shipping whole documents (4000 docs)",
@@ -928,15 +940,18 @@ fn c3_async_indexing() {
         let docs: Vec<String> = (0..N).map(|_| corpus.transcript()).collect();
         let t0 = Instant::now();
         for d in &docs {
-            imp.ingest_text("transcripts", d).unwrap();
+            imp.ingest(Input::Text("transcripts", d)).unwrap();
         }
         let ingest = t0.elapsed();
-        let backlog = imp.indexing_backlog();
+        let backlog = imp.status().index_backlog;
         let t1 = Instant::now();
-        imp.run_indexing(None);
+        imp.maintain(Stage::Index, None, &NoFaults);
         let drain = t1.elapsed();
         // answers identical either way
-        assert!(!imp.search("transcript", 10).is_empty());
+        let keyword = QueryRequest::builder("")
+            .match_text("*", "transcript")
+            .top_k(10);
+        assert!(!imp.query(keyword.build()).unwrap().is_empty());
         t.row(&[
             if sync { "synchronous" } else { "asynchronous" }.into(),
             fmt_duration(ingest),
@@ -960,11 +975,11 @@ fn c4_topk_join() {
     let po = Corpus::po_schema();
     let cu = Corpus::customer_schema();
     for _ in 0..ORDERS {
-        imp.ingest_row(&po, corpus.purchase_order_row(CUSTOMERS))
+        imp.ingest(Input::Row(&po, corpus.purchase_order_row(CUSTOMERS)))
             .unwrap();
     }
     for c in 0..CUSTOMERS {
-        imp.ingest_row(&cu, corpus.customer_row(c)).unwrap();
+        imp.ingest(Input::Row(&cu, corpus.customer_row(c))).unwrap();
     }
     // materialize both sides once (tuples)
     let orders: Vec<Tuple> = imp
@@ -1069,7 +1084,8 @@ fn c5_failover() {
         });
         let mut corpus = Corpus::new(10);
         for _ in 0..DOCS {
-            app.ingest_json("orders", &corpus.order_json(50)).unwrap();
+            app.ingest(Input::Json("orders", &corpus.order_json(50)))
+                .unwrap();
         }
         let victim = app.runtime().nodes_of_kind(NodeKind::Data)[2];
         let t0 = Instant::now();
@@ -1099,7 +1115,10 @@ fn c6_versioning() {
     let mut corpus = Corpus::new(11);
     let mut ids = Vec::new();
     for _ in 0..DOCS {
-        ids.push(imp.ingest_json("claims", &corpus.claim_json()).unwrap());
+        ids.push(
+            imp.ingest(Input::Json("claims", &corpus.claim_json()))
+                .unwrap()[0],
+        );
     }
     let base_bytes = {
         imp.storage().seal_all();
@@ -1133,7 +1152,7 @@ fn c6_versioning() {
     let latest_read = t1.elapsed() / 500;
     let t2 = Instant::now();
     for &id in ids.iter().take(500) {
-        imp.get_version(id, impliance_docmodel::Version(1))
+        imp.get_at(id, At::Version(impliance_docmodel::Version(1)))
             .unwrap()
             .unwrap();
     }
@@ -1256,7 +1275,7 @@ fn c8_discovery() {
         let imp = Impliance::boot(ApplianceConfig::default());
         let mut corpus = Corpus::new(13);
         for _ in 0..N {
-            imp.ingest_text("transcripts", &corpus.transcript())
+            imp.ingest(Input::Text("transcripts", &corpus.transcript()))
                 .unwrap();
         }
         let share = N / workers;
@@ -1268,11 +1287,13 @@ fn c8_discovery() {
                 share
             };
             let t0 = Instant::now();
-            let done = imp.run_discovery(Some(budget));
+            let done = imp
+                .maintain(Stage::Discovery, Some(budget), &NoFaults)
+                .records;
             share_times.push(t0.elapsed());
             assert_eq!(done, budget);
         }
-        assert_eq!(imp.discovery_stats().docs_processed, N as u64);
+        assert_eq!(imp.status().discovery.docs_processed, N as u64);
         let total: Duration = share_times.iter().sum();
         let makespan = *share_times.iter().max().unwrap();
         let speedup = base.get_or_insert(makespan).as_secs_f64() / makespan.as_secs_f64();
@@ -1290,16 +1311,16 @@ fn c8_discovery() {
     let imp = Impliance::boot(ApplianceConfig::default());
     let mut corpus = Corpus::new(14);
     for _ in 0..500 {
-        imp.ingest_text("transcripts", &corpus.transcript())
+        imp.ingest(Input::Text("transcripts", &corpus.transcript()))
             .unwrap();
     }
     let t0 = Instant::now();
-    imp.run_discovery(None);
+    imp.maintain(Stage::Discovery, None, &NoFaults);
     let disc = t0.elapsed();
     let t1 = Instant::now();
-    imp.run_indexing(None);
+    imp.maintain(Stage::Index, None, &NoFaults);
     let idx = t1.elapsed();
-    let stats = imp.discovery_stats();
+    let stats = imp.status().discovery;
     let mut t2 = Table::new(
         "C8 — stage breakdown (500 transcripts)",
         &["stage", "value"],

@@ -6,6 +6,11 @@
 //! retrieval goes through keyword search, SQL, facets, or graph
 //! connection. There are no schemas to declare, no indexes to choose, no
 //! knobs to set — the appliance's admin ledger stays empty.
+//!
+//! The surface is four doors plus the retrieval interfaces:
+//! [`Impliance::ingest`] takes every format, [`Impliance::query`] answers
+//! every read with a typed error, [`Impliance::maintain`] drives the
+//! background stages, and [`Impliance::status`] reports where they stand.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,71 +20,48 @@ use impliance_annotate::{
     SentimentAnnotator,
 };
 use impliance_baselines::{AdminLedger, Capability, InfoSystem};
-use impliance_docmodel::{
-    kv_to_document, relational_row_to_document, CsvReader, DocError, DocId, Document, Node,
-    RelationalSchema, Value, Version,
-};
+use impliance_docmodel::{DocId, Document, Node, RelationalSchema, Value, Version};
 use impliance_facet::{FacetDimension, FacetEngine, GuidedSession, RollupLevel, RollupRow};
-use impliance_index::{InvertedIndex, JoinIndex, PathValueIndex, SearchHit};
+use impliance_index::{InvertedIndex, JoinIndex, PathValueIndex};
 use impliance_obs::Counter;
 use impliance_query::{
-    execute_plan_opts, ExecContext, ExecError, ExecutionContext, LogicalPlan, Priority,
+    execute_plan_opts, ExecContext, ExecMetrics, ExecutionContext, LogicalPlan, Priority,
     QueryOutput, SimplePlanner,
 };
 use impliance_storage::{
-    ConsumerObs, CrashPoints, FeedConsumer, KillPoint, Killed, NoFaults, StorageEngine,
-    StorageError, StorageOptions, WorkerFaults,
+    ConsumerObs, FeedConsumer, KillPoint, NoFaults, Predicate, ScanRequest, Snapshot,
+    StorageEngine, StorageOptions, WorkerFaults,
 };
-use impliance_virt::{Admission, TenantId, TenantQuota, WorkloadManager, WorkloadStats};
+use impliance_virt::{Admission, Permit, TenantId, TenantQuota, WorkloadManager, WorkloadStats};
 use parking_lot::Mutex;
 
 use crate::config::ApplianceConfig;
 use crate::error::Error;
-use crate::query_api::{AdmissionOutcome, QueryRequest, QueryResponse};
+use crate::ingest::Input;
+use crate::query_api::{cut_short, AdmissionOutcome, QueryRequest, QueryResponse};
 
 /// Jaro-Winkler threshold for cross-document entity resolution.
 const RESOLUTION_THRESHOLD: f64 = 0.93;
 
-/// Plan-cache hit/miss counters in the workspace metrics registry.
-struct PlanCacheObs {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
+/// The query door's counters in the workspace metrics registry:
+/// plan-cache hits/misses, and snapshots pinned per query vs. named by
+/// the request (`at_epoch`).
+struct QueryObs {
+    plan_cache_hits: Arc<Counter>,
+    plan_cache_misses: Arc<Counter>,
+    snapshot_pinned: Arc<Counter>,
+    snapshot_explicit: Arc<Counter>,
 }
 
-fn plan_cache_obs() -> &'static PlanCacheObs {
-    static OBS: std::sync::OnceLock<PlanCacheObs> = std::sync::OnceLock::new();
+fn query_obs() -> &'static QueryObs {
+    static OBS: std::sync::OnceLock<QueryObs> = std::sync::OnceLock::new();
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
-        PlanCacheObs {
-            hits: m.counter("query.plan_cache.hits"),
-            misses: m.counter("query.plan_cache.misses"),
-        }
-    })
-}
-
-/// Snapshot-pinning counters in the workspace metrics registry.
-struct SnapshotObs {
-    pinned: Arc<Counter>,
-    explicit: Arc<Counter>,
-}
-
-impl SnapshotObs {
-    fn record(&self, pinned: bool) {
-        if pinned {
-            self.pinned.inc();
-        } else {
-            self.explicit.inc();
-        }
-    }
-}
-
-fn snapshot_obs() -> &'static SnapshotObs {
-    static OBS: std::sync::OnceLock<SnapshotObs> = std::sync::OnceLock::new();
-    OBS.get_or_init(|| {
-        let m = impliance_obs::global().metrics();
-        SnapshotObs {
-            pinned: m.counter("query.snapshot.pinned"),
-            explicit: m.counter("query.snapshot.explicit"),
+        QueryObs {
+            plan_cache_hits: m.counter("query.plan_cache.hits"),
+            plan_cache_misses: m.counter("query.plan_cache.misses"),
+            snapshot_pinned: m.counter("query.snapshot.pinned"),
+            snapshot_explicit: m.counter("query.snapshot.explicit"),
         }
     })
 }
@@ -93,49 +75,66 @@ fn index_obs() -> ConsumerObs {
     }
 }
 
-/// Appliance-level errors.
+/// The one appliance-specific error variant benchmark code names; every
+/// entry point returns [`Error`].
 #[derive(Debug)]
 pub enum ApplianceError {
-    /// Ingestion/conversion failed.
-    Doc(DocError),
-    /// Storage failed.
-    Storage(StorageError),
-    /// Query parsing failed.
-    Sql(String),
-    /// Query execution failed.
-    Exec(ExecError),
     /// The referenced document does not exist.
     NotFound(DocId),
 }
 
-impl std::fmt::Display for ApplianceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ApplianceError::Doc(e) => write!(f, "{e}"),
-            ApplianceError::Storage(e) => write!(f, "{e}"),
-            ApplianceError::Sql(m) => write!(f, "{m}"),
-            ApplianceError::Exec(e) => write!(f, "{e}"),
-            ApplianceError::NotFound(id) => write!(f, "{id} not found"),
-        }
-    }
+/// Which stored version of a document a point read returns (§4 time
+/// travel: "trace the lineage of a piece of data").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum At {
+    /// One specific stored version.
+    Version(Version),
+    /// The version current at this appliance time.
+    AsOf(i64),
 }
 
-impl std::error::Error for ApplianceError {}
+/// A background stage of the change feed (§3.2's asynchronous phases).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Full-text index maintenance.
+    Index,
+    /// Discovery: annotate each committed version, one atomic set each.
+    Discovery,
+    /// Both, alternately, until neither has work (annotations re-enter).
+    All,
+}
 
-impl From<DocError> for ApplianceError {
-    fn from(e: DocError) -> Self {
-        ApplianceError::Doc(e)
-    }
+/// What one [`Impliance::maintain`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Maintenance {
+    /// Change-feed records consumed.
+    pub records: usize,
+    /// The stage's freshness watermark afterwards: every commit at or
+    /// below it has been through the stage (`All`: the lower of the two).
+    pub watermark: u64,
+    /// Records still waiting for the stage (`All`: the larger of the two).
+    pub backlog: usize,
 }
-impl From<StorageError> for ApplianceError {
-    fn from(e: StorageError) -> Self {
-        ApplianceError::Storage(e)
-    }
-}
-impl From<ExecError> for ApplianceError {
-    fn from(e: ExecError) -> Self {
-        ApplianceError::Exec(e)
-    }
+
+/// Where the appliance stands: what [`Impliance::status`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Status {
+    /// The storage epoch: every commit so far is at or below it.
+    pub storage_epoch: u64,
+    /// The text-index watermark: every commit at or below it is searchable.
+    pub index_epoch: u64,
+    /// Change-feed records the index stage has not consumed.
+    pub index_backlog: usize,
+    /// The annotation watermark: every commit at or below it is annotated.
+    pub annotation_epoch: u64,
+    /// Change-feed records the discovery stage has not consumed.
+    pub discovery_backlog: usize,
+    /// Discovery progress counters.
+    pub discovery: DiscoveryStats,
+    /// Admission accounting (admitted, degraded, shed by reason, active).
+    pub workload: WorkloadStats,
+    /// Administrative operations performed: the TCO observable, zero.
+    pub admin_ops: u64,
 }
 
 /// The single-box Impliance appliance.
@@ -144,7 +143,7 @@ pub struct Impliance {
     storage: Arc<StorageEngine>,
     text_index: Arc<InvertedIndex>,
     value_index: Arc<PathValueIndex>,
-    join_index: Arc<JoinIndex>,
+    pub(crate) join_index: Arc<JoinIndex>,
     pipeline: DiscoveryPipeline,
     /// The two background workers, each a registered consumer of the
     /// storage change feed with its own checkpoint: the full-text index
@@ -237,33 +236,16 @@ impl Impliance {
     }
 
     /// The logical appliance clock (epoch millis, advances per operation).
-    pub fn now(&self) -> i64 {
+    fn now(&self) -> i64 {
         self.clock_ms.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Allocate the next document id.
-    fn alloc_id(&self) -> DocId {
-        DocId(self.next_id.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// The underlying storage engine (read-only access for experiments).
-    pub fn storage(&self) -> &StorageEngine {
-        &self.storage
-    }
-
-    /// The full-text index.
-    pub fn text_index(&self) -> &InvertedIndex {
-        &self.text_index
-    }
-
-    /// The path/value index.
-    pub fn value_index(&self) -> &PathValueIndex {
-        &self.value_index
-    }
-
-    /// The join index of discovered relationships.
-    pub fn join_index(&self) -> &JoinIndex {
-        &self.join_index
+    /// A new document's id and timestamp.
+    fn stamp(&self) -> (DocId, i64) {
+        (
+            DocId(self.next_id.fetch_add(1, Ordering::Relaxed)),
+            self.now(),
+        )
     }
 
     /// The configuration the appliance booted with.
@@ -275,8 +257,14 @@ impl Impliance {
     // Ingestion: any format, no preparation (§3.2's "stewing pot")
     // ------------------------------------------------------------------
 
-    /// Ingest a pre-built document (internal plumbing shared by the
-    /// format-specific entry points).
+    /// Ingest data of any format; returns the stored ids (one per
+    /// document — a CSV text yields one per record).
+    pub fn ingest(&self, input: Input<'_>) -> Result<Vec<DocId>, Error> {
+        input.store(|| self.stamp(), |doc| self.ingest_document(doc))
+    }
+
+    /// Store one document built by [`Impliance::ingest`] or
+    /// [`Impliance::update`].
     ///
     /// The value/path index is maintained synchronously — it is the
     /// appliance's equivalent of a primary-key index, and index-backed
@@ -298,78 +286,9 @@ impl Impliance {
         // maintainer and the discovery worker consume at their own
         // checkpoints. Synchronous indexing just drains the feed inline.
         if self.config.synchronous_indexing {
-            self.run_indexing(None);
+            self.maintain(Stage::Index, None, &NoFaults);
         }
         Ok(id)
-    }
-
-    /// Ingest a JSON document.
-    pub fn ingest_json(&self, collection: &str, text: &str) -> Result<DocId, Error> {
-        let doc = crate::ingest::json_document(self.alloc_id(), collection, text, self.now())?;
-        self.ingest_document(doc)
-    }
-
-    /// Ingest plain text.
-    pub fn ingest_text(&self, collection: &str, text: &str) -> Result<DocId, Error> {
-        let doc = crate::ingest::text_document(self.alloc_id(), collection, text, self.now());
-        self.ingest_document(doc)
-    }
-
-    /// Ingest an e-mail message.
-    pub fn ingest_email(&self, collection: &str, raw: &str) -> Result<DocId, Error> {
-        let doc = crate::ingest::email_document(self.alloc_id(), collection, raw, self.now());
-        self.ingest_document(doc)
-    }
-
-    /// Ingest an XML document.
-    pub fn ingest_xml(&self, collection: &str, text: &str) -> Result<DocId, Error> {
-        let doc = crate::ingest::xml_document(self.alloc_id(), collection, text, self.now())?;
-        self.ingest_document(doc)
-    }
-
-    /// Ingest opaque binary content (audio, video, PDFs): the bytes are
-    /// stored unchanged alongside caller-supplied descriptive fields —
-    /// the "repository of last resort" never rejects anything.
-    pub fn ingest_binary(
-        &self,
-        collection: &str,
-        bytes: &[u8],
-        metadata: &[(&str, &str)],
-    ) -> Result<DocId, Error> {
-        let doc = crate::ingest::binary_document(
-            self.alloc_id(),
-            collection,
-            bytes,
-            metadata,
-            self.now(),
-        );
-        self.ingest_document(doc)
-    }
-
-    /// Ingest key-value pairs.
-    pub fn ingest_kv(&self, collection: &str, pairs: &[(&str, &str)]) -> Result<DocId, Error> {
-        let doc = kv_to_document(self.alloc_id(), collection, pairs, self.now());
-        self.ingest_document(doc)
-    }
-
-    /// Ingest one relational row (Figure 2's walk-through).
-    pub fn ingest_row(
-        &self,
-        schema: &RelationalSchema,
-        values: Vec<Value>,
-    ) -> Result<DocId, Error> {
-        let doc = relational_row_to_document(self.alloc_id(), schema, values, self.now())?;
-        self.ingest_document(doc)
-    }
-
-    /// Ingest a whole CSV text; returns the ids, one per record.
-    pub fn ingest_csv(&self, collection: &str, csv: &str) -> Result<Vec<DocId>, Error> {
-        let mut reader = CsvReader::new(csv)?;
-        let mut ids = Vec::new();
-        while let Some(doc) = reader.next_document(self.alloc_id(), collection, self.now()) {
-            ids.push(self.ingest_document(doc)?);
-        }
-        Ok(ids)
     }
 
     // ------------------------------------------------------------------
@@ -394,9 +313,12 @@ impl Impliance {
         Ok(self.storage.get_latest(id)?)
     }
 
-    /// A specific stored version (time travel).
-    pub fn get_version(&self, id: DocId, v: Version) -> Result<Option<Document>, Error> {
-        Ok(self.storage.get_version(id, v)?)
+    /// An earlier version of a document (time travel).
+    pub fn get_at(&self, id: DocId, at: At) -> Result<Option<Document>, Error> {
+        Ok(match at {
+            At::Version(v) => self.storage.get_version(id, v)?,
+            At::AsOf(ts) => self.storage.get_as_of(id, ts)?,
+        })
     }
 
     /// All stored versions of a document.
@@ -404,121 +326,80 @@ impl Impliance {
         self.storage.versions(id)
     }
 
-    /// The version of a document current at appliance time `ts` (§4
-    /// auditing: "trace the lineage of a piece of data").
-    pub fn get_as_of(&self, id: DocId, ts: i64) -> Result<Option<Document>, Error> {
-        Ok(self.storage.get_as_of(id, ts)?)
-    }
-
     // ------------------------------------------------------------------
-    // Background work (asynchronous phases, §3.2)
+    // Background work (asynchronous phases, §3.2) and where it stands
     // ------------------------------------------------------------------
 
-    /// The one way background work drains the change feed: `consumer`'s
-    /// checkpointed loop (cursor, crash points, ack, lag — see
-    /// [`FeedConsumer::drain`]) around `stage`, yielding the core to
-    /// in-flight high-priority queries between records.
-    fn drain_feed(
+    /// Consume up to `budget` change-feed records (all pending when
+    /// `None`; `All` counts both stages against one budget) through
+    /// `stage`, under a fault schedule (`&NoFaults` outside the chaos
+    /// harness, which kills a stage at chosen crash points and checks
+    /// that replays never tear an index entry or an annotation set).
+    /// A background worker calls this between interactive queries.
+    pub fn maintain(
         &self,
-        consumer: &FeedConsumer,
+        stage: Stage,
         budget: Option<usize>,
         faults: &dyn WorkerFaults,
-        mut stage: impl FnMut(Option<Document>, &mut CrashPoints<'_>) -> Result<(), Killed>,
-    ) -> usize {
-        consumer.drain(budget, faults, |_, doc, crash| {
-            impliance_query::preempt::yield_to_high(Priority::Low);
-            stage(doc, crash)
-        })
-    }
-
-    /// Consume up to `budget` change-feed records into the full-text
-    /// index (all pending when `None`). Returns how many records were
-    /// consumed. A background worker calls this between interactive
-    /// queries; benches call it directly.
-    pub fn run_indexing(&self, budget: Option<usize>) -> usize {
-        self.run_indexing_with_faults(budget, &NoFaults)
-    }
-
-    /// [`Impliance::run_indexing`] under a fault schedule: the chaos
-    /// harness kills the maintainer at chosen crash points and verifies
-    /// that the `index_epoch` watermark stays consistent (stale is fine,
-    /// torn is not) and that replays converge — re-indexing a document
-    /// version replaces the same postings, never a torn merge.
-    pub fn run_indexing_with_faults(
-        &self,
-        budget: Option<usize>,
-        faults: &dyn WorkerFaults,
-    ) -> usize {
-        let consumed = self.drain_feed(&self.index_feed, budget, faults, |doc, crash| {
-            if let Some(doc) = doc {
-                crash.visit(KillPoint::BeforeCommit)?;
-                self.text_index.index_document(&doc);
-            }
-            Ok(())
-        });
-        self.text_index.commit();
-        consumed
-    }
-
-    /// Change-feed records not yet consumed by the index maintainer.
-    pub fn indexing_backlog(&self) -> usize {
-        self.index_feed.backlog()
-    }
-
-    /// The full-text index maintenance watermark: every commit at or
-    /// below this epoch is searchable. Compare with a response's
-    /// `snapshot_epoch` to tell how far text search lags ingest.
-    pub fn index_epoch(&self) -> u64 {
-        self.index_feed.watermark()
-    }
-
-    /// Run up to `budget` incremental discovery steps: consume change-feed
-    /// records, annotate each committed document version (annotators +
-    /// entity resolution), and commit each document's annotation set
-    /// atomically. Returns change records consumed.
-    pub fn run_discovery(&self, budget: Option<usize>) -> usize {
-        self.run_discovery_with_faults(budget, &NoFaults)
-    }
-
-    /// [`Impliance::run_discovery`] under a fault schedule: the chaos
-    /// harness kills the worker at chosen crash points and verifies that
-    /// replays never tear or duplicate an annotation set.
-    pub fn run_discovery_with_faults(
-        &self,
-        budget: Option<usize>,
-        faults: &dyn WorkerFaults,
-    ) -> usize {
+    ) -> Maintenance {
+        // A stage is its consumer's checkpointed loop (cursor, crash
+        // points, ack, lag — see [`FeedConsumer::drain`]) around the
+        // stage's work, yielding the core to in-flight high-priority
+        // queries between records.
+        let yield_to_queries = || impliance_query::preempt::yield_to_high(Priority::Low);
+        let index = |budget| {
+            let consumed = self.index_feed.drain(budget, faults, |_, doc, crash| {
+                yield_to_queries();
+                if let Some(doc) = doc {
+                    crash.visit(KillPoint::BeforeCommit)?;
+                    self.text_index.index_document(&doc);
+                }
+                Ok(())
+            });
+            self.text_index.commit();
+            consumed
+        };
         let sink = SinkAdapter(self);
-        self.drain_feed(&self.discovery_feed, budget, faults, |doc, crash| {
-            self.pipeline.discover(doc, &sink, crash)
-        })
-    }
-
-    /// Change-feed records not yet consumed by discovery.
-    pub fn discovery_backlog(&self) -> usize {
-        self.discovery_feed.backlog()
-    }
-
-    /// The background annotation watermark: every ingest commit at or
-    /// below this epoch has had its annotation set committed.
-    pub fn annotation_epoch(&self) -> u64 {
-        self.discovery_feed.watermark()
-    }
-
-    /// Discovery progress counters.
-    pub fn discovery_stats(&self) -> DiscoveryStats {
-        self.pipeline.stats()
-    }
-
-    /// Convenience: drain all background work (indexing + discovery +
-    /// the indexing the discovery produced).
-    pub fn quiesce(&self) {
-        loop {
-            let indexed = self.run_indexing(None);
-            let discovered = self.run_discovery(None);
-            if indexed == 0 && discovered == 0 {
-                break;
+        let discover = |budget| {
+            self.discovery_feed.drain(budget, faults, |_, doc, crash| {
+                yield_to_queries();
+                self.pipeline.discover(doc, &sink, crash)
+            })
+        };
+        let (records, feeds) = match stage {
+            Stage::Index => (index(budget), vec![&self.index_feed]),
+            Stage::Discovery => (discover(budget), vec![&self.discovery_feed]),
+            Stage::All => {
+                let mut records = 0;
+                while budget != Some(records) {
+                    let indexed = index(budget.map(|b| b - records));
+                    let discovered = discover(budget.map(|b| b - records - indexed));
+                    if indexed + discovered == 0 {
+                        break;
+                    }
+                    records += indexed + discovered;
+                }
+                (records, vec![&self.index_feed, &self.discovery_feed])
             }
+        };
+        Maintenance {
+            records,
+            watermark: feeds.iter().map(|f| f.watermark()).min().unwrap_or(0),
+            backlog: feeds.iter().map(|f| f.backlog()).max().unwrap_or(0),
+        }
+    }
+
+    /// Where the appliance stands (see [`Status`]).
+    pub fn status(&self) -> Status {
+        Status {
+            storage_epoch: self.storage.current_epoch(),
+            index_epoch: self.index_feed.watermark(),
+            index_backlog: self.index_feed.backlog(),
+            annotation_epoch: self.discovery_feed.watermark(),
+            discovery_backlog: self.discovery_feed.backlog(),
+            discovery: self.pipeline.stats(),
+            workload: self.workload.stats(),
+            admin_ops: self.ledger.count(),
         }
     }
 
@@ -526,76 +407,35 @@ impl Impliance {
     // The two query interfaces (§3.2.1)
     // ------------------------------------------------------------------
 
-    /// Keyword search, "usable out of the box". A convenience wrapper
-    /// over [`Impliance::query`] with a pure match clause: the same
-    /// scored `IndexScan` pipeline answers it, so ad-hoc search and SQL
-    /// hybrids share one code path (and one set of metrics).
-    pub fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
-        self.match_hits(
-            QueryRequest::builder("")
-                .match_text("*", query)
-                .top_k(k.max(1))
-                .plan_cache(false)
-                .build(),
-        )
-    }
-
-    /// Keyword search restricted to one structural path.
-    pub fn search_within(&self, query: &str, path: &str, k: usize) -> Vec<SearchHit> {
-        self.match_hits(
-            QueryRequest::builder("")
-                .match_text(path, query)
-                .top_k(k.max(1))
-                .plan_cache(false)
-                .build(),
-        )
-    }
-
-    /// Exact-phrase search (positional adjacency), optionally within one
-    /// structural path.
-    pub fn search_phrase(&self, phrase: &str, path: Option<&str>, k: usize) -> Vec<SearchHit> {
-        self.match_hits(
-            QueryRequest::builder("")
-                .match_text(path.unwrap_or("*"), phrase)
-                .phrase()
-                .top_k(k.max(1))
-                .plan_cache(false)
-                .build(),
-        )
-    }
-
-    /// Run a match-clause request and project its scored rows back into
-    /// `SearchHit`s. Admission failures surface as an empty result, the
-    /// same shape an overloaded search endpoint would return.
-    fn match_hits(&self, req: QueryRequest) -> Vec<SearchHit> {
-        let Ok(resp) = self.query(req) else {
-            return Vec::new();
-        };
-        resp.rows()
-            .iter()
-            .filter_map(|row| {
-                let Value::Int(id) = row.get("id") else {
-                    return None;
-                };
-                let score = match row.get("score") {
-                    Value::Float(s) => *s,
-                    _ => 0.0,
-                };
-                Some(SearchHit {
-                    id: DocId(*id as u64),
-                    score,
-                })
-            })
-            .collect()
-    }
-
-    /// The unified query entry point: plan (or reuse a cached plan),
-    /// execute under a tracing span, and return the full
-    /// [`QueryResponse`] — output, metrics, chosen plan, span id, and
-    /// cache disposition.
+    /// The unified query entry point: SQL, keyword search (a match
+    /// clause with an empty statement, see [`QueryResponse::hits`]) and
+    /// their hybrids. Plan (or reuse a cached plan), execute under a
+    /// tracing span, and return the full [`QueryResponse`] — output,
+    /// metrics, chosen plan, span id, and cache disposition.
     pub fn query(&self, req: QueryRequest) -> Result<QueryResponse, Error> {
         let obs = impliance_obs::global();
         let span = impliance_obs::span!(obs, "query", "appliance.query");
+        let read = self.admit(&req)?;
+        let (plan, plan_cache_hit) = self.plan_for(&req)?;
+        let (output, metrics) = read.run(&plan)?;
+        Ok(QueryResponse {
+            output,
+            metrics,
+            plan,
+            span_id: span.id(),
+            plan_cache_hit,
+            degraded: metrics.deadline_exceeded,
+            snapshot_epoch: read.snapshot_epoch,
+            annotation_epoch: read.annotation_epoch,
+            index_epoch: read.index_epoch,
+            queue_wait_us: metrics.queue_wait_us,
+            admission: read.admission,
+        })
+    }
+
+    /// The one read path, up to execution: admit `req` and pin the
+    /// snapshot every plan the read runs will see.
+    fn admit(&self, req: &QueryRequest) -> Result<AdmittedRead<'_>, Error> {
         // Admission control runs before any planning work: a shed query
         // costs the appliance almost nothing and the caller gets a typed
         // `Overloaded` rejection with a retry-after hint instead of
@@ -605,17 +445,10 @@ impl Impliance {
             .workload
             .admit(req.tenant(), req.priority(), deadline_us)
         {
-            Admission::Admitted(p) => {
-                let managed = self
-                    .workload_managed
-                    .load(std::sync::atomic::Ordering::Relaxed);
-                let outcome = if managed {
-                    AdmissionOutcome::Admitted
-                } else {
-                    AdmissionOutcome::Unmanaged
-                };
-                (p, outcome)
+            Admission::Admitted(p) if self.workload_managed.load(Ordering::Relaxed) => {
+                (p, AdmissionOutcome::Admitted)
             }
+            Admission::Admitted(p) => (p, AdmissionOutcome::Unmanaged),
             Admission::Degraded(p) => (p, AdmissionOutcome::Degraded),
             Admission::Shed(shed) => {
                 return Err(Error::overloaded(
@@ -624,13 +457,12 @@ impl Impliance {
                 ));
             }
         };
-        let (plan, plan_cache_hit) = self.plan_for(&req)?;
         // Freshness watermarks are read before the pin: both only ever
         // trail the storage epoch, so what they claim is covered by the
         // snapshot taken after them (`<= snapshot_epoch`), even while a
         // writer and the background workers keep advancing.
-        let annotation_epoch = self.annotation_epoch();
-        let index_epoch = self.index_epoch();
+        let annotation_epoch = self.discovery_feed.watermark();
+        let index_epoch = self.index_feed.watermark();
         // Pin one epoch for the whole execution: every operator (point
         // read, row scan, columnar scan, parallel morsel) sees exactly
         // the commits at or below it — never a torn mix of versions. An
@@ -643,23 +475,14 @@ impl Impliance {
         let snapshot_epoch = req
             .snapshot()
             .unwrap_or_else(|| pin.as_ref().map(|p| p.epoch()).unwrap_or(0));
-        snapshot_obs().record(pin.is_some());
-        let ctx = ExecContext {
-            storage: &self.storage,
-            text_index: &self.text_index,
-            value_index: &self.value_index,
-            join_index: &self.join_index,
-            pushdown: self.config.pushdown,
-            columnar: true,
-            snapshot: Some(snapshot_epoch),
-        };
+        match pin {
+            Some(_) => query_obs().snapshot_pinned.inc(),
+            None => query_obs().snapshot_explicit.inc(),
+        }
         // A degraded admission tightens the execution budget: the
         // engine's deadline path turns the cut into an honest partial
         // answer (`degraded = true`), never a silent short count.
-        let effective_deadline_us = match (deadline_us, permit.budget_us()) {
-            (Some(d), Some(b)) => Some(d.min(b)),
-            (d, b) => d.or(b),
-        };
+        let effective_deadline_us = deadline_us.into_iter().chain(permit.budget_us()).min();
         let opts = ExecutionContext {
             batch_size: req.batch_size().unwrap_or(self.config.batch_size),
             // A top-k request caps output like an explicit limit (the
@@ -671,22 +494,23 @@ impl Impliance {
             priority: req.priority(),
             ..ExecutionContext::default()
         };
-        let (output, mut metrics) = execute_plan_opts(&ctx, &plan, &opts)?;
-        metrics.queue_wait_us = permit.queue_wait_us();
-        drop(pin); // release the GC watermark only after execution
-        drop(permit); // release the concurrency slot, feed the estimator
-        Ok(QueryResponse {
-            output,
-            metrics,
-            plan,
-            span_id: span.id(),
-            plan_cache_hit,
-            degraded: metrics.deadline_exceeded,
+        Ok(AdmittedRead {
+            ctx: ExecContext {
+                storage: &self.storage,
+                text_index: &self.text_index,
+                value_index: &self.value_index,
+                join_index: &self.join_index,
+                pushdown: self.config.pushdown,
+                columnar: true,
+                snapshot: Some(snapshot_epoch),
+            },
+            _pin: pin,
+            permit,
+            admission: outcome,
             snapshot_epoch,
             annotation_epoch,
             index_epoch,
-            queue_wait_us: metrics.queue_wait_us,
-            admission: outcome,
+            opts,
         })
     }
 
@@ -694,15 +518,8 @@ impl Impliance {
     /// quota marks the appliance as workload-managed (responses start
     /// reporting `AdmissionOutcome::Admitted` instead of `Unmanaged`).
     pub fn set_tenant_quota(&self, tenant: u64, quota: TenantQuota) {
-        self.workload_managed
-            .store(true, std::sync::atomic::Ordering::Relaxed);
+        self.workload_managed.store(true, Ordering::Relaxed);
         self.workload.set_quota(TenantId(tenant), quota);
-    }
-
-    /// Cumulative workload-management accounting (admitted, degraded,
-    /// shed by reason, active, mean service time).
-    pub fn workload_stats(&self) -> WorkloadStats {
-        self.workload.stats()
     }
 
     /// Resolve a request to a physical plan, consulting the requesting
@@ -724,10 +541,10 @@ impl Impliance {
                 .and_then(|p| p.get(&key))
                 .cloned()
             {
-                plan_cache_obs().hits.inc();
+                query_obs().plan_cache_hits.inc();
                 return Ok((plan, true));
             }
-            plan_cache_obs().misses.inc();
+            query_obs().plan_cache_misses.inc();
         }
         let logical = req.build_plan()?;
         let plan = self.planner.plan(logical);
@@ -736,10 +553,7 @@ impl Impliance {
             let mut cache = self.plan_cache.lock();
             let partition = cache.entry(tenant).or_default();
             while partition.len() >= cap {
-                let Some(evict) = partition.keys().next().cloned() else {
-                    break;
-                };
-                partition.remove(&evict);
+                partition.pop_first();
             }
             partition.insert(key, plan.clone());
         }
@@ -786,24 +600,15 @@ impl Impliance {
         measure_path: Option<&str>,
         level: RollupLevel,
     ) -> Result<Vec<RollupRow>, Error> {
-        let result = self
-            .storage
-            .scan(&impliance_storage::ScanRequest::filtered(
-                impliance_storage::Predicate::CollectionIs(collection.to_string()),
-            ))?;
-        let refs: Vec<&Document> = result.documents.iter().collect();
+        let scan = ScanRequest::filtered(Predicate::CollectionIs(collection.to_string()));
+        let docs = self.storage.scan(&scan)?.documents;
+        let refs: Vec<&Document> = docs.iter().collect();
         Ok(impliance_facet::time_rollup(
             &refs,
             time_path,
             measure_path,
             level,
         ))
-    }
-
-    /// The admin ledger — the appliance's TCO observable. Stays empty
-    /// under normal operation.
-    pub fn ledger(&self) -> &AdminLedger {
-        &self.ledger
     }
 
     // ------------------------------------------------------------------
@@ -823,27 +628,122 @@ impl Impliance {
 
     /// The structural paths observed per collection (ingestion-time
     /// bookkeeping made queryable).
-    pub fn collection_structures(&self) -> Vec<(String, Vec<String>)> {
+    pub(crate) fn collection_structures(&self) -> Vec<(String, Vec<String>)> {
         let map = self.collection_paths.lock();
         map.iter()
             .map(|(c, paths)| (c.clone(), paths.iter().cloned().collect()))
             .collect()
     }
 
-    /// Query a *canonical* attribute across every collection: the value
-    /// is looked up on every source path the unified schema maps the
-    /// attribute to, and the union of matching documents returned
-    /// (sorted, deduplicated).
-    pub fn search_attribute(&self, canonical: &str, value: &Value) -> Vec<DocId> {
-        let schema = self.consolidated_schema();
-        let mut out: Vec<DocId> = schema
-            .sources_of(canonical)
-            .iter()
-            .flat_map(|(_, path)| self.value_index.lookup_eq(path, value))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// The ids (sorted) of the documents whose source path for a
+    /// *canonical* attribute (per the unified schema, in their own
+    /// collection) holds `value`: one value-index lookup per source, all
+    /// under one admission and one pinned snapshot.
+    pub fn search_attribute(&self, canonical: &str, value: &Value) -> Result<Vec<DocId>, Error> {
+        let sources = self.consolidated_schema().sources_of(canonical).to_vec();
+        let read = self.admit(&QueryRequest::builder("").build())?;
+        let mut ids = Vec::new();
+        for (collection, path) in sources {
+            let lookup = LogicalPlan::Scan {
+                collection: Some(collection),
+                predicate: Some(Predicate::Eq(path, value.clone())),
+                alias: "d".into(),
+                use_value_index: true,
+            };
+            let (output, metrics) = read.run(&lookup)?;
+            if metrics.deadline_exceeded {
+                return Err(cut_short());
+            }
+            ids.extend(output.docs().iter().map(|d| d.id()));
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        Ok(ids)
+    }
+}
+
+/// One admitted read: every plan it runs sees its pinned snapshot under
+/// its admission's budget. Dropping it releases the pin, then the permit
+/// (field order), which feeds the admission estimator.
+struct AdmittedRead<'a> {
+    ctx: ExecContext<'a>,
+    _pin: Option<Snapshot>,
+    permit: Permit,
+    admission: AdmissionOutcome,
+    snapshot_epoch: u64,
+    annotation_epoch: u64,
+    index_epoch: u64,
+    opts: ExecutionContext,
+}
+
+impl AdmittedRead<'_> {
+    /// Execute one plan at the read's snapshot.
+    fn run(&self, plan: &LogicalPlan) -> Result<(QueryOutput, ExecMetrics), Error> {
+        let (output, mut metrics) = execute_plan_opts(&self.ctx, plan, &self.opts)?;
+        metrics.queue_wait_us = self.permit.queue_wait_us();
+        Ok((output, metrics))
+    }
+}
+
+/// impbench only; removed by the next [benchmark] PR. Ten one-call
+/// forwards into the four doors above (nothing else in the workspace
+/// calls them), and the four index/storage accessors integration tests
+/// also read.
+impl Impliance {
+    pub fn ingest_json(&self, collection: &str, text: &str) -> Result<DocId, Error> {
+        Ok(self.ingest(Input::Json(collection, text))?[0])
+    }
+
+    pub fn ingest_text(&self, collection: &str, text: &str) -> Result<DocId, Error> {
+        Ok(self.ingest(Input::Text(collection, text))?[0])
+    }
+
+    pub fn ingest_email(&self, collection: &str, raw: &str) -> Result<DocId, Error> {
+        Ok(self.ingest(Input::Email(collection, raw))?[0])
+    }
+
+    pub fn ingest_row(&self, schema: &RelationalSchema, row: Vec<Value>) -> Result<DocId, Error> {
+        Ok(self.ingest(Input::Row(schema, row))?[0])
+    }
+
+    pub fn run_indexing(&self, budget: Option<usize>) -> usize {
+        self.maintain(Stage::Index, budget, &NoFaults).records
+    }
+
+    pub fn run_discovery(&self, budget: Option<usize>) -> usize {
+        self.maintain(Stage::Discovery, budget, &NoFaults).records
+    }
+
+    pub fn index_epoch(&self) -> u64 {
+        self.status().index_epoch
+    }
+
+    pub fn indexing_backlog(&self) -> usize {
+        self.status().index_backlog
+    }
+
+    pub fn discovery_stats(&self) -> DiscoveryStats {
+        self.status().discovery
+    }
+
+    pub fn workload_stats(&self) -> WorkloadStats {
+        self.status().workload
+    }
+
+    pub fn storage(&self) -> &StorageEngine {
+        &self.storage
+    }
+
+    pub fn text_index(&self) -> &InvertedIndex {
+        &self.text_index
+    }
+
+    pub fn value_index(&self) -> &PathValueIndex {
+        &self.value_index
+    }
+
+    pub fn join_index(&self) -> &JoinIndex {
+        &self.join_index
     }
 }
 
@@ -865,41 +765,75 @@ impl InfoSystem for Impliance {
     }
 }
 
+/// Shorthands for the crate's unit tests.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::*;
+    use impliance_index::SearchHit;
+
+    /// Ingest one document; its id.
+    pub(crate) fn put(imp: &Impliance, input: Input<'_>) -> DocId {
+        imp.ingest(input).unwrap()[0]
+    }
+
+    /// A top-`k` keyword search through [`Impliance::query`].
+    pub(crate) fn search(imp: &Impliance, query: &str, k: usize) -> Vec<SearchHit> {
+        imp.query(
+            QueryRequest::builder("")
+                .match_text("*", query)
+                .top_k(k)
+                .build(),
+        )
+        .unwrap()
+        .hits()
+    }
+
+    /// Drain all background work.
+    pub(crate) fn drain_all(imp: &Impliance) {
+        imp.maintain(Stage::All, None, &NoFaults);
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::test_support::{drain_all, put, search};
     use super::*;
 
     fn boot() -> Impliance {
         Impliance::boot(ApplianceConfig::default())
     }
 
+    /// Every [`Input`] variant ingests without a schema, and each stored
+    /// document reads back from its collection.
     #[test]
     fn ingest_all_formats_without_schema() {
         let imp = boot();
-        let j = imp
-            .ingest_json("claims", r#"{"amount": 1500, "make": "Volvo"}"#)
-            .unwrap();
-        let t = imp
-            .ingest_text("notes", "Grace Hopper reported a broken bumper")
-            .unwrap();
-        let e = imp
-            .ingest_email(
+        let schema = RelationalSchema::new("orders", &["id", "total"]);
+        let inputs = [
+            Input::Json("claims", r#"{"amount": 1500, "make": "Volvo"}"#),
+            Input::Text("notes", "Grace Hopper reported a broken bumper"),
+            Input::Email(
                 "mail",
                 "From: ada@example.com\nSubject: claim\n\nSee attached.",
-            )
-            .unwrap();
-        let k = imp.ingest_kv("sensors", &[("temp", "21.5")]).unwrap();
-        let rows = imp
-            .ingest_csv("people", "name,age\nAda,36\nGrace,45\n")
-            .unwrap();
-        let schema = RelationalSchema::new("orders", &["id", "total"]);
-        let r = imp
-            .ingest_row(&schema, vec![Value::Int(1), Value::Float(99.5)])
-            .unwrap();
-        for id in [j, t, e, k, rows[0], rows[1], r] {
-            assert!(imp.get(id).unwrap().is_some());
+            ),
+            Input::Xml("forms", "<claim><amount>7</amount></claim>"),
+            Input::Binary("media", &[0, 159, 146], &[("title", "photo")]),
+            Input::Kv("sensors", &[("temp", "21.5")]),
+            Input::Row(&schema, vec![Value::Int(1), Value::Float(99.5)]),
+            Input::Csv("people", "name,age\nAda,36\nGrace,45\n"),
+        ];
+        let collections = [
+            "claims", "notes", "mail", "forms", "media", "sensors", "orders", "people",
+        ];
+        for (input, collection) in inputs.into_iter().zip(collections) {
+            let ids = imp.ingest(input).unwrap();
+            assert_eq!(ids.len(), if collection == "people" { 2 } else { 1 });
+            for id in ids {
+                let doc = imp.get(id).unwrap().unwrap();
+                assert_eq!(doc.collection(), collection);
+            }
         }
-        assert_eq!(imp.admin_ops(), 0, "no human decisions were needed");
+        assert_eq!(imp.status().admin_ops, 0, "no human decisions were needed");
     }
 
     #[test]
@@ -908,11 +842,13 @@ mod tests {
         // retrieved without change" — before any background work runs.
         let imp = boot();
         let schema = RelationalSchema::new("customers", &["code", "name"]);
-        imp.ingest_row(
-            &schema,
-            vec![Value::Str("C-1".into()), Value::Str("Ada".into())],
-        )
-        .unwrap();
+        put(
+            &imp,
+            Input::Row(
+                &schema,
+                vec![Value::Str("C-1".into()), Value::Str("Ada".into())],
+            ),
+        );
         let out = imp
             .sql("SELECT name FROM customers WHERE code = 'C-1'")
             .unwrap();
@@ -923,11 +859,11 @@ mod tests {
     #[test]
     fn search_sees_documents_after_async_indexing() {
         let imp = boot();
-        imp.ingest_text("notes", "unique marker zanzibar").unwrap();
-        assert!(imp.search("zanzibar", 10).is_empty(), "not yet indexed");
-        assert_eq!(imp.indexing_backlog(), 1);
-        imp.run_indexing(None);
-        assert_eq!(imp.search("zanzibar", 10).len(), 1);
+        put(&imp, Input::Text("notes", "unique marker zanzibar"));
+        assert!(search(&imp, "zanzibar", 10).is_empty(), "not yet indexed");
+        assert_eq!(imp.status().index_backlog, 1);
+        imp.maintain(Stage::Index, None, &NoFaults);
+        assert_eq!(search(&imp, "zanzibar", 10).len(), 1);
     }
 
     #[test]
@@ -936,25 +872,27 @@ mod tests {
             synchronous_indexing: true,
             ..ApplianceConfig::default()
         });
-        imp.ingest_text("notes", "immediate findability").unwrap();
-        assert_eq!(imp.search("findability", 10).len(), 1);
-        assert_eq!(imp.indexing_backlog(), 0);
+        put(&imp, Input::Text("notes", "immediate findability"));
+        assert_eq!(search(&imp, "findability", 10).len(), 1);
+        assert_eq!(imp.status().index_backlog, 0);
     }
 
     #[test]
     fn discovery_produces_annotations_views_and_edges() {
         let imp = boot();
-        let a = imp
-            .ingest_text(
+        let a = put(
+            &imp,
+            Input::Text(
                 "transcripts",
                 "Grace Hopper is very happy with product BX-1042, thanks!",
-            )
-            .unwrap();
-        let b = imp
-            .ingest_text("transcripts", "Grace Hopper called again about BX-1042")
-            .unwrap();
-        imp.quiesce();
-        let stats = imp.discovery_stats();
+            ),
+        );
+        let b = put(
+            &imp,
+            Input::Text("transcripts", "Grace Hopper called again about BX-1042"),
+        );
+        drain_all(&imp);
+        let stats = imp.status().discovery;
         assert_eq!(stats.docs_processed, 2);
         assert!(stats.annotations >= 2);
         // annotations are SQL-visible as collections
@@ -982,15 +920,22 @@ mod tests {
             }
         }
         let imp = boot();
-        imp.ingest_text("transcripts", "Grace Hopper is very happy, thanks!")
-            .unwrap();
-        imp.ingest_text("transcripts", "Alan Turing found the tape reader awful")
-            .unwrap();
+        put(
+            &imp,
+            Input::Text("transcripts", "Grace Hopper is very happy, thanks!"),
+        );
+        put(
+            &imp,
+            Input::Text("transcripts", "Alan Turing found the tape reader awful"),
+        );
         let discovery = Recorder(Mutex::new(Vec::new()));
-        let records = imp.run_discovery_with_faults(None, &discovery);
+        let records = imp.maintain(Stage::Discovery, None, &discovery).records;
         assert!(records > 2, "discovery also consumed what it committed");
         let indexing = Recorder(Mutex::new(Vec::new()));
-        assert_eq!(imp.run_indexing_with_faults(None, &indexing), records);
+        let indexed = imp.maintain(Stage::Index, None, &indexing);
+        assert_eq!(indexed.records, records);
+        assert_eq!(indexed.backlog, 0);
+        assert_eq!(indexed.watermark, imp.status().storage_epoch);
         let offered = discovery.0.into_inner();
         assert_eq!(offered, indexing.0.into_inner());
         let per_record = [
@@ -1007,8 +952,8 @@ mod tests {
     #[test]
     fn update_creates_versions_and_search_follows() {
         let imp = boot();
-        let id = imp.ingest_text("notes", "draft wording").unwrap();
-        imp.run_indexing(None);
+        let id = put(&imp, Input::Text("notes", "draft wording"));
+        imp.maintain(Stage::Index, None, &NoFaults);
         let v2 = imp
             .update(
                 id,
@@ -1016,11 +961,11 @@ mod tests {
             )
             .unwrap();
         assert_eq!(v2, Version(2));
-        imp.run_indexing(None);
-        assert!(imp.search("draft", 10).is_empty());
-        assert_eq!(imp.search("final", 10).len(), 1);
+        imp.maintain(Stage::Index, None, &NoFaults);
+        assert!(search(&imp, "draft", 10).is_empty());
+        assert_eq!(search(&imp, "final", 10).len(), 1);
         // time travel still sees v1
-        let old = imp.get_version(id, Version(1)).unwrap().unwrap();
+        let old = imp.get_at(id, At::Version(Version(1))).unwrap().unwrap();
         assert_eq!(old.full_text(), "draft wording");
         assert_eq!(imp.versions(id).len(), 2);
     }
@@ -1043,13 +988,15 @@ mod tests {
             ("Saab", "Seattle"),
             ("Tesla", "Austin"),
         ] {
-            imp.ingest_json(
-                "claims",
-                &format!(r#"{{"make": "{make}", "city": "{city}", "notes": "bumper work"}}"#),
-            )
-            .unwrap();
+            put(
+                &imp,
+                Input::Json(
+                    "claims",
+                    &format!(r#"{{"make": "{make}", "city": "{city}", "notes": "bumper work"}}"#),
+                ),
+            );
         }
-        imp.quiesce();
+        drain_all(&imp);
         let dims = imp.facet_dimensions(2, 10);
         assert!(dims.contains(&"make".to_string()));
         let mut session = imp.session();
@@ -1066,24 +1013,28 @@ mod tests {
         // §2.1.2: relate extracted content facts to structured records.
         let imp = boot();
         let schema = RelationalSchema::new("products", &["sku", "price"]);
-        imp.ingest_row(
-            &schema,
-            vec![Value::Str("BX-1042".into()), Value::Float(29.5)],
-        )
-        .unwrap();
-        imp.ingest_text("transcripts", "customer asked about BX-1042 being late")
-            .unwrap();
-        imp.quiesce();
+        put(
+            &imp,
+            Input::Row(
+                &schema,
+                vec![Value::Str("BX-1042".into()), Value::Float(29.5)],
+            ),
+        );
+        put(
+            &imp,
+            Input::Text("transcripts", "customer asked about BX-1042 being late"),
+        );
+        drain_all(&imp);
         // entity view exposes product codes as rows; join via SQL over
         // the annotations collection is exercised in views.rs tests.
-        let hits = imp.search("BX-1042", 10);
+        let hits = search(&imp, "BX-1042", 10);
         assert!(!hits.is_empty());
     }
 
     #[test]
     fn bad_inputs_error_cleanly() {
         let imp = boot();
-        assert!(imp.ingest_json("c", "{not json").is_err());
+        assert!(imp.ingest(Input::Json("c", "{not json")).is_err());
         assert!(imp.sql("SELEC nonsense").is_err());
         assert!(imp.sql("SELECT * FROM t WHERE x ~ 1").is_err());
     }
@@ -1098,25 +1049,30 @@ mod tests {
 
 #[cfg(test)]
 mod hybrid_search_tests {
+    use super::test_support::put;
     use super::*;
     use crate::query_api::FusionSpec;
 
     fn seeded() -> Impliance {
         let imp = Impliance::boot(ApplianceConfig::default());
         for i in 0..30 {
-            imp.ingest_json(
-                "claims",
-                &format!(
-                    r#"{{"amount": {}, "notes": "bumper damage case {}"}}"#,
-                    i * 10,
-                    i
+            put(
+                &imp,
+                Input::Json(
+                    "claims",
+                    &format!(
+                        r#"{{"amount": {}, "notes": "bumper damage case {}"}}"#,
+                        i * 10,
+                        i
+                    ),
                 ),
-            )
-            .unwrap();
+            );
         }
-        imp.ingest_json("claims", r#"{"amount": 990, "notes": "windshield crack"}"#)
-            .unwrap();
-        imp.run_indexing(None);
+        put(
+            &imp,
+            Input::Json("claims", r#"{"amount": 990, "notes": "windshield crack"}"#),
+        );
+        imp.maintain(Stage::Index, None, &NoFaults);
         imp
     }
 
@@ -1199,7 +1155,7 @@ mod hybrid_search_tests {
     #[test]
     fn index_epoch_is_stale_until_maintenance_runs() {
         let imp = Impliance::boot(ApplianceConfig::default());
-        imp.ingest_text("notes", "unique marker zanzibar").unwrap();
+        put(&imp, Input::Text("notes", "unique marker zanzibar"));
         let req = || {
             QueryRequest::builder("")
                 .match_text("*", "zanzibar")
@@ -1215,7 +1171,7 @@ mod hybrid_search_tests {
             resp.index_epoch,
             resp.snapshot_epoch
         );
-        imp.run_indexing(None);
+        imp.maintain(Stage::Index, None, &NoFaults);
         let resp = imp.query(req()).unwrap();
         assert_eq!(resp.rows().len(), 1);
         assert!(resp.index_epoch >= 1);
@@ -1228,10 +1184,12 @@ mod hybrid_search_tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 0..150 {
-                    imp.ingest_text("notes", &format!("late arrival {i} in Boston"))
-                        .unwrap();
-                    imp.run_indexing(None);
-                    imp.run_discovery(None);
+                    put(
+                        &imp,
+                        Input::Text("notes", &format!("late arrival {i} in Boston")),
+                    );
+                    imp.maintain(Stage::Index, None, &NoFaults);
+                    imp.maintain(Stage::Discovery, None, &NoFaults);
                 }
                 done.store(true, Ordering::Release);
             });
@@ -1293,6 +1251,7 @@ mod hybrid_search_tests {
 
 #[cfg(test)]
 mod workload_tests {
+    use super::test_support::{drain_all, put};
     use super::*;
     use crate::query_api::AdmissionOutcome;
     use crate::ErrorKind;
@@ -1300,8 +1259,10 @@ mod workload_tests {
     fn seeded(imp: &Impliance) {
         let schema = RelationalSchema::new("orders", &["id", "total"]);
         for i in 0..20 {
-            imp.ingest_row(&schema, vec![Value::Int(i), Value::Float(i as f64)])
-                .unwrap();
+            put(
+                imp,
+                Input::Row(&schema, vec![Value::Int(i), Value::Float(i as f64)]),
+            );
         }
     }
 
@@ -1316,7 +1277,7 @@ mod workload_tests {
             assert_eq!(resp.admission, AdmissionOutcome::Unmanaged);
             assert_eq!(resp.queue_wait_us, 0);
         }
-        assert_eq!(imp.workload_stats().shed_total(), 0);
+        assert_eq!(imp.status().workload.shed_total(), 0);
     }
 
     #[test]
@@ -1356,7 +1317,86 @@ mod workload_tests {
             )
             .unwrap();
         assert_eq!(other.admission, AdmissionOutcome::Admitted);
-        assert_eq!(imp.workload_stats().shed_tokens, 1);
+        assert_eq!(imp.status().workload.shed_tokens, 1);
+    }
+
+    /// No read swallows a shed: once the default tenant's quota is dry, a
+    /// keyword query, a guarded search, each system view and a canonical
+    /// attribute lookup all fail typed `Overloaded` — none reads as "no
+    /// documents match", and the failed search is not audited.
+    #[test]
+    fn every_read_surfaces_a_shed_as_overloaded() {
+        let imp = Impliance::boot(ApplianceConfig::default());
+        put(&imp, Input::Kv("orders_fax", &[("buyer", "C-9")]));
+        drain_all(&imp);
+        imp.set_tenant_quota(
+            0,
+            TenantQuota {
+                tokens_per_sec: 1,
+                burst: 1,
+                queue_capacity: 1,
+            },
+        );
+        while imp.sql("SELECT * FROM orders_fax").is_ok() {}
+        let keyword = QueryRequest::builder("")
+            .match_text("*", "C-9")
+            .top_k(10)
+            .build();
+        let (policy, log) = (crate::AccessPolicy::new(), crate::AuditLog::new());
+        let guarded =
+            crate::GuardedAppliance::new(&imp, &policy, &log, crate::Principal::new("ada"));
+        let kinds = [
+            imp.query(keyword).map(|_| ()),
+            guarded.search("C-9", 10).map(|_| ()),
+            crate::views::entity_view(&imp).map(|_| ()),
+            crate::views::sentiment_view(&imp).map(|_| ()),
+            imp.search_attribute("customer", &Value::Str("C-9".into()))
+                .map(|_| ()),
+        ]
+        .map(|r| r.map_err(|e| e.kind()));
+        assert_eq!(kinds, [Err(ErrorKind::Overloaded); 5]);
+        assert!(log.records().is_empty(), "a failed read is not an access");
+    }
+
+    /// A read admitted `Degraded` under concurrency pressure runs on a
+    /// tightened budget. `query` reports the cut as `degraded`; the reads
+    /// that return bare rows or ids fail `Overloaded` rather than pass a
+    /// partial answer off as the whole one.
+    #[test]
+    fn a_degraded_admission_never_passes_for_a_whole_answer() {
+        let imp = Impliance::boot(ApplianceConfig {
+            workload: impliance_virt::WorkloadConfig {
+                max_concurrent: 1,
+                min_degraded_budget_us: 0,
+                ..impliance_virt::WorkloadConfig::default()
+            },
+            ..ApplianceConfig::default()
+        });
+        put(&imp, Input::Kv("orders_fax", &[("buyer", "C-9")]));
+        drain_all(&imp);
+        // two high-priority reads in flight: a Normal read is now two
+        // over the limit, and its degraded budget drops to zero
+        let _in_flight = [(); 2].map(|_| imp.workload.admit(TenantId(0), Priority::High, None));
+        let keyword = QueryRequest::builder("")
+            .match_text("*", "C-9")
+            .top_k(10)
+            .build();
+        let resp = imp.query(keyword).unwrap();
+        assert_eq!(resp.admission, AdmissionOutcome::Degraded);
+        assert!(resp.degraded, "the cut is reported, not hidden");
+        let (policy, log) = (crate::AccessPolicy::new(), crate::AuditLog::new());
+        let guarded =
+            crate::GuardedAppliance::new(&imp, &policy, &log, crate::Principal::new("ada"));
+        let kinds = [
+            guarded.search("C-9", 10).map(|_| ()),
+            crate::views::entity_view(&imp).map(|_| ()),
+            crate::views::sentiment_view(&imp).map(|_| ()),
+            imp.search_attribute("customer", &Value::Str("C-9".into()))
+                .map(|_| ()),
+        ]
+        .map(|r| r.map_err(|e| e.kind()));
+        assert_eq!(kinds, [Err(ErrorKind::Overloaded); 4]);
+        assert!(log.records().is_empty(), "a cut read is not an access");
     }
 
     #[test]
@@ -1410,7 +1450,7 @@ mod workload_tests {
             )
             .unwrap();
         assert_eq!(resp.admission, AdmissionOutcome::Admitted);
-        let stats = imp.workload_stats();
+        let stats = imp.status().workload;
         assert_eq!(stats.admitted, 1);
         assert_eq!(stats.active, 0, "permit released after the response");
     }
@@ -1430,6 +1470,7 @@ mod workload_tests {
 
 #[cfg(test)]
 mod schema_tests {
+    use super::test_support::put;
     use super::*;
 
     #[test]
@@ -1438,12 +1479,18 @@ mod schema_tests {
         // cust (rows), customer (JSON), and buyer (KV).
         let imp = Impliance::boot(ApplianceConfig::default());
         let schema = RelationalSchema::new("orders_db", &["cust", "total"]);
-        imp.ingest_row(&schema, vec![Value::Str("C-1".into()), Value::Float(10.0)])
-            .unwrap();
-        imp.ingest_json("orders_web", r#"{"customer": "C-1", "price": 20.0}"#)
-            .unwrap();
-        imp.ingest_kv("orders_fax", &[("buyer", "C-1"), ("value", "30.0")])
-            .unwrap();
+        put(
+            &imp,
+            Input::Row(&schema, vec![Value::Str("C-1".into()), Value::Float(10.0)]),
+        );
+        put(
+            &imp,
+            Input::Json("orders_web", r#"{"customer": "C-1", "price": 20.0}"#),
+        );
+        put(
+            &imp,
+            Input::Kv("orders_fax", &[("buyer", "C-1"), ("value", "30.0")]),
+        );
 
         let unified = imp.consolidated_schema();
         let sources = unified.sources_of("customer");
@@ -1460,34 +1507,36 @@ mod schema_tests {
     fn search_attribute_fans_out_across_collections() {
         let imp = Impliance::boot(ApplianceConfig::default());
         let schema = RelationalSchema::new("orders_db", &["cust", "total"]);
-        let a = imp
-            .ingest_row(&schema, vec![Value::Str("C-9".into()), Value::Float(1.0)])
-            .unwrap();
-        let b = imp
-            .ingest_json("orders_web", r#"{"customer": "C-9"}"#)
-            .unwrap();
-        let c = imp.ingest_kv("orders_fax", &[("buyer", "C-9")]).unwrap();
-        imp.ingest_json("orders_web", r#"{"customer": "C-8"}"#)
-            .unwrap();
+        let a = put(
+            &imp,
+            Input::Row(&schema, vec![Value::Str("C-9".into()), Value::Float(1.0)]),
+        );
+        let b = put(&imp, Input::Json("orders_web", r#"{"customer": "C-9"}"#));
+        let c = put(&imp, Input::Kv("orders_fax", &[("buyer", "C-9")]));
+        put(&imp, Input::Json("orders_web", r#"{"customer": "C-8"}"#));
 
         let hits = imp.search_attribute("customer", &Value::Str("C-9".into()));
-        assert_eq!(hits, vec![a, b, c]);
+        assert_eq!(hits.unwrap(), vec![a, b, c]);
         assert!(imp
             .search_attribute("customer", &Value::Str("C-404".into()))
+            .unwrap()
             .is_empty());
         assert!(imp
             .search_attribute("no_such_attribute", &Value::Int(1))
+            .unwrap()
             .is_empty());
     }
 
     #[test]
     fn collection_structures_track_paths() {
         let imp = Impliance::boot(ApplianceConfig::default());
-        imp.ingest_json(
-            "claims",
-            r#"{"vehicle": {"make": "Saab"}, "items": [1, 2]}"#,
-        )
-        .unwrap();
+        put(
+            &imp,
+            Input::Json(
+                "claims",
+                r#"{"vehicle": {"make": "Saab"}, "items": [1, 2]}"#,
+            ),
+        );
         let structures = imp.collection_structures();
         let claims = structures.iter().find(|(c, _)| c == "claims").unwrap();
         assert!(claims.1.contains(&"vehicle.make".to_string()));
@@ -1497,17 +1546,20 @@ mod schema_tests {
 
 #[cfg(test)]
 mod format_tests {
+    use super::test_support::{drain_all, put, search};
     use super::*;
 
     #[test]
     fn xml_ingestion_is_first_class() {
         let imp = Impliance::boot(ApplianceConfig::default());
-        imp.ingest_xml(
-            "claims",
-            r#"<claim id="7"><vehicle make="Volvo"/><amount>1500</amount>
+        put(
+            &imp,
+            Input::Xml(
+                "claims",
+                r#"<claim id="7"><vehicle make="Volvo"/><amount>1500</amount>
                <notes>Grace Hopper reported bumper damage</notes></claim>"#,
-        )
-        .unwrap();
+            ),
+        );
         // SQL over XML-derived structure, immediately
         let out = imp
             .sql("SELECT claim.amount FROM claims WHERE claim.vehicle.@make = 'Volvo'")
@@ -1515,19 +1567,20 @@ mod format_tests {
         assert_eq!(out.rows().len(), 1);
         assert_eq!(out.rows()[0].get("claim.amount"), &Value::Int(1500));
         // keyword search over XML text after indexing
-        imp.run_indexing(None);
-        assert_eq!(imp.search("bumper", 10).len(), 1);
+        imp.maintain(Stage::Index, None, &NoFaults);
+        assert_eq!(search(&imp, "bumper", 10).len(), 1);
         // discovery sees XML content too
-        imp.quiesce();
-        assert!(imp.discovery_stats().mentions > 0);
+        drain_all(&imp);
+        assert!(imp.status().discovery.mentions > 0);
     }
 
     #[test]
     fn binary_ingestion_stores_bytes_with_searchable_metadata() {
         let imp = Impliance::boot(ApplianceConfig::default());
         let payload = vec![0u8, 159, 146, 150]; // arbitrary non-UTF8 bytes
-        let id = imp
-            .ingest_binary(
+        let id = put(
+            &imp,
+            Input::Binary(
                 "media",
                 &payload,
                 &[
@@ -1535,8 +1588,8 @@ mod format_tests {
                     ("camera", "D70"),
                     ("width", "3008"),
                 ],
-            )
-            .unwrap();
+            ),
+        );
         let doc = imp.get(id).unwrap().unwrap();
         assert_eq!(
             doc.get_str_path("content").unwrap().as_value().unwrap(),
@@ -1546,9 +1599,9 @@ mod format_tests {
             doc.get_str_path("width").unwrap().as_value().unwrap(),
             &Value::Int(3008)
         );
-        imp.run_indexing(None);
+        imp.maintain(Stage::Index, None, &NoFaults);
         assert_eq!(
-            imp.search("crash photo", 10).len(),
+            search(&imp, "crash photo", 10).len(),
             1,
             "metadata is searchable"
         );
@@ -1557,34 +1610,46 @@ mod format_tests {
     #[test]
     fn malformed_xml_is_rejected_cleanly() {
         let imp = Impliance::boot(ApplianceConfig::default());
-        assert!(imp.ingest_xml("c", "<open><wrong></open></wrong>").is_err());
+        assert!(imp
+            .ingest(Input::Xml("c", "<open><wrong></open></wrong>"))
+            .is_err());
     }
 }
 
 #[cfg(test)]
 mod phrase_surface_tests {
+    use super::test_support::{put, search};
     use super::*;
 
     #[test]
     fn phrase_search_from_the_appliance() {
         let imp = Impliance::boot(ApplianceConfig::default());
-        imp.ingest_text("notes", "total cost of ownership is the deciding factor")
-            .unwrap();
-        imp.ingest_text(
-            "notes",
-            "the ownership model drives total confusion and cost",
-        )
-        .unwrap();
-        imp.run_indexing(None);
-        let hits = imp.search_phrase("total cost of ownership", None, 10);
-        assert_eq!(hits.len(), 1);
+        put(
+            &imp,
+            Input::Text("notes", "total cost of ownership is the deciding factor"),
+        );
+        put(
+            &imp,
+            Input::Text(
+                "notes",
+                "the ownership model drives total confusion and cost",
+            ),
+        );
+        imp.maintain(Stage::Index, None, &NoFaults);
+        let phrase = QueryRequest::builder("")
+            .match_text("*", "total cost of ownership")
+            .phrase()
+            .top_k(10)
+            .build();
+        assert_eq!(imp.query(phrase).unwrap().hits().len(), 1);
         // plain AND search matches both
-        assert_eq!(imp.search("total cost ownership", 10).len(), 2);
+        assert_eq!(search(&imp, "total cost ownership", 10).len(), 2);
     }
 }
 
 #[cfg(test)]
 mod encryption_surface_tests {
+    use super::test_support::{drain_all, put, search};
     use super::*;
 
     #[test]
@@ -1595,18 +1660,20 @@ mod encryption_surface_tests {
             ..ApplianceConfig::default()
         });
         for i in 0..30 {
-            imp.ingest_json(
-                "claims",
-                &format!(r#"{{"amount": {i}, "notes": "secret note {i}"}}"#),
-            )
-            .unwrap();
+            put(
+                &imp,
+                Input::Json(
+                    "claims",
+                    &format!(r#"{{"amount": {i}, "notes": "secret note {i}"}}"#),
+                ),
+            );
         }
         imp.storage().seal_all();
-        imp.quiesce();
+        drain_all(&imp);
         let out = imp
             .sql("SELECT COUNT(*) AS n FROM claims WHERE amount >= 10")
             .unwrap();
         assert_eq!(out.rows()[0].get("n"), &Value::Int(20));
-        assert!(!imp.search("secret", 10).is_empty());
+        assert!(!search(&imp, "secret", 10).is_empty());
     }
 }

@@ -16,10 +16,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use impliance_docmodel::{DocId, Version};
+use impliance_docmodel::{DocId, Document, Version};
 use parking_lot::{Mutex, RwLock};
 
 use crate::appliance::Impliance;
+use crate::error::Error;
+use crate::query_api::QueryRequest;
 
 /// A named principal (user or role).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -152,7 +154,9 @@ impl AuditLog {
 }
 
 /// A guarded view over an appliance: reads go through policy and land in
-/// the audit log. Constructed per principal.
+/// the audit log. Constructed per principal. A read that fails (shed,
+/// cut short under load, corrupt, …) returns its error and is not logged
+/// as an access.
 pub struct GuardedAppliance<'a> {
     imp: &'a Impliance,
     policy: &'a AccessPolicy,
@@ -178,19 +182,22 @@ impl<'a> GuardedAppliance<'a> {
 
     /// Policy-filtered keyword search: hits in restricted collections the
     /// principal cannot read are withheld (and the withholding audited).
-    pub fn search(&self, query: &str, k: usize) -> Vec<DocId> {
-        let hits = self.imp.search(query, k * 4); // overfetch to refill
+    pub fn search(&self, query: &str, k: usize) -> Result<Vec<DocId>, Error> {
+        let request = QueryRequest::builder("")
+            .match_text("*", query)
+            .top_k(k * 4) // overfetch to refill
+            .plan_cache(false)
+            .build();
         let mut allowed = Vec::new();
         let mut withheld = Vec::new();
-        for hit in hits {
-            if let Ok(Some(doc)) = self.imp.get(hit.id) {
-                if self.policy.allows(&self.principal, doc.collection()) {
-                    if allowed.len() < k {
-                        allowed.push(hit.id);
-                    }
-                } else {
-                    withheld.push(hit.id);
-                }
+        for hit in self.imp.query(request)?.whole()?.hits() {
+            let Some(doc) = self.imp.get(hit.id)? else {
+                continue;
+            };
+            if !self.policy.allows(&self.principal, doc.collection()) {
+                withheld.push(hit.id);
+            } else if allowed.len() < k {
+                allowed.push(hit.id);
             }
         }
         if !withheld.is_empty() {
@@ -199,22 +206,18 @@ impl<'a> GuardedAppliance<'a> {
         }
         self.log
             .record(&self.principal, "search", allowed.clone(), false);
-        allowed
+        Ok(allowed)
     }
 
-    /// Policy-checked point read.
-    pub fn get(&self, id: DocId) -> Option<impliance_docmodel::Document> {
-        match self.imp.get(id).ok().flatten() {
-            Some(doc) if self.policy.allows(&self.principal, doc.collection()) => {
-                self.log.record(&self.principal, "get", vec![id], false);
-                Some(doc)
-            }
-            Some(_) => {
-                self.log.record(&self.principal, "get", vec![id], true);
-                None
-            }
-            None => None,
-        }
+    /// Policy-checked point read: `None` for a missing document and for
+    /// one the principal may not read (the denial is audited).
+    pub fn get(&self, id: DocId) -> Result<Option<Document>, Error> {
+        let Some(doc) = self.imp.get(id)? else {
+            return Ok(None);
+        };
+        let allowed = self.policy.allows(&self.principal, doc.collection());
+        self.log.record(&self.principal, "get", vec![id], !allowed);
+        Ok(allowed.then_some(doc))
     }
 }
 
@@ -231,39 +234,40 @@ pub enum LineageEntry {
 
 /// Trace the lineage of a document: version history plus derivation
 /// edges recorded by the discovery pipeline.
-pub fn lineage(imp: &Impliance, id: DocId) -> Vec<LineageEntry> {
-    let mut out = Vec::new();
+pub fn lineage(imp: &Impliance, id: DocId) -> Result<Vec<LineageEntry>, Error> {
     let versions = imp.versions(id);
-    if let Some(latest) = versions.last() {
-        for v in &versions {
-            if v != latest {
-                out.push(LineageEntry::PriorVersion(*v));
-            }
-        }
+    let prior = &versions[..versions.len().saturating_sub(1)];
+    let mut out: Vec<LineageEntry> = prior
+        .iter()
+        .map(|v| LineageEntry::PriorVersion(*v))
+        .collect();
+    if let Some(subject) = imp.get(id)?.and_then(|doc| doc.subject()) {
+        out.push(LineageEntry::Annotates(subject));
     }
-    if let Ok(Some(doc)) = imp.get(id) {
-        if let Some(subject) = doc.subject() {
-            out.push(LineageEntry::Annotates(subject));
-        }
-    }
-    for source in imp.join_index().sources(id, "annotates") {
+    for source in imp.join_index.sources(id, "annotates") {
         out.push(LineageEntry::AnnotatedBy(source));
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::appliance::test_support::{drain_all, put};
     use crate::config::ApplianceConfig;
+    use crate::Input;
 
     fn fixture() -> (Impliance, AccessPolicy, AuditLog) {
         let imp = Impliance::boot(ApplianceConfig::default());
-        imp.ingest_text("public", "Grace Hopper shares zebra knowledge from Seattle")
-            .unwrap();
-        imp.ingest_text("hr.salaries", "confidential zebra compensation data")
-            .unwrap();
-        imp.quiesce();
+        put(
+            &imp,
+            Input::Text("public", "Grace Hopper shares zebra knowledge from Seattle"),
+        );
+        put(
+            &imp,
+            Input::Text("hr.salaries", "confidential zebra compensation data"),
+        );
+        drain_all(&imp);
         let policy = AccessPolicy::new();
         policy.restrict("hr.salaries", &[Principal::new("hr-admin")]);
         (imp, policy, AuditLog::new())
@@ -285,10 +289,10 @@ mod tests {
     fn guarded_search_filters_by_collection() {
         let (imp, policy, log) = fixture();
         let alice = GuardedAppliance::new(&imp, &policy, &log, Principal::new("alice"));
-        let hits = alice.search("zebra", 10);
+        let hits = alice.search("zebra", 10).unwrap();
         assert_eq!(hits.len(), 1, "only the public doc");
         let admin = GuardedAppliance::new(&imp, &policy, &log, Principal::new("hr-admin"));
-        let hits = admin.search("zebra", 10);
+        let hits = admin.search("zebra", 10).unwrap();
         assert_eq!(hits.len(), 2, "admin sees both");
     }
 
@@ -297,8 +301,8 @@ mod tests {
         let (imp, policy, log) = fixture();
         let alice = GuardedAppliance::new(&imp, &policy, &log, Principal::new("alice"));
         let restricted = DocId(2);
-        assert!(alice.get(restricted).is_none());
-        assert!(alice.get(DocId(1)).is_some());
+        assert!(alice.get(restricted).unwrap().is_none());
+        assert!(alice.get(DocId(1)).unwrap().is_some());
         let denials: Vec<_> = log.records().into_iter().filter(|r| r.denied).collect();
         assert_eq!(denials.len(), 1);
         assert_eq!(denials[0].docs, vec![restricted]);
@@ -309,8 +313,8 @@ mod tests {
         let (imp, policy, log) = fixture();
         let alice = GuardedAppliance::new(&imp, &policy, &log, Principal::new("alice"));
         let bob = GuardedAppliance::new(&imp, &policy, &log, Principal::new("bob"));
-        alice.search("zebra", 10);
-        bob.get(DocId(1));
+        alice.search("zebra", 10).unwrap();
+        bob.get(DocId(1)).unwrap();
         let touched = log.accesses_of(DocId(1));
         assert_eq!(touched.len(), 2);
         assert_eq!(log.accesses_by(&Principal::new("bob")).len(), 1);
@@ -332,7 +336,7 @@ mod tests {
             impliance_docmodel::Node::scalar("revised zebra knowledge"),
         );
         imp.update(id, root).unwrap();
-        let lin = lineage(&imp, id);
+        let lin = lineage(&imp, id).unwrap();
         assert!(lin.contains(&LineageEntry::PriorVersion(Version(1))));
         // discovery attached annotations to the doc
         assert!(
@@ -345,7 +349,7 @@ mod tests {
             .iter()
             .find(|e| matches!(e, LineageEntry::AnnotatedBy(_)))
         {
-            let ann_lineage = lineage(&imp, *ann);
+            let ann_lineage = lineage(&imp, *ann).unwrap();
             assert!(ann_lineage.contains(&LineageEntry::Annotates(id)));
         }
     }

@@ -25,6 +25,7 @@ use parking_lot::Mutex;
 
 use crate::config::ApplianceConfig;
 use crate::error::{Error, ErrorKind};
+use crate::ingest::Input;
 use crate::query_api::QueryRequest;
 
 /// Shards in each data node's full-text index.
@@ -71,24 +72,20 @@ impl ClusterImpliance {
         }
         let network = Arc::new(Network::new());
         let engines: Mutex<HashMap<NodeId, Arc<DataNodeState>>> = Mutex::new(HashMap::new());
-        let partitions = config.partitions_per_node.max(1);
-        let seal = config.seal_threshold;
-        let compression = config.compression;
-        let encryption_key = config.encryption_key;
+        let opts = StorageOptions {
+            partitions: config.partitions_per_node.max(1),
+            seal_threshold: config.seal_threshold,
+            compression: config.compression,
+            encryption_key: config.encryption_key,
+        };
         let runtime = Arc::new(ClusterRuntime::boot(&specs, network, |spec| {
             match spec.kind {
                 NodeKind::Data => {
-                    let opts = StorageOptions {
-                        partitions,
-                        seal_threshold: seal,
-                        compression,
-                        encryption_key,
-                    };
                     // the replica store mirrors the primary's layout so a
                     // promoted replica behaves identically
                     let state = Arc::new(DataNodeState {
                         storage: Arc::new(StorageEngine::new(opts.clone())),
-                        replica: Arc::new(StorageEngine::new(opts)),
+                        replica: Arc::new(StorageEngine::new(opts.clone())),
                         text_index: Arc::new(InvertedIndex::new(TEXT_INDEX_SHARDS)),
                     });
                     engines.lock().insert(spec.id, Arc::clone(&state));
@@ -137,37 +134,23 @@ impl ClusterImpliance {
         &self.config
     }
 
-    fn now(&self) -> i64 {
-        self.clock_ms.fetch_add(1, Ordering::Relaxed)
+    /// A new document's id and timestamp.
+    fn stamp(&self) -> (DocId, i64) {
+        let id = DocId(self.next_id.fetch_add(1, Ordering::Relaxed));
+        (id, self.clock_ms.fetch_add(1, Ordering::Relaxed))
     }
 
-    fn alloc_id(&self) -> DocId {
-        DocId(self.next_id.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Ingest a JSON document: the primary copy goes to the ring-assigned
+    /// Ingest data of any format, mapped exactly as `Impliance::ingest`
+    /// maps it: each document's primary copy goes to the ring-assigned
     /// owner, replicas to the next nodes on the ring.
-    pub fn ingest_json(&self, collection: &str, text: &str) -> Result<DocId, Error> {
-        let doc = crate::ingest::json_document(self.alloc_id(), collection, text, self.now())?;
-        self.ingest_document(doc)
+    pub fn ingest(&self, input: Input<'_>) -> Result<Vec<DocId>, Error> {
+        input.store(|| self.stamp(), |doc| self.ingest_document(doc))
     }
 
-    /// Ingest plain text with replication.
-    pub fn ingest_text(&self, collection: &str, text: &str) -> Result<DocId, Error> {
-        let doc = crate::ingest::text_document(self.alloc_id(), collection, text, self.now());
-        self.ingest_document(doc)
-    }
-
-    /// Ingest an e-mail message with replication.
-    pub fn ingest_email(&self, collection: &str, raw: &str) -> Result<DocId, Error> {
-        let doc = crate::ingest::email_document(self.alloc_id(), collection, raw, self.now());
-        self.ingest_document(doc)
-    }
-
-    /// Ingest a pre-built document with replication: the storage manager
-    /// places it, [`dist::dist_put_placed`] stores every copy (retrying lost
+    /// Store one document with replication: the storage manager places
+    /// it, [`dist::dist_put_placed`] stores every copy (retrying lost
     /// messages, so an acknowledged write is never reported lost).
-    pub fn ingest_document(&self, doc: Document) -> Result<DocId, Error> {
+    fn ingest_document(&self, doc: Document) -> Result<DocId, Error> {
         let encoded_len = codec::encode_document_vec(&doc).len() as u64;
         let placement = self
             .storage_mgr
@@ -193,13 +176,11 @@ impl ClusterImpliance {
     /// replica holder.
     pub fn failover_policy(&self) -> FailoverPolicy {
         let data_nodes = self.runtime.nodes_of_kind(NodeKind::Data);
-        let mut candidates = HashMap::new();
-        for &node in &data_nodes {
-            candidates.insert(
-                node,
-                data_nodes.iter().copied().filter(|&c| c != node).collect(),
-            );
-        }
+        let others = |node| data_nodes.iter().copied().filter(|&c| c != node).collect();
+        let candidates = data_nodes
+            .iter()
+            .map(|&node| (node, others(node)))
+            .collect();
         let mgr = Arc::clone(&self.storage_mgr);
         let owns =
             Arc::new(move |id: DocId, node: NodeId| mgr.lock().replicas(id).first() == Some(&node));
@@ -346,15 +327,15 @@ impl ClusterImpliance {
         to_version: &str,
         policy: &impliance_virt::UpgradePolicy,
     ) -> Result<Vec<usize>, Error> {
-        let inventory: Vec<(NodeId, NodeKind)> = {
-            let mut out = Vec::new();
-            for kind in [NodeKind::Data, NodeKind::Grid, NodeKind::Cluster] {
-                for id in self.runtime.nodes_of_kind(kind) {
-                    out.push((id, kind));
-                }
-            }
-            out
-        };
+        let mut inventory: Vec<(NodeId, NodeKind)> = Vec::new();
+        for kind in [NodeKind::Data, NodeKind::Grid, NodeKind::Cluster] {
+            inventory.extend(
+                self.runtime
+                    .nodes_of_kind(kind)
+                    .into_iter()
+                    .map(|id| (id, kind)),
+            );
+        }
         let plan = impliance_virt::plan_rolling_upgrade(&inventory, policy, to_version)?;
         let mut batch_sizes = Vec::with_capacity(plan.batches.len());
         for batch in &plan.batches {
@@ -362,23 +343,15 @@ impl ClusterImpliance {
                 let kind = inventory.iter().find(|(n, _)| *n == node).map(|(_, k)| *k);
                 let Some(kind) = kind else { continue };
                 // "restart": kill, then respawn with the same identity —
-                // data nodes keep their engines (state survives restart)
-                let state: Arc<dyn std::any::Any + Send + Sync> = match kind {
-                    NodeKind::Data => match self.engines.lock().get(&node) {
-                        Some(s) => Arc::clone(s) as Arc<dyn std::any::Any + Send + Sync>,
+                // data nodes (the only ones with engines) keep their
+                // engines: state survives the restart
+                let state: Arc<dyn std::any::Any + Send + Sync> =
+                    match self.engines.lock().get(&node).cloned() {
+                        Some(engines) => engines,
                         None => Arc::new(()),
-                    },
-                    _ => Arc::new(()),
-                };
+                    };
                 self.runtime.kill(node);
-                self.runtime.spawn_node(
-                    impliance_cluster::NodeSpec {
-                        id: node,
-                        kind,
-                        capacity: 1.0,
-                    },
-                    state,
-                );
+                self.runtime.spawn_node(NodeSpec::new(node.0, kind), state);
                 self.versions.lock().insert(node, to_version.to_string());
             }
             // the instance must stay queryable between batches
@@ -413,15 +386,10 @@ impl ClusterImpliance {
         engines: &HashMap<NodeId, Arc<DataNodeState>>,
         id: DocId,
     ) -> Option<Document> {
-        for state in engines.values() {
-            if let Ok(Some(d)) = state.storage.get_latest(id) {
-                return Some(d);
-            }
-            if let Ok(Some(d)) = state.replica.get_latest(id) {
-                return Some(d);
-            }
-        }
-        None
+        engines
+            .values()
+            .flat_map(|state| [&state.storage, &state.replica])
+            .find_map(|engine| engine.get_latest(id).ok().flatten())
     }
 }
 
@@ -443,10 +411,10 @@ mod tests {
 
     fn load(app: &ClusterImpliance, n: u64) {
         for i in 0..n {
-            app.ingest_json(
+            app.ingest(Input::Json(
                 "orders",
                 &format!(r#"{{"amount": {}, "cust": "C-{}"}}"#, i % 100, i % 10),
-            )
+            ))
             .unwrap();
         }
     }
@@ -491,8 +459,8 @@ mod tests {
             sched.drop_link(n, NodeId(u32::MAX), 0.30);
         }
         app.runtime().network().install_faults(sched);
-        let outcomes: Vec<Result<DocId, Error>> = (0..200)
-            .map(|i| app.ingest_json("orders", &format!(r#"{{"amount": {i}}}"#)))
+        let outcomes: Vec<Result<Vec<DocId>, Error>> = (0..200)
+            .map(|i| app.ingest(Input::Json("orders", &format!(r#"{{"amount": {i}}}"#))))
             .collect();
         app.runtime().network().clear_faults();
         let lost: Vec<&Error> = outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
@@ -521,7 +489,7 @@ mod tests {
     #[test]
     fn malformed_json_is_a_parse_error_not_a_lost_task() {
         let app = ClusterImpliance::boot(config(2, 1));
-        let err = app.ingest_json("c", "{broken").unwrap_err();
+        let err = app.ingest(Input::Json("c", "{broken")).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Parse, "{err}");
         let err = app.sql("SELEKT nothing").unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Parse, "{err}");
@@ -552,10 +520,10 @@ mod tests {
         let app = ClusterImpliance::boot(config(2, 2));
         load(&app, 20);
         for i in 0..10u64 {
-            app.ingest_json(
+            app.ingest(Input::Json(
                 "customers",
                 &format!(r#"{{"code": "C-{i}", "name": "N{i}"}}"#),
-            )
+            ))
             .unwrap();
         }
         let joined = app
@@ -735,7 +703,7 @@ mod upgrade_tests {
             ..ApplianceConfig::default()
         });
         for i in 0..100 {
-            app.ingest_json("orders", &format!(r#"{{"amount": {i}}}"#))
+            app.ingest(Input::Json("orders", &format!(r#"{{"amount": {i}}}"#)))
                 .unwrap();
         }
         let batches = app
@@ -794,10 +762,10 @@ mod cluster_search_tests {
             } else {
                 "routine claim"
             };
-            app.ingest_json(
+            app.ingest(Input::Json(
                 "claims",
                 &format!(r#"{{"amount": {i}, "notes": "{notes}"}}"#),
-            )
+            ))
             .unwrap();
         }
         let search = |k: usize| {

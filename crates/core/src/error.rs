@@ -2,8 +2,8 @@
 //!
 //! Before this module, every subsystem surfaced its own enum
 //! (`StorageError`, `ExecError`, `ClusterError`, `DocError`,
-//! `ApplianceError`, `ContentError`, `RdbmsError`, `UpgradeError`) and
-//! callers had to import and match all eight. The appliance promise
+//! `ContentError`, `RdbmsError`, `UpgradeError`) and callers had to
+//! import and match all seven. The appliance promise
 //! (§3.1: one box, one surface) extends to failure reporting: public
 //! entry points on [`crate::Impliance`] and friends return a single
 //! [`Error`] carrying a stable machine-readable [`ErrorKind`] plus the
@@ -172,15 +172,8 @@ impl From<DistError> for Error {
 
 impl From<ApplianceError> for Error {
     fn from(e: ApplianceError) -> Error {
-        match e {
-            ApplianceError::Doc(inner) => Error::from(inner),
-            ApplianceError::Storage(inner) => Error::from(inner),
-            ApplianceError::Sql(m) => Error::new(ErrorKind::Parse, m),
-            ApplianceError::Exec(inner) => Error::from(inner),
-            ApplianceError::NotFound(id) => {
-                Error::new(ErrorKind::NotFound, format!("{id} not found"))
-            }
-        }
+        let ApplianceError::NotFound(id) = e;
+        Error::new(ErrorKind::NotFound, format!("{id} not found"))
     }
 }
 

@@ -9,10 +9,10 @@
 //!   of behavioural switches, each defaulted so that
 //!   `Impliance::boot(ApplianceConfig::default())` is a working system
 //!   with **zero administrator decisions**.
-//! * [`appliance`] — the single-box [`Impliance`]: ingest anything,
-//!   query immediately (SQL, keyword, graph), background indexing and
-//!   discovery enrich answers over time, versioned updates, faceted
-//!   sessions, OLAP rollups.
+//! * [`appliance`] — the single-box [`Impliance`]: ingest any [`Input`],
+//!   query immediately (SQL, keyword, graph), background [`Stage`]s
+//!   enrich answers over time, versioned updates, faceted sessions, OLAP
+//!   rollups, and one [`Status`].
 //! * [`views`] — Figure 2's "system-supplied views that map the native
 //!   data types back into relational rows": entity and sentiment
 //!   annotations exposed as flat rows joinable with base data.
@@ -35,19 +35,22 @@ mod ingest;
 pub mod query_api;
 pub mod views;
 
-pub use appliance::{ApplianceError, Impliance};
+pub use appliance::{ApplianceError, At, Impliance, Maintenance, Stage, Status};
 pub use audit::{AccessPolicy, AuditLog, GuardedAppliance, Principal};
 pub use cluster_app::ClusterImpliance;
 pub use config::ApplianceConfig;
 pub use error::{Error, ErrorKind};
 pub use impliance_query::DistOutput;
+pub use ingest::Input;
 pub use query_api::{
     AdmissionOutcome, ExecStats, FusionSpec, MatchClause, QueryRequest, QueryRequestBuilder,
     QueryResponse,
 };
 pub use views::ViewFreshness;
 
-// Re-exported so appliance callers can express workload policy (quotas,
-// priorities) without depending on the virt/query crates directly.
+// Re-exported so appliance callers can express workload policy and
+// `Impliance::maintain`'s fault schedules without the virt/query/storage
+// crates.
 pub use impliance_query::Priority;
+pub use impliance_storage::{NoFaults, WorkerFaults};
 pub use impliance_virt::{TenantId, TenantQuota, WorkloadConfig, WorkloadStats};

@@ -8,12 +8,14 @@
 //! observability span id under which the execution was traced — enough
 //! to correlate any answer with the metrics snapshot.
 
+use impliance_docmodel::{DocId, Value};
+use impliance_index::SearchHit;
 use impliance_obs::SpanId;
 use impliance_query::{parse_sql, ExecMetrics, LogicalPlan, Priority, QueryOutput};
 use impliance_virt::TenantId;
 
-use crate::appliance::ApplianceError;
-use crate::error::Error;
+use crate::error::{Error, ErrorKind};
+use crate::views::ViewFreshness;
 
 /// A text-match clause attached to a request: the keyword half of a
 /// hybrid query. Compiled into an `IndexScan` operator that produces
@@ -57,13 +59,13 @@ impl Default for FusionSpec {
 }
 
 /// A query against the appliance. Build with [`QueryRequest::builder`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryRequest {
     statement: String,
     match_clause: Option<MatchClause>,
     top_k: Option<usize>,
     fusion: Option<FusionSpec>,
-    plan_cache: bool,
+    bypass_plan_cache: bool,
     batch_size: Option<usize>,
     limit: Option<usize>,
     deadline_ms: Option<u64>,
@@ -79,17 +81,7 @@ impl QueryRequest {
         QueryRequestBuilder {
             request: QueryRequest {
                 statement: statement.into(),
-                match_clause: None,
-                top_k: None,
-                fusion: None,
-                plan_cache: true,
-                batch_size: None,
-                limit: None,
-                deadline_ms: None,
-                parallelism: None,
-                snapshot: None,
-                tenant: TenantId::default(),
-                priority: Priority::default(),
+                ..QueryRequest::default()
             },
         }
     }
@@ -131,7 +123,7 @@ impl QueryRequest {
 
     /// Whether the plan cache may serve/store this statement's plan.
     pub fn plan_cache_enabled(&self) -> bool {
-        self.plan_cache
+        !self.bypass_plan_cache
     }
 
     /// The per-request pipeline batch size, if any (defaults to the
@@ -194,10 +186,10 @@ impl QueryRequest {
     /// * A fusion spec re-ranks by RRF of the text ranking with the
     ///   statement's `ORDER BY` (or recency when it has none).
     pub(crate) fn build_plan(&self) -> Result<LogicalPlan, Error> {
+        let statement_plan =
+            || parse_sql(self.statement()).map_err(|e| Error::new(ErrorKind::Parse, e.to_string()));
         let Some(m) = self.match_clause() else {
-            let parsed =
-                parse_sql(self.statement()).map_err(|e| ApplianceError::Sql(e.to_string()))?;
-            return Ok(parsed);
+            return statement_plan();
         };
         let k = self.top_k().or(self.limit());
         if self.statement().trim().is_empty() {
@@ -218,13 +210,12 @@ impl QueryRequest {
                 ],
             });
         }
-        let parsed = parse_sql(self.statement()).map_err(|e| ApplianceError::Sql(e.to_string()))?;
-        let (mut plan, replaced) = inject_index_scan(parsed, m);
-        if !replaced {
-            return Err(ApplianceError::Sql(
-                "match clause needs a base table scan to attach to".into(),
-            )
-            .into());
+        let mut plan = statement_plan()?;
+        if !inject_index_scan(&mut plan, m) {
+            return Err(Error::new(
+                ErrorKind::Parse,
+                "match clause needs a base table scan to attach to",
+            ));
         }
         if let Some(f) = self.fusion_spec() {
             plan = inject_fusion(plan, k.unwrap_or(10), f);
@@ -233,11 +224,14 @@ impl QueryRequest {
     }
 }
 
-/// Replace the leftmost base `Scan` with a scored `IndexScan` over
-/// the same collection and alias; the scan's predicate (if any)
-/// becomes a filter above it. Returns whether a scan was found.
-fn inject_index_scan(plan: LogicalPlan, m: &MatchClause) -> (LogicalPlan, bool) {
-    match plan {
+/// Replace the leftmost base `Scan` (found down the left spine: filters,
+/// projections, sorts, limits, aggregates and join left sides — the
+/// leftmost scan drives the text ranking, a join's right side stays a
+/// plain scan) with a scored `IndexScan` over the same collection and
+/// alias; the scan's predicate (if any) becomes a filter above it.
+/// Returns whether a scan was found.
+fn inject_index_scan(plan: &mut LogicalPlan, m: &MatchClause) -> bool {
+    let input = match plan {
         LogicalPlan::Scan {
             collection,
             predicate,
@@ -251,9 +245,10 @@ fn inject_index_scan(plan: LogicalPlan, m: &MatchClause) -> (LogicalPlan, bool) 
                 alias: alias.clone(),
                 any_term: m.any_term,
                 phrase: m.phrase,
-                collection,
+                collection: collection.take(),
             };
-            let plan = match predicate {
+            let alias = alias.clone();
+            *plan = match predicate.take() {
                 Some(predicate) => LogicalPlan::Filter {
                     input: Box::new(scan),
                     alias,
@@ -261,91 +256,17 @@ fn inject_index_scan(plan: LogicalPlan, m: &MatchClause) -> (LogicalPlan, bool) 
                 },
                 None => scan,
             };
-            (plan, true)
+            return true;
         }
-        LogicalPlan::Filter {
-            input,
-            alias,
-            predicate,
-        } => {
-            let (input, replaced) = inject_index_scan(*input, m);
-            (
-                LogicalPlan::Filter {
-                    input: Box::new(input),
-                    alias,
-                    predicate,
-                },
-                replaced,
-            )
-        }
-        LogicalPlan::Project { input, columns } => {
-            let (input, replaced) = inject_index_scan(*input, m);
-            (
-                LogicalPlan::Project {
-                    input: Box::new(input),
-                    columns,
-                },
-                replaced,
-            )
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let (input, replaced) = inject_index_scan(*input, m);
-            (
-                LogicalPlan::Sort {
-                    input: Box::new(input),
-                    keys,
-                },
-                replaced,
-            )
-        }
-        LogicalPlan::Limit { input, n } => {
-            let (input, replaced) = inject_index_scan(*input, m);
-            (
-                LogicalPlan::Limit {
-                    input: Box::new(input),
-                    n,
-                },
-                replaced,
-            )
-        }
-        LogicalPlan::GroupAgg {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let (input, replaced) = inject_index_scan(*input, m);
-            (
-                LogicalPlan::GroupAgg {
-                    input: Box::new(input),
-                    group_by,
-                    aggs,
-                },
-                replaced,
-            )
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-            algo,
-        } => {
-            // the leftmost scan drives the text ranking; the right
-            // side stays a plain (index-probed) scan
-            let (left, replaced) = inject_index_scan(*left, m);
-            (
-                LogicalPlan::Join {
-                    left: Box::new(left),
-                    right,
-                    left_key,
-                    right_key,
-                    algo,
-                },
-                replaced,
-            )
-        }
-        other => (other, false),
-    }
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. }
+        | LogicalPlan::GroupAgg { input, .. }
+        | LogicalPlan::Join { left: input, .. } => input,
+        _ => return false,
+    };
+    inject_index_scan(input, m)
 }
 
 /// Insert a `Fusion` node at the tuple layer: below projections and
@@ -353,31 +274,25 @@ fn inject_index_scan(plan: LogicalPlan, m: &MatchClause) -> (LogicalPlan, bool) 
 /// keep flowing in fused order), or over the bare tuple stream with
 /// recency as the structured signal when the query has no sort.
 fn inject_fusion(plan: LogicalPlan, k: usize, f: FusionSpec) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(inject_fusion(*input, k, f)),
-            n,
-        },
-        LogicalPlan::Project { input, columns } => LogicalPlan::Project {
-            input: Box::new(inject_fusion(*input, k, f)),
-            columns,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Fusion {
-            input,
-            k,
-            text_weight: f.text_weight,
-            struct_weight: f.struct_weight,
-            rrf_k: f.rrf_k,
-            keys,
-        },
-        other => LogicalPlan::Fusion {
-            input: Box::new(other),
-            k,
-            text_weight: f.text_weight,
-            struct_weight: f.struct_weight,
-            rrf_k: f.rrf_k,
-            keys: Vec::new(),
-        },
+    let (input, keys) = match plan {
+        LogicalPlan::Limit { input, n } => {
+            let input = Box::new(inject_fusion(*input, k, f));
+            return LogicalPlan::Limit { input, n };
+        }
+        LogicalPlan::Project { input, columns } => {
+            let input = Box::new(inject_fusion(*input, k, f));
+            return LogicalPlan::Project { input, columns };
+        }
+        LogicalPlan::Sort { input, keys } => (input, keys),
+        other => (Box::new(other), Vec::new()),
+    };
+    LogicalPlan::Fusion {
+        input,
+        k,
+        text_weight: f.text_weight,
+        struct_weight: f.struct_weight,
+        rrf_k: f.rrf_k,
+        keys,
     }
 }
 
@@ -443,7 +358,7 @@ impl QueryRequestBuilder {
     /// Enable or disable the plan cache for this request (on by default;
     /// disable when benchmarking the planner itself).
     pub fn plan_cache(mut self, enabled: bool) -> QueryRequestBuilder {
-        self.request.plan_cache = enabled;
+        self.request.bypass_plan_cache = !enabled;
         self
     }
 
@@ -652,20 +567,33 @@ impl QueryResponse {
             snapshot_epoch: self.snapshot_epoch,
             annotation_epoch: self.annotation_epoch,
             index_epoch: self.index_epoch,
-            freshness: self.freshness(),
+            freshness: self.freshness().ratio(),
             queue_wait_us: self.queue_wait_us,
             admission: self.admission,
         }
     }
 
-    /// Annotation freshness in `[0, 1]`: 1.0 when background discovery
-    /// had annotated every commit visible to this query's snapshot.
-    pub fn freshness(&self) -> f64 {
-        if self.snapshot_epoch == 0 {
-            1.0
-        } else {
-            (self.annotation_epoch.min(self.snapshot_epoch)) as f64 / self.snapshot_epoch as f64
+    /// How fresh this answer's annotations were: its snapshot and the
+    /// annotation watermark read before pinning it.
+    pub fn freshness(&self) -> ViewFreshness {
+        ViewFreshness {
+            snapshot_epoch: self.snapshot_epoch,
+            annotation_epoch: self.annotation_epoch,
         }
+    }
+
+    /// The rows of a keyword search (`(id, score)` rows, in rank order)
+    /// as [`SearchHit`]s. Rows without an integer `id` are skipped; a
+    /// missing score reads as 0.
+    pub fn hits(&self) -> Vec<SearchHit> {
+        let hit = |row: &impliance_query::Row| match row.get("id") {
+            Value::Int(id) => Some(SearchHit {
+                id: DocId(*id as u64),
+                score: row.get("score").as_f64().unwrap_or(0.0),
+            }),
+            _ => None,
+        };
+        self.rows().iter().filter_map(hit).collect()
     }
 
     /// Document view of the output (empty for non-doc outputs).
@@ -682,6 +610,18 @@ impl QueryResponse {
     pub fn is_empty(&self) -> bool {
         self.output.is_empty()
     }
+
+    /// The response if it is the whole answer, else [`cut_short`]: for
+    /// reads that hand back bare rows or ids, which cannot carry `degraded`.
+    pub(crate) fn whole(self) -> Result<QueryResponse, Error> {
+        (!self.degraded).then_some(self).ok_or_else(cut_short)
+    }
+}
+
+/// A degraded (under-load) admission's budget cut the answer short:
+/// `Overloaded`, since a retry after the load passes gets it whole.
+pub(crate) fn cut_short() -> Error {
+    Error::overloaded("answer cut short by a degraded admission's budget", 1)
 }
 
 #[cfg(test)]

@@ -8,31 +8,35 @@
 //!
 //! Annotation documents hold nested mention sequences; the views unnest
 //! them into flat rows keyed by the *subject* document id, so a plain
-//! relational consumer can join extracted facts against base data.
+//! relational consumer can join extracted facts against base data. Each
+//! view reads its annotation collection through [`Impliance::query`], so
+//! it is admitted, pinned and watermarked like any other read, and
+//! returns its rows together with the freshness of that one read — or
+//! `Overloaded` when a degraded admission cut the read short.
 
-use impliance_docmodel::{DocId, Value};
+use impliance_docmodel::{DocId, Document, Value};
 use impliance_query::Row;
-use impliance_storage::{Predicate, ScanRequest};
 
 use crate::appliance::Impliance;
 use crate::error::Error;
+use crate::query_api::QueryRequest;
 
-/// How fresh a view's annotations were at the snapshot it was computed
-/// from: which commits the view saw, and how far background discovery
-/// had caught up at that point.
+/// How fresh a view's (or any answer's) annotations were at the snapshot
+/// it was computed from: which commits it saw, and how far background
+/// discovery had caught up at that point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ViewFreshness {
-    /// The pinned epoch the view's scan executed at.
+    /// The pinned epoch the read executed at.
     pub snapshot_epoch: u64,
-    /// The annotation watermark at view time: ingest commits above this
-    /// epoch may not be represented in the view yet (they are never
+    /// The annotation watermark, read before the pin: ingest commits
+    /// above this epoch may not be represented yet (they are never
     /// *partially* represented).
     pub annotation_epoch: u64,
 }
 
 impl ViewFreshness {
     /// Freshness in `[0, 1]`: `1.0` means discovery had annotated every
-    /// commit visible to the view's snapshot.
+    /// commit visible to the snapshot.
     pub fn ratio(&self) -> f64 {
         if self.snapshot_epoch == 0 {
             1.0
@@ -42,88 +46,70 @@ impl ViewFreshness {
     }
 }
 
-/// Scan one annotation collection at a freshly pinned snapshot, reporting
-/// the view's freshness alongside the matching documents.
-fn scan_annotations(
+/// Read one annotation collection and map each annotation document to
+/// rows, sorted by `key`.
+fn view<K: Ord>(
     imp: &Impliance,
     collection: &str,
-) -> Result<(impliance_storage::ScanResult, ViewFreshness), Error> {
-    let pin = imp.storage().pin();
-    let mut req = ScanRequest::filtered(Predicate::CollectionIs(collection.to_string()));
-    req.snapshot = Some(pin.epoch());
-    let result = imp.storage().scan(&req)?;
-    let freshness = ViewFreshness {
-        snapshot_epoch: pin.epoch(),
-        annotation_epoch: imp.annotation_epoch(),
-    };
-    Ok((result, freshness))
-}
-
-/// One row of the entity view: an extracted mention tied to its subject
-/// document.
-pub fn entity_view(imp: &Impliance) -> Result<Vec<Row>, Error> {
-    Ok(entity_view_with_freshness(imp)?.0)
-}
-
-/// [`entity_view`] plus the snapshot/annotation watermark it was computed
-/// at.
-pub fn entity_view_with_freshness(imp: &Impliance) -> Result<(Vec<Row>, ViewFreshness), Error> {
-    let (result, freshness) = scan_annotations(imp, "annotations.entities")?;
+    rows_of: impl Fn(&Document, Value, &mut Vec<Row>),
+    key: impl Fn(&Row) -> K,
+) -> Result<(Vec<Row>, ViewFreshness), Error> {
+    let resp = imp
+        .query(QueryRequest::builder(format!("SELECT * FROM {collection}")).build())?
+        .whole()?;
     let mut rows = Vec::new();
-    for ann in &result.documents {
+    for ann in resp.docs() {
         let subject = ann.subject().map(|s| s.0 as i64).unwrap_or(-1);
-        let Some(mentions) = ann.get_str_path("mentions").and_then(|n| n.as_seq()) else {
-            continue;
-        };
-        for m in mentions {
-            let get = |field: &str| -> Value {
-                m.get_str_path(field)
-                    .and_then(|n| n.as_value())
-                    .cloned()
-                    .unwrap_or(Value::Null)
-            };
+        rows_of(ann, Value::Int(subject), &mut rows);
+    }
+    rows.sort_by_key(key);
+    Ok((rows, resp.freshness()))
+}
+
+/// A leaf of `node` at `field`, or `Null`.
+fn field(node: &impliance_docmodel::Node, field: &str) -> Value {
+    node.get_str_path(field)
+        .and_then(|n| n.as_value())
+        .cloned()
+        .unwrap_or(Value::Null)
+}
+
+/// The entity view: one row per extracted mention, tied to its subject
+/// document (`subject, kind, text, normalized, path`).
+pub fn entity_view(imp: &Impliance) -> Result<(Vec<Row>, ViewFreshness), Error> {
+    view(
+        imp,
+        "annotations.entities",
+        |ann, subject, rows| {
+            let mentions = ann.get_str_path("mentions").and_then(|n| n.as_seq());
+            for m in mentions.into_iter().flatten() {
+                rows.push(Row::from_pairs([
+                    ("subject".to_string(), subject.clone()),
+                    ("kind".to_string(), field(m, "kind")),
+                    ("text".to_string(), field(m, "text")),
+                    ("normalized".to_string(), field(m, "normalized")),
+                    ("path".to_string(), field(m, "path")),
+                ]));
+            }
+        },
+        |r| (r.get("subject").as_i64(), r.get("normalized").render()),
+    )
+}
+
+/// The sentiment view: subject id, label, score.
+pub fn sentiment_view(imp: &Impliance) -> Result<(Vec<Row>, ViewFreshness), Error> {
+    view(
+        imp,
+        "annotations.sentiment",
+        |ann, subject, rows| {
             rows.push(Row::from_pairs([
-                ("subject".to_string(), Value::Int(subject)),
-                ("kind".to_string(), get("kind")),
-                ("text".to_string(), get("text")),
-                ("normalized".to_string(), get("normalized")),
-                ("path".to_string(), get("path")),
+                ("subject".to_string(), subject),
+                ("label".to_string(), field(ann.root(), "label")),
+                ("score".to_string(), field(ann.root(), "score")),
             ]));
-        }
-    }
-    rows.sort_by(|a, b| {
-        (a.get("subject").as_i64(), a.get("normalized").render())
-            .cmp(&(b.get("subject").as_i64(), b.get("normalized").render()))
-    });
-    Ok((rows, freshness))
-}
-
-/// One row of the sentiment view: subject id, label, score.
-pub fn sentiment_view(imp: &Impliance) -> Result<Vec<Row>, Error> {
-    Ok(sentiment_view_with_freshness(imp)?.0)
-}
-
-/// [`sentiment_view`] plus the snapshot/annotation watermark it was
-/// computed at.
-pub fn sentiment_view_with_freshness(imp: &Impliance) -> Result<(Vec<Row>, ViewFreshness), Error> {
-    let (result, freshness) = scan_annotations(imp, "annotations.sentiment")?;
-    let mut rows = Vec::new();
-    for ann in &result.documents {
-        let subject = ann.subject().map(|s| s.0 as i64).unwrap_or(-1);
-        let get = |field: &str| -> Value {
-            ann.get_str_path(field)
-                .and_then(|n| n.as_value())
-                .cloned()
-                .unwrap_or(Value::Null)
-        };
-        rows.push(Row::from_pairs([
-            ("subject".to_string(), Value::Int(subject)),
-            ("label".to_string(), get("label")),
-            ("score".to_string(), get("score")),
-        ]));
-    }
-    rows.sort_by_key(|r| r.get("subject").as_i64());
-    Ok((rows, freshness))
+        },
+        |r| r.get("subject").as_i64(),
+    )
 }
 
 /// Join the entity view against a base collection: rows of
@@ -131,16 +117,13 @@ pub fn sentiment_view_with_freshness(imp: &Impliance) -> Result<(Vec<Row>, ViewF
 /// document's `join_path` leaf is attached. This is §2.1.2's
 /// content-plus-data composition as a reusable view.
 pub fn entities_with_base(imp: &Impliance, base_join_path: &str) -> Result<Vec<Row>, Error> {
-    let entities = entity_view(imp)?;
+    let (entities, _) = entity_view(imp)?;
+    let column = format!("base_{}", base_join_path.replace('.', "_"));
     let mut rows = Vec::new();
-    for e in entities {
-        let Some(subject) = e.get("subject").as_i64() else {
-            continue;
-        };
-        if subject < 0 {
-            continue;
-        }
-        let Some(doc) = imp.get(DocId(subject as u64))? else {
+    for mut e in entities {
+        let subject = e.get("subject").as_i64().filter(|s| *s >= 0);
+        let doc = subject.map(|s| imp.get(DocId(s as u64))).transpose()?;
+        let Some(doc) = doc.flatten() else {
             continue;
         };
         let base_value = doc
@@ -149,12 +132,8 @@ pub fn entities_with_base(imp: &Impliance, base_join_path: &str) -> Result<Vec<R
             .find(|(p, _)| p.structural_form() == base_join_path)
             .map(|(_, v)| v.clone())
             .unwrap_or(Value::Null);
-        let mut columns = e.columns.clone();
-        columns.insert(
-            format!("base_{}", base_join_path.replace('.', "_")),
-            base_value,
-        );
-        rows.push(Row { columns });
+        e.columns.insert(column.clone(), base_value);
+        rows.push(e);
     }
     Ok(rows)
 }
@@ -162,28 +141,34 @@ pub fn entities_with_base(imp: &Impliance, base_join_path: &str) -> Result<Vec<R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::appliance::test_support::{drain_all, put};
     use crate::config::ApplianceConfig;
+    use crate::{Input, NoFaults, Stage};
 
     fn appliance_with_discovery() -> Impliance {
         let imp = Impliance::boot(ApplianceConfig::default());
-        imp.ingest_json(
-            "claims",
-            r#"{"claimant": "Grace Hopper", "notes": "Grace Hopper was very unhappy, car broken in Seattle", "amount": 1500}"#,
-        )
-        .unwrap();
-        imp.ingest_json(
-            "claims",
-            r#"{"claimant": "Ada Lovelace", "notes": "Ada Lovelace is happy, great service, thanks", "amount": 200}"#,
-        )
-        .unwrap();
-        imp.quiesce();
+        put(
+            &imp,
+            Input::Json(
+                "claims",
+                r#"{"claimant": "Grace Hopper", "notes": "Grace Hopper was very unhappy, car broken in Seattle", "amount": 1500}"#,
+            ),
+        );
+        put(
+            &imp,
+            Input::Json(
+                "claims",
+                r#"{"claimant": "Ada Lovelace", "notes": "Ada Lovelace is happy, great service, thanks", "amount": 200}"#,
+            ),
+        );
+        drain_all(&imp);
         imp
     }
 
     #[test]
     fn entity_view_flattens_mentions() {
         let imp = appliance_with_discovery();
-        let rows = entity_view(&imp).unwrap();
+        let (rows, _) = entity_view(&imp).unwrap();
         assert!(!rows.is_empty());
         // every row has the expected columns
         for r in &rows {
@@ -203,7 +188,7 @@ mod tests {
     #[test]
     fn sentiment_view_labels_subjects() {
         let imp = appliance_with_discovery();
-        let rows = sentiment_view(&imp).unwrap();
+        let (rows, _) = sentiment_view(&imp).unwrap();
         assert_eq!(rows.len(), 2);
         let labels: Vec<String> = rows.iter().map(|r| r.get("label").render()).collect();
         assert!(labels.contains(&"negative".to_string()));
@@ -226,26 +211,55 @@ mod tests {
     #[test]
     fn views_empty_before_discovery() {
         let imp = Impliance::boot(ApplianceConfig::default());
-        imp.ingest_text("t", "Grace Hopper in Seattle").unwrap();
-        // no quiesce: annotations don't exist yet
-        assert!(entity_view(&imp).unwrap().is_empty());
-        assert!(sentiment_view(&imp).unwrap().is_empty());
+        put(&imp, Input::Text("t", "Grace Hopper in Seattle"));
+        // no background drain: annotations don't exist yet
+        assert!(entity_view(&imp).unwrap().0.is_empty());
+        assert!(sentiment_view(&imp).unwrap().0.is_empty());
     }
 
     #[test]
     fn view_freshness_tracks_discovery_lag() {
         let imp = Impliance::boot(ApplianceConfig::default());
-        imp.ingest_text("t", "Grace Hopper in Seattle").unwrap();
+        put(&imp, Input::Text("t", "Grace Hopper in Seattle"));
         // Before discovery runs the view is stale: the snapshot sees the
         // ingest commit but the annotation watermark is behind it.
-        let (rows, f) = entity_view_with_freshness(&imp).unwrap();
+        let (rows, f) = entity_view(&imp).unwrap();
         assert!(rows.is_empty());
         assert!(f.snapshot_epoch >= 1);
         assert_eq!(f.annotation_epoch, 0);
         assert!(f.ratio() < 1.0, "{f:?}");
-        imp.quiesce();
-        let (rows, f) = entity_view_with_freshness(&imp).unwrap();
+        drain_all(&imp);
+        let (rows, f) = entity_view(&imp).unwrap();
         assert!(!rows.is_empty());
-        assert_eq!(f.ratio(), 1.0, "quiesced: discovery caught up, {f:?}");
+        assert_eq!(f.ratio(), 1.0, "drained: discovery caught up, {f:?}");
+    }
+
+    /// A view's freshness is the watermark read *before* its snapshot
+    /// was pinned: beside a writer whose discovery keeps committing, no
+    /// view may claim annotations its snapshot cannot contain.
+    #[test]
+    fn view_watermarks_never_pass_the_snapshot_beside_a_writer() {
+        let imp = appliance_with_discovery();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..150 {
+                    put(
+                        &imp,
+                        Input::Text("notes", &format!("Ada Lovelace {i} in Boston")),
+                    );
+                    imp.maintain(Stage::Discovery, None, &NoFaults);
+                }
+                done.store(true, std::sync::atomic::Ordering::Release);
+            });
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                for (_, f) in [entity_view(&imp).unwrap(), sentiment_view(&imp).unwrap()] {
+                    assert!(
+                        f.annotation_epoch <= f.snapshot_epoch,
+                        "annotation watermark ahead of the view's snapshot: {f:?}"
+                    );
+                }
+            }
+        });
     }
 }

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 
-use impliance_core::{ApplianceConfig, Impliance, QueryRequest};
+use impliance_core::{ApplianceConfig, Impliance, Input, NoFaults, QueryRequest, Stage};
 use impliance_docmodel::Value;
 use impliance_index::search::{search_topk, SearchQuery};
 
@@ -48,10 +48,13 @@ fn seeded(docs: &[Vec<usize>]) -> Impliance {
     let imp = Impliance::boot(ApplianceConfig::default());
     for words in docs {
         let notes: Vec<&str> = words.iter().map(|&w| VOCAB[w]).collect();
-        imp.ingest_json("claims", &format!(r#"{{"notes": "{}"}}"#, notes.join(" ")))
-            .expect("ingest");
+        imp.ingest(Input::Json(
+            "claims",
+            &format!(r#"{{"notes": "{}"}}"#, notes.join(" ")),
+        ))
+        .expect("ingest");
     }
-    imp.run_indexing(None);
+    imp.maintain(Stage::Index, None, &NoFaults);
     imp
 }
 

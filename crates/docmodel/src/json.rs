@@ -363,7 +363,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        // only ASCII was consumed above, so the slice is always UTF-8
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
         if text.is_empty() || text == "-" {
             return Err(self.err("invalid number"));
         }
@@ -392,9 +393,10 @@ fn decode_special_string(s: String) -> Value {
         if hex.len() % 2 == 0 && hex.bytes().all(|b| b.is_ascii_hexdigit()) {
             let bytes = (0..hex.len())
                 .step_by(2)
-                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-                .collect();
-            return Value::Bytes(bytes);
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16));
+            if let Ok(bytes) = bytes.collect() {
+                return Value::Bytes(bytes);
+            }
         }
     }
     Value::Str(s)

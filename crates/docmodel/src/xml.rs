@@ -141,11 +141,9 @@ impl<'a> XmlParser<'a> {
                     }
                     self.pos += 1;
                     self.skip_ws();
-                    let quote = self.peek();
-                    if !matches!(quote, Some(b'"' | b'\'')) {
+                    let Some(quote @ (b'"' | b'\'')) = self.peek() else {
                         return Err(self.err("expected quoted attribute value"));
-                    }
-                    let quote = quote.unwrap();
+                    };
                     self.pos += 1;
                     let start = self.pos;
                     while self.peek() != Some(quote) {

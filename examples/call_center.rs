@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use impliance::core::{views, ApplianceConfig, Impliance};
+use impliance::core::{views, ApplianceConfig, Impliance, Input, NoFaults, Stage};
 use impliance::docmodel::Value;
 use impliance_bench::Corpus;
 
@@ -26,27 +26,28 @@ fn main() {
     // customer master data (structured) + transcripts (unstructured)
     let schema = Corpus::customer_schema();
     for code in 0..50 {
-        imp.ingest_row(&schema, corpus.customer_row(code)).unwrap();
+        imp.ingest(Input::Row(&schema, corpus.customer_row(code)))
+            .unwrap();
     }
     for _ in 0..400 {
-        imp.ingest_text("transcripts", &corpus.transcript())
+        imp.ingest(Input::Text("transcripts", &corpus.transcript()))
             .unwrap();
     }
     println!(
         "ingested 50 customer rows + 400 transcripts (admin ops: {})",
-        imp.ledger().count()
+        imp.status().admin_ops
     );
 
     // background discovery: entities (products, persons) + sentiment
-    imp.quiesce();
-    let stats = imp.discovery_stats();
+    imp.maintain(Stage::All, None, &NoFaults);
+    let stats = imp.status().discovery;
     println!(
         "discovery: {} docs processed, {} mentions, {} relationships",
         stats.docs_processed, stats.mentions, stats.relationships
     );
 
     // Question 1: what is the overall mood of our callers?
-    let sentiment = views::sentiment_view(&imp).unwrap();
+    let (sentiment, _) = views::sentiment_view(&imp).unwrap();
     let mut moods: BTreeMap<String, usize> = BTreeMap::new();
     for row in &sentiment {
         *moods.entry(row.get("label").render()).or_insert(0) += 1;
@@ -54,7 +55,7 @@ fn main() {
     println!("\ncaller sentiment: {moods:?}");
 
     // Question 2: which products do *unhappy* callers mention?
-    let entities = views::entity_view(&imp).unwrap();
+    let (entities, _) = views::entity_view(&imp).unwrap();
     let negative_subjects: Vec<i64> = sentiment
         .iter()
         .filter(|r| r.get("label") == &Value::Str("negative".into()))

@@ -15,7 +15,7 @@
 //! cargo run --example insurance_claims
 //! ```
 
-use impliance::core::{ApplianceConfig, Impliance, QueryRequest};
+use impliance::core::{ApplianceConfig, Impliance, Input, NoFaults, QueryRequest, Stage};
 use impliance::docmodel::Value;
 use impliance::facet::RollupLevel;
 use impliance_bench::Corpus;
@@ -24,17 +24,18 @@ fn main() {
     let imp = Impliance::boot(ApplianceConfig::default());
     let mut corpus = Corpus::new(7);
     for _ in 0..600 {
-        imp.ingest_json("claims", &corpus.claim_json()).unwrap();
+        imp.ingest(Input::Json("claims", &corpus.claim_json()))
+            .unwrap();
     }
     // one suspicious outlier claim
-    imp.ingest_json(
+    imp.ingest(Input::Json(
         "claims",
         r#"{"claimant": "Victor Quinn", "city": "Miami", "amount": 48000,
             "vehicle": {"make": "Saab", "year": 1999},
             "notes": "Damage to the bumper; estimate covers parts and labor."}"#,
-    )
+    ))
     .unwrap();
-    imp.quiesce();
+    imp.maintain(Stage::All, None, &NoFaults);
 
     // 1. Reference data: average estimate per make (SQL aggregation).
     let out = imp
@@ -103,7 +104,7 @@ fn main() {
 
     // 6. Cross-document discovery: claimants appearing in multiple claims
     //    (possible fraud ring) surface as same-person relationships.
-    let stats = imp.discovery_stats();
+    let stats = imp.status().discovery;
     println!(
         "\ndiscovery: {} relationships (incl. same-person links across claims)",
         stats.relationships

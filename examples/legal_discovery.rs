@@ -17,7 +17,7 @@
 //! cargo run --example legal_discovery
 //! ```
 
-use impliance::core::{ApplianceConfig, Impliance};
+use impliance::core::{ApplianceConfig, At, Impliance, Input, NoFaults, QueryRequest, Stage};
 use impliance::docmodel::{Node, Version};
 use impliance_bench::Corpus;
 
@@ -28,19 +28,23 @@ fn main() {
     // the enterprise archive: e-mail + contract snippets (text)
     let mut ids = Vec::new();
     for _ in 0..300 {
-        ids.push(imp.ingest_email("mail", &corpus.email()).unwrap());
+        ids.push(imp.ingest(Input::Email("mail", &corpus.email())).unwrap()[0]);
     }
     let contract = imp
-        .ingest_text(
+        .ingest(Input::Text(
             "contracts",
             "Master supply agreement between Acme Widgets Inc. and Initech LLC, \
              executed Jan 5, 2006 in Austin. Product line BX-1042 is covered.",
-        )
-        .unwrap();
-    imp.quiesce();
+        ))
+        .unwrap()[0];
+    imp.maintain(Stage::All, None, &NoFaults);
 
     // 1. Locate: keyword search across the whole archive, any format.
-    let hits = imp.search("Acme agreement", 20);
+    let sweep = QueryRequest::builder("")
+        .match_text("*", "Acme agreement")
+        .top_k(20)
+        .build();
+    let hits = imp.query(sweep).unwrap().hits();
     println!(
         "keyword sweep for 'Acme agreement' → {} documents",
         hits.len()
@@ -72,7 +76,10 @@ fn main() {
         Node::map([("body".into(), Node::scalar("redacted"))]),
     )
     .unwrap();
-    let held = imp.get_version(contract, Version(1)).unwrap().unwrap();
+    let held = imp
+        .get_at(contract, At::Version(Version(1)))
+        .unwrap()
+        .unwrap();
     assert_eq!(held.full_text(), original.full_text());
     println!(
         "contract edited to v{}, but v1 still readable ({} chars preserved)",
@@ -88,10 +95,13 @@ fn main() {
 
     // 6. Proactive compliance: entity view gives auditors a relational
     //    surface over *content* without any application rewrite.
-    let orgs = impliance::core::views::entity_view(&imp)
-        .unwrap()
+    let (entities, freshness) = impliance::core::views::entity_view(&imp).unwrap();
+    let orgs = entities
         .into_iter()
         .filter(|r| r.get("kind").render() == "organization")
         .count();
-    println!("organization mentions available to the audit view: {orgs}");
+    println!(
+        "organization mentions available to the audit view: {orgs} (freshness {:.2})",
+        freshness.ratio()
+    );
 }

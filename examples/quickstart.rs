@@ -5,37 +5,31 @@
 //! cargo run --example quickstart
 //! ```
 
-use impliance::core::{ApplianceConfig, Impliance, QueryRequest};
+use impliance::core::{ApplianceConfig, Impliance, Input, NoFaults, QueryRequest, Stage};
 use impliance::docmodel::{RelationalSchema, Value};
 
 fn main() {
     // 1. Boot: operational out of the box (§3.1). Zero admin decisions.
     let imp = Impliance::boot(ApplianceConfig::default());
 
-    // 2. Ingest anything — the "stewing pot" (§2.2).
-    imp.ingest_json(
-        "claims",
-        r#"{"claimant": "Grace Hopper", "amount": 1500,
-            "vehicle": {"make": "Volvo", "year": 2004},
-            "notes": "Damage to the bumper; Grace Hopper was quite unhappy about the delay."}"#,
-    )
-    .unwrap();
-    imp.ingest_text(
-        "transcripts",
-        "Call from Grace Hopper in Seattle about product BX-1042; she is happy with the fix, thanks!",
-    )
-    .unwrap();
+    // 2. Ingest anything through one door — the "stewing pot" (§2.2).
     let schema = RelationalSchema::new("products", &["sku", "price"]);
-    imp.ingest_row(
-        &schema,
-        vec![Value::Str("BX-1042".into()), Value::Float(29.95)],
-    )
-    .unwrap();
-    imp.ingest_csv(
-        "stores",
-        "city,manager\nSeattle,Ada Lovelace\nAustin,Alan Turing\n",
-    )
-    .unwrap();
+    for input in [
+        Input::Json(
+            "claims",
+            r#"{"claimant": "Grace Hopper", "amount": 1500,
+                "vehicle": {"make": "Volvo", "year": 2004},
+                "notes": "Damage to the bumper; Grace Hopper was quite unhappy about the delay."}"#,
+        ),
+        Input::Text(
+            "transcripts",
+            "Call from Grace Hopper in Seattle about product BX-1042; she is happy with the fix, thanks!",
+        ),
+        Input::Row(&schema, vec![Value::Str("BX-1042".into()), Value::Float(29.95)]),
+        Input::Csv("stores", "city,manager\nSeattle,Ada Lovelace\nAustin,Alan Turing\n"),
+    ] {
+        imp.ingest(input).unwrap();
+    }
 
     // 3. SQL works immediately — the relational row "can immediately be
     //    queried by SQL" (Figure 2).
@@ -45,14 +39,17 @@ fn main() {
     println!("SQL price lookup     → {}", out.rows()[0].render());
 
     // 4. Background phases enrich answers: text indexing, then discovery.
-    imp.quiesce(); // a real deployment runs this in the background
+    imp.maintain(Stage::All, None, &NoFaults); // a real deployment runs this in the background
 
     // 5. Keyword search, out of the box (§3.2.1).
-    let hits = imp.search("bumper unhappy", 5);
+    let keyword = QueryRequest::builder("")
+        .match_text("*", "bumper unhappy")
+        .top_k(5);
+    let hits = imp.query(keyword.build()).unwrap().hits();
     println!("keyword search       → {} hit(s)", hits.len());
 
     // 6. Discovered annotations exposed as relational views (Figure 2).
-    let entities = impliance::core::views::entity_view(&imp).unwrap();
+    let (entities, _) = impliance::core::views::entity_view(&imp).unwrap();
     println!(
         "entity view          → {} extracted mention rows",
         entities.len()
@@ -85,5 +82,5 @@ fn main() {
     println!("discovered facets    → {dims:?}");
 
     // 9. The TCO observable: how many human decisions did all of this take?
-    println!("admin operations     → {}", imp.ledger().count());
+    println!("admin operations     → {}", imp.status().admin_ops);
 }

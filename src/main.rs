@@ -13,7 +13,7 @@
 
 use std::io::{BufRead, Write};
 
-use impliance::core::{ApplianceConfig, Impliance};
+use impliance::core::{ApplianceConfig, Impliance, Input, NoFaults, QueryRequest, Stage};
 use impliance::docmodel::DocId;
 
 fn main() {
@@ -63,7 +63,7 @@ fn dispatch(imp: &Impliance, input: &str) -> Result<(), String> {
                  \x20 connect <id> <id>                 how are two docs connected?\n\
                  \x20 lineage <id>                      provenance of a document\n\
                  \x20 drain                             run background indexing+discovery\n\
-                 \x20 stats                             appliance counters\n\
+                 \x20 status (or stats)                 storage, epochs, backlogs, accounting\n\
                  \x20 demo                              load a small demo corpus\n\
                  \x20 quit"
             );
@@ -74,15 +74,16 @@ fn dispatch(imp: &Impliance, input: &str) -> Result<(), String> {
             let (collection, body) = rest
                 .split_once(' ')
                 .ok_or("usage: ingest <format> <collection> <body>")?;
-            let id = match format {
-                "json" => imp.ingest_json(collection, body),
-                "text" => imp.ingest_text(collection, body),
-                "xml" => imp.ingest_xml(collection, body),
-                "email" => imp.ingest_email(collection, body),
+            let input = match format {
+                "json" => Input::Json(collection, body),
+                "text" => Input::Text(collection, body),
+                "xml" => Input::Xml(collection, body),
+                "email" => Input::Email(collection, body),
                 other => return Err(format!("unknown format {other}")),
+            };
+            for id in imp.ingest(input).map_err(|e| e.to_string())? {
+                println!("ingested {id} (background analysis pending — run 'drain')");
             }
-            .map_err(|e| e.to_string())?;
-            println!("ingested {id} (background analysis pending — run 'drain')");
             Ok(())
         }
         "sql" => {
@@ -111,24 +112,20 @@ fn dispatch(imp: &Impliance, input: &str) -> Result<(), String> {
             }
             Ok(())
         }
-        "search" => {
-            for hit in imp.search(rest, 10) {
-                let snippet = imp
-                    .get(hit.id)
-                    .ok()
-                    .flatten()
-                    .map(|d| {
-                        let t = d.full_text();
-                        t.chars().take(70).collect::<String>()
-                    })
+        "search" | "phrase" => {
+            let request = QueryRequest::builder("").match_text("*", rest).top_k(10);
+            let request = if command == "phrase" {
+                request.phrase()
+            } else {
+                request
+            };
+            let resp = imp.query(request.build()).map_err(|e| e.to_string())?;
+            for hit in resp.hits() {
+                let doc = imp.get(hit.id).map_err(|e| e.to_string())?;
+                let snippet: String = doc
+                    .map(|d| d.full_text().chars().take(70).collect())
                     .unwrap_or_default();
                 println!("{} (score {:.3}) {}", hit.id, hit.score, snippet);
-            }
-            Ok(())
-        }
-        "phrase" => {
-            for hit in imp.search_phrase(rest, None, 10) {
-                println!("{} ({} occurrence(s))", hit.id, hit.score);
             }
             Ok(())
         }
@@ -174,54 +171,66 @@ fn dispatch(imp: &Impliance, input: &str) -> Result<(), String> {
         }
         "lineage" => {
             let id: u64 = rest.trim().parse().map_err(|_| "lineage <id>")?;
-            for entry in impliance::core::audit::lineage(imp, DocId(id)) {
+            let lineage = impliance::core::audit::lineage(imp, DocId(id));
+            for entry in lineage.map_err(|e| e.to_string())? {
                 println!("{entry:?}");
             }
             Ok(())
         }
         "drain" => {
-            imp.quiesce();
-            let s = imp.discovery_stats();
+            imp.maintain(Stage::All, None, &NoFaults);
+            let s = imp.status().discovery;
             println!(
                 "background work drained: {} docs analyzed, {} annotations, {} relationships",
                 s.docs_processed, s.annotations, s.relationships
             );
             Ok(())
         }
-        "stats" => {
+        "status" | "stats" => {
+            let s = imp.status();
+            let storage = imp.storage();
             println!(
-                "live docs: {}  versions: {}  stored: {} bytes  indexed backlog: {}  discovery backlog: {}  admin ops: {}",
-                imp.storage().live_docs(),
-                imp.storage().total_versions(),
-                imp.storage().stored_bytes(),
-                imp.indexing_backlog(),
-                imp.discovery_backlog(),
-                imp.ledger().count()
+                "storage:   epoch {}  live docs {}  versions {}  stored {} bytes\n\
+                 index:     watermark {}  backlog {}\n\
+                 discovery: watermark {}  backlog {}  {:?}\n\
+                 workload:  {:?}\n\
+                 admin ops: {}",
+                s.storage_epoch,
+                storage.live_docs(),
+                storage.total_versions(),
+                storage.stored_bytes(),
+                s.index_epoch,
+                s.index_backlog,
+                s.annotation_epoch,
+                s.discovery_backlog,
+                s.discovery,
+                s.workload,
+                s.admin_ops
             );
             Ok(())
         }
         "demo" => {
-            imp.ingest_json(
-                "claims",
-                r#"{"claimant": "Grace Hopper", "amount": 1500, "vehicle": {"make": "Volvo"}, "notes": "bumper damage, Grace Hopper very unhappy"}"#,
-            )
-            .map_err(|e| e.to_string())?;
-            imp.ingest_json(
-                "claims",
-                r#"{"claimant": "Alan Turing", "amount": 320, "vehicle": {"make": "Saab"}, "notes": "mirror fix, quick and great service"}"#,
-            )
-            .map_err(|e| e.to_string())?;
-            imp.ingest_text(
-                "transcripts",
-                "Call from Grace Hopper in Seattle about product BX-1042, requesting refund",
-            )
-            .map_err(|e| e.to_string())?;
-            imp.ingest_email(
-                "mail",
-                "From: ada@example.com\nSubject: Acme Widgets Inc. contract\n\nRenewal confirmed for BX-1042.",
-            )
-            .map_err(|e| e.to_string())?;
-            imp.quiesce();
+            for input in [
+                Input::Json(
+                    "claims",
+                    r#"{"claimant": "Grace Hopper", "amount": 1500, "vehicle": {"make": "Volvo"}, "notes": "bumper damage, Grace Hopper very unhappy"}"#,
+                ),
+                Input::Json(
+                    "claims",
+                    r#"{"claimant": "Alan Turing", "amount": 320, "vehicle": {"make": "Saab"}, "notes": "mirror fix, quick and great service"}"#,
+                ),
+                Input::Text(
+                    "transcripts",
+                    "Call from Grace Hopper in Seattle about product BX-1042, requesting refund",
+                ),
+                Input::Email(
+                    "mail",
+                    "From: ada@example.com\nSubject: Acme Widgets Inc. contract\n\nRenewal confirmed for BX-1042.",
+                ),
+            ] {
+                imp.ingest(input).map_err(|e| e.to_string())?;
+            }
+            imp.maintain(Stage::All, None, &NoFaults);
             println!(
                 "demo corpus loaded and analyzed; try: sql SELECT claimant, amount FROM claims"
             );

@@ -15,7 +15,7 @@ use impliance::annotate::{KillPoint, WorkerFaults};
 use impliance::cluster::{
     ClusterRuntime, FaultDecision, FaultSchedule, Network, NodeId, NodeKind, NodeSpec,
 };
-use impliance::core::{ApplianceConfig, Impliance};
+use impliance::core::{ApplianceConfig, Impliance, Input, NoFaults, QueryRequest, Stage};
 use impliance::docmodel::{DocId, DocumentBuilder, SourceFormat};
 use impliance::query::clock::{self, BackoffClock, ManualTime};
 use impliance::query::dist::{self, dist_put_replicated, DataNodeState, DistError, DistOutput};
@@ -556,7 +556,7 @@ impl WorkerFaults for KillSchedule {
 fn boot_corpus(docs: usize) -> Impliance {
     let imp = Impliance::boot(ApplianceConfig::default());
     for text in &ANNOTATOR_CORPUS[..docs] {
-        imp.ingest_text("chaos", text).expect("ingest");
+        imp.ingest(Input::Text("chaos", text)).expect("ingest");
     }
     imp
 }
@@ -604,7 +604,7 @@ fn annotation_sets_at(imp: &Impliance, epoch: u64) -> BTreeMap<String, Vec<Strin
 /// corpus document with.
 fn reference_sets(docs: usize) -> BTreeMap<String, Vec<String>> {
     let imp = boot_corpus(docs);
-    imp.quiesce();
+    imp.maintain(Stage::All, None, &NoFaults);
     annotation_sets_at(&imp, imp.storage().current_epoch())
 }
 
@@ -647,8 +647,8 @@ fn annotator_killed_mid_drain_never_tears_an_annotation_set() {
     ] {
         for step in 0..64u64 {
             let imp = boot_corpus(DOCS);
-            imp.run_discovery_with_faults(None, &KillAt { point, step });
-            if imp.discovery_backlog() == 0 {
+            imp.maintain(Stage::Discovery, None, &KillAt { point, step });
+            if imp.status().discovery_backlog == 0 {
                 // The drain finished before step `step`: the kill can
                 // never fire later, so this crash point is exhausted.
                 break;
@@ -658,10 +658,10 @@ fn annotator_killed_mid_drain_never_tears_an_annotation_set() {
 
             // A restarted worker replays the unacked change and converges
             // on the fault-free answer: nothing lost, nothing duplicated.
-            imp.quiesce();
-            assert_eq!(imp.discovery_backlog(), 0, "{ctx}: drain converges");
+            imp.maintain(Stage::All, None, &NoFaults);
+            assert_eq!(imp.status().discovery_backlog, 0, "{ctx}: drain converges");
             assert_eq!(
-                imp.annotation_epoch(),
+                imp.status().annotation_epoch,
                 imp.storage().current_epoch(),
                 "{ctx}: watermark catches up to the last commit"
             );
@@ -685,15 +685,15 @@ fn annotator_chaos_replays_deterministically() {
         let sched = KillSchedule {
             kills: vec![(KillPoint::BeforeCommit, 4), (KillPoint::AfterCommit, 8)],
         };
-        imp.run_discovery_with_faults(None, &sched);
-        imp.run_discovery_with_faults(None, &sched);
+        imp.maintain(Stage::Discovery, None, &sched);
+        imp.maintain(Stage::Discovery, None, &sched);
         imp
     };
     let a = run();
     let b = run();
-    assert_eq!(a.discovery_stats(), b.discovery_stats());
-    assert_eq!(a.discovery_backlog(), b.discovery_backlog());
-    assert_eq!(a.annotation_epoch(), b.annotation_epoch());
+    assert_eq!(a.status().discovery, b.status().discovery);
+    assert_eq!(a.status().discovery_backlog, b.status().discovery_backlog);
+    assert_eq!(a.status().annotation_epoch, b.status().annotation_epoch);
     assert_eq!(
         a.storage().current_epoch(),
         b.storage().current_epoch(),
@@ -732,8 +732,8 @@ proptest! {
             // quiesced appliance; annotation sets are per-subject, so
             // they compose.
             let solo = Impliance::boot(ApplianceConfig::default());
-            solo.ingest_text("chaos", extra).expect("ingest");
-            solo.quiesce();
+            solo.ingest(Input::Text("chaos", extra)).expect("ingest");
+            solo.maintain(Stage::All, None, &NoFaults);
             for (body, set) in annotation_sets_at(&solo, solo.storage().current_epoch()) {
                 reference.insert(body, set);
             }
@@ -744,27 +744,27 @@ proptest! {
         // Each faulted run either dies at the next scheduled kill or
         // drains the feed; kills.len() + 1 runs exhaust the schedule.
         for round in 0..=kills.len() {
-            imp.run_discovery_with_faults(None, &sched);
+            imp.maintain(Stage::Discovery, None, &sched);
             if ingest_mid_drain && !ingested_extra {
-                imp.ingest_text("chaos", extra).expect("mid-drain ingest");
+                imp.ingest(Input::Text("chaos", extra)).expect("mid-drain ingest");
                 ingested_extra = true;
             }
             assert_zero_or_all(&imp, &reference, &format!("round {round}"));
             prop_assert!(
-                imp.annotation_epoch() <= imp.storage().current_epoch(),
+                imp.status().annotation_epoch <= imp.storage().current_epoch(),
                 "watermark never runs ahead of the epoch counter"
             );
         }
 
-        imp.quiesce();
-        prop_assert_eq!(imp.discovery_backlog(), 0);
+        imp.maintain(Stage::All, None, &NoFaults);
+        prop_assert_eq!(imp.status().discovery_backlog, 0);
         prop_assert_eq!(
             annotation_sets_at(&imp, imp.storage().current_epoch()),
             reference,
             "chaotic appliance converges on the fault-free annotation sets"
         );
         prop_assert_eq!(
-            imp.annotation_epoch(),
+            imp.status().annotation_epoch,
             imp.storage().current_epoch(),
             "quiesced watermark is exact"
         );
@@ -785,22 +785,22 @@ fn boot_search_corpus(docs: usize) -> (Impliance, Vec<(DocId, u64)>) {
     let mut epochs = Vec::new();
     for i in 0..docs {
         let id = imp
-            .ingest_json(
+            .ingest(Input::Json(
                 "chaos",
                 &format!(r#"{{"notes": "shared uniqa{i}x uniqb{i}x filler words here"}}"#),
-            )
-            .expect("ingest");
+            ))
+            .expect("ingest")[0];
         epochs.push((id, imp.storage().current_epoch()));
     }
     (imp, epochs)
 }
 
 fn hit_ids(imp: &Impliance, query: &str) -> Vec<u64> {
-    let mut ids: Vec<u64> = imp
-        .search(query, 1_000)
-        .into_iter()
-        .map(|h| h.id.0)
-        .collect();
+    let request = QueryRequest::builder("")
+        .match_text("*", query)
+        .top_k(1_000);
+    let resp = imp.query(request.build()).expect("keyword query");
+    let mut ids: Vec<u64> = resp.hits().into_iter().map(|h| h.id.0).collect();
     ids.sort_unstable();
     ids
 }
@@ -813,7 +813,7 @@ fn hit_ids(imp: &Impliance, query: &str) -> Vec<u64> {
 /// * every document is all-or-nothing: both unique terms find it, or
 ///   neither does (no torn postings).
 fn assert_stale_but_consistent(imp: &Impliance, epochs: &[(DocId, u64)], context: &str) {
-    let watermark = imp.index_epoch();
+    let watermark = imp.status().index_epoch;
     assert!(
         watermark <= imp.storage().current_epoch(),
         "{context}: watermark {watermark} ahead of storage epoch {}",
@@ -846,7 +846,7 @@ fn index_maintainer_killed_mid_drain_stays_stale_but_consistent() {
     const DOCS: usize = 6;
     // Fault-free reference: search hits per unique term after a full drain.
     let (reference_imp, _) = boot_search_corpus(DOCS);
-    reference_imp.run_indexing(None);
+    reference_imp.maintain(Stage::Index, None, &NoFaults);
     let reference: Vec<Vec<u64>> = (0..DOCS)
         .map(|i| hit_ids(&reference_imp, &format!("uniqa{i}x")))
         .collect();
@@ -861,8 +861,8 @@ fn index_maintainer_killed_mid_drain_stays_stale_but_consistent() {
     ] {
         for step in 0..64u64 {
             let (imp, epochs) = boot_search_corpus(DOCS);
-            imp.run_indexing_with_faults(None, &KillAt { point, step });
-            if imp.indexing_backlog() == 0 {
+            imp.maintain(Stage::Index, None, &KillAt { point, step });
+            if imp.status().index_backlog == 0 {
                 // The drain finished before step `step`: the kill can
                 // never fire later, so this crash point is exhausted.
                 break;
@@ -873,10 +873,10 @@ fn index_maintainer_killed_mid_drain_stays_stale_but_consistent() {
             // A restarted maintainer replays the unacked record
             // (re-indexing is an idempotent same-postings replace) and
             // converges on the fault-free index.
-            imp.run_indexing(None);
-            assert_eq!(imp.indexing_backlog(), 0, "{ctx}: drain converges");
+            imp.maintain(Stage::Index, None, &NoFaults);
+            assert_eq!(imp.status().index_backlog, 0, "{ctx}: drain converges");
             assert_eq!(
-                imp.index_epoch(),
+                imp.status().index_epoch,
                 imp.storage().current_epoch(),
                 "{ctx}: watermark catches up to the last commit"
             );
@@ -905,22 +905,22 @@ fn index_maintainer_crash_loop_with_mid_chaos_ingest_converges() {
         ],
     };
     for round in 0..4 {
-        imp.run_indexing_with_faults(None, &sched);
+        imp.maintain(Stage::Index, None, &sched);
         if round == 1 {
             let i = epochs.len();
             let id = imp
-                .ingest_json(
+                .ingest(Input::Json(
                     "chaos",
                     &format!(r#"{{"notes": "shared uniqa{i}x uniqb{i}x late arrival"}}"#),
-                )
-                .expect("mid-chaos ingest");
+                ))
+                .expect("mid-chaos ingest")[0];
             epochs.push((id, imp.storage().current_epoch()));
         }
         assert_stale_but_consistent(&imp, &epochs, &format!("crash-loop round {round}"));
     }
-    imp.run_indexing(None);
-    assert_eq!(imp.indexing_backlog(), 0);
-    assert_eq!(imp.index_epoch(), imp.storage().current_epoch());
+    imp.maintain(Stage::Index, None, &NoFaults);
+    assert_eq!(imp.status().index_backlog, 0);
+    assert_eq!(imp.status().index_epoch, imp.storage().current_epoch());
     for (i, (id, _)) in epochs.iter().enumerate() {
         assert_eq!(
             hit_ids(&imp, &format!("uniqa{i}x")),

@@ -2,7 +2,8 @@
 //! (cluster runtime + storage + query dist + virt recovery).
 
 use impliance::cluster::NodeKind;
-use impliance::core::{ApplianceConfig, ClusterImpliance, QueryRequest};
+use impliance::core::{ApplianceConfig, ClusterImpliance, Impliance, Input, QueryRequest};
+use impliance::docmodel::{RelationalSchema, Value};
 use impliance_bench::Corpus;
 
 fn config(data: usize, grid: usize, replication: usize) -> ApplianceConfig {
@@ -19,12 +20,50 @@ fn config(data: usize, grid: usize, replication: usize) -> ApplianceConfig {
 fn load_orders(app: &ClusterImpliance, n: usize, seed: u64) {
     let mut corpus = Corpus::new(seed);
     for _ in 0..n {
-        app.ingest_json("orders", &corpus.order_json(20)).unwrap();
+        app.ingest(Input::Json("orders", &corpus.order_json(20)))
+            .unwrap();
     }
 }
 
 fn visible_orders(app: &ClusterImpliance) -> usize {
     app.sql("SELECT * FROM orders").unwrap().len()
+}
+
+/// Both handles map every input format through the same code: fed the
+/// same inputs, the cluster stores what the single box stores — the same
+/// ids, the same live document count, the same rows per collection.
+#[test]
+fn cluster_ingests_every_format_like_the_single_box() {
+    let schema = RelationalSchema::new("orders", &["id", "total"]);
+    let inputs = || {
+        [
+            Input::Json("claims", r#"{"amount": 1500, "make": "Volvo"}"#),
+            Input::Text("notes", "Grace Hopper reported a broken bumper"),
+            Input::Email(
+                "mail",
+                "From: ada@example.com\nSubject: claim\n\nSee attached.",
+            ),
+            Input::Xml("forms", "<claim><amount>7</amount></claim>"),
+            Input::Binary("media", &[0, 159, 146], &[("title", "photo")]),
+            Input::Kv("sensors", &[("temp", "21.5")]),
+            Input::Row(&schema, vec![Value::Int(1), Value::Float(99.5)]),
+            Input::Csv("people", "name,age\nAda,36\nGrace,45\n"),
+        ]
+    };
+    let single = Impliance::boot(ApplianceConfig::default());
+    let cluster = ClusterImpliance::boot(config(3, 1, 2));
+    for (a, b) in inputs().into_iter().zip(inputs()) {
+        assert_eq!(single.ingest(a).unwrap(), cluster.ingest(b).unwrap());
+    }
+    assert_eq!(cluster.doc_count(), single.storage().live_docs());
+    for c in [
+        "claims", "notes", "mail", "forms", "media", "sensors", "orders", "people",
+    ] {
+        let count = format!("SELECT COUNT(*) AS n FROM {c}");
+        let n = single.sql(&count).unwrap().rows()[0].get("n").clone();
+        assert_eq!(cluster.sql(&count).unwrap().rows()[0].get("n"), &n, "{c}");
+        assert_ne!(n, Value::Int(0), "{c}");
+    }
 }
 
 #[test]
@@ -130,10 +169,10 @@ fn distributed_join_agrees_with_expected_cardinality() {
     let app = ClusterImpliance::boot(config(3, 2, 1));
     load_orders(&app, 100, 12);
     for i in 0..20u64 {
-        app.ingest_json(
+        app.ingest(Input::Json(
             "customers",
             &format!(r#"{{"code": "C-{i}", "name": "N{i}"}}"#),
-        )
+        ))
         .unwrap();
     }
     let joined = app

@@ -1,8 +1,16 @@
 //! End-to-end integration: the full Figure 1 pipeline across every crate.
 
-use impliance::core::{views, ApplianceConfig, Impliance};
+use impliance::core::{
+    views, ApplianceConfig, At, Impliance, Input, NoFaults, QueryRequest, QueryResponse, Stage,
+};
 use impliance::docmodel::{DocId, Node, Value, Version};
 use impliance_bench::Corpus;
+
+/// A top-10 keyword search.
+fn search(imp: &Impliance, terms: &str) -> QueryResponse {
+    let request = QueryRequest::builder("").match_text("*", terms).top_k(10);
+    imp.query(request.build()).unwrap()
+}
 
 #[test]
 fn stewing_pot_full_lifecycle() {
@@ -14,24 +22,25 @@ fn stewing_pot_full_lifecycle() {
     let mut order_ids = Vec::new();
     for _ in 0..100 {
         order_ids.push(
-            imp.ingest_row(&schema, corpus.purchase_order_row(10))
-                .unwrap(),
+            imp.ingest(Input::Row(&schema, corpus.purchase_order_row(10)))
+                .unwrap()[0],
         );
     }
     for _ in 0..100 {
-        imp.ingest_text("transcripts", &corpus.transcript())
+        imp.ingest(Input::Text("transcripts", &corpus.transcript()))
             .unwrap();
     }
     for _ in 0..50 {
-        imp.ingest_email("mail", &corpus.email()).unwrap();
+        imp.ingest(Input::Email("mail", &corpus.email())).unwrap();
     }
     for _ in 0..50 {
-        imp.ingest_json("claims", &corpus.claim_json()).unwrap();
+        imp.ingest(Input::Json("claims", &corpus.claim_json()))
+            .unwrap();
     }
-    imp.ingest_csv(
+    imp.ingest(Input::Csv(
         "stores",
         "city,manager\nSeattle,Ada Lovelace\nAustin,Alan Turing\n",
-    )
+    ))
     .unwrap();
 
     // SQL immediately
@@ -45,23 +54,23 @@ fn stewing_pot_full_lifecycle() {
     assert_eq!(sums.rows().len(), 10);
 
     // background phases
-    imp.quiesce();
-    assert_eq!(imp.indexing_backlog(), 0);
-    assert_eq!(imp.discovery_backlog(), 0);
+    imp.maintain(Stage::All, None, &NoFaults);
+    assert_eq!(imp.status().index_backlog, 0);
+    assert_eq!(imp.status().discovery_backlog, 0);
 
     // keyword search across formats
-    assert!(!imp.search("transcript", 10).is_empty());
+    assert!(!search(&imp, "transcript").is_empty());
     assert!(
-        !imp.search("agreement", 10).is_empty(),
+        !search(&imp, "agreement").is_empty(),
         "email bodies searchable"
     );
 
     // discovery produced annotations, views, and relationships
-    let stats = imp.discovery_stats();
+    let stats = imp.status().discovery;
     assert!(stats.annotations > 0);
     assert!(stats.relationships > 0);
-    assert!(!views::entity_view(&imp).unwrap().is_empty());
-    assert!(!views::sentiment_view(&imp).unwrap().is_empty());
+    assert!(!views::entity_view(&imp).unwrap().0.is_empty());
+    assert!(!views::sentiment_view(&imp).unwrap().0.is_empty());
 
     // annotations are ordinary SQL-visible collections
     let ann = imp
@@ -70,20 +79,20 @@ fn stewing_pot_full_lifecycle() {
     assert!(ann.rows()[0].get("n").as_i64().unwrap() > 0);
 
     // zero admin operations for all of the above
-    assert_eq!(imp.ledger().count(), 0);
+    assert_eq!(imp.status().admin_ops, 0);
 }
 
 #[test]
 fn versioning_is_end_to_end_consistent() {
     let imp = Impliance::boot(ApplianceConfig::default());
     let id = imp
-        .ingest_json(
+        .ingest(Input::Json(
             "claims",
             r#"{"amount": 100, "notes": "original assessment text"}"#,
-        )
-        .unwrap();
-    imp.quiesce();
-    assert_eq!(imp.search("original", 10).len(), 1);
+        ))
+        .unwrap()[0];
+    imp.maintain(Stage::All, None, &NoFaults);
+    assert_eq!(search(&imp, "original").len(), 1);
 
     // three updates
     for (i, word) in ["revised", "amended", "final"].iter().enumerate() {
@@ -98,17 +107,17 @@ fn versioning_is_end_to_end_consistent() {
         );
         imp.update(id, root).unwrap();
     }
-    imp.quiesce();
+    imp.maintain(Stage::All, None, &NoFaults);
 
     // search tracks only the latest version
-    assert!(imp.search("original", 10).is_empty());
-    assert_eq!(imp.search("final", 10).len(), 1);
+    assert!(search(&imp, "original").is_empty());
+    assert_eq!(search(&imp, "final").len(), 1);
     // SQL sees latest values
     let out = imp.sql("SELECT amount FROM claims").unwrap();
     assert_eq!(out.rows()[0].get("amount"), &Value::Int(130));
     // all four versions remain readable
     assert_eq!(imp.versions(id).len(), 4);
-    let v1 = imp.get_version(id, Version(1)).unwrap().unwrap();
+    let v1 = imp.get_at(id, At::Version(Version(1))).unwrap().unwrap();
     assert!(v1.full_text().contains("original"));
     // the value index tracks the latest version only
     assert!(imp
@@ -126,21 +135,24 @@ fn cross_silo_composition_with_discovered_links() {
     let imp = Impliance::boot(ApplianceConfig::default());
     // a claim and a transcript that mention the same person
     let claim = imp
-        .ingest_json(
+        .ingest(Input::Json(
             "claims",
             r#"{"claimant": "Wendy Rivera", "amount": 900, "notes": "Wendy Rivera filed for hood damage"}"#,
-        )
-        .unwrap();
+        ))
+        .unwrap()[0];
     let transcript = imp
-        .ingest_text(
+        .ingest(Input::Text(
             "transcripts",
             "Wendy Rivera called; she is unhappy about the delay",
-        )
-        .unwrap();
+        ))
+        .unwrap()[0];
     let unrelated = imp
-        .ingest_text("transcripts", "routine systems check, nothing to report")
-        .unwrap();
-    imp.quiesce();
+        .ingest(Input::Text(
+            "transcripts",
+            "routine systems check, nothing to report",
+        ))
+        .unwrap()[0];
+    imp.maintain(Stage::All, None, &NoFaults);
 
     // the discovered same-person relationship composes the two silos
     let path = imp
@@ -165,13 +177,13 @@ fn guided_search_session_over_live_appliance() {
         ("Saab", "Seattle", "bumper bent"),
         ("Saab", "Austin", "hood dented"),
     ] {
-        imp.ingest_json(
+        imp.ingest(Input::Json(
             "claims",
             &format!(r#"{{"make": "{make}", "city": "{city}", "notes": "{note}"}}"#),
-        )
+        ))
         .unwrap();
     }
-    imp.quiesce();
+    imp.maintain(Stage::All, None, &NoFaults);
     let mut s = imp.session();
     s.keywords("bumper");
     assert_eq!(s.results().len(), 3);
@@ -187,17 +199,20 @@ fn guided_search_session_over_live_appliance() {
 fn schema_free_means_heterogeneous_rows_coexist() {
     // schema evolution/chaos: same collection, three different shapes
     let imp = Impliance::boot(ApplianceConfig::default());
-    imp.ingest_json("events", r#"{"kind": "click", "x": 10, "y": 20}"#)
-        .unwrap();
-    imp.ingest_json(
+    imp.ingest(Input::Json(
+        "events",
+        r#"{"kind": "click", "x": 10, "y": 20}"#,
+    ))
+    .unwrap();
+    imp.ingest(Input::Json(
         "events",
         r#"{"kind": "purchase", "sku": "BX-1", "total": 9.5}"#,
-    )
+    ))
     .unwrap();
-    imp.ingest_json(
+    imp.ingest(Input::Json(
         "events",
         r#"{"kind": "error", "trace": ["a", "b"], "fatal": true}"#,
-    )
+    ))
     .unwrap();
 
     let all = imp.sql("SELECT COUNT(*) AS n FROM events").unwrap();
@@ -234,7 +249,7 @@ fn mini_rdbms_agrees_with_impliance_on_relational_answers() {
     for _ in 0..200 {
         let row = corpus.purchase_order_row(8);
         db.insert("orders", row.clone()).unwrap();
-        imp.ingest_row(&schema, row).unwrap();
+        imp.ingest(Input::Row(&schema, row)).unwrap();
     }
     let db_sums = db.sum_group_by("orders", "cust", "total").unwrap();
     let imp_out = imp
@@ -262,21 +277,21 @@ fn ingest_is_usable_from_multiple_threads() {
         handles.push(std::thread::spawn(move || {
             let mut corpus = Corpus::new(100 + t);
             for _ in 0..100 {
-                imp.ingest_text("transcripts", &corpus.transcript())
+                imp.ingest(Input::Text("transcripts", &corpus.transcript()))
                     .unwrap();
             }
         }));
     }
     // concurrent background work while ingesting
     for _ in 0..10 {
-        imp.run_indexing(Some(20));
-        imp.run_discovery(Some(10));
+        imp.maintain(Stage::Index, Some(20), &NoFaults);
+        imp.maintain(Stage::Discovery, Some(10), &NoFaults);
     }
     for h in handles {
         h.join().unwrap();
     }
-    imp.quiesce();
-    assert_eq!(imp.discovery_stats().docs_processed, 400);
+    imp.maintain(Stage::All, None, &NoFaults);
+    assert_eq!(imp.status().discovery.docs_processed, 400);
     let out = imp.sql("SELECT COUNT(*) AS n FROM transcripts").unwrap();
     assert_eq!(out.rows()[0].get("n"), &Value::Int(400));
 }
@@ -288,18 +303,18 @@ fn doc_ids_never_collide_between_ingest_and_annotations() {
     let mut corpus = Corpus::new(17);
     for _ in 0..50 {
         ids.push(
-            imp.ingest_text("transcripts", &corpus.transcript())
-                .unwrap(),
+            imp.ingest(Input::Text("transcripts", &corpus.transcript()))
+                .unwrap()[0],
         );
     }
-    imp.quiesce();
+    imp.maintain(Stage::All, None, &NoFaults);
     for _ in 0..50 {
         ids.push(
-            imp.ingest_text("transcripts", &corpus.transcript())
-                .unwrap(),
+            imp.ingest(Input::Text("transcripts", &corpus.transcript()))
+                .unwrap()[0],
         );
     }
-    imp.quiesce();
+    imp.maintain(Stage::All, None, &NoFaults);
     let mut all = ids.clone();
     all.sort();
     all.dedup();

@@ -6,7 +6,7 @@ use impliance::baselines::{
     Capability, ColumnType, ContentStore, FsStore, InfoSystem, MiniRdbms, TableSchema,
     ALL_CAPABILITIES,
 };
-use impliance::core::{ApplianceConfig, Impliance};
+use impliance::core::{ApplianceConfig, At, Impliance, Input, NoFaults, QueryRequest, Stage};
 use impliance::docmodel::Value;
 
 #[test]
@@ -68,9 +68,9 @@ fn tco_ordering_matches_figure4() {
     // same workload; the admin-ops ledgers must order as the paper claims:
     // impliance < content store < rdbms
     let imp = Impliance::boot(ApplianceConfig::default());
-    imp.ingest_json("orders", r#"{"cust": "C-1", "total": 10.5}"#)
+    imp.ingest(Input::Json("orders", r#"{"cust": "C-1", "total": 10.5}"#))
         .unwrap();
-    imp.ingest_text("docs", "free text content needs no catalog")
+    imp.ingest(Input::Text("docs", "free text content needs no catalog"))
         .unwrap();
 
     let mut db = MiniRdbms::new();
@@ -99,15 +99,19 @@ fn impliance_actually_performs_each_claimed_capability() {
     // spot-check the claims the matrix makes for impliance, end to end
     let imp = Impliance::boot(ApplianceConfig::default());
     let a = imp
-        .ingest_json("claims", r#"{"claimant": "Grace Hopper", "amount": 500, "notes": "Grace Hopper happy in Seattle"}"#)
-        .unwrap();
+        .ingest(Input::Json("claims", r#"{"claimant": "Grace Hopper", "amount": 500, "notes": "Grace Hopper happy in Seattle"}"#))
+        .unwrap()[0];
     let b = imp
-        .ingest_text("transcripts", "Grace Hopper called about claim follow-up")
-        .unwrap();
-    imp.quiesce();
+        .ingest(Input::Text(
+            "transcripts",
+            "Grace Hopper called about claim follow-up",
+        ))
+        .unwrap()[0];
+    imp.maintain(Stage::All, None, &NoFaults);
 
     // keyword search over content
-    assert!(!imp.search("claim", 10).is_empty());
+    let keyword = QueryRequest::builder("").match_text("*", "claim").top_k(10);
+    assert!(!imp.query(keyword.build()).unwrap().is_empty());
     // range query
     assert_eq!(
         imp.sql("SELECT * FROM claims WHERE amount > 100")
@@ -119,7 +123,7 @@ fn impliance_actually_performs_each_claimed_capability() {
     // graph connection
     assert!(imp.connect(a, b, 2).is_some());
     // automatic annotation
-    assert!(imp.discovery_stats().annotations >= 2);
+    assert!(imp.status().discovery.annotations >= 2);
     // faceted navigation
     assert!(!imp.facet("claimant").values.is_empty());
     // time travel (the update retires the old body from live indexes,
@@ -127,7 +131,7 @@ fn impliance_actually_performs_each_claimed_capability() {
     imp.update(a, impliance::docmodel::Node::empty_map())
         .unwrap();
     assert!(imp
-        .get_version(a, impliance::docmodel::Version(1))
+        .get_at(a, At::Version(impliance::docmodel::Version(1)))
         .unwrap()
         .is_some());
     assert!(

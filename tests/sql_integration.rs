@@ -1,7 +1,7 @@
 //! SQL surface integration: parser → simple planner → executor against a
 //! live appliance, checked against independently computed answers.
 
-use impliance::core::{ApplianceConfig, Impliance};
+use impliance::core::{ApplianceConfig, Impliance, Input};
 use impliance::docmodel::{RelationalSchema, Value};
 
 fn fixture() -> Impliance {
@@ -16,7 +16,7 @@ fn fixture() -> Impliance {
         (5, "C-3", 900, true),
     ];
     for (id, cust, amount, priority) in rows {
-        imp.ingest_row(
+        imp.ingest(Input::Row(
             &orders,
             vec![
                 Value::Int(*id),
@@ -24,7 +24,7 @@ fn fixture() -> Impliance {
                 Value::Int(*amount),
                 Value::Bool(*priority),
             ],
-        )
+        ))
         .unwrap();
     }
     for (code, name, city) in [
@@ -32,14 +32,14 @@ fn fixture() -> Impliance {
         ("C-2", "Grace", "Austin"),
         ("C-3", "Alan", "Seattle"),
     ] {
-        imp.ingest_row(
+        imp.ingest(Input::Row(
             &customers,
             vec![
                 Value::Str(code.into()),
                 Value::Str(name.into()),
                 Value::Str(city.into()),
             ],
-        )
+        ))
         .unwrap();
     }
     imp
@@ -164,9 +164,9 @@ fn order_by_aggregate_output_column() {
 #[test]
 fn contains_over_text_content() {
     let imp = fixture();
-    imp.ingest_text("notes", "suspicious duplicate claim spotted")
+    imp.ingest(Input::Text("notes", "suspicious duplicate claim spotted"))
         .unwrap();
-    imp.ingest_text("notes", "all clear today").unwrap();
+    imp.ingest(Input::Text("notes", "all clear today")).unwrap();
     let out = imp
         .sql("SELECT * FROM notes WHERE body CONTAINS 'duplicate'")
         .unwrap();
@@ -192,10 +192,10 @@ fn sql_errors_are_reported_not_panicked() {
 fn queries_span_heterogeneous_documents_in_one_collection() {
     let imp = fixture();
     // a JSON document lands in the same collection as the relational rows
-    imp.ingest_json(
+    imp.ingest(Input::Json(
         "orders",
         r#"{"id": 99, "cust": "C-1", "amount": 10, "channel": "web"}"#,
-    )
+    ))
     .unwrap();
     let out = imp
         .sql("SELECT SUM(amount) AS t FROM orders GROUP BY cust")
