@@ -35,11 +35,14 @@ if [ "$analysis_elapsed" -gt 10 ]; then
   exit 1
 fi
 
-# The chaos suite: seeded fault schedules (node kills, message drops,
-# deadlines) against the resilient distributed executor. Runs in release
-# so the proptest equivalence battery uses its full case count.
-echo "==> chaos suite (fault-injected distributed execution)"
-cargo test -q --release --test chaos_integration
+# The chaos suite (seeded node kills, message drops and deadlines against
+# the resilient distributed executor) and the storage cursor's two guards
+# (snapshot/as-of scans against a model, every executor mode against the
+# serial reference). Release, so each proptest battery runs its full case
+# count; debug builds cut them.
+echo "==> chaos suite + snapshot/parallel equivalence (release, full cases)"
+cargo test -q --release --test chaos_integration --test snapshot_equivalence \
+  --test parallel_equivalence
 
 # impbench — the benchmark BENCHMARK.json declares — is a package of its
 # own outside the workspace, so nothing above compiles it. Build and test

@@ -18,6 +18,7 @@
 //! accept tuple *and* column batches; the hash join probes a table it
 //! built itself or one the exchange built once and shares.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -32,7 +33,7 @@ use impliance_index::{
 };
 use impliance_obs::{Counter, Histogram, LATENCY_BUCKETS_US};
 use impliance_storage::{
-    AggValue, Bitmask, ColumnPage, Predicate, ScanPos, ScanRequest, StorageEngine, StorageError,
+    AggValue, Bitmask, ColumnPage, Cursor, Predicate, ScanRequest, StorageEngine,
 };
 
 use crate::adaptive::AdaptiveFilterChain;
@@ -246,73 +247,14 @@ impl Operator for VecSource {
     }
 }
 
-/// Resumable cursor over a contiguous range of storage partitions, in
-/// index order: every partition of the store when a tree runs alone,
-/// exactly one when it runs as a morsel. Both scan operators read their
-/// pages through it, so the partition read lock is taken per page and
-/// seals landing between pages are absorbed by the storage cursor.
-struct PartitionCursor<'a> {
-    storage: &'a StorageEngine,
-    request: ScanRequest,
-    partitions: Range<usize>,
-    pos: ScanPos,
-    batch_size: usize,
-}
-
-impl<'a> PartitionCursor<'a> {
-    fn new(
-        storage: &'a StorageEngine,
-        request: ScanRequest,
-        partitions: Range<usize>,
-        batch_size: usize,
-    ) -> PartitionCursor<'a> {
-        PartitionCursor {
-            storage,
-            request,
-            partitions,
-            pos: ScanPos::default(),
-            batch_size: batch_size.max(1),
-        }
-    }
-
-    /// Read the next page through `read` (one of the storage page
-    /// calls), or `None` once the range is exhausted. Pages that matched
-    /// nothing are still returned so their scan metrics reach the caller.
-    fn next_page<P>(
-        &mut self,
-        read: impl FnOnce(
-            &StorageEngine,
-            usize,
-            &ScanRequest,
-            ScanPos,
-            usize,
-        ) -> Result<(P, ScanPos, bool), StorageError>,
-    ) -> Result<Option<P>, ExecError> {
-        if self.partitions.is_empty() {
-            return Ok(None);
-        }
-        let (page, next, done) = read(
-            self.storage,
-            self.partitions.start,
-            &self.request,
-            self.pos,
-            self.batch_size,
-        )?;
-        self.pos = next;
-        if done {
-            self.partitions.start += 1;
-            self.pos = ScanPos::default();
-        }
-        Ok(Some(page))
-    }
-}
-
-/// Streaming storage scan: one partition page per pull
-/// ([`StorageEngine::scan_partition_page`]), predicate push-down (or a
-/// node-side residual filter when push-down is off), and scan metrics
-/// merged into the pipeline's shared [`ExecMetrics`].
+/// Streaming storage scan: one storage [`Cursor`] page per pull over the
+/// scan's partition range (every partition when a tree runs alone, one
+/// when it runs as a morsel), predicate push-down (or a node-side
+/// residual filter when push-down is off), and scan metrics merged into
+/// the pipeline's shared [`ExecMetrics`].
 pub struct ScanOp<'a> {
-    cursor: PartitionCursor<'a>,
+    cursor: Cursor<'a>,
+    batch_size: usize,
     alias: String,
     /// Residual predicate evaluated here when push-down is disabled.
     post_filter: Option<Predicate>,
@@ -330,7 +272,8 @@ impl<'a> ScanOp<'a> {
         metrics: SharedMetrics,
     ) -> ScanOp<'a> {
         ScanOp {
-            cursor: PartitionCursor::new(storage, request, partitions, batch_size),
+            cursor: storage.cursor(Cow::Owned(request), partitions),
+            batch_size: batch_size.max(1),
             alias,
             post_filter,
             metrics,
@@ -345,10 +288,7 @@ impl Operator for ScanOp<'_> {
 
     fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
         loop {
-            let Some(result) = self
-                .cursor
-                .next_page(|s, part, req, pos, n| s.scan_partition_page(part, req, pos, n))?
-            else {
+            let Some(result) = self.cursor.next_rows(self.batch_size)? else {
                 return Ok(None);
             };
             self.metrics.borrow_mut().scan.merge(&result.metrics);
@@ -710,13 +650,13 @@ pub(crate) fn fold_batch(
 }
 
 /// Columnar fast-path scan: pulls [`ColumnPage`]s straight from storage
-/// ([`StorageEngine::scan_partition_page_columnar`]), applies the fused
-/// filter predicates as vectorized masks, and emits the survivors as
-/// [`Batch::Columns`]. Partitions are walked through the same cursor as
-/// the row path, so the emitted row sequence is identical to `ScanOp` +
-/// `FilterOp`.
+/// ([`Cursor::next_columns`]), applies the fused filter predicates as
+/// vectorized masks, and emits the survivors as [`Batch::Columns`]. The
+/// storage cursor is the row path's, so the emitted row sequence is
+/// identical to `ScanOp` + `FilterOp`.
 pub(crate) struct ColumnarScanOp<'a> {
-    cursor: PartitionCursor<'a>,
+    cursor: Cursor<'a>,
+    batch_size: usize,
     /// Predicates applied here as vectorized masks: the node-side
     /// residual when push-down is off, plus every fused `Filter`.
     masks: Vec<Predicate>,
@@ -742,7 +682,8 @@ impl<'a> ColumnarScanOp<'a> {
         metrics: SharedMetrics,
     ) -> ColumnarScanOp<'a> {
         ColumnarScanOp {
-            cursor: PartitionCursor::new(storage, request, partitions, batch_size),
+            cursor: storage.cursor(Cow::Owned(request), partitions),
+            batch_size: batch_size.max(1),
             masks,
             prune,
             paths,
@@ -772,11 +713,10 @@ impl Operator for ColumnarScanOp<'_> {
 
     fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
         loop {
-            let (prune, paths) = (self.prune.as_ref(), &self.paths);
-            let Some(page) = self.cursor.next_page(|s, part, req, pos, n| {
-                s.scan_partition_page_columnar(part, req, prune, pos, n, paths)
-            })?
-            else {
+            let page =
+                self.cursor
+                    .next_columns(self.batch_size, &self.paths, self.prune.as_ref())?;
+            let Some(page) = page else {
                 return Ok(None);
             };
             self.metrics.borrow_mut().scan.merge(&page.metrics);

@@ -23,7 +23,7 @@ use std::time::Instant;
 use impliance_docmodel::{DocId, Document};
 use impliance_index::{InvertedIndex, JoinIndex, PathValueIndex, SearchHit, TopKStats};
 use impliance_storage::{
-    Predicate, Projection, ScanMetrics, ScanRequest, StorageEngine, StorageError,
+    Predicate, Projection, ScanMetrics, ScanRequest, StorageEngine, StorageError, Visible,
 };
 
 use crate::batch::{
@@ -780,6 +780,7 @@ fn scan_request_parts(
     predicate: Option<&Predicate>,
     snapshot: Option<u64>,
 ) -> (ScanRequest, Option<Predicate>) {
+    let visible = Visible::AtEpoch(snapshot.unwrap_or(u64::MAX));
     let mut combined = Vec::new();
     if let Some(c) = collection {
         combined.push(Predicate::CollectionIs(c.to_string()));
@@ -796,8 +797,7 @@ fn scan_request_parts(
                     _ => Some(Predicate::And(combined)),
                 },
                 projection: Projection::All,
-                limit: None,
-                snapshot,
+                visible,
             },
             None,
         )
@@ -811,8 +811,7 @@ fn scan_request_parts(
                     _ => Some(Predicate::And(combined)),
                 },
                 projection: Projection::All,
-                limit: None,
-                snapshot,
+                visible,
             },
             predicate.cloned(),
         )
@@ -876,28 +875,6 @@ fn fusable_chain<'p>(plan: &'p LogicalPlan, demand: &ColumnDemand<'_>) -> Option
     }
 }
 
-/// Collect every path a predicate touches, so the columnar scan decodes
-/// exactly the columns the fused masks need.
-fn predicate_paths(p: &Predicate, out: &mut Vec<String>) {
-    match p {
-        Predicate::Eq(path, _)
-        | Predicate::Ne(path, _)
-        | Predicate::Lt(path, _)
-        | Predicate::Le(path, _)
-        | Predicate::Gt(path, _)
-        | Predicate::Ge(path, _)
-        | Predicate::Contains(path, _)
-        | Predicate::Exists(path) => out.push(path.clone()),
-        Predicate::And(ps) | Predicate::Or(ps) => {
-            for q in ps {
-                predicate_paths(q, out);
-            }
-        }
-        Predicate::Not(q) => predicate_paths(q, out),
-        Predicate::True | Predicate::CollectionIs(_) | Predicate::FormatIs(_) => {}
-    }
-}
-
 /// Build the vectorized scan for a fused chain: the storage request uses
 /// the same push-down split as the row path, the decoded columns are the
 /// consumer's `demand` plus every fused filter's paths, fused filter
@@ -914,7 +891,7 @@ fn compile_columnar_scan<'a>(
 ) -> Box<dyn Operator + 'a> {
     let mut paths: Vec<String> = demand.paths.iter().map(|p| p.to_string()).collect();
     for p in &fused.filters {
-        predicate_paths(p, &mut paths);
+        paths.extend(p.referenced_paths().into_iter().map(str::to_string));
     }
     // Pseudo-paths (`_id`, `_score`) name no stored leaf: consumers read
     // them off the page's documents, never from a (all-Null) column.

@@ -22,8 +22,8 @@
 //! row inputs — have no split and run as one tree on the calling thread,
 //! as do single-partition stores and `worker_threads == 1`.
 //!
-//! **A morsel** is one storage partition of a `Scan` base (claimed
-//! largest-first so greedy claiming stays balanced), or one
+//! **A morsel** is one storage partition of a `Scan` base (claimed in
+//! index order; hash routing keeps partitions balanced), or one
 //! `batch_size` chunk of the ordered hit list of an `IndexScan` base —
 //! the search itself is evaluated once on the caller's thread, because
 //! BM25 statistics are index-global. For each morsel a worker compiles
@@ -483,14 +483,13 @@ pub(crate) fn try_execute_parallel(
                 .collect()
         }
         _ => {
-            let partitions = ctx.storage.scan_morsels();
-            if partitions.len() < 2 {
+            // One morsel per partition, in index order: hash routing
+            // already keeps partitions balanced.
+            let partitions = ctx.storage.partition_count();
+            if partitions < 2 {
                 return Ok(None); // one partition: nothing to fan out
             }
-            partitions
-                .iter()
-                .map(|m| (m.partition, Morsel::Partition(m.partition)))
-                .collect()
+            (0..partitions).map(|p| (p, Morsel::Partition(p))).collect()
         }
     };
 

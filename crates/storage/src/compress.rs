@@ -9,8 +9,8 @@
 //! * [`lz_compress`]/[`lz_decompress`] — a greedy LZ77-style byte
 //!   compressor with a 64 KiB window and a 4-byte hash chain, similar in
 //!   spirit to LZ4. Used for segment blocks.
-//! * [`rle_compress`]/[`rle_decompress`] — run-length encoding, used where
-//!   long byte runs dominate (e.g. null bitmaps).
+//! * [`rle_compress`]/[`rle_decompress`] — run-length encoding for data
+//!   dominated by long byte runs. No stored format uses it yet.
 //!
 //! Every compressed block carries its uncompressed length and a checksum so
 //! corruption is detected rather than propagated.
@@ -105,10 +105,23 @@ pub fn lz_compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The most output one byte of token stream can expand to: a 3-byte
+/// match token emits at most `127 + MIN_MATCH` = 131 bytes.
+const MAX_EXPANSION: usize = 44;
+
 /// Decompress an [`lz_compress`] block, verifying length and checksum.
+/// The header's length is untrusted: a claim no token stream of this size
+/// could reach is rejected before anything is reserved, and decoding
+/// stops as soon as the output passes it.
 pub fn lz_decompress(block: &[u8]) -> Result<Vec<u8>, StorageError> {
     let raw_len = read_u32(block, 0)? as usize;
     let sum = read_u32(block, 4)?;
+    if raw_len > block.len().saturating_mul(MAX_EXPANSION) {
+        let len = block.len();
+        return Err(StorageError::BadBlock(format!(
+            "header claims {raw_len} bytes from a {len}-byte block"
+        )));
+    }
     let mut out = Vec::with_capacity(raw_len);
     let mut pos = 8usize;
     while pos < block.len() {
@@ -137,6 +150,11 @@ pub fn lz_decompress(block: &[u8]) -> Result<Vec<u8>, StorageError> {
                 let b = out[start + k];
                 out.push(b);
             }
+        }
+        if out.len() > raw_len {
+            return Err(StorageError::BadBlock(format!(
+                "tokens overrun the {raw_len}-byte header"
+            )));
         }
     }
     if out.len() != raw_len {
@@ -251,6 +269,48 @@ mod tests {
         for cut in 0..z.len() {
             // must error or return wrong-length error, never panic
             let _ = lz_decompress(&z[..cut]);
+        }
+    }
+
+    /// A header flipped the way `Segment::corrupt_block` flips it claims
+    /// ~4 GiB; it is rejected before the output is reserved.
+    #[test]
+    fn lz_rejects_a_flipped_header() {
+        let z = lz_compress(&b"hello hello hello hello".repeat(8));
+        let mut flipped = z.clone();
+        for b in &mut flipped[..4] {
+            *b = !*b;
+        }
+        let err = lz_decompress(&flipped).unwrap_err();
+        assert!(format!("{err:?}").contains("header claims"), "{err:?}");
+        // A header claiming less than the tokens write stops at the claim.
+        let mut short = z;
+        short[..4].copy_from_slice(&10u32.to_le_bytes());
+        let err = lz_decompress(&short).unwrap_err();
+        assert!(format!("{err:?}").contains("overrun"), "{err:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        // Every truncation and every single-byte flip of a valid block
+        // decodes to an error or to the original bytes — never a panic.
+        #[test]
+        fn lz_damaged_blocks_error_or_round_trip(
+            data in proptest::collection::vec(0u8..4, 0..400),
+            mask in 1u8..255,
+        ) {
+            let z = lz_compress(&data);
+            for cut in 0..z.len() {
+                let back = lz_decompress(&z[..cut]);
+                proptest::prop_assert!(back.is_err() || back.as_ref() == Ok(&data));
+            }
+            for i in 0..z.len() {
+                let mut damaged = z.clone();
+                damaged[i] ^= mask;
+                let back = lz_decompress(&damaged);
+                proptest::prop_assert!(back.is_err() || back.as_ref() == Ok(&data));
+            }
         }
     }
 

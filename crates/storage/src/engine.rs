@@ -7,7 +7,9 @@
 //! partitions are individually locked so concurrent ingest and scans
 //! interleave.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -16,11 +18,11 @@ use impliance_analysis::{TrackedMutex, TrackedRwLock};
 use impliance_docmodel::{DocId, Document, Version};
 use impliance_obs::{Counter, Histogram, LATENCY_BUCKETS_US};
 
-use crate::columnar::ColumnPage;
+use crate::columnar::{ColumnPage, ColumnPageBuilder};
 use crate::epoch::{ChangeFeed, ConsumerObs, EpochRegistry, FeedConsumer, Snapshot};
 use crate::error::StorageError;
-use crate::partition::{Partition, ScanPos, Visible};
-use crate::pushdown::{Predicate, ScanRequest, ScanResult};
+use crate::partition::{PageSink, Partition, ScanPos};
+use crate::pushdown::{Predicate, ScanMetrics, ScanRequest, ScanResult};
 use crate::stats::PartitionStats;
 
 /// Commits between lazy version-GC sweeps (a sweep walks every chain, so
@@ -304,95 +306,32 @@ impl StorageEngine {
         self.partitions[self.route(id)].read().get_as_of(id, ts)
     }
 
-    /// Scan the snapshot as of timestamp `ts` across all partitions: for
-    /// every document the version current at `ts` participates
-    /// (documents created later are invisible). Same walk, order and
-    /// `limit` handling as [`StorageEngine::scan`].
-    pub fn scan_as_of(&self, req: &ScanRequest, ts: i64) -> Result<ScanResult, StorageError> {
-        self.scan_visible(req, Visible::AsOf(ts))
-    }
-
-    /// Execute a push-down scan over all partitions, merging results: one
-    /// unbounded page per partition (the partition read lock is held per
-    /// partition, not per scan), with the request's `limit` enforced
-    /// globally across partitions.
+    /// Execute a push-down scan over all partitions, merging results: a
+    /// drain of one [`Cursor`] over every partition, one unbounded page
+    /// per partition (the partition read lock is held per partition, not
+    /// per scan).
     pub fn scan(&self, req: &ScanRequest) -> Result<ScanResult, StorageError> {
         let obs = engine_obs();
         let started = Instant::now();
-        let out = self.scan_visible(req, Visible::snapshot_of(req))?;
+        let mut out = ScanResult::default();
+        let mut cursor = self.cursor(Cow::Borrowed(req), 0..self.partitions.len());
+        while let Some(page) = cursor.next_rows(usize::MAX)? {
+            out.merge(page);
+        }
         obs.scans.inc();
         obs.scan_us.observe(started.elapsed().as_micros() as u64);
         Ok(out)
     }
 
-    fn scan_visible(
-        &self,
-        req: &ScanRequest,
-        visible: Visible,
-    ) -> Result<ScanResult, StorageError> {
-        let mut out = ScanResult::default();
-        // `req.limit` is rewritten to the remainder at each partition
-        // boundary.
-        let mut req = req.clone();
-        for p in &self.partitions {
-            if req.limit == Some(0) {
-                break;
-            }
-            let (page, _, _) =
-                p.read()
-                    .scan_page_visible(&req, visible, ScanPos::default(), usize::MAX)?;
-            observe_segments(page.metrics.segments_skipped, page.metrics.segments_scanned);
-            if let Some(l) = req.limit {
-                req.limit = Some(l.saturating_sub(page.documents.len() + page.ids.len()));
-            }
-            out.merge(page);
-        }
-        Ok(out)
-    }
-
-    /// Scan one page of a single partition (the morsel primitive for
-    /// partition-parallel distributed scans). Out-of-range partitions
-    /// yield an empty, exhausted page.
-    pub fn scan_partition_page(
-        &self,
-        partition: usize,
-        req: &ScanRequest,
-        pos: ScanPos,
-        max_docs: usize,
-    ) -> Result<(ScanResult, ScanPos, bool), StorageError> {
-        match self.partitions.get(partition) {
-            Some(p) => {
-                let (page, next, done) = p.read().scan_page(req, pos, max_docs)?;
-                observe_segments(page.metrics.segments_skipped, page.metrics.segments_scanned);
-                Ok((page, next, done))
-            }
-            None => Ok((ScanResult::default(), pos, true)),
-        }
-    }
-
-    /// Columnar fast path of [`StorageEngine::scan_partition_page`]: one
-    /// page of a single partition decoded straight into typed column
-    /// vectors for `paths`. `prune` extends zone-map skipping with
-    /// predicates the query layer will apply as vectorized masks (the
-    /// page itself is filtered only by `req.predicate`).
-    pub fn scan_partition_page_columnar(
-        &self,
-        partition: usize,
-        req: &ScanRequest,
-        prune: Option<&Predicate>,
-        pos: ScanPos,
-        max_docs: usize,
-        paths: &[String],
-    ) -> Result<(ColumnPage, ScanPos, bool), StorageError> {
-        match self.partitions.get(partition) {
-            Some(p) => {
-                let (page, next, done) = p
-                    .read()
-                    .scan_page_columnar(req, prune, pos, max_docs, paths)?;
-                observe_segments(page.metrics.segments_skipped, page.metrics.segments_scanned);
-                Ok((page, next, done))
-            }
-            None => Ok((ColumnPage::default(), pos, true)),
+    /// A paged walk of `req` over `partitions`, in index order: every
+    /// partition for a whole scan, one for a parallel morsel. Indexes
+    /// past the last partition read nothing.
+    pub fn cursor<'a>(&'a self, req: Cow<'a, ScanRequest>, partitions: Range<usize>) -> Cursor<'a> {
+        Cursor {
+            engine: self,
+            req,
+            partitions,
+            pos: ScanPos::default(),
         }
     }
 
@@ -453,47 +392,109 @@ impl StorageEngine {
     pub fn partition_count(&self) -> usize {
         self.partitions.len()
     }
+}
 
-    /// Enumerate the engine's partitions as independent scan morsels,
-    /// largest first (longest-processing-time order, so a worker pool
-    /// claiming morsels greedily stays balanced). Each morsel is a whole
-    /// partition: pages within it must be streamed sequentially through
-    /// [`StorageEngine::scan_partition_page`], but distinct morsels are
-    /// independent.
-    pub fn scan_morsels(&self) -> Vec<ScanMorsel> {
-        let mut morsels: Vec<ScanMorsel> = self
-            .partitions
-            .iter()
-            .enumerate()
-            .map(|(partition, p)| ScanMorsel {
-                partition,
-                estimated_docs: p.read().live_docs(),
-            })
-            .collect();
-        // Descending size, partition index as the deterministic tie-break.
-        morsels.sort_by(|a, b| {
-            b.estimated_docs
-                .cmp(&a.estimated_docs)
-                .then(a.partition.cmp(&b.partition))
-        });
-        morsels
+/// The one way to read documents in bulk out of a [`StorageEngine`]: a
+/// paged walk over a contiguous range of partitions, in index order.
+///
+/// Each page holds its partition's read lock for that page only, so
+/// ingest and seals interleave with a long walk; a seal landing between
+/// pages is absorbed by the [`ScanPos`]. A page that matched nothing is
+/// still returned, so its metrics reach the caller, and every page's
+/// segment accounting goes to the `storage.segment.*` counters.
+#[derive(Debug)]
+pub struct Cursor<'a> {
+    engine: &'a StorageEngine,
+    req: Cow<'a, ScanRequest>,
+    partitions: Range<usize>,
+    pos: ScanPos,
+}
+
+impl Cursor<'_> {
+    /// The next page of up to `max_docs` matching documents, projected as
+    /// the request asks, or `None` once the range is exhausted.
+    pub fn next_rows(&mut self, max_docs: usize) -> Result<Option<ScanResult>, StorageError> {
+        let mut page = ScanResult::default();
+        let metrics = self.next_page(None, max_docs, &mut page)?;
+        Ok(metrics.map(|metrics| ScanResult { metrics, ..page }))
+    }
+
+    /// The next page of up to `max_docs` matching documents decoded
+    /// straight into typed column vectors for `paths`, or `None` once the
+    /// range is exhausted. Rows carry full documents (the request's
+    /// projection does not apply). `prune` extends zone-map skipping with
+    /// predicates the caller applies as masks — the page itself is
+    /// filtered by the request predicate only — so it must never be
+    /// looser than what the caller keeps.
+    pub fn next_columns(
+        &mut self,
+        max_docs: usize,
+        paths: &[String],
+        prune: Option<&Predicate>,
+    ) -> Result<Option<ColumnPage>, StorageError> {
+        let mut builder = ColumnPageBuilder::new(paths);
+        let metrics = self.next_page(prune, max_docs, &mut builder)?;
+        Ok(metrics.map(|metrics| ColumnPage {
+            metrics,
+            ..builder.finish()
+        }))
+    }
+
+    fn next_page<S: PageSink>(
+        &mut self,
+        prune: Option<&Predicate>,
+        max_docs: usize,
+        sink: &mut S,
+    ) -> Result<Option<ScanMetrics>, StorageError> {
+        let next = self.partitions.clone().next();
+        let Some(partition) = next.and_then(|i| self.engine.partitions.get(i)) else {
+            return Ok(None);
+        };
+        let zone_pred = prune.or(self.req.predicate.as_ref());
+        let (metrics, done) =
+            partition
+                .read()
+                .walk_page(&self.req, zone_pred, &mut self.pos, max_docs, sink)?;
+        observe_segments(metrics.segments_skipped, metrics.segments_scanned);
+        if done {
+            self.partitions.start += 1;
+            self.pos = ScanPos::default();
+        }
+        Ok(Some(metrics))
     }
 }
 
-/// One unit of parallel scan work: a whole partition, claimed by a
-/// worker which then streams the partition's pages in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanMorsel {
-    /// Partition index, valid for [`StorageEngine::scan_partition_page`].
-    pub partition: usize,
-    /// Live documents in the partition when enumerated (a load-balance
-    /// estimate, not a promise — ingest may land concurrently).
-    pub estimated_docs: usize,
+/// impbench only; removed by the next [benchmark] PR.
+impl StorageEngine {
+    /// One columnar page of partition `partition` from `pos`: a
+    /// one-partition [`Cursor`] started at `pos`. Returns the page, the
+    /// position after it, and whether the partition is exhausted.
+    pub fn scan_partition_page_columnar(
+        &self,
+        partition: usize,
+        req: &ScanRequest,
+        prune: Option<&Predicate>,
+        pos: ScanPos,
+        max_docs: usize,
+        paths: &[String],
+    ) -> Result<(ColumnPage, ScanPos, bool), StorageError> {
+        let mut cursor = Cursor {
+            pos,
+            ..self.cursor(Cow::Borrowed(req), partition..partition + 1)
+        };
+        let page = cursor.next_columns(max_docs, paths, prune)?;
+        Ok((
+            page.unwrap_or_default(),
+            cursor.pos,
+            cursor.partitions.is_empty(),
+        ))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::Visible;
     use crate::pushdown::Predicate;
     use impliance_docmodel::{DocumentBuilder, Node, SourceFormat, Value};
     use std::sync::Arc;
@@ -591,7 +592,7 @@ mod tests {
             let pin = e.pin();
             let _ = e.scan(&ScanRequest::full()).unwrap();
             let req = ScanRequest {
-                snapshot: Some(pin.epoch()),
+                visible: Visible::AtEpoch(pin.epoch()),
                 ..ScanRequest::full()
             };
             assert_eq!(e.scan(&req).unwrap().documents.len() as u64, pin.epoch());
@@ -607,75 +608,130 @@ mod tests {
         assert_eq!(res.documents.len(), 1000);
     }
 
-    /// Stream every partition through the page cursor, `max_docs` at a
-    /// time, calling `visit` on each page.
-    fn for_each_page(
-        e: &StorageEngine,
-        req: &ScanRequest,
-        max_docs: usize,
-        mut visit: impl FnMut(ScanResult),
-    ) {
-        for part in 0..e.partition_count() {
-            let mut pos = ScanPos::default();
-            loop {
-                let (page, next, done) = e.scan_partition_page(part, req, pos, max_docs).unwrap();
-                visit(page);
-                pos = next;
-                if done {
-                    break;
+    /// `(id, version)` of every document, in order.
+    fn ids<'d>(docs: impl IntoIterator<Item = &'d Document>) -> Vec<(u64, u32)> {
+        docs.into_iter()
+            .map(|d| (d.id().0, d.version().0))
+            .collect()
+    }
+
+    /// Summed metrics of a one-page-per-partition walk over `parts`.
+    fn walked(e: &StorageEngine, req: &ScanRequest, parts: Range<usize>) -> ScanMetrics {
+        let mut cursor = e.cursor(Cow::Borrowed(req), parts);
+        let mut m = ScanMetrics::default();
+        while let Some(page) = cursor.next_rows(usize::MAX).unwrap() {
+            m.merge(&page.metrics);
+        }
+        m
+    }
+
+    /// Every way of driving a cursor reads what `scan` reads — same ids in
+    /// the same order, same summed metrics — across 1 or 4 partitions,
+    /// page sizes, row or column pages, the three visibility rules, and a
+    /// seal landing half-way through the walk.
+    #[test]
+    fn cursor_pages_equal_the_scan_in_every_mode() {
+        let body = |x: i64, tag: &str| {
+            Node::map([
+                ("x".to_string(), Node::scalar(x)),
+                ("tag".to_string(), Node::scalar(tag)),
+            ])
+        };
+        // 60 documents at t=10, then every 4th rewritten at t=20 after
+        // the pinned epoch.
+        let load = |partitions| {
+            let e = StorageEngine::new(StorageOptions {
+                partitions,
+                seal_threshold: 12,
+                compression: true,
+                encryption_key: None,
+            });
+            for i in 0..60u64 {
+                let tag = if i.is_multiple_of(3) { "fizz" } else { "plain" };
+                let d = Document::new(DocId(i), SourceFormat::Json, "c", 10, body(i as i64, tag));
+                e.put(&d).unwrap();
+            }
+            let pinned = e.current_epoch();
+            for i in (0..60).step_by(4) {
+                let old = e.get_latest(DocId(i)).unwrap().unwrap();
+                e.put(&old.new_version(body(-1, "fizz"), 20)).unwrap();
+            }
+            (e, pinned)
+        };
+        // `Not` never prunes a zone, so a walk that reads a memtable
+        // before a seal reads the same documents as one reading the
+        // segment after it.
+        let predicate = Predicate::Not(Box::new(Predicate::Eq(
+            "tag".into(),
+            Value::Str("plain".into()),
+        )));
+        let paths = vec!["x".to_string(), "tag".to_string()];
+        for partitions in [1, 4] {
+            for visible in 0..3 {
+                for max_docs in [1, 3, 7, usize::MAX] {
+                    for columns in [false, true] {
+                        for seal in [false, true] {
+                            let (e, pinned) = load(partitions);
+                            let visible = [
+                                Visible::default(),
+                                Visible::AtEpoch(pinned),
+                                Visible::AsOf(15),
+                            ][visible];
+                            let label = format!(
+                                "{partitions} partitions, {visible:?}, max {max_docs}, \
+                                 columns {columns}, seal {seal}"
+                            );
+                            let req = ScanRequest {
+                                predicate: Some(predicate.clone()),
+                                visible,
+                                ..ScanRequest::full()
+                            };
+                            let want = e.scan(&req).unwrap();
+                            let want_ids = ids(&want.documents);
+                            let before: Vec<ScanMetrics> = (0..partitions)
+                                .map(|p| walked(&e, &req, p..p + 1))
+                                .collect();
+
+                            let mut cursor = e.cursor(Cow::Borrowed(&req), 0..partitions);
+                            let (mut got, mut metrics) = (Vec::new(), ScanMetrics::default());
+                            let mut sealed_at = None;
+                            loop {
+                                let page = if columns {
+                                    let page = cursor.next_columns(max_docs, &paths, None).unwrap();
+                                    page.map(|p| (ids(p.docs.iter().map(|d| &**d)), p.metrics))
+                                } else {
+                                    let page = cursor.next_rows(max_docs).unwrap();
+                                    page.map(|p| (ids(&p.documents), p.metrics))
+                                };
+                                let Some((page_ids, m)) = page else { break };
+                                assert!(page_ids.len() <= max_docs, "{label}");
+                                got.extend(page_ids);
+                                metrics.merge(&m);
+                                if seal && sealed_at.is_none() && got.len() * 2 >= want_ids.len() {
+                                    sealed_at = Some(cursor.partitions.start);
+                                    e.seal_all();
+                                }
+                            }
+                            assert_eq!(got, want_ids, "{label}");
+                            // Partitions the walk finished before the seal
+                            // count their segments as they were; the rest
+                            // count the segment the seal added too.
+                            let mut expected = want.metrics;
+                            if let Some(at) = sealed_at {
+                                assert_eq!(ids(&e.scan(&req).unwrap().documents), want_ids);
+                                let after = |p| walked(&e, &req, p..p + 1).segments_scanned;
+                                expected.segments_scanned = before[..at]
+                                    .iter()
+                                    .map(|m| m.segments_scanned)
+                                    .chain((at..partitions).map(after))
+                                    .sum();
+                            }
+                            assert_eq!(metrics, expected, "{label}");
+                        }
+                    }
                 }
             }
         }
-    }
-
-    #[test]
-    fn paged_scan_matches_materialized_scan() {
-        let e = StorageEngine::new(StorageOptions {
-            partitions: 4,
-            seal_threshold: 10,
-            compression: false,
-            encryption_key: None,
-        });
-        for i in 0..100 {
-            e.put(&doc(i)).unwrap();
-        }
-        let req = ScanRequest::filtered(Predicate::Eq("tag".into(), Value::Str("fizz".into())));
-        let full = e.scan(&req).unwrap();
-        let mut merged = ScanResult::default();
-        let mut pages = 0;
-        for_each_page(&e, &req, 8, |page| {
-            assert!(page.documents.len() <= 8);
-            merged.merge(page);
-            pages += 1;
-        });
-        assert!(pages >= 5, "34 matches at ≤8/page over 4 partitions");
-        assert_eq!(merged.documents.len(), full.documents.len());
-        assert_eq!(merged.metrics, full.metrics);
-        assert_eq!(merged.metrics.docs_scanned, 100);
-    }
-
-    #[test]
-    fn scan_enforces_limit_across_partitions() {
-        let e = StorageEngine::new(StorageOptions {
-            partitions: 4,
-            seal_threshold: 16,
-            compression: true,
-            encryption_key: None,
-        });
-        for i in 0..100 {
-            e.put(&doc(i)).unwrap();
-        }
-        let limited = |limit| ScanRequest {
-            limit: Some(limit),
-            ..ScanRequest::full()
-        };
-        let ten = e.scan(&limited(10)).unwrap();
-        assert_eq!(ten.documents.len(), 10);
-        // the limit is global: partitions past the one that met it are
-        // never read
-        assert!(ten.metrics.docs_scanned < 100);
-        assert_eq!(e.scan(&limited(0)).unwrap().metrics.docs_scanned, 0);
-        assert_eq!(e.scan(&limited(1000)).unwrap().documents.len(), 100);
     }
 
     #[test]
@@ -689,19 +745,14 @@ mod tests {
         for i in 0..20 {
             e.put(&doc(i)).unwrap();
         }
-        let req = ScanRequest::full();
-        let (first, mut pos, mut done) = e
-            .scan_partition_page(0, &req, ScanPos::default(), 6)
-            .unwrap();
+        let mut cursor = e.cursor(Cow::Owned(ScanRequest::full()), 0..1);
+        let first = cursor.next_rows(6).unwrap().unwrap();
         assert_eq!(first.documents.len(), 6);
         // a seal lands between pages (cursor was mid-memtable)
         e.seal_all();
         let mut ids: Vec<u64> = first.documents.iter().map(|d| d.id().0).collect();
-        while !done {
-            let (page, next, d) = e.scan_partition_page(0, &req, pos, 6).unwrap();
+        while let Some(page) = cursor.next_rows(6).unwrap() {
             ids.extend(page.documents.iter().map(|d| d.id().0));
-            pos = next;
-            done = d;
         }
         ids.sort_unstable();
         ids.dedup();
@@ -710,52 +761,6 @@ mod tests {
             20,
             "no document duplicated or lost across the seal"
         );
-    }
-
-    #[test]
-    fn columnar_partition_pages_match_row_pages() {
-        let e = StorageEngine::new(StorageOptions {
-            partitions: 4,
-            seal_threshold: 10,
-            compression: true,
-            encryption_key: None,
-        });
-        for i in 0..100 {
-            e.put(&doc(i)).unwrap();
-        }
-        let req = ScanRequest::filtered(Predicate::Eq("tag".into(), Value::Str("fizz".into())));
-        let paths = vec!["x".to_string(), "tag".to_string()];
-        for part in 0..e.partition_count() {
-            let mut row_ids = Vec::new();
-            let mut pos = ScanPos::default();
-            loop {
-                let (page, next, done) = e.scan_partition_page(part, &req, pos, 7).unwrap();
-                row_ids.extend(page.documents.iter().map(|d| d.id().0));
-                pos = next;
-                if done {
-                    break;
-                }
-            }
-            let mut col_ids = Vec::new();
-            let mut pos = ScanPos::default();
-            loop {
-                let (page, next, done) = e
-                    .scan_partition_page_columnar(part, &req, None, pos, 7, &paths)
-                    .unwrap();
-                assert_eq!(page.docs.len(), page.len);
-                col_ids.extend(page.docs.iter().map(|d| d.id().0));
-                pos = next;
-                if done {
-                    break;
-                }
-            }
-            assert_eq!(row_ids, col_ids, "partition {part} order must agree");
-        }
-        // Out-of-range partitions yield an empty, exhausted page.
-        let (page, _, done) = e
-            .scan_partition_page_columnar(99, &req, None, ScanPos::default(), 7, &paths)
-            .unwrap();
-        assert!(page.is_empty() && done);
     }
 
     #[test]
@@ -776,7 +781,7 @@ mod tests {
         // …is invisible in its entirety at the earlier snapshot…
         let at = |snap: u64| {
             let req = ScanRequest {
-                snapshot: Some(snap),
+                visible: Visible::AtEpoch(snap),
                 ..ScanRequest::full()
             };
             e.scan(&req).unwrap().documents.len()
@@ -1022,8 +1027,18 @@ mod encryption_tests {
 #[cfg(test)]
 mod time_travel_tests {
     use super::*;
+    use crate::partition::Visible;
     use crate::pushdown::{Predicate, ScanRequest};
     use impliance_docmodel::{Document, Node, SourceFormat, Value};
+
+    /// A scan of the store as of timestamp `ts`, filtered by `predicate`.
+    fn as_of(predicate: Option<Predicate>, ts: i64) -> ScanRequest {
+        ScanRequest {
+            predicate,
+            visible: Visible::AsOf(ts),
+            ..ScanRequest::full()
+        }
+    }
 
     fn doc_at(id: u64, amount: i64, ts: i64) -> Document {
         Document::new(
@@ -1088,7 +1103,7 @@ mod time_travel_tests {
         e.put(&doc_at(100, 1, 30)).unwrap();
         e.put(&doc_at(101, 1, 30)).unwrap();
 
-        let at10 = e.scan_as_of(&ScanRequest::full(), 10).unwrap();
+        let at10 = e.scan(&as_of(None, 10)).unwrap();
         assert_eq!(at10.documents.len(), 10);
         assert!(at10.documents.iter().all(|d| d
             .get_str_path("amount")
@@ -1097,7 +1112,7 @@ mod time_travel_tests {
             .unwrap()
             .query_eq(&Value::Int(100))));
 
-        let at25 = e.scan_as_of(&ScanRequest::full(), 25).unwrap();
+        let at25 = e.scan(&as_of(None, 25)).unwrap();
         assert_eq!(at25.documents.len(), 10, "new docs at t=30 invisible");
         let updated = at25.documents.iter().filter(|d| {
             d.get_str_path("amount")
@@ -1108,23 +1123,23 @@ mod time_travel_tests {
         });
         assert_eq!(updated.count(), 5);
 
-        let now = e.scan_as_of(&ScanRequest::full(), i64::MAX).unwrap();
+        let now = e.scan(&as_of(None, i64::MAX)).unwrap();
         assert_eq!(now.documents.len(), 12);
         // predicates still push down in snapshot scans
         let filtered = e
-            .scan_as_of(
-                &ScanRequest::filtered(Predicate::Eq("amount".into(), Value::Int(999))),
+            .scan(&as_of(
+                Some(Predicate::Eq("amount".into(), Value::Int(999))),
                 25,
-            )
+            ))
             .unwrap();
         assert_eq!(filtered.documents.len(), 5);
     }
 
     /// The as-of scan is the ordinary page walk under another visibility
     /// rule, so its order is the store's (segments in seal order, then
-    /// the memtable) — not a hash map's — and a `limit` keeps a prefix.
+    /// the memtable) — not a hash map's.
     #[test]
-    fn scan_as_of_order_is_deterministic_and_limit_keeps_a_prefix() {
+    fn scan_as_of_order_is_deterministic() {
         let load = || {
             let e = StorageEngine::new(StorageOptions {
                 partitions: 3,
@@ -1150,24 +1165,13 @@ mod time_travel_tests {
         };
         let (a, b) = (load(), load());
         for ts in [10, 20] {
-            let all = versions(&a.scan_as_of(&ScanRequest::full(), ts).unwrap());
+            let all = versions(&a.scan(&as_of(None, ts)).unwrap());
             assert_eq!(all.len(), 40);
             assert_eq!(
                 all,
-                versions(&b.scan_as_of(&ScanRequest::full(), ts).unwrap()),
+                versions(&b.scan(&as_of(None, ts)).unwrap()),
                 "identically loaded engines scan as of {ts} in the same order"
             );
-            for n in [1, 7, 39] {
-                let req = ScanRequest {
-                    limit: Some(n),
-                    ..ScanRequest::full()
-                };
-                assert_eq!(
-                    versions(&a.scan_as_of(&req, ts).unwrap()),
-                    all[..n],
-                    "limit {n} as of {ts} is the first {n} of the unlimited scan"
-                );
-            }
         }
     }
 }

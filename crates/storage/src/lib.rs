@@ -9,17 +9,19 @@
 //! * [`columnar`] — typed column vectors ([`ColumnPage`]) decoded straight
 //!   from segments, with validity bitmasks, page-level string dictionaries,
 //!   and exact vectorized predicate masks.
-//! * [`compress`] — block compression (LZ-style plus RLE), applied inside
-//!   the storage node per §3.1's "pushing down logic … compression".
+//! * [`compress`] — LZ-style block compression of sealed segments,
+//!   applied inside the storage node per §3.1's "pushing down logic …
+//!   compression".
 //! * [`crypt`] — segment encryption (XTEA-CTR, simulation-grade) applied
 //!   after compression, the paper's second push-down example: plaintext
 //!   never leaves the storage node.
 //! * [`segment`] / [`memtable`] / [`partition`] — an append-only,
 //!   immutable-segment layout: documents are never updated in place (§4);
 //!   a new version is appended and the latest-version map is advanced.
-//! * [`pushdown`] — predicate, projection, and aggregation evaluation *at*
-//!   the storage node for early data reduction, with byte-level metrics so
-//!   experiment C2 can show how much data movement pushdown saves.
+//! * [`pushdown`] — the scan request (predicate, projection, visibility)
+//!   evaluated *at* the storage node for early data reduction, with
+//!   byte-level metrics so experiment C2 can show how much data movement
+//!   push-down saves.
 //! * [`stats`] — per-partition statistics (path cardinalities, min/max,
 //!   histograms, distinct estimates) maintained as a side effect of
 //!   sealing segments; used by the cost-based baseline optimizer.
@@ -28,7 +30,8 @@
 //!   view), and the change feed with the one checkpointed consumer loop
 //!   ([`FeedConsumer::drain`]) every background worker is a stage of.
 //! * [`engine`] — the [`StorageEngine`] facade combining hash-partitioned
-//!   storage with version-chain reads.
+//!   storage with version-chain reads; every bulk read is one paged
+//!   [`Cursor`] over a range of partitions.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
@@ -46,13 +49,13 @@ pub mod segment;
 pub mod stats;
 
 pub use columnar::{Bitmask, Column, ColumnPage, ColumnPageBuilder, ColumnVec};
-pub use engine::{ScanMorsel, StorageEngine, StorageOptions};
+pub use engine::{Cursor, StorageEngine, StorageOptions};
 pub use epoch::{
     ChangeFeed, ChangeRecord, ConsumerObs, CrashPoints, EpochRegistry, FeedConsumer, KillPoint,
     Killed, NoFaults, Snapshot, WorkerFaults,
 };
 pub use error::StorageError;
-pub use partition::ScanPos;
+pub use partition::{ScanPos, Visible};
 pub use pushdown::{
     AggFunc, AggValue, Predicate, Projection, ScanMetrics, ScanRequest, ScanResult,
 };

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use impliance_docmodel::{DocId, Document, Version};
 
-use crate::columnar::{ColumnPage, ColumnPageBuilder};
+use crate::columnar::ColumnPageBuilder;
 use crate::error::StorageError;
 use crate::memtable::Memtable;
 use crate::pushdown::{project, Predicate, Projection, ScanMetrics, ScanRequest, ScanResult};
@@ -37,14 +37,14 @@ struct ChainEntry {
     epoch: u64,
 }
 
-/// Cursor into a partition's latest-version scan order (sealed segments
-/// in seal order, then the memtable).
+/// Position of a walk in a partition's scan order (sealed segments in
+/// seal order, then the memtable).
 ///
 /// Positions survive concurrent seals: [`crate::memtable::Memtable::drain`]
-/// preserves entry order, so when the memtable a cursor was reading drains
-/// into a new segment, the cursor resumes inside that segment at its old
-/// memtable offset. Obtain a fresh cursor with `ScanPos::default()` and
-/// thread it through [`Partition::scan_page`].
+/// preserves entry order, so when the memtable a walk was reading drains
+/// into a new segment, the walk resumes inside that segment at its old
+/// memtable offset. [`crate::engine::Cursor`] owns one per partition it
+/// visits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanPos {
     /// Next segment index to read (== segments fully consumed so far).
@@ -53,8 +53,6 @@ pub struct ScanPos {
     idx: usize,
     /// Next memtable entry index (meaningful once segments are done).
     mem: usize,
-    /// Matching documents already emitted toward the request's `limit`.
-    emitted: usize,
 }
 
 /// One storage partition.
@@ -199,7 +197,6 @@ impl Partition {
         self.fix_locations(seg_no, &remap);
     }
 
-    /// Rewrite any remaining `Mem` locations using the remap table.
     /// Fault injection for recovery tests: corrupt every sealed segment's
     /// stored block (see [`Segment::corrupt_block`]).
     pub fn corrupt_sealed_blocks(&mut self) {
@@ -208,6 +205,7 @@ impl Partition {
         }
     }
 
+    /// Rewrite any remaining `Mem` locations using the remap table.
     fn fix_locations(&mut self, seg_no: usize, remap: &HashMap<(DocId, Version), usize>) {
         for (id, chain) in self.chains.iter_mut() {
             for entry in chain.iter_mut() {
@@ -294,22 +292,6 @@ impl Partition {
             + self.memtable.bytes()
     }
 
-    /// Execute a scan request over the *latest versions* in this
-    /// partition, applying predicate/projection/aggregation at the storage
-    /// node (push-down). Materialized wrapper over [`Partition::scan_page`].
-    pub fn scan(&self, req: &ScanRequest) -> Result<ScanResult, StorageError> {
-        let mut result = ScanResult::default();
-        let mut pos = ScanPos::default();
-        loop {
-            let (page, next, done) = self.scan_page(req, pos, usize::MAX)?;
-            result.merge(page);
-            pos = next;
-            if done {
-                return Ok(result);
-            }
-        }
-    }
-
     /// True when `loc` holds the version of document `id` that a reader
     /// under `visible` observes.
     fn is_visible_latest(&self, id: DocId, loc: Location, visible: Visible) -> bool {
@@ -322,103 +304,40 @@ impl Partition {
         self.chains.get(&id).and_then(|c| visible.select(c))
     }
 
-    /// Scan one page of the partition starting at `pos`: up to `max_docs`
-    /// *matching* documents are emitted (the page keeps scanning through
-    /// non-matching documents, so predicate push-down stays per-batch).
-    /// Returns the page, the advanced cursor, and `true` once the
-    /// partition is exhausted or the request's `limit` has been met.
-    pub fn scan_page(
+    /// The one walk behind every scan: from `pos`, sealed segments in seal
+    /// order (one block load per page-visit, whole segments skipped when
+    /// `zone_pred` prunes their zone map), then the memtable. Every
+    /// document version `req.visible` selects that satisfies
+    /// `req.predicate` goes to `sink`, until it holds `max_docs` (the walk
+    /// keeps reading through non-matching documents, so predicate
+    /// push-down stays per page). Returns the page's metrics and `true`
+    /// once the partition is exhausted.
+    pub(crate) fn walk_page<S: PageSink>(
         &self,
         req: &ScanRequest,
-        pos: ScanPos,
-        max_docs: usize,
-    ) -> Result<(ScanResult, ScanPos, bool), StorageError> {
-        self.scan_page_visible(req, Visible::snapshot_of(req), pos, max_docs)
-    }
-
-    /// [`Partition::scan_page`] with the visibility rule spelled out, so
-    /// the as-of-timestamp scan (§4's auditing time travel) is the same
-    /// walk in the same order as a snapshot scan.
-    pub(crate) fn scan_page_visible(
-        &self,
-        req: &ScanRequest,
-        visible: Visible,
-        pos: ScanPos,
-        max_docs: usize,
-    ) -> Result<(ScanResult, ScanPos, bool), StorageError> {
-        let mut out = ScanResult::default();
-        let zone_pred = req.predicate.as_ref();
-        let (metrics, next, done) =
-            self.walk_page(req, visible, zone_pred, pos, max_docs, &mut out)?;
-        out.metrics = metrics;
-        Ok((out, next, done))
-    }
-
-    /// Columnar fast path: scan one page like [`Partition::scan_page`]
-    /// but decode matching documents straight into typed column vectors
-    /// for `paths`. `prune` is an *additional* predicate (typically the
-    /// request predicate AND-ed with filters the query layer will apply
-    /// as vectorized masks) used **only** for zone-map skipping — it must
-    /// be a superset condition of what the caller keeps, never looser.
-    /// Projection/aggregation are not supported here; rows carry full
-    /// documents, and byte metrics mirror the row path exactly.
-    pub fn scan_page_columnar(
-        &self,
-        req: &ScanRequest,
-        prune: Option<&Predicate>,
-        pos: ScanPos,
-        max_docs: usize,
-        paths: &[String],
-    ) -> Result<(ColumnPage, ScanPos, bool), StorageError> {
-        let mut builder = ColumnPageBuilder::new(paths);
-        let zone_pred = prune.or(req.predicate.as_ref());
-        let visible = Visible::snapshot_of(req);
-        let (metrics, next, done) =
-            self.walk_page(req, visible, zone_pred, pos, max_docs, &mut builder)?;
-        let mut page = builder.finish();
-        page.metrics = metrics;
-        Ok((page, next, done))
-    }
-
-    /// The one cursor walk behind every page scan: sealed segments in
-    /// seal order (one block load per page-visit, whole segments skipped
-    /// when `zone_pred` prunes their zone map), then the memtable; every
-    /// document version `visible` selects is offered to `sink` until it
-    /// holds `max_docs` or the request's `limit` is met.
-    fn walk_page<S: PageSink>(
-        &self,
-        req: &ScanRequest,
-        visible: Visible,
         zone_pred: Option<&Predicate>,
-        mut pos: ScanPos,
+        pos: &mut ScanPos,
         max_docs: usize,
         sink: &mut S,
-    ) -> Result<(ScanMetrics, ScanPos, bool), StorageError> {
-        // A concurrent seal may have drained the memtable this cursor was
+    ) -> Result<(ScanMetrics, bool), StorageError> {
+        let mut metrics = ScanMetrics::default();
+        // A concurrent seal may have drained the memtable this walk was
         // mid-way through into segment `pos.seg`; entry order is preserved
         // by the drain, so resume inside that segment at the old offset.
+        // The walk enters that segment here rather than at index 0, so
+        // this is where it is counted.
         if pos.seg < self.segments.len() && pos.mem > 0 {
             pos.idx = pos.mem;
             pos.mem = 0;
+            metrics.segments_scanned += 1;
         }
-        let mut metrics = ScanMetrics::default();
         let budget = max_docs.max(1);
-        let limit = req.limit.unwrap_or(usize::MAX);
-        if pos.emitted >= limit {
-            return Ok((metrics, pos, true));
-        }
-        // `Some(done)` once the page is full or the limit is met.
-        let full = |sink: &S, pos: &ScanPos| {
-            let total = pos.emitted + sink.emitted();
-            (sink.emitted() >= budget || total >= limit).then_some(total >= limit)
-        };
         while pos.seg < self.segments.len() {
             // Checked up front so a segment entered at idx 0 always
             // processes at least one entry — segment accounting below
-            // then counts each segment exactly once per cursor.
-            if let Some(done) = full(sink, &pos) {
-                pos.emitted += sink.emitted();
-                return Ok((metrics, pos, done));
+            // then counts each segment exactly once per walk.
+            if sink.emitted() >= budget {
+                return Ok((metrics, false));
             }
             let segment = &self.segments[pos.seg];
             let dir = segment.directory();
@@ -438,9 +357,8 @@ impl Partition {
                 }
                 let block = segment.load_block()?;
                 while pos.idx < dir.len() {
-                    if let Some(done) = full(sink, &pos) {
-                        pos.emitted += sink.emitted();
-                        return Ok((metrics, pos, done));
+                    if sink.emitted() >= budget {
+                        return Ok((metrics, false));
                     }
                     let entry = &dir[pos.idx];
                     let here = Location::Seg {
@@ -448,7 +366,7 @@ impl Partition {
                         idx: pos.idx,
                     };
                     pos.idx += 1;
-                    if !self.is_visible_latest(entry.id, here, visible) {
+                    if !self.is_visible_latest(entry.id, here, req.visible) {
                         continue;
                     }
                     let (doc, _) = crate::codec::decode_document(&block, entry.offset as usize)?;
@@ -462,39 +380,38 @@ impl Partition {
             if i < pos.mem {
                 continue;
             }
-            if let Some(done) = full(sink, &pos) {
-                pos.emitted += sink.emitted();
-                return Ok((metrics, pos, done));
+            if sink.emitted() >= budget {
+                return Ok((metrics, false));
             }
             pos.mem = i + 1;
-            if !self.is_visible_latest(id, Location::Mem(i), visible) {
+            if !self.is_visible_latest(id, Location::Mem(i), req.visible) {
                 continue;
             }
             offer(self.memtable.get(i)?, len, req, sink, &mut metrics);
         }
-        pos.emitted += sink.emitted();
-        Ok((metrics, pos, true))
+        Ok((metrics, true))
     }
 }
 
-/// Which version of each document a page walk offers: the one a
-/// commit-epoch snapshot observes, or the one current at a timestamp.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Visible {
+/// Which version of each document a scan sees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Visible {
     /// The last version whose commit epoch is ≤ the snapshot (epochs are
-    /// non-decreasing along a chain); `u64::MAX` is the unconditional
-    /// latest.
+    /// non-decreasing along a chain); `u64::MAX` is the unpinned latest.
     AtEpoch(u64),
-    /// The last version ingested at or before the timestamp.
+    /// The last version ingested at or before the timestamp — §4's
+    /// auditing time travel.
     AsOf(i64),
 }
 
-impl Visible {
-    /// The request's pinned snapshot, or the unconditional latest.
-    pub(crate) fn snapshot_of(req: &ScanRequest) -> Visible {
-        Visible::AtEpoch(req.snapshot.unwrap_or(u64::MAX))
+impl Default for Visible {
+    /// The unpinned latest.
+    fn default() -> Self {
+        Visible::AtEpoch(u64::MAX)
     }
+}
 
+impl Visible {
     fn select(self, chain: &[ChainEntry]) -> Option<&ChainEntry> {
         chain.iter().rev().find(|e| match self {
             Visible::AtEpoch(snap) => e.epoch <= snap,
@@ -506,9 +423,8 @@ impl Visible {
 /// Where a page walk puts the visible, matching documents it finds.
 /// Monomorphized per sink, so the per-document loop never dispatches
 /// dynamically.
-trait PageSink {
-    /// Documents accepted so far — what `max_docs` and the request's
-    /// `limit` count.
+pub(crate) trait PageSink {
+    /// Documents accepted so far — what `max_docs` counts.
     fn emitted(&self) -> usize;
 
     /// Take one matching document; returns the bytes it adds to
@@ -521,14 +437,20 @@ impl PageSink for ScanResult {
         self.documents.len() + self.ids.len()
     }
 
-    fn accept(&mut self, doc: Document, _encoded_len: usize, req: &ScanRequest) -> u64 {
+    /// A full document is returned as stored, so it counts its stored
+    /// entry bytes; only a path projection builds and re-encodes a copy.
+    fn accept(&mut self, doc: Document, encoded_len: usize, req: &ScanRequest) -> u64 {
         match &req.projection {
             Projection::IdsOnly => {
                 self.ids.push(doc.id());
                 8
             }
-            proj => {
-                let projected = project(&doc, proj);
+            Projection::All => {
+                self.documents.push(doc);
+                encoded_len as u64
+            }
+            Projection::Paths(paths) => {
+                let projected = project(&doc, paths);
                 let bytes = crate::codec::encode_document_vec(&projected).len() as u64;
                 self.documents.push(projected);
                 bytes
@@ -579,6 +501,33 @@ mod tests {
             .field("amount", amount)
             .field("make", if i.is_multiple_of(2) { "Volvo" } else { "Saab" })
             .build()
+    }
+
+    /// One row page of `p` from `pos`, and whether the partition is done.
+    fn rows(p: &Partition, req: &ScanRequest, pos: &mut ScanPos, n: usize) -> (ScanResult, bool) {
+        let mut out = ScanResult::default();
+        let (metrics, done) = p
+            .walk_page(req, req.predicate.as_ref(), pos, n, &mut out)
+            .unwrap();
+        out.metrics = metrics;
+        (out, done)
+    }
+
+    /// The whole partition as one row page.
+    fn scan(p: &Partition, req: &ScanRequest) -> ScanResult {
+        rows(p, req, &mut ScanPos::default(), usize::MAX).0
+    }
+
+    /// Row pages of `n` from `pos` until the partition is done.
+    fn drain(p: &Partition, req: &ScanRequest, mut pos: ScanPos, n: usize) -> ScanResult {
+        let mut out = ScanResult::default();
+        loop {
+            let (page, done) = rows(p, req, &mut pos, n);
+            out.merge(page);
+            if done {
+                return out;
+            }
+        }
     }
 
     #[test]
@@ -641,7 +590,7 @@ mod tests {
         p.put(&doc(2, 50)).unwrap();
         p.put(&doc(3, 60)).unwrap(); // forces sealing along the way
 
-        let res = p.scan(&ScanRequest::full()).unwrap();
+        let res = scan(&p, &ScanRequest::full());
         assert_eq!(res.documents.len(), 3);
         let amounts: Vec<i64> = res
             .documents
@@ -669,7 +618,7 @@ mod tests {
             p.put(&doc(i, i as i64)).unwrap();
         }
         let req = ScanRequest::filtered(Predicate::Ge("amount".into(), Value::Int(15)));
-        let res = p.scan(&req).unwrap();
+        let res = scan(&p, &req);
         assert_eq!(res.documents.len(), 5);
         // Segment 0 (amounts 0..8) is zone-pruned whole; segment 1
         // (amounts 8..16) and the memtable (16..20) are scanned.
@@ -685,7 +634,7 @@ mod tests {
             p.put(&doc(i, i as i64)).unwrap();
         }
         let req = ScanRequest::filtered(Predicate::Ge("amount".into(), Value::Int(72)));
-        let m = p.scan(&req).unwrap().metrics;
+        let m = scan(&p, &req).metrics;
         assert_eq!(m.docs_matched, 8);
         assert!(
             m.segments_skipped * 2 > m.segments_skipped + m.segments_scanned,
@@ -693,38 +642,6 @@ mod tests {
             m.segments_skipped,
             m.segments_skipped + m.segments_scanned
         );
-    }
-
-    #[test]
-    fn columnar_page_scan_matches_row_scan() {
-        let mut p = Partition::new(8, true);
-        for i in 0..20 {
-            p.put(&doc(i, i as i64)).unwrap();
-        }
-        let req = ScanRequest::filtered(Predicate::Ge("amount".into(), Value::Int(15)));
-        let row = p.scan(&req).unwrap();
-        let paths = vec!["amount".to_string(), "make".to_string()];
-        let mut pos = ScanPos::default();
-        let mut docs = Vec::new();
-        let mut metrics = ScanMetrics::default();
-        loop {
-            let (page, next, done) = p.scan_page_columnar(&req, None, pos, 4, &paths).unwrap();
-            metrics.merge(&page.metrics);
-            let amount = page.column("amount").expect("amount column").clone();
-            for i in 0..page.len {
-                assert!(amount.validity.get(i));
-                assert_eq!(amount.value_at(i), Value::Int(page.docs[i].id().0 as i64));
-            }
-            docs.extend(page.docs);
-            pos = next;
-            if done {
-                break;
-            }
-        }
-        let row_ids: Vec<u64> = row.documents.iter().map(|d| d.id().0).collect();
-        let col_ids: Vec<u64> = docs.iter().map(|d| d.id().0).collect();
-        assert_eq!(row_ids, col_ids);
-        assert_eq!(metrics, row.metrics, "columnar metrics must mirror rows");
     }
 
     #[test]
@@ -737,10 +654,19 @@ mod tests {
         let req = ScanRequest::full();
         let fused = Predicate::Ge("amount".into(), Value::Int(16));
         let paths = vec!["amount".to_string()];
-        let (page, _, done) = p
-            .scan_page_columnar(&req, Some(&fused), ScanPos::default(), usize::MAX, &paths)
+        let mut builder = ColumnPageBuilder::new(&paths);
+        let (metrics, done) = p
+            .walk_page(
+                &req,
+                Some(&fused),
+                &mut ScanPos::default(),
+                usize::MAX,
+                &mut builder,
+            )
             .unwrap();
         assert!(done);
+        let mut page = builder.finish();
+        page.metrics = metrics;
         assert_eq!(page.metrics.segments_skipped, 2);
         assert_eq!(page.metrics.segments_scanned, 0);
         // Both segments skipped; only the memtable's docs were decoded.
@@ -761,51 +687,14 @@ mod tests {
             projection: Projection::IdsOnly,
             ..ScanRequest::full()
         };
-        let res = p.scan(&req).unwrap();
+        let res = scan(&p, &req);
         assert_eq!(res.ids.len(), 10);
         assert_eq!(res.metrics.bytes_returned, 80);
     }
 
-    #[test]
-    fn scan_limit_stops_early() {
-        let mut p = Partition::new(100, false);
-        for i in 0..50 {
-            p.put(&doc(i, 1)).unwrap();
-        }
-        let req = ScanRequest {
-            limit: Some(5),
-            ..ScanRequest::full()
-        };
-        let res = p.scan(&req).unwrap();
-        assert_eq!(res.documents.len(), 5);
-    }
-
-    #[test]
-    fn scan_page_matches_materialized_scan() {
-        let mut p = Partition::new(7, true);
-        for i in 0..40 {
-            p.put(&doc(i, i as i64)).unwrap();
-        }
-        let req = ScanRequest::filtered(Predicate::Ge("amount".into(), Value::Int(10)));
-        let full = p.scan(&req).unwrap();
-        let mut paged = ScanResult::default();
-        let mut pos = ScanPos::default();
-        let mut pages = 0;
-        loop {
-            let (page, next, done) = p.scan_page(&req, pos, 4).unwrap();
-            assert!(page.documents.len() <= 4, "page overflows max_docs");
-            paged.merge(page);
-            pos = next;
-            pages += 1;
-            if done {
-                break;
-            }
-        }
-        assert!(pages > 1, "40 docs at 4/page must take several pages");
-        assert_eq!(paged.documents.len(), full.documents.len());
-        assert_eq!(paged.metrics, full.metrics);
-    }
-
+    /// A seal that drains the memtable a walk is part-way through moves
+    /// the walk into the new segment: nothing is lost or repeated, and
+    /// that segment is counted once.
     #[test]
     fn scan_page_cursor_survives_seal() {
         let mut p = Partition::new(1000, false);
@@ -814,50 +703,23 @@ mod tests {
         }
         let req = ScanRequest::full();
         // First page lands mid-memtable …
-        let (page, pos, done) = p.scan_page(&req, ScanPos::default(), 5).unwrap();
-        assert_eq!(page.documents.len(), 5);
+        let mut pos = ScanPos::default();
+        let (first, done) = rows(&p, &req, &mut pos, 5);
+        assert_eq!(first.documents.len(), 5);
         assert!(!done);
         // … then a seal drains the memtable into a segment …
         p.seal();
         for i in 12..15 {
             p.put(&doc(i, 1)).unwrap();
         }
-        // … and the cursor continues without duplicates or misses.
-        let mut ids: Vec<u64> = page.documents.iter().map(|d| d.id().0).collect();
-        let mut pos = pos;
-        loop {
-            let (page, next, done) = p.scan_page(&req, pos, 5).unwrap();
-            ids.extend(page.documents.iter().map(|d| d.id().0));
-            pos = next;
-            if done {
-                break;
-            }
-        }
+        // … and the walk continues without duplicates or misses.
+        let rest = drain(&p, &req, pos, 5);
+        let mut ids: Vec<u64> = first.documents.iter().map(|d| d.id().0).collect();
+        ids.extend(rest.documents.iter().map(|d| d.id().0));
         ids.sort_unstable();
         assert_eq!(ids, (0..15).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn scan_page_limit_spans_pages() {
-        let mut p = Partition::new(1000, false);
-        for i in 0..30 {
-            p.put(&doc(i, 1)).unwrap();
-        }
-        let req = ScanRequest {
-            limit: Some(7),
-            ..ScanRequest::full()
-        };
-        let mut got = 0;
-        let mut pos = ScanPos::default();
-        loop {
-            let (page, next, done) = p.scan_page(&req, pos, 3).unwrap();
-            got += page.documents.len();
-            pos = next;
-            if done {
-                break;
-            }
-        }
-        assert_eq!(got, 7, "limit enforced across pages");
+        let scanned = first.metrics.segments_scanned + rest.metrics.segments_scanned;
+        assert_eq!(scanned, 1, "the segment entered after the seal is counted");
     }
 
     #[test]
@@ -872,10 +734,10 @@ mod tests {
 
         let at = |snap: u64| {
             let req = ScanRequest {
-                snapshot: Some(snap),
+                visible: Visible::AtEpoch(snap),
                 ..ScanRequest::full()
             };
-            let res = p.scan(&req).unwrap();
+            let res = scan(&p, &req);
             let mut pairs: Vec<(u64, i64)> = res
                 .documents
                 .iter()
@@ -930,7 +792,7 @@ mod tests {
         // The survivor is intact, readable, and still the latest.
         let latest = p.get_latest(DocId(1)).unwrap().unwrap();
         assert_eq!(latest.version(), Version(3));
-        let res = p.scan(&ScanRequest::full()).unwrap();
+        let res = scan(&p, &ScanRequest::full());
         assert_eq!(res.documents.len(), 1);
         assert_eq!(p.stats().versions_reclaimed, 2);
     }
@@ -953,19 +815,12 @@ mod tests {
         assert_eq!(p.reclaim(13), 3);
         // A scan cursor started now survives a seal landing mid-scan.
         let req = ScanRequest::full();
-        let (page, pos, done) = p.scan_page(&req, ScanPos::default(), 2).unwrap();
+        let mut pos = ScanPos::default();
+        let (page, done) = rows(&p, &req, &mut pos, 2);
         assert!(!done);
         p.seal();
         let mut ids: Vec<u64> = page.documents.iter().map(|d| d.id().0).collect();
-        let mut pos = pos;
-        loop {
-            let (page, next, done) = p.scan_page(&req, pos, 2).unwrap();
-            ids.extend(page.documents.iter().map(|d| d.id().0));
-            pos = next;
-            if done {
-                break;
-            }
-        }
+        ids.extend(drain(&p, &req, pos, 2).documents.iter().map(|d| d.id().0));
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids, (0..6).collect::<Vec<u64>>());

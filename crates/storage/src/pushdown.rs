@@ -1,16 +1,19 @@
-//! Predicate, projection, and aggregation push-down.
+//! Predicate and projection push-down.
 //!
 //! §3.1: "higher-level functionality like aggregation and predicate
 //! application can be more easily 'pushed down' closer to the storage for
 //! early data reduction." This module defines the request language a data
-//! node accepts and evaluates it *inside* the storage engine, so only
-//! reduced data crosses the (simulated) network. [`ScanMetrics`] records
-//! bytes scanned vs. bytes returned; experiment C2 compares the two with
-//! push-down on and off.
+//! node accepts — a filter, a projection and a visibility rule — and
+//! evaluates it *inside* the storage engine, so only reduced data crosses
+//! the (simulated) network. Aggregation runs above the scan, in the query
+//! layer's operators; [`AggValue`] is the partial state they share.
+//! [`ScanMetrics`] records bytes scanned vs. bytes returned; experiment C2
+//! compares the two with push-down on and off.
 
 use impliance_docmodel::{Document, Node, Value};
 
 use crate::columnar::CmpOp;
+use crate::partition::Visible;
 use crate::segment::{PathZone, ZoneMap};
 
 /// The total-order rank of a value, mirroring `Value::total_cmp`: values
@@ -357,18 +360,17 @@ impl AggValue {
     }
 }
 
-/// A complete scan request: filter, then project.
+/// A complete scan request: which version of each document, filter, then
+/// project.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScanRequest {
     /// Filter evaluated at the storage node.
     pub predicate: Option<Predicate>,
     /// Projection applied to survivors.
     pub projection: Projection,
-    /// Optional cap on returned documents (top-of-scan limit).
-    pub limit: Option<usize>,
-    /// Visibility epoch: only versions committed at or before this epoch
-    /// are seen (see `crate::epoch`). `None` reads the unpinned latest.
-    pub snapshot: Option<u64>,
+    /// Which version of each document the scan sees: a pinned epoch (see
+    /// `crate::epoch`), a timestamp, or by default the unpinned latest.
+    pub visible: Visible,
 }
 
 impl ScanRequest {
@@ -436,30 +438,24 @@ impl ScanResult {
     }
 }
 
-/// Apply a projection to a document, producing the pruned copy that would
-/// travel over the network.
-pub fn project(doc: &Document, projection: &Projection) -> Document {
-    match projection {
-        Projection::All | Projection::IdsOnly => doc.clone(),
-        Projection::Paths(paths) => {
-            let mut root = Node::empty_map();
-            for (path, value) in doc.leaves() {
-                let structural = path.structural_form();
-                if paths.contains(&structural) {
-                    root.set(&path, Node::Value(value.clone()));
-                }
-            }
-            // Rebuild with same identity/metadata but pruned body.
-            let pruned = Document::new(
-                doc.id(),
-                doc.format(),
-                doc.collection().to_string(),
-                doc.ingested_at(),
-                root,
-            );
-            advance_to_version(pruned, doc)
+/// Project a document onto the listed structural paths, producing the
+/// pruned copy that would travel over the network.
+pub fn project(doc: &Document, paths: &[String]) -> Document {
+    let mut root = Node::empty_map();
+    for (path, value) in doc.leaves() {
+        if paths.contains(&path.structural_form()) {
+            root.set(&path, Node::Value(value.clone()));
         }
     }
+    // Rebuild with same identity/metadata but pruned body.
+    let pruned = Document::new(
+        doc.id(),
+        doc.format(),
+        doc.collection().to_string(),
+        doc.ingested_at(),
+        root,
+    );
+    advance_to_version(pruned, doc)
 }
 
 fn advance_to_version(mut pruned: Document, original: &Document) -> Document {
@@ -561,7 +557,7 @@ mod tests {
     #[test]
     fn projection_prunes_paths() {
         let d = doc(1500, "Volvo");
-        let p = project(&d, &Projection::Paths(vec!["claim.amount".into()]));
+        let p = project(&d, &["claim.amount".into()]);
         assert!(p.get_str_path("claim.amount").is_some());
         assert!(p.get_str_path("claim.vehicle.make").is_none());
         assert_eq!(p.id(), d.id());
@@ -571,7 +567,7 @@ mod tests {
     fn projection_preserves_version() {
         let d = doc(1, "Volvo");
         let d2 = d.new_version(d.root().clone(), 9);
-        let p = project(&d2, &Projection::Paths(vec!["claim.amount".into()]));
+        let p = project(&d2, &["claim.amount".into()]);
         assert_eq!(p.version(), d2.version());
     }
 

@@ -268,27 +268,6 @@ impl Segment {
         let (doc, _) = codec::decode_document(&block[start..end], 0)?;
         Ok(doc)
     }
-
-    /// Decode every document, visiting them in append order with their
-    /// encoded length. One block decompression amortized over the whole
-    /// scan — the access pattern the paper's data nodes are sized for.
-    pub fn scan(
-        &self,
-        mut visit: impl FnMut(Document, usize) -> Result<(), StorageError>,
-    ) -> Result<(), StorageError> {
-        let block = self.load_block()?;
-        for entry in &self.directory {
-            // Skip GC-tombstoned (zero-length) entries.
-            if entry.len == 0 {
-                continue;
-            }
-            let start = entry.offset as usize;
-            let end = start + entry.len as usize;
-            let (doc, _) = codec::decode_document(&block[start..end], 0)?;
-            visit(doc, entry.len as usize)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -332,16 +311,11 @@ mod tests {
     }
 
     #[test]
-    fn scan_visits_all_in_order() {
+    fn directory_keeps_append_order() {
         let s = Segment::seal(entries(20), true);
-        let mut seen = Vec::new();
-        s.scan(|d, len| {
-            assert!(len > 0);
-            seen.push(d.id().0);
-            Ok(())
-        })
-        .unwrap();
+        let seen: Vec<u64> = (0..s.len()).map(|i| s.get(i).unwrap().id().0).collect();
         assert_eq!(seen, (0..20).collect::<Vec<_>>());
+        assert!(s.directory().iter().all(|e| e.len > 0));
     }
 
     #[test]
@@ -380,6 +354,6 @@ mod tests {
         let s = Segment::seal(Vec::new(), true);
         assert!(s.is_empty());
         assert_eq!(s.raw_bytes(), 0);
-        s.scan(|_, _| panic!("no docs")).unwrap();
+        assert!(s.load_block().unwrap().is_empty());
     }
 }

@@ -20,7 +20,7 @@ use impliance::docmodel::{DocId, DocumentBuilder, SourceFormat};
 use impliance::query::clock::{self, BackoffClock, ManualTime};
 use impliance::query::dist::{self, dist_put_replicated, DataNodeState, DistError, DistOutput};
 use impliance::query::{ExecutionContext, FailoverPolicy, LogicalPlan, Priority, RetryPolicy};
-use impliance::storage::{ScanRequest, StorageEngine, StorageOptions};
+use impliance::storage::{ScanRequest, StorageEngine, StorageOptions, Visible};
 use impliance::virt::{Admission, TenantId, TenantQuota, WorkloadConfig, WorkloadManager};
 
 const DATA_NODES: u32 = 4;
@@ -571,8 +571,10 @@ fn doc_body(doc: &impliance::docmodel::Document) -> Option<String> {
 /// document's body text (annotation/ingest ids share an allocator, so
 /// raw ids are not stable across fault schedules; bodies are).
 fn annotation_sets_at(imp: &Impliance, epoch: u64) -> BTreeMap<String, Vec<String>> {
-    let mut req = ScanRequest::full();
-    req.snapshot = Some(epoch);
+    let req = ScanRequest {
+        visible: Visible::AtEpoch(epoch),
+        ..ScanRequest::full()
+    };
     let scan = imp.storage().scan(&req).expect("snapshot scan");
     let mut bodies: BTreeMap<u64, String> = BTreeMap::new();
     for doc in &scan.documents {

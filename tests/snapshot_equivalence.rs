@@ -1,5 +1,5 @@
 //! Model-based equivalence for the storage engine's four read views of
-//! history — `versions`, `get_as_of`/`scan_as_of` (timestamp travel),
+//! history — `versions`, `get_as_of`/as-of scans (timestamp travel),
 //! and `get_latest_at`/snapshot scans (epoch travel) — checked against a
 //! flat in-test model AND across two engine layouts that must agree:
 //! a single-partition engine that never seals its memtable, and a
@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use impliance::docmodel::{DocId, Document, Node, Path, SourceFormat, Value, Version};
-use impliance::storage::{ScanRequest, StorageEngine, StorageOptions};
+use impliance::storage::{ScanRequest, StorageEngine, StorageOptions, Visible};
 
 /// One committed document version as the model remembers it.
 #[derive(Debug, Clone, Copy)]
@@ -54,22 +54,13 @@ fn seals_often() -> StorageEngine {
     })
 }
 
-/// Sorted `(id, version, body)` triples of a scan result.
-fn scan_triples(engine: &StorageEngine, req: &ScanRequest) -> Vec<(u64, u32, i64)> {
-    let result = engine.scan(req).expect("scan");
-    let mut out: Vec<(u64, u32, i64)> = result
-        .documents
-        .iter()
-        .map(|d| (d.id().0, d.version().0, body_of(d)))
-        .collect();
-    out.sort_unstable();
-    out
-}
-
-fn as_of_triples(engine: &StorageEngine, ts: i64) -> Vec<(u64, u32, i64)> {
-    let result = engine
-        .scan_as_of(&ScanRequest::full(), ts)
-        .expect("scan_as_of");
+/// Sorted `(id, version, body)` triples of a full scan at `visible`.
+fn scan_triples(engine: &StorageEngine, visible: Visible) -> Vec<(u64, u32, i64)> {
+    let req = ScanRequest {
+        visible,
+        ..ScanRequest::full()
+    };
+    let result = engine.scan(&req).expect("scan");
     let mut out: Vec<(u64, u32, i64)> = result
         .documents
         .iter()
@@ -171,7 +162,7 @@ proptest! {
 
         // Timestamp travel: at every instant that ever existed (plus the
         // instants just before and after history), get_as_of and
-        // scan_as_of return the model's "latest version at or before ts".
+        // as-of scans return the model's "latest version at or before ts".
         let mut instants: Vec<i64> = model.values().flatten().map(|e| e.ts).collect();
         instants.push(-1);
         instants.push(ts + 1);
@@ -197,8 +188,9 @@ proptest! {
                 }
             }
             expect.sort_unstable();
-            prop_assert_eq!(&as_of_triples(&flat, t), &expect, "flat scan_as_of {}", t);
-            prop_assert_eq!(&as_of_triples(&sealed, t), &expect, "sealed scan_as_of {}", t);
+            let at = Visible::AsOf(t);
+            prop_assert_eq!(&scan_triples(&flat, at), &expect, "flat as-of scan {}", t);
+            prop_assert_eq!(&scan_triples(&sealed, at), &expect, "sealed as-of scan {}", t);
         }
 
         // Epoch travel: at every epoch from boot to now, point reads and
@@ -226,17 +218,15 @@ proptest! {
                 }
             }
             expect.sort_unstable();
-            let mut req = ScanRequest::full();
-            req.snapshot = Some(epoch);
-            prop_assert_eq!(&scan_triples(&flat, &req), &expect, "flat snapshot scan {}", epoch);
-            prop_assert_eq!(&scan_triples(&sealed, &req), &expect, "sealed snapshot scan {}", epoch);
+            let at = Visible::AtEpoch(epoch);
+            prop_assert_eq!(&scan_triples(&flat, at), &expect, "flat snapshot scan {}", epoch);
+            prop_assert_eq!(&scan_triples(&sealed, at), &expect, "sealed snapshot scan {}", epoch);
         }
 
         // And the unpinned latest matches the final epoch's view.
-        let unpinned = ScanRequest::full();
-        let mut req = ScanRequest::full();
-        req.snapshot = Some(max_epoch);
-        prop_assert_eq!(scan_triples(&flat, &unpinned), scan_triples(&flat, &req));
-        prop_assert_eq!(scan_triples(&sealed, &unpinned), scan_triples(&sealed, &req));
+        let unpinned = Visible::default();
+        let pinned = Visible::AtEpoch(max_epoch);
+        prop_assert_eq!(scan_triples(&flat, unpinned), scan_triples(&flat, pinned));
+        prop_assert_eq!(scan_triples(&sealed, unpinned), scan_triples(&sealed, pinned));
     }
 }
