@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# The repo gate: build, tests, formatting, clippy deny-list, and the
-# impliance-analysis invariant checker (fails on any finding). Mirrors
+# The repo gate: build, tests, formatting, the clippy deny-list, the
+# release-only batteries and the benchmark's smoke pass. Mirrors
 # .github/workflows/ci.yml for local use.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -16,33 +16,20 @@ cargo fmt --check
 
 # Deny-list, not blanket -D warnings: each denied lint is configured in
 # one place — the root Cargo.toml's [workspace.lints.clippy] table, a
-# lib.rs attribute, or a clippy.toml (DESIGN.md "Static analysis &
-# invariants"). Everything else stays advisory.
+# lib.rs attribute, or a clippy.toml (DESIGN.md "Invariants and where
+# each is checked"). Everything else stays advisory.
 echo "==> cargo clippy (deny-list)"
 cargo clippy --workspace --all-targets -q
 
-# The call-graph invariants clippy cannot check (L7, L9-L11) and the
-# docs<->metrics drift check (L12): any finding fails. The golden JSON
-# report is drift-gated byte-for-byte by the fixture_scan test above.
-# Budget the whole-workspace run at 10s wall clock so the gate never
-# becomes the slow part of CI.
-echo "==> impliance-analysis check (call-graph invariants + metrics drift)"
-analysis_start=$(date +%s)
-cargo run -q -p impliance-analysis -- check
-analysis_elapsed=$(( $(date +%s) - analysis_start ))
-if [ "$analysis_elapsed" -gt 10 ]; then
-  echo "FAIL: impliance-analysis took ${analysis_elapsed}s (budget: 10s)" >&2
-  exit 1
-fi
-
 # The chaos suite (seeded node kills, message drops and deadlines against
-# the resilient distributed executor) and the storage cursor's two guards
+# the resilient distributed executor), the storage cursor's two guards
 # (snapshot/as-of scans against a model, every executor mode against the
-# serial reference). Release, so each proptest battery runs its full case
+# serial reference) and the hot-loop allocation pins, on the build the
+# benchmark runs. Release, so each proptest battery runs its full case
 # count; debug builds cut them.
-echo "==> chaos suite + snapshot/parallel equivalence (release, full cases)"
+echo "==> chaos suite + snapshot/parallel equivalence + allocation pins (release)"
 cargo test -q --release --test chaos_integration --test snapshot_equivalence \
-  --test parallel_equivalence
+  --test parallel_equivalence --test allocations
 
 # impbench — the benchmark BENCHMARK.json declares — is a package of its
 # own outside the workspace, so nothing above compiles it. Build and test

@@ -23,6 +23,12 @@
 //!   of the storage change feed's consumer loop, so annotators run
 //!   *after* ingestion, never blocking it (experiment C3 quantifies
 //!   why), committing each document's annotation set atomically.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod annotator;

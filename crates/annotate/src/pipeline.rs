@@ -24,9 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use impliance_docmodel::{DocId, Document, Version};
-use impliance_obs::Counter;
+use impliance_obs::{catalog, Counter, TrackedMutex};
 use impliance_storage::{ConsumerObs, CrashPoints, KillPoint, Killed};
-use parking_lot::Mutex;
 
 use crate::annotator::Annotator;
 use crate::resolve::EntityResolver;
@@ -43,9 +42,9 @@ fn pipeline_obs() -> &'static PipelineObs {
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
         PipelineObs {
-            docs_scanned: m.counter("annotate.docs_scanned"),
-            annotations_emitted: m.counter("annotate.annotations_emitted"),
-            feed_commits: m.counter("annotate.feed.commits"),
+            docs_scanned: m.counter(&catalog::ANNOTATE_DOCS_SCANNED),
+            annotations_emitted: m.counter(&catalog::ANNOTATE_ANNOTATIONS_EMITTED),
+            feed_commits: m.counter(&catalog::ANNOTATE_FEED_COMMITS),
         }
     })
 }
@@ -54,8 +53,8 @@ fn pipeline_obs() -> &'static PipelineObs {
 pub fn feed_obs() -> ConsumerObs {
     let m = impliance_obs::global().metrics();
     ConsumerObs {
-        records: m.counter("annotate.feed.consumed"),
-        lag: m.gauge("annotate.feed.lag"),
+        records: m.counter(&catalog::ANNOTATE_FEED_CONSUMED),
+        lag: m.gauge(&catalog::ANNOTATE_FEED_LAG),
     }
 }
 
@@ -87,15 +86,15 @@ pub struct DiscoveryStats {
 /// The discovery pipeline.
 pub struct DiscoveryPipeline {
     annotators: Vec<Box<dyn Annotator>>,
-    resolver: Mutex<EntityResolver>,
+    resolver: TrackedMutex<EntityResolver>,
     next_annotation_id: Arc<AtomicU64>,
-    stats: Mutex<DiscoveryStats>,
+    stats: TrackedMutex<DiscoveryStats>,
     /// The `(subject, version)` whose annotation set committed last. The
     /// consumer loop acks per record and serializes its drains, so this
     /// is the only version a kill can make it replay — one key, however
     /// many documents go through. (A real deployment would rebuild it at
     /// recovery: each annotation names its subject and that version.)
-    committed: Mutex<Option<(DocId, Version)>>,
+    committed: TrackedMutex<Option<(DocId, Version)>>,
 }
 
 impl DiscoveryPipeline {
@@ -110,10 +109,13 @@ impl DiscoveryPipeline {
     ) -> DiscoveryPipeline {
         DiscoveryPipeline {
             annotators,
-            resolver: Mutex::new(EntityResolver::new(resolution_threshold)),
+            resolver: TrackedMutex::new(
+                "annotate.resolver",
+                EntityResolver::new(resolution_threshold),
+            ),
             next_annotation_id: id_allocator,
-            stats: Mutex::new(DiscoveryStats::default()),
-            committed: Mutex::new(None),
+            stats: TrackedMutex::new("annotate.stats", DiscoveryStats::default()),
+            committed: TrackedMutex::new("annotate.committed", None),
         }
     }
 
@@ -208,14 +210,23 @@ mod tests {
     use super::*;
     use crate::annotator::{EntityAnnotator, SentimentAnnotator};
     use impliance_docmodel::{DocumentBuilder, Node, SourceFormat};
+    use impliance_obs::TrackedRwLock;
     use impliance_storage::{FeedConsumer, NoFaults, StorageEngine, WorkerFaults};
-    use parking_lot::RwLock;
 
-    #[derive(Default)]
     struct MemSink {
-        annotations: RwLock<Vec<Document>>,
-        edges: RwLock<Vec<(DocId, DocId, String)>>,
-        commits: RwLock<Vec<usize>>,
+        annotations: TrackedRwLock<Vec<Document>>,
+        edges: TrackedRwLock<Vec<(DocId, DocId, String)>>,
+        commits: TrackedRwLock<Vec<usize>>,
+    }
+
+    impl Default for MemSink {
+        fn default() -> MemSink {
+            MemSink {
+                annotations: TrackedRwLock::new("annotate.test.annotations", Vec::new()),
+                edges: TrackedRwLock::new("annotate.test.edges", Vec::new()),
+                commits: TrackedRwLock::new("annotate.test.commits", Vec::new()),
+            }
+        }
     }
 
     impl DiscoverySink for MemSink {
@@ -316,7 +327,8 @@ mod tests {
             edges
                 .iter()
                 .any(|(a, b, l)| *a == DocId(1) && *b == DocId(2) && l == "same-person"),
-            "expected same-person edge, got {edges:?}"
+            "expected same-person edge, got {:?}",
+            *edges
         );
     }
 

@@ -1025,7 +1025,7 @@ fn c4_topk_join() {
             "c".into(),
             "code".into(),
             lk.clone(),
-            Box::new(|id: DocId| storage.get_latest(id).ok().flatten().map(Arc::new)),
+            Box::new(|id: DocId| Ok(storage.get_latest(id)?.map(Arc::new))),
             if k == usize::MAX { None } else { Some(k) },
             Rc::new(RefCell::new(ExecMetrics::default())),
         );

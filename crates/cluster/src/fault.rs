@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use impliance_obs::TrackedMutex;
 
 use crate::node::NodeId;
 
@@ -69,15 +69,15 @@ pub struct FaultSchedule {
     seed: u64,
     /// Global transmit-attempt counter (drives kill activation).
     messages: AtomicU64,
-    kills: Mutex<HashMap<NodeId, KillRule>>,
+    kills: TrackedMutex<HashMap<NodeId, KillRule>>,
     /// Exact-link drop rates, parts-per-million.
-    link_drops: Mutex<HashMap<(NodeId, NodeId), u32>>,
+    link_drops: TrackedMutex<HashMap<(NodeId, NodeId), u32>>,
     /// Any-source drop rates keyed by destination, parts-per-million.
-    dest_drops: Mutex<HashMap<NodeId, u32>>,
+    dest_drops: TrackedMutex<HashMap<NodeId, u32>>,
     /// Extra per-message latency by destination, nanoseconds.
-    delays: Mutex<HashMap<NodeId, u64>>,
+    delays: TrackedMutex<HashMap<NodeId, u64>>,
     /// Per-link attempt counters (drive deterministic drop decisions).
-    link_seq: Mutex<HashMap<(NodeId, NodeId), u64>>,
+    link_seq: TrackedMutex<HashMap<(NodeId, NodeId), u64>>,
 }
 
 impl FaultSchedule {
@@ -86,11 +86,11 @@ impl FaultSchedule {
         FaultSchedule {
             seed,
             messages: AtomicU64::new(0),
-            kills: Mutex::new(HashMap::new()),
-            link_drops: Mutex::new(HashMap::new()),
-            dest_drops: Mutex::new(HashMap::new()),
-            delays: Mutex::new(HashMap::new()),
-            link_seq: Mutex::new(HashMap::new()),
+            kills: TrackedMutex::new("cluster.fault.kills", HashMap::new()),
+            link_drops: TrackedMutex::new("cluster.fault.link_drops", HashMap::new()),
+            dest_drops: TrackedMutex::new("cluster.fault.dest_drops", HashMap::new()),
+            delays: TrackedMutex::new("cluster.fault.delays", HashMap::new()),
+            link_seq: TrackedMutex::new("cluster.fault.link_seq", HashMap::new()),
         }
     }
 

@@ -16,8 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
-use impliance_obs::Counter;
-use parking_lot::Mutex;
+use impliance_obs::{catalog, Counter, TrackedMutex};
 
 use crate::node::NodeId;
 
@@ -36,11 +35,11 @@ fn group_obs() -> &'static GroupObs {
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
         GroupObs {
-            heartbeats: m.counter("cluster.group.heartbeats"),
-            heartbeat_misses: m.counter("cluster.group.heartbeat_misses"),
-            committed: m.counter("cluster.group.2pc.committed"),
-            aborted: m.counter("cluster.group.2pc.aborted"),
-            no_members: m.counter("cluster.group.2pc.no_members"),
+            heartbeats: m.counter(&catalog::CLUSTER_GROUP_HEARTBEATS),
+            heartbeat_misses: m.counter(&catalog::CLUSTER_GROUP_HEARTBEAT_MISSES),
+            committed: m.counter(&catalog::CLUSTER_GROUP_2PC_COMMITTED),
+            aborted: m.counter(&catalog::CLUSTER_GROUP_2PC_ABORTED),
+            no_members: m.counter(&catalog::CLUSTER_GROUP_2PC_NO_MEMBERS),
         }
     })
 }
@@ -97,22 +96,25 @@ struct Inner {
 /// A data consistency group over cluster nodes.
 #[derive(Debug)]
 pub struct ConsistencyGroup {
-    inner: Mutex<Inner>,
+    inner: TrackedMutex<Inner>,
 }
 
 impl ConsistencyGroup {
     /// Create a group with a heartbeat timeout in logical ticks.
     pub fn new(timeout: u64) -> ConsistencyGroup {
         ConsistencyGroup {
-            inner: Mutex::new(Inner {
-                members: BTreeMap::new(),
-                primary: None,
-                timeout: timeout.max(1),
-                now: 0,
-                log: Vec::new(),
-                commit_rounds: 0,
-                heartbeats_seen: 0,
-            }),
+            inner: TrackedMutex::new(
+                "cluster.group",
+                Inner {
+                    members: BTreeMap::new(),
+                    primary: None,
+                    timeout: timeout.max(1),
+                    now: 0,
+                    log: Vec::new(),
+                    commit_rounds: 0,
+                    heartbeats_seen: 0,
+                },
+            ),
         }
     }
 

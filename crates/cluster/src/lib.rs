@@ -28,7 +28,12 @@
 //!   election, and two-phase commit for consistent persistence.
 //! * [`fault`] — seeded, deterministic fault schedules (kills, link
 //!   drops, delays) for chaos experiments.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod fault;

@@ -12,8 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use impliance_obs::Counter;
-use parking_lot::Mutex;
+use impliance_obs::{assert_unguarded, catalog, Counter, TrackedMutex};
 
 use crate::fault::{FaultDecision, FaultSchedule};
 use crate::node::NodeId;
@@ -32,9 +31,9 @@ fn net_obs() -> &'static NetObs {
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
         NetObs {
-            messages: m.counter("cluster.net.messages"),
-            bytes: m.counter("cluster.net.bytes"),
-            dropped: m.counter("cluster.net.dropped"),
+            messages: m.counter(&catalog::CLUSTER_NET_MESSAGES),
+            bytes: m.counter(&catalog::CLUSTER_NET_BYTES),
+            dropped: m.counter(&catalog::CLUSTER_NET_DROPPED),
         }
     })
 }
@@ -62,13 +61,13 @@ pub struct Network {
     /// Fixed per-message latency in nanoseconds.
     nanos_per_message: AtomicU64,
     /// Per-destination drop rate in [0, 1], scaled by 1e6.
-    drop_rates: Mutex<HashMap<NodeId, u32>>,
+    drop_rates: TrackedMutex<HashMap<NodeId, u32>>,
     /// Deterministic xorshift state for drop decisions.
     rng: AtomicU64,
     /// Per-edge traffic (from, to) → bytes.
-    edges: Mutex<HashMap<(NodeId, NodeId), u64>>,
+    edges: TrackedMutex<HashMap<(NodeId, NodeId), u64>>,
     /// Installed chaos schedule, consulted on every transmit.
-    faults: Mutex<Option<Arc<FaultSchedule>>>,
+    faults: TrackedMutex<Option<Arc<FaultSchedule>>>,
 }
 
 impl Default for Network {
@@ -86,10 +85,10 @@ impl Network {
             dropped: AtomicU64::new(0),
             nanos_per_byte: AtomicU64::new(0),
             nanos_per_message: AtomicU64::new(0),
-            drop_rates: Mutex::new(HashMap::new()),
+            drop_rates: TrackedMutex::new("cluster.net.drop_rates", HashMap::new()),
             rng: AtomicU64::new(0x9E3779B97F4A7C15),
-            edges: Mutex::new(HashMap::new()),
-            faults: Mutex::new(None),
+            edges: TrackedMutex::new("cluster.net.edges", HashMap::new()),
+            faults: TrackedMutex::new("cluster.net.faults", None),
         }
     }
 
@@ -157,6 +156,7 @@ impl Network {
     /// Charge one message of `payload` bytes from `from` to `to`.
     /// Returns `false` if failure injection dropped it.
     pub fn transmit(&self, from: NodeId, to: NodeId, payload: u64) -> bool {
+        assert_unguarded("Network::transmit");
         let mut fault_delay = 0u64;
         if let Some(sched) = self.fault_schedule() {
             match sched.decide(from, to) {

@@ -10,11 +10,10 @@
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use impliance_analysis::{TrackedMutex, TrackedRwLock};
-use impliance_obs::Counter;
+use impliance_obs::{assert_unguarded, catalog, Counter, TrackedMutex, TrackedRwLock};
 
 use crate::network::Network;
 use crate::node::{NodeId, NodeKind, NodeSpec};
@@ -24,7 +23,7 @@ fn tasks_submitted() -> &'static Arc<Counter> {
     OBS.get_or_init(|| {
         impliance_obs::global()
             .metrics()
-            .counter("cluster.runtime.tasks_submitted")
+            .counter(&catalog::CLUSTER_RUNTIME_TASKS_SUBMITTED)
     })
 }
 
@@ -76,7 +75,7 @@ type Job = Box<dyn FnOnce(&NodeCtx) -> Box<dyn Any + Send> + Send>;
 enum Mail {
     Task {
         job: Job,
-        reply: Sender<Box<dyn Any + Send>>,
+        reply: SyncSender<Box<dyn Any + Send>>,
         reply_to: NodeId,
     },
     Stop,
@@ -100,6 +99,7 @@ impl<T: 'static> TaskHandle<T> {
     /// Block until the result arrives. Returns `TaskLost` if the node died
     /// or the result had an unexpected type.
     pub fn join(self) -> Result<T, ClusterError> {
+        assert_unguarded("TaskHandle::join");
         match self.receiver.recv() {
             Ok(boxed) => boxed
                 .downcast::<T>()
@@ -113,7 +113,7 @@ impl<T: 'static> TaskHandle<T> {
     /// abandons the in-flight task: its reply (if any) is discarded with
     /// the handle.
     pub fn join_timeout(self, timeout: std::time::Duration) -> Result<T, ClusterError> {
-        use crossbeam::channel::RecvTimeoutError;
+        assert_unguarded("TaskHandle::join_timeout");
         match self.receiver.recv_timeout(timeout) {
             Ok(boxed) => boxed
                 .downcast::<T>()
@@ -170,7 +170,7 @@ impl ClusterRuntime {
     /// worker thread — the node is then simply absent (`NodeDown` on
     /// submit), which degrades capacity instead of crashing the appliance.
     pub fn spawn_node(&self, spec: NodeSpec, state: Arc<dyn Any + Send + Sync>) -> bool {
-        let (tx, rx) = unbounded::<Mail>();
+        let (tx, rx) = mpsc::channel::<Mail>();
         let inflight = Arc::new(AtomicU64::new(0));
         let completed = Arc::new(AtomicU64::new(0));
         let ctx = NodeCtx {
@@ -202,6 +202,7 @@ impl ClusterRuntime {
                             // reports `TaskLost`, exactly as a real lost
                             // response would.
                             if network.transmit(node_id, reply_to, 64) {
+                                assert_unguarded("node reply send");
                                 #[allow(clippy::disallowed_methods, reason = "charged above")]
                                 let _ = reply.send(out);
                             }
@@ -285,7 +286,7 @@ impl ClusterRuntime {
         // rather than swallowing the task.
         self.service_faults();
         // Copy the mailbox out under the lock, then release it before any
-        // channel traffic (invariant L11: never hold a guard across a send).
+        // channel traffic (never hold a guard across a send).
         let (sender, inflight) = {
             let nodes = self.nodes.read();
             let handle = nodes.get(&node).ok_or(ClusterError::NodeDown(node))?;
@@ -301,7 +302,7 @@ impl ClusterRuntime {
                 ClusterError::MessageDropped(node)
             });
         }
-        let (reply_tx, reply_rx) = bounded::<Box<dyn Any + Send>>(1);
+        let (reply_tx, reply_rx) = mpsc::sync_channel::<Box<dyn Any + Send>>(1);
         let mail = Mail::Task {
             job: Box::new(move |ctx| Box::new(job(ctx)) as Box<dyn Any + Send>),
             reply: reply_tx,
@@ -309,6 +310,7 @@ impl ClusterRuntime {
         };
         inflight.fetch_add(1, Ordering::Relaxed);
         tasks_submitted().inc();
+        assert_unguarded("ClusterRuntime::submit_to mailbox send");
         #[allow(clippy::disallowed_methods, reason = "charged above")]
         if sender.send(mail).is_err() {
             inflight.fetch_sub(1, Ordering::Relaxed); // node died between lookup and send

@@ -23,7 +23,7 @@ use impliance_baselines::{AdminLedger, Capability, InfoSystem};
 use impliance_docmodel::{DocId, Document, Node, RelationalSchema, Value, Version};
 use impliance_facet::{FacetDimension, FacetEngine, GuidedSession, RollupLevel, RollupRow};
 use impliance_index::{InvertedIndex, JoinIndex, PathValueIndex};
-use impliance_obs::Counter;
+use impliance_obs::{catalog, Counter, TrackedMutex};
 use impliance_query::{
     execute_plan_opts, ExecContext, ExecMetrics, ExecutionContext, LogicalPlan, Priority,
     QueryOutput, SimplePlanner,
@@ -33,7 +33,6 @@ use impliance_storage::{
     StorageEngine, StorageOptions, WorkerFaults,
 };
 use impliance_virt::{Admission, Permit, TenantId, TenantQuota, WorkloadManager, WorkloadStats};
-use parking_lot::Mutex;
 
 use crate::config::ApplianceConfig;
 use crate::error::Error;
@@ -58,10 +57,10 @@ fn query_obs() -> &'static QueryObs {
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
         QueryObs {
-            plan_cache_hits: m.counter("query.plan_cache.hits"),
-            plan_cache_misses: m.counter("query.plan_cache.misses"),
-            snapshot_pinned: m.counter("query.snapshot.pinned"),
-            snapshot_explicit: m.counter("query.snapshot.explicit"),
+            plan_cache_hits: m.counter(&catalog::QUERY_PLAN_CACHE_HITS),
+            plan_cache_misses: m.counter(&catalog::QUERY_PLAN_CACHE_MISSES),
+            snapshot_pinned: m.counter(&catalog::QUERY_SNAPSHOT_PINNED),
+            snapshot_explicit: m.counter(&catalog::QUERY_SNAPSHOT_EXPLICIT),
         }
     })
 }
@@ -70,8 +69,8 @@ fn query_obs() -> &'static QueryObs {
 fn index_obs() -> ConsumerObs {
     let m = impliance_obs::global().metrics();
     ConsumerObs {
-        records: m.counter("index.maintain.records"),
-        lag: m.gauge("index.maintain.lag"),
+        records: m.counter(&catalog::INDEX_MAINTAIN_RECORDS),
+        lag: m.gauge(&catalog::INDEX_MAINTAIN_LAG),
     }
 }
 
@@ -152,7 +151,8 @@ pub struct Impliance {
     discovery_feed: FeedConsumer,
     /// Structural paths observed per collection (for schema
     /// consolidation, §3.2).
-    collection_paths: Mutex<std::collections::HashMap<String, std::collections::BTreeSet<String>>>,
+    collection_paths:
+        TrackedMutex<std::collections::HashMap<String, std::collections::BTreeSet<String>>>,
     next_id: Arc<AtomicU64>,
     clock_ms: AtomicI64,
     ledger: AdminLedger,
@@ -162,8 +162,9 @@ pub struct Impliance {
     /// goes stale. Each tenant gets its own bounded partition
     /// (`ApplianceConfig::plan_cache_per_tenant`), so one tenant's
     /// statement churn cannot evict another tenant's hot plans.
-    plan_cache:
-        Mutex<std::collections::BTreeMap<u64, std::collections::BTreeMap<String, LogicalPlan>>>,
+    plan_cache: TrackedMutex<
+        std::collections::BTreeMap<u64, std::collections::BTreeMap<String, LogicalPlan>>,
+    >,
     /// Multi-tenant admission control and overload policy.
     workload: WorkloadManager,
     /// True once any non-permissive workload policy is in effect (set at
@@ -224,12 +225,15 @@ impl Impliance {
             value_index: Arc::new(PathValueIndex::new()),
             join_index: Arc::new(JoinIndex::new()),
             pipeline,
-            collection_paths: Mutex::new(std::collections::HashMap::new()),
+            collection_paths: TrackedMutex::new(
+                "core.collection_paths",
+                std::collections::HashMap::new(),
+            ),
             next_id,
             clock_ms: AtomicI64::new(1_168_000_000_000), // Jan 2007, the paper's era
             ledger: AdminLedger::new(),
             planner: SimplePlanner::new(),
-            plan_cache: Mutex::new(std::collections::BTreeMap::new()),
+            plan_cache: TrackedMutex::new("core.plan_cache", std::collections::BTreeMap::new()),
             workload,
             workload_managed,
         }
@@ -912,7 +916,7 @@ mod tests {
     /// points under the same step numbers, counted from 0.
     #[test]
     fn index_and_discovery_stages_are_offered_the_same_crash_points() {
-        struct Recorder(Mutex<Vec<(KillPoint, u64)>>);
+        struct Recorder(TrackedMutex<Vec<(KillPoint, u64)>>);
         impl WorkerFaults for Recorder {
             fn kill_at(&self, point: KillPoint, step: u64) -> bool {
                 self.0.lock().push((point, step));
@@ -928,10 +932,10 @@ mod tests {
             &imp,
             Input::Text("transcripts", "Alan Turing found the tape reader awful"),
         );
-        let discovery = Recorder(Mutex::new(Vec::new()));
+        let discovery = Recorder(TrackedMutex::new("core.test_recorder", Vec::new()));
         let records = imp.maintain(Stage::Discovery, None, &discovery).records;
         assert!(records > 2, "discovery also consumed what it committed");
-        let indexing = Recorder(Mutex::new(Vec::new()));
+        let indexing = Recorder(TrackedMutex::new("core.test_recorder", Vec::new()));
         let indexed = imp.maintain(Stage::Index, None, &indexing);
         assert_eq!(indexed.records, records);
         assert_eq!(indexed.backlog, 0);
@@ -1289,7 +1293,6 @@ mod workload_tests {
             TenantQuota {
                 tokens_per_sec: 1,
                 burst: 2,
-                queue_capacity: 4,
             },
         );
         let req = || {
@@ -1334,7 +1337,6 @@ mod workload_tests {
             TenantQuota {
                 tokens_per_sec: 1,
                 burst: 1,
-                queue_capacity: 1,
             },
         );
         while imp.sql("SELECT * FROM orders_fax").is_ok() {}

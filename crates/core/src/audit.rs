@@ -17,7 +17,7 @@
 use std::collections::{HashMap, HashSet};
 
 use impliance_docmodel::{DocId, Document, Version};
-use parking_lot::{Mutex, RwLock};
+use impliance_obs::{TrackedMutex, TrackedRwLock};
 
 use crate::appliance::Impliance;
 use crate::error::Error;
@@ -37,9 +37,17 @@ impl Principal {
 /// Collection-level access policy. Collections not mentioned are open
 /// (the appliance default); once a collection is restricted, only
 /// granted principals may read it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct AccessPolicy {
-    restricted: RwLock<HashMap<String, HashSet<Principal>>>,
+    restricted: TrackedRwLock<HashMap<String, HashSet<Principal>>>,
+}
+
+impl Default for AccessPolicy {
+    fn default() -> AccessPolicy {
+        AccessPolicy {
+            restricted: TrackedRwLock::new("core.audit.restricted", HashMap::new()),
+        }
+    }
 }
 
 impl AccessPolicy {
@@ -96,9 +104,17 @@ pub struct AuditRecord {
 }
 
 /// Append-only audit log.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct AuditLog {
-    records: Mutex<Vec<AuditRecord>>,
+    records: TrackedMutex<Vec<AuditRecord>>,
+}
+
+impl Default for AuditLog {
+    fn default() -> AuditLog {
+        AuditLog {
+            records: TrackedMutex::new("core.audit.records", Vec::new()),
+        }
+    }
 }
 
 impl AuditLog {

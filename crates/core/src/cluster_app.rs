@@ -17,11 +17,11 @@ use impliance_cluster::{
 };
 use impliance_docmodel::{DocId, Document};
 use impliance_index::InvertedIndex;
+use impliance_obs::TrackedMutex;
 use impliance_query::dist::{self, DataNodeState, DistOutput};
 use impliance_query::{ExecutionContext, FailoverPolicy, LogicalPlan, QueryOutput};
 use impliance_storage::{codec, ScanRequest, StorageEngine, StorageOptions};
 use impliance_virt::{DataClass, ReplicationReport, StorageManager, StoragePolicy};
-use parking_lot::Mutex;
 
 use crate::config::ApplianceConfig;
 use crate::error::{Error, ErrorKind};
@@ -47,11 +47,11 @@ pub struct ClusterImpliance {
     runtime: Arc<ClusterRuntime>,
     /// App-side handles to every data node's engines (survivor reads
     /// during recovery).
-    engines: Mutex<HashMap<NodeId, Arc<DataNodeState>>>,
-    storage_mgr: Arc<Mutex<StorageManager>>,
+    engines: TrackedMutex<HashMap<NodeId, Arc<DataNodeState>>>,
+    storage_mgr: Arc<TrackedMutex<StorageManager>>,
     group: ConsistencyGroup,
     /// Software version per node ("1.0" at boot; rolling_upgrade bumps).
-    versions: Mutex<HashMap<NodeId, String>>,
+    versions: TrackedMutex<HashMap<NodeId, String>>,
     next_id: AtomicU64,
     clock_ms: AtomicI64,
     config: ApplianceConfig,
@@ -71,7 +71,7 @@ impl ClusterImpliance {
             specs.push(NodeSpec::new(2000 + i, NodeKind::Cluster));
         }
         let network = Arc::new(Network::new());
-        let engines: Mutex<HashMap<NodeId, Arc<DataNodeState>>> = Mutex::new(HashMap::new());
+        let engines = TrackedMutex::new("core.cluster.engines", HashMap::new());
         let opts = StorageOptions {
             partitions: config.partitions_per_node.max(1),
             seal_threshold: config.seal_threshold,
@@ -110,9 +110,9 @@ impl ClusterImpliance {
         ClusterImpliance {
             runtime,
             engines,
-            storage_mgr: Arc::new(Mutex::new(storage_mgr)),
+            storage_mgr: Arc::new(TrackedMutex::new("core.cluster.storage_mgr", storage_mgr)),
             group,
-            versions: Mutex::new(HashMap::new()),
+            versions: TrackedMutex::new("core.cluster.versions", HashMap::new()),
             next_id: AtomicU64::new(1),
             clock_ms: AtomicI64::new(1_168_000_000_000),
             config,

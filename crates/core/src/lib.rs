@@ -23,7 +23,12 @@
 //!   appliance surface over a simulated cluster of data/grid/cluster
 //!   nodes, with consistent-hash placement, replicated storage, and
 //!   autonomous failure recovery.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod appliance;

@@ -99,13 +99,13 @@ pub fn email_to_document(id: DocId, collection: &str, raw: &str, at: i64) -> Doc
             body_start = offset + line.len();
             break;
         }
-        if (line.starts_with(' ') || line.starts_with('\t')) && last_key.is_some() {
+        let folded = line.starts_with(' ') || line.starts_with('\t');
+        if let (true, Some(key)) = (folded, last_key.as_deref()) {
             // folded continuation line: append to previous header value
-            let key = last_key.clone().unwrap();
-            if let Some(Node::Value(Value::Str(prev))) = headers.get_mut(&key) {
+            if let Some(Node::Value(Value::Str(prev))) = headers.get_mut(key) {
                 prev.push(' ');
                 prev.push_str(trimmed.trim_start());
-            } else if let Some(Node::Seq(seq)) = headers.get_mut(&key) {
+            } else if let Some(Node::Seq(seq)) = headers.get_mut(key) {
                 if let Some(Node::Value(Value::Str(prev))) = seq.last_mut() {
                     prev.push(' ');
                     prev.push_str(trimmed.trim_start());

@@ -21,6 +21,12 @@
 //!   attributes, and text into the same tree.
 //! * [`convert`] — ingestion converters from relational rows, CSV,
 //!   key-value pairs, plain text, and RFC-2822-ish e-mail into the model.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod convert;

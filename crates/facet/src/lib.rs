@@ -17,6 +17,12 @@
 //! * [`olap`] — OLAP-style rollups over discovered hierarchies (calendar
 //!   year→month→day over timestamps, magnitude buckets over numerics)
 //!   with count/sum/avg measures — the "beyond counting" extension.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod facets;

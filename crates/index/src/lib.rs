@@ -25,7 +25,12 @@
 //!   "utilized at query time" (§3.2).
 //! * [`search`] — BM25 top-k evaluation with AND/OR semantics and
 //!   per-path restriction.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod inverted;

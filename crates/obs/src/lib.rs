@@ -5,25 +5,43 @@
 //! queries) are only falsifiable if the system reports on itself. This
 //! crate is that substrate, with zero external dependencies:
 //!
-//! * [`MetricsRegistry`] — named counters, gauges, and fixed-bucket
-//!   histograms. The hot path is lock-free: instrumented code caches the
-//!   `Arc` handles and every observation is a relaxed atomic RMW.
+//! * [`catalog`] — every metric the workspace records, declared once
+//!   (name, kind, unit, meaning); DESIGN.md's Observability table is its
+//!   rendering.
+//! * [`MetricsRegistry`] — counters, gauges, and fixed-bucket histograms,
+//!   registered only through catalog declarations. The hot path is
+//!   lock-free: instrumented code caches the `Arc` handles and every
+//!   observation is a relaxed atomic RMW.
 //! * [`Tracer`] — `span!`-style RAII guards recording wall and logical
 //!   time with parent/child nesting, plus per-subsystem structured
 //!   events, retained in bounded ring buffers.
 //! * [`Snapshot`] — a point-in-time copy of everything above,
-//!   serializable to deterministic JSON.
+//!   serializable to deterministic [`Json`].
+//! * [`TrackedMutex`] / [`TrackedRwLock`] and [`assert_unguarded`] — the
+//!   debug-build lock checks ([`locks`]): lock-order inversions and guards
+//!   held across a blocking call panic, naming the locks.
 //!
 //! Subsystems instrument against [`global()`]; tests construct local
 //! [`Obs`] instances for deterministic assertions.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
+pub mod catalog;
+pub mod json;
+pub mod locks;
 pub mod metrics;
 pub mod snapshot;
 pub mod trace;
 
 use std::sync::OnceLock;
 
+pub use json::Json;
+pub use locks::{assert_unguarded, TrackedMutex, TrackedRwLock};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, LATENCY_BUCKETS_US};
 pub use snapshot::{HistogramSnapshot, Snapshot};
 pub use trace::{EventRecord, SpanGuard, SpanId, SpanRecord, Tracer};
@@ -97,20 +115,20 @@ mod tests {
     #[test]
     fn snapshot_captures_all_three_metric_kinds_and_traces() {
         let obs = Obs::with_capacity(8);
-        obs.metrics().counter("c").add(3);
-        obs.metrics().gauge("g").set(-2);
-        obs.metrics().histogram("h", &[10]).observe(4);
+        obs.metrics().counter(&catalog::STORAGE_PUT_COUNT).add(3);
+        obs.metrics().gauge(&catalog::STORAGE_EPOCH_PINS).set(-2);
+        obs.metrics().histogram(&catalog::STORAGE_GET_US).observe(4);
         {
             let _g = span!(obs, "test", "op");
             obs.tracer().event("test", "evt", &[("k", 1)]);
         }
         let snap = obs.snapshot();
-        assert_eq!(snap.counters["c"], 3);
-        assert_eq!(snap.gauges["g"], -2);
-        assert_eq!(snap.histograms["h"].count, 1);
+        assert_eq!(snap.counters["storage.put.count"], 3);
+        assert_eq!(snap.gauges["storage.epoch.pins"], -2);
+        assert_eq!(snap.histograms["storage.get.us"].count, 1);
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.events.len(), 1);
-        assert_eq!(snap.nonzero_counters_with_prefix("c"), 1);
+        assert_eq!(snap.nonzero_counters_with_prefix("storage."), 1);
         assert_eq!(snap.nonzero_counters_with_prefix("zzz"), 0);
     }
 }

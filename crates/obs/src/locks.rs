@@ -1,18 +1,26 @@
-//! Runtime lock-order detection: [`TrackedMutex`] / [`TrackedRwLock`].
+//! Runtime lock checking: [`TrackedMutex`] / [`TrackedRwLock`] and
+//! [`assert_unguarded`].
 //!
-//! In debug builds every tracked acquisition records, per thread, the set
-//! of lock *names* currently held; acquiring lock `B` while holding `A`
-//! inserts the edge `A -> B` into a process-global order graph. If the new
-//! edge closes a cycle the process panics immediately, naming the cycle —
-//! converting a maybe-once-a-month deadlock into a deterministic test
-//! failure the first time two call paths disagree about ordering. The
-//! graph is keyed by the static name given at construction, so all
-//! instances created at one site share a node (that is what makes the
-//! A->B / B->A pattern detectable from single-threaded tests).
+//! In debug builds every tracked acquisition records, per thread, the
+//! names of the locks currently held. Two checks read that stack:
 //!
-//! Release builds compile the tracking away entirely: the wrappers are
-//! `#[repr(transparent)]`-thin over `parking_lot` and the lock/unlock path
-//! has zero extra work.
+//! * **Lock order.** Acquiring lock `B` while holding `A` inserts the
+//!   edge `A -> B` into a process-global order graph. If the new edge
+//!   closes a cycle the process panics immediately, naming the cycle —
+//!   converting a maybe-once-a-month deadlock into a deterministic test
+//!   failure the first time two call paths disagree about ordering. The
+//!   graph is keyed by the static name given at construction, so all
+//!   instances created at one site share a node (that is what makes the
+//!   A->B / B->A pattern detectable from single-threaded tests).
+//! * **No guard across a blocking call.** A blocking sink (a network
+//!   transmit, a mailbox send, a join on a task result, a backoff sleep,
+//!   a change-feed read) calls [`assert_unguarded`], which panics if this
+//!   thread holds any tracked guard: a guard held there serializes every
+//!   other thread on that lock behind simulated network latency.
+//!
+//! Release builds compile the tracking away entirely: the wrappers hold a
+//! `parking_lot` lock plus its role name, the lock/unlock path does no
+//! extra work, and [`assert_unguarded`] is empty.
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -35,6 +43,10 @@ mod graph {
 
     /// Record an acquisition of `name`, panicking if it inverts an order
     /// the process has already committed to.
+    #[allow(
+        clippy::panic,
+        reason = "a lock-order inversion is a debug-build test failure"
+    )]
     pub fn on_acquire(name: &'static str) {
         HELD.with(|held| {
             let held = held.borrow();
@@ -79,6 +91,20 @@ mod graph {
         });
     }
 
+    /// Panic if this thread holds any tracked guard.
+    #[allow(
+        clippy::panic,
+        reason = "a guard across a blocking call is a debug-build test failure"
+    )]
+    pub fn assert_unguarded(sink: &'static str) {
+        HELD.with(|held| {
+            let held = held.borrow();
+            if !held.is_empty() {
+                panic!("L11: `{sink}` reached while holding tracked guard(s) {held:?}");
+            }
+        });
+    }
+
     /// DFS: path from `from` to `to` along recorded edges, if any.
     fn path_between(
         edges: &BTreeMap<&'static str, BTreeSet<&'static str>>,
@@ -104,34 +130,48 @@ mod graph {
         }
         None
     }
-
-    /// Test-only: forget all recorded edges (thread-held state is left
-    /// alone; callers must have released their guards).
-    pub fn reset_for_tests() {
-        EDGES.lock().clear();
-    }
 }
 
-/// Test-only escape hatch: clear the global order graph so independent
-/// tests don't see each other's edges. Debug builds only.
-#[cfg(debug_assertions)]
-pub fn reset_lock_order_graph_for_tests() {
-    graph::reset_for_tests();
+/// Mark a blocking call: in debug builds, panic if this thread holds any
+/// tracked guard, naming the `sink` and the held locks. Compiles to
+/// nothing in release builds.
+#[inline(always)]
+pub fn assert_unguarded(sink: &'static str) {
+    #[cfg(debug_assertions)]
+    graph::assert_unguarded(sink);
+    #[cfg(not(debug_assertions))]
+    let _ = sink;
 }
 
-/// A [`parking_lot::Mutex`] that participates in lock-order checking in
-/// debug builds. The `name` should be unique per lock *role* (e.g.
+#[inline(always)]
+fn acquired(name: &'static str) {
+    #[cfg(debug_assertions)]
+    graph::on_acquire(name);
+    #[cfg(not(debug_assertions))]
+    let _ = name;
+}
+
+#[inline(always)]
+fn released(name: &'static str) {
+    #[cfg(debug_assertions)]
+    graph::on_release(name);
+    #[cfg(not(debug_assertions))]
+    let _ = name;
+}
+
+/// A [`parking_lot::Mutex`] that participates in lock checking in debug
+/// builds. The `name` should be unique per lock *role* (e.g.
 /// `"cluster.nodes"`), not per instance.
 pub struct TrackedMutex<T: ?Sized> {
     name: &'static str,
     inner: Mutex<T>,
 }
 
-/// Guard for [`TrackedMutex`]; releases the order-graph hold on drop.
+/// Guard for [`TrackedMutex`]. Its `Drop` releases the held-lock entry;
+/// the lock itself unlocks right after, when the `guard` field drops.
 pub struct TrackedMutexGuard<'a, T: ?Sized> {
     name: &'static str,
-    // Option so Drop can release the graph entry after the guard.
-    guard: Option<MutexGuard<'a, T>>,
+    guard: MutexGuard<'a, T>,
 }
 
 impl<T> TrackedMutex<T> {
@@ -142,52 +182,47 @@ impl<T> TrackedMutex<T> {
             inner: Mutex::new(value),
         }
     }
+
+    /// Consume the mutex, returning the inner value.
+    pub fn into_inner(self) -> T {
+        self.inner.into_inner()
+    }
 }
 
 impl<T: ?Sized> TrackedMutex<T> {
-    /// The role name this lock registers in the order graph.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Acquire, recording the acquisition order in debug builds. Panics on
+    /// Acquire, recording the acquisition in debug builds. Panics on
     /// lock-order inversion (debug builds only).
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        graph::on_acquire(self.name);
+        acquired(self.name);
         TrackedMutexGuard {
             name: self.name,
-            guard: Some(self.inner.lock()),
+            guard: self.inner.lock(),
         }
     }
 }
 
 impl<T: ?Sized> Drop for TrackedMutexGuard<'_, T> {
     fn drop(&mut self) {
-        self.guard.take();
-        #[cfg(debug_assertions)]
-        graph::on_release(self.name);
-        #[cfg(not(debug_assertions))]
-        let _ = self.name;
+        released(self.name);
     }
 }
 
 impl<T: ?Sized> std::ops::Deref for TrackedMutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard present until drop")
+        &self.guard
     }
 }
 
 impl<T: ?Sized> std::ops::DerefMut for TrackedMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.guard.as_mut().expect("guard present until drop")
+        &mut self.guard
     }
 }
 
-/// A [`parking_lot::RwLock`] that participates in lock-order checking in
-/// debug builds. Read and write acquisitions share one graph node: a
-/// read/write pair in opposite orders can deadlock just like two writes.
+/// A [`parking_lot::RwLock`] that participates in lock checking in debug
+/// builds. Read and write acquisitions share one graph node: a read/write
+/// pair in opposite orders can deadlock just like two writes.
 pub struct TrackedRwLock<T: ?Sized> {
     name: &'static str,
     inner: RwLock<T>,
@@ -196,13 +231,13 @@ pub struct TrackedRwLock<T: ?Sized> {
 /// Read guard for [`TrackedRwLock`].
 pub struct TrackedReadGuard<'a, T: ?Sized> {
     name: &'static str,
-    guard: Option<RwLockReadGuard<'a, T>>,
+    guard: RwLockReadGuard<'a, T>,
 }
 
 /// Write guard for [`TrackedRwLock`].
 pub struct TrackedWriteGuard<'a, T: ?Sized> {
     name: &'static str,
-    guard: Option<RwLockWriteGuard<'a, T>>,
+    guard: RwLockWriteGuard<'a, T>,
 }
 
 impl<T> TrackedRwLock<T> {
@@ -216,69 +251,54 @@ impl<T> TrackedRwLock<T> {
 }
 
 impl<T: ?Sized> TrackedRwLock<T> {
-    /// The role name this lock registers in the order graph.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Acquire shared, recording order in debug builds.
+    /// Acquire shared, recording the acquisition in debug builds.
     pub fn read(&self) -> TrackedReadGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        graph::on_acquire(self.name);
+        acquired(self.name);
         TrackedReadGuard {
             name: self.name,
-            guard: Some(self.inner.read()),
+            guard: self.inner.read(),
         }
     }
 
-    /// Acquire exclusive, recording order in debug builds.
+    /// Acquire exclusive, recording the acquisition in debug builds.
     pub fn write(&self) -> TrackedWriteGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        graph::on_acquire(self.name);
+        acquired(self.name);
         TrackedWriteGuard {
             name: self.name,
-            guard: Some(self.inner.write()),
+            guard: self.inner.write(),
         }
     }
 }
 
 impl<T: ?Sized> Drop for TrackedReadGuard<'_, T> {
     fn drop(&mut self) {
-        self.guard.take();
-        #[cfg(debug_assertions)]
-        graph::on_release(self.name);
-        #[cfg(not(debug_assertions))]
-        let _ = self.name;
+        released(self.name);
     }
 }
 
 impl<T: ?Sized> Drop for TrackedWriteGuard<'_, T> {
     fn drop(&mut self) {
-        self.guard.take();
-        #[cfg(debug_assertions)]
-        graph::on_release(self.name);
-        #[cfg(not(debug_assertions))]
-        let _ = self.name;
+        released(self.name);
     }
 }
 
 impl<T: ?Sized> std::ops::Deref for TrackedReadGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard present until drop")
+        &self.guard
     }
 }
 
 impl<T: ?Sized> std::ops::Deref for TrackedWriteGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard present until drop")
+        &self.guard
     }
 }
 
 impl<T: ?Sized> std::ops::DerefMut for TrackedWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.guard.as_mut().expect("guard present until drop")
+        &mut self.guard
     }
 }
 

@@ -11,8 +11,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use impliance_analysis::TrackedRwLock;
-
+use crate::catalog::{
+    member_name, CounterDef, CounterFamily, GaugeDef, HistogramDef, HistogramFamily,
+};
+use crate::locks::TrackedRwLock;
 use crate::snapshot::HistogramSnapshot;
 
 /// Default latency bucket upper bounds, in microseconds. A final
@@ -134,8 +136,9 @@ impl Histogram {
     }
 }
 
-/// The named-metric registry. `counter`/`gauge`/`histogram` are
-/// get-or-register: the first caller creates the metric, later callers
+/// The named-metric registry. `counter`/`gauge`/`histogram` (and the
+/// `_in` family forms) are get-or-register over the declarations in
+/// [`crate::catalog`]: the first caller creates the metric, later callers
 /// (any thread) receive the same handle.
 #[derive(Debug)]
 pub struct MetricsRegistry {
@@ -160,8 +163,32 @@ impl MetricsRegistry {
         }
     }
 
-    /// Get or register a counter.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    /// Get or register a declared counter.
+    pub fn counter(&self, def: &CounterDef) -> Arc<Counter> {
+        self.counter_named(def.spec.name)
+    }
+
+    /// Get or register one member of a declared counter family.
+    pub fn counter_in(&self, family: &CounterFamily, segment: &str) -> Arc<Counter> {
+        self.counter_named(&member_name(family.spec.name, segment))
+    }
+
+    /// Get or register a declared gauge.
+    pub fn gauge(&self, def: &GaugeDef) -> Arc<Gauge> {
+        self.gauge_named(def.spec.name)
+    }
+
+    /// Get or register a declared histogram with its declared buckets.
+    pub fn histogram(&self, def: &HistogramDef) -> Arc<Histogram> {
+        self.histogram_named(def.spec.name, def.bounds)
+    }
+
+    /// Get or register one member of a declared histogram family.
+    pub fn histogram_in(&self, family: &HistogramFamily, segment: &str) -> Arc<Histogram> {
+        self.histogram_named(&member_name(family.spec.name, segment), family.bounds)
+    }
+
+    fn counter_named(&self, name: &str) -> Arc<Counter> {
         {
             let map = self.counters.read();
             if let Some(c) = map.get(name) {
@@ -176,8 +203,7 @@ impl MetricsRegistry {
         )
     }
 
-    /// Get or register a gauge.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+    fn gauge_named(&self, name: &str) -> Arc<Gauge> {
         {
             let map = self.gauges.read();
             if let Some(g) = map.get(name) {
@@ -192,9 +218,8 @@ impl MetricsRegistry {
         )
     }
 
-    /// Get or register a histogram. `bounds` only applies on first
-    /// registration; later callers inherit the existing buckets.
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
+    /// `bounds` only apply on first registration.
+    fn histogram_named(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
         {
             let map = self.histograms.read();
             if let Some(h) = map.get(name) {
@@ -244,20 +269,20 @@ mod tests {
     #[test]
     fn counter_and_gauge_basics() {
         let r = MetricsRegistry::new();
-        let c = r.counter("x.count");
+        let c = r.counter_named("x.count");
         c.inc();
         c.add(4);
-        assert_eq!(r.counter("x.count").get(), 5, "same handle by name");
-        let g = r.gauge("x.depth");
+        assert_eq!(r.counter_named("x.count").get(), 5, "same handle by name");
+        let g = r.gauge_named("x.depth");
         g.set(10);
         g.add(-3);
-        assert_eq!(r.gauge("x.depth").get(), 7);
+        assert_eq!(r.gauge_named("x.depth").get(), 7);
     }
 
     #[test]
     fn histogram_bucket_boundaries_are_inclusive_upper_bounds() {
         let r = MetricsRegistry::new();
-        let h = r.histogram("lat", &[10, 100]);
+        let h = r.histogram_named("lat", &[10, 100]);
         for v in [0, 10, 11, 100, 101, 5_000] {
             h.observe(v);
         }
@@ -270,7 +295,7 @@ mod tests {
     #[test]
     fn histogram_bounds_are_sorted_and_deduped() {
         let r = MetricsRegistry::new();
-        let h = r.histogram("h", &[100, 10, 100, 1]);
+        let h = r.histogram_named("h", &[100, 10, 100, 1]);
         assert_eq!(h.bounds(), &[1, 10, 100]);
         assert_eq!(h.bucket_counts().len(), 4);
     }
@@ -278,9 +303,9 @@ mod tests {
     #[test]
     fn registry_snapshot_values() {
         let r = MetricsRegistry::new();
-        r.counter("a").add(2);
-        r.gauge("b").set(-1);
-        r.histogram("c", &[5]).observe(3);
+        r.counter_named("a").add(2);
+        r.gauge_named("b").set(-1);
+        r.histogram_named("c", &[5]).observe(3);
         assert_eq!(r.counter_values().get("a"), Some(&2));
         assert_eq!(r.gauge_values().get("b"), Some(&-1));
         let h = &r.histogram_values()["c"];

@@ -1,10 +1,10 @@
 //! Point-in-time snapshots of everything the observability layer holds,
 //! serializable to deterministic JSON (BTreeMap ordering; the JSON layer
-//! is the dependency-free writer from `impliance-analysis`).
+//! is the dependency-free writer in [`crate::json`]).
 
 use std::collections::BTreeMap;
 
-use impliance_analysis::Json;
+use crate::json::Json;
 
 use crate::trace::{EventRecord, SpanRecord};
 

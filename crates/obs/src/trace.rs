@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use impliance_analysis::TrackedMutex;
+use crate::locks::TrackedMutex;
 
 /// Identifier of one span. Ids are unique per [`Tracer`], allocated from 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

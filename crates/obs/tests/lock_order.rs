@@ -1,8 +1,9 @@
-//! Runtime lock-order detector tests. Debug builds only: release builds
-//! compile the tracking away, so there is nothing to assert there.
+//! Runtime lock-checker tests: lock-order inversions and guards held
+//! across a blocking call. Debug builds only: release builds compile the
+//! tracking away, so there is nothing to assert there.
 #![cfg(debug_assertions)]
 
-use impliance_analysis::{TrackedMutex, TrackedRwLock};
+use impliance_obs::{assert_unguarded, TrackedMutex, TrackedRwLock};
 
 /// A->B in one place and B->A in another must panic, naming the cycle.
 #[test]
@@ -131,4 +132,28 @@ fn sequential_acquisitions_record_no_order() {
         let _y = Y.lock();
     });
     assert!(err.is_err(), "y->x then x->y nesting is an inversion");
+}
+
+/// A blocking sink reached with a tracked guard live panics, naming the
+/// sink and the held lock; the same sink after the guard drops is fine.
+#[test]
+fn blocking_sink_under_a_guard_panics_naming_both() {
+    static NODES: TrackedRwLock<u32> = TrackedRwLock::new("sink.nodes", 0);
+
+    {
+        let _n = NODES.read();
+        let err = std::panic::catch_unwind(|| assert_unguarded("Network::transmit"))
+            .expect_err("a sink under a guard must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic".to_string());
+        assert!(
+            msg.contains(
+                "`Network::transmit` reached while holding tracked guard(s) [\"sink.nodes\"]"
+            ),
+            "panic message: {msg}"
+        );
+    }
+    assert_unguarded("Network::transmit");
 }

@@ -1,45 +1,70 @@
 //! Integration tests for the observability layer: snapshot JSON golden
 //! output, histogram bucket boundaries, nested-span parentage, and a
-//! concurrency smoke test that runs the counters under the
-//! `impliance-analysis` lock-order detector (the registry and trace
-//! rings use `TrackedRwLock`/`TrackedMutex`, so a lock-order inversion
-//! anywhere in the obs hot path would panic this test in debug builds).
+//! concurrency smoke test that runs the counters under the lock-order
+//! detector (the registry and trace rings use `TrackedRwLock`/
+//! `TrackedMutex`, so a lock-order inversion anywhere in the obs hot path
+//! would panic this test in debug builds).
 
 use std::sync::Arc;
 use std::thread;
 
+use impliance_docmodel::{json, Node, Value};
+use impliance_obs::catalog::{
+    QUERY_OP_US, QUERY_PIPELINE_ROWS_PER_BATCH, STORAGE_EPOCH_PINS, STORAGE_PUT_COUNT,
+    STORAGE_PUT_US,
+};
 use impliance_obs::{span, Obs};
 
 #[test]
 fn snapshot_metrics_json_matches_golden() {
     let obs = Obs::with_capacity(8);
-    obs.metrics().counter("storage.put.count").add(3);
-    obs.metrics().gauge("annotate.queue_depth").set(2);
-    let h = obs.metrics().histogram("query.op.scan.us", &[10, 100]);
+    obs.metrics().counter(&STORAGE_PUT_COUNT).add(3);
+    obs.metrics().gauge(&STORAGE_EPOCH_PINS).set(2);
+    let h = obs.metrics().histogram_in(&QUERY_OP_US, "scan");
     h.observe(7);
     h.observe(50);
-    h.observe(5_000);
+    h.observe(50_000);
     let got = obs.snapshot().metrics_json().pretty();
     let want = r#"{
   "counters": {
     "storage.put.count": 3
   },
   "gauges": {
-    "annotate.queue_depth": 2
+    "storage.epoch.pins": 2
   },
   "histograms": {
     "query.op.scan.us": {
       "bounds": [
+        1,
+        2,
+        5,
         10,
-        100
+        25,
+        50,
+        100,
+        250,
+        500,
+        1000,
+        5000,
+        25000
       ],
       "buckets": [
+        0,
+        0,
+        0,
         1,
+        0,
         1,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
         1
       ],
       "count": 3,
-      "sum": 5057
+      "sum": 50057
     }
   }
 }
@@ -57,40 +82,37 @@ fn full_snapshot_json_parses_and_carries_spans() {
             .event("storage", "bytes_scanned", &[("bytes", 128)]);
     }
     let text = obs.snapshot().to_json().pretty();
-    let parsed = impliance_analysis::report::parse_json(&text).expect("snapshot JSON must parse");
-    let spans = parsed.get("spans").and_then(|s| s.as_arr()).unwrap();
+    let parsed = json::parse(&text).expect("snapshot JSON must parse");
+    let field = |node: &Node, path: &str| node.get_str_path(path).and_then(Node::as_value).cloned();
+    let spans = parsed.get_str_path("spans").and_then(Node::as_seq).unwrap();
     assert_eq!(spans.len(), 2);
     // inner span finished first and points at the outer span
     let inner = &spans[0];
     assert_eq!(
-        inner.get("subsystem").and_then(|s| s.as_str()),
-        Some("storage")
+        field(inner, "subsystem"),
+        Some(Value::Str("storage".into()))
     );
-    assert_eq!(
-        inner.get("parent").and_then(|p| p.as_f64()),
-        spans[1].get("id").and_then(|i| i.as_f64())
-    );
-    let events = parsed.get("events").and_then(|e| e.as_arr()).unwrap();
-    assert_eq!(
-        events[0]
-            .get("fields")
-            .and_then(|f| f.get("bytes"))
-            .and_then(|b| b.as_f64()),
-        Some(128.0)
-    );
+    assert_eq!(field(inner, "parent"), field(&spans[1], "id"));
+    let events = parsed
+        .get_str_path("events")
+        .and_then(Node::as_seq)
+        .unwrap();
+    assert_eq!(field(&events[0], "fields.bytes"), Some(Value::Int(128)));
 }
 
 #[test]
 fn histogram_boundary_values_land_in_lower_bucket() {
     let obs = Obs::new();
-    let h = obs.metrics().histogram("edge", &[1, 2, 5]);
-    // exact boundary values are inclusive upper bounds
-    for v in [1, 2, 5] {
+    let h = obs.metrics().histogram(&QUERY_PIPELINE_ROWS_PER_BATCH);
+    // exact boundary values are inclusive upper bounds: 1, 2, 4, ..
+    for v in [1, 2, 4] {
         h.observe(v);
     }
-    assert_eq!(h.bucket_counts(), vec![1, 1, 1, 0]);
-    h.observe(6);
-    assert_eq!(h.bucket_counts(), vec![1, 1, 1, 1]);
+    assert_eq!(&h.bucket_counts()[..4], &[1, 1, 1, 0]);
+    h.observe(5);
+    assert_eq!(&h.bucket_counts()[..4], &[1, 1, 1, 1]);
+    h.observe(4097);
+    assert_eq!(h.bucket_counts().last(), Some(&1), "overflow bucket");
 }
 
 #[test]
@@ -126,8 +148,8 @@ fn counters_are_race_free_under_lock_order_detector() {
             let obs = Arc::clone(&obs);
             thread::spawn(move || {
                 // half the threads pre-register, half race the registry
-                let counter = obs.metrics().counter("smoke.hits");
-                let hist = obs.metrics().histogram("smoke.us", &[8, 64]);
+                let counter = obs.metrics().counter(&STORAGE_PUT_COUNT);
+                let hist = obs.metrics().histogram(&STORAGE_PUT_US);
                 for i in 0..PER_THREAD {
                     counter.inc();
                     hist.observe(i % 100);
@@ -146,9 +168,12 @@ fn counters_are_race_free_under_lock_order_detector() {
         h.join().expect("no lock-order panic in any thread");
     }
     let snap = obs.snapshot();
-    assert_eq!(snap.counters["smoke.hits"], THREADS as u64 * PER_THREAD);
     assert_eq!(
-        snap.histograms["smoke.us"].count,
+        snap.counters["storage.put.count"],
+        THREADS as u64 * PER_THREAD
+    );
+    assert_eq!(
+        snap.histograms["storage.put.us"].count,
         THREADS as u64 * PER_THREAD
     );
 }

@@ -31,9 +31,9 @@ use impliance_index::{
     search_phrase, search_topk, InvertedIndex, PathValueIndex, SearchHit, SearchMode, SearchQuery,
     TopKStats,
 };
-use impliance_obs::{Counter, Histogram, LATENCY_BUCKETS_US};
+use impliance_obs::{catalog, Counter, Histogram};
 use impliance_storage::{
-    AggValue, Bitmask, ColumnPage, Cursor, Predicate, ScanRequest, StorageEngine,
+    AggValue, Bitmask, ColumnPage, Cursor, Predicate, ScanRequest, StorageEngine, StorageError,
 };
 
 use crate::adaptive::AdaptiveFilterChain;
@@ -130,17 +130,14 @@ pub(crate) fn op_obs(idx: usize) -> Option<&'static OpObs> {
         OP_NAMES
             .iter()
             .map(|name| OpObs {
-                rows: m.counter(&format!("query.op.{name}.rows")),
-                us: m.histogram(&format!("query.op.{name}.us"), &LATENCY_BUCKETS_US),
-                batches: m.counter(&format!("query.op.{name}.batches")),
+                rows: m.counter_in(&catalog::QUERY_OP_ROWS, name),
+                us: m.histogram_in(&catalog::QUERY_OP_US, name),
+                batches: m.counter_in(&catalog::QUERY_OP_BATCHES, name),
             })
             .collect()
     })
     .get(idx)
 }
-
-/// Batch-size distribution buckets (powers of two up to 4096).
-const ROWS_PER_BATCH_BUCKETS: [u64; 12] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096];
 
 pub(crate) struct PipelineObs {
     pub(crate) rows_per_batch: Arc<Histogram>,
@@ -152,8 +149,8 @@ pub(crate) fn pipeline_obs() -> &'static PipelineObs {
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
         PipelineObs {
-            rows_per_batch: m.histogram("query.pipeline.rows_per_batch", &ROWS_PER_BATCH_BUCKETS),
-            early_terminations: m.counter("query.pipeline.early_terminations"),
+            rows_per_batch: m.histogram(&catalog::QUERY_PIPELINE_ROWS_PER_BATCH),
+            early_terminations: m.counter(&catalog::QUERY_PIPELINE_EARLY_TERMINATIONS),
         }
     })
 }
@@ -329,10 +326,10 @@ pub(crate) fn search_obs() -> &'static SearchObs {
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
         SearchObs {
-            queries: m.counter("query.search.queries"),
-            candidates_scored: m.counter("query.search.candidates_scored"),
-            candidates_pruned: m.counter("query.search.candidates_pruned"),
-            early_terminations: m.counter("query.search.early_terminations"),
+            queries: m.counter(&catalog::QUERY_SEARCH_QUERIES),
+            candidates_scored: m.counter(&catalog::QUERY_SEARCH_CANDIDATES_SCORED),
+            candidates_pruned: m.counter(&catalog::QUERY_SEARCH_CANDIDATES_PRUNED),
+            early_terminations: m.counter(&catalog::QUERY_SEARCH_EARLY_TERMINATIONS),
         }
     })
 }
@@ -399,6 +396,11 @@ pub(crate) enum IndexHits<'a> {
     Scored(Vec<SearchHit>),
 }
 
+/// Resolves a hit or a probe match to its snapshot-visible document:
+/// `Ok(None)` when there is none (deleted, or filtered out), an error
+/// when the read itself failed.
+pub type Fetch<'a> = Box<dyn Fn(DocId) -> Result<Option<Arc<Document>>, StorageError> + 'a>;
+
 /// Scored text retrieval source: evaluates a BM25 (or phrase) search on
 /// first pull (or takes an already-scored chunk of hits), resolves each
 /// hit to its snapshot-visible document via `fetch`, and emits
@@ -411,7 +413,7 @@ pub struct IndexScanOp<'a> {
     alias: String,
     /// Drop hits whose fetched document lives outside this collection.
     collection: Option<String>,
-    fetch: Box<dyn Fn(DocId) -> Option<Arc<Document>> + 'a>,
+    fetch: Fetch<'a>,
     batch_size: usize,
     metrics: SharedMetrics,
     pending: Vec<Tuple>,
@@ -422,7 +424,7 @@ impl<'a> IndexScanOp<'a> {
         hits: IndexHits<'a>,
         alias: String,
         collection: Option<String>,
-        fetch: Box<dyn Fn(DocId) -> Option<Arc<Document>> + 'a>,
+        fetch: Fetch<'a>,
         batch_size: usize,
         metrics: SharedMetrics,
     ) -> IndexScanOp<'a> {
@@ -437,9 +439,9 @@ impl<'a> IndexScanOp<'a> {
         }
     }
 
-    fn fill(&mut self) {
+    fn fill(&mut self) -> Result<(), ExecError> {
         let hits = match self.hits.take() {
-            None => return,
+            None => return Ok(()),
             Some(IndexHits::Scored(hits)) => hits,
             Some(IndexHits::Search {
                 index,
@@ -455,18 +457,20 @@ impl<'a> IndexScanOp<'a> {
                 hits
             }
         };
-        self.pending = hits
-            .into_iter()
-            .filter_map(|hit| {
-                let doc = (self.fetch)(hit.id)?;
-                if let Some(c) = &self.collection {
-                    if doc.collection() != c {
-                        return None;
-                    }
+        let mut pending = Vec::new();
+        for hit in hits {
+            let Some(doc) = (self.fetch)(hit.id)? else {
+                continue;
+            };
+            if let Some(c) = &self.collection {
+                if doc.collection() != c {
+                    continue;
                 }
-                Some(Tuple::single(&self.alias, doc).with_score(hit.score))
-            })
-            .collect();
+            }
+            pending.push(Tuple::single(&self.alias, doc).with_score(hit.score));
+        }
+        self.pending = pending;
+        Ok(())
     }
 }
 
@@ -476,7 +480,7 @@ impl Operator for IndexScanOp<'_> {
     }
 
     fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        self.fill();
+        self.fill()?;
         if self.pending.is_empty() {
             return Ok(None);
         }
@@ -501,8 +505,8 @@ fn columnar_obs() -> &'static ColumnarObs {
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
         ColumnarObs {
-            batches: m.counter("query.columnar.batches"),
-            rows: m.counter("query.columnar.rows"),
+            batches: m.counter(&catalog::QUERY_COLUMNAR_BATCHES),
+            rows: m.counter(&catalog::QUERY_COLUMNAR_ROWS),
         }
     })
 }
@@ -1551,7 +1555,7 @@ pub struct IndexedNlJoinOp<'a> {
     right_alias: String,
     right_path: String,
     left_key: (String, String),
-    fetch: Box<dyn Fn(DocId) -> Option<Arc<Document>> + 'a>,
+    fetch: Fetch<'a>,
     limit: Option<usize>,
     emitted: usize,
     done: bool,
@@ -1566,7 +1570,7 @@ impl<'a> IndexedNlJoinOp<'a> {
         right_alias: String,
         right_path: String,
         left_key: (String, String),
-        fetch: Box<dyn Fn(DocId) -> Option<Arc<Document>> + 'a>,
+        fetch: Fetch<'a>,
         limit: Option<usize>,
         metrics: SharedMetrics,
     ) -> IndexedNlJoinOp<'a> {
@@ -1609,7 +1613,7 @@ impl Operator for IndexedNlJoinOp<'_> {
                     continue;
                 }
                 for id in self.index.lookup_eq(&self.right_path, &k) {
-                    if let Some(doc) = (self.fetch)(id) {
+                    if let Some(doc) = (self.fetch)(id)? {
                         out.push(t.join(&Tuple::single(&self.right_alias, doc)));
                         self.emitted += 1;
                         if let Some(l) = self.limit {
@@ -1871,7 +1875,7 @@ mod tests {
                 "c".into(),
                 "code".into(),
                 join_keys().0,
-                Box::new(|id| store.get(&id).cloned()),
+                Box::new(|id| Ok(store.get(&id).cloned())),
                 limit,
                 Rc::clone(&metrics),
             );

@@ -18,8 +18,10 @@
 //! process start); tests hold a [`ManualTime`] and advance it explicitly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+
+use impliance_obs::{assert_unguarded, TrackedRwLock};
 
 /// A sleeper used for retry backoff pacing.
 pub trait BackoffClock: Send + Sync {
@@ -38,20 +40,16 @@ impl BackoffClock for RealClock {
     }
 }
 
-fn slot() -> &'static RwLock<Arc<dyn BackoffClock>> {
-    static SLOT: OnceLock<RwLock<Arc<dyn BackoffClock>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(Arc::new(RealClock)))
+fn slot() -> &'static TrackedRwLock<Arc<dyn BackoffClock>> {
+    static SLOT: OnceLock<TrackedRwLock<Arc<dyn BackoffClock>>> = OnceLock::new();
+    SLOT.get_or_init(|| TrackedRwLock::new("query.clock", Arc::new(RealClock)))
 }
 
 /// Install a process-wide backoff clock, replacing the previous one.
 /// Chaos tests and benches install a counting no-op so fault schedules
 /// don't pay real sleeps.
 pub fn install(clock: Arc<dyn BackoffClock>) {
-    let mut guard = match slot().write() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    *guard = clock;
+    *slot().write() = clock;
 }
 
 /// Restore the default [`RealClock`].
@@ -124,13 +122,8 @@ pub fn default_time_source() -> Arc<dyn TimeSource> {
 
 /// Sleep `us` microseconds through the installed clock.
 pub(crate) fn sleep_us(us: u64) {
-    let clock = {
-        let guard = match slot().read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        Arc::clone(&guard)
-    };
+    assert_unguarded("clock::sleep_us");
+    let clock = Arc::clone(&slot().read());
     clock.sleep_us(us);
 }
 

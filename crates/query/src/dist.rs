@@ -39,7 +39,7 @@ use impliance_cluster::runtime::NodeCtx;
 use impliance_cluster::{ClusterError, ClusterRuntime, NodeId, NodeKind, TaskHandle};
 use impliance_docmodel::{DocId, Document};
 use impliance_index::{InvertedIndex, JoinIndex, PathValueIndex};
-use impliance_obs::{Counter, Histogram};
+use impliance_obs::{catalog, Counter, Histogram};
 use impliance_storage::{codec, StorageEngine, StorageError};
 
 use crate::batch::{index_build_tuples, Batch, JoinTable};
@@ -67,14 +67,11 @@ fn dist_obs() -> &'static DistObs {
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
         DistObs {
-            retries: m.counter("dist.retries"),
-            failovers: m.counter("dist.failovers"),
-            deadline_exceeded: m.counter("dist.deadline_exceeded"),
-            degraded_queries: m.counter("dist.degraded_queries"),
-            backoff_us: m.histogram(
-                "dist.backoff_us",
-                &[100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 100_000],
-            ),
+            retries: m.counter(&catalog::DIST_RETRIES),
+            failovers: m.counter(&catalog::DIST_FAILOVERS),
+            deadline_exceeded: m.counter(&catalog::DIST_DEADLINE_EXCEEDED),
+            degraded_queries: m.counter(&catalog::DIST_DEGRADED_QUERIES),
+            backoff_us: m.histogram(&catalog::DIST_BACKOFF_US),
         }
     })
 }
@@ -1064,7 +1061,7 @@ mod tests {
         assert!(out.coverage.is_complete());
         // plans the exchange cannot split have no distributed form
         let LogicalPlan::Project { input, .. } = plan else {
-            unreachable!()
+            panic!("the plan above is a projection");
         };
         let LogicalPlan::Join {
             left,
@@ -1074,7 +1071,7 @@ mod tests {
             ..
         } = *input
         else {
-            unreachable!()
+            panic!("the projection above reads a join");
         };
         let merge_join = LogicalPlan::Join {
             left,

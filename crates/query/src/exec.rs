@@ -128,7 +128,7 @@ pub(crate) fn deadline_obs() -> &'static Arc<impliance_obs::Counter> {
     OBS.get_or_init(|| {
         impliance_obs::global()
             .metrics()
-            .counter("query.pipeline.deadline_exceeded")
+            .counter(&impliance_obs::catalog::QUERY_PIPELINE_DEADLINE_EXCEEDED)
     })
 }
 
@@ -444,8 +444,8 @@ pub(crate) fn compile<'a>(
             };
             let storage = ctx.storage;
             let snap = snap_epoch(ctx);
-            let fetch = move |id: DocId| -> Option<Arc<Document>> {
-                storage.get_latest_at(id, snap).ok().flatten().map(Arc::new)
+            let fetch = move |id: DocId| -> Result<Option<Arc<Document>>, StorageError> {
+                Ok(storage.get_latest_at(id, snap)?.map(Arc::new))
             };
             Ok(Compiled::Op {
                 op: Metered::wrap(
@@ -539,18 +539,16 @@ pub(crate) fn compile<'a>(
                     };
                     let storage = ctx.storage;
                     let snap = snap_epoch(ctx);
-                    let fetch = move |id: DocId| -> Option<Arc<Document>> {
-                        match storage.get_latest_at(id, snap) {
-                            Ok(Some(d)) => {
-                                if let Some(c) = &right_collection {
-                                    if d.collection() != c {
-                                        return None;
-                                    }
-                                }
-                                Some(Arc::new(d))
+                    let fetch = move |id: DocId| -> Result<Option<Arc<Document>>, StorageError> {
+                        let Some(d) = storage.get_latest_at(id, snap)? else {
+                            return Ok(None);
+                        };
+                        if let Some(c) = &right_collection {
+                            if d.collection() != c {
+                                return Ok(None);
                             }
-                            _ => None,
                         }
+                        Ok(Some(Arc::new(d)))
                     };
                     Box::new(IndexedNlJoinOp::new(
                         lop,

@@ -46,7 +46,12 @@
 //!   management reads, so tests and benchmarks never burn wall time.
 //! * [`preempt`] — query [`Priority`] classes and the process-wide
 //!   preemption gate low-priority morsel workers consult between claims.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod adaptive;

@@ -61,7 +61,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use impliance_index::SearchHit;
-use impliance_obs::{Counter, Gauge, Histogram, LATENCY_BUCKETS_US};
+use impliance_obs::{catalog, Counter, Gauge, Histogram, TrackedMutex};
 use impliance_storage::Predicate;
 
 use crate::batch::{
@@ -92,10 +92,10 @@ fn par_obs() -> &'static ParObs {
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
         ParObs {
-            morsels: m.counter("query.parallel.morsels"),
-            workers_used: m.gauge("query.parallel.workers_used"),
-            queue_depth: m.gauge("query.parallel.queue_depth"),
-            merge_us: m.histogram("query.parallel.merge_us", &LATENCY_BUCKETS_US),
+            morsels: m.counter(&catalog::QUERY_PARALLEL_MORSELS),
+            workers_used: m.gauge(&catalog::QUERY_PARALLEL_WORKERS_USED),
+            queue_depth: m.gauge(&catalog::QUERY_PARALLEL_QUEUE_DEPTH),
+            merge_us: m.histogram(&catalog::QUERY_PARALLEL_MERGE_US),
         }
     })
 }
@@ -120,9 +120,9 @@ where
     if workers <= 1 || n <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let slots: Vec<parking_lot::Mutex<Option<T>>> = items
+    let slots: Vec<TrackedMutex<Option<T>>> = items
         .into_iter()
-        .map(|t| parking_lot::Mutex::new(Some(t)))
+        .map(|t| TrackedMutex::new("query.parallel.slot", Some(t)))
         .collect();
     let claim = AtomicUsize::new(0);
     let f = &f;
@@ -136,7 +136,9 @@ where
                     loop {
                         let i = claim.fetch_add(1, Ordering::Relaxed);
                         let Some(slot) = slots.get(i) else { break };
-                        if let Some(item) = slot.lock().take() {
+                        // the slot's guard drops before `f` runs
+                        let item = slot.lock().take();
+                        if let Some(item) = item {
                             out.push((i, f(item)));
                         }
                     }

@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use impliance_obs::Counter;
+use impliance_obs::{catalog, Counter};
 
 /// Query priority classes, lowest to highest. Ordering is meaningful:
 /// `Low < Normal < High`.
@@ -61,7 +61,7 @@ fn yields_obs() -> &'static Arc<Counter> {
     OBS.get_or_init(|| {
         impliance_obs::global()
             .metrics()
-            .counter("query.preempt.yields")
+            .counter(&catalog::QUERY_PREEMPT_YIELDS)
     })
 }
 

@@ -14,9 +14,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use impliance_analysis::{TrackedMutex, TrackedRwLock};
 use impliance_docmodel::{DocId, Document, Version};
-use impliance_obs::{Counter, Histogram, LATENCY_BUCKETS_US};
+use impliance_obs::{catalog, Counter, Histogram, TrackedMutex, TrackedRwLock};
 
 use crate::columnar::{ColumnPage, ColumnPageBuilder};
 use crate::epoch::{ChangeFeed, ConsumerObs, EpochRegistry, FeedConsumer, Snapshot};
@@ -50,16 +49,16 @@ fn engine_obs() -> &'static EngineObs {
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
         EngineObs {
-            puts: m.counter("storage.put.count"),
-            put_us: m.histogram("storage.put.us", &LATENCY_BUCKETS_US),
-            gets: m.counter("storage.get.count"),
-            get_us: m.histogram("storage.get.us", &LATENCY_BUCKETS_US),
-            scans: m.counter("storage.scan.count"),
-            scan_us: m.histogram("storage.scan.us", &LATENCY_BUCKETS_US),
-            seals: m.counter("storage.seal.count"),
-            bytes_compressed: m.counter("storage.seal.bytes_compressed"),
-            seg_skipped: m.counter("storage.segment.skipped"),
-            seg_scanned: m.counter("storage.segment.scanned"),
+            puts: m.counter(&catalog::STORAGE_PUT_COUNT),
+            put_us: m.histogram(&catalog::STORAGE_PUT_US),
+            gets: m.counter(&catalog::STORAGE_GET_COUNT),
+            get_us: m.histogram(&catalog::STORAGE_GET_US),
+            scans: m.counter(&catalog::STORAGE_SCAN_COUNT),
+            scan_us: m.histogram(&catalog::STORAGE_SCAN_US),
+            seals: m.counter(&catalog::STORAGE_SEAL_COUNT),
+            bytes_compressed: m.counter(&catalog::STORAGE_SEAL_BYTES_COMPRESSED),
+            seg_skipped: m.counter(&catalog::STORAGE_SEGMENT_SKIPPED),
+            seg_scanned: m.counter(&catalog::STORAGE_SEGMENT_SCANNED),
         }
     })
 }

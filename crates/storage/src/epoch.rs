@@ -29,9 +29,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use impliance_analysis::TrackedMutex;
 use impliance_docmodel::{DocId, Document};
-use impliance_obs::{Counter, Gauge};
+use impliance_obs::{assert_unguarded, catalog, Counter, Gauge, TrackedMutex};
 
 use crate::engine::StorageEngine;
 
@@ -47,10 +46,10 @@ fn epoch_obs() -> &'static EpochObs {
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
         EpochObs {
-            current: m.gauge("storage.epoch.current"),
-            pins: m.gauge("storage.epoch.pins"),
-            low_watermark: m.gauge("storage.epoch.low_watermark"),
-            reclaimed: m.counter("storage.epoch.reclaimed"),
+            current: m.gauge(&catalog::STORAGE_EPOCH_CURRENT),
+            pins: m.gauge(&catalog::STORAGE_EPOCH_PINS),
+            low_watermark: m.gauge(&catalog::STORAGE_EPOCH_LOW_WATERMARK),
+            reclaimed: m.counter(&catalog::STORAGE_EPOCH_RECLAIMED),
         }
     })
 }
@@ -272,6 +271,7 @@ impl ChangeFeed {
     /// loses no work. An empty result means the feed is drained at this
     /// cursor.
     fn recv_changes(&self, cursor: u64, max: usize) -> (Vec<ChangeRecord>, u64) {
+        assert_unguarded("ChangeFeed::recv_changes");
         let inner = self.inner.lock();
         let start = cursor.max(inner.base);
         let skip = (start - inner.base) as usize;
@@ -431,7 +431,9 @@ impl FeedConsumer {
     /// its work is computed and nothing is written), visit `AfterCommit`,
     /// then advance cursor and watermark and ack. A kill at any point
     /// leaves the record unacked: the next drain replays it, so a stage
-    /// must be idempotent per document version.
+    /// must be idempotent per document version. A fetch that fails (a
+    /// corrupt block) is a failed step too: the drain stops there, and the
+    /// record stays in the backlog instead of being acked as deleted.
     ///
     /// The feed is read without the state lock and the cursor
     /// re-validated under it, so concurrent drains of one consumer are
@@ -459,14 +461,16 @@ impl FeedConsumer {
                 state.watermark = state.watermark.max(state.last_epoch);
                 break;
             };
-            let doc = self.engine.get_latest_at(record.id, record.epoch);
+            let Ok(doc) = self.engine.get_latest_at(record.id, record.epoch) else {
+                break;
+            };
             let mut crash = CrashPoints {
                 steps: &mut state.steps,
                 faults,
             };
             let step = crash
                 .visit(KillPoint::AfterFetch)
-                .and_then(|()| stage(record, doc.ok().flatten(), &mut crash))
+                .and_then(|()| stage(record, doc, &mut crash))
                 .and_then(|()| crash.visit(KillPoint::AfterCommit));
             if step.is_err() {
                 break;
@@ -588,6 +592,33 @@ mod tests {
         assert_eq!(seen, vec![DocId(10_000)]);
     }
 
+    /// A record whose document cannot be read is not acked as deleted:
+    /// the drain stops at it, and the backlog and watermark stay put.
+    #[test]
+    fn a_failed_fetch_stops_the_drain_without_an_ack() {
+        let e = Arc::new(StorageEngine::new(crate::StorageOptions {
+            partitions: 1,
+            seal_threshold: 4,
+            compression: true,
+            encryption_key: None,
+        }));
+        let consumer = e.register_consumer(ConsumerObs::default());
+        for i in 0..8 {
+            e.put(&doc(i)).unwrap();
+        }
+        e.corrupt_sealed_blocks();
+        let (backlog, watermark) = (consumer.backlog(), consumer.watermark());
+        assert_eq!(backlog, 8);
+        let mut staged = 0;
+        let consumed = consumer.drain(None, &NoFaults, |_, _, _| {
+            staged += 1;
+            Ok(())
+        });
+        assert_eq!((consumed, staged), (0, 0));
+        assert_eq!(consumer.backlog(), backlog);
+        assert_eq!(consumer.watermark(), watermark);
+    }
+
     #[test]
     fn a_third_consumer_joins_without_touching_the_other_two() {
         let e = engine();
@@ -632,7 +663,7 @@ mod tests {
         for i in 0..DOCS {
             e.put(&doc(i)).unwrap();
         }
-        let staged = parking_lot::Mutex::new(Vec::new());
+        let staged = TrackedMutex::new("storage.epoch.test_staged", Vec::new());
         let total: usize = std::thread::scope(|scope| {
             let drains: Vec<_> = (0..4)
                 .map(|_| {

@@ -32,7 +32,12 @@
 //! * [`engine`] — the [`StorageEngine`] facade combining hash-partitioned
 //!   storage with version-chain reads; every bulk read is one paged
 //!   [`Cursor`] over a range of partitions.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod codec;

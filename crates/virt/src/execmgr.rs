@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use impliance_analysis::TrackedMutex;
+use impliance_obs::TrackedMutex;
 use impliance_query::clock::{default_time_source, TimeSource};
 
 /// Task priority classes.

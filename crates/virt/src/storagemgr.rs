@@ -171,9 +171,7 @@ impl StorageManager {
     pub fn node_failed(&mut self, node: NodeId) -> ReplicationReport {
         self.ring.remove_node(node);
         let mut report = ReplicationReport::default();
-        let doc_ids: Vec<DocId> = self.docs.keys().copied().collect();
-        for id in doc_ids {
-            let meta = self.docs.get_mut(&id).expect("doc exists");
+        for (&id, meta) in self.docs.iter_mut() {
             if !meta.replicas.contains(&node) {
                 continue;
             }

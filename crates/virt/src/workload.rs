@@ -1,5 +1,5 @@
-//! Multi-tenant workload management: admission control, quotas, bounded
-//! queues, and graceful degradation under overload.
+//! Multi-tenant workload management: admission control, quotas, and
+//! graceful degradation under overload.
 //!
 //! §3.4 promises an appliance that schedules "prioritized tasks" and §4
 //! promises a box that survives whatever traffic arrives — not just one
@@ -10,13 +10,10 @@
 //!   rate up to a burst cap; a query costs one token. A tenant that
 //!   exhausts its quota is shed with a precise retry-after hint, and
 //!   cannot starve anyone else regardless of how hard it hammers.
-//! * **Bounded per-tenant queues** — backlog per tenant is capped;
-//!   arrivals beyond the cap are shed immediately (fast-fail) instead of
-//!   queueing unboundedly and blowing every deadline at once.
-//! * **Priority dispatch** — ready work drains `High` before `Normal`
-//!   before `Low`, FIFO within a class, so overload degrades a
-//!   predictable subset (the low classes) while response-time-sensitive
-//!   tenants keep their latency.
+//! * **Priority classes** — over the concurrency limit `High` work is
+//!   admitted anyway, `Normal` work is degraded and `Low` work is shed,
+//!   so overload degrades a predictable subset (the low classes) while
+//!   response-time-sensitive tenants keep their latency.
 //! * **Deadline-aware shedding** — when the expected wait already
 //!   exceeds a query's deadline, the query is rejected *now* with
 //!   [`ShedReason::DeadlineUnmeetable`] instead of timing out later;
@@ -25,16 +22,15 @@
 //!   deadline/`Degraded` path) rather than rejected outright.
 //!
 //! All time is read through the injectable
-//! [`impliance_query::clock::TimeSource`], so the workload simulator and
-//! the proptest batteries drive hours of virtual traffic without burning
-//! wall-clock.
+//! [`impliance_query::clock::TimeSource`], so tests drive virtual time
+//! without burning wall-clock.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use impliance_analysis::TrackedMutex;
-use impliance_obs::{Counter, Gauge, Histogram, LATENCY_BUCKETS_US};
+use impliance_obs::TrackedMutex;
+use impliance_obs::{catalog, Counter, Gauge, Histogram};
 use impliance_query::clock::{default_time_source, TimeSource};
 use impliance_query::Priority;
 
@@ -50,7 +46,7 @@ impl std::fmt::Display for TenantId {
     }
 }
 
-/// Rate/backlog contract for one tenant.
+/// Rate contract for one tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantQuota {
     /// Sustained admission rate in queries per second (`0` = unlimited;
@@ -59,8 +55,6 @@ pub struct TenantQuota {
     /// Burst capacity in queries: how far above the sustained rate a
     /// quiet tenant may spike.
     pub burst: u64,
-    /// Bounded backlog: queued queries beyond this are shed immediately.
-    pub queue_capacity: usize,
 }
 
 impl TenantQuota {
@@ -70,7 +64,6 @@ impl TenantQuota {
         TenantQuota {
             tokens_per_sec: 0,
             burst: 0,
-            queue_capacity: usize::MAX,
         }
     }
 }
@@ -114,8 +107,6 @@ impl Default for WorkloadConfig {
 pub enum ShedReason {
     /// The tenant's token bucket is empty (quota exhausted).
     TokensExhausted,
-    /// The tenant's bounded queue is full.
-    QueueFull,
     /// The expected wait already exceeds the query's deadline.
     DeadlineUnmeetable,
     /// The appliance is over its concurrency limit and this class is
@@ -128,7 +119,6 @@ impl ShedReason {
     pub fn as_str(&self) -> &'static str {
         match self {
             ShedReason::TokensExhausted => "tokens_exhausted",
-            ShedReason::QueueFull => "queue_full",
             ShedReason::DeadlineUnmeetable => "deadline_unmeetable",
             ShedReason::Overloaded => "overloaded",
         }
@@ -180,7 +170,7 @@ impl Permit {
         self.priority
     }
 
-    /// Microseconds spent queued/waiting before execution could start.
+    /// Microseconds spent waiting before execution could start.
     pub fn queue_wait_us(&self) -> u64 {
         self.queue_wait_us
     }
@@ -196,15 +186,6 @@ impl Drop for Permit {
     fn drop(&mut self) {
         self.shared.release(self.started_us);
     }
-}
-
-/// One queued query awaiting dispatch.
-#[derive(Debug, Clone, Copy)]
-struct QueuedTicket {
-    tenant: TenantId,
-    priority: Priority,
-    enqueued_us: u64,
-    deadline_us: Option<u64>,
 }
 
 #[derive(Debug, Default)]
@@ -250,16 +231,12 @@ pub struct WorkloadStats {
     pub degraded: u64,
     /// Queries shed for quota exhaustion.
     pub shed_tokens: u64,
-    /// Queries shed because the tenant's queue was full.
-    pub shed_queue_full: u64,
     /// Queries shed because their deadline was already unmeetable.
     pub shed_deadline: u64,
     /// Queries shed by the concurrency overload policy.
     pub shed_overload: u64,
     /// Currently executing (outstanding permits).
     pub active: u64,
-    /// Currently queued awaiting dispatch.
-    pub queued: u64,
     /// Running mean service time, microseconds.
     pub mean_service_us: u64,
 }
@@ -267,7 +244,7 @@ pub struct WorkloadStats {
 impl WorkloadStats {
     /// Total shed count across every reason.
     pub fn shed_total(&self) -> u64 {
-        self.shed_tokens + self.shed_queue_full + self.shed_deadline + self.shed_overload
+        self.shed_tokens + self.shed_deadline + self.shed_overload
     }
 }
 
@@ -276,10 +253,8 @@ struct WorkloadObs {
     degraded: Arc<Counter>,
     shed: Arc<Counter>,
     active: Arc<Gauge>,
-    queued: Arc<Gauge>,
     queue_wait_us: Arc<Histogram>,
     tokens_denied: Arc<Counter>,
-    queue_full: Arc<Counter>,
     deadline_shed: Arc<Counter>,
     overload_shed: Arc<Counter>,
 }
@@ -289,16 +264,14 @@ fn workload_obs() -> &'static WorkloadObs {
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
         WorkloadObs {
-            admitted: m.counter("workload.admitted"),
-            degraded: m.counter("workload.degraded"),
-            shed: m.counter("workload.shed"),
-            active: m.gauge("workload.active"),
-            queued: m.gauge("workload.queued"),
-            queue_wait_us: m.histogram("workload.queue_wait_us", &LATENCY_BUCKETS_US),
-            tokens_denied: m.counter("admission.tokens_denied"),
-            queue_full: m.counter("admission.queue_full"),
-            deadline_shed: m.counter("admission.deadline_shed"),
-            overload_shed: m.counter("admission.overload_shed"),
+            admitted: m.counter(&catalog::WORKLOAD_ADMITTED),
+            degraded: m.counter(&catalog::WORKLOAD_DEGRADED),
+            shed: m.counter(&catalog::WORKLOAD_SHED),
+            active: m.gauge(&catalog::WORKLOAD_ACTIVE),
+            queue_wait_us: m.histogram(&catalog::WORKLOAD_QUEUE_WAIT_US),
+            tokens_denied: m.counter(&catalog::ADMISSION_TOKENS_DENIED),
+            deadline_shed: m.counter(&catalog::ADMISSION_DEADLINE_SHED),
+            overload_shed: m.counter(&catalog::ADMISSION_OVERLOAD_SHED),
         }
     })
 }
@@ -307,8 +280,6 @@ fn workload_obs() -> &'static WorkloadObs {
 struct State {
     buckets: BTreeMap<u64, Bucket>,
     quotas: BTreeMap<u64, TenantQuota>,
-    queues: [VecDeque<QueuedTicket>; 3],
-    queued_per_tenant: BTreeMap<u64, usize>,
     active: u64,
     stats: WorkloadStats,
 }
@@ -358,8 +329,8 @@ impl WorkloadManager {
         WorkloadManager::with_time_source(config, default_time_source())
     }
 
-    /// A manager reading time from an explicit source (tests and the
-    /// workload simulator pass a `ManualTime`).
+    /// A manager reading time from an explicit source (tests pass a
+    /// `ManualTime`).
     pub fn with_time_source(config: WorkloadConfig, time: Arc<dyn TimeSource>) -> WorkloadManager {
         WorkloadManager {
             shared: Arc::new(Shared {
@@ -386,13 +357,13 @@ impl WorkloadManager {
         self.shared.mean_service_us.load(Ordering::Relaxed)
     }
 
-    fn permit(&self, t: QueuedTicket, queue_wait_us: u64, budget_us: Option<u64>) -> Permit {
+    fn permit(&self, tenant: TenantId, priority: Priority, budget_us: Option<u64>) -> Permit {
         Permit {
             shared: Arc::clone(&self.shared),
-            tenant: t.tenant,
-            priority: t.priority,
+            tenant,
+            priority,
             started_us: self.shared.time.now_us(),
-            queue_wait_us,
+            queue_wait_us: 0,
             budget_us,
         }
     }
@@ -434,12 +405,6 @@ impl WorkloadManager {
         } else {
             0
         };
-        let ticket = QueuedTicket {
-            tenant,
-            priority,
-            enqueued_us: now,
-            deadline_us,
-        };
         if over_by == 0 || priority == Priority::High {
             s.active += 1;
             s.stats.active = s.active;
@@ -448,7 +413,7 @@ impl WorkloadManager {
             obs.active.set(s.active as i64);
             obs.queue_wait_us.observe(0);
             drop(s);
-            return Admission::Admitted(self.permit(ticket, 0, None));
+            return Admission::Admitted(self.permit(tenant, priority, None));
         }
         // Over the concurrency limit: estimate the wait the backlog
         // implies and shed or degrade instead of queueing blindly.
@@ -488,111 +453,9 @@ impl WorkloadManager {
                 obs.active.set(s.active as i64);
                 obs.queue_wait_us.observe(0);
                 drop(s);
-                Admission::Degraded(self.permit(ticket, 0, Some(budget)))
+                Admission::Degraded(self.permit(tenant, priority, Some(budget)))
             }
         }
-    }
-
-    /// Queued admission for dispatch-style callers (the workload
-    /// simulator and batch drivers): the token bucket and the bounded
-    /// per-tenant queue apply; dispatch order is decided by
-    /// [`WorkloadManager::next_ready`].
-    pub fn submit(
-        &self,
-        tenant: TenantId,
-        priority: Priority,
-        deadline_us: Option<u64>,
-    ) -> Result<(), Shed> {
-        let now = self.shared.time.now_us();
-        let obs = workload_obs();
-        let mut s = self.shared.state.lock();
-        let quota = s
-            .quotas
-            .get(&tenant.0)
-            .copied()
-            .unwrap_or(self.shared.config.default_quota);
-        if quota.tokens_per_sec > 0 {
-            let bucket = s.buckets.entry(tenant.0).or_default();
-            if let Err(wait_us) = bucket.take(now, quota.tokens_per_sec, quota.burst) {
-                s.stats.shed_tokens += 1;
-                obs.shed.inc();
-                obs.tokens_denied.inc();
-                return Err(Shed {
-                    reason: ShedReason::TokensExhausted,
-                    retry_after_us: wait_us,
-                });
-            }
-        }
-        let queued = s.queued_per_tenant.get(&tenant.0).copied().unwrap_or(0);
-        if queued >= quota.queue_capacity {
-            let mean = self.mean_service_us();
-            s.stats.shed_queue_full += 1;
-            obs.shed.inc();
-            obs.queue_full.inc();
-            return Err(Shed {
-                reason: ShedReason::QueueFull,
-                retry_after_us: (queued as u64).saturating_mul(mean),
-            });
-        }
-        let ticket = QueuedTicket {
-            tenant,
-            priority,
-            enqueued_us: now,
-            deadline_us,
-        };
-        s.queues[queue_index(priority)].push_back(ticket);
-        *s.queued_per_tenant.entry(tenant.0).or_insert(0) += 1;
-        s.stats.queued += 1;
-        obs.queued.set(s.stats.queued as i64);
-        Ok(())
-    }
-
-    /// Dispatch the next queued query: `High` before `Normal` before
-    /// `Low`, FIFO within a class. Tickets whose deadline can no longer
-    /// be met are shed here (counted, with the deadline reason) instead
-    /// of being dispatched to fail — that is the "degrade a predictable
-    /// subset" behavior under sustained overload. Returns `None` when
-    /// nothing dispatchable is queued.
-    pub fn next_ready(&self) -> Option<Permit> {
-        let now = self.shared.time.now_us();
-        let obs = workload_obs();
-        let mut s = self.shared.state.lock();
-        for qi in 0..3 {
-            while let Some(t) = s.queues[qi].pop_front() {
-                if let Some(n) = s.queued_per_tenant.get_mut(&t.tenant.0) {
-                    *n = n.saturating_sub(1);
-                }
-                s.stats.queued = s.stats.queued.saturating_sub(1);
-                obs.queued.set(s.stats.queued as i64);
-                let wait = now.saturating_sub(t.enqueued_us);
-                if let Some(d) = t.deadline_us {
-                    if wait >= d {
-                        s.stats.shed_deadline += 1;
-                        obs.shed.inc();
-                        obs.deadline_shed.inc();
-                        continue;
-                    }
-                }
-                s.active += 1;
-                s.stats.active = s.active;
-                s.stats.admitted += 1;
-                obs.admitted.inc();
-                obs.active.set(s.active as i64);
-                obs.queue_wait_us.observe(wait);
-                let budget = t.deadline_us.map(|d| d.saturating_sub(wait));
-                drop(s);
-                return Some(self.permit(t, wait, budget));
-            }
-        }
-        None
-    }
-}
-
-fn queue_index(priority: Priority) -> usize {
-    match priority {
-        Priority::High => 0,
-        Priority::Normal => 1,
-        Priority::Low => 2,
     }
 }
 
@@ -629,7 +492,6 @@ mod tests {
             default_quota: TenantQuota {
                 tokens_per_sec: 10,
                 burst: 2,
-                queue_capacity: 8,
             },
             ..WorkloadConfig::default()
         });
@@ -715,57 +577,6 @@ mod tests {
         assert_eq!(shed.reason, ShedReason::DeadlineUnmeetable);
         assert!(shed.retry_after_us >= 50_000);
         assert_eq!(wm.stats().shed_deadline, 1);
-    }
-
-    #[test]
-    fn bounded_queue_sheds_when_full() {
-        let (wm, _) = manager(WorkloadConfig {
-            default_quota: TenantQuota {
-                tokens_per_sec: 0,
-                burst: 0,
-                queue_capacity: 2,
-            },
-            ..WorkloadConfig::default()
-        });
-        assert!(wm.submit(TenantId(1), Priority::Normal, None).is_ok());
-        assert!(wm.submit(TenantId(1), Priority::Normal, None).is_ok());
-        let shed = wm
-            .submit(TenantId(1), Priority::Normal, None)
-            .expect_err("queue bound must shed");
-        assert_eq!(shed.reason, ShedReason::QueueFull);
-        // other tenants queue independently
-        assert!(wm.submit(TenantId(2), Priority::Normal, None).is_ok());
-        assert_eq!(wm.stats().queued, 3);
-    }
-
-    #[test]
-    fn dispatch_order_is_high_normal_low_fifo_within_class() {
-        let (wm, _) = manager(WorkloadConfig::default());
-        wm.submit(TenantId(1), Priority::Low, None).unwrap();
-        wm.submit(TenantId(2), Priority::Normal, None).unwrap();
-        wm.submit(TenantId(3), Priority::High, None).unwrap();
-        wm.submit(TenantId(4), Priority::High, None).unwrap();
-        wm.submit(TenantId(5), Priority::Normal, None).unwrap();
-        let order: Vec<u64> = std::iter::from_fn(|| wm.next_ready())
-            .map(|p| p.tenant().0)
-            .collect();
-        assert_eq!(order, vec![3, 4, 2, 5, 1]);
-    }
-
-    #[test]
-    fn stale_tickets_are_shed_at_dispatch() {
-        let (wm, time) = manager(WorkloadConfig::default());
-        wm.submit(TenantId(1), Priority::Normal, Some(1_000))
-            .unwrap();
-        wm.submit(TenantId(2), Priority::Normal, Some(500_000))
-            .unwrap();
-        time.advance_us(10_000); // first ticket's 1ms deadline passed
-        let p = wm.next_ready().expect("second ticket dispatches");
-        assert_eq!(p.tenant(), TenantId(2));
-        assert_eq!(p.queue_wait_us(), 10_000);
-        assert_eq!(p.budget_us(), Some(490_000));
-        assert_eq!(wm.stats().shed_deadline, 1);
-        assert!(wm.next_ready().is_none());
     }
 
     #[test]

@@ -296,7 +296,6 @@ proptest! {
             TenantQuota {
                 tokens_per_sec: rate,
                 burst,
-                queue_capacity: 8,
             },
         );
         let mut elapsed_us = 0u64;

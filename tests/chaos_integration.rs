@@ -113,7 +113,9 @@ fn killed_node_with_drops_returns_fault_free_row_set() {
     sched.kill_after(victim, 12);
     rt.network().install_faults(Arc::clone(&sched));
 
-    let failovers = impliance::obs::global().metrics().counter("dist.failovers");
+    let failovers = impliance::obs::global()
+        .metrics()
+        .counter(&impliance::obs::catalog::DIST_FAILOVERS);
     let before = failovers.get();
     let chaotic = dist::execute(&rt, &plan, &opts).expect("chaotic scan recovers");
     rt.network().clear_faults();
@@ -303,7 +305,6 @@ fn overloaded_cluster_with_kill_and_drops_answers_typed_or_degraded() {
         TenantQuota {
             tokens_per_sec: 1,
             burst: 1,
-            queue_capacity: 2,
         },
     );
     let standing: Vec<_> = (0..4)

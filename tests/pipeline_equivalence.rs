@@ -13,7 +13,9 @@ use proptest::prelude::*;
 
 use common::*;
 use impliance::docmodel::{DocId, DocumentBuilder, SourceFormat, Value};
-use impliance::query::{LogicalPlan, QueryOutput};
+use impliance::query::{
+    execute_plan_opts, ExecError, ExecutionContext, JoinAlgo, LogicalPlan, QueryOutput,
+};
 use impliance::storage::{AggFunc, Predicate};
 
 /// The plan's answer in every one-tree mode: batch {1,3,64,1024} ×
@@ -245,5 +247,65 @@ proptest! {
             prop_assert_eq!(m.rows_out as usize, out.len());
             prop_assert_eq!(render(&out), unlimited[..n.min(amounts.len())].to_vec());
         }
+    }
+}
+
+fn text_doc(id: u64, collection: &str, body: &str, k: i64) -> impliance::docmodel::Document {
+    DocumentBuilder::new(DocId(id), SourceFormat::Text, collection)
+        .field("body", body)
+        .field("k", k)
+        .build()
+}
+
+/// A fetch that fails is an error, not a missing document: an
+/// `IndexScan` and an indexed nested-loop join whose fetches hit a
+/// corrupt sealed block fail with `ExecError::Storage` instead of
+/// answering short.
+#[test]
+fn a_failed_fetch_is_an_error_not_a_missing_row() {
+    let f = Fixture::new(1, 4);
+    // two sealed segments of `r` documents, then three unsealed `l`
+    // documents the join's left side reads from the memtable
+    for i in 0..8 {
+        f.put(&text_doc(i, "r", "alpha report", i as i64));
+    }
+    for i in 0..3 {
+        f.put(&text_doc(100 + i, "l", "left side", i as i64));
+    }
+    let search = |query: &str, alias: &str| LogicalPlan::IndexScan {
+        query: query.into(),
+        path: None,
+        k: None,
+        alias: alias.into(),
+        any_term: false,
+        phrase: false,
+        collection: Some(alias.into()),
+    };
+    let probe = |algo| LogicalPlan::Join {
+        left: Box::new(search("left side", "l")),
+        right: Box::new(scan("r")),
+        left_key: ("l".into(), "k".into()),
+        right_key: ("r".into(), "k".into()),
+        algo,
+    };
+    let hits = search("alpha report", "r");
+    let indexed = probe(JoinAlgo::IndexedNestedLoop);
+    assert_eq!(render(&run(&f, &hits, REFERENCE, None).0).len(), 8);
+    let joined = render(&run(&f, &indexed, REFERENCE, None).0);
+    assert!(!joined.is_empty());
+    assert_eq!(
+        joined,
+        render(&run(&f, &probe(JoinAlgo::Hash), REFERENCE, None).0)
+    );
+
+    f.storage.corrupt_sealed_blocks();
+    for plan in [&hits, &indexed] {
+        let got = execute_plan_opts(&f.ctx(false, None), plan, &ExecutionContext::default());
+        assert!(
+            matches!(got, Err(ExecError::Storage(_))),
+            "{}: a corrupt block must fail the query, got {:?}",
+            plan.describe(),
+            got.map(|(out, _)| render(&out).len())
+        );
     }
 }
