@@ -26,12 +26,19 @@
 //! * [`capability`] — the twelve task classes of the F4 query-power axis
 //!   and the [`capability::InfoSystem`] trait every system (including the
 //!   appliance) implements.
+//!
+//! One more baseline is a planner rather than a system: [`costopt`] — the
+//! [`CostOptimizer`], the conventional statistics-driven optimizer §3.3
+//! argues against, with its own `ANALYZE` (per-path histograms and
+//! distinct estimates built from documents read through the appliance).
+//! Experiment C1 races it against the appliance's simple planner.
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod admin;
 pub mod bi_appliance;
 pub mod capability;
 pub mod content;
+pub mod costopt;
 pub mod fsstore;
 pub mod rdbms;
 
@@ -39,5 +46,6 @@ pub use admin::AdminLedger;
 pub use bi_appliance::BiAppliance;
 pub use capability::{Capability, InfoSystem, ALL_CAPABILITIES};
 pub use content::{ContentError, ContentStore};
+pub use costopt::CostOptimizer;
 pub use fsstore::FsStore;
 pub use rdbms::{ColumnType, MiniRdbms, RdbmsError, TableSchema};

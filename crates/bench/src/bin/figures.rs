@@ -2,8 +2,10 @@
 //! from EXPERIMENTS.md.
 //!
 //! ```text
-//! cargo run --release -p impliance-bench --bin figures [f1|f2|f3|f4|c1..c8|all]
+//! cargo run --release -p impliance-bench --bin figures [f1|f2|f3|f4|c1..c9|all]...
 //! ```
+//!
+//! Several ids run in the order above, in one process.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -12,63 +14,64 @@ use std::time::{Duration, Instant};
 
 use impliance_annotate::SchemaMapper;
 use impliance_baselines::{
-    BiAppliance, ColumnType, ContentStore, FsStore, InfoSystem, MiniRdbms, TableSchema,
-    ALL_CAPABILITIES,
+    BiAppliance, ColumnType, ContentStore, CostOptimizer, FsStore, InfoSystem, MiniRdbms,
+    TableSchema, ALL_CAPABILITIES,
 };
 use impliance_bench::report::{fmt_bytes, fmt_duration};
 use impliance_bench::{Corpus, Table};
 use impliance_cluster::NodeKind;
 use impliance_core::{
-    views, ApplianceConfig, At, ClusterImpliance, Impliance, Input, NoFaults, QueryRequest, Stage,
+    views, ApplianceConfig, At, ClusterImpliance, Impliance, Input, NoFaults, Priority,
+    QueryRequest, Stage,
 };
 use impliance_docmodel::{DocId, Value};
 use impliance_query::batch::{
     collect_tuples, HashJoinOp, IndexedNlJoinOp, Operator, VecSource, DEFAULT_BATCH_SIZE,
 };
-use impliance_query::{costopt::CostOptimizer, parse_sql, ExecMetrics, SimplePlanner, Tuple};
+use impliance_query::{parse_sql, ExecMetrics, SimplePlanner, Tuple};
 use impliance_storage::{Predicate, ScanRequest, StorageEngine, StorageOptions};
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let all = which == "all";
+    let ids: Vec<String> = std::env::args().skip(1).collect();
+    let wants = |id: &str| ids.is_empty() || ids.iter().any(|w| w == id || w == "all");
     println!("Impliance experiment harness — reproducing CIDR 2007 figures & claims\n");
-    if all || which == "f1" {
+    if wants("f1") {
         f1_pipeline();
     }
-    if all || which == "f2" {
+    if wants("f2") {
         f2_views();
     }
-    if all || which == "f3" {
+    if wants("f3") {
         f3_scaleout();
     }
-    if all || which == "f4" {
+    if wants("f4") {
         f4_comparison();
     }
-    if all || which == "c1" {
+    if wants("c1") {
         c1_planner();
     }
-    if all || which == "c2" {
+    if wants("c2") {
         c2_pushdown();
     }
-    if all || which == "c3" {
+    if wants("c3") {
         c3_async_indexing();
     }
-    if all || which == "c4" {
+    if wants("c4") {
         c4_topk_join();
     }
-    if all || which == "c5" {
+    if wants("c5") {
         c5_failover();
     }
-    if all || which == "c6" {
+    if wants("c6") {
         c6_versioning();
     }
-    if all || which == "c7" {
+    if wants("c7") {
         c7_compression();
     }
-    if all || which == "c8" {
+    if wants("c8") {
         c8_discovery();
     }
-    if all || which == "c9" {
+    if wants("c9") {
         c9_interleaving();
     }
     obs_snapshot();
@@ -91,19 +94,41 @@ fn obs_snapshot() {
 // ---------------------------------------------------------------------
 
 fn c9_interleaving() {
-    // A 2000-document discovery backlog exists at t=0; 50 interactive
-    // queries arrive every 5ms. Two schedulers dispatch one task at a
-    // time with *measured* service times:
-    //   fifo        — arrival order (queries wait behind the backlog)
-    //   interleaved — the execution manager: interactive preempts,
-    //                 background keeps a guaranteed share
-    use impliance_query::clock::ManualTime;
-    use impliance_virt::{ExecutionManager, TaskClass};
-    use std::sync::Arc;
+    // A 2000-record discovery backlog exists at t=0 and 50 high-priority
+    // queries arrive every 5 ms, on a booted appliance through its doors:
+    //   fifo        — drain the backlog with `maintain`, then answer the
+    //                 queries (they wait behind it)
+    //   interleaved — one thread drains the backlog with `maintain` while
+    //                 another answers each query as it arrives; the
+    //                 discovery stage yields to in-flight `High` queries
+    //                 between records, and that is the whole scheduler
+    const BACKLOG: usize = 2000;
+    const QUERIES: u32 = 50;
+    const ARRIVAL_GAP: Duration = Duration::from_millis(5);
+    const STATEMENT: &str = "SELECT cust, SUM(total) AS t FROM orders GROUP BY cust";
 
-    const QUERIES: usize = 50;
-    const BATCHES: usize = 100; // × 20 docs = the whole backlog
-    const ARRIVAL_GAP_US: u64 = 5_000;
+    // Every query in arrival order, each sent no earlier than its arrival
+    // time; returns each one's latency from its arrival.
+    let answer_arrivals = |imp: &Impliance, start: Instant| -> Vec<Duration> {
+        (0..QUERIES)
+            .map(|q| {
+                let arrival = ARRIVAL_GAP * q;
+                if let Some(early) = arrival.checked_sub(start.elapsed()) {
+                    std::thread::sleep(early);
+                }
+                let resp = imp
+                    .query(
+                        QueryRequest::builder(STATEMENT)
+                            .priority(Priority::High)
+                            .build(),
+                    )
+                    .unwrap();
+                assert!(!resp.is_empty() && !resp.degraded, "a whole answer");
+                start.elapsed() - arrival
+            })
+            .collect()
+    };
+    let drain = |imp: &Impliance| imp.maintain(Stage::Discovery, None, &NoFaults).records;
 
     let mut table = Table::new(
         "C9 — interleaving background discovery with interactive queries",
@@ -114,97 +139,49 @@ fn c9_interleaving() {
             "backlog done at",
         ],
     );
-
     for policy in ["fifo", "interleaved"] {
+        // the same box for both policies: 500 orders already discovered,
+        // then a backlog of transcripts nothing has looked at yet
         let imp = Impliance::boot(ApplianceConfig::default());
         let mut corpus = Corpus::new(15);
         let schema = Corpus::po_schema();
-        for _ in 0..2000 {
-            imp.ingest(Input::Text("transcripts", &corpus.transcript()))
-                .unwrap();
-        }
         for _ in 0..500 {
             imp.ingest(Input::Row(&schema, corpus.purchase_order_row(20)))
                 .unwrap();
         }
-
-        let mgr_time = Arc::new(ManualTime::new());
-        let mgr = ExecutionManager::with_time_source(8, 1, mgr_time.clone());
-        // background batches all queued at t=0
-        for b in 0..BATCHES {
-            mgr.submit(10_000 + b as u64, TaskClass::Background);
+        drain(&imp);
+        for _ in 0..BACKLOG {
+            imp.ingest(Input::Text("transcripts", &corpus.transcript()))
+                .unwrap();
         }
-        let mut clock_us: u64 = 0;
-        let mut next_arrival = 0usize;
-        let mut latencies: Vec<u64> = Vec::new();
-        let mut backlog_done_at: Option<u64> = None;
-        let mut fifo_phase_bg = 0usize; // fifo dispatch cursor
-        let mut batches_run = 0usize;
+        assert_eq!(imp.status().discovery_backlog, BACKLOG);
 
-        while latencies.len() < QUERIES || batches_run < BATCHES {
-            // admit arrivals up to the current clock
-            mgr_time.set_us(clock_us);
-            while next_arrival < QUERIES && (next_arrival as u64 * ARRIVAL_GAP_US) <= clock_us {
-                mgr.submit(next_arrival as u64, TaskClass::Interactive);
-                next_arrival += 1;
-            }
-            // choose the next task per policy
-            let run_background = match policy {
-                // fifo: everything queued at t=0 runs first
-                "fifo" => fifo_phase_bg < BATCHES,
-                _ => {
-                    // the execution manager decides
-                    match mgr.next() {
-                        Some(t) => t.class == TaskClass::Background,
-                        None => {
-                            // idle: jump to the next arrival
-                            clock_us = next_arrival as u64 * ARRIVAL_GAP_US;
-                            continue;
-                        }
-                    }
-                }
-            };
-            if run_background && batches_run >= BATCHES {
-                continue;
-            }
-            if run_background {
-                let t0 = Instant::now();
-                imp.maintain(Stage::Discovery, Some(20), &NoFaults);
-                clock_us += t0.elapsed().as_micros() as u64;
-                batches_run += 1;
-                if policy == "fifo" {
-                    fifo_phase_bg += 1;
-                }
-                if batches_run == BATCHES {
-                    backlog_done_at = Some(clock_us);
-                }
-            } else {
-                // an interactive query; in fifo mode pull arrival order
-                let arrived = latencies.len();
-                if arrived >= QUERIES {
-                    continue;
-                }
-                let arrival_us = arrived as u64 * ARRIVAL_GAP_US;
-                if clock_us < arrival_us {
-                    clock_us = arrival_us; // idle until it arrives
-                }
-                let t0 = Instant::now();
-                let _ = imp.query(
-                    QueryRequest::builder("SELECT cust, SUM(total) AS t FROM orders GROUP BY cust")
-                        .build(),
-                );
-                clock_us += t0.elapsed().as_micros() as u64;
-                latencies.push(clock_us - arrival_us);
-            }
-        }
+        let start = Instant::now();
+        let (mut latencies, drained, backlog_done) = if policy == "fifo" {
+            let drained = drain(&imp);
+            let done = start.elapsed();
+            (answer_arrivals(&imp, start), drained, done)
+        } else {
+            std::thread::scope(|s| {
+                let drainer = s.spawn(|| (drain(&imp), start.elapsed()));
+                let latencies = answer_arrivals(&imp, start);
+                let (drained, done) = drainer.join().unwrap();
+                (latencies, drained, done)
+            })
+        };
+        assert_eq!(latencies.len(), QUERIES as usize, "every query answered");
+        // annotation documents the stage commits are feed records too
+        assert!(drained >= BACKLOG, "the whole backlog discovered");
+        assert_eq!(imp.status().discovery_backlog, 0);
+
         latencies.sort_unstable();
-        let mean = latencies.iter().sum::<u64>() / latencies.len() as u64;
+        let mean = latencies.iter().sum::<Duration>() / QUERIES;
         let p95 = latencies[latencies.len() * 95 / 100];
         table.row(&[
             policy.into(),
-            fmt_duration(Duration::from_micros(mean)),
-            fmt_duration(Duration::from_micros(p95)),
-            fmt_duration(Duration::from_micros(backlog_done_at.unwrap_or(0))),
+            fmt_duration(mean),
+            fmt_duration(p95),
+            fmt_duration(backlog_done),
         ]);
     }
     table.print();
@@ -736,12 +713,19 @@ fn c1_planner() {
         imp.ingest(Input::Row(&cu, corpus.customer_row(c % 2000)))
             .unwrap();
     }
-    let fresh_stats = imp.storage().stats();
-    let counts = std::collections::HashMap::from([
-        ("orders".to_string(), 4000u64),
-        ("customers".to_string(), 8000u64),
-    ]);
-    let optimizer = CostOptimizer::new(fresh_stats, counts);
+    // The cost-based system's ANALYZE: read every document back through
+    // the appliance's front door and fold it into statistics. The simple
+    // planner has nothing to analyze.
+    let t_analyze = Instant::now();
+    let mut docs = Vec::new();
+    for collection in ["orders", "customers"] {
+        let statement = format!("SELECT * FROM {collection}");
+        let resp = imp.query(QueryRequest::builder(statement).build()).unwrap();
+        docs.extend_from_slice(resp.docs());
+    }
+    let optimizer = CostOptimizer::analyze(docs.iter().map(|d| d.as_ref()));
+    let analyze_time = t_analyze.elapsed();
+    assert_eq!(docs.len(), 12_000, "ANALYZE saw every document");
     let simple = SimplePlanner::new();
     let sql = "SELECT o.order_id, c.name FROM orders o JOIN customers c ON o.cust = c.code \
                WHERE o.qty <= 2";
@@ -789,6 +773,7 @@ fn c1_planner() {
         "C1 — simple planner vs cost-based optimizer across a distribution shift",
         &[
             "planner",
+            "ANALYZE",
             "plan time",
             "plan",
             "exec (fresh stats)",
@@ -798,6 +783,7 @@ fn c1_planner() {
     );
     table.row(&[
         "simple".into(),
+        "none".into(),
         fmt_duration(simple_plan_time),
         simple_plan.describe(),
         fmt_duration(simple_fresh),
@@ -809,6 +795,7 @@ fn c1_planner() {
     ]);
     table.row(&[
         "cost-based".into(),
+        fmt_duration(analyze_time),
         fmt_duration(cost_plan_time),
         cost_plan.describe(),
         fmt_duration(cost_fresh),

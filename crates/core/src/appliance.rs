@@ -432,7 +432,7 @@ impl Impliance {
             snapshot_epoch: read.snapshot_epoch,
             annotation_epoch: read.annotation_epoch,
             index_epoch: read.index_epoch,
-            queue_wait_us: metrics.queue_wait_us,
+            queue_wait_us: 0,
             admission: read.admission,
         })
     }
@@ -509,7 +509,7 @@ impl Impliance {
                 snapshot: Some(snapshot_epoch),
             },
             _pin: pin,
-            permit,
+            _permit: permit,
             admission: outcome,
             snapshot_epoch,
             annotation_epoch,
@@ -672,7 +672,7 @@ impl Impliance {
 struct AdmittedRead<'a> {
     ctx: ExecContext<'a>,
     _pin: Option<Snapshot>,
-    permit: Permit,
+    _permit: Permit,
     admission: AdmissionOutcome,
     snapshot_epoch: u64,
     annotation_epoch: u64,
@@ -683,9 +683,7 @@ struct AdmittedRead<'a> {
 impl AdmittedRead<'_> {
     /// Execute one plan at the read's snapshot.
     fn run(&self, plan: &LogicalPlan) -> Result<(QueryOutput, ExecMetrics), Error> {
-        let (output, mut metrics) = execute_plan_opts(&self.ctx, plan, &self.opts)?;
-        metrics.queue_wait_us = self.permit.queue_wait_us();
-        Ok((output, metrics))
+        Ok(execute_plan_opts(&self.ctx, plan, &self.opts)?)
     }
 }
 
@@ -1279,7 +1277,6 @@ mod workload_tests {
                 .query(QueryRequest::builder("SELECT id FROM orders").build())
                 .unwrap();
             assert_eq!(resp.admission, AdmissionOutcome::Unmanaged);
-            assert_eq!(resp.queue_wait_us, 0);
         }
         assert_eq!(imp.status().workload.shed_total(), 0);
     }
@@ -1458,15 +1455,13 @@ mod workload_tests {
     }
 
     #[test]
-    fn exec_stats_surface_queue_wait_and_admission() {
+    fn exec_stats_surface_admission() {
         let imp = Impliance::boot(ApplianceConfig::default());
         seeded(&imp);
         let resp = imp
             .query(QueryRequest::builder("SELECT id FROM orders").build())
             .unwrap();
-        let stats = resp.exec_stats();
-        assert_eq!(stats.queue_wait_us, 0);
-        assert_eq!(stats.admission, AdmissionOutcome::Unmanaged);
+        assert_eq!(resp.exec_stats().admission, AdmissionOutcome::Unmanaged);
     }
 }
 

@@ -471,8 +471,10 @@ pub struct QueryResponse {
     /// documents (stale but never torn: a document's terms are indexed
     /// all-or-nothing).
     pub index_epoch: u64,
-    /// Microseconds this query waited for admission before execution
-    /// started (0 when no workload policy was in the path).
+    /// Always 0: admission never queues (`WorkloadManager::admit` answers
+    /// at once), so there is no wait to report. Kept only because the
+    /// benchmark reads it; it joins the impbench-only names that the
+    /// next benchmark change deletes.
     pub queue_wait_us: u64,
     /// How the workload manager handled this query.
     pub admission: AdmissionOutcome,
@@ -528,9 +530,6 @@ pub struct ExecStats {
     /// epochs whose annotation sets were committed (`1.0` = discovery
     /// fully caught up with ingest at this snapshot).
     pub freshness: f64,
-    /// Microseconds spent waiting for admission before execution
-    /// started (0 when no workload policy was in the path).
-    pub queue_wait_us: u64,
     /// How the workload manager handled this query (shed queries never
     /// reach a response — they fail typed as `Overloaded`).
     pub admission: AdmissionOutcome,
@@ -568,7 +567,6 @@ impl QueryResponse {
             annotation_epoch: self.annotation_epoch,
             index_epoch: self.index_epoch,
             freshness: self.freshness().ratio(),
-            queue_wait_us: self.queue_wait_us,
             admission: self.admission,
         }
     }

@@ -127,10 +127,10 @@ pub fn entities_with_base(imp: &Impliance, base_join_path: &str) -> Result<Vec<R
             continue;
         };
         let base_value = doc
-            .leaves()
-            .into_iter()
-            .find(|(p, _)| p.structural_form() == base_join_path)
-            .map(|(_, v)| v.clone())
+            .root()
+            .values_at(base_join_path)
+            .next()
+            .cloned()
             .unwrap_or(Value::Null);
         e.columns.insert(column.clone(), base_value);
         rows.push(e);

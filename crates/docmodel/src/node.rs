@@ -144,6 +144,20 @@ impl Node {
         out
     }
 
+    /// The leaf values whose path's [`Path::structural_form`] is exactly
+    /// `structural`, in [`Node::leaves`] order: `leaves()` filtered on the
+    /// structural form, without building a `Path` or a `String` per leaf.
+    /// Only the branches whose rendering so far is a prefix of
+    /// `structural` are walked, and map keys holding `.`, `[` or `]`
+    /// resolve exactly as their rendering reads.
+    pub fn values_at<'a>(&'a self, structural: &'a str) -> impl Iterator<Item = &'a Value> + 'a {
+        ValuesAt {
+            pattern: structural,
+            next: Some((self, 0)),
+            pending: Vec::new(),
+        }
+    }
+
     /// Enumerate every distinct structural path (field steps only, sequence
     /// indexes collapsed to `[]`), used by the path index and the schema
     /// mapper. Returned sorted and de-duplicated.
@@ -190,6 +204,71 @@ impl Node {
             }
         }
         buf
+    }
+}
+
+/// The iterator [`Node::values_at`] returns: a depth-first walk whose
+/// frames are `(node, bytes of the pattern its path renders to)`.
+struct ValuesAt<'a> {
+    pattern: &'a str,
+    /// The frame to visit next; kept out of `pending` so a walk down a
+    /// single branch never touches the heap.
+    next: Option<(&'a Node, usize)>,
+    /// Later siblings, nearest on top.
+    pending: Vec<(&'a Node, usize)>,
+}
+
+impl<'a> ValuesAt<'a> {
+    /// Queue `children` (given last first) so the first is visited next.
+    fn descend(&mut self, children: impl Iterator<Item = (&'a Node, usize)>) {
+        for child in children {
+            if let Some(later) = self.next.replace(child) {
+                self.pending.push(later);
+            }
+        }
+    }
+}
+
+impl<'a> Iterator for ValuesAt<'a> {
+    type Item = &'a Value;
+
+    fn next(&mut self) -> Option<&'a Value> {
+        let pattern = self.pattern;
+        loop {
+            let (node, pos) = self.next.take().or_else(|| self.pending.pop())?;
+            let rest = &pattern[pos..];
+            match node {
+                Node::Value(v) if rest.is_empty() => return Some(v),
+                Node::Value(_) => {}
+                // An index step renders as `[]`.
+                Node::Seq(items) if rest.starts_with("[]") => {
+                    self.descend(items.iter().rev().map(|c| (c, pos + 2)));
+                }
+                Node::Seq(_) => {}
+                Node::Map(m) => {
+                    // A field step renders as `.name`, or as `name` while
+                    // nothing has been rendered yet.
+                    let (body, at) = match rest.strip_prefix('.') {
+                        Some(body) if pos > 0 => (body, pos + 1),
+                        _ if pos > 0 => continue,
+                        _ => (rest, pos),
+                    };
+                    // A field is followed by the end, `.` or `[` — unless
+                    // it is the empty name with nothing rendered before
+                    // it, which renders to nothing and may be followed by
+                    // anything. Every candidate name is a prefix of
+                    // `body`, so longest first is reverse key order.
+                    let cuts = std::iter::once(body.len()).chain(
+                        body.bytes()
+                            .enumerate()
+                            .rev()
+                            .filter(|&(c, b)| b == b'.' || b == b'[' || (c == 0 && pos == 0))
+                            .map(|(c, _)| c),
+                    );
+                    self.descend(cuts.filter_map(|c| m.get(&body[..c]).map(|n| (n, at + c))));
+                }
+            }
+        }
     }
 }
 
@@ -278,6 +357,44 @@ mod tests {
             doc.structure_paths(),
             vec!["name", "orders[].qty", "orders[].sku"]
         );
+    }
+
+    #[test]
+    fn values_at_follows_the_structural_rendering() {
+        let doc = sample();
+        let at = |n: &Node, p: &str| n.values_at(p).cloned().collect::<Vec<Value>>();
+        assert_eq!(at(&doc, "orders[].qty"), vec![Value::Int(2), Value::Int(5)]);
+        assert_eq!(at(&doc, "name"), vec![Value::Str("Ada".into())]);
+        assert!(at(&doc, "orders").is_empty(), "a branch is not a leaf");
+        assert!(at(&doc, "orders[].qt").is_empty());
+        // Keys that hold path syntax resolve by their rendering: a key
+        // `a.b` and the path `a`→`b` both render `a.b`; `[]` as a key
+        // renders `.[]`, not an index; an empty key at the root renders
+        // to nothing.
+        let tricky = Node::map([
+            ("a.b".to_string(), Node::scalar(1i64)),
+            (
+                "a".to_string(),
+                Node::map([
+                    ("b".to_string(), Node::scalar(2i64)),
+                    ("[]".to_string(), Node::scalar(3i64)),
+                ]),
+            ),
+            (
+                "".to_string(),
+                Node::map([("c".to_string(), Node::scalar(4i64))]),
+            ),
+            ("x[".to_string(), Node::seq([Node::scalar(5i64)])),
+        ]);
+        assert_eq!(at(&tricky, "a.b"), vec![Value::Int(2), Value::Int(1)]);
+        assert_eq!(at(&tricky, "a.[]"), vec![Value::Int(3)]);
+        assert!(at(&tricky, "a[]").is_empty());
+        assert_eq!(at(&tricky, "c"), vec![Value::Int(4)]);
+        assert_eq!(at(&tricky, "x[[]"), vec![Value::Int(5)]);
+        for (path, value) in tricky.leaves() {
+            let form = path.structural_form();
+            assert!(at(&tricky, &form).contains(value), "{form}");
+        }
     }
 
     #[test]

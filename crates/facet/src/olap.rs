@@ -70,26 +70,16 @@ pub fn time_rollup(
 ) -> Vec<RollupRow> {
     let mut buckets: BTreeMap<String, (u64, f64)> = BTreeMap::new();
     for doc in docs {
-        let ts = doc.leaves().into_iter().find_map(|(p, v)| {
-            if p.structural_form() == time_path {
-                match v {
-                    Value::Timestamp(t) => Some(*t),
-                    _ => None,
-                }
-            } else {
-                None
-            }
+        let ts = doc.root().values_at(time_path).find_map(|v| match v {
+            Value::Timestamp(t) => Some(*t),
+            _ => None,
         });
         let Some(ts) = ts else { continue };
         let label = bucket_label(ts, level);
         let entry = buckets.entry(label).or_insert((0, 0.0));
         entry.0 += 1;
         if let Some(mp) = measure_path {
-            if let Some((_, v)) = doc
-                .leaves()
-                .into_iter()
-                .find(|(p, _)| p.structural_form() == mp)
-            {
+            if let Some(v) = doc.root().values_at(mp).next() {
                 if let Some(f) = v.as_f64() {
                     entry.1 += f;
                 }

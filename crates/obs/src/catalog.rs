@@ -228,7 +228,6 @@ catalog! {
         WORKLOAD_DEGRADED: CounterDef = "workload.degraded", "queries", "admitted with a tightened budget";
         WORKLOAD_SHED: CounterDef = "workload.shed", "queries", "shed, any cause";
         WORKLOAD_ACTIVE: GaugeDef = "workload.active", "queries", "in-flight permits";
-        WORKLOAD_QUEUE_WAIT_US: HistogramDef[LATENCY_BUCKETS_US] = "workload.queue_wait_us", "µs", "admission-to-start wait";
         ADMISSION_TOKENS_DENIED: CounterDef = "admission.tokens_denied", "queries", "shed: the tenant's token bucket was empty";
         ADMISSION_DEADLINE_SHED: CounterDef = "admission.deadline_shed", "queries", "shed: the expected wait exceeded the deadline";
         ADMISSION_OVERLOAD_SHED: CounterDef = "admission.overload_shed", "queries", "shed: low priority over the concurrency limit";

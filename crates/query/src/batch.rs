@@ -532,10 +532,7 @@ fn page_value(
                 if path == PSEUDO_ID {
                     return Some(Value::Int(d.id().0 as i64));
                 }
-                d.leaves()
-                    .into_iter()
-                    .find(|(p, _)| p.structural_form() == path)
-                    .map(|(_, v)| v.clone())
+                d.root().values_at(path).next().cloned()
             })
             .unwrap_or(Value::Null),
     }
@@ -1433,118 +1430,6 @@ impl Operator for HashJoinOp<'_> {
     }
 }
 
-/// Sort-merge join: blocking on both sides (both must be sorted), merged
-/// once, emitted in batches.
-pub struct SortMergeJoinOp<'a> {
-    left: Option<Box<dyn Operator + 'a>>,
-    right: Option<Box<dyn Operator + 'a>>,
-    left_key: (String, String),
-    right_key: (String, String),
-    batch_size: usize,
-    out: Vec<Tuple>,
-}
-
-impl<'a> SortMergeJoinOp<'a> {
-    pub fn new(
-        left: Box<dyn Operator + 'a>,
-        right: Box<dyn Operator + 'a>,
-        left_key: (String, String),
-        right_key: (String, String),
-        batch_size: usize,
-    ) -> SortMergeJoinOp<'a> {
-        SortMergeJoinOp {
-            left: Some(left),
-            right: Some(right),
-            left_key,
-            right_key,
-            batch_size: batch_size.max(1),
-            out: Vec::new(),
-        }
-    }
-
-    fn drain_tuples(input: &mut dyn Operator, side: &'static str) -> Result<Vec<Tuple>, ExecError> {
-        let mut all = Vec::new();
-        while let Some(batch) = input.next_batch()? {
-            let Batch::Tuples(t) = batch else {
-                return Err(ExecError::BadPlan(format!(
-                    "join {side} input must be tuples"
-                )));
-            };
-            all.extend(t);
-        }
-        Ok(all)
-    }
-
-    fn fill(&mut self) -> Result<(), ExecError> {
-        let (Some(mut l), Some(mut r)) = (self.left.take(), self.right.take()) else {
-            return Ok(());
-        };
-        let mut left = Self::drain_tuples(l.as_mut(), "left")?;
-        let mut right = Self::drain_tuples(r.as_mut(), "right")?;
-        let key_of = |t: &Tuple, k: &(String, String)| t.key(&k.0, &k.1);
-        left.sort_by(|a, b| key_of(a, &self.left_key).total_cmp(&key_of(b, &self.left_key)));
-        right.sort_by(|a, b| key_of(a, &self.right_key).total_cmp(&key_of(b, &self.right_key)));
-        let mut out = Vec::new();
-        let mut i = 0;
-        let mut j = 0;
-        while i < left.len() && j < right.len() {
-            let kl = key_of(&left[i], &self.left_key);
-            let kr = key_of(&right[j], &self.right_key);
-            if kl.is_null() {
-                i += 1;
-                continue;
-            }
-            if kr.is_null() {
-                j += 1;
-                continue;
-            }
-            match kl.total_cmp(&kr) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    // find the equal runs on both sides
-                    let mut i_end = i + 1;
-                    while i_end < left.len() && key_of(&left[i_end], &self.left_key).query_eq(&kl) {
-                        i_end += 1;
-                    }
-                    let mut j_end = j + 1;
-                    while j_end < right.len()
-                        && key_of(&right[j_end], &self.right_key).query_eq(&kr)
-                    {
-                        j_end += 1;
-                    }
-                    for l in &left[i..i_end] {
-                        for r in &right[j..j_end] {
-                            out.push(l.join(r));
-                        }
-                    }
-                    i = i_end;
-                    j = j_end;
-                }
-            }
-        }
-        self.out = out;
-        Ok(())
-    }
-}
-
-impl Operator for SortMergeJoinOp<'_> {
-    fn name(&self) -> &'static str {
-        "join"
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Batch>, ExecError> {
-        self.fill()?;
-        if self.out.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(Batch::Tuples(take_front(
-            &mut self.out,
-            self.batch_size,
-        ))))
-    }
-}
-
 /// Indexed nested-loop join: streams left batches, probes the right
 /// collection's value index per tuple, fetching matches via `fetch`.
 /// Stops early once `limit` output tuples exist (the top-k case §3.3
@@ -1837,14 +1722,6 @@ mod tests {
             rk.clone(),
         );
         assert_eq!(collect_tuples(&mut hash).unwrap().len(), 3);
-        let mut merge = SortMergeJoinOp::new(
-            vec_src(left),
-            vec_src(customers()),
-            lk.clone(),
-            rk.clone(),
-            2,
-        );
-        assert_eq!(collect_tuples(&mut merge).unwrap().len(), 3);
         let mut no_left = HashJoinOp::new(
             vec_src(Vec::new()),
             vec_src(customers()),
@@ -1852,7 +1729,7 @@ mod tests {
             rk.clone(),
         );
         assert!(collect_tuples(&mut no_left).unwrap().is_empty());
-        let mut no_right = SortMergeJoinOp::new(vec_src(orders()), vec_src(Vec::new()), lk, rk, 2);
+        let mut no_right = HashJoinOp::new(vec_src(orders()), vec_src(Vec::new()), lk, rk);
         assert!(collect_tuples(&mut no_right).unwrap().is_empty());
     }
 

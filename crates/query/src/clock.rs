@@ -10,11 +10,10 @@
 //! correctness: results are identical under any clock.
 //!
 //! [`TimeSource`] is the read side of the same idea: anything that needs
-//! "what time is it" — token-bucket refill, queue-wait accounting, the
-//! execution manager's dispatch bookkeeping — asks a `TimeSource` instead
-//! of `Instant::now`, so the workload simulator and the proptest
-//! batteries can drive thousands of virtual seconds without burning any
-//! wall-clock. Production uses [`RealTime`] (monotonic microseconds since
+//! "what time is it" — token-bucket refill, the admission estimator's
+//! service times — asks a `TimeSource` instead of `Instant::now`, so the
+//! proptest batteries can drive thousands of virtual seconds without
+//! burning any wall-clock. Production uses [`RealTime`] (monotonic microseconds since
 //! process start); tests hold a [`ManualTime`] and advance it explicitly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,9 +80,8 @@ impl TimeSource for RealTime {
     }
 }
 
-/// A hand-advanced time source for tests, benches, and the workload
-/// simulator: time moves only when the driver says so, so a simulated
-/// hour costs nothing.
+/// A hand-advanced time source for tests: time moves only when the
+/// driver says so, so a simulated hour costs nothing.
 #[derive(Debug, Default)]
 pub struct ManualTime {
     us: AtomicU64,
@@ -98,12 +96,6 @@ impl ManualTime {
     /// Advance the clock by `us` microseconds.
     pub fn advance_us(&self, us: u64) {
         self.us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Jump the clock to an absolute microsecond reading (never
-    /// backwards: a stale set is ignored, keeping the source monotonic).
-    pub fn set_us(&self, us: u64) {
-        self.us.fetch_max(us, Ordering::Relaxed);
     }
 }
 
@@ -157,15 +149,11 @@ mod tests {
     }
 
     #[test]
-    fn manual_time_advances_and_never_rewinds() {
+    fn manual_time_moves_only_when_advanced() {
         let t = ManualTime::new();
         assert_eq!(t.now_us(), 0);
         t.advance_us(250);
         assert_eq!(t.now_us(), 250);
-        t.set_us(1_000);
-        assert_eq!(t.now_us(), 1_000);
-        t.set_us(400); // stale set: ignored
-        assert_eq!(t.now_us(), 1_000);
     }
 
     #[test]

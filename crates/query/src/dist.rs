@@ -697,8 +697,8 @@ impl Run<'_> {
 }
 
 /// Execute `plan` across the cluster. Plans the exchange's [`split`]
-/// cannot cut (value-index lookups, sort-merge and indexed-NL joins, graph
-/// connects, fusion) are rejected as [`ExecError::BadPlan`]; `opts.limit`
+/// cannot cut (value-index lookups, indexed-NL joins, graph connects,
+/// fusion) are rejected as [`ExecError::BadPlan`]; `opts.limit`
 /// becomes a root `Limit`, as on the single box.
 ///
 /// * Transient losses (dropped request, lost reply, dropped result)
@@ -1073,14 +1073,14 @@ mod tests {
         else {
             panic!("the projection above reads a join");
         };
-        let merge_join = LogicalPlan::Join {
+        let indexed_join = LogicalPlan::Join {
             left,
             right,
             left_key,
             right_key,
-            algo: JoinAlgo::SortMerge,
+            algo: JoinAlgo::IndexedNestedLoop,
         };
-        let err = execute(&rt, &merge_join, &ExecutionContext::default()).unwrap_err();
+        let err = execute(&rt, &indexed_join, &ExecutionContext::default()).unwrap_err();
         assert!(
             matches!(err, DistError::Exec(ExecError::BadPlan(_))),
             "{err}"

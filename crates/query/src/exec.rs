@@ -29,7 +29,7 @@ use impliance_storage::{
 use crate::batch::{
     op_obs, Batch, ColumnarScanOp, FilterOp, FusionOp, GroupAggOp, HashJoinOp, IndexHits,
     IndexScanOp, IndexedNlJoinOp, JoinTable, LimitOp, Metered, Operator, ProjectOp, ScanOp,
-    SharedMetrics, SortMergeJoinOp, SortOp, VecSource,
+    SharedMetrics, SortOp, VecSource,
 };
 use crate::context::ExecutionContext;
 use crate::plan::{AggItem, JoinAlgo, LogicalPlan};
@@ -91,10 +91,6 @@ pub struct ExecMetrics {
     /// Columnar batches produced by the vectorized fast path (`0` means
     /// the query ran entirely on the row-at-a-time decode path).
     pub columnar_batches: u64,
-    /// Microseconds the query spent waiting for admission before
-    /// execution started (0 when admission control was not in the path).
-    /// Filled in by the workload manager, not the executor.
-    pub queue_wait_us: u64,
 }
 
 impl ExecMetrics {
@@ -561,16 +557,6 @@ pub(crate) fn compile<'a>(
                         Rc::clone(metrics),
                     ))
                 }
-                JoinAlgo::SortMerge => {
-                    let rop = compile_join_side(ctx, right, batch_size, metrics)?;
-                    Box::new(SortMergeJoinOp::new(
-                        lop,
-                        rop,
-                        left_key.clone(),
-                        right_key.clone(),
-                        batch_size,
-                    ))
-                }
                 JoinAlgo::Hash | JoinAlgo::Unspecified => {
                     match scope
                         .tables
@@ -692,7 +678,7 @@ pub(crate) fn compile<'a>(
     }
 }
 
-/// Compile a hash/sort-merge join's build input — always unscoped (a
+/// Compile a hash join's build input — always unscoped (a
 /// morsel narrows only the probe spine) — which must produce tuples.
 pub(crate) fn compile_join_side<'a>(
     ctx: &ExecContext<'a>,

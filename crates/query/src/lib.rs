@@ -7,21 +7,20 @@
 //! performance (as opposed to optimal performance) and obviates the need
 //! for maintaining complex statistics."
 //!
-//! This crate contains both sides of that argument so experiment C1 can
-//! measure it:
+//! This crate is the simple side of that argument; the cost-based
+//! optimizer it argues against lives with the other baselines
+//! (`impliance_baselines::costopt`), so experiment C1 measures both:
 //!
 //! * [`plan`] — the logical algebra (scan, search, filter, project, join,
 //!   group/aggregate, sort, limit, graph-connect).
 //! * [`batch`] — the batched, pull-based operator pipeline ([`Batch`] /
 //!   [`Operator`]), the one operator family every execution mode runs:
 //!   row and vectorized scans over a partition range, streaming
-//!   filter/project/limit, blocking sort and group/aggregate, the three
-//!   join algorithms (indexed nested-loop, hash, sort-merge).
+//!   filter/project/limit, blocking sort and group/aggregate, and the
+//!   two join algorithms a planner may choose (indexed nested-loop,
+//!   hash).
 //! * [`simple`] — the **simple planner**: a handful of fixed rules, no
 //!   statistics, biased toward index use and top-k friendliness.
-//! * [`costopt`] — the **cost-based baseline**: selectivity estimation
-//!   from storage statistics and exhaustive operator choice, standing in
-//!   for the conventional optimizer the paper argues against.
 //! * [`adaptive`] — runtime adaptation (selectivity-ordered predicate
 //!   chains, join side swapping), borrowing from the adaptive query
 //!   processing literature the paper cites.
@@ -58,7 +57,6 @@ pub mod adaptive;
 pub mod batch;
 pub mod clock;
 pub mod context;
-pub mod costopt;
 pub mod dist;
 pub mod exec;
 pub mod parallel;

@@ -18,8 +18,8 @@
 //!   or `IndexScan`. The hash joins' build sides hang off that spine.
 //!
 //! Plans that do not divide this way — value-index point lookups,
-//! sort-merge and indexed-NL joins, graph connects, fusion, sorts over
-//! row inputs — have no split and run as one tree on the calling thread,
+//! indexed-NL joins, graph connects, fusion, sorts over row inputs —
+//! have no split and run as one tree on the calling thread,
 //! as do single-partition stores and `worker_threads == 1`.
 //!
 //! **A morsel** is one storage partition of a `Scan` base (claimed in
@@ -691,14 +691,14 @@ mod tests {
         };
         assert!(split(&fused).is_none());
         // only hash joins probe a shared table
-        let merge_join = LogicalPlan::Join {
+        let indexed_join = LogicalPlan::Join {
             left: Box::new(scan()),
             right: Box::new(scan()),
             left_key: ("d".into(), "k".into()),
             right_key: ("d".into(), "k".into()),
-            algo: JoinAlgo::SortMerge,
+            algo: JoinAlgo::IndexedNestedLoop,
         };
-        assert!(split(&merge_join).is_none());
+        assert!(split(&indexed_join).is_none());
         // a value-index point lookup has nothing to fan out
         let point = LogicalPlan::Scan {
             collection: None,

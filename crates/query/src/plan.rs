@@ -2,8 +2,9 @@
 //!
 //! A [`LogicalPlan`] is a tree of the operations §2.2 enumerates —
 //! search/query, composition (joins), and aggregation — over uniform
-//! documents. Planners (simple or cost-based) rewrite the tree by choosing
-//! physical strategies (`JoinAlgo`, index-backed scans) before execution.
+//! documents. A planner (the simple one, or C1's cost-based baseline)
+//! rewrites the tree by choosing physical strategies (`JoinAlgo`,
+//! index-backed scans) before execution.
 
 use impliance_storage::{AggFunc, Predicate};
 
@@ -16,8 +17,6 @@ pub enum JoinAlgo {
     IndexedNestedLoop,
     /// Build a hash table on the smaller side, probe with the other.
     Hash,
-    /// Sort both sides on the key and merge.
-    SortMerge,
 }
 
 /// One aggregate output item.
@@ -240,7 +239,6 @@ impl LogicalPlan {
                     JoinAlgo::Unspecified => "join",
                     JoinAlgo::IndexedNestedLoop => "inlj",
                     JoinAlgo::Hash => "hashjoin",
-                    JoinAlgo::SortMerge => "mergejoin",
                 };
                 format!("{a}({},{})", left.describe(), right.describe())
             }

@@ -70,12 +70,8 @@ impl Tuple {
         }
         self.bindings
             .get(alias)
-            .and_then(|doc| {
-                doc.leaves()
-                    .into_iter()
-                    .find(|(p, _)| p.structural_form() == structural_path)
-                    .map(|(_, v)| v.clone())
-            })
+            .and_then(|doc| doc.root().values_at(structural_path).next())
+            .cloned()
             .unwrap_or(Value::Null)
     }
 

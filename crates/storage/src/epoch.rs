@@ -371,17 +371,11 @@ pub struct ConsumerObs {
     pub lag: Arc<Gauge>,
 }
 
-/// A consumer's checkpoint. `cursor` models the durable resume point
-/// (advanced only with the ack); whatever the stage did for the one
-/// record past it replays after a kill.
+/// What a drain step holds its consumer's lock for.
 #[derive(Debug, Default)]
 struct ConsumerState {
-    /// Absolute feed position of the next record to consume.
-    cursor: u64,
     /// Epoch of the newest consumed record.
     last_epoch: u64,
-    /// Every commit at or below this epoch has been consumed.
-    watermark: u64,
     /// Crash-point visits so far (drives deterministic fault schedules).
     steps: u64,
 }
@@ -390,37 +384,48 @@ struct ConsumerState {
 /// drain loop every background worker (text indexing, discovery) runs,
 /// differing only in the stage it hands to [`FeedConsumer::drain`].
 /// Dropping the consumer unregisters it.
+///
+/// The checkpoint is `cursor`, the durable resume point (advanced only
+/// with the ack; whatever the stage did for the one record past it
+/// replays after a kill), and `watermark`. Both change only under the
+/// state lock, which a drain holds for one record's stage at a time, and
+/// both are atomics so that [`FeedConsumer::backlog`] and
+/// [`FeedConsumer::watermark`] — read by every query's admission — never
+/// wait behind a running stage.
 pub struct FeedConsumer {
     engine: Arc<StorageEngine>,
     id: u64,
     obs: ConsumerObs,
+    /// Absolute feed position of the next record to consume.
+    cursor: AtomicU64,
+    /// Every commit at or below this epoch has been consumed.
+    watermark: AtomicU64,
     state: TrackedMutex<ConsumerState>,
 }
 
 impl FeedConsumer {
     pub(crate) fn register(engine: Arc<StorageEngine>, obs: ConsumerObs) -> FeedConsumer {
         let (id, cursor) = engine.feed.register();
-        let state = ConsumerState {
-            cursor,
-            ..ConsumerState::default()
-        };
         FeedConsumer {
             engine,
             id,
             obs,
-            state: TrackedMutex::new("storage.epoch.consumer", state),
+            cursor: AtomicU64::new(cursor),
+            watermark: AtomicU64::new(0),
+            state: TrackedMutex::new("storage.epoch.consumer", ConsumerState::default()),
         }
     }
 
     /// Feed records this consumer has not consumed yet.
     pub fn backlog(&self) -> usize {
-        (self.engine.feed.head() - self.state.lock().cursor) as usize
+        let cursor = self.cursor.load(Ordering::Acquire);
+        self.engine.feed.head().saturating_sub(cursor) as usize
     }
 
     /// The freshness watermark: every commit at or below this epoch has
     /// been through this consumer's stage.
     pub fn watermark(&self) -> u64 {
-        self.state.lock().watermark
+        self.watermark.load(Ordering::Acquire)
     }
 
     /// Consume up to `budget` records (all pending when `None`); returns
@@ -446,11 +451,11 @@ impl FeedConsumer {
         let feed = &self.engine.feed;
         let mut consumed = 0usize;
         while budget.is_none_or(|b| consumed < b) {
-            let cursor = self.state.lock().cursor;
+            let cursor = self.cursor.load(Ordering::Acquire);
             let (records, next) = feed.recv_changes(cursor, 1);
             let mut guard = self.state.lock();
             let state = &mut *guard;
-            if state.cursor != cursor {
+            if self.cursor.load(Ordering::Acquire) != cursor {
                 continue;
             }
             let Some(&record) = records.first() else {
@@ -458,7 +463,7 @@ impl FeedConsumer {
                 // epoch is done. (Deliberately `last_epoch`, not the
                 // engine's current epoch — a commit can land between the
                 // empty read and this line.)
-                state.watermark = state.watermark.max(state.last_epoch);
+                self.watermark.fetch_max(state.last_epoch, Ordering::AcqRel);
                 break;
             };
             let Ok(doc) = self.engine.get_latest_at(record.id, record.epoch) else {
@@ -475,10 +480,11 @@ impl FeedConsumer {
             if step.is_err() {
                 break;
             }
-            state.cursor = next;
+            self.cursor.store(next, Ordering::Release);
             // The feed is epoch-ordered: reaching epoch `e` means every
             // epoch below `e` is fully consumed.
-            state.watermark = state.watermark.max(record.epoch.saturating_sub(1));
+            self.watermark
+                .fetch_max(record.epoch.saturating_sub(1), Ordering::AcqRel);
             state.last_epoch = state.last_epoch.max(record.epoch);
             feed.ack(self.id, next);
             self.obs.records.inc();
@@ -651,6 +657,38 @@ mod tests {
         // ...and leaving releases only what the leaver alone held.
         drop(b);
         assert_eq!(e.feed_len(), 3, "now a is the slowest");
+    }
+
+    /// A running stage holds its consumer's lock; the backlog and the
+    /// watermark, which every query's admission reads, must not wait on
+    /// it (a query beside a long discovery drain would otherwise wait for
+    /// the whole drain).
+    #[test]
+    fn backlog_and_watermark_never_wait_behind_a_running_stage() {
+        use std::sync::mpsc;
+        let e = engine();
+        let consumer = &e.register_consumer(ConsumerObs::default());
+        for i in 0..3 {
+            e.put(&doc(i)).unwrap();
+        }
+        let (entered, in_stage) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                consumer.drain(Some(1), &NoFaults, |_, _, _| {
+                    entered.send(()).unwrap();
+                    released.recv().unwrap();
+                    Ok(())
+                })
+            });
+            in_stage.recv().unwrap();
+            let (tx, read) = mpsc::channel();
+            scope.spawn(move || tx.send((consumer.backlog(), consumer.watermark())));
+            let seen = read.recv_timeout(std::time::Duration::from_secs(5));
+            release.send(()).unwrap();
+            assert_eq!(seen, Ok((3, 0)), "read while the stage ran");
+        });
+        assert_eq!(consumer.backlog(), 2);
     }
 
     /// Concurrent drains of ONE consumer: the cursor re-validation under

@@ -18,13 +18,14 @@
 //! * [`segment`] / [`memtable`] / [`partition`] — an append-only,
 //!   immutable-segment layout: documents are never updated in place (§4);
 //!   a new version is appended and the latest-version map is advanced.
+//!   A put encodes the document and links it into its chain, nothing
+//!   more: the simple planner keeps no statistics (§3.3), so the only
+//!   per-path summary is each sealed segment's [`ZoneMap`], built once at
+//!   seal for pruning.
 //! * [`pushdown`] — the scan request (predicate, projection, visibility)
 //!   evaluated *at* the storage node for early data reduction, with
 //!   byte-level metrics so experiment C2 can show how much data movement
 //!   push-down saves.
-//! * [`stats`] — per-partition statistics (path cardinalities, min/max,
-//!   histograms, distinct estimates) maintained as a side effect of
-//!   sealing segments; used by the cost-based baseline optimizer.
 //! * [`epoch`] — monotonic commit epochs, ref-counted snapshot pins
 //!   (readers pin an epoch so concurrent ingest never tears a query's
 //!   view), and the change feed with the one checkpointed consumer loop
@@ -51,7 +52,6 @@ pub mod memtable;
 pub mod partition;
 pub mod pushdown;
 pub mod segment;
-pub mod stats;
 
 pub use columnar::{Bitmask, Column, ColumnPage, ColumnPageBuilder, ColumnVec};
 pub use engine::{Cursor, StorageEngine, StorageOptions};
@@ -65,4 +65,3 @@ pub use pushdown::{
     AggFunc, AggValue, Predicate, Projection, ScanMetrics, ScanRequest, ScanResult,
 };
 pub use segment::{PathZone, ZoneMap};
-pub use stats::{PartitionStats, PathStats};

@@ -68,11 +68,6 @@ impl Memtable {
         Ok(doc)
     }
 
-    /// Encoded length of the entry at `idx`.
-    pub fn encoded_len(&self, idx: usize) -> usize {
-        self.entries[idx].encoded.len()
-    }
-
     /// Iterate over entries (index, id, version, encoded length).
     pub fn iter_meta(&self) -> impl Iterator<Item = (usize, DocId, Version, usize)> + '_ {
         self.entries

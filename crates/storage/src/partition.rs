@@ -14,7 +14,6 @@ use crate::error::StorageError;
 use crate::memtable::Memtable;
 use crate::pushdown::{project, Predicate, Projection, ScanMetrics, ScanRequest, ScanResult};
 use crate::segment::Segment;
-use crate::stats::PartitionStats;
 
 /// Where one document version lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +63,6 @@ pub struct Partition {
     /// removed only by [`Partition::reclaim`] (lazy version GC), and only
     /// when no live or future snapshot can observe them.
     chains: HashMap<DocId, Vec<ChainEntry>>,
-    stats: PartitionStats,
     seal_threshold: usize,
     compress: bool,
     encryption_key: Option<crate::crypt::Key>,
@@ -88,7 +86,6 @@ impl Partition {
             memtable: Memtable::new(),
             segments: Vec::new(),
             chains: HashMap::new(),
-            stats: PartitionStats::default(),
             seal_threshold: seal_threshold.max(1),
             compress,
             encryption_key,
@@ -123,18 +120,12 @@ impl Partition {
     pub fn put_at(&mut self, doc: &Document, epoch: u64) -> Result<(), StorageError> {
         self.validate_put(doc)?;
         let idx = self.memtable.put(doc);
-        let encoded_len = self.memtable.encoded_len(idx);
-        let is_new_chain = !self.chains.contains_key(&doc.id());
         self.chains.entry(doc.id()).or_default().push(ChainEntry {
             version: doc.version(),
             loc: Location::Mem(idx),
             ingested_at: doc.ingested_at(),
             epoch,
         });
-        self.stats.observe_document(doc, encoded_len);
-        if is_new_chain {
-            self.stats.live_docs += 1;
-        }
         if self.memtable.len() >= self.seal_threshold {
             self.seal();
         }
@@ -171,7 +162,6 @@ impl Partition {
                 reclaimed += 1;
             }
         }
-        self.stats.versions_reclaimed += reclaimed;
         reclaimed
     }
 
@@ -276,11 +266,6 @@ impl Partition {
     /// Total stored document versions.
     pub fn total_versions(&self) -> usize {
         self.chains.values().map(Vec::len).sum()
-    }
-
-    /// Current statistics snapshot.
-    pub fn stats(&self) -> &PartitionStats {
-        &self.stats
     }
 
     /// Stored bytes (segments at stored size + memtable raw).
@@ -794,7 +779,7 @@ mod tests {
         assert_eq!(latest.version(), Version(3));
         let res = scan(&p, &ScanRequest::full());
         assert_eq!(res.documents.len(), 1);
-        assert_eq!(p.stats().versions_reclaimed, 2);
+        assert_eq!(p.live_docs(), 1);
     }
 
     #[test]
@@ -832,14 +817,18 @@ mod tests {
     }
 
     #[test]
-    fn stored_bytes_nonzero_and_stats() {
+    fn stored_bytes_and_counts_cover_every_put() {
         let mut p = Partition::new(4, true);
         for i in 0..8 {
             p.put(&doc(i, i as i64)).unwrap();
         }
+        let d = p.get_latest(DocId(0)).unwrap().unwrap();
+        p.put(&d.new_version(Node::map([("amount".into(), Node::scalar(9i64))]), 1))
+            .unwrap();
         assert!(p.stored_bytes() > 0);
-        assert_eq!(p.stats().doc_versions, 8);
-        assert_eq!(p.stats().live_docs, 8);
-        assert!(p.stats().paths.contains_key("amount"));
+        assert_eq!(p.total_versions(), 9);
+        assert_eq!(p.live_docs(), 8);
+        assert_eq!(p.reclaim(u64::MAX), 1, "the superseded version goes");
+        assert_eq!(p.total_versions(), 8);
     }
 }

@@ -160,9 +160,7 @@ impl Predicate {
 }
 
 fn any_leaf(doc: &Document, structural: &str, f: impl Fn(&Value) -> bool) -> bool {
-    doc.leaves()
-        .iter()
-        .any(|(p, v)| p.structural_form() == structural && f(v))
+    doc.root().values_at(structural).any(f)
 }
 
 /// A comparison predicate prunes a segment iff no populated value class

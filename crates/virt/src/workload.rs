@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use impliance_obs::TrackedMutex;
-use impliance_obs::{catalog, Counter, Gauge, Histogram};
+use impliance_obs::{catalog, Counter, Gauge};
 use impliance_query::clock::{default_time_source, TimeSource};
 use impliance_query::Priority;
 
@@ -155,7 +155,6 @@ pub struct Permit {
     tenant: TenantId,
     priority: Priority,
     started_us: u64,
-    queue_wait_us: u64,
     budget_us: Option<u64>,
 }
 
@@ -168,11 +167,6 @@ impl Permit {
     /// The priority class it was admitted at.
     pub fn priority(&self) -> Priority {
         self.priority
-    }
-
-    /// Microseconds spent waiting before execution could start.
-    pub fn queue_wait_us(&self) -> u64 {
-        self.queue_wait_us
     }
 
     /// Tightened execution budget for degraded admissions (`None` for
@@ -253,7 +247,6 @@ struct WorkloadObs {
     degraded: Arc<Counter>,
     shed: Arc<Counter>,
     active: Arc<Gauge>,
-    queue_wait_us: Arc<Histogram>,
     tokens_denied: Arc<Counter>,
     deadline_shed: Arc<Counter>,
     overload_shed: Arc<Counter>,
@@ -268,7 +261,6 @@ fn workload_obs() -> &'static WorkloadObs {
             degraded: m.counter(&catalog::WORKLOAD_DEGRADED),
             shed: m.counter(&catalog::WORKLOAD_SHED),
             active: m.gauge(&catalog::WORKLOAD_ACTIVE),
-            queue_wait_us: m.histogram(&catalog::WORKLOAD_QUEUE_WAIT_US),
             tokens_denied: m.counter(&catalog::ADMISSION_TOKENS_DENIED),
             deadline_shed: m.counter(&catalog::ADMISSION_DEADLINE_SHED),
             overload_shed: m.counter(&catalog::ADMISSION_OVERLOAD_SHED),
@@ -363,7 +355,6 @@ impl WorkloadManager {
             tenant,
             priority,
             started_us: self.shared.time.now_us(),
-            queue_wait_us: 0,
             budget_us,
         }
     }
@@ -411,7 +402,6 @@ impl WorkloadManager {
             s.stats.admitted += 1;
             obs.admitted.inc();
             obs.active.set(s.active as i64);
-            obs.queue_wait_us.observe(0);
             drop(s);
             return Admission::Admitted(self.permit(tenant, priority, None));
         }
@@ -451,7 +441,6 @@ impl WorkloadManager {
                 s.stats.degraded += 1;
                 obs.degraded.inc();
                 obs.active.set(s.active as i64);
-                obs.queue_wait_us.observe(0);
                 drop(s);
                 Admission::Degraded(self.permit(tenant, priority, Some(budget)))
             }

@@ -64,22 +64,22 @@ const DOCS: u64 = 800;
 /// `(plan, columnar, batch size, ceiling)`, measured at 800 documents
 /// per collection.
 const PINS: [(&str, bool, usize, u64); 16] = [
-    ("filter_project", false, 64, 63_822),
-    ("filter_project", false, 1024, 63_728),
+    ("filter_project", false, 64, 53_836),
+    ("filter_project", false, 1024, 53_742),
     ("filter_project", true, 64, 59_867),
     ("filter_project", true, 1024, 59_490),
-    ("group_agg", false, 64, 66_663),
-    ("group_agg", false, 1024, 66_583),
+    ("group_agg", false, 64, 53_063),
+    ("group_agg", false, 1024, 52_983),
     ("group_agg", true, 64, 59_124),
     ("group_agg", true, 1024, 58_748),
-    ("hash_join", false, 64, 119_716),
-    ("hash_join", false, 1024, 119_512),
-    ("hash_join", true, 64, 119_716),
-    ("hash_join", true, 1024, 119_512),
-    ("sort_limit", false, 64, 149_906),
-    ("sort_limit", false, 1024, 158_005),
-    ("sort_limit", true, 64, 149_906),
-    ("sort_limit", true, 1024, 158_005),
+    ("hash_join", false, 64, 109_316),
+    ("hash_join", false, 1024, 109_112),
+    ("hash_join", true, 64, 109_316),
+    ("hash_join", true, 1024, 109_112),
+    ("sort_limit", false, 64, 52_258),
+    ("sort_limit", false, 1024, 52_181),
+    ("sort_limit", true, 64, 52_258),
+    ("sort_limit", true, 1024, 52_181),
 ];
 
 /// `c` rows with an amount and a group key; `l` and `r` rows sharing a

@@ -344,11 +344,7 @@ pub fn join(right: LogicalPlan, algo: JoinAlgo) -> LogicalPlan {
     }
 }
 
-pub const JOIN_ALGOS: [JoinAlgo; 3] = [
-    JoinAlgo::Hash,
-    JoinAlgo::SortMerge,
-    JoinAlgo::IndexedNestedLoop,
-];
+pub const JOIN_ALGOS: [JoinAlgo; 2] = [JoinAlgo::Hash, JoinAlgo::IndexedNestedLoop];
 
 /// The first `n` of collection `c` ordered by `path`, projected to it.
 pub fn sort_limit(path: &str, descending: bool, n: usize) -> LogicalPlan {

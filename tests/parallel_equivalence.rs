@@ -107,9 +107,9 @@ proptest! {
         assert_matrix(f, &[("group_agg", &plan)], None);
     }
 
-    // All three join algorithms: hash joins probe a shared table from
-    // every morsel; sort-merge and indexed-NL have no split, run as one
-    // tree and must still answer identically.
+    // Both join algorithms: hash joins probe a shared table from every
+    // morsel; indexed-NL has no split, runs as one tree and must still
+    // answer identically.
     #[test]
     fn parallel_joins_equal_serial(
         left_keys in proptest::collection::vec(0i64..5, 1..30),

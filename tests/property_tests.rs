@@ -43,6 +43,18 @@ fn arb_node() -> impl Strategy<Value = Node> {
     })
 }
 
+/// Trees whose map keys collide with the path syntax: `.`, `[`, `]` and
+/// the empty key, from a two-letter alphabet so that renderings meet.
+fn arb_tricky_node() -> impl Strategy<Value = Node> {
+    let leaf = (0i64..4).prop_map(|i| Node::Value(Value::Int(i)));
+    leaf.prop_recursive(4, 40, 4, |inner| {
+        prop_oneof![
+            proptest::collection::vec(inner.clone(), 0..4).prop_map(Node::Seq),
+            proptest::collection::btree_map("[ab.\\[\\]]{0,3}", inner, 0..4).prop_map(Node::Map),
+        ]
+    })
+}
+
 fn arb_document() -> impl Strategy<Value = Document> {
     (
         any::<u64>(),
@@ -193,6 +205,41 @@ proptest! {
         let exact = format!("{}[{}]", fields.join("."), idx);
         let p = Path::parse(&exact);
         prop_assert_eq!(p.structural_form(), format!("{}[]", fields.join(".")));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(1024)))]
+
+    // The resolver walks only the branches whose rendering is a prefix of
+    // the path; it must pick exactly the leaves, in order, that rendering
+    // every leaf's path would — map keys holding `.`, `[` or `]`, empty
+    // keys and nested sequences included.
+    #[test]
+    fn values_at_is_leaves_filtered_on_structural_form(
+        node in arb_tricky_node(),
+        pick in any::<prop::sample::Index>(),
+        cut in any::<prop::sample::Index>(),
+        noise in "[ab.\\[\\]]{0,6}",
+    ) {
+        let leaves = node.leaves();
+        let forms: Vec<String> = leaves.iter().map(|(p, _)| p.structural_form()).collect();
+        let mut paths = vec![noise];
+        if !forms.is_empty() {
+            let form = forms[pick.index(forms.len())].clone();
+            let prefix: String = form.chars().take(cut.index(form.len() + 1)).collect();
+            paths.extend([form, prefix]);
+        }
+        for path in &paths {
+            let want: Vec<*const Value> = leaves
+                .iter()
+                .zip(&forms)
+                .filter(|(_, f)| *f == path)
+                .map(|((_, v), _)| *v as *const Value)
+                .collect();
+            let got: Vec<*const Value> = node.values_at(path).map(|v| v as *const Value).collect();
+            prop_assert_eq!(got, want, "path {:?}", path);
+        }
     }
 }
 
