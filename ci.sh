@@ -8,14 +8,15 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
-# The two experiments that drive a baseline against the appliance the box
-# runs: C1 (the cost-based optimizer, which nothing else calls, against
-# the simple planner; both must return the same rows) and C9 (discovery
-# beside high-priority queries through the appliance's doors; every query
-# answered and the discovery backlog drained). Each asserts its answers.
-echo "==> figures c1 + c9 (answers checked)"
-cargo run --release -q -p impliance-bench --bin figures -- c1 >/dev/null
-cargo run --release -q -p impliance-bench --bin figures -- c9 >/dev/null
+# The experiments that assert their answers: C1 (the cost-based
+# optimizer, which nothing else calls, against the simple planner; both
+# must return the same rows), C5 (a data node killed under replication 1,
+# 2 and 3; nothing lost with a second copy, and the scan after the kill
+# sees every surviving document) and C9 (discovery beside high-priority
+# queries through the appliance's doors; every query answered and the
+# discovery backlog drained).
+echo "==> figures c1 + c5 + c9 (answers checked)"
+cargo run --release -q -p impliance-bench --bin figures -- c1 c5 c9 >/dev/null
 
 echo "==> cargo test -q (workspace)"
 cargo test --workspace -q

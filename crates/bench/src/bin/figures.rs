@@ -1079,6 +1079,17 @@ fn c5_failover() {
         let report = app.kill_data_node(victim).unwrap();
         let recovery = t0.elapsed();
         let visible = app.sql("SELECT * FROM orders").unwrap().len();
+        // A second copy survives one loss; a single copy loses what the
+        // victim held, and the scan sees exactly the rest.
+        if replication >= 2 {
+            assert_eq!(
+                report.docs_lost, 0,
+                "replication {replication} lost documents"
+            );
+        } else {
+            assert!(report.docs_lost > 0, "one copy survived its only node");
+        }
+        assert_eq!(visible, DOCS - report.docs_lost, "the scan after the kill");
         t.row(&[
             replication.to_string(),
             fmt_duration(recovery),

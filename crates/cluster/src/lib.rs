@@ -28,6 +28,8 @@
 //!   election, and two-phase commit for consistent persistence.
 //! * [`fault`] — seeded, deterministic fault schedules (kills, link
 //!   drops, delays) for chaos experiments.
+//! * [`upgrade`] — §3.1's rolling software upgrades: availability-aware
+//!   batch planning so the appliance keeps serving while nodes restart.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -41,9 +43,11 @@ pub mod group;
 pub mod network;
 pub mod node;
 pub mod runtime;
+pub mod upgrade;
 
 pub use fault::{FaultDecision, FaultSchedule};
 pub use group::{CommitOutcome, ConsistencyGroup, GroupEvent};
 pub use network::{Network, NetworkMetrics};
 pub use node::{NodeId, NodeKind, NodeSpec};
 pub use runtime::{ClusterError, ClusterRuntime, TaskHandle};
+pub use upgrade::{plan_rolling_upgrade, validate_plan, UpgradeError, UpgradePlan, UpgradePolicy};

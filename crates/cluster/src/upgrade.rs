@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use impliance_cluster::{NodeId, NodeKind};
+use crate::{NodeId, NodeKind};
 
 /// The user-modifiable policy balancing speed against availability.
 #[derive(Debug, Clone)]

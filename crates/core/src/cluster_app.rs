@@ -1,44 +1,42 @@
 //! The scaled-out appliance: Impliance over a simulated cluster.
 //!
-//! Figure 3's deployment: data nodes own hash-partitioned primary data
-//! (plus replica stores for other nodes' data), grid nodes run analytic
-//! stages, and cluster nodes form a consistency group that commits
-//! derived structures. Adding data nodes adds capacity; adding grid nodes
-//! adds compute — independently (§3.3). When a data node dies, the
-//! storage manager autonomously re-replicates and promotes replicas so
-//! queries keep answering — experiment C5's observable.
+//! Figure 3's deployment: data nodes own primary data (plus replica
+//! stores for other nodes' data), grid nodes run analytic stages, and
+//! cluster nodes form a consistency group that commits derived
+//! structures. Adding data nodes adds capacity; adding grid nodes adds
+//! compute — independently (§3.3). One [`Placement`] says which data
+//! nodes hold each document; ingest, replica failover and repair all read
+//! it. When a data node dies, the appliance autonomously re-replicates
+//! and promotes replicas so queries keep answering — experiment C5's
+//! observable.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use impliance_cluster::{
-    ClusterError, ClusterRuntime, ConsistencyGroup, Network, NodeId, NodeKind, NodeSpec,
+    plan_rolling_upgrade, ClusterError, ClusterRuntime, ConsistencyGroup, Network, NodeId,
+    NodeKind, NodeSpec, UpgradePolicy,
 };
 use impliance_docmodel::{DocId, Document};
-use impliance_index::InvertedIndex;
-use impliance_obs::TrackedMutex;
+use impliance_obs::{TrackedMutex, TrackedRwLock};
 use impliance_query::dist::{self, DataNodeState, DistOutput};
-use impliance_query::{ExecutionContext, FailoverPolicy, LogicalPlan, QueryOutput};
-use impliance_storage::{codec, ScanRequest, StorageEngine, StorageOptions};
-use impliance_virt::{DataClass, ReplicationReport, StorageManager, StoragePolicy};
+use impliance_query::{ExecutionContext, LogicalPlan, Placement, QueryOutput};
+use impliance_storage::{codec, Projection, ScanRequest, StorageOptions};
 
 use crate::config::ApplianceConfig;
 use crate::error::{Error, ErrorKind};
 use crate::ingest::Input;
 use crate::query_api::QueryRequest;
 
-/// Shards in each data node's full-text index.
-const TEXT_INDEX_SHARDS: usize = 8;
-
 /// Summary of a failure-recovery round (experiment C5).
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
-    /// Documents that had to be re-replicated or promoted.
+    /// Copies made: a new replica, or a replica promoted to a primary.
     pub docs_repaired: usize,
-    /// Bytes copied across the network.
+    /// Encoded bytes of those copies.
     pub bytes_copied: u64,
-    /// Documents that could not be recovered (all replicas lost).
+    /// Documents the dead node held that no survivor holds.
     pub docs_lost: usize,
 }
 
@@ -48,7 +46,9 @@ pub struct ClusterImpliance {
     /// App-side handles to every data node's engines (survivor reads
     /// during recovery).
     engines: TrackedMutex<HashMap<NodeId, Arc<DataNodeState>>>,
-    storage_mgr: Arc<TrackedMutex<StorageManager>>,
+    /// Where every document lives; replaced, never edited, when a data
+    /// node leaves.
+    placement: TrackedRwLock<Arc<Placement>>,
     group: ConsistencyGroup,
     /// Software version per node ("1.0" at boot; rolling_upgrade bumps).
     versions: TrackedMutex<HashMap<NodeId, String>>,
@@ -81,28 +81,15 @@ impl ClusterImpliance {
         let runtime = Arc::new(ClusterRuntime::boot(&specs, network, |spec| {
             match spec.kind {
                 NodeKind::Data => {
-                    // the replica store mirrors the primary's layout so a
-                    // promoted replica behaves identically
-                    let state = Arc::new(DataNodeState {
-                        storage: Arc::new(StorageEngine::new(opts.clone())),
-                        replica: Arc::new(StorageEngine::new(opts.clone())),
-                        text_index: Arc::new(InvertedIndex::new(TEXT_INDEX_SHARDS)),
-                    });
+                    let state = Arc::new(DataNodeState::new(&opts));
                     engines.lock().insert(spec.id, Arc::clone(&state));
                     state
                 }
                 _ => Arc::new(()),
             }
         }));
-        let data_ids: Vec<NodeId> = runtime.nodes_of_kind(NodeKind::Data);
-        let storage_mgr = StorageManager::new(
-            StoragePolicy {
-                user_base: config.replication.max(1),
-                derived: 1,
-                regulatory: config.replication.max(1),
-            },
-            &data_ids,
-        );
+        let data_ids = runtime.nodes_of_kind(NodeKind::Data);
+        let placement = Arc::new(Placement::new(&data_ids, config.replication));
         let group = ConsistencyGroup::new(3);
         for id in runtime.nodes_of_kind(NodeKind::Cluster) {
             group.join(id);
@@ -110,7 +97,7 @@ impl ClusterImpliance {
         ClusterImpliance {
             runtime,
             engines,
-            storage_mgr: Arc::new(TrackedMutex::new("core.cluster.storage_mgr", storage_mgr)),
+            placement: TrackedRwLock::new("core.cluster.placement", placement),
             group,
             versions: TrackedMutex::new("core.cluster.versions", HashMap::new()),
             next_id: AtomicU64::new(1),
@@ -134,6 +121,12 @@ impl ClusterImpliance {
         &self.config
     }
 
+    /// Where every document lives now: the ring over the data nodes in
+    /// service and the configured replication factor.
+    pub fn placement(&self) -> Arc<Placement> {
+        Arc::clone(&self.placement.read())
+    }
+
     /// A new document's id and timestamp.
     fn stamp(&self) -> (DocId, i64) {
         let id = DocId(self.next_id.fetch_add(1, Ordering::Relaxed));
@@ -141,23 +134,19 @@ impl ClusterImpliance {
     }
 
     /// Ingest data of any format, mapped exactly as `Impliance::ingest`
-    /// maps it: each document's primary copy goes to the ring-assigned
-    /// owner, replicas to the next nodes on the ring.
+    /// maps it: [`dist::put`] stores each document's primary copy on the
+    /// node the placement names first and its replicas on the next nodes
+    /// of the ring (retrying lost messages, so an acknowledged write is
+    /// never reported lost).
     pub fn ingest(&self, input: Input<'_>) -> Result<Vec<DocId>, Error> {
-        input.store(|| self.stamp(), |doc| self.ingest_document(doc))
-    }
-
-    /// Store one document with replication: the storage manager places
-    /// it, [`dist::dist_put_placed`] stores every copy (retrying lost
-    /// messages, so an acknowledged write is never reported lost).
-    fn ingest_document(&self, doc: Document) -> Result<DocId, Error> {
-        let encoded_len = codec::encode_document_vec(&doc).len() as u64;
-        let placement = self
-            .storage_mgr
-            .lock()
-            .place(doc.id(), DataClass::UserBase, encoded_len);
-        dist::dist_put_placed(&self.runtime, &doc, &placement)?;
-        Ok(doc.id())
+        let placement = self.placement();
+        input.store(
+            || self.stamp(),
+            |doc| {
+                dist::put(&self.runtime, &placement, &doc)?;
+                Ok(doc.id())
+            },
+        )
     }
 
     /// Live primary documents across the cluster.
@@ -170,23 +159,6 @@ impl ClusterImpliance {
             .sum()
     }
 
-    /// The failover policy matching this instance's replica placement:
-    /// ownership follows the storage manager's ring (the first placement
-    /// entry is the primary), and every other data node is a candidate
-    /// replica holder.
-    pub fn failover_policy(&self) -> FailoverPolicy {
-        let data_nodes = self.runtime.nodes_of_kind(NodeKind::Data);
-        let others = |node| data_nodes.iter().copied().filter(|&c| c != node).collect();
-        let candidates = data_nodes
-            .iter()
-            .map(|&node| (node, others(node)))
-            .collect();
-        let mgr = Arc::clone(&self.storage_mgr);
-        let owns =
-            Arc::new(move |id: DocId, node: NodeId| mgr.lock().replicas(id).first() == Some(&node));
-        FailoverPolicy::new(candidates, owns)
-    }
-
     /// The unified query entry point, cluster edition: the request becomes
     /// the same logical plan `Impliance::query` would build (SQL, match
     /// clause, top-k), and [`dist::execute`] runs it — each data node
@@ -194,9 +166,10 @@ impl ClusterImpliance {
     /// The simple planner is not consulted: both of its rules pick an
     /// index access path (value index, indexed nested-loop join) that data
     /// nodes do not hold. Transient losses retry per the default
-    /// [`impliance_query::RetryPolicy`] and a dead node is recomputed from surviving
-    /// replica stores; the returned [`DistOutput`] carries a coverage
-    /// report saying exactly which partitions the answer covers. A
+    /// [`impliance_query::RetryPolicy`] and a dead node is recomputed from
+    /// the replica stores the placement names; the returned [`DistOutput`]
+    /// carries a coverage report saying exactly which partitions the
+    /// answer covers. A
     /// request with a deadline degrades to an honest partial when it
     /// expires; one without fails typed if anything is left uncovered.
     /// `at_epoch` is rejected (every node pins its own epoch), tenant,
@@ -222,7 +195,7 @@ impl ClusterImpliance {
 
     fn run_plan(&self, plan: &LogicalPlan, opts: ExecutionContext) -> Result<DistOutput, Error> {
         let opts = ExecutionContext {
-            failover: Some(self.failover_policy()),
+            failover: Some(self.placement()),
             ..opts
         };
         Ok(dist::execute(&self.runtime, plan, &opts)?)
@@ -246,73 +219,60 @@ impl ClusterImpliance {
         }
     }
 
-    /// Kill a data node and autonomously recover: re-replicate
-    /// under-replicated documents and promote replicas of documents whose
-    /// primary died, so subsequent scans still see everything.
+    /// Kill a data node and autonomously recover. Every document the node
+    /// held, as primary or replica, gets a copy on each node the placement
+    /// without it names that lacks one: the next node of its ring walk
+    /// gains a replica, and when the dead node was its primary, the
+    /// surviving replica that now heads its placement gains the primary
+    /// copy. Subsequent scans therefore still see everything. A document
+    /// no survivor holds is counted lost; a store that fails a read or a
+    /// write fails the recovery with its own kind.
     pub fn kill_data_node(&self, node: NodeId) -> Result<RecoveryReport, Error> {
-        let dead_state = self
-            .engines
-            .lock()
-            .get(&node)
-            .cloned()
-            .ok_or(ClusterError::NodeDown(node))?;
-        // Capture the dead node's primary doc ids before the kill. A
-        // failed scan aborts the removal with the node still in service:
-        // recovering from an empty id list would skip promoting replicas
-        // for every document the node owned.
-        let dead_primary: Vec<DocId> = dead_state
-            .storage
-            .scan(&ScanRequest {
-                projection: impliance_storage::Projection::IdsOnly,
-                ..ScanRequest::full()
-            })?
-            .ids;
+        let dead = self.engines.lock().get(&node).cloned();
+        let dead = dead.ok_or(ClusterError::NodeDown(node))?;
+        // Capture the dead node's doc ids before the kill. A failed scan
+        // aborts the removal with the node still in service: recovering
+        // from an empty id list would skip every document the node held.
+        let ids_only = ScanRequest {
+            projection: Projection::IdsOnly,
+            ..ScanRequest::full()
+        };
+        let mut held = dead.storage.scan(&ids_only)?.ids;
+        held.extend(dead.replica.scan(&ids_only)?.ids);
+        held.sort_unstable();
+        held.dedup();
         // Planned removal: recovery below rehomes the node's data, so the
         // identity is decommissioned (dropped from scan-coverage
         // membership), not just killed.
         self.runtime.decommission(node);
         self.engines.lock().remove(&node);
+        let before = self.placement();
+        let after = Arc::new(before.without(node));
+        *self.placement.write() = Arc::clone(&after);
 
-        let report: ReplicationReport = self.storage_mgr.lock().node_failed(node);
-        let mut out = RecoveryReport::default();
         let engines = self.engines.lock().clone();
-
-        // Re-replicate per the manager's plan.
-        for action in &report.actions {
-            let Some(doc) = self.fetch_anywhere(&engines, action.doc) else {
+        let mut out = RecoveryReport::default();
+        for id in held {
+            let holders = before.nodes_for(id);
+            let Some((from, doc)) = fetch(&engines, &holders, id)? else {
                 out.docs_lost += 1;
                 continue;
             };
             let bytes = codec::encode_document_vec(&doc).len() as u64;
-            self.runtime
-                .network()
-                .transmit(action.from, action.to, bytes);
-            if let Some(target) = engines.get(&action.to) {
-                let _ = target.replica.put(&doc);
+            for (rank, to) in after.nodes_for(id).into_iter().enumerate() {
+                // a survivor keeps its copy in the store its old rank named
+                let kept = holders.iter().position(|n| *n == to);
+                if kept.is_some_and(|old| (old == 0) == (rank == 0)) {
+                    continue;
+                }
+                let target = engines.get(&to).ok_or(ClusterError::NodeDown(to))?;
+                let store = target.store_for(rank);
+                if from != to {
+                    self.runtime.network().transmit(from, to, bytes);
+                }
+                store.put(&doc)?;
                 out.docs_repaired += 1;
                 out.bytes_copied += bytes;
-            }
-        }
-        // Promote documents whose primary died into their new primary's
-        // primary store.
-        for id in dead_primary {
-            let placement = self.storage_mgr.lock().replicas(id);
-            let Some(new_primary) = placement.first().copied() else {
-                out.docs_lost += 1;
-                continue;
-            };
-            let Some(doc) = self.fetch_anywhere(&engines, id) else {
-                out.docs_lost += 1;
-                continue;
-            };
-            if let Some(target) = engines.get(&new_primary) {
-                if target.storage.get_latest(id).ok().flatten().is_none() {
-                    let bytes = codec::encode_document_vec(&doc).len() as u64;
-                    self.runtime.network().transmit(new_primary, new_primary, 0);
-                    let _ = target.storage.put(&doc);
-                    out.docs_repaired += 1;
-                    out.bytes_copied += bytes;
-                }
             }
         }
         Ok(out)
@@ -325,7 +285,7 @@ impl ClusterImpliance {
     pub fn rolling_upgrade(
         &self,
         to_version: &str,
-        policy: &impliance_virt::UpgradePolicy,
+        policy: &UpgradePolicy,
     ) -> Result<Vec<usize>, Error> {
         let mut inventory: Vec<(NodeId, NodeKind)> = Vec::new();
         for kind in [NodeKind::Data, NodeKind::Grid, NodeKind::Cluster] {
@@ -336,7 +296,7 @@ impl ClusterImpliance {
                     .map(|id| (id, kind)),
             );
         }
-        let plan = impliance_virt::plan_rolling_upgrade(&inventory, policy, to_version)?;
+        let plan = plan_rolling_upgrade(&inventory, policy, to_version)?;
         let mut batch_sizes = Vec::with_capacity(plan.batches.len());
         for batch in &plan.batches {
             for &node in &batch.nodes {
@@ -380,17 +340,25 @@ impl ClusterImpliance {
             .cloned()
             .unwrap_or_else(|| "1.0".to_string())
     }
+}
 
-    fn fetch_anywhere(
-        &self,
-        engines: &HashMap<NodeId, Arc<DataNodeState>>,
-        id: DocId,
-    ) -> Option<Document> {
-        engines
-            .values()
-            .flat_map(|state| [&state.storage, &state.replica])
-            .find_map(|engine| engine.get_latest(id).ok().flatten())
+/// The latest version of `id` from the first of `holders` still in
+/// service, each read in the store its rank names, with the node it came
+/// from; `None` when no survivor holds it.
+fn fetch(
+    engines: &HashMap<NodeId, Arc<DataNodeState>>,
+    holders: &[NodeId],
+    id: DocId,
+) -> Result<Option<(NodeId, Document)>, Error> {
+    for (rank, node) in holders.iter().enumerate() {
+        let Some(state) = engines.get(node) else {
+            continue;
+        };
+        if let Some(doc) = state.store_for(rank).get_latest(id)? {
+            return Ok(Some((*node, doc)));
+        }
     }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -652,6 +620,27 @@ mod tests {
         assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
     }
 
+    /// Recovery reads each document back from a survivor's store. When
+    /// every survivor's replica store is unreadable, the documents whose
+    /// primary died cannot be read back: the kill fails with the store's
+    /// own kind instead of reporting them lost.
+    #[test]
+    fn kill_data_node_surfaces_an_unreadable_replica_store() {
+        let app = ClusterImpliance::boot(config(4, 1));
+        load(&app, 200);
+        let victim = app.runtime().nodes_of_kind(NodeKind::Data)[1];
+        for (node, state) in app.engines.lock().iter() {
+            if *node != victim {
+                state.replica.seal_all();
+                state.replica.corrupt_sealed_blocks();
+            }
+        }
+        let err = app
+            .kill_data_node(victim)
+            .expect_err("an unreadable replica store must not report lost documents");
+        assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
+    }
+
     #[test]
     fn killing_unknown_node_errors() {
         let app = ClusterImpliance::boot(config(2, 1));
@@ -707,7 +696,7 @@ mod upgrade_tests {
                 .unwrap();
         }
         let batches = app
-            .rolling_upgrade("2.0", &impliance_virt::UpgradePolicy::default())
+            .rolling_upgrade("2.0", &UpgradePolicy::default())
             .unwrap();
         assert!(!batches.is_empty());
         // every node now reports 2.0
@@ -734,7 +723,7 @@ mod upgrade_tests {
         });
         // default policy wants 2 cluster nodes up — impossible with 1
         let err = app
-            .rolling_upgrade("2.0", &impliance_virt::UpgradePolicy::default())
+            .rolling_upgrade("2.0", &UpgradePolicy::default())
             .unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Unavailable, "{err}");
         assert!(

@@ -13,11 +13,10 @@
 use std::fmt;
 
 use impliance_baselines::{ContentError, RdbmsError};
-use impliance_cluster::ClusterError;
+use impliance_cluster::{ClusterError, UpgradeError};
 use impliance_docmodel::DocError;
 use impliance_query::{DistError, ExecError};
 use impliance_storage::StorageError;
-use impliance_virt::UpgradeError;
 
 use crate::appliance::ApplianceError;
 

@@ -3,13 +3,10 @@
 //! §3.3: "the field of adaptive query processing has advanced
 //! significantly over the past six years, and we can borrow and extend
 //! some of the techniques to make query operators self-adaptable at
-//! runtime." Two techniques are implemented:
-//!
-//! * [`AdaptiveFilterChain`] — an eddy-flavored conjunctive filter that
-//!   continuously reorders its predicates by observed pass rate, so the
-//!   most selective predicate runs first without any optimizer statistics.
-//! * [`choose_build_side`] — a join-side decision made at runtime from
-//!   *actual* input cardinalities rather than estimates.
+//! runtime." [`AdaptiveFilterChain`] is an eddy-flavored conjunctive
+//! filter that continuously reorders its predicates by observed pass
+//! rate, so the most selective predicate runs first without any optimizer
+//! statistics.
 
 use impliance_storage::Predicate;
 
@@ -93,12 +90,6 @@ impl AdaptiveFilterChain {
     }
 }
 
-/// Decide hash-join build side from actual cardinalities at runtime.
-/// Returns `true` when the left side should build (left is smaller).
-pub fn choose_build_side(left_rows: usize, right_rows: usize) -> bool {
-    left_rows <= right_rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,12 +161,5 @@ mod tests {
     fn missing_alias_fails_closed() {
         let mut chain = AdaptiveFilterChain::new(preds(), 8);
         assert!(!chain.matches(&tuple(0), "nope"));
-    }
-
-    #[test]
-    fn build_side_choice() {
-        assert!(choose_build_side(10, 100));
-        assert!(!choose_build_side(100, 10));
-        assert!(choose_build_side(5, 5));
     }
 }

@@ -7,20 +7,16 @@
 //! talking to. [`ExecutionContext`] is the one bag of knobs both
 //! executors read; `QueryRequest` builds it, and the fields an executor
 //! does not use are simply ignored (the single-node path never retries).
-//! The policy types it carries — [`RetryPolicy`], [`FailoverPolicy`] —
-//! live here with it.
+//! [`RetryPolicy`] lives here with it; failover reads the cluster's
+//! [`Placement`].
 
-use std::collections::HashMap;
-use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
 use impliance_cluster::fault::splitmix64;
-use impliance_cluster::NodeId;
-use impliance_docmodel::DocId;
 
 use crate::batch::DEFAULT_BATCH_SIZE;
-use crate::dist::route_doc;
+use crate::placement::Placement;
 use crate::preempt::Priority;
 
 /// Bounded, seeded-jitter exponential backoff for transient failures.
@@ -69,71 +65,6 @@ impl RetryPolicy {
     }
 }
 
-/// Where to look for a failed node's data, and how to recognise it.
-///
-/// `candidates` maps each data node to the ordered list of nodes whose
-/// `replica` stores may hold copies of its documents; `owns` answers
-/// "does this document belong to that (failed) node?" so failover keeps
-/// only the dead node's rows out of a survivor's replica store.
-#[derive(Clone)]
-pub struct FailoverPolicy {
-    candidates: HashMap<NodeId, Vec<NodeId>>,
-    owns: Arc<dyn Fn(DocId, NodeId) -> bool + Send + Sync>,
-}
-
-impl FailoverPolicy {
-    /// Build from explicit parts (the appliance derives these from its
-    /// `StorageManager` placement ring).
-    pub fn new(
-        candidates: HashMap<NodeId, Vec<NodeId>>,
-        owns: Arc<dyn Fn(DocId, NodeId) -> bool + Send + Sync>,
-    ) -> FailoverPolicy {
-        FailoverPolicy { candidates, owns }
-    }
-
-    /// The dist-layer default: data nodes form a successor ring in id
-    /// order, ownership follows [`route_doc`], and every other node is a
-    /// failover candidate (nearest successor first) — matching the
-    /// replica placement of [`crate::dist::dist_put_replicated`]. Build it from the
-    /// node list that was current at *ingestion* time.
-    pub fn ring(data_nodes: &[NodeId]) -> FailoverPolicy {
-        let mut nodes = data_nodes.to_vec();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let mut candidates = HashMap::new();
-        for (i, &x) in nodes.iter().enumerate() {
-            let mut cands = Vec::with_capacity(nodes.len().saturating_sub(1));
-            for k in 1..nodes.len() {
-                cands.push(nodes[(i + k) % nodes.len()]);
-            }
-            candidates.insert(x, cands);
-        }
-        let ring = nodes;
-        let owns = Arc::new(move |id: DocId, node: NodeId| {
-            !ring.is_empty() && ring[route_doc(id, ring.len())] == node
-        });
-        FailoverPolicy { candidates, owns }
-    }
-
-    /// Failover candidates for `node`, best first.
-    pub fn candidates_for(&self, node: NodeId) -> &[NodeId] {
-        self.candidates.get(&node).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Whether `node` owns document `id`.
-    pub fn owns(&self, id: DocId, node: NodeId) -> bool {
-        (self.owns)(id, node)
-    }
-}
-
-impl fmt::Debug for FailoverPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FailoverPolicy")
-            .field("candidates", &self.candidates)
-            .finish()
-    }
-}
-
 /// Every knob a query execution can carry, for both the single-node
 /// pipeline ([`crate::exec::execute_plan_opts`]) and the distributed
 /// executor ([`crate::dist::execute`]).
@@ -155,9 +86,11 @@ pub struct ExecutionContext {
     pub worker_threads: usize,
     /// Retry policy for transient message loss (distributed path).
     pub retry: RetryPolicy,
-    /// Replica failover policy; `None` disables failover (a dead node
-    /// fails or degrades the query). Distributed path only.
-    pub failover: Option<FailoverPolicy>,
+    /// The placement the cluster's data was stored under: failover reads
+    /// a failed node's documents back from the replica stores it names.
+    /// `None` disables failover (a dead node fails or degrades the
+    /// query). Distributed path only.
+    pub failover: Option<Arc<Placement>>,
     /// When coverage cannot be completed (dead node without usable
     /// replicas, exhausted deadline): return a degraded partial result
     /// with an honest `CoverageReport` instead of an error. Distributed
@@ -203,12 +136,6 @@ impl ExecutionContext {
         self.worker_threads = workers.max(1);
         self
     }
-
-    /// Set the scheduling class, builder-style.
-    pub fn with_priority(mut self, priority: Priority) -> ExecutionContext {
-        self.priority = priority;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -242,22 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_policy_owns_and_candidates() {
-        let nodes = vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
-        let policy = FailoverPolicy::ring(&nodes);
-        assert_eq!(
-            policy.candidates_for(NodeId(1)),
-            &[NodeId(2), NodeId(3), NodeId(0)]
-        );
-        for id in 0..50u64 {
-            let owner = nodes[route_doc(DocId(id), nodes.len())];
-            for &n in &nodes {
-                assert_eq!(policy.owns(DocId(id), n), n == owner);
-            }
-        }
-    }
-
-    #[test]
     fn default_is_serial_and_unbounded() {
         let ctx = ExecutionContext::default();
         assert_eq!(ctx.batch_size, DEFAULT_BATCH_SIZE);
@@ -267,12 +178,6 @@ mod tests {
         assert!(ctx.failover.is_none());
         assert!(!ctx.degraded_ok);
         assert_eq!(ctx.priority, Priority::Normal);
-    }
-
-    #[test]
-    fn priority_builder_sets_class() {
-        let ctx = ExecutionContext::default().with_priority(Priority::High);
-        assert_eq!(ctx.priority, Priority::High);
     }
 
     #[test]

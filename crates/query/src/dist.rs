@@ -6,7 +6,7 @@
 //! group-wise aggregation, the results of which are sent to a set of
 //! cluster nodes to drive a set of updates."
 //!
-//! Data is hash-partitioned across data nodes (each owns a
+//! Data is spread across data nodes by one [`Placement`] (each node owns a
 //! [`StorageEngine`] and a shard of the text index). Nothing here
 //! interprets a plan: [`execute`] cuts it with the single box's
 //! [`crate::parallel::split`], and a *morsel* is what it is there — the
@@ -20,8 +20,8 @@
 //! §3.4 requires the appliance to "continue operating through component
 //! failures", so morsels are *resilient*: each retries transient message
 //! loss with seeded-jitter backoff ([`RetryPolicy`]); a node that fails
-//! terminally is recomputed from surviving nodes' replica stores
-//! ([`crate::context::FailoverPolicy`]), exactly-once for any plan; and a
+//! terminally is recomputed from the surviving replica stores its
+//! [`Placement`] names, exactly-once for any plan; and a
 //! deadline turns stragglers into a degraded partial result with an
 //! honest [`CoverageReport`] instead of an error. Observable through
 //! `dist.retries`, `dist.failovers`, `dist.deadline_exceeded`,
@@ -37,16 +37,17 @@ use std::time::Instant;
 use impliance_cluster::fault::splitmix64;
 use impliance_cluster::runtime::NodeCtx;
 use impliance_cluster::{ClusterError, ClusterRuntime, NodeId, NodeKind, TaskHandle};
-use impliance_docmodel::{DocId, Document};
+use impliance_docmodel::Document;
 use impliance_index::{InvertedIndex, JoinIndex, PathValueIndex};
 use impliance_obs::{catalog, Counter, Histogram};
-use impliance_storage::{codec, StorageEngine, StorageError};
+use impliance_storage::{codec, StorageEngine, StorageError, StorageOptions};
 
 use crate::batch::{index_build_tuples, Batch, JoinTable};
 use crate::clock;
 use crate::context::{ExecutionContext, RetryPolicy};
 use crate::exec::{ExecContext, ExecError, ExecMetrics, Morsel, QueryOutput, Scope};
 use crate::parallel::{merge_parts, run_segment, scoped_map, split, Merged, Part, Split};
+use crate::placement::Placement;
 use crate::plan::{LogicalPlan, SortKey};
 use crate::tuple::{Row, Tuple, PSEUDO_ID, PSEUDO_SCORE};
 
@@ -90,20 +91,25 @@ pub struct DataNodeState {
 }
 
 impl DataNodeState {
-    /// An empty replica store and an 8-shard text index beside `storage`.
-    pub fn new(storage: Arc<StorageEngine>) -> DataNodeState {
+    /// Empty primary and replica stores laid out by `opts` (so a promoted
+    /// replica behaves like the primary it replaces) and an 8-shard text
+    /// index.
+    pub fn new(opts: &StorageOptions) -> DataNodeState {
         DataNodeState {
-            storage,
-            replica: Arc::new(StorageEngine::with_defaults()),
+            storage: Arc::new(StorageEngine::new(opts.clone())),
+            replica: Arc::new(StorageEngine::new(opts.clone())),
             text_index: Arc::new(InvertedIndex::new(8)),
         }
     }
-}
 
-/// Route a document id to one of `n` data nodes (must match the routing
-/// used at ingestion so scans see every document exactly once).
-pub fn route_doc(id: DocId, n: usize) -> usize {
-    (id.0.wrapping_mul(0x9E3779B97F4A7C15) >> 33) as usize % n.max(1)
+    /// Where this node keeps a document whose placement lists it at
+    /// `rank`: the primary store for rank 0, the replica store otherwise.
+    pub fn store_for(&self, rank: usize) -> &Arc<StorageEngine> {
+        match rank {
+            0 => &self.storage,
+            _ => &self.replica,
+        }
+    }
 }
 
 /// Which partitions an execution actually covered. The contract for
@@ -624,14 +630,17 @@ impl Run<'_> {
     }
 
     /// Phase 3: recompute `failed` nodes' contributions from replicas.
-    /// Every surviving candidate runs the segment over its replica store
-    /// (once) and ships bound tuples; a failed node is recovered only if
-    /// *all* of its surviving candidates answered (its documents may be
-    /// spread across several holders). The coordinator keeps the tuples
-    /// whose base document the failed node owns — taken from the first
-    /// candidate that holds that document — and folds them exactly as a
-    /// morsel would have, so every plan, grouped aggregates included,
-    /// stays exactly-once.
+    /// Every surviving node of the placement runs the segment over its
+    /// replica store (once) and ships bound tuples; a failed node is
+    /// recovered only if *all* of them answered (its documents' replicas
+    /// are spread over the ring). The coordinator keeps a tuple whose base
+    /// document the failed node owns only from the first surviving node of
+    /// that document's placement, and folds it exactly as a morsel would
+    /// have, so every plan, grouped aggregates included, stays
+    /// exactly-once. Nothing is recovered once as many nodes have failed
+    /// as each document has copies: some document may then have lost
+    /// every copy, and only its id could say which, so the failed nodes
+    /// are reported uncovered rather than answered short.
     fn fail_over(
         &mut self,
         split: &Split<'_>,
@@ -642,19 +651,21 @@ impl Run<'_> {
         let mut recovered = HashMap::new();
         // Text shards index primary documents only: there is nothing to
         // read a failed node's hits back from.
-        let (LogicalPlan::Scan { alias, .. }, Some(policy)) = (split.base, &self.opts.failover)
+        let (LogicalPlan::Scan { alias, .. }, Some(placement)) = (split.base, &self.opts.failover)
         else {
             return Ok(recovered);
         };
+        if failed.len() >= placement.replication() {
+            return Ok(recovered);
+        }
+        let nodes = placement.nodes().iter().copied();
+        let survivors: Vec<NodeId> = nodes.filter(|n| !failed.contains(n)).collect();
         // candidate → its replica store's tuples, `None` when unusable
         let mut replicas: HashMap<NodeId, Option<Vec<Tuple>>> = HashMap::new();
-        // base document → the candidate its tuples are taken from
-        let mut holder: HashMap<DocId, NodeId> = HashMap::new();
         for &node in failed {
-            let survivors = policy.candidates_for(node).iter();
             let mut part = split.empty_part();
             let mut usable = 0;
-            for &cand in survivors.filter(|c| !failed.contains(c)) {
+            for &cand in &survivors {
                 if let Entry::Vacant(slot) = replicas.entry(cand) {
                     let (caller, retries) = (&self.caller, &mut self.out.retries);
                     let replica = || job.on(Unit::Replica);
@@ -679,9 +690,12 @@ impl Run<'_> {
                     usable = 0;
                     break;
                 };
-                let mut owned = |t: &&Tuple| {
+                let owned = |t: &&Tuple| {
                     t.bindings.get(alias).is_some_and(|d| {
-                        policy.owns(d.id(), node) && *holder.entry(d.id()).or_insert(cand) == cand
+                        placement.owner(d.id()) == Some(node) && {
+                            let nodes = placement.nodes_for(d.id());
+                            nodes.iter().find(|n| !failed.contains(n)) == Some(&cand)
+                        }
                     })
                 };
                 let kept = tuples.iter().filter(|t| owned(t)).cloned().collect();
@@ -704,9 +718,10 @@ impl Run<'_> {
 /// * Transient losses (dropped request, lost reply, dropped result)
 ///   retry per `opts.retry` with seeded-jitter backoff.
 /// * A node that fails terminally — dead, or its store unreadable — is
-///   recomputed from its failover candidates' replica stores when
-///   `opts.failover` is set (see [`Run::fail_over`]). Plans over an
-///   `IndexScan` base cannot fail over: text shards are not replicated.
+///   recomputed from the surviving replica stores when `opts.failover`
+///   names the placement the data was stored under (see
+///   [`Run::fail_over`]). Plans over an `IndexScan` base cannot fail
+///   over: text shards are not replicated.
 /// * When the deadline expires, unresolved morsels are abandoned and
 ///   reported in the coverage report.
 /// * Any uncovered partition makes the result degraded: returned as such
@@ -767,8 +782,9 @@ pub fn execute(
     Ok(out)
 }
 
-/// Store `doc` on `target` (its primary store and text shard, or its
-/// replica store). A put is idempotent under lost replies: when an
+/// Store `doc` on `target`, which its placement lists at `rank` (the
+/// primary store and text shard for rank 0, the replica store
+/// otherwise). A put is idempotent under lost replies: when an
 /// attempt landed and only its acknowledgement was dropped, the retry
 /// finds the very version it carries already stored — that
 /// `StaleVersion` *is* the acknowledgement (and re-indexing a version
@@ -778,7 +794,7 @@ fn put_on(
     target: NodeId,
     doc: &Document,
     size: u64,
-    replica: bool,
+    rank: usize,
 ) -> Result<(), DistError> {
     let attempts = Cell::new(0u32);
     Caller::plain(rt).call(target, size, target.0 as u64, &mut 0, None, || {
@@ -786,16 +802,12 @@ fn put_on(
         let retried = attempts.replace(attempts.get() + 1) > 0;
         move |ctx: &NodeCtx| {
             let state = data_state(ctx)?;
-            let engine = match replica {
-                true => &state.replica,
-                false => &state.storage,
-            };
-            match engine.put(&doc) {
+            match state.store_for(rank).put(&doc) {
                 Err(StorageError::StaleVersion { latest, attempted })
                     if retried && latest == attempted => {}
                 stored => stored.map_err(ExecError::Storage)?,
             }
-            if !replica {
+            if rank == 0 {
                 // the primary owner also maintains its text shard
                 state.text_index.index_document(&doc);
             }
@@ -804,62 +816,21 @@ fn put_on(
     })
 }
 
-/// Ingest a document onto the data nodes of `placement`: the first entry
-/// is the primary (the only copy queries scan and the only text shard
-/// that indexes it), the rest hold it in their `replica` stores, where
-/// failover finds it if the primary dies. Every copy retries transient
-/// message loss (see [`put_on`] for why that is safe). Returns the
-/// encoded size.
-pub fn dist_put_placed(
-    rt: &ClusterRuntime,
-    doc: &Document,
-    placement: &[NodeId],
-) -> Result<usize, DistError> {
-    if placement.is_empty() {
+/// Store `doc` on every node `placement` names for it: the primary first
+/// (the only copy queries scan and the only text shard that indexes it),
+/// then the replica stores, where failover and repair find it if the
+/// primary dies. Every copy retries transient message loss (see
+/// [`put_on`] for why that is safe).
+pub fn put(rt: &ClusterRuntime, placement: &Placement, doc: &Document) -> Result<(), DistError> {
+    let nodes = placement.nodes_for(doc.id());
+    if nodes.is_empty() {
         return Err(ClusterError::NoNodeOfKind("data").into());
     }
-    let size = codec::encode_document_vec(doc).len();
-    for (k, &node) in placement.iter().enumerate() {
-        put_on(rt, node, doc, size as u64, k > 0)?;
+    let size = codec::encode_document_vec(doc).len() as u64;
+    for (rank, &node) in nodes.iter().enumerate() {
+        put_on(rt, node, doc, size, rank)?;
     }
-    Ok(size)
-}
-
-/// [`dist_put_placed`] on the routed owner alone.
-pub fn dist_put(rt: &ClusterRuntime, doc: &Document) -> Result<usize, DistError> {
-    dist_put_replicated(rt, doc, 1)
-}
-
-/// [`dist_put_placed`] with `replication`-way redundancy on the dist layer's ring:
-/// the routed owner is the primary, its `replication − 1` ring
-/// successors the replica holders [`FailoverPolicy::ring`] looks at.
-pub fn dist_put_replicated(
-    rt: &ClusterRuntime,
-    doc: &Document,
-    replication: usize,
-) -> Result<usize, DistError> {
-    let data_nodes = rt.nodes_of_kind(NodeKind::Data);
-    let n = data_nodes.len();
-    let owner = route_doc(doc.id(), n);
-    let placement: Vec<NodeId> = (0..replication.max(1).min(n))
-        .map(|k| data_nodes[(owner + k) % n])
-        .collect();
-    dist_put_placed(rt, doc, &placement)
-}
-
-/// Fetch the latest version of a document from its owning data node.
-pub fn dist_get(rt: &ClusterRuntime, id: DocId) -> Result<Option<Document>, DistError> {
-    let data_nodes = rt.nodes_of_kind(NodeKind::Data);
-    if data_nodes.is_empty() {
-        return Err(ClusterError::NoNodeOfKind("data").into());
-    }
-    let target = data_nodes[route_doc(id, data_nodes.len())];
-    Caller::plain(rt).call(target, 16, target.0 as u64, &mut 0, None, || {
-        move |ctx: &NodeCtx| {
-            let found = data_state(ctx)?.storage.get_latest(id);
-            Ok(found.map_err(ExecError::Storage)?)
-        }
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -867,10 +838,9 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-    use crate::context::FailoverPolicy;
     use crate::plan::{AggItem, JoinAlgo};
     use impliance_cluster::{FaultSchedule, Network, NodeSpec};
-    use impliance_docmodel::{DocumentBuilder, SourceFormat, Value};
+    use impliance_docmodel::{DocId, DocumentBuilder, SourceFormat, Value};
     use impliance_storage::{AggFunc, Predicate, StorageOptions};
 
     fn boot(data_nodes: u32, grid_nodes: u32) -> ClusterRuntime {
@@ -883,16 +853,21 @@ mod tests {
         }
         specs.push(NodeSpec::new(200, NodeKind::Cluster));
         ClusterRuntime::boot(&specs, Arc::new(Network::new()), |spec| match spec.kind {
-            NodeKind::Data => Arc::new(DataNodeState::new(Arc::new(StorageEngine::new(
-                StorageOptions {
-                    partitions: 2,
-                    seal_threshold: 64,
-                    compression: true,
-                    encryption_key: None,
-                },
-            )))),
+            NodeKind::Data => Arc::new(DataNodeState::new(&OPTS)),
             _ => Arc::new(()),
         })
+    }
+
+    const OPTS: StorageOptions = StorageOptions {
+        partitions: 2,
+        seal_threshold: 64,
+        compression: true,
+        encryption_key: None,
+    };
+
+    /// The placement of `rt`'s data nodes with `replication` copies.
+    fn placed(rt: &ClusterRuntime, replication: usize) -> Placement {
+        Placement::new(&rt.nodes_of_kind(NodeKind::Data), replication)
     }
 
     fn order(i: u64) -> Document {
@@ -903,14 +878,16 @@ mod tests {
     }
 
     fn load(rt: &ClusterRuntime, n: u64) {
+        let placement = placed(rt, 1);
         for i in 0..n {
-            dist_put(rt, &order(i)).unwrap();
+            put(rt, &placement, &order(i)).unwrap();
         }
     }
 
     fn load_replicated(rt: &ClusterRuntime, n: u64) {
+        let placement = placed(rt, 2);
         for i in 0..n {
-            dist_put_replicated(rt, &order(i), 2).unwrap();
+            put(rt, &placement, &order(i)).unwrap();
         }
     }
 
@@ -961,19 +938,9 @@ mod tests {
         out.output.rows().iter().map(|r| r.render()).collect()
     }
 
-    fn ring(rt: &ClusterRuntime) -> Option<FailoverPolicy> {
-        Some(FailoverPolicy::ring(&rt.nodes_of_kind(NodeKind::Data)))
-    }
-
-    #[test]
-    fn put_and_get_route_consistently() {
-        let rt = boot(4, 2);
-        load(&rt, 50);
-        for i in [0u64, 13, 49] {
-            let d = dist_get(&rt, DocId(i)).unwrap().unwrap();
-            assert_eq!(d.id(), DocId(i));
-        }
-        assert!(dist_get(&rt, DocId(999)).unwrap().is_none());
+    /// The placement `load_replicated` stored under, for failover.
+    fn ring(rt: &ClusterRuntime) -> Option<Arc<Placement>> {
+        Some(Arc::new(placed(rt, 2)))
     }
 
     #[test]
@@ -1037,7 +1004,7 @@ mod tests {
                 .field("code", format!("C-{i}"))
                 .field("name", format!("Customer {i}"))
                 .build();
-            dist_put(&rt, &d).unwrap();
+            put(&rt, &placed(&rt, 1), &d).unwrap();
         }
         let plan = LogicalPlan::Project {
             input: Box::new(LogicalPlan::Join {
@@ -1126,7 +1093,7 @@ mod tests {
     fn replicated_put_places_copies_on_ring_successor() {
         let rt = boot(3, 1);
         load_replicated(&rt, 30);
-        // Every node's replica store holds its predecessor's documents.
+        // Each document's second node holds it in its replica store.
         let nodes = rt.nodes_of_kind(NodeKind::Data);
         let mut replica_total = 0usize;
         for &id in &nodes {
@@ -1148,19 +1115,20 @@ mod tests {
     }
 
     /// 30 % of the replies from the data nodes are dropped: on this seed
-    /// 55 of the 200 puts land and lose their first acknowledgement (none
-    /// loses all three attempts', which would be an honest `TaskLost`).
+    /// 52 of the 200 puts land and lose an acknowledgement (none loses
+    /// all three attempts', which would be an honest `TaskLost`).
     /// Every put must report `Ok`, and the store must hold each document
     /// exactly once.
     #[test]
     fn puts_whose_reply_is_lost_are_acknowledged_by_their_retry() {
         let rt = boot(2, 1);
-        let sched = Arc::new(FaultSchedule::new(0x96C8_DA19));
+        let sched = Arc::new(FaultSchedule::new(0x96C8_DA41));
         for &n in &rt.nodes_of_kind(NodeKind::Data) {
             sched.drop_link(n, COORDINATOR, 0.30);
         }
         rt.network().install_faults(sched);
-        let outcomes: Vec<_> = (0..200).map(|i| dist_put(&rt, &order(i))).collect();
+        let placement = placed(&rt, 1);
+        let outcomes: Vec<_> = (0..200).map(|i| put(&rt, &placement, &order(i))).collect();
         rt.network().clear_faults();
         let lost: Vec<_> = outcomes.iter().filter(|o| o.is_err()).collect();
         assert!(
@@ -1174,7 +1142,7 @@ mod tests {
             (0..200).collect::<Vec<u64>>()
         );
         // a genuinely stale write is still a typed conflict, not an ack
-        let err = dist_put(&rt, &order(7)).unwrap_err();
+        let err = put(&rt, &placement, &order(7)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1237,6 +1205,46 @@ mod tests {
         assert_eq!(out.coverage.partitions_failed_over, 2);
         assert_eq!(out.coverage.partitions_scanned, 6);
         assert!(out.coverage.is_complete());
+    }
+
+    /// Two copies per document and two dead nodes: some documents had
+    /// both copies on them, so the answer cannot be whole. Both nodes'
+    /// partitions are reported skipped (or the query fails typed) instead
+    /// of a complete-looking answer that is short.
+    #[test]
+    fn as_many_dead_nodes_as_copies_degrade_instead_of_answering_short() {
+        let rt = boot(4, 1);
+        load_replicated(&rt, 200);
+        let lenient = ExecutionContext {
+            failover: ring(&rt),
+            degraded_ok: true,
+            ..ExecutionContext::default()
+        };
+        let strict = ExecutionContext {
+            degraded_ok: false,
+            ..lenient.clone()
+        };
+        let sched = Arc::new(FaultSchedule::new(1));
+        sched.kill_after(NodeId(0), 0);
+        sched.kill_after(NodeId(1), 0);
+        rt.network().install_faults(sched);
+        let out = execute(&rt, &full(), &lenient).unwrap();
+        let strict = execute(&rt, &full(), &strict);
+        rt.network().clear_faults();
+        let err = match strict {
+            Ok(short) => panic!("{} of 200 rows answered as whole", short.output.len()),
+            Err(e) => e,
+        };
+        assert!(out.degraded && out.output.len() < 200, "{:?}", out.coverage);
+        assert_eq!(out.coverage.partitions_skipped(), 4);
+        assert_eq!(out.coverage.partitions_failed_over, 0);
+        assert!(
+            matches!(
+                err,
+                DistError::Cluster(ClusterError::NodeDown(_) | ClusterError::TaskLost)
+            ),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -1328,20 +1336,15 @@ mod tests {
     #[test]
     fn morsels_of_a_node_read_the_epoch_its_probe_pinned() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        let storage = Arc::new(StorageEngine::new(StorageOptions {
-            partitions: 2,
-            seal_threshold: 64,
-            compression: true,
-            encryption_key: None,
-        }));
+        let state = Arc::new(DataNodeState::new(&OPTS));
+        let storage = Arc::clone(&state.storage);
         let specs = [
             NodeSpec::new(0, NodeKind::Data),
             NodeSpec::new(100, NodeKind::Grid),
         ];
-        let node_storage = Arc::clone(&storage);
         let rt = ClusterRuntime::boot(&specs, Arc::new(Network::new()), move |spec| {
             match spec.kind {
-                NodeKind::Data => Arc::new(DataNodeState::new(Arc::clone(&node_storage))),
+                NodeKind::Data => Arc::clone(&state) as Arc<dyn std::any::Any + Send + Sync>,
                 _ => Arc::new(()),
             }
         });
@@ -1396,7 +1399,7 @@ mod tests {
 mod search_tests {
     use super::*;
     use impliance_cluster::{Network, NodeSpec};
-    use impliance_docmodel::{DocumentBuilder, SourceFormat, Value};
+    use impliance_docmodel::{DocId, DocumentBuilder, SourceFormat, Value};
     use impliance_storage::StorageOptions;
 
     fn boot(data_nodes: u32) -> ClusterRuntime {
@@ -1404,35 +1407,25 @@ mod search_tests {
             .map(|i| NodeSpec::new(i, NodeKind::Data))
             .collect();
         specs.push(NodeSpec::new(100, NodeKind::Grid));
+        let opts = StorageOptions {
+            partitions: 2,
+            seal_threshold: 64,
+            compression: true,
+            encryption_key: None,
+        };
         ClusterRuntime::boot(&specs, Arc::new(Network::new()), |spec| match spec.kind {
-            NodeKind::Data => Arc::new(DataNodeState::new(Arc::new(StorageEngine::new(
-                StorageOptions {
-                    partitions: 2,
-                    seal_threshold: 64,
-                    compression: true,
-                    encryption_key: None,
-                },
-            )))),
+            NodeKind::Data => Arc::new(DataNodeState::new(&opts)),
             _ => Arc::new(()),
         })
     }
 
+    /// Store a text document on its primary, which indexes it in its shard.
     fn put_and_index(rt: &ClusterRuntime, id: u64, text: &str) {
         let d = DocumentBuilder::new(DocId(id), SourceFormat::Text, "t")
             .field("body", text)
             .build();
-        let n = rt.nodes_of_kind(NodeKind::Data);
-        let target = n[route_doc(d.id(), n.len())];
-        let doc = d.clone();
-        let submitted = rt.submit_to(target, 0, move |ctx| {
-            let state = ctx.state.downcast_ref::<DataNodeState>().unwrap();
-            state.storage.put(&doc).unwrap();
-            state.text_index.index_document(&doc);
-        });
-        let Ok(handle) = submitted else {
-            panic!("submit put_and_index");
-        };
-        handle.join().unwrap();
+        let placement = Placement::new(&rt.nodes_of_kind(NodeKind::Data), 1);
+        put(rt, &placement, &d).unwrap();
     }
 
     /// A keyword search as the appliance builds it: a scored index scan

@@ -22,8 +22,8 @@
 //! * [`simple`] — the **simple planner**: a handful of fixed rules, no
 //!   statistics, biased toward index use and top-k friendliness.
 //! * [`adaptive`] — runtime adaptation (selectivity-ordered predicate
-//!   chains, join side swapping), borrowing from the adaptive query
-//!   processing literature the paper cites.
+//!   chains), borrowing from the adaptive query processing literature the
+//!   paper cites.
 //! * [`sql`] — a mini-SQL surface ("Traditional structured query languages
 //!   such as SQL … can be mapped to this new query interface").
 //! * [`exec`] — the single-node executor: `compile`, the only lowering
@@ -36,10 +36,13 @@
 //!   compiled and drained on the data node that owns it, the global merge
 //!   on a grid node, updates via cluster nodes (Figure 3's example query
 //!   flow); retry, replica failover and deadlines wrap morsels.
+//! * [`placement`] — the one answer to "where does a document live": a
+//!   consistent-hash ring and a replication factor, read by ingest,
+//!   failover and repair alike.
 //! * [`context`] — the unified [`ExecutionContext`] carrying every
 //!   execution knob (batch size, limit, deadline, worker threads, retry
-//!   and failover policies) across the local, parallel, and distributed
-//!   paths.
+//!   policy, failover placement) across the local, parallel, and
+//!   distributed paths.
 //! * [`clock`] — the injectable clocks: the backoff sleeper (retry
 //!   pacing) and the [`clock::TimeSource`] logical clock that workload
 //!   management reads, so tests and benchmarks never burn wall time.
@@ -60,6 +63,7 @@ pub mod context;
 pub mod dist;
 pub mod exec;
 pub mod parallel;
+pub mod placement;
 pub mod plan;
 pub mod preempt;
 pub mod searchapi;
@@ -69,9 +73,10 @@ pub mod tuple;
 
 pub use batch::{Batch, Operator, DEFAULT_BATCH_SIZE};
 pub use clock::{BackoffClock, ManualTime, RealClock, RealTime, TimeSource};
-pub use context::{ExecutionContext, FailoverPolicy, RetryPolicy};
+pub use context::{ExecutionContext, RetryPolicy};
 pub use dist::{CoverageReport, DistError, DistOutput};
 pub use exec::{execute_plan, execute_plan_opts, ExecContext, ExecError, ExecMetrics, QueryOutput};
+pub use placement::Placement;
 pub use plan::{AggItem, JoinAlgo, LogicalPlan, SortKey};
 pub use preempt::{PreemptGuard, Priority};
 pub use searchapi::{keyword_candidates, keyword_candidates_any};

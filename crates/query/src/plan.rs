@@ -163,20 +163,6 @@ pub enum LogicalPlan {
 }
 
 impl LogicalPlan {
-    /// Number of nodes in the plan tree (diagnostics, planner tests).
-    pub fn node_count(&self) -> usize {
-        1 + match self {
-            LogicalPlan::Filter { input, .. }
-            | LogicalPlan::GroupAgg { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Fusion { input, .. }
-            | LogicalPlan::Limit { input, .. } => input.node_count(),
-            LogicalPlan::Join { left, right, .. } => left.node_count() + right.node_count(),
-            _ => 0,
-        }
-    }
-
     /// The plan under a request-level limit: a pipeline `Limit` at the
     /// root, so it benefits from early termination and the top-K sort
     /// fast path. Borrowed unchanged when there is no limit.
@@ -266,7 +252,7 @@ mod tests {
     }
 
     #[test]
-    fn node_count_and_describe() {
+    fn describe_and_has_limit() {
         let plan = LogicalPlan::Limit {
             input: Box::new(LogicalPlan::Join {
                 left: Box::new(scan("a")),
@@ -277,7 +263,6 @@ mod tests {
             }),
             n: 10,
         };
-        assert_eq!(plan.node_count(), 4);
         assert_eq!(plan.describe(), "limit10(hashjoin(scan(a),scan(b)))");
         assert!(plan.has_limit());
     }
@@ -311,7 +296,6 @@ mod tests {
         };
         assert!(fused.has_limit());
         assert_eq!(fused.describe(), "fuse3(search('q'))");
-        assert_eq!(fused.node_count(), 2);
     }
 
     #[test]

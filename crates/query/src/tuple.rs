@@ -74,15 +74,6 @@ impl Tuple {
             .cloned()
             .unwrap_or(Value::Null)
     }
-
-    /// The single bound document, for single-alias pipelines.
-    pub fn sole(&self) -> Option<&Arc<Document>> {
-        if self.bindings.len() == 1 {
-            self.bindings.values().next()
-        } else {
-            None
-        }
-    }
 }
 
 /// A final result row of named scalar values.
@@ -140,14 +131,6 @@ mod tests {
         assert_eq!(j.key("b", "x"), Value::Int(2));
         assert_eq!(j.key("c", "x"), Value::Null);
         assert_eq!(j.key("a", "missing"), Value::Null);
-    }
-
-    #[test]
-    fn sole_only_for_single_binding() {
-        let t1 = Tuple::single("a", doc(1));
-        assert!(t1.sole().is_some());
-        let j = t1.join(&Tuple::single("b", doc(2)));
-        assert!(j.sole().is_none());
     }
 
     #[test]

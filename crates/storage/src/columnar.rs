@@ -432,7 +432,6 @@ impl CmpOp {
 /// Accumulates one document at a time into typed columns.
 pub struct ColumnPageBuilder {
     paths: Vec<String>,
-    index: HashMap<String, usize>,
     docs: Vec<Arc<Document>>,
     staged: Vec<StagedColumn>,
 }
@@ -447,11 +446,9 @@ impl ColumnPageBuilder {
     /// A builder for the given structural paths (duplicates collapse to
     /// one column).
     pub fn new(paths: &[String]) -> ColumnPageBuilder {
-        let mut index = HashMap::new();
-        let mut unique = Vec::new();
+        let mut unique: Vec<String> = Vec::with_capacity(paths.len());
         for p in paths {
-            if !index.contains_key(p) {
-                index.insert(p.clone(), unique.len());
+            if !unique.contains(p) {
                 unique.push(p.clone());
             }
         }
@@ -465,7 +462,6 @@ impl ColumnPageBuilder {
             .collect();
         ColumnPageBuilder {
             paths: unique,
-            index,
             docs: Vec::new(),
             staged,
         }
@@ -481,24 +477,16 @@ impl ColumnPageBuilder {
         self.docs.is_empty()
     }
 
-    /// Append one document: a single `leaves()` walk fills the first-leaf
-    /// slot of every requested column.
+    /// Append one document: each column's slot takes the first leaf at its
+    /// path (`Node::values_at`, in `leaves()` order), and a second leaf
+    /// there marks the column multi-leaf.
     pub fn push(&mut self, doc: Arc<Document>) {
-        for col in &mut self.staged {
-            col.values.push(Value::Null);
-            col.validity.push(false);
-        }
-        let row = self.docs.len();
-        for (path, value) in doc.leaves() {
-            if let Some(&ci) = self.index.get(path.structural_form().as_str()) {
-                let col = &mut self.staged[ci];
-                if col.validity[row] {
-                    col.multi_leaf = true;
-                } else {
-                    col.validity[row] = true;
-                    col.values[row] = value.clone();
-                }
-            }
+        for (path, col) in self.paths.iter().zip(&mut self.staged) {
+            let mut values = doc.root().values_at(path);
+            let first = values.next();
+            col.validity.push(first.is_some());
+            col.values.push(first.cloned().unwrap_or(Value::Null));
+            col.multi_leaf |= values.next().is_some();
         }
         self.docs.push(doc);
     }

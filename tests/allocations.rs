@@ -66,12 +66,12 @@ const DOCS: u64 = 800;
 const PINS: [(&str, bool, usize, u64); 16] = [
     ("filter_project", false, 64, 53_836),
     ("filter_project", false, 1024, 53_742),
-    ("filter_project", true, 64, 59_867),
-    ("filter_project", true, 1024, 59_490),
+    ("filter_project", true, 64, 52_633),
+    ("filter_project", true, 1024, 52_280),
     ("group_agg", false, 64, 53_063),
     ("group_agg", false, 1024, 52_983),
-    ("group_agg", true, 64, 59_124),
-    ("group_agg", true, 1024, 58_748),
+    ("group_agg", true, 64, 51_873),
+    ("group_agg", true, 1024, 51_533),
     ("hash_join", false, 64, 109_316),
     ("hash_join", false, 1024, 109_112),
     ("hash_join", true, 64, 109_316),

@@ -18,9 +18,9 @@ use impliance::cluster::{
 use impliance::core::{ApplianceConfig, Impliance, Input, NoFaults, QueryRequest, Stage};
 use impliance::docmodel::{DocId, DocumentBuilder, SourceFormat};
 use impliance::query::clock::{self, BackoffClock, ManualTime};
-use impliance::query::dist::{self, dist_put_replicated, DataNodeState, DistError, DistOutput};
-use impliance::query::{ExecutionContext, FailoverPolicy, LogicalPlan, Priority, RetryPolicy};
-use impliance::storage::{ScanRequest, StorageEngine, StorageOptions, Visible};
+use impliance::query::dist::{self, DataNodeState, DistError, DistOutput};
+use impliance::query::{ExecutionContext, LogicalPlan, Placement, Priority, RetryPolicy};
+use impliance::storage::{ScanRequest, StorageOptions, Visible};
 use impliance::virt::{Admission, TenantId, TenantQuota, WorkloadConfig, WorkloadManager};
 
 const DATA_NODES: u32 = 4;
@@ -42,31 +42,33 @@ fn boot(partitions: usize) -> ClusterRuntime {
         .map(|i| NodeSpec::new(i, NodeKind::Data))
         .collect();
     specs.push(NodeSpec::new(100, NodeKind::Grid));
+    let opts = StorageOptions {
+        partitions,
+        seal_threshold: 32,
+        compression: true,
+        encryption_key: None,
+    };
     ClusterRuntime::boot(&specs, Arc::new(Network::new()), move |spec| {
         match spec.kind {
-            NodeKind::Data => Arc::new(DataNodeState::new(Arc::new(StorageEngine::new(
-                StorageOptions {
-                    partitions,
-                    seal_threshold: 32,
-                    compression: true,
-                    encryption_key: None,
-                },
-            )))),
+            NodeKind::Data => Arc::new(DataNodeState::new(&opts)),
             _ => Arc::new(()),
         }
     })
 }
 
+/// Two copies of every document on the cluster's ring: the placement
+/// `ingest` stores under and failover reads back from.
+fn placement(rt: &ClusterRuntime) -> Arc<Placement> {
+    Arc::new(Placement::new(&rt.nodes_of_kind(NodeKind::Data), 2))
+}
+
 fn ingest(rt: &ClusterRuntime, docs: u64) {
+    let placement = placement(rt);
     for i in 0..docs {
-        dist_put_replicated(
-            rt,
-            &DocumentBuilder::new(DocId(i), SourceFormat::Json, "c")
-                .field("amount", (i % 100) as i64)
-                .build(),
-            2,
-        )
-        .expect("replicated ingest on a healthy cluster");
+        let doc = DocumentBuilder::new(DocId(i), SourceFormat::Json, "c")
+            .field("amount", (i % 100) as i64)
+            .build();
+        dist::put(rt, &placement, &doc).expect("replicated ingest on a healthy cluster");
     }
 }
 
@@ -98,7 +100,7 @@ fn killed_node_with_drops_returns_fault_free_row_set() {
 
     let plan = full_scan();
     let opts = ExecutionContext {
-        failover: Some(FailoverPolicy::ring(&rt.nodes_of_kind(NodeKind::Data))),
+        failover: Some(placement(&rt)),
         ..ExecutionContext::with_batch_size(8)
     };
     let baseline = dist::execute(&rt, &plan, &opts).expect("fault-free scan");
@@ -148,7 +150,7 @@ fn pooled_resilient_scan_returns_fault_free_row_set_under_faults() {
             max_attempts: 8,
             ..RetryPolicy::default()
         },
-        failover: Some(FailoverPolicy::ring(&rt.nodes_of_kind(NodeKind::Data))),
+        failover: Some(placement(&rt)),
         ..ExecutionContext::default()
     }
     .parallelism(4);
@@ -192,7 +194,7 @@ fn coverage_report_accounting_is_exact_under_kill() {
 
     let opts = ExecutionContext {
         batch_size: 4,
-        failover: Some(FailoverPolicy::ring(&rt.nodes_of_kind(NodeKind::Data))),
+        failover: Some(placement(&rt)),
         degraded_ok: true,
         ..ExecutionContext::default()
     };
@@ -279,7 +281,7 @@ fn overloaded_cluster_with_kill_and_drops_answers_typed_or_degraded() {
             max_attempts: 8,
             ..RetryPolicy::default()
         },
-        failover: Some(FailoverPolicy::ring(&data_nodes)),
+        failover: Some(placement(&rt)),
         degraded_ok: true,
         ..ExecutionContext::default()
     };
@@ -485,7 +487,7 @@ proptest! {
         let opts = ExecutionContext {
             batch_size: 4,
             retry: RetryPolicy { max_attempts: 8, ..RetryPolicy::default() },
-            failover: Some(FailoverPolicy::ring(&rt.nodes_of_kind(NodeKind::Data))),
+            failover: Some(placement(&rt)),
             ..ExecutionContext::default()
         };
         let baseline = dist::execute(&rt, &plan, &opts).expect("fault-free scan");

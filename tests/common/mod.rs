@@ -11,10 +11,10 @@ use std::sync::Arc;
 use impliance::cluster::{ClusterRuntime, FaultSchedule, Network, NodeId, NodeKind, NodeSpec};
 use impliance::docmodel::{Document, Node};
 use impliance::index::{InvertedIndex, JoinIndex, PathValueIndex};
-use impliance::query::dist::{self, dist_put_replicated, route_doc, DataNodeState, DistOutput};
+use impliance::query::dist::{self, DataNodeState, DistOutput};
 use impliance::query::{
-    execute_plan_opts, AggItem, ExecContext, ExecMetrics, ExecutionContext, FailoverPolicy,
-    JoinAlgo, LogicalPlan, QueryOutput, RetryPolicy, SortKey,
+    execute_plan_opts, AggItem, ExecContext, ExecMetrics, ExecutionContext, JoinAlgo, LogicalPlan,
+    Placement, QueryOutput, RetryPolicy, SortKey,
 };
 use impliance::storage::{AggFunc, Predicate, StorageEngine, StorageOptions};
 
@@ -213,11 +213,11 @@ pub enum Faults {
 }
 
 /// Run `plan` on a fresh simulated cluster of `data_nodes` data nodes
-/// (three partitions each, one grid node) loaded with `corpus` — primary
-/// copies routed by `dist_put_replicated(.., 2)`, so every document also
-/// sits in its ring successor's replica store, and indexed in the owner's
-/// text shard. The run retries up to 8 times and fails over along the
-/// ring; it must come back complete.
+/// (three partitions each, one grid node) loaded with `corpus` through
+/// `dist::put` on a two-copy `Placement`, so every document sits in its
+/// primary's store and text shard and in the next ring node's replica
+/// store. The run retries up to 8 times and fails over through the same
+/// placement; it must come back complete.
 pub fn run_cluster(
     data_nodes: u32,
     corpus: &[Document],
@@ -236,29 +236,21 @@ pub fn run_cluster(
         .map(|i| NodeSpec::new(i, NodeKind::Data))
         .collect();
     specs.push(NodeSpec::new(100, NodeKind::Grid));
-    let mut states: Vec<Arc<DataNodeState>> = Vec::new();
+    let opts = StorageOptions {
+        partitions: 3,
+        seal_threshold: 8,
+        compression: true,
+        encryption_key: None,
+    };
     let rt = ClusterRuntime::boot(&specs, Arc::new(Network::new()), |spec| match spec.kind {
-        NodeKind::Data => {
-            let state = Arc::new(DataNodeState::new(Arc::new(StorageEngine::new(
-                StorageOptions {
-                    partitions: 3,
-                    seal_threshold: 8,
-                    compression: true,
-                    encryption_key: None,
-                },
-            ))));
-            states.push(Arc::clone(&state));
-            state
-        }
+        NodeKind::Data => Arc::new(DataNodeState::new(&opts)),
         _ => Arc::new(()),
     });
-    for doc in corpus {
-        dist_put_replicated(&rt, doc, 2).expect("replicated ingest on a healthy cluster");
-        states[route_doc(doc.id(), states.len())]
-            .text_index
-            .index_document(doc);
-    }
     let nodes = rt.nodes_of_kind(NodeKind::Data);
+    let placement = Arc::new(Placement::new(&nodes, 2));
+    for doc in corpus {
+        dist::put(&rt, &placement, doc).expect("replicated ingest on a healthy cluster");
+    }
     if let Faults::KillAndDrops { seed, kill_after } = faults {
         let victim = nodes[(seed % nodes.len() as u64) as usize];
         let coord = NodeId(u32::MAX);
@@ -274,7 +266,7 @@ pub fn run_cluster(
             max_attempts: 8,
             ..RetryPolicy::default()
         },
-        failover: Some(FailoverPolicy::ring(&nodes)),
+        failover: Some(placement),
         ..ExecutionContext::with_batch_size(4)
     };
     let out = dist::execute(&rt, plan, &opts).expect("the cluster answers");
