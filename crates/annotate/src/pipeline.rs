@@ -350,7 +350,6 @@ mod tests {
         let v1 = doc(1, "Grace Hopper is happy");
         let v2 = v1.new_version(Node::map([("body".into(), Node::scalar("n/a"))]), 1);
         let rig = Rig::with(&[v1, v2]);
-        rig.engine.set_version_gc(true);
         assert_eq!(rig.engine.run_gc(), 1, "version 1 is reclaimed");
         // The first record fetches nothing at its epoch; its successor's
         // record covers the document.

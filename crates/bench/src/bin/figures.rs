@@ -85,7 +85,7 @@ fn main() {
 
 fn obs_snapshot() {
     let snap = impliance_obs::global().snapshot();
-    println!("\n=== observability snapshot (metrics registry + trace rings) ===");
+    println!("\n=== observability snapshot (metrics registry) ===");
     println!("{}", snap.to_json().pretty());
 }
 
@@ -918,27 +918,37 @@ fn c3_async_indexing() {
             "drain time",
         ],
     );
+    let mut top10 = Vec::new();
     for sync in [false, true] {
-        let imp = Impliance::boot(ApplianceConfig {
-            synchronous_indexing: sync,
-            ..ApplianceConfig::default()
-        });
+        let imp = Impliance::boot(ApplianceConfig::default());
         let mut corpus = Corpus::new(8);
         let docs: Vec<String> = (0..N).map(|_| corpus.transcript()).collect();
         let t0 = Instant::now();
         for d in &docs {
             imp.ingest(Input::Text("transcripts", d)).unwrap();
+            // index in the ingest operation: drain the feed inline
+            if sync {
+                imp.maintain(Stage::Index, None, &NoFaults);
+            }
         }
         let ingest = t0.elapsed();
         let backlog = imp.status().index_backlog;
+        assert_eq!(backlog == 0, sync, "only the synchronous row is caught up");
         let t1 = Instant::now();
         imp.maintain(Stage::Index, None, &NoFaults);
         let drain = t1.elapsed();
-        // answers identical either way
         let keyword = QueryRequest::builder("")
             .match_text("*", "transcript")
             .top_k(10);
-        assert!(!imp.query(keyword.build()).unwrap().is_empty());
+        let ids: Vec<DocId> = imp
+            .query(keyword.build())
+            .unwrap()
+            .hits()
+            .iter()
+            .map(|h| h.id)
+            .collect();
+        assert!(!ids.is_empty());
+        top10.push(ids);
         t.row(&[
             if sync { "synchronous" } else { "asynchronous" }.into(),
             fmt_duration(ingest),
@@ -947,6 +957,7 @@ fn c3_async_indexing() {
             fmt_duration(drain),
         ]);
     }
+    assert_eq!(top10[0], top10[1], "answers identical either way");
     t.print();
 }
 

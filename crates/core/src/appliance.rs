@@ -43,11 +43,8 @@ use crate::query_api::{cut_short, AdmissionOutcome, QueryRequest, QueryResponse}
 const RESOLUTION_THRESHOLD: f64 = 0.93;
 
 /// The query door's counters in the workspace metrics registry:
-/// plan-cache hits/misses, and snapshots pinned per query vs. named by
-/// the request (`at_epoch`).
+/// snapshots pinned per query vs. named by the request (`at_epoch`).
 struct QueryObs {
-    plan_cache_hits: Arc<Counter>,
-    plan_cache_misses: Arc<Counter>,
     snapshot_pinned: Arc<Counter>,
     snapshot_explicit: Arc<Counter>,
 }
@@ -57,8 +54,6 @@ fn query_obs() -> &'static QueryObs {
     OBS.get_or_init(|| {
         let m = impliance_obs::global().metrics();
         QueryObs {
-            plan_cache_hits: m.counter(&catalog::QUERY_PLAN_CACHE_HITS),
-            plan_cache_misses: m.counter(&catalog::QUERY_PLAN_CACHE_MISSES),
             snapshot_pinned: m.counter(&catalog::QUERY_SNAPSHOT_PINNED),
             snapshot_explicit: m.counter(&catalog::QUERY_SNAPSHOT_EXPLICIT),
         }
@@ -157,14 +152,6 @@ pub struct Impliance {
     clock_ms: AtomicI64,
     ledger: AdminLedger,
     planner: SimplePlanner,
-    /// Tenant → (statement → planned query). The simple planner is
-    /// deterministic and statistics-free (§3.3), so a cached plan never
-    /// goes stale. Each tenant gets its own bounded partition
-    /// (`ApplianceConfig::plan_cache_per_tenant`), so one tenant's
-    /// statement churn cannot evict another tenant's hot plans.
-    plan_cache: TrackedMutex<
-        std::collections::BTreeMap<u64, std::collections::BTreeMap<String, LogicalPlan>>,
-    >,
     /// Multi-tenant admission control and overload policy.
     workload: WorkloadManager,
     /// True once any non-permissive workload policy is in effect (set at
@@ -233,7 +220,6 @@ impl Impliance {
             clock_ms: AtomicI64::new(1_168_000_000_000), // Jan 2007, the paper's era
             ledger: AdminLedger::new(),
             planner: SimplePlanner::new(),
-            plan_cache: TrackedMutex::new("core.plan_cache", std::collections::BTreeMap::new()),
             workload,
             workload_managed,
         }
@@ -288,10 +274,7 @@ impl Impliance {
         // No explicit enqueue for either background phase: the commit
         // above entered the storage change feed, which both the index
         // maintainer and the discovery worker consume at their own
-        // checkpoints. Synchronous indexing just drains the feed inline.
-        if self.config.synchronous_indexing {
-            self.maintain(Stage::Index, None, &NoFaults);
-        }
+        // checkpoints (`maintain`).
         Ok(id)
     }
 
@@ -413,21 +396,18 @@ impl Impliance {
 
     /// The unified query entry point: SQL, keyword search (a match
     /// clause with an empty statement, see [`QueryResponse::hits`]) and
-    /// their hybrids. Plan (or reuse a cached plan), execute under a
-    /// tracing span, and return the full [`QueryResponse`] — output,
-    /// metrics, chosen plan, span id, and cache disposition.
+    /// their hybrids. Admit, plan and run, and return the full
+    /// [`QueryResponse`]: output, metrics, the plan run and the epochs
+    /// the answer reflects.
     pub fn query(&self, req: QueryRequest) -> Result<QueryResponse, Error> {
-        let obs = impliance_obs::global();
-        let span = impliance_obs::span!(obs, "query", "appliance.query");
         let read = self.admit(&req)?;
-        let (plan, plan_cache_hit) = self.plan_for(&req)?;
+        let plan = self.planner.plan(req.build_plan()?);
         let (output, metrics) = read.run(&plan)?;
         Ok(QueryResponse {
             output,
             metrics,
             plan,
-            span_id: span.id(),
-            plan_cache_hit,
+            plan_cache_hit: false,
             degraded: metrics.deadline_exceeded,
             snapshot_epoch: read.snapshot_epoch,
             annotation_epoch: read.annotation_epoch,
@@ -524,44 +504,6 @@ impl Impliance {
     pub fn set_tenant_quota(&self, tenant: u64, quota: TenantQuota) {
         self.workload_managed.store(true, Ordering::Relaxed);
         self.workload.set_quota(TenantId(tenant), quota);
-    }
-
-    /// Resolve a request to a physical plan, consulting the requesting
-    /// tenant's plan-cache partition when the request allows it. Each
-    /// partition is bounded (`ApplianceConfig::plan_cache_per_tenant`)
-    /// with deterministic eviction, so a tenant cycling through unique
-    /// statements can neither grow the cache without bound nor evict any
-    /// other tenant's plans.
-    fn plan_for(&self, req: &QueryRequest) -> Result<(LogicalPlan, bool), Error> {
-        let tenant = req.tenant().0;
-        // The cache key embeds the match clause, top-k, and fusion spec:
-        // they change the physical plan, not just its parameters.
-        let key = req.cache_key();
-        if req.plan_cache_enabled() {
-            if let Some(plan) = self
-                .plan_cache
-                .lock()
-                .get(&tenant)
-                .and_then(|p| p.get(&key))
-                .cloned()
-            {
-                query_obs().plan_cache_hits.inc();
-                return Ok((plan, true));
-            }
-            query_obs().plan_cache_misses.inc();
-        }
-        let logical = req.build_plan()?;
-        let plan = self.planner.plan(logical);
-        if req.plan_cache_enabled() {
-            let cap = self.config.plan_cache_per_tenant.max(1);
-            let mut cache = self.plan_cache.lock();
-            let partition = cache.entry(tenant).or_default();
-            while partition.len() >= cap {
-                partition.pop_first();
-            }
-            partition.insert(key, plan.clone());
-        }
-        Ok((plan, false))
     }
 
     /// SQL over anything ingested (including annotation collections).
@@ -869,17 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn synchronous_indexing_option() {
-        let imp = Impliance::boot(ApplianceConfig {
-            synchronous_indexing: true,
-            ..ApplianceConfig::default()
-        });
-        put(&imp, Input::Text("notes", "immediate findability"));
-        assert_eq!(search(&imp, "findability", 10).len(), 1);
-        assert_eq!(imp.status().index_backlog, 0);
-    }
-
-    #[test]
     fn discovery_produces_annotations_views_and_edges() {
         let imp = boot();
         let a = put(
@@ -1162,7 +1093,6 @@ mod hybrid_search_tests {
             QueryRequest::builder("")
                 .match_text("*", "zanzibar")
                 .top_k(5)
-                .plan_cache(false)
                 .build()
         };
         let resp = imp.query(req()).unwrap();
@@ -1174,6 +1104,7 @@ mod hybrid_search_tests {
             resp.snapshot_epoch
         );
         imp.maintain(Stage::Index, None, &NoFaults);
+        assert_eq!(imp.status().index_backlog, 0);
         let resp = imp.query(req()).unwrap();
         assert_eq!(resp.rows().len(), 1);
         assert!(resp.index_epoch >= 1);
@@ -1229,25 +1160,6 @@ mod hybrid_search_tests {
             )
             .expect_err("bad SQL under a match clause still errors");
         assert!(!err.message().is_empty());
-    }
-
-    #[test]
-    fn plan_cache_distinguishes_match_variants() {
-        let imp = seeded();
-        let base = || QueryRequest::builder("SELECT amount FROM claims");
-        assert!(!imp.query(base().build()).unwrap().plan_cache_hit);
-        assert!(imp.query(base().build()).unwrap().plan_cache_hit);
-        // same statement + a match clause must miss (different plan)
-        let matched = imp
-            .query(base().match_text("*", "bumper damage").build())
-            .unwrap();
-        assert!(!matched.plan_cache_hit);
-        // …and hit on repeat
-        assert!(
-            imp.query(base().match_text("*", "bumper damage").build())
-                .unwrap()
-                .plan_cache_hit
-        );
     }
 }
 
@@ -1396,32 +1308,6 @@ mod workload_tests {
         .map(|r| r.map_err(|e| e.kind()));
         assert_eq!(kinds, [Err(ErrorKind::Overloaded); 4]);
         assert!(log.records().is_empty(), "a cut read is not an access");
-    }
-
-    #[test]
-    fn plan_cache_partitions_are_per_tenant() {
-        let imp = Impliance::boot(ApplianceConfig {
-            plan_cache_per_tenant: 2,
-            ..ApplianceConfig::default()
-        });
-        seeded(&imp);
-        let q = |tenant: u64, stmt: &str| {
-            imp.query(QueryRequest::builder(stmt).tenant(tenant).build())
-                .unwrap()
-        };
-        // tenant 1 warms a plan…
-        assert!(!q(1, "SELECT id FROM orders").plan_cache_hit);
-        assert!(q(1, "SELECT id FROM orders").plan_cache_hit);
-        // …tenant 2 has its own cold partition for the same statement
-        assert!(!q(2, "SELECT id FROM orders").plan_cache_hit);
-        // tenant 2 churning unique statements evicts only its own plans
-        q(2, "SELECT total FROM orders");
-        q(2, "SELECT id, total FROM orders");
-        q(2, "SELECT total, id FROM orders");
-        assert!(
-            q(1, "SELECT id FROM orders").plan_cache_hit,
-            "tenant 1's hot plan must survive tenant 2's churn"
-        );
     }
 
     #[test]

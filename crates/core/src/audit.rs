@@ -202,7 +202,6 @@ impl<'a> GuardedAppliance<'a> {
         let request = QueryRequest::builder("")
             .match_text("*", query)
             .top_k(k * 4) // overfetch to refill
-            .plan_cache(false)
             .build();
         let mut allowed = Vec::new();
         let mut withheld = Vec::new();

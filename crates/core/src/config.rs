@@ -6,7 +6,7 @@
 //! hardware" is this manifest. Every field defaults to a working value —
 //! booting with `ApplianceConfig::default()` requires zero decisions,
 //! which is the TCO story. The non-default switches exist for the
-//! ablation experiments (C2, C3, C7), not for administrators.
+//! ablation experiments (C2, C7), not for administrators.
 
 /// Configuration for one Impliance instance.
 #[derive(Debug, Clone)]
@@ -28,9 +28,6 @@ pub struct ApplianceConfig {
     pub encryption_key: Option<[u8; 16]>,
     /// Evaluate predicates at the storage node (ablated by C2).
     pub pushdown: bool,
-    /// Index documents inside the ingest operation instead of
-    /// asynchronously (ablated by C3; the paper's design is `false`).
-    pub synchronous_indexing: bool,
     /// Replication factor for user data in the cluster deployment.
     pub replication: usize,
     /// Tuples/rows per pipeline batch in the streaming executor
@@ -46,10 +43,6 @@ pub struct ApplianceConfig {
     /// is fully permissive (nothing is ever shed), preserving
     /// single-tenant behavior for callers that never set quotas.
     pub workload: impliance_virt::WorkloadConfig,
-    /// Cached logical plans kept per tenant (each tenant gets its own
-    /// bounded plan-cache partition, so one tenant's churn cannot evict
-    /// another's hot plans).
-    pub plan_cache_per_tenant: usize,
 }
 
 impl Default for ApplianceConfig {
@@ -63,14 +56,12 @@ impl Default for ApplianceConfig {
             compression: true,
             encryption_key: None,
             pushdown: true,
-            synchronous_indexing: false,
             replication: 3,
             batch_size: impliance_query::DEFAULT_BATCH_SIZE,
             worker_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
             workload: impliance_virt::WorkloadConfig::default(),
-            plan_cache_per_tenant: 128,
         }
     }
 }
@@ -83,10 +74,6 @@ mod tests {
     fn defaults_describe_the_paper_design() {
         let c = ApplianceConfig::default();
         assert!(c.pushdown, "pushdown is the paper's design point");
-        assert!(
-            !c.synchronous_indexing,
-            "async indexing is the paper's design point"
-        );
         assert!(c.compression);
         assert!(c.data_nodes >= 1 && c.grid_nodes >= 1 && c.cluster_nodes >= 1);
         assert!(c.worker_threads >= 1, "hardware detection floors at one");

@@ -4,13 +4,10 @@
 //! harness — asks questions the same way: build a request, call
 //! [`crate::Impliance::query`], inspect the response. The response
 //! carries not just rows/documents but the plan that was run, the
-//! execution metrics, whether the plan came from the cache, and the
-//! observability span id under which the execution was traced — enough
-//! to correlate any answer with the metrics snapshot.
+//! execution metrics, and the epochs the answer reflects.
 
 use impliance_docmodel::{DocId, Value};
 use impliance_index::SearchHit;
-use impliance_obs::SpanId;
 use impliance_query::{parse_sql, ExecMetrics, LogicalPlan, Priority, QueryOutput};
 use impliance_virt::TenantId;
 
@@ -65,7 +62,6 @@ pub struct QueryRequest {
     match_clause: Option<MatchClause>,
     top_k: Option<usize>,
     fusion: Option<FusionSpec>,
-    bypass_plan_cache: bool,
     batch_size: Option<usize>,
     limit: Option<usize>,
     deadline_ms: Option<u64>,
@@ -105,25 +101,6 @@ impl QueryRequest {
     /// The rank-fusion spec, if any (see [`QueryRequestBuilder::fusion`]).
     pub fn fusion_spec(&self) -> Option<FusionSpec> {
         self.fusion
-    }
-
-    /// The plan-cache key for this request. The cached plan embeds the
-    /// match clause, top-k bound, and fusion spec, so requests that
-    /// differ in any of them must key separately even when the SQL text
-    /// is identical.
-    pub fn cache_key(&self) -> String {
-        match (&self.match_clause, self.top_k, self.fusion) {
-            (None, None, None) => self.statement.clone(),
-            (m, k, f) => format!(
-                "{}\u{1}match={:?};k={:?};limit={:?};fusion={:?}",
-                self.statement, m, k, self.limit, f
-            ),
-        }
-    }
-
-    /// Whether the plan cache may serve/store this statement's plan.
-    pub fn plan_cache_enabled(&self) -> bool {
-        !self.bypass_plan_cache
     }
 
     /// The per-request pipeline batch size, if any (defaults to the
@@ -355,13 +332,6 @@ impl QueryRequestBuilder {
         self
     }
 
-    /// Enable or disable the plan cache for this request (on by default;
-    /// disable when benchmarking the planner itself).
-    pub fn plan_cache(mut self, enabled: bool) -> QueryRequestBuilder {
-        self.request.bypass_plan_cache = !enabled;
-        self
-    }
-
     /// Override the pipeline batch size for this request only.
     pub fn batch_size(mut self, size: usize) -> QueryRequestBuilder {
         self.request.batch_size = Some(size.max(1));
@@ -400,9 +370,8 @@ impl QueryRequestBuilder {
         self
     }
 
-    /// Bill this query to a tenant. The tenant's admission quota, queue
-    /// bound, and plan-cache partition apply; unset requests run as the
-    /// shared tenant `0`.
+    /// Bill this query to a tenant. The tenant's admission quota and
+    /// queue bound apply; unset requests run as the shared tenant `0`.
     pub fn tenant(mut self, id: u64) -> QueryRequestBuilder {
         self.request.tenant = TenantId(id);
         self
@@ -449,10 +418,9 @@ pub struct QueryResponse {
     pub metrics: ExecMetrics,
     /// The physical plan that was executed.
     pub plan: LogicalPlan,
-    /// The tracing span under which execution was recorded; look it up in
-    /// the observability snapshot to get wall time and child spans.
-    pub span_id: SpanId,
-    /// Whether the plan was served from the appliance plan cache.
+    /// Always `false`: every query is planned afresh (parse and plan cost
+    /// about 2 µs). Kept only because the benchmark reads it; it joins
+    /// the impbench-only names that the next benchmark change deletes.
     pub plan_cache_hit: bool,
     /// True when the query's deadline expired and `output` is a partial
     /// prefix of the full answer (see `QueryRequest::deadline_ms`).
@@ -627,20 +595,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_defaults_and_overrides() {
-        let req = QueryRequest::builder("SELECT * FROM docs").build();
-        assert_eq!(req.statement(), "SELECT * FROM docs");
-        assert!(req.plan_cache_enabled());
-
-        let req = QueryRequest::builder("SELECT * FROM docs")
-            .plan_cache(false)
-            .build();
-        assert!(!req.plan_cache_enabled());
-    }
-
-    #[test]
     fn builder_batch_size_and_limit() {
         let req = QueryRequest::builder("SELECT * FROM docs").build();
+        assert_eq!(req.statement(), "SELECT * FROM docs");
         assert_eq!(req.batch_size(), None);
         assert_eq!(req.limit(), None);
         assert_eq!(req.deadline_ms(), None);
@@ -677,7 +634,6 @@ mod tests {
         assert!(req.match_clause().is_none());
         assert_eq!(req.top_k(), None);
         assert!(req.fusion_spec().is_none());
-        assert_eq!(req.cache_key(), "SELECT * FROM docs");
 
         let req = QueryRequest::builder("")
             .match_text("*", "bumper damage")
@@ -701,14 +657,6 @@ mod tests {
         assert!(m.phrase);
         let f = req.fusion_spec().unwrap();
         assert_eq!(f.rrf_k, 60.0);
-        assert_ne!(
-            req.cache_key(),
-            QueryRequest::builder("SELECT * FROM docs")
-                .match_text("notes", "bumper")
-                .build()
-                .cache_key(),
-            "phrase/fusion variants must key separately"
-        );
     }
 
     #[test]

@@ -91,8 +91,7 @@ fn pipeline(
         .match_text("*", query)
         .top_k(k)
         .batch_size(batch)
-        .parallelism(workers)
-        .plan_cache(false);
+        .parallelism(workers);
     if any_term {
         builder = builder.any_term();
     }

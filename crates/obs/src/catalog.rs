@@ -159,7 +159,7 @@ catalog! {
         STORAGE_EPOCH_CURRENT: GaugeDef = "storage.epoch.current", "epoch", "latest published epoch";
         STORAGE_EPOCH_PINS: GaugeDef = "storage.epoch.pins", "pins", "outstanding snapshot pins";
         STORAGE_EPOCH_LOW_WATERMARK: GaugeDef = "storage.epoch.low_watermark", "epoch", "GC low watermark (oldest pinned epoch)";
-        STORAGE_EPOCH_RECLAIMED: CounterDef = "storage.epoch.reclaimed", "versions", "versions reclaimed by lazy GC";
+        STORAGE_EPOCH_RECLAIMED: CounterDef = "storage.epoch.reclaimed", "versions", "versions reclaimed by `StorageEngine::run_gc`";
     }
     "query::batch" {
         QUERY_OP_ROWS: CounterFamily = "query.op.<operator>.rows", "rows", "rows emitted by one physical operator";
@@ -216,8 +216,6 @@ catalog! {
         ANNOTATE_FEED_LAG: GaugeDef = "annotate.feed.lag", "epochs", "current epoch minus the discovery consumer's watermark, set at the end of every drain";
     }
     "core::appliance" {
-        QUERY_PLAN_CACHE_HITS: CounterDef = "query.plan_cache.hits", "queries", "plans served from the per-tenant plan cache";
-        QUERY_PLAN_CACHE_MISSES: CounterDef = "query.plan_cache.misses", "queries", "plans optimized afresh";
         QUERY_SNAPSHOT_PINNED: CounterDef = "query.snapshot.pinned", "queries", "queries that pinned a fresh epoch";
         QUERY_SNAPSHOT_EXPLICIT: CounterDef = "query.snapshot.explicit", "queries", "queries run at a caller-supplied epoch";
         INDEX_MAINTAIN_RECORDS: CounterDef = "index.maintain.records", "records", "change-feed records the index consumer acked (bumped by `FeedConsumer::drain`)";

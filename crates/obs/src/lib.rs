@@ -12,11 +12,8 @@
 //!   registered only through catalog declarations. The hot path is
 //!   lock-free: instrumented code caches the `Arc` handles and every
 //!   observation is a relaxed atomic RMW.
-//! * [`Tracer`] — `span!`-style RAII guards recording wall and logical
-//!   time with parent/child nesting, plus per-subsystem structured
-//!   events, retained in bounded ring buffers.
-//! * [`Snapshot`] — a point-in-time copy of everything above,
-//!   serializable to deterministic [`Json`].
+//! * [`Snapshot`] — a point-in-time copy of the registry, serializable
+//!   to deterministic [`Json`].
 //! * [`TrackedMutex`] / [`TrackedRwLock`] and [`assert_unguarded`] — the
 //!   debug-build lock checks ([`locks`]): lock-order inversions and guards
 //!   held across a blocking call panic, naming the locks.
@@ -36,7 +33,6 @@ pub mod json;
 pub mod locks;
 pub mod metrics;
 pub mod snapshot;
-pub mod trace;
 
 use std::sync::OnceLock;
 
@@ -44,33 +40,17 @@ pub use json::Json;
 pub use locks::{assert_unguarded, TrackedMutex, TrackedRwLock};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, LATENCY_BUCKETS_US};
 pub use snapshot::{HistogramSnapshot, Snapshot};
-pub use trace::{EventRecord, SpanGuard, SpanId, SpanRecord, Tracer};
 
-/// One observability domain: a metrics registry plus a tracer.
-#[derive(Debug)]
+/// One observability domain: a metrics registry.
+#[derive(Debug, Default)]
 pub struct Obs {
     metrics: MetricsRegistry,
-    tracer: Tracer,
-}
-
-impl Default for Obs {
-    fn default() -> Self {
-        Obs::new()
-    }
 }
 
 impl Obs {
-    /// An observability domain retaining up to 4096 spans and events.
+    /// An empty observability domain.
     pub fn new() -> Obs {
-        Obs::with_capacity(4096)
-    }
-
-    /// An observability domain with an explicit trace-ring capacity.
-    pub fn with_capacity(trace_capacity: usize) -> Obs {
-        Obs {
-            metrics: MetricsRegistry::new(),
-            tracer: Tracer::new(trace_capacity),
-        }
+        Obs::default()
     }
 
     /// The metrics registry.
@@ -78,19 +58,12 @@ impl Obs {
         &self.metrics
     }
 
-    /// The tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Freeze everything into a [`Snapshot`].
+    /// Freeze every registered metric into a [`Snapshot`].
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             counters: self.metrics.counter_values(),
             gauges: self.metrics.gauge_values(),
             histograms: self.metrics.histogram_values(),
-            spans: self.tracer.spans(),
-            events: self.tracer.events(),
         }
     }
 }
@@ -113,21 +86,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_captures_all_three_metric_kinds_and_traces() {
-        let obs = Obs::with_capacity(8);
+    fn snapshot_captures_all_three_metric_kinds() {
+        let obs = Obs::new();
         obs.metrics().counter(&catalog::STORAGE_PUT_COUNT).add(3);
         obs.metrics().gauge(&catalog::STORAGE_EPOCH_PINS).set(-2);
         obs.metrics().histogram(&catalog::STORAGE_GET_US).observe(4);
-        {
-            let _g = span!(obs, "test", "op");
-            obs.tracer().event("test", "evt", &[("k", 1)]);
-        }
         let snap = obs.snapshot();
         assert_eq!(snap.counters["storage.put.count"], 3);
         assert_eq!(snap.gauges["storage.epoch.pins"], -2);
         assert_eq!(snap.histograms["storage.get.us"].count, 1);
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.events.len(), 1);
         assert_eq!(snap.nonzero_counters_with_prefix("storage."), 1);
         assert_eq!(snap.nonzero_counters_with_prefix("zzz"), 0);
     }

@@ -1,12 +1,10 @@
-//! Point-in-time snapshots of everything the observability layer holds,
-//! serializable to deterministic JSON (BTreeMap ordering; the JSON layer
+//! Point-in-time snapshots of the metrics registry, serializable to
+//! deterministic JSON (BTreeMap ordering; the JSON layer
 //! is the dependency-free writer in [`crate::json`]).
 
 use std::collections::BTreeMap;
 
 use crate::json::Json;
-
-use crate::trace::{EventRecord, SpanRecord};
 
 /// Frozen histogram state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +36,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// A full observability snapshot: metrics plus the trace-ring contents.
+/// A full observability snapshot: every registered metric's value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Counter values by name.
@@ -47,17 +45,12 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Histogram snapshots by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Finished spans still retained, oldest first.
-    pub spans: Vec<SpanRecord>,
-    /// Events still retained, oldest first.
-    pub events: Vec<EventRecord>,
 }
 
 impl Snapshot {
-    /// The deterministic half of the snapshot: counters, gauges, and
-    /// histograms only — no wall-clock times, no span ids. Suitable for
-    /// golden tests.
-    pub fn metrics_json(&self) -> Json {
+    /// The snapshot as JSON: counters, gauges and histograms, keyed by
+    /// name. Holds no wall-clock times, so it suits golden tests.
+    pub fn to_json(&self) -> Json {
         let mut obj = BTreeMap::new();
         obj.insert(
             "counters".to_string(),
@@ -89,23 +82,6 @@ impl Snapshot {
         Json::Obj(obj)
     }
 
-    /// The full snapshot as JSON, including span and event trails.
-    pub fn to_json(&self) -> Json {
-        let mut obj = match self.metrics_json() {
-            Json::Obj(m) => m,
-            _ => BTreeMap::new(),
-        };
-        obj.insert(
-            "spans".to_string(),
-            Json::Arr(self.spans.iter().map(span_json).collect()),
-        );
-        obj.insert(
-            "events".to_string(),
-            Json::Arr(self.events.iter().map(event_json).collect()),
-        );
-        Json::Obj(obj)
-    }
-
     /// How many counters with the given name prefix are nonzero — the
     /// quick "did subsystem X actually report?" check.
     pub fn nonzero_counters_with_prefix(&self, prefix: &str) -> usize {
@@ -114,43 +90,4 @@ impl Snapshot {
             .filter(|(k, &v)| k.starts_with(prefix) && v > 0)
             .count()
     }
-}
-
-fn span_json(s: &SpanRecord) -> Json {
-    let mut obj = BTreeMap::new();
-    obj.insert("id".to_string(), Json::Num(s.id.0 as f64));
-    obj.insert(
-        "parent".to_string(),
-        s.parent.map_or(Json::Null, |p| Json::Num(p.0 as f64)),
-    );
-    obj.insert("subsystem".to_string(), Json::Str(s.subsystem.to_string()));
-    obj.insert("name".to_string(), Json::Str(s.name.to_string()));
-    obj.insert(
-        "start_logical".to_string(),
-        Json::Num(s.start_logical as f64),
-    );
-    obj.insert("end_logical".to_string(), Json::Num(s.end_logical as f64));
-    obj.insert("wall_us".to_string(), Json::Num(s.wall_us as f64));
-    Json::Obj(obj)
-}
-
-fn event_json(e: &EventRecord) -> Json {
-    let mut obj = BTreeMap::new();
-    obj.insert(
-        "span".to_string(),
-        e.span.map_or(Json::Null, |s| Json::Num(s.0 as f64)),
-    );
-    obj.insert("subsystem".to_string(), Json::Str(e.subsystem.to_string()));
-    obj.insert("name".to_string(), Json::Str(e.name.to_string()));
-    obj.insert("logical".to_string(), Json::Num(e.logical as f64));
-    obj.insert(
-        "fields".to_string(),
-        Json::Obj(
-            e.fields
-                .iter()
-                .map(|&(k, v)| (k.to_string(), Json::Num(v as f64)))
-                .collect(),
-        ),
-    );
-    Json::Obj(obj)
 }

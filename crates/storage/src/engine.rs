@@ -10,7 +10,6 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -22,11 +21,6 @@ use crate::epoch::{ChangeFeed, ConsumerObs, EpochRegistry, FeedConsumer, Snapsho
 use crate::error::StorageError;
 use crate::partition::{PageSink, Partition, ScanPos};
 use crate::pushdown::{Predicate, ScanMetrics, ScanRequest, ScanResult};
-
-/// Commits between lazy version-GC sweeps (a sweep walks every chain, so
-/// running it on every commit would be quadratic under sustained
-/// overwrite).
-const GC_INTERVAL: u64 = 64;
 
 /// Cached handles into the global metrics registry; obtained once so the
 /// put/get/scan hot paths stay lock-free (one atomic RMW each).
@@ -111,12 +105,6 @@ pub struct StorageEngine {
     epoch: Arc<EpochRegistry>,
     pub(crate) feed: ChangeFeed,
     commit_lock: TrackedMutex<()>,
-    /// Lazy version GC switch. Off by default: with it off every version
-    /// remains addressable (the §4 time-travel story); on, superseded
-    /// versions below the pin low-watermark are reclaimed, trading
-    /// history for bounded space under sustained overwrite.
-    gc_enabled: AtomicBool,
-    commits_since_gc: AtomicU64,
 }
 
 impl StorageEngine {
@@ -141,8 +129,6 @@ impl StorageEngine {
             epoch: Arc::new(EpochRegistry::default()),
             feed: ChangeFeed::default(),
             commit_lock: TrackedMutex::new("storage.commit", ()),
-            gc_enabled: AtomicBool::new(false),
-            commits_since_gc: AtomicU64::new(0),
         }
     }
 
@@ -199,7 +185,6 @@ impl StorageEngine {
         self.epoch.publish(epoch);
         obs.puts.add(docs.len() as u64);
         obs.put_us.observe(started.elapsed().as_micros() as u64);
-        self.maybe_gc();
         Ok(epoch)
     }
 
@@ -222,28 +207,13 @@ impl StorageEngine {
         self.epoch.low_watermark()
     }
 
-    /// Enable or disable lazy version GC (off by default; see the field
-    /// doc on `gc_enabled`). A sweep runs every [`GC_INTERVAL`] commits
-    /// while enabled, or on demand via [`StorageEngine::run_gc`].
-    pub fn set_version_gc(&self, enabled: bool) {
-        self.gc_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    fn maybe_gc(&self) {
-        if !self.gc_enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        let n = self.commits_since_gc.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(GC_INTERVAL) {
-            self.run_gc();
-        }
-    }
-
     /// Reclaim superseded versions no longer observable from any live or
     /// future snapshot (successor epoch ≤ low-watermark). Returns the
-    /// number of versions reclaimed. Memtable-resident reclaims free
-    /// their bytes immediately; segment-resident ones only drop their
-    /// chain entry (the sealed block is immutable).
+    /// number of versions reclaimed. Nothing runs it implicitly: until a
+    /// caller does, every version stays addressable (§4 time travel).
+    /// Memtable-resident reclaims free their bytes immediately;
+    /// segment-resident ones only drop their chain entry (the sealed
+    /// block is immutable).
     pub fn run_gc(&self) -> u64 {
         let watermark = self.epoch.low_watermark();
         let mut reclaimed = 0u64;
@@ -837,17 +807,22 @@ mod tests {
             compression: false,
             encryption_key: None,
         });
-        e.set_version_gc(true);
+        // A sweep walks every chain, so a writer runs one per batch of
+        // overwrites rather than after each.
+        const GC_EVERY: u64 = 64;
         let mut d = doc(1);
         e.put(&d).unwrap();
-        for _ in 0..(3 * GC_INTERVAL) {
+        for i in 1..=(3 * GC_EVERY) {
             d = d.new_version(Node::map([("x".into(), Node::scalar(7i64))]), 1);
             e.put(&d).unwrap();
+            if i % GC_EVERY == 0 {
+                e.run_gc();
+            }
         }
         // Unpinned: the watermark is the current epoch, so each sweep
         // reclaims everything but the latest version.
         assert!(
-            e.total_versions() as u64 <= GC_INTERVAL + 1,
+            e.total_versions() as u64 <= GC_EVERY + 1,
             "total_versions {} not bounded by the GC interval",
             e.total_versions()
         );
@@ -858,7 +833,7 @@ mod tests {
         // A pinned snapshot blocks reclamation of what it can still see.
         let pinned = e.pin();
         let held = e.get_latest(DocId(1)).unwrap().unwrap();
-        for _ in 0..GC_INTERVAL {
+        for _ in 0..GC_EVERY {
             d = d.new_version(Node::map([("x".into(), Node::scalar(8i64))]), 1);
             e.put(&d).unwrap();
         }

@@ -12,7 +12,7 @@
 //! Pins are ref-counted per epoch. The minimum pinned epoch is the
 //! **low watermark**: a superseded version whose *successor* committed at
 //! or below the watermark can no longer be observed by any live or future
-//! snapshot, which is exactly the condition lazy version GC uses to
+//! snapshot, which is exactly the condition version GC uses to
 //! reclaim it (see `Partition::reclaim`).
 //!
 //! The [`ChangeFeed`] records one `(epoch, DocId)` entry per committed
@@ -54,7 +54,7 @@ fn epoch_obs() -> &'static EpochObs {
     })
 }
 
-/// Record versions reclaimed by lazy GC in the global registry.
+/// Record versions reclaimed by version GC in the global registry.
 pub(crate) fn observe_reclaimed(n: u64) {
     if n > 0 {
         epoch_obs().reclaimed.add(n);
@@ -117,7 +117,7 @@ impl EpochRegistry {
 
     /// The minimum pinned epoch, or the current epoch when nothing is
     /// pinned. No live or future snapshot can observe state older than
-    /// this, so it bounds what lazy GC may reclaim.
+    /// this, so it bounds what version GC may reclaim.
     pub fn low_watermark(&self) -> u64 {
         let pins = self.pins.lock();
         let w = pins

@@ -85,7 +85,7 @@ impl Memtable {
 
     /// Tombstone the entry at `idx`: drop its encoded bytes but KEEP the
     /// slot, so indices held by version chains and in-flight `ScanPos`
-    /// cursors stay valid. Used by lazy version GC for superseded
+    /// cursors stay valid. Used by version GC for superseded
     /// versions no live snapshot can observe.
     pub fn tombstone(&mut self, idx: usize) {
         let entry = &mut self.entries[idx];

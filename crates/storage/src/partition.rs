@@ -60,7 +60,7 @@ pub struct Partition {
     memtable: Memtable,
     segments: Vec<Segment>,
     /// id → ordered version chain. Appended by `put_at`; entries are
-    /// removed only by [`Partition::reclaim`] (lazy version GC), and only
+    /// removed only by [`Partition::reclaim`] (version GC), and only
     /// when no live or future snapshot can observe them.
     chains: HashMap<DocId, Vec<ChainEntry>>,
     seal_threshold: usize,
@@ -132,7 +132,7 @@ impl Partition {
         Ok(())
     }
 
-    /// Lazy version GC: drop every chain entry that is superseded by a
+    /// Version GC (`StorageEngine::run_gc`): drop every chain entry that is superseded by a
     /// successor committed at or below `watermark` (the minimum pinned
     /// epoch). Such entries can no longer be chosen by any live or future
     /// snapshot. Memtable-resident reclaimed versions have their bytes
